@@ -36,17 +36,26 @@ class _AccessState:
     the capability off under a neighbour still inside its own scope.  The
     absolute :func:`set_test_mode` switch is kept separate so manual
     on/off control behaves exactly as before.
+
+    ``global_on`` is the global switch, ``forced or depth > 0``, updated
+    under the lock by every writer.  The contract checks run inside every
+    traced mutant call, so they read it as one attribute and fall back to
+    the per-class lookup only when it is off.
     """
 
     def __init__(self):
         self.forced = False
         self.depth = 0
+        self.global_on = False
         self.enabled_classes: Dict[type, int] = {}
         self.lock = threading.Lock()
 
-    def is_on_for(self, target: Optional[type]) -> bool:
-        if self.forced or self.depth > 0:
-            return True
+    def update_global(self) -> None:
+        """Recompute ``global_on``; the caller holds the lock."""
+        self.global_on = self.forced or self.depth > 0
+
+    def class_enabled(self, target: Optional[type]) -> bool:
+        """Per-class enablement alone; readers check ``global_on`` first."""
         if target is None or not self.enabled_classes:
             return False
         return any(issubclass(target, enabled)
@@ -58,7 +67,9 @@ _STATE = _AccessState()
 
 def set_test_mode(on: bool) -> None:
     """Turn global test mode on or off (absolute, not scoped)."""
-    _STATE.forced = bool(on)
+    with _STATE.lock:
+        _STATE.forced = bool(on)
+        _STATE.update_global()
 
 
 def enable_for_class(target: Type) -> None:
@@ -84,7 +95,7 @@ def is_test_mode(target: Optional[type] = None) -> bool:
     With a ``target`` class, per-class enablement is honoured; without one,
     only the global switches count.
     """
-    return _STATE.is_on_for(target)
+    return _STATE.global_on or _STATE.class_enabled(target)
 
 
 def require_test_mode(target: Optional[type] = None, capability: str = "BIT") -> None:
@@ -107,11 +118,13 @@ def test_mode(target: Optional[Type] = None) -> Iterator[None]:
     if target is None:
         with _STATE.lock:
             _STATE.depth += 1
+            _STATE.update_global()
         try:
             yield
         finally:
             with _STATE.lock:
                 _STATE.depth -= 1
+                _STATE.update_global()
     else:
         enable_for_class(target)
         try:
@@ -125,4 +138,5 @@ def reset() -> None:
     with _STATE.lock:
         _STATE.forced = False
         _STATE.depth = 0
+        _STATE.update_global()
         _STATE.enabled_classes.clear()

@@ -27,6 +27,7 @@ from ..core.errors import (
     PreconditionViolation,
 )
 from . import access
+from .access import _STATE
 
 Predicate = Union[bool, Callable[[], Any]]
 
@@ -37,10 +38,15 @@ def _holds(expression: Predicate) -> bool:
     return bool(expression)
 
 
+# The three checks run inside every guarded mutant call, where each line
+# they execute costs a trace callback and counts against the step budget.
+# They read the global switch directly: the same answer as
+# ``access.is_test_mode()`` without a target, in one line instead of three
+# calls.
 def check_invariant(expression: Predicate, subject: str = "",
                     message: str = "") -> None:
     """``ClassInvariant(exp)``: raise :class:`InvariantViolation` when false."""
-    if not access.is_test_mode():
+    if not _STATE.global_on:
         return
     if not _holds(expression):
         raise InvariantViolation(message or "Invariant is violated!", subject)
@@ -49,7 +55,7 @@ def check_invariant(expression: Predicate, subject: str = "",
 def check_precondition(expression: Predicate, subject: str = "",
                        message: str = "") -> None:
     """``PreCondition(exp)``: raise :class:`PreconditionViolation` when false."""
-    if not access.is_test_mode():
+    if not _STATE.global_on:
         return
     if not _holds(expression):
         raise PreconditionViolation(message or "Pre-condition is violated!", subject)
@@ -58,7 +64,7 @@ def check_precondition(expression: Predicate, subject: str = "",
 def check_postcondition(expression: Predicate, subject: str = "",
                         message: str = "") -> None:
     """``PostCondition(exp)``: raise :class:`PostconditionViolation` when false."""
-    if not access.is_test_mode():
+    if not _STATE.global_on:
         return
     if not _holds(expression):
         raise PostconditionViolation(message or "Post-condition is violated!", subject)

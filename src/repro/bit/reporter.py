@@ -22,6 +22,10 @@ from typing import Any, Dict, List, Set, TextIO, Tuple
 MAX_DEPTH = 6
 MAX_ITEMS = 200
 
+#: Exact item types of a sequence that is copied as it is.  Any other item
+#: (subclasses of these included) sends the sequence down the per-item path.
+_SCALAR_TYPES = frozenset((type(None), bool, int, float, str))
+
 
 def snapshot_value(value: Any, depth: int = 0, seen: Set[int] = None) -> Any:
     """Convert a runtime value into a comparable plain structure."""
@@ -37,7 +41,14 @@ def snapshot_value(value: Any, depth: int = 0, seen: Set[int] = None) -> Any:
     seen = seen | {identity}
 
     if isinstance(value, (list, tuple)):
-        items = [snapshot_value(item, depth + 1, seen) for item in value[:MAX_ITEMS]]
+        head = value[:MAX_ITEMS]
+        # Snapshots are taken under the step budget, where every Python
+        # line costs a trace callback; an all-scalar sequence (the usual
+        # component contents) is copied by C code instead of item by item.
+        if _SCALAR_TYPES.issuperset(map(type, head)):
+            items = list(head)
+        else:
+            items = [snapshot_value(item, depth + 1, seen) for item in head]
         if len(value) > MAX_ITEMS:
             items.append(f"<{len(value) - MAX_ITEMS} more>")
         return tuple(items) if isinstance(value, tuple) else items

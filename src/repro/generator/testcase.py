@@ -79,6 +79,10 @@ class TestCase:
             raise ValueError(f"test case {self.ident} has no steps")
         if not self.steps[0].is_construction:
             raise ValueError(f"test case {self.ident} does not start with construction")
+        # The executor asks before every run of the case; the steps are
+        # immutable, so the answer is fixed here.  A plain attribute, not a
+        # field: equality, repr and the suite fingerprint see fields only.
+        object.__setattr__(self, "_complete", not self.holes)
 
     # -- structure ----------------------------------------------------------
 
@@ -120,7 +124,7 @@ class TestCase:
 
     @property
     def is_complete(self) -> bool:
-        return not self.holes
+        return self._complete
 
     def require_complete(self) -> None:
         holes = self.holes

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .outcomes import TestResult, Verdict
 
@@ -166,9 +166,30 @@ class SelectiveOutputOracle(Oracle):
 
     name = "selective_output"
 
+    # The memo tables live in slots, outside the instance ``__dict__``: the
+    # oracle's canonical rendering (part of the outcome-cache fingerprint)
+    # and its pickled form (the worker pool's battery epoch) stay its
+    # configuration alone, however much it has judged.
+    __slots__ = ("_visible", "_references")
+
     def __init__(self, observed_methods):
         self.observed = frozenset(observed_methods)
         self._final_state = LogOutputOracle()
+        self._reset_memos()
+
+    def _reset_memos(self) -> None:
+        #: step method name -> whether it is observed.
+        self._visible: Dict[str, bool] = {}
+        #: case ident -> (reference result, its visible steps).  One entry
+        #: per case: a new reference for the same ident replaces it.
+        self._references: Dict[str, Tuple[TestResult, tuple]] = {}
+
+    def __getstate__(self):
+        return self.__dict__
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        self._reset_memos()
 
     @staticmethod
     def _method_of(step) -> str:
@@ -176,17 +197,30 @@ class SelectiveOutputOracle(Oracle):
         return step.method_name.split("(")[0]
 
     def _visible_steps(self, result: TestResult):
-        return tuple(
-            step for step in result.observation.steps
-            if self._method_of(step) in self.observed
-        )
+        visible = self._visible
+        steps = []
+        for step in result.observation.steps:
+            shown = visible.get(step.method_name)
+            if shown is None:
+                shown = self._method_of(step) in self.observed
+                visible[step.method_name] = shown
+            if shown:
+                steps.append(step)
+        return tuple(steps)
+
+    def _reference_steps(self, reference: TestResult):
+        cached = self._references.get(reference.case_ident)
+        if cached is None or cached[0] is not reference:
+            cached = (reference, self._visible_steps(reference))
+            self._references[reference.case_ident] = cached
+        return cached[1]
 
     def judge(self, observed: TestResult,
               reference: Optional[TestResult]) -> OracleJudgement:
         if reference is None:
             return OracleJudgement(KillReason.NONE)
         mine = self._visible_steps(observed)
-        theirs = self._visible_steps(reference)
+        theirs = self._reference_steps(reference)
         if mine != theirs:
             for index, (a, b) in enumerate(zip(mine, theirs)):
                 if a != b:

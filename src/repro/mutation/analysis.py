@@ -36,9 +36,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.errors import RunCancelled
 from ..generator.suite import TestSuite
+from ..generator.testcase import TestCase
 from ..harness.executor import TestExecutor
 from ..harness.oracles import CompositeOracle, KillReason, paper_oracle
-from ..harness.outcomes import SuiteResult, Verdict
+from ..harness.outcomes import SuiteResult, TestResult, Verdict
 from ..obs import Telemetry, coalesce
 from .cache import CacheStats, MutationOutcomeCache, experiment_fingerprint
 from .coverage import CoverageMatrix, record_coverage
@@ -55,6 +56,10 @@ from .typemodel import TypeModel
 #: Builds the runnable class for a mutant (experiment 2 swaps in a builder
 #: that re-derives the subclass over the mutated base).
 ClassBuilder = Callable[[CompiledMutant], type]
+
+#: One case a mutant executes: the case, its reference result, and how
+#: many cases coverage-guided pruning skipped before it.
+_PlannedCase = Tuple[TestCase, Optional[TestResult], int]
 
 
 @dataclass(frozen=True)
@@ -377,7 +382,10 @@ class MutationAnalysis:
         self._cancel = cancel_event
         self._coverage: Optional[CoverageMatrix] = coverage if prune else None
         self._reference: Optional[SuiteResult] = reference
-        self._reference_by_ident: Optional[Dict[str, object]] = None
+        self._reference_by_ident: Optional[Dict[str, TestResult]] = None
+        self._case_plans: Dict[
+            str, Tuple[Tuple[_PlannedCase, ...], int]
+        ] = {}
 
     # ------------------------------------------------------------------
 
@@ -436,7 +444,7 @@ class MutationAnalysis:
             )
         return self._coverage
 
-    def _reference_map(self) -> Dict[str, object]:
+    def _reference_map(self) -> Dict[str, TestResult]:
         if self._reference_by_ident is None:
             self._reference_by_ident = {
                 result.case_ident: result
@@ -552,6 +560,38 @@ class MutationAnalysis:
             ),
         )
 
+    def _case_plan(self, method_name: str
+                   ) -> Tuple[Tuple[_PlannedCase, ...], int]:
+        """The cases a mutant of ``method_name`` executes, and the total
+        number pruning skips.
+
+        Each entry pairs a covering case, in suite order, with its
+        reference result and the number of cases skipped before it.
+        Every mutant of the method walks the same list, so it is built
+        once per method and analysis.
+        """
+        plan = self._case_plans.get(method_name)
+        if plan is None:
+            coverage = self.coverage_matrix()
+            reference_by_ident = self._reference_map()
+            entries: List[_PlannedCase] = []
+            skipped = 0
+            for case in self._suite.cases:
+                if (coverage is not None
+                        and not coverage.covers(case.ident, method_name)):
+                    # The case's reference run never entered the method, so
+                    # a mutant run executes identical code and replays the
+                    # reference outcome: that replay (no kill, no detail) is
+                    # synthesized instead of executed.
+                    skipped += 1
+                    continue
+                entries.append(
+                    (case, reference_by_ident.get(case.ident), skipped)
+                )
+            plan = (tuple(entries), skipped)
+            self._case_plans[method_name] = plan
+        return plan
+
     def analyze_single(self, mutant: CompiledMutant
                        ) -> Tuple[MutantOutcome, int]:
         """Run the suite over one mutant.
@@ -560,13 +600,7 @@ class MutationAnalysis:
         sandbox recorded for this mutant (the unit the parallel engine
         aggregates across workers).
         """
-        return self._analyze_one(mutant, self._reference_map())
-
-    def _analyze_one(self, mutant: CompiledMutant,
-                     reference_by_ident: Dict[str, object]
-                     ) -> Tuple[MutantOutcome, int]:
-        coverage = self.coverage_matrix()
-        target_method = mutant.record.method_name
+        planned, cases_skipped = self._case_plan(mutant.record.method_name)
         mutant_class = self._builder(mutant)
         guard = StepBudgetGuard(self._budget)
         executor = TestExecutor(
@@ -583,22 +617,12 @@ class MutationAnalysis:
         first_detail = ""
         killing_cases: List[str] = []
         cases_run = 0
-        cases_skipped = 0
 
-        for case in self._suite.cases:
-            if (coverage is not None
-                    and not coverage.covers(case.ident, target_method)):
-                # The case's reference run never entered the mutated method,
-                # so the mutant run executes identical code and replays the
-                # reference outcome — synthesize that replay (no kill, no
-                # detail) instead of executing it.
-                cases_skipped += 1
-                continue
+        for case, reference_result, skipped_before in planned:
             cases_run += 1
             observed = executor.run_case(case)
             if observed.verdict is Verdict.INCOMPLETE:
                 continue
-            reference_result = reference_by_ident.get(case.ident)
             judgement = self._oracle.judge(observed, reference_result)
             if judgement.detected:
                 if first_reason is KillReason.NONE:
@@ -607,6 +631,8 @@ class MutationAnalysis:
                     first_detail = judgement.detail
                 killing_cases.append(case.ident)
                 if self._stop_on_first_kill:
+                    # Only the cases before the killing one were skipped.
+                    cases_skipped = skipped_before
                     break
 
         killed = first_reason is not KillReason.NONE

@@ -131,6 +131,22 @@ class CoverageMatrix:
         return len(self.methods_by_case)
 
 
+def _restore_profile(previous: object) -> None:
+    """Give the profile hook back to whoever held it before.
+
+    ``sys.getprofile()`` returns a C-level profiler such as
+    ``cProfile.Profile`` as the profiler object itself, which is not
+    callable: handing it to ``sys.setprofile`` would make the next event
+    raise ``TypeError``.  Such a profiler is re-enabled instead, which
+    re-installs its own C hook; Python-level hooks are restored as they
+    are.
+    """
+    if previous is not None and not callable(previous):
+        previous.enable()
+    else:
+        sys.setprofile(previous)
+
+
 class MethodCoverageTracer:
     """Records a :class:`CoverageMatrix` through the executor's case seam.
 
@@ -164,7 +180,7 @@ class MethodCoverageTracer:
         try:
             yield
         finally:
-            sys.setprofile(previous)
+            _restore_profile(previous)
 
     def matrix(self) -> CoverageMatrix:
         return CoverageMatrix(

@@ -142,12 +142,16 @@ def probe_equivalence(original_class: type,
             max_transactions=max_transactions,
         ).generate()
         suite_sizes.append(len(probe_suite))
+        # No static triage per round.  Triage never changes a verdict, and
+        # with ``triage`` given the pending survivors already exclude every
+        # proven-equivalent or redundant mutant, so a pass finds nothing.
         analysis = MutationAnalysis(
             original_class,
             probe_suite,
             class_builder=class_builder,
             step_budget=step_budget,
             setup=setup,
+            static_triage=False,
         )
         run = analysis.analyze(pending)
         for outcome in run.outcomes:

@@ -27,20 +27,25 @@ DEFAULT_STEP_BUDGET = 50_000
 
 
 class StepBudgetGuard:
-    """A step guard enforcing a line-event budget per guarded call."""
+    """A step guard enforcing a line-event budget per guarded call.
+
+    The guard builds its tracer once and re-arms it with a full budget at
+    the start of every call, so a call costs two ``settrace`` swaps and
+    builds no closure.  A guard is not re-entrant: a guarded call must not
+    call the same guard again.
+    """
 
     def __init__(self, budget: int = DEFAULT_STEP_BUDGET):
         if budget < 1:
             raise ValueError("step budget must be positive")
         self.budget = budget
         self.timeouts = 0  # how many guarded calls were cut (observability)
-
-    def __call__(self, function: Callable, *args: Any, **kwargs: Any) -> Any:
-        # The tracer runs once per traced event, so it is the hottest code in
-        # a mutant run.  Non-"line" events (call/return/exception) bail out
-        # first, and the countdown lives in a closure cell rather than a list
-        # so the common path is one compare + one subtract.
-        remaining = self.budget
+        # The tracer runs once per traced event, so it is the hottest code
+        # in a mutant run.  Non-"line" events (call/return/exception) bail
+        # out first, and the countdown lives in a closure cell rather than
+        # on the guard so the common path is one compare + one subtract.
+        remaining = limit = budget
+        guarded: Any = None
 
         def tracer(frame, event, arg):  # noqa: ARG001 — sys.settrace API
             nonlocal remaining
@@ -49,13 +54,25 @@ class StepBudgetGuard:
             remaining -= 1
             if remaining <= 0:
                 raise SandboxTimeout(
-                    f"step budget of {self.budget} line events exhausted "
-                    f"in {getattr(function, '__name__', function)!r}"
+                    f"step budget of {limit} line events exhausted "
+                    f"in {getattr(guarded, '__name__', guarded)!r}"
                 )
             return tracer
 
+        def arm(budget: int, function: Callable) -> None:
+            nonlocal remaining, limit, guarded
+            remaining = limit = budget
+            guarded = function
+
+        self._tracer = tracer
+        self._arm = arm
+
+    def __call__(self, function: Callable, *args: Any, **kwargs: Any) -> Any:
+        self._arm(self.budget, function)
         previous = sys.gettrace()
-        sys.settrace(tracer)
+        # Installed again on every call: CPython drops a trace function
+        # that raised, so the tracer is gone after each SandboxTimeout.
+        sys.settrace(self._tracer)
         try:
             return function(*args, **kwargs)
         except SandboxTimeout:

@@ -48,6 +48,24 @@ class TestGlobalSwitch:
             assert access.is_test_mode()
         assert not access.is_test_mode()
 
+    def test_absolute_and_scoped_switches_overlap(self):
+        # Either one keeps the global switch on while the other goes off.
+        access.set_test_mode(True)
+        with access.test_mode():
+            pass
+        assert access.is_test_mode()
+        access.set_test_mode(False)
+        with access.test_mode():
+            access.set_test_mode(True)
+            access.set_test_mode(False)
+            assert access.is_test_mode()
+        assert not access.is_test_mode()
+
+    def test_reset_turns_the_global_switch_off(self):
+        access.set_test_mode(True)
+        access.reset()
+        assert not access.is_test_mode()
+
 
 class TestPerClassSwitch:
     def test_enable_for_class(self):

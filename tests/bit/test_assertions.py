@@ -65,6 +65,31 @@ class TestCheckFunctions:
         with pytest.raises(PreconditionViolation, match="must be positive"):
             check_precondition(False, message="must be positive")
 
+    def test_noop_under_a_per_class_scope_only(self):
+        # The checks carry no class, so a per-class scope with the global
+        # switch off leaves them compiled out.
+        with access.test_mode(Account):
+            check_invariant(False)
+            check_precondition(False)
+            check_postcondition(False)
+
+    def test_fire_under_the_absolute_switch(self):
+        access.set_test_mode(True)
+        with pytest.raises(InvariantViolation):
+            check_invariant(False)
+        with pytest.raises(PreconditionViolation):
+            check_precondition(False)
+        with pytest.raises(PostconditionViolation):
+            check_postcondition(False)
+        access.set_test_mode(False)
+        check_invariant(False)
+
+    def test_noop_again_after_the_scope_exits(self):
+        with access.test_mode():
+            with pytest.raises(InvariantViolation):
+                check_invariant(False)
+        check_invariant(False)
+
 
 class Account(BuiltInTest):
     def __init__(self, balance=0):

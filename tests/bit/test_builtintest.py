@@ -18,6 +18,14 @@ class Thermostat(BuiltInTest):
         return -30 <= self.target <= 60
 
 
+class SmartThermostat(Thermostat):
+    pass
+
+
+class Valve(BuiltInTest):
+    pass
+
+
 class TestInvariantTest:
     def test_requires_test_mode(self):
         with pytest.raises(TestModeError):
@@ -40,6 +48,17 @@ class TestInvariantTest:
     def test_per_class_enablement_suffices(self):
         access.enable_for_class(Thermostat)
         Thermostat().invariant_test()
+
+    def test_unrelated_class_scope_does_not_enable(self):
+        with access.test_mode(Valve):
+            with pytest.raises(TestModeError, match="Thermostat"):
+                Thermostat().invariant_test()
+
+    def test_subclass_of_enabled_class_is_enabled(self):
+        with access.test_mode(Thermostat):
+            SmartThermostat().invariant_test()
+            with pytest.raises(InvariantViolation, match="SmartThermostat"):
+                SmartThermostat(1000).invariant_test()
 
 
 class TestReporter:

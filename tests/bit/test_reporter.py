@@ -71,6 +71,22 @@ class TestSnapshotValue:
         snap = snapshot_value(list(range(500)))
         assert "<300 more>" in snap[-1]
 
+    def test_all_scalar_sequences_are_fresh_copies(self):
+        values = [None, True, 3, 2.5, "text"]
+        snap = snapshot_value(values)
+        assert snap == values and type(snap) is list and snap is not values
+        assert snapshot_value(tuple(values)) == tuple(values)
+        assert snapshot_value(list(range(300)))[:200] == list(range(200))
+
+    def test_scalar_subclass_items_snapshot_the_same(self):
+        # An item of a scalar subclass sends the sequence down the per-item
+        # path, which must agree with the all-scalar copy.
+        class Count(int):
+            pass
+
+        assert snapshot_value([Count(3), 1, "x"]) == [3, 1, "x"]
+        assert snapshot_value((1, [2, 3])) == (1, [2, 3])
+
     def test_unknown_objects_placeholder(self):
         snap = snapshot_value(object())
         assert snap == "<object>"

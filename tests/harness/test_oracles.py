@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import pickle
+
 from repro.bit.reporter import StateReport
+from repro.core.fingerprint import canonical
 from repro.harness.oracles import (
     AssertionOracle,
     CompositeOracle,
@@ -141,6 +144,28 @@ class TestSelectiveOutputOracle:
         observed = result(steps=[StepObservation("GetAt(3)", "raise", "E: x")])
         reference = result(steps=[step("GetAt", 1)])
         assert oracle.judge(observed, reference).detected
+
+    def test_new_reference_for_a_case_replaces_the_memo(self):
+        oracle = SelectiveOutputOracle({"GetCount"})
+        observed = result(steps=[step("GetCount", 5)])
+        assert oracle.judge(observed, result(steps=[step("GetCount", 6)])).detected
+        assert not oracle.judge(
+            observed, result(steps=[step("GetCount", 5)])
+        ).detected
+
+    def test_memos_stay_out_of_fingerprint_and_pickle(self):
+        # The memos must not leak into the cache fingerprint or into the
+        # pickled battery whose hash is the worker pool's epoch.
+        oracle = SelectiveOutputOracle({"GetCount"})
+        fingerprint = canonical(oracle)
+        payload = pickle.dumps(oracle)
+        observed = result(steps=[step("GetCount", 5), step("Sort1", 1)])
+        reference = result(steps=[step("GetCount", 6), step("Sort1", 1)])
+        judgement = oracle.judge(observed, reference)
+        assert judgement.detected
+        assert canonical(oracle) == fingerprint
+        assert pickle.dumps(oracle) == payload
+        assert pickle.loads(payload).judge(observed, reference) == judgement
 
 
 class TestComposite:

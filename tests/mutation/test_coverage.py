@@ -15,6 +15,9 @@ below pin that down.
 
 from __future__ import annotations
 
+import cProfile
+import pstats
+import sys
 from dataclasses import replace
 
 import pytest
@@ -166,6 +169,39 @@ class TestMatrixRecording:
         )
 
 
+def called_after_the_reference_pass():
+    return sum(range(10))
+
+
+class TestExternalProfilers:
+    """The recorder borrows the profile hook and must hand it back."""
+
+    def test_cprofile_records_calls_after_the_reference_pass(self):
+        profiler = cProfile.Profile()
+        profiler.enable()
+        try:
+            _, matrix = record_coverage(
+                CSortableObList, mixed_suite(SEEDS[0], limit=10)
+            )
+            called_after_the_reference_pass()
+        finally:
+            profiler.disable()
+        assert len(matrix) == 10
+        functions = {name for _, _, name in pstats.Stats(profiler).stats}
+        assert "called_after_the_reference_pass" in functions
+
+    def test_python_profile_hook_is_restored(self):
+        def hook(frame, event, arg):  # noqa: ARG001 — sys.setprofile API
+            pass
+
+        sys.setprofile(hook)
+        try:
+            record_coverage(CSortableObList, mixed_suite(SEEDS[0], limit=3))
+            assert sys.getprofile() is hook
+        finally:
+            sys.setprofile(None)
+
+
 class TestPrunedEqualsUnpruned:
     """3 seeds × workers {1, 2}: pruned ≡ exhaustive, modulo case counters."""
 
@@ -198,6 +234,33 @@ class TestPrunedEqualsUnpruned:
         assert pruned.cases_skipped > 0
         assert pruned.cases_executed < exhaustive.cases_executed
         assert exhaustive.cases_skipped == 0
+
+    @pytest.mark.parametrize("stop_on_first_kill", (True, False))
+    def test_case_counters_follow_suite_order(self, findmax_mutants,
+                                              stop_on_first_kill):
+        # A killed mutant (stopping at the kill) counts only the cases up
+        # to its killing case; every other mutant counts the whole suite.
+        suite = mixed_suite(SEEDS[0])
+        analysis = MutationAnalysis(
+            CSortableObList, suite, oracle=oracle(),
+            stop_on_first_kill=stop_on_first_kill, static_triage=False,
+        )
+        run = analysis.analyze(findmax_mutants)
+        matrix = analysis.coverage_matrix()
+        order = [case.ident for case in suite.cases]
+        cut_short = 0
+        for outcome in run.outcomes:
+            considered = order
+            if outcome.killed and stop_on_first_kill:
+                considered = order[:order.index(outcome.killing_case) + 1]
+            skipped = sum(
+                not matrix.covers(ident, outcome.mutant.method_name)
+                for ident in considered
+            )
+            assert outcome.cases_skipped == skipped
+            assert outcome.cases_run == len(considered) - skipped
+            cut_short += len(considered) < len(order)
+        assert cut_short > 0 if stop_on_first_kill else cut_short == 0
 
     def test_exhaustive_run_records_no_matrix(self, findmax_mutants):
         analysis = MutationAnalysis(

@@ -154,3 +154,34 @@ class TestProbe:
         text = report.summary()
         assert "likely-equivalent" in text
         assert "escaped" in text
+
+
+class TestProbeSkipsStaticTriage:
+    def test_table2_probe_never_triages(self, monkeypatch):
+        """The full Table 2 run: static triage runs once, for the main
+        battery, never inside the probe, and the report still finds the
+        59 likely equivalents."""
+        from repro.experiments import table2
+        from repro.mutation import analysis as analysis_module
+
+        probing = []
+        triaged_while_probing = []
+        real_triage = analysis_module.triage_mutants
+        real_probe = table2.probe_equivalence
+
+        def spy_triage(*args, **kwargs):
+            triaged_while_probing.append(bool(probing))
+            return real_triage(*args, **kwargs)
+
+        def spy_probe(*args, **kwargs):
+            probing.append(True)
+            try:
+                return real_probe(*args, **kwargs)
+            finally:
+                probing.pop()
+
+        monkeypatch.setattr(analysis_module, "triage_mutants", spy_triage)
+        monkeypatch.setattr(table2, "probe_equivalence", spy_probe)
+        result = table2.run_table2()
+        assert triaged_while_probing == [False]
+        assert result.equivalence.equivalent_count == 59

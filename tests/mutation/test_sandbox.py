@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from repro.core.errors import SandboxTimeout
@@ -80,6 +82,77 @@ class TestStepBudgetGuard:
     def test_invalid_budget(self):
         with pytest.raises(ValueError):
             StepBudgetGuard(budget=0)
+
+
+def line_events(function, *args):
+    """How many line events one call of ``function`` fires."""
+    count = 0
+
+    def counter(frame, event, arg):
+        nonlocal count
+        if event == "line":
+            count += 1
+        return counter
+
+    previous = sys.gettrace()
+    sys.settrace(counter)
+    try:
+        function(*args)
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+class TestBudgetSemantics:
+    """What the budget counts; the goldens pin what it decides."""
+
+    def test_exact_boundary(self):
+        events = line_events(finite_work, 20)
+        assert events > 20
+        assert StepBudgetGuard(budget=events + 1)(finite_work, 20) == 20
+        with pytest.raises(SandboxTimeout):
+            StepBudgetGuard(budget=events)(finite_work, 20)
+
+    def test_fresh_budget_after_a_timeout(self):
+        events = line_events(finite_work, 20)
+        guard = StepBudgetGuard(budget=events + 1)
+        with pytest.raises(SandboxTimeout):
+            guard(infinite_loop)
+        assert guard(finite_work, 20) == 20
+        assert guard.timeouts == 1
+
+    def test_tracer_installed_again_after_a_timeout(self):
+        # CPython drops a trace function that raised; the next call must
+        # still be bounded, by the guard's one tracer.
+        guard = StepBudgetGuard(budget=1_000)
+        tracer = guard(sys.gettrace)
+        assert tracer is not None
+        with pytest.raises(SandboxTimeout):
+            guard(infinite_loop)
+        assert guard(sys.gettrace) is tracer
+        with pytest.raises(SandboxTimeout):
+            guard(finite_work, 10_000)
+        assert guard.timeouts == 2
+
+    def test_budget_counts_nested_calls(self):
+        def outer():
+            return finite_work(20) + finite_work(20)
+
+        events = line_events(outer)
+        assert events > 2 * line_events(finite_work, 20)
+        assert StepBudgetGuard(budget=events + 1)(outer) == 40
+        with pytest.raises(SandboxTimeout):
+            StepBudgetGuard(budget=events)(outer)
+
+    def test_timeout_message_names_the_guarded_function(self):
+        guard = StepBudgetGuard(budget=50)
+        with pytest.raises(
+            SandboxTimeout,
+            match="step budget of 50 line events exhausted in 'infinite_loop'",
+        ):
+            guard(infinite_loop)
+        with pytest.raises(SandboxTimeout, match="in 'finite_work'"):
+            guard(finite_work, 1_000)
 
 
 class TestCallCountGuard:
