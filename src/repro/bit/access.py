@@ -31,11 +31,11 @@ class _AccessState:
     """Process-wide switch state.
 
     Scoped enablement (:func:`test_mode`) is counted, not boolean:
-    several test sessions may overlap — the pipelined scenario sweep runs
-    suites on concurrent threads — and one scope exiting must not switch
-    the capability off under a neighbour still inside its own scope.  The
-    absolute :func:`set_test_mode` switch is kept separate so manual
-    on/off control behaves exactly as before.
+    several test sessions may overlap — scopes nest, and a program may
+    run suites on several threads — and one scope exiting must not
+    switch the capability off under a neighbour still inside its own
+    scope.  The absolute :func:`set_test_mode` switch is kept separate
+    so manual on/off control behaves exactly as before.
 
     ``global_on`` is the global switch, ``forced or depth > 0``, updated
     under the lock by every writer.  The contract checks run inside every

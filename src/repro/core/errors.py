@@ -198,18 +198,3 @@ class ScenarioError(ReproError):
     a corpus of hundreds of declarative entries is fixed in one pass or
     not at all.
     """
-
-
-# ---------------------------------------------------------------------------
-# Service mode errors
-# ---------------------------------------------------------------------------
-
-
-class ServiceError(ReproError):
-    """A mutation-service request, payload, or transport failed.
-
-    Covers both sides of the wire: the daemon raises it for malformed or
-    unserviceable requests (and serializes it into an ``ok: false``
-    reply), the client raises it for transport failures and error
-    replies.
-    """

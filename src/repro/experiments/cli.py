@@ -52,8 +52,7 @@ and changes no verdicts when on (DESIGN §5 documents the guarantee).
 from __future__ import annotations
 
 import argparse
-import sys
-from typing import List, Optional, Sequence
+from typing import Optional
 
 from ..mutation.analysis import MutationRun
 from ..mutation.cache import MutationOutcomeCache
@@ -136,62 +135,6 @@ def add_obs_arguments(parser: argparse.ArgumentParser) -> None:
         help="print the telemetry summary after the run (lines start "
              "with 'obs' for easy filtering)",
     )
-
-
-def add_server_argument(parser: argparse.ArgumentParser) -> None:
-    """The shared ``--server ADDR`` flag: run the experiment as a job on
-    a resident mutation-analysis daemon (:mod:`repro.service`) instead
-    of in-process; the daemon's captured output is reprinted locally."""
-    parser.add_argument(
-        "--server", default=None, metavar="ADDR",
-        help="run on a resident mutation service (UNIX socket path or "
-             "host:port) instead of in-process; all other flags are "
-             "forwarded to the daemon",
-    )
-
-
-def strip_server_argument(argv: Optional[Sequence[str]]) -> List[str]:
-    """``argv`` (or ``sys.argv[1:]``) without ``--server`` and its value
-    — the argument vector the daemon replays in-process."""
-    raw = list(argv) if argv is not None else list(sys.argv[1:])
-    cleaned: List[str] = []
-    skip_next = False
-    for item in raw:
-        if skip_next:
-            skip_next = False
-            continue
-        if item == "--server":
-            skip_next = True
-            continue
-        if item.startswith("--server="):
-            continue
-        cleaned.append(item)
-    return cleaned
-
-
-def run_experiment_via_server(server: str, table: str,
-                              argv: Optional[Sequence[str]]) -> int:
-    """Submit a table experiment to a daemon, wait, reprint its output.
-
-    The exit code is the daemon-side ``main``'s — a remote run fails the
-    same way a local one does.
-    """
-    from ..service.client import ServiceClient
-
-    with ServiceClient(server) as client:
-        job_id = client.submit_experiment(
-            table, strip_server_argument(argv)
-        )
-        reply = client.wait(job_id)
-    state = reply.get("state")
-    result = reply.get("result") or {}
-    if state != "done":
-        reason = (reply.get("kill_reason") or reply.get("error")
-                  or f"job ended in state {state!r}")
-        print(f"error: {table} on {server}: {reason}", file=sys.stderr)
-        return 1
-    print(result.get("output", ""), end="")
-    return int(result.get("exit_code", 0))
 
 
 def batch_size_from_arguments(arguments: argparse.Namespace) -> Optional[int]:

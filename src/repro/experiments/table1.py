@@ -206,7 +206,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         add_cache_arguments,
         add_obs_arguments,
         add_prune_arguments,
-        add_server_argument,
         add_throughput_arguments,
         add_triage_arguments,
         add_workers_argument,
@@ -216,7 +215,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         finish_telemetry,
         print_cache_stats,
         prune_from_arguments,
-        run_experiment_via_server,
         static_triage_from_arguments,
         telemetry_from_arguments,
     )
@@ -225,7 +223,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         description="Regenerate Table 1 (interface mutation operators)."
     )
     add_workers_argument(parser)
-    add_server_argument(parser)
     parser.add_argument(
         "--with-analysis", action="store_true",
         help="also execute the typed CSortableObList pool and report "
@@ -241,9 +238,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     add_triage_arguments(parser)
     add_obs_arguments(parser)
     arguments = parser.parse_args(argv)
-    if arguments.server:
-        return run_experiment_via_server(arguments.server, "table1",
-                                         argv)
     telemetry = telemetry_from_arguments(arguments)
     cache = cache_from_arguments(arguments, telemetry=telemetry)
     result = run_table1(

@@ -168,7 +168,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         add_cache_arguments,
         add_obs_arguments,
         add_prune_arguments,
-        add_server_argument,
         add_throughput_arguments,
         add_triage_arguments,
         add_workers_argument,
@@ -178,7 +177,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         finish_telemetry,
         print_cache_stats,
         prune_from_arguments,
-        run_experiment_via_server,
         static_triage_from_arguments,
         telemetry_from_arguments,
     )
@@ -188,7 +186,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     "incremental subclass suite)."
     )
     add_workers_argument(parser)
-    add_server_argument(parser)
     parser.add_argument("--seed", type=int, default=EXPERIMENT_SEED,
                         help="suite-generation seed")
     parser.add_argument("--methods", nargs="+", default=list(TABLE3_METHODS),
@@ -203,9 +200,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     add_triage_arguments(parser)
     add_obs_arguments(parser)
     arguments = parser.parse_args(argv)
-    if arguments.server:
-        return run_experiment_via_server(arguments.server, "table3",
-                                         argv)
     telemetry = telemetry_from_arguments(arguments)
     cache = cache_from_arguments(arguments, telemetry=telemetry)
     result = run_table3(

@@ -342,10 +342,10 @@ class MutationAnalysis:
         Purely observational — verdicts are identical with or without
         it; the default null session records nothing.
 
-        ``cancel_event`` enables cooperative cancellation (service jobs,
-        sweep Ctrl-C): the analysis loop checks it between mutants and
-        raises :class:`~repro.core.errors.RunCancelled` when set, so a
-        serial battery unwinds within one mutant's execution time.  It is
+        ``cancel_event`` enables cooperative cancellation (sweep Ctrl-C):
+        the analysis loop checks it between mutants and raises
+        :class:`~repro.core.errors.RunCancelled` when set, so a serial
+        battery unwinds within one mutant's execution time.  It is
         deliberately excluded from the experiment fingerprint — it never
         influences verdicts, only whether they are produced.
 

@@ -204,7 +204,7 @@ class CacheKey:
     """Where one (experiment, mutant) pair lives in the store."""
 
     entry: str  # content address: experiment fingerprint x mutant fingerprint
-    slot: str   # logical slot: (owner, mutant ident) — for invalidation counting
+    slot: str   # logical slot (owner, operator, ident): counts invalidations
 
 
 # ---------------------------------------------------------------------------
@@ -368,10 +368,11 @@ class MutationOutcomeCache:
         self._triage_index: Dict[str, _Location] = {}
         self._scenario_index: Dict[str, _Location] = {}
         self._slots: Dict[str, str] = {}
-        # One store may be driven from several threads at once (pipelined
-        # sweep scenarios, plus the pool's dispatcher thread writing
-        # verdicts back); every public operation holds this lock.  RLock
-        # because lookups nest into appends on the legacy-migration path.
+        # One store may be driven from several threads (the pool's
+        # dispatcher thread writes verdicts back; the threads that submit
+        # runs look entries up); every public operation holds this lock.
+        # RLock because lookups nest into appends on the legacy-migration
+        # path.
         self._lock = threading.RLock()
         self._handle = None          # lazily opened segment file object
         self._writable = False       # whether _handle was opened read-write
@@ -440,11 +441,18 @@ class MutationOutcomeCache:
     # -- addressing -----------------------------------------------------
 
     def key_for(self, experiment: str, mutant: "CompiledMutant") -> CacheKey:
-        """The (content, slot) address of one mutant under one experiment."""
+        """The (content, slot) address of one mutant under one experiment.
+
+        Idents restart at ``M0001`` in every battery, so the slot names
+        the operator too: single-operator batteries over one class (the
+        operator-split sweep scenarios) would otherwise share slots for
+        different mutants and count a first fill as invalidations.
+        """
         owner = f"{mutant.owner.__module__}.{mutant.owner.__qualname__}"
         return CacheKey(
             entry=sha256_hex("entry", experiment, mutant_fingerprint(mutant)),
-            slot=sha256_hex("slot", owner, mutant.record.ident),
+            slot=sha256_hex("slot", owner, mutant.record.operator,
+                            mutant.record.ident),
         )
 
     # Legacy (v3 file-per-entry) paths — the read-side migration source.

@@ -29,9 +29,8 @@ Three throughput mechanisms keep orchestration from swamping the win:
 
 * **Multi-tenant dispatch.**  The pool is a resident executor: a single
   dispatcher thread owns every worker pipe and interleaves batches from
-  however many concurrent runs are registered (the pipelined scenario
-  sweep keeps several in flight; service mode will submit jobs the same
-  way).  Each ``analyze`` call registers a run-id-fenced
+  however many runs are registered at once (engines called from several
+  threads share it).  Each ``analyze`` call registers a run-id-fenced
   :class:`_RunHandle` and blocks until its verdicts are complete; the
   dispatcher round-robins ready batches across runs, enforcing a per-run
   **in-flight batch budget** equal to the run's ``workers`` request
@@ -179,81 +178,6 @@ class WorkerSpec:
     coverage: Optional[CoverageMatrix] = None
 
 
-@dataclass(frozen=True)
-class BatchLimits:
-    """Per-batch soft resource limits a worker applies around execution.
-
-    Service mode's per-job CPU/memory knobs, expressed at the one
-    boundary where they are enforceable: inside the worker process, via
-    ``resource.setrlimit``, for exactly the duration of a batch.  CPU
-    seconds are *incremental* (relative to the warm worker's usage so
-    far); memory is an address-space ceiling.  A batch that exceeds its
-    memory budget raises ``MemoryError`` in-process (reported as a
-    worker-boundary kill, worker survives); a CPU overrun delivers
-    ``SIGXCPU`` and the dead worker is classified and replaced by the
-    pool's existing crash rule — the pool itself is never recycled.
-    """
-
-    cpu_seconds: Optional[float] = None
-    memory_bytes: Optional[int] = None
-
-    def __post_init__(self):
-        if self.cpu_seconds is not None and self.cpu_seconds <= 0:
-            raise ValueError("cpu_seconds must be positive")
-        if self.memory_bytes is not None and self.memory_bytes <= 0:
-            raise ValueError("memory_bytes must be positive")
-
-    @property
-    def empty(self) -> bool:
-        return self.cpu_seconds is None and self.memory_bytes is None
-
-
-def _apply_batch_limits(limits: Optional[BatchLimits]) -> Callable[[], None]:
-    """Apply soft rlimits in the worker; returns the undo callable.
-
-    Soft limits only — the hard limits stay untouched so the undo can
-    always raise the soft limit back for the next (unlimited) batch.
-    Platforms without ``resource`` (or with lower hard caps) degrade to
-    whatever is enforceable, silently: limits are a protection, never a
-    correctness input.
-    """
-    if limits is None or limits.empty:
-        return lambda: None
-    try:
-        import resource
-    except ImportError:  # pragma: no cover — POSIX-only module
-        return lambda: None
-    undo: List[Tuple[int, Tuple[int, int]]] = []
-    try:
-        if limits.cpu_seconds is not None:
-            usage = resource.getrusage(resource.RUSAGE_SELF)
-            spent = int(usage.ru_utime + usage.ru_stime)
-            soft, hard = resource.getrlimit(resource.RLIMIT_CPU)
-            budget = spent + max(1, int(limits.cpu_seconds))
-            if hard != resource.RLIM_INFINITY:
-                budget = min(budget, hard)
-            resource.setrlimit(resource.RLIMIT_CPU, (budget, hard))
-            undo.append((resource.RLIMIT_CPU, (soft, hard)))
-        if limits.memory_bytes is not None:
-            soft, hard = resource.getrlimit(resource.RLIMIT_AS)
-            budget = int(limits.memory_bytes)
-            if hard != resource.RLIM_INFINITY:
-                budget = min(budget, hard)
-            resource.setrlimit(resource.RLIMIT_AS, (budget, hard))
-            undo.append((resource.RLIMIT_AS, (soft, hard)))
-    except (ValueError, OSError):  # pragma: no cover — platform refusal
-        pass
-
-    def restore() -> None:
-        for which, pair in reversed(undo):
-            try:
-                resource.setrlimit(which, pair)
-            except (ValueError, OSError):  # pragma: no cover
-                pass
-
-    return restore
-
-
 def _analysis_from_spec(spec: WorkerSpec) -> MutationAnalysis:
     """The plain serial analysis a worker judges every mutant with."""
     return MutationAnalysis(
@@ -279,12 +203,11 @@ def _worker_main(connection: Connection) -> None:
     original class, suite fixtures and coverage matrix, is cached under
     the token until :data:`WORKER_BATTERY_LRU` fresher batteries evict
     it, so a rerun of a recent battery ships no spec at all;
-    ``("batch", run_id, token, ((index, mutant), …), limits)`` runs each
-    mutant in order under the named battery — with the optional
-    :class:`BatchLimits` soft rlimits applied for the batch's duration —
-    streaming one ``("done", run_id, index, outcome, timeouts)`` per
-    mutant (or ``("error", run_id, index, message)`` for a harness-level
-    failure); ``None`` exits.  The parent mirrors the LRU's insert/touch/evict
+    ``("batch", run_id, token, ((index, mutant), …))`` runs each mutant
+    in order under the named battery, streaming one
+    ``("done", run_id, index, outcome, timeouts)`` per mutant (or
+    ``("error", run_id, index, message)`` for a harness-level failure);
+    ``None`` exits.  The parent mirrors the LRU's insert/touch/evict
     sequence over the same FIFO pipe, so it always knows which batteries
     a worker still holds.  The worker is a plain serial
     :class:`MutationAnalysis` seeded with the parent's reference run;
@@ -307,34 +230,26 @@ def _worker_main(connection: Connection) -> None:
                         analyses.popitem(last=False)
                 continue
             run_id, token, tasks = message[1], message[2], message[3]
-            limits = message[4] if len(message) > 4 else None
             analysis = analyses.get(token)
             if analysis is not None:
                 analyses.move_to_end(token)
-            restore_limits = _apply_batch_limits(limits)
-            try:
-                for index, mutant in tasks:
-                    try:
-                        if analysis is None:
-                            raise RuntimeError("batch received before battery")
-                        outcome, timeouts = analysis.analyze_single(mutant)
-                        connection.send(
-                            ("done", run_id, index, outcome, timeouts)
-                        )
-                    except KeyboardInterrupt:
-                        raise
-                    except BaseException as error:  # noqa: BLE001 — must not die
-                        # A harness-level failure (builder blew up, SystemExit
-                        # from mutated code, a MemoryError against the batch's
-                        # rlimit, …).  Report it instead of taking the worker
-                        # down; the parent classifies it as a worker-boundary
-                        # kill.
-                        connection.send(
-                            ("error", run_id, index,
-                             f"{type(error).__name__}: {error}")
-                        )
-            finally:
-                restore_limits()
+            for index, mutant in tasks:
+                try:
+                    if analysis is None:
+                        raise RuntimeError("batch received before battery")
+                    outcome, timeouts = analysis.analyze_single(mutant)
+                    connection.send(("done", run_id, index, outcome, timeouts))
+                except KeyboardInterrupt:
+                    raise
+                except BaseException as error:  # noqa: BLE001 — must not die
+                    # A harness-level failure (builder blew up, SystemExit
+                    # from mutated code, …).  Report it instead of taking
+                    # the worker down; the parent classifies it as a
+                    # worker-boundary kill.
+                    connection.send(
+                        ("error", run_id, index,
+                         f"{type(error).__name__}: {error}")
+                    )
     except (EOFError, OSError, KeyboardInterrupt):
         pass  # parent went away or shut us down; nothing to clean up
     finally:
@@ -415,14 +330,11 @@ class _RunHandle:
     obs: Telemetry
     workers: int
     backstop: float
-    #: Cooperative cancellation: set by the submitter (service job
-    #: cancel, sweep Ctrl-C); the dispatcher notices within one poll
-    #: interval, kills the run's assigned workers, abandons its pending
-    #: queue, and fails the run with :class:`RunCancelled`.
+    #: Cooperative cancellation: set by the submitter (sweep Ctrl-C);
+    #: the dispatcher notices within one poll interval, kills the run's
+    #: assigned workers, abandons its pending queue, and fails the run
+    #: with :class:`RunCancelled`.
     cancel: Optional[threading.Event] = None
-    #: Per-batch soft rlimits shipped with every one of this run's
-    #: batches (service mode's per-job CPU/memory limits).
-    limits: Optional[BatchLimits] = None
     inflight: int = 0
     submitted_at: float = 0.0
     first_dispatch_at: Optional[float] = None
@@ -479,11 +391,6 @@ class WorkerPool:
     @property
     def closed(self) -> bool:
         return self._closed
-
-    @property
-    def active_runs(self) -> int:
-        with self._lock:
-            return len(self._runs)
 
     # -- run execution ---------------------------------------------------
 
@@ -856,7 +763,7 @@ class WorkerPool:
         handle.inflight += 1
         try:
             worker.connection.send(("batch", state.run_id, token,
-                                    tuple(batch), handle.limits))
+                                    tuple(batch)))
         except (BrokenPipeError, OSError):
             # Worker already dead; the next tick applies the batch crash
             # rule to the assigned tasks (classify one, re-dispatch many).
@@ -1116,8 +1023,7 @@ class ParallelMutationAnalysis:
                  triage_type_model: Optional[TypeModel] = None,
                  batch_size: Optional[int] = None,
                  pool: Optional[WorkerPool] = None,
-                 cancel_event: Optional[threading.Event] = None,
-                 rlimits: Optional[BatchLimits] = None):
+                 cancel_event: Optional[threading.Event] = None):
         if wall_clock_backstop <= 0:
             raise ValueError("wall-clock backstop must be positive")
         if batch_size is not None and batch_size < 1:
@@ -1135,12 +1041,9 @@ class ParallelMutationAnalysis:
         self._backstop = wall_clock_backstop
         self._batch_size = batch_size
         self._pool_override = pool
-        # Cooperative cancellation + per-batch rlimits (service mode's
-        # per-job knobs).  Neither influences verdicts, so neither enters
-        # the experiment fingerprint.
+        # Cooperative cancellation never influences verdicts, so it does
+        # not enter the experiment fingerprint.
         self._cancel_event = cancel_event
-        self._rlimits = (None if rlimits is not None and rlimits.empty
-                         else rlimits)
         # The cache lives in the parent only: hits are resolved before any
         # worker is scheduled, and write-backs happen as verdicts arrive.
         # Workers stay cache-oblivious, so a worker process never touches
@@ -1334,7 +1237,6 @@ class ParallelMutationAnalysis:
             workers=self._workers,
             backstop=self._backstop,
             cancel=self._cancel_event,
-            limits=self._rlimits,
         )
         pool.execute(handle)
         return state

@@ -22,7 +22,7 @@ from .schema import (
     validate_event,
     validate_jsonl,
 )
-from .sinks import JsonlSink, MemorySink, write_events_jsonl
+from .sinks import JsonlSink, MemorySink
 from .summary import render_summary
 from .telemetry import NULL_TELEMETRY, NullTelemetry, Span, Telemetry, coalesce
 
@@ -40,5 +40,4 @@ __all__ = [
     "render_summary",
     "validate_event",
     "validate_jsonl",
-    "write_events_jsonl",
 ]

@@ -26,22 +26,6 @@ class MemorySink:
         self.closed = True
 
 
-def write_events_jsonl(events, path) -> None:
-    """Write already-collected events to ``path`` as JSONL.
-
-    The batch analogue of :class:`JsonlSink` — same bytes per line
-    (sorted keys, compact separators) — for consumers holding a list of
-    events rather than a live session: the service client's ``events``
-    dump, report post-processing, tests.
-    """
-    with open(str(path), "w", encoding="utf-8") as stream:
-        for event in events:
-            stream.write(
-                json.dumps(event, sort_keys=True, separators=(",", ":"))
-                + "\n"
-            )
-
-
 class JsonlSink:
     """Streams events to ``path``, one JSON object per line.
 

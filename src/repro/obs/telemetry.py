@@ -102,11 +102,11 @@ class Telemetry:
         self._span_stats: Dict[str, List[float]] = {}
         self._events_emitted = 0
         self._closed = False
-        # One session may be written from several threads at once (the
-        # pipelined sweep runs scenarios on threads, and the pool's
-        # dispatcher thread records dispatch/task events for all of them);
-        # counter bumps, span-stat folds and sink writes are tiny critical
-        # sections, so a single plain lock keeps the trace consistent.
+        # One session may be written from several threads (the pool's
+        # dispatcher thread records dispatch/task events; the threads that
+        # submit runs record their own spans); counter bumps, span-stat
+        # folds and sink writes are tiny critical sections, so a single
+        # plain lock keeps the trace consistent.
         self._lock = threading.Lock()
 
     # -- recording ---------------------------------------------------------

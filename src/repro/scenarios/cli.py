@@ -140,48 +140,7 @@ def _gate(report: SweepReport) -> int:
     return 1
 
 
-def _progress_printer(arguments: argparse.Namespace):
-    def progress(position, total, scenario, result):
-        if not arguments.verbose:
-            return
-        status = "ERROR" if result.error else (
-            "FAIL" if result.oracle_failures else "ok"
-        )
-        print(f"[{position:>4}/{total}] {scenario.ident:<36} "
-              f"{result.killed:>3}/{result.mutants_total:<4} killed  "
-              f"{status}")
-    return progress
-
-
-def _cmd_run_server(arguments: argparse.Namespace) -> int:
-    """``run --server``: the sweep as daemon jobs, same report, same gate.
-
-    The daemon owns the pipeline knobs (workers, cache, pruning…); the
-    local flags select scenarios and render.  The deterministic
-    projection of the report is byte-identical to an in-process run
-    over the same selection — pinned by the differential tests.
-    """
-    from ..service.client import ServiceClient, sweep_over_server
-
-    registry = _registry_from(arguments)
-    shard = parse_shard(arguments.shard) if arguments.shard else None
-    with ServiceClient(arguments.server) as client:
-        report = sweep_over_server(
-            client,
-            registry,
-            filter_expression=arguments.filter,
-            shard=shard,
-            max_scenarios=arguments.max_scenarios,
-            progress=_progress_printer(arguments),
-        )
-    _write_report(report, arguments)
-    print(report.render_text())
-    return _gate(report)
-
-
 def _cmd_run(arguments: argparse.Namespace) -> int:
-    if arguments.server:
-        return _cmd_run_server(arguments)
     registry = _registry_from(arguments)
     shard = parse_shard(arguments.shard) if arguments.shard else None
     telemetry = telemetry_from_arguments(arguments)
@@ -195,13 +154,23 @@ def _cmd_run(arguments: argparse.Namespace) -> int:
         prune=prune_from_arguments(arguments),
         static_triage=static_triage_from_arguments(arguments),
         telemetry=telemetry,
-        inflight=arguments.inflight,
     )
+
+    def progress(position, total, scenario, result):
+        if not arguments.verbose:
+            return
+        status = "ERROR" if result.error else (
+            "FAIL" if result.oracle_failures else "ok"
+        )
+        print(f"[{position:>4}/{total}] {scenario.ident:<36} "
+              f"{result.killed:>3}/{result.mutants_total:<4} killed  "
+              f"{status}")
+
     report = runner.run(
         filter_expression=arguments.filter,
         shard=shard,
         max_scenarios=arguments.max_scenarios,
-        progress=_progress_printer(arguments),
+        progress=progress,
     )
     # The artifact lands before any console output can fail (a closed
     # pipe must not cost CI its report upload).
@@ -271,25 +240,12 @@ def build_parser() -> argparse.ArgumentParser:
              "(default: a shared per-machine temp workspace)",
     )
     run_parser.add_argument(
-        "--inflight", type=int, default=1, metavar="K",
-        help="pipeline K scenarios concurrently onto the shared worker "
-             "pool (default 1: sequential; the report is byte-identical "
-             "either way)",
-    )
-    run_parser.add_argument(
         "--max-scenarios", type=int, default=0, metavar="N",
         help="run at most N scenarios (0 = all selected)",
     )
     run_parser.add_argument(
         "--report-out", default=None, metavar="PATH",
         help="write the aggregated JSON report to PATH",
-    )
-    run_parser.add_argument(
-        "--server", default=None, metavar="ADDR",
-        help="run the sweep through a resident mutation service "
-             "(python -m repro.service serve) at this UNIX socket path "
-             "or host:port; the report is byte-identical to an "
-             "in-process run",
     )
     run_parser.add_argument("-v", "--verbose", action="store_true",
                             help="print one progress line per scenario")

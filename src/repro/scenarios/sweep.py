@@ -20,15 +20,8 @@ Cost sharing across the sweep, not per scenario:
   :class:`~repro.mutation.parallel.WorkerPool`, and an optional
   :class:`~repro.mutation.cache.MutationOutcomeCache` spans the sweep.
 
-Pipelining (``inflight > 1``): the runner keeps K scenarios in flight on
-scheduler threads, so one scenario's prep work (synthesis, suite
-generation, battery compilation, reference recording) overlaps another's
-mutant execution instead of serialising behind it.  The worker pool is
-multi-tenant — concurrent engines interleave their batches on the same
-warm workers — and the sweep-wide memos become build-once cells, so
-pipelining never duplicates shared prep.  Results are merged back in
-registry order: the pipelined report is byte-identical to the sequential
-runner's.
+Scenarios run one at a time, in registry order, in the calling process;
+``workers > 1`` spreads each scenario's mutants over the worker pool.
 
 Scenario warm cache: with a cache attached, each finished (non-failed)
 scenario's result projection is persisted keyed by the scenario content
@@ -36,9 +29,9 @@ fingerprint, the component *source* hash, the suite fingerprint and the
 verdict-bearing engine flags.  A warm sweep of an unchanged registry
 replays every scenario from the store — zero mutants executed, zero
 reference passes — and still renders the byte-identical deterministic
-report.  Worker count, batch size and inflight depth are deliberately
-not part of the key: engines are serial-equivalent, so a result computed
-at any parallelism replays everywhere.
+report.  Worker count and batch size are deliberately not part of the
+key: engines are serial-equivalent, so a result computed at any
+parallelism replays everywhere.
 
 Determinism: :meth:`SweepReport.to_dict` with ``timings=False`` is the
 *deterministic projection* — same registry, same seeds, same flags ⇒
@@ -66,7 +59,7 @@ from typing import (
 )
 
 from ..components import component_by_name, setup_for, type_model_for
-from ..core.errors import RunCancelled, ScenarioError
+from ..core.errors import ScenarioError
 from ..core.fingerprint import canonical, sha256_hex
 from ..generator.driver import DriverGenerator
 from ..generator.suite import TestSuite
@@ -407,19 +400,14 @@ class SweepRunner:
                  prune: bool = True,
                  static_triage: bool = True,
                  telemetry: Optional[Telemetry] = None,
-                 pool: Optional[object] = None,
-                 inflight: int = 1):
+                 pool: Optional[object] = None):
         """``workers > 1`` routes every non-empty battery through the
         parallel engine; ``pool`` overrides its worker pool (default: the
-        process-wide shared pool, warm across scenarios).  ``inflight > 1``
-        pipelines that many scenarios concurrently onto the pool (see the
-        module docstring).  ``cache``, ``prune``, ``static_triage``,
-        ``batch_size`` and ``telemetry`` are passed through to the engines
-        unchanged."""
+        process-wide shared pool, warm across scenarios).  ``cache``,
+        ``prune``, ``static_triage``, ``batch_size`` and ``telemetry``
+        are passed through to the engines unchanged."""
         if workers < 1:
             raise ScenarioError("workers must be >= 1")
-        if inflight < 1:
-            raise ScenarioError("inflight must be >= 1")
         self._registry = registry
         self._workers = workers
         self._workspace = workspace
@@ -430,130 +418,50 @@ class SweepRunner:
         self._telemetry = telemetry
         self._obs = coalesce(telemetry)
         self._pool = pool
-        self._inflight = inflight
-        # Sweep-wide memos (see module docstring).  With pipelining the
-        # plain dicts become build-once cells: the first scenario thread
-        # to ask for a key builds it, concurrent askers block on the
-        # builder's event instead of duplicating the work.
-        self._memo_lock = threading.Lock()
-        self._memo_building: Dict[Tuple[int, Any], threading.Event] = {}
+        # Sweep-wide memos (see module docstring).
         self._classes: Dict[Tuple[str, int], type] = {}
         self._suites: Dict[Tuple[str, Tuple[int, int, int, int]],
                            TestSuite] = {}
         self._references: Dict[Tuple[str, str],
                                Tuple[SuiteResult,
                                      Optional[CoverageMatrix]]] = {}
-        # Sweep-wide cooperative cancellation (Ctrl-C, service shutdown).
-        # Once set, scheduler threads stop claiming scenarios, engines
-        # unwind with RunCancelled, and memo waiters stop blocking — so
-        # ``run()`` returns promptly with the rest marked cancelled.
+        # Set by Ctrl-C: the engine of the interrupted scenario shares
+        # this event, so a run still registered on the worker pool is
+        # abandoned, and every later scenario is reported cancelled.
         self._cancel = threading.Event()
-
-    def request_cancel(self) -> None:
-        """Cancel the sweep cooperatively (thread-safe, idempotent).
-
-        In-flight scenarios drain (their engines raise
-        :class:`~repro.core.errors.RunCancelled`, recorded as error
-        rows); scenarios not yet started are reported as cancelled.
-        """
-        self._cancel.set()
-
-    @property
-    def cancelled(self) -> bool:
-        return self._cancel.is_set()
-
-    def _memoized(self, store: Dict, key: Any,
-                  build: Callable[[], Any],
-                  obs: Optional[Telemetry] = None,
-                  cancel: Optional[threading.Event] = None) -> Any:
-        """``store[key]``, built at most once sweep-wide.
-
-        A waiting thread's stall is the *prep wait* — the pipelined
-        sweep's analogue of a cache stampede — and is surfaced as the
-        ``sweep.prep_wait`` / ``sweep.prep_wait_ms`` counters.  When the
-        builder raises, its waiters retry (one of them becomes the next
-        builder), so a transient failure never wedges the cell.  Waiters
-        poll ``cancel``: a cancelled sweep must not leave a scheduler
-        thread parked forever behind a builder that is itself blocked.
-        """
-        obs = obs if obs is not None else self._obs
-        cancel = cancel if cancel is not None else self._cancel
-        while True:
-            with self._memo_lock:
-                if key in store:
-                    return store[key]
-                cell = (id(store), key)
-                event = self._memo_building.get(cell)
-                if event is None:
-                    event = threading.Event()
-                    self._memo_building[cell] = event
-                    building = True
-                else:
-                    building = False
-            if building:
-                try:
-                    value = build()
-                except BaseException:
-                    with self._memo_lock:
-                        del self._memo_building[cell]
-                    event.set()
-                    raise
-                with self._memo_lock:
-                    store[key] = value
-                    del self._memo_building[cell]
-                event.set()
-                return value
-            waited = time.perf_counter()
-            while not event.wait(timeout=0.05):
-                if cancel.is_set():
-                    raise RunCancelled(
-                        "cancelled while waiting for shared prep"
-                    )
-            obs.count("sweep.prep_wait")
-            obs.count(
-                "sweep.prep_wait_ms",
-                int((time.perf_counter() - waited) * 1000),
-            )
 
     # -- component / suite resolution -----------------------------------
 
-    def _resolve_component(self, scenario: ScenarioConfig,
-                           telemetry: Optional[Telemetry],
-                           obs: Telemetry,
-                           cancel: threading.Event
+    def _resolve_component(self, scenario: ScenarioConfig
                            ) -> Tuple[type, ClassSpec,
                                       Optional[Callable[[], None]],
                                       Optional[object]]:
         """The scenario's class, spec, setup hook and triage type model."""
         selector = scenario.component
         if selector.is_generated:
-            def build() -> type:
-                with obs.span("sweep.materialize",
-                              family=selector.family,
-                              seed=selector.seed):
+            key = (selector.family, selector.seed)
+            cls = self._classes.get(key)
+            if cls is None:
+                with self._obs.span("sweep.materialize",
+                                    family=selector.family,
+                                    seed=selector.seed):
                     component = synthesize(
                         GeneratorSpec(selector.family, selector.seed)
                     )
-                    return materialize(component, self._workspace)
-
-            cls = self._memoized(
-                self._classes, (selector.family, selector.seed), build,
-                obs=obs, cancel=cancel,
-            )
+                    cls = materialize(component, self._workspace)
+                self._classes[key] = cls
             return cls, cls.__tspec__, None, None
         cls = component_by_name(selector.ref)
         return (cls, cls.__tspec__,
                 setup_for(selector.ref), type_model_for(selector.ref))
 
     def _suite_for(self, component_key: str,
-                   scenario: ScenarioConfig, spec: ClassSpec,
-                   obs: Telemetry,
-                   cancel: threading.Event) -> TestSuite:
+                   scenario: ScenarioConfig, spec: ClassSpec) -> TestSuite:
         config = scenario.suite
         key = (component_key, (config.seed, config.edge_bound,
                                config.max_transactions, config.max_cases))
-
-        def build() -> TestSuite:
+        suite = self._suites.get(key)
+        if suite is None:
             suite = DriverGenerator(
                 spec,
                 seed=config.seed,
@@ -564,65 +472,41 @@ class SweepRunner:
                 suite = dc_replace(
                     suite, cases=suite.cases[:config.max_cases]
                 )
-            return suite
-
-        return self._memoized(self._suites, key, build,
-                              obs=obs, cancel=cancel)
+            self._suites[key] = suite
+        return suite
 
     def _reference_for(self, component_key: str, cls: type,
                        suite: TestSuite,
-                       setup: Optional[Callable[[], None]],
-                       telemetry: Optional[Telemetry],
-                       obs: Telemetry,
-                       cancel: threading.Event
+                       setup: Optional[Callable[[], None]]
                        ) -> Tuple[SuiteResult, Optional[CoverageMatrix]]:
         """The (reference run, coverage matrix) pair, recorded once per
         (component, suite) and seeded into every engine downstream."""
-        def build() -> Tuple[SuiteResult, Optional[CoverageMatrix]]:
+        key = (component_key, suite.fingerprint())
+        cached = self._references.get(key)
+        if cached is None:
             recorder = MutationAnalysis(
                 cls, suite, setup=setup, prune=self._prune,
-                telemetry=telemetry,
+                telemetry=self._telemetry,
             )
-            return (recorder.reference_results(),
-                    recorder.coverage_matrix())
-
-        return self._memoized(
-            self._references, (component_key, suite.fingerprint()), build,
-            obs=obs, cancel=cancel,
-        )
+            cached = (recorder.reference_results(),
+                      recorder.coverage_matrix())
+            self._references[key] = cached
+        return cached
 
     # -- execution ------------------------------------------------------
 
-    def run_scenario(self, scenario: ScenarioConfig,
-                     telemetry: Optional[Telemetry] = None,
-                     cancel: Optional[threading.Event] = None,
-                     rlimits: Optional[object] = None) -> ScenarioResult:
+    def run_scenario(self, scenario: ScenarioConfig) -> ScenarioResult:
         """Execute one scenario; never raises — failures land in
         ``result.error`` so a sweep survives a bad entry.
 
         *Any* ``Exception`` is absorbed, not just :class:`ReproError`:
         a scenario that dies of an unforeseen bug (a bad generated
         component tripping an assertion, say) must cost exactly one
-        ``error`` row and one ``sweep.errors`` tick — never the other
-        K-1 scenarios in flight beside it.
-
-        The per-call overrides are service mode's job knobs: ``telemetry``
-        records this scenario's spans/events on a job-scoped session
-        (instead of the sweep-wide one), ``cancel`` substitutes a
-        job-scoped cancel event for the sweep's, and ``rlimits`` (a
-        :class:`~repro.mutation.parallel.BatchLimits`) ships per-batch
-        CPU/memory rlimits to the workers.  Defaults preserve the batch
-        sweep behaviour exactly."""
+        ``error`` row and one ``sweep.errors`` tick — never the rest of
+        the sweep."""
         started = time.perf_counter()
-        effective_telemetry = (telemetry if telemetry is not None
-                               else self._telemetry)
-        obs = (coalesce(effective_telemetry) if telemetry is not None
-               else self._obs)
-        cancel_event = cancel if cancel is not None else self._cancel
         try:
-            return self._run_scenario(scenario, started,
-                                      effective_telemetry, obs,
-                                      cancel_event, rlimits)
+            return self._run_scenario(scenario, started)
         except Exception as error:
             return ScenarioResult(
                 ident=scenario.ident,
@@ -659,9 +543,8 @@ class SweepRunner:
         :func:`canonical`, so editing a component or the generator
         invalidates its scenarios), the realized suite fingerprint, and
         the verdict-bearing engine flags.  Deliberately excluded:
-        ``workers``, ``batch_size``, ``inflight`` — engines are
-        serial-equivalent, so one stored result replays at any
-        parallelism.
+        ``workers`` and ``batch_size`` — engines are serial-equivalent,
+        so one stored result replays at any parallelism.
         """
         if self._cache is None:
             return None
@@ -676,42 +559,34 @@ class SweepRunner:
         )
 
     def _run_scenario(self, scenario: ScenarioConfig,
-                      started: float,
-                      telemetry: Optional[Telemetry],
-                      obs: Telemetry,
-                      cancel: threading.Event,
-                      rlimits: Optional[object]) -> ScenarioResult:
-        if cancel.is_set():
-            raise RunCancelled("cancelled before the scenario started")
-        cls, spec, setup, type_model = self._resolve_component(
-            scenario, telemetry, obs, cancel
-        )
+                      started: float) -> ScenarioResult:
+        cls, spec, setup, type_model = self._resolve_component(scenario)
         component_key = scenario.component.describe()
         methods = scenario.methods or default_methods(spec)
-        suite = self._suite_for(component_key, scenario, spec, obs, cancel)
+        suite = self._suite_for(component_key, scenario, spec)
         cache_key = self._scenario_key(scenario, cls, suite)
         if cache_key is not None:
             stored = self._cache.lookup_scenario(cache_key)
             if stored is not None:
-                obs.count("sweep.scenario_cache_hits")
+                self._obs.count("sweep.scenario_cache_hits")
                 return dc_replace(
                     _result_from_mapping(stored),
                     elapsed_seconds=time.perf_counter() - started,
                 )
-            obs.count("sweep.scenario_cache_misses")
+            self._obs.count("sweep.scenario_cache_misses")
         mutants, generation, truncated = build_battery(
             cls, methods,
             operator_names=scenario.operators,
             type_model=type_model,
             max_mutants=scenario.budgets.max_mutants,
-            telemetry=telemetry,
+            telemetry=self._telemetry,
         )
         reference, coverage = self._reference_for(
-            component_key, cls, suite, setup, telemetry, obs, cancel
+            component_key, cls, suite, setup
         )
         run = self._analyze(
             cls, suite, mutants, scenario, spec, setup, type_model,
-            reference, coverage, telemetry, cancel, rlimits,
+            reference, coverage,
         )
         oracle_failures = sum(
             1 for result in run.reference.results
@@ -757,10 +632,7 @@ class SweepRunner:
                  setup: Optional[Callable[[], None]],
                  type_model: Optional[object],
                  reference: SuiteResult,
-                 coverage: Optional[CoverageMatrix],
-                 telemetry: Optional[Telemetry],
-                 cancel: threading.Event,
-                 rlimits: Optional[object]) -> MutationRun:
+                 coverage: Optional[CoverageMatrix]) -> MutationRun:
         oracle = resolve_oracle(scenario.oracle, spec)
         options = dict(
             oracle=oracle,
@@ -772,20 +644,17 @@ class SweepRunner:
             prune=self._prune,
             static_triage=self._static_triage,
             triage_type_model=type_model,
-            telemetry=telemetry,
-            cancel_event=cancel,
+            telemetry=self._telemetry,
+            cancel_event=self._cancel,
         )
         if self._workers > 1 and mutants:
             from ..mutation.parallel import ParallelMutationAnalysis
 
             engine = ParallelMutationAnalysis(
                 cls, suite, workers=self._workers,
-                batch_size=self._batch_size, pool=self._pool,
-                rlimits=rlimits, **options
+                batch_size=self._batch_size, pool=self._pool, **options
             )
         else:
-            # Serial engine: CPU/memory rlimits are worker-side knobs and
-            # do not apply in-process; the cancel event still does.
             engine = MutationAnalysis(cls, suite, **options)
         return engine.analyze(list(mutants))
 
@@ -820,84 +689,6 @@ class SweepRunner:
                 progress(position, len(scenarios), scenario, result)
         return results
 
-    def _run_pipelined(self, scenarios: Sequence[ScenarioConfig],
-                       progress: Optional[ProgressCallback]
-                       ) -> List[ScenarioResult]:
-        """K scheduler threads pull scenarios off one shared index.
-
-        While one scenario blocks in the (multi-tenant) worker pool, its
-        neighbours run prep — synthesis, suite generation, battery
-        compilation, reference recording — so the pool never starves
-        behind single-threaded prep.  Results land by registry index,
-        which makes the report byte-identical to the sequential
-        runner's; ``progress`` fires in completion order under a lock
-        (positions stay dense 1..N, idents may interleave).
-
-        Ctrl-C lands on the main thread (blocked in ``join``): it sets
-        the sweep cancel event, which drains the in-flight scenarios —
-        engines unwind with ``RunCancelled`` within a poll interval, memo
-        waiters stop blocking, schedulers stop claiming — so the re-join
-        returns promptly and every unstarted scenario is reported
-        cancelled instead of hanging the process.
-        """
-        results: List[Optional[ScenarioResult]] = [None] * len(scenarios)
-        state = threading.Lock()
-        cursor = {"next": 0, "done": 0, "active": 0}
-
-        def schedule() -> None:
-            while True:
-                if self._cancel.is_set():
-                    return
-                with state:
-                    index = cursor["next"]
-                    if index >= len(scenarios):
-                        return
-                    cursor["next"] = index + 1
-                    cursor["active"] += 1
-                    self._obs.count_max("sweep.inflight",
-                                        cursor["active"])
-                scenario = scenarios[index]
-                try:
-                    result = self.run_scenario(scenario)
-                finally:
-                    with state:
-                        cursor["active"] -= 1
-                with state:
-                    results[index] = result
-                    cursor["done"] += 1
-                    self._tally(result)
-                    if progress is not None:
-                        progress(cursor["done"], len(scenarios),
-                                 scenario, result)
-
-        threads = [
-            threading.Thread(target=schedule,
-                             name=f"repro-sweep-{number}", daemon=True)
-            for number in range(min(self._inflight, len(scenarios)))
-        ]
-        for thread in threads:
-            thread.start()
-        try:
-            for thread in threads:
-                thread.join()
-        except KeyboardInterrupt:
-            # Ctrl-C: cancel cooperatively, then join again — the drain
-            # is bounded by one engine poll interval per in-flight
-            # scenario, not by the rest of the sweep.  The report comes
-            # back with the rest marked cancelled (and the gate failing)
-            # instead of the join hanging forever.
-            self._cancel.set()
-            for thread in threads:
-                thread.join()
-        finally:
-            if self._cancel.is_set():
-                with state:
-                    for index, scenario in enumerate(scenarios):
-                        if results[index] is None:
-                            results[index] = self._cancelled_result(scenario)
-                            self._tally(results[index])
-        return [result for result in results if result is not None]
-
     def run(self, filter_expression: str = "",
             shard: Optional[Tuple[int, int]] = None,
             max_scenarios: int = 0,
@@ -911,12 +702,8 @@ class SweepRunner:
         if max_scenarios and len(scenarios) > max_scenarios:
             scenarios = scenarios[:max_scenarios]
         with self._obs.span("sweep.run", scenarios=len(scenarios),
-                            workers=self._workers,
-                            inflight=self._inflight):
-            if self._inflight > 1 and len(scenarios) > 1:
-                results = self._run_pipelined(scenarios, progress)
-            else:
-                results = self._run_sequential(scenarios, progress)
+                            workers=self._workers):
+            results = self._run_sequential(scenarios, progress)
         counters = (dict(self._telemetry.counters())
                     if self._telemetry is not None else {})
         return SweepReport(

@@ -24,7 +24,7 @@ from repro.mutation.cache import (
     _KIND_OUTCOME,
     MutationOutcomeCache,
 )
-from repro.mutation.generate import generate_mutants
+from repro.mutation.generate import build_battery, generate_mutants
 from repro.mutation.mutant import CompiledMutant, compile_mutant_function
 
 SEED = 20010701
@@ -143,6 +143,25 @@ class TestComponentInvalidation:
         reverted = run(mutants, warm_cache)
         assert reverted.cache_stats.hits == len(mutants)
         assert reverted.cache_stats.misses == 0
+
+    def test_single_operator_batteries_share_no_slots(self, tmp_path):
+        # Idents restart at M0001 in every battery, so two single-operator
+        # batteries over one class reuse idents for different mutants.
+        # Filling a fresh store with both is a first fill: every lookup is
+        # a cold miss, none an invalidation.
+        cache = MutationOutcomeCache(tmp_path)
+        batteries = [
+            build_battery(CSortableObList, ["FindMax"],
+                          operator_names=[operator],
+                          type_model=OBLIST_TYPE_MODEL,
+                          max_mutants=MUTANT_COUNT)[0]
+            for operator in ("IndVarRepGlob", "IndVarRepLoc")
+        ]
+        assert batteries[0][0].ident == batteries[1][0].ident
+        for battery in batteries:
+            result = run(battery, cache)
+            assert result.cache_stats.misses == len(battery)
+            assert result.cache_stats.invalidations == 0
 
 
 def _payload_offset(cache, key):

@@ -1,8 +1,12 @@
-"""Sweep runner and CLI: determinism, shard merging, gating.
+"""Sweep runner and CLI: determinism, warm replay, shard merging, gating.
 
 The determinism contract under test is the acceptance criterion: same
 registry + same seeds ⇒ byte-identical report JSON modulo timings
-(``to_json(timings=False)``).
+(``to_json(timings=False)``), whatever the worker count and cache
+temperature.  On top of that, a fully-warm sweep of an unchanged registry
+must replay from the scenario store without executing a single mutant or
+reference pass, and one scenario dying of an arbitrary ``Exception`` must
+cost exactly its own row.
 """
 
 from __future__ import annotations
@@ -12,6 +16,9 @@ import json
 import pytest
 
 from repro.core.errors import ScenarioError
+from repro.mutation.cache import MutationOutcomeCache
+from repro.mutation.parallel import shutdown_shared_pool
+from repro.obs import MemorySink, Telemetry
 from repro.scenarios import (
     ScenarioResult,
     SweepReport,
@@ -22,6 +29,7 @@ from repro.scenarios import (
     scenario_to_mapping,
 )
 from repro.scenarios.cli import main as cli_main
+import repro.scenarios.sweep as sweep_module
 
 #: A small fast corpus: two recipes of one generated family (sharing one
 #: synthesis), one catalog component, tight budgets.
@@ -51,9 +59,67 @@ SMALL_ENTRIES = [
 ]
 
 
+#: Generated, catalog and shared-synthesis scenarios with tiny suites, for
+#: the worker-count × cache-temperature matrix and the warm replay.
+MIXED_ENTRIES = [
+    {
+        "ident": "mixed-stack-bitneg",
+        "component": {"family": "stack", "seed": 5},
+        "operators": ["IndVarBitNeg"],
+        "suite": {"max_cases": 6},
+        "budgets": {"max_mutants": 6},
+    },
+    {
+        "ident": "mixed-stack-glob",
+        "component": {"family": "stack", "seed": 5},
+        "operators": ["IndVarRepGlob"],
+        "suite": {"max_cases": 6},
+        "budgets": {"max_mutants": 6},
+    },
+    {
+        "ident": "mixed-queue",
+        "component": {"family": "queue", "seed": 2},
+        "operators": ["IndVarRepGlob"],
+        "suite": {"max_cases": 6},
+        "budgets": {"max_mutants": 6},
+    },
+    {
+        "ident": "mixed-account",
+        "component": {"ref": "BankAccount"},
+        "operators": ["IndVarRepGlob"],
+        "suite": {"max_cases": 6},
+        "budgets": {"max_mutants": 6},
+    },
+]
+
+#: Spans whose presence means real work happened (reference execution,
+#: mutant execution, battery compilation) — a fully-warm sweep emits none.
+WORK_SPANS = ("analysis.reference", "analysis.mutant", "parallel.run",
+              "executor.case", "generate.operator")
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _shared_pool_cleanup():
+    yield
+    shutdown_shared_pool()
+
+
 @pytest.fixture
 def small_registry():
     return registry_from_mappings(SMALL_ENTRIES)
+
+
+@pytest.fixture(scope="module")
+def mixed_registry():
+    return registry_from_mappings(MIXED_ENTRIES)
+
+
+@pytest.fixture(scope="module")
+def baseline(mixed_registry, tmp_path_factory):
+    workspace = tmp_path_factory.mktemp("baseline-ws")
+    report = SweepRunner(mixed_registry, workspace=workspace).run()
+    assert report.passed
+    return report.to_json(timings=False)
 
 
 def _run(registry, workspace, **kwargs):
@@ -98,6 +164,133 @@ def test_report_json_roundtrip(small_registry, tmp_path):
 def test_max_scenarios_truncates(small_registry, tmp_path):
     report = _run(small_registry, tmp_path / "ws", max_scenarios=1)
     assert len(report.results) == 1
+
+
+class TestDifferentialMatrix:
+    """workers {1,2} × cache cold/warm ⇒ same bytes."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_report_is_byte_identical(self, mixed_registry, baseline,
+                                      tmp_path, workers):
+        cache_dir = tmp_path / "cache"
+        cold = SweepRunner(
+            mixed_registry, workers=workers,
+            workspace=tmp_path / "ws-cold",
+            cache=MutationOutcomeCache(cache_dir),
+        ).run()
+        assert cold.to_json(timings=False) == baseline
+        warm = SweepRunner(
+            mixed_registry, workers=workers,
+            workspace=tmp_path / "ws-warm",
+            cache=MutationOutcomeCache(cache_dir),
+        ).run()
+        assert warm.to_json(timings=False) == baseline
+
+    def test_results_keep_registry_order(self, mixed_registry, tmp_path):
+        report = SweepRunner(mixed_registry, workspace=tmp_path / "ws").run()
+        assert [result.ident for result in report.results] == \
+            [scenario.ident for scenario in mixed_registry]
+
+    def test_progress_positions_stay_dense(self, mixed_registry, tmp_path):
+        seen = []
+        SweepRunner(mixed_registry, workspace=tmp_path / "ws").run(
+            progress=lambda position, total, scenario, result:
+                seen.append((position, total))
+        )
+        assert seen == [(index, len(MIXED_ENTRIES))
+                        for index in range(1, len(MIXED_ENTRIES) + 1)]
+
+
+class TestWarmReplay:
+    """A fully-warm sweep executes zero mutants and zero reference passes."""
+
+    def test_warm_sweep_does_no_work(self, mixed_registry, baseline,
+                                     tmp_path):
+        cache_dir = tmp_path / "cache"
+        cold_cache = MutationOutcomeCache(cache_dir)
+        cold = SweepRunner(
+            mixed_registry, workspace=tmp_path / "ws-cold", cache=cold_cache,
+        ).run()
+        assert cold.passed
+        assert cold_cache.scenario_stats()["stores"] == len(MIXED_ENTRIES)
+
+        telemetry = Telemetry(sink=MemorySink())
+        warm_cache = MutationOutcomeCache(cache_dir, telemetry=telemetry)
+        runner = SweepRunner(
+            mixed_registry, workspace=tmp_path / "ws-warm",
+            cache=warm_cache, telemetry=telemetry,
+        )
+        warm = runner.run()
+        counters = telemetry.counters()
+        spans = telemetry.span_stats()
+        telemetry.close()
+
+        assert warm.to_json(timings=False) == baseline
+        assert warm.mutants_total == cold.mutants_total > 0
+        # Every scenario replayed from the store …
+        assert warm_cache.scenario_stats()["hits"] == len(MIXED_ENTRIES)
+        assert counters.get("sweep.scenario_cache_hits", 0) == \
+            len(MIXED_ENTRIES)
+        assert counters.get("sweep.scenario_cache_misses", 0) == 0
+        # … and no engine ever ran: no reference memo was built, no
+        # reference/mutant/battery span was emitted.
+        assert len(runner._references) == 0
+        assert not any(name in spans for name in WORK_SPANS)
+
+    def test_editing_the_component_misses(self, mixed_registry, tmp_path,
+                                          monkeypatch):
+        cache_dir = tmp_path / "cache"
+        SweepRunner(
+            mixed_registry, workspace=tmp_path / "ws-cold",
+            cache=MutationOutcomeCache(cache_dir),
+        ).run()
+        # A different component source hash must address a different
+        # record: simulate the edit by perturbing the canonical rendering
+        # of classes.
+        real_canonical = sweep_module.canonical
+        monkeypatch.setattr(
+            sweep_module, "canonical",
+            lambda value: "edited:" + real_canonical(value),
+        )
+        warm_cache = MutationOutcomeCache(cache_dir)
+        report = SweepRunner(
+            mixed_registry, workspace=tmp_path / "ws-warm", cache=warm_cache,
+        ).run()
+        assert report.passed
+        assert warm_cache.scenario_stats()["hits"] == 0
+        assert warm_cache.scenario_stats()["misses"] == len(MIXED_ENTRIES)
+
+
+class TestErrorIsolation:
+    """One scenario's crash never takes down the rest of the sweep."""
+
+    def test_non_repro_error_is_contained(self, mixed_registry, tmp_path,
+                                          monkeypatch):
+        real_synthesize = sweep_module.synthesize
+
+        def hostile_synthesize(genspec):
+            if genspec.family == "queue":
+                raise RuntimeError("synthetic fault")
+            return real_synthesize(genspec)
+
+        monkeypatch.setattr(sweep_module, "synthesize", hostile_synthesize)
+        telemetry = Telemetry(sink=MemorySink())
+        report = SweepRunner(
+            mixed_registry, workspace=tmp_path / "ws", telemetry=telemetry,
+        ).run()
+        counters = telemetry.counters()
+        telemetry.close()
+
+        assert not report.passed
+        assert len(report.errors) == 1
+        assert report.errors[0].ident == "mixed-queue"
+        assert report.errors[0].error == "RuntimeError: synthetic fault"
+        assert counters.get("sweep.errors", 0) == 1
+        # The three survivors are complete, green rows.
+        healthy = [result for result in report.results if not result.error]
+        assert len(healthy) == 3
+        assert all(result.mutants_total > 0 for result in healthy)
+        assert all(result.oracle_failures == 0 for result in healthy)
 
 
 def test_merge_rejects_mismatched_registries():
@@ -180,7 +373,9 @@ def test_cli_run_writes_report_and_gates_green(tmp_path, capsys):
     assert payload["oracle_failures"] == 0
     console = capsys.readouterr().out
     assert "sweep: 3 scenarios" in console
-    assert "[   3/3]" in console  # -v progress lines
+    # -v progress lines, one per scenario in order
+    assert [line[:8] for line in console.splitlines()
+            if line.startswith("[")] == ["[   1/3]", "[   2/3]", "[   3/3]"]
 
 
 def test_cli_run_filter_and_shard(tmp_path, capsys):
