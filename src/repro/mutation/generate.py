@@ -139,19 +139,17 @@ class MutantGenerator:
         mutants: List[CompiledMutant] = []
         seen_sources: Set[Tuple[str, str]] = set()
         number = 0
-        original_sources = {
-            name: self._context(name).source for name in method_names
-        }
+        contexts = {name: self._context(name) for name in method_names}
         # The no-op check compares against the *normalized* original (parsed
         # and unparsed, so formatting differences don't count as mutations).
         # Normalizing is O(method source) — hoisted out of the per-point loop,
         # which runs operators x points times per method.
         normalized_originals = {
-            name: ast.unparse(ast.parse(source)).strip()
-            for name, source in original_sources.items()
+            name: ast.unparse(context.tree).strip()
+            for name, context in contexts.items()
         }
         for method_name in method_names:
-            context = self._context(method_name)
+            context = contexts[method_name]
             local_types = (
                 infer_local_types(context.function, self._type_model)
                 if self._type_model is not None else {}
@@ -166,31 +164,26 @@ class MutantGenerator:
                             report.type_incompatible += 1
                             continue
                         try:
-                            module = context.mutate_use(
-                                point.site, point.replacement
-                            )
-                            mutated_source = ast.unparse(module)
-                        except MutationError:
-                            report.compile_failures += 1
-                            continue
-                        key = (method_name, mutated_source)
-                        if key in seen_sources:
-                            report.drop_duplicate(
-                                method_name, operator.name, point,
-                                kind="duplicate-source",
-                            )
-                            continue
-                        if (mutated_source.strip()
-                                == normalized_originals[method_name]):
-                            # Textual no-op: not a mutant at all.
-                            report.drop_duplicate(
-                                method_name, operator.name, point,
-                                kind="textual-noop",
-                            )
-                            continue
-                        seen_sources.add(key)
-                        try:
-                            function = context.compile_mutant(module)
+                            with context.splice(point.site,
+                                                point.replacement) as module:
+                                mutated_source = ast.unparse(module)
+                                key = (method_name, mutated_source)
+                                if key in seen_sources:
+                                    report.drop_duplicate(
+                                        method_name, operator.name, point,
+                                        kind="duplicate-source",
+                                    )
+                                    continue
+                                if (mutated_source.strip()
+                                        == normalized_originals[method_name]):
+                                    # Textual no-op: not a mutant at all.
+                                    report.drop_duplicate(
+                                        method_name, operator.name, point,
+                                        kind="textual-noop",
+                                    )
+                                    continue
+                                seen_sources.add(key)
+                                function = context.compile_mutant(module)
                         except (MutationError, SyntaxError):
                             report.compile_failures += 1
                             continue
@@ -216,7 +209,7 @@ class MutantGenerator:
 
     def _context(self, method_name: str) -> MethodContext:
         return MethodContext(
-            self._target, method_name, attribute_universe=set(self._universe)
+            self._target, method_name, attribute_universe=self._universe
         )
 
     def _type_compatible(self, point: MutationPoint,

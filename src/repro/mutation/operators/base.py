@@ -26,8 +26,13 @@ import ast
 import builtins
 import inspect
 import textwrap
+import weakref
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    AbstractSet, Dict, FrozenSet, Iterator, List, Optional, Sequence, Set,
+    Tuple,
+)
 
 from ...core.errors import MutationError
 
@@ -44,11 +49,20 @@ class UseSite:
 
     variable: str
     occurrence: int  # 0-based index among load uses, in AST walk order
+    # ``line``/``column`` are those of the occurrence-th use in ``ast.walk``
+    # (breadth-first) order, but ``MethodContext.splice`` rewrites the
+    # occurrence-th use in pre-order: the two can be different nodes.
     line: int
     column: int
 
     def describe(self) -> str:
         return f"{self.variable}@{self.line}:{self.column}"
+
+
+#: Where one load-context ``Name`` sits in a method's tree: the parent
+#: node, the field holding the ``Name``, and its index when that field is a
+#: list (``None`` when the field holds the node itself).
+_Slot = Tuple[ast.AST, str, Optional[int]]
 
 
 class MethodContext:
@@ -57,10 +71,14 @@ class MethodContext:
     ``attribute_universe`` is the set of instance attributes the *class*
     owns (needed for E(R2)); when omitted it is inferred from the defining
     class's full source.
+
+    The method is parsed once: :meth:`splice` puts each replacement into
+    ``tree`` in place and takes it out again, so one context must not be
+    spliced from two threads at once.
     """
 
     def __init__(self, owner: type, method_name: str,
-                 attribute_universe: Optional[Set[str]] = None):
+                 attribute_universe: Optional[AbstractSet[str]] = None):
         self.owner = owner
         self.method_name = method_name
         function = _find_defining_dict(owner, method_name)
@@ -97,6 +115,7 @@ class MethodContext:
             sorted(universe - set(self.attributes_used))
         )
         self.use_sites: Tuple[UseSite, ...] = tuple(self._collect_use_sites())
+        self._slots = _load_slots(module, set(self.locals))
 
     # -- variable sets (Table 1 notation) ----------------------------------
 
@@ -135,19 +154,31 @@ class MethodContext:
 
     # -- mutation --------------------------------------------------------------
 
-    def mutate_use(self, site: UseSite,
-                   replacement: ast.expr) -> ast.Module:
-        """A fresh module AST with the given use replaced by ``replacement``."""
-        module = ast.parse(self.source)
-        transformer = _UseReplacer(site, replacement)
-        mutated = transformer.visit(module)
-        if not transformer.replaced:
+    @contextmanager
+    def splice(self, site: UseSite,
+               replacement: ast.expr) -> Iterator[ast.Module]:
+        """The method's tree with the given use replaced by ``replacement``.
+
+        The replacement takes the location of the ``Name`` it displaces
+        (its own children inherit it) and goes into that ``Name``'s slot of
+        the one shared tree; the ``Name`` goes back on exit, however the
+        ``with`` body leaves.  Unparse or compile the yielded tree inside
+        the body only.
+        """
+        slots = self._slots.get(site.variable, ())
+        if not 0 <= site.occurrence < len(slots):
             raise MutationError(
-                f"use site {site.describe()} not found when re-parsing "
+                f"use site {site.describe()} not found in "
                 f"{self.owner.__name__}.{self.method_name}"
             )
-        ast.fix_missing_locations(mutated)
-        return mutated
+        slot = slots[site.occurrence]
+        original = _slot_node(slot)
+        ast.fix_missing_locations(ast.copy_location(replacement, original))
+        _fill_slot(slot, replacement)
+        try:
+            yield self.tree
+        finally:
+            _fill_slot(slot, original)
 
     def compile_mutant(self, module: ast.Module):
         """Compile a mutated module and return the resulting function object.
@@ -177,25 +208,45 @@ class MethodContext:
             ) from None
 
 
-class _UseReplacer(ast.NodeTransformer):
-    """Replaces the N-th load use of one local variable with an expression."""
+def _load_slots(tree: ast.AST, names: Set[str]) -> Dict[str, List[_Slot]]:
+    """The slot of every load-context ``Name`` in ``names``, per name, in
+    pre-order (depth first, fields in ``_fields`` order).
 
-    def __init__(self, site: UseSite, replacement: ast.expr):
-        self._site = site
-        self._replacement = replacement
-        self._seen = 0
-        self.replaced = False
+    Occurrence k of a variable is its k-th slot in this order: the order
+    in which every recorded mutant was generated, so the goldens pin it.
+    """
+    slots: Dict[str, List[_Slot]] = {name: [] for name in names}
 
-    def visit_Name(self, node: ast.Name):  # noqa: N802 — ast API
-        if (isinstance(node.ctx, ast.Load)
-                and node.id == self._site.variable
-                and not self.replaced):
-            if self._seen == self._site.occurrence:
-                self.replaced = True
-                replacement = ast.copy_location(self._replacement, node)
-                return replacement
-            self._seen += 1
-        return node
+    def visit(parent: ast.AST) -> None:
+        for field, value in ast.iter_fields(parent):
+            children = (enumerate(value) if isinstance(value, list)
+                        else ((None, value),))
+            for index, child in children:
+                if not isinstance(child, ast.AST):
+                    continue
+                if (isinstance(child, ast.Name)
+                        and isinstance(child.ctx, ast.Load)):
+                    if child.id in slots:
+                        slots[child.id].append((parent, field, index))
+                else:
+                    visit(child)
+
+    visit(tree)
+    return slots
+
+
+def _slot_node(slot: _Slot) -> ast.AST:
+    parent, field, index = slot
+    value = getattr(parent, field)
+    return value if index is None else value[index]
+
+
+def _fill_slot(slot: _Slot, node: ast.AST) -> None:
+    parent, field, index = slot
+    if index is None:
+        setattr(parent, field, node)
+    else:
+        getattr(parent, field)[index] = node
 
 
 # ---------------------------------------------------------------------------
@@ -304,13 +355,26 @@ def _self_attributes(function: ast.FunctionDef) -> Set[str]:
 _NON_DATA = set(dir(builtins))
 
 
-def infer_attribute_universe(owner: type) -> Set[str]:
+#: Per-class memo for :func:`infer_attribute_universe`.  Each call parses
+#: the source of the class's whole hierarchy, and every generator and lint
+#: pass over a class asks again.  Weak keys keep dynamically built classes
+#: collectable.
+_UNIVERSES: "weakref.WeakKeyDictionary[type, FrozenSet[str]]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def infer_attribute_universe(owner: type) -> FrozenSet[str]:
     """All *data* attributes instances of ``owner`` carry.
 
     Inferred from the full class hierarchy's sources: every ``self.<attr>``
     that is assigned somewhere (``self.x = …``) is a data attribute;
     attributes only ever called (``self.Method()``) are not.
     """
+    try:
+        return _UNIVERSES[owner]
+    except KeyError:
+        pass
     universe: Set[str] = set()
     for klass in owner.__mro__:
         if klass is object:
@@ -324,7 +388,8 @@ def infer_attribute_universe(owner: type) -> Set[str]:
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
                 if isinstance(node.value, ast.Name) and node.value.id == "self":
                     universe.add(node.attr)
-    return universe
+    frozen = _UNIVERSES[owner] = frozenset(universe)
+    return frozen
 
 
 # ---------------------------------------------------------------------------

@@ -84,19 +84,22 @@ class TestMethodContext:
     def test_attribute_universe(self):
         assert infer_attribute_universe(Machine) == {"fuel", "speed", "odometer"}
 
-    def test_mutate_use_produces_fresh_tree(self):
+    def test_splice_replaces_use_then_restores_tree(self):
         context = context_for()
         site = context.use_sites[0]
-        module = context.mutate_use(site, ast.Constant(value=42))
-        assert "42" in ast.unparse(module)
+        parsed = ast.dump(context.tree)
+        with context.splice(site, ast.Constant(value=42)) as module:
+            assert module is context.tree
+            assert "42" in ast.unparse(module)
+        assert ast.dump(context.tree) == parsed
         # Original source untouched.
         assert "42" not in context.source
 
     def test_compile_mutant_returns_function(self):
         context = context_for("idle")
         site = context.use_sites[0]
-        module = context.mutate_use(site, ast.Constant(value=5))
-        function = context.compile_mutant(module)
+        with context.splice(site, ast.Constant(value=5)) as module:
+            function = context.compile_mutant(module)
         assert callable(function)
         machine = Machine()
         function(machine)  # the mutated body executes

@@ -1,0 +1,257 @@
+"""The in-place splice against the per-mutant re-parse it replaced.
+
+``MethodContext.splice`` puts each replacement into the method's one parsed
+tree and takes it out again.  Generation used to re-parse the method for
+every mutant, run a ``NodeTransformer`` over the fresh module and fix the
+locations of the whole module; that path is kept here, test-only, as the
+reference.  On every battery the experiments and the scenario families
+generate, both paths must give the same mutant records, the same
+``GenerationReport`` and code objects equal field by field.
+"""
+
+from __future__ import annotations
+
+import ast
+import gc
+import types
+import weakref
+from contextlib import contextmanager
+
+import pytest
+
+from repro.components import CObList, CSortableObList, OBLIST_TYPE_MODEL
+from repro.core.errors import MutationError
+from repro.experiments.config import TABLE2_METHODS, TABLE3_METHODS
+from repro.mutation.generate import MutantGenerator, generate_mutants
+from repro.mutation.operators import ALL_OPERATORS, MethodContext, UseSite
+from repro.mutation.operators import base
+from repro.mutation.operators.base import infer_attribute_universe
+from repro.scenarios.families import FAMILY_NAMES
+from repro.scenarios.genspec import GeneratorSpec, synthesize
+from repro.scenarios.materialize import materialize
+from repro.scenarios.registry import default_methods
+
+from .test_operators import Machine
+
+
+# ---------------------------------------------------------------------------
+# The reference: one fresh parse and one tree rewrite per mutant
+# ---------------------------------------------------------------------------
+
+
+class _UseReplacer(ast.NodeTransformer):
+    """Replaces the N-th load use of one local variable with an expression."""
+
+    def __init__(self, site, replacement):
+        self._site = site
+        self._replacement = replacement
+        self._seen = 0
+        self.replaced = False
+
+    def visit_Name(self, node):  # noqa: N802 — ast API
+        if (isinstance(node.ctx, ast.Load)
+                and node.id == self._site.variable
+                and not self.replaced):
+            if self._seen == self._site.occurrence:
+                self.replaced = True
+                return ast.copy_location(self._replacement, node)
+            self._seen += 1
+        return node
+
+
+@contextmanager
+def reparse_splice(context, site, replacement):
+    """A fresh module with the use replaced: the retired per-mutant path."""
+    module = ast.parse(context.source)
+    transformer = _UseReplacer(site, replacement)
+    mutated = transformer.visit(module)
+    if not transformer.replaced:
+        raise MutationError(f"use site {site.describe()} not found")
+    ast.fix_missing_locations(mutated)
+    yield mutated
+
+
+def assert_same_constant(new, old, where):
+    assert type(new) is type(old), where
+    if isinstance(old, types.CodeType):
+        assert_same_code(new, old, where)
+    elif isinstance(old, tuple):
+        assert len(new) == len(old), where
+        for index, (item_new, item_old) in enumerate(zip(new, old)):
+            assert_same_constant(item_new, item_old, f"{where}[{index}]")
+    elif isinstance(old, frozenset):
+        assert new == old, where
+        assert sorted(map(repr, new)) == sorted(map(repr, old)), where
+    else:
+        # repr separates what == conflates: 0.0 and -0.0, nan and nan.
+        assert repr(new) == repr(old), where
+
+
+def assert_same_code(new, old, where="code"):
+    """Every ``co_*`` field equal; constants compared recursively.
+
+    Not ``marshal.dumps``: its FLAG_REF bits follow reference counts, so
+    it can tell equal code objects apart.
+    """
+    for name in dir(old):
+        # co_lnotab is derived from co_linetable (and deprecated in 3.12).
+        if not name.startswith("co_") or name == "co_lnotab":
+            continue
+        value_new, value_old = getattr(new, name), getattr(old, name)
+        if name == "co_consts":
+            assert len(value_new) == len(value_old), f"{where}.co_consts"
+            for index, (const_new, const_old) in enumerate(
+                    zip(value_new, value_old)):
+                assert_same_constant(const_new, const_old,
+                                     f"{where}.co_consts[{index}]")
+        elif callable(value_old):  # co_lines(), co_positions()
+            assert list(value_new()) == list(value_old()), f"{where}.{name}"
+        else:
+            assert value_new == value_old, f"{where}.{name}"
+
+
+def assert_same_generation(generate, monkeypatch):
+    """``generate()`` spliced in place and through fresh parses agree."""
+    mutants, report = generate()
+    with monkeypatch.context() as patch:
+        patch.setattr(MethodContext, "splice", reparse_splice)
+        reference_mutants, reference_report = generate()
+    assert mutants, "the battery should not be empty"
+    assert [m.record for m in mutants] == [m.record for m in reference_mutants]
+    assert report == reference_report  # ``dropped`` included
+    # dict equality ignores insertion order; compare that too.
+    assert (list(report.per_method_operator.items())
+            == list(reference_report.per_method_operator.items()))
+    for mutant, reference in zip(mutants, reference_mutants):
+        assert_same_code(mutant.function.__code__,
+                         reference.function.__code__, mutant.ident)
+
+
+# ---------------------------------------------------------------------------
+# Batteries
+# ---------------------------------------------------------------------------
+
+
+TABLE1_RUNS = [
+    pytest.param(operator, target, methods, typed,
+                 id=f"{operator.name}-{target.__name__}-"
+                    f"{'typed' if typed else 'untyped'}")
+    for operator in ALL_OPERATORS
+    for target, methods in ((CSortableObList, TABLE2_METHODS),
+                            (CObList, TABLE3_METHODS))
+    for typed in (False, True)
+]
+
+
+class TestSpliceMatchesReparse:
+    @pytest.mark.parametrize("operator, target, methods, typed", TABLE1_RUNS)
+    def test_table1_run(self, operator, target, methods, typed, monkeypatch):
+        model = OBLIST_TYPE_MODEL if typed else None
+        assert_same_generation(
+            lambda: MutantGenerator(target, operators=(operator,),
+                                    type_model=model).generate(methods),
+            monkeypatch,
+        )
+
+    def test_table2_battery(self, monkeypatch):
+        assert_same_generation(
+            lambda: generate_mutants(CSortableObList, TABLE2_METHODS,
+                                     type_model=OBLIST_TYPE_MODEL),
+            monkeypatch,
+        )
+
+    def test_table3_battery(self, monkeypatch):
+        assert_same_generation(
+            lambda: generate_mutants(CObList, TABLE3_METHODS,
+                                     ident_prefix="B",
+                                     type_model=OBLIST_TYPE_MODEL),
+            monkeypatch,
+        )
+
+    @pytest.mark.parametrize("family", FAMILY_NAMES)
+    def test_scenario_family(self, family, tmp_path, monkeypatch):
+        cls = materialize(synthesize(GeneratorSpec(family, 1)), tmp_path)
+        methods = default_methods(cls.__tspec__)
+        assert_same_generation(lambda: generate_mutants(cls, methods),
+                               monkeypatch)
+
+
+# ---------------------------------------------------------------------------
+# The shared tree is restored
+# ---------------------------------------------------------------------------
+
+
+def dump(context):
+    return ast.dump(context.tree, include_attributes=True)
+
+
+class TestTreeRestored:
+    def test_generate_leaves_each_tree_as_parsed(self, monkeypatch):
+        built = []
+        build = MutantGenerator._context
+
+        def spy(generator, method_name):
+            context = build(generator, method_name)
+            built.append((context, dump(context)))
+            return context
+
+        monkeypatch.setattr(MutantGenerator, "_context", spy)
+        mutants, _ = MutantGenerator(Machine).generate(["drive", "idle"])
+        assert mutants
+        # One context per method, each back to its parsed state.
+        assert [context.method_name for context, _ in built] == [
+            "drive", "idle"]
+        for context, parsed in built:
+            assert dump(context) == parsed
+
+    def test_body_that_raises_still_restores(self):
+        context = MethodContext(Machine, "drive")
+        parsed = dump(context)
+        with pytest.raises(RuntimeError):
+            with context.splice(context.use_sites[-1],
+                                ast.Constant(value=0)):
+                raise RuntimeError("compile blew up")
+        assert dump(context) == parsed
+
+    def test_occurrences_count_in_preorder(self):
+        # `steps` is read in the while test, the increment and the return;
+        # occurrence 0 is the while test, first in pre-order.
+        context = MethodContext(Machine, "drive")
+        first = next(site for site in context.use_sites
+                     if site.variable == "steps" and site.occurrence == 0)
+        with context.splice(first, ast.Constant(value=7)) as module:
+            assert "while 7 < distance" in ast.unparse(module)
+
+    def test_unknown_site_rejected(self):
+        context = MethodContext(Machine, "idle")
+        site = context.use_sites[0]
+        beyond = UseSite(site.variable, occurrence=len(context.use_sites),
+                         line=site.line, column=site.column)
+        with pytest.raises(MutationError, match="not found"):
+            with context.splice(beyond, ast.Constant(value=0)):
+                pass
+
+
+# ---------------------------------------------------------------------------
+# The attribute-universe memo
+# ---------------------------------------------------------------------------
+
+
+class TestUniverseMemo:
+    def test_frozen_and_equal_to_uncached(self, monkeypatch):
+        universe = infer_attribute_universe(CSortableObList)
+        assert isinstance(universe, frozenset)
+        assert infer_attribute_universe(CSortableObList) is universe
+        monkeypatch.setattr(base, "_UNIVERSES", weakref.WeakKeyDictionary())
+        uncached = infer_attribute_universe(CSortableObList)
+        assert uncached is not universe
+        assert uncached == universe
+
+    def test_memo_does_not_keep_class_alive(self):
+        dynamic = type("Dynamic", (Machine,), {})
+        assert infer_attribute_universe(dynamic) == {
+            "fuel", "speed", "odometer"}
+        alive = weakref.ref(dynamic)
+        del dynamic
+        gc.collect()
+        assert alive() is None
