@@ -175,17 +175,6 @@ class SandboxTimeout(MutationError):
     """A mutant exceeded its execution step budget (assumed infinite loop)."""
 
 
-class RunCancelled(MutationError):
-    """An in-flight analysis was cancelled cooperatively.
-
-    Raised by the engines when the run's cancel event is set: the serial
-    engine checks it between mutants, the pool dispatcher detaches the
-    run's workers and abandons its pending queue.  Already-recorded
-    verdicts are discarded with the run; neighbours on a shared pool are
-    untouched (their batches are fenced by run id).
-    """
-
-
 # ---------------------------------------------------------------------------
 # Scenario corpus errors
 # ---------------------------------------------------------------------------

@@ -29,12 +29,10 @@ only the executed/skipped case counters differ (which is why
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..core.errors import RunCancelled
 from ..generator.suite import TestSuite
 from ..generator.testcase import TestCase
 from ..harness.executor import TestExecutor
@@ -316,8 +314,7 @@ class MutationAnalysis:
                  coverage: Optional[CoverageMatrix] = None,
                  telemetry: Optional[Telemetry] = None,
                  static_triage: bool = True,
-                 triage_type_model: Optional[TypeModel] = None,
-                 cancel_event: Optional[threading.Event] = None):
+                 triage_type_model: Optional[TypeModel] = None):
         """``setup`` runs before every suite execution (e.g. resetting an
         ambient database) so runs are independent.
 
@@ -341,13 +338,6 @@ class MutationAnalysis:
         spans carrying kill reason, case counters and cache hit/miss.
         Purely observational — verdicts are identical with or without
         it; the default null session records nothing.
-
-        ``cancel_event`` enables cooperative cancellation (sweep Ctrl-C):
-        the analysis loop checks it between mutants and raises
-        :class:`~repro.core.errors.RunCancelled` when set, so a serial
-        battery unwinds within one mutant's execution time.  It is
-        deliberately excluded from the experiment fingerprint — it never
-        influences verdicts, only whether they are produced.
 
         ``static_triage`` (the default) runs the static equivalent-mutant
         triage pass (:mod:`repro.mutation.triage`) over the battery
@@ -379,7 +369,6 @@ class MutationAnalysis:
         self._static_triage = static_triage
         self._triage_type_model = triage_type_model
         self._obs = coalesce(telemetry)
-        self._cancel = cancel_event
         self._coverage: Optional[CoverageMatrix] = coverage if prune else None
         self._reference: Optional[SuiteResult] = reference
         self._reference_by_ident: Optional[Dict[str, TestResult]] = None
@@ -478,11 +467,6 @@ class MutationAnalysis:
         by_ident: Dict[str, MutantOutcome] = {}
         step_timeouts = 0
         for index, mutant in enumerate(mutants):
-            if self._cancel is not None and self._cancel.is_set():
-                raise RunCancelled(
-                    f"analysis cancelled after {index} of "
-                    f"{len(mutants)} mutant(s)"
-                )
             with self._obs.span("analysis.mutant",
                                 mutant=mutant.record.ident,
                                 operator=mutant.record.operator,

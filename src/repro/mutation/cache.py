@@ -368,11 +368,10 @@ class MutationOutcomeCache:
         self._triage_index: Dict[str, _Location] = {}
         self._scenario_index: Dict[str, _Location] = {}
         self._slots: Dict[str, str] = {}
-        # One store may be driven from several threads (the pool's
-        # dispatcher thread writes verdicts back; the threads that submit
-        # runs look entries up); every public operation holds this lock.
-        # RLock because lookups nest into appends on the legacy-migration
-        # path.
+        # A caller may share one store between its own threads (engines
+        # run on several threads look entries up and write verdicts back);
+        # every public operation holds this lock.  RLock because lookups
+        # nest into appends on the legacy-migration path.
         self._lock = threading.RLock()
         self._handle = None          # lazily opened segment file object
         self._writable = False       # whether _handle was opened read-write

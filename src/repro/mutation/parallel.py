@@ -9,7 +9,7 @@ exploits it: mutants are distributed over N worker processes, each worker
 fresh :class:`~repro.mutation.sandbox.StepBudgetGuard`, and ships the
 outcome back to the parent.
 
-Three throughput mechanisms keep orchestration from swamping the win:
+Two throughput mechanisms keep orchestration from swamping the win:
 
 * **Batched dispatch.**  Mutants ship to workers in chunks — by default
   ``max(1, dispatched // (8 × workers))`` per batch (``batch_size``
@@ -21,24 +21,17 @@ Three throughput mechanisms keep orchestration from swamping the win:
   call: a process-wide shared :class:`WorkerPool` (or an explicit one
   passed as ``pool=``) keeps workers alive across mutants *and* across
   batteries (table2/table3 run several back-to-back).  Each battery ships
-  its :class:`WorkerSpec` once per worker under an epoch token — the
+  its :class:`WorkerSpec` once per worker under a spec token — the
   compiled original class, suite fixtures, reference run and coverage
-  matrix are cached worker-side until the token ages out of a small
-  per-worker battery LRU (:data:`WORKER_BATTERY_LRU` entries).  Stale
-  messages from a previous battery are discarded by run id.
+  matrix stay cached worker-side until a different battery replaces
+  them.  Stale messages from a previous battery are discarded by run id.
 
-* **Multi-tenant dispatch.**  The pool is a resident executor: a single
-  dispatcher thread owns every worker pipe and interleaves batches from
-  however many runs are registered at once (engines called from several
-  threads share it).  Each ``analyze`` call registers a run-id-fenced
-  :class:`_RunHandle` and blocks until its verdicts are complete; the
-  dispatcher round-robins ready batches across runs, enforcing a per-run
-  **in-flight batch budget** equal to the run's ``workers`` request
-  (back-pressure: a run at budget yields the pool to its neighbours),
-  and the battery LRU keeps interleaving from thrashing spec re-ships.
-  Because every run's batch carries its own run id and epoch token, one
-  run's crashes, hangs and re-dispatches never touch another run's
-  verdicts.
+The pool runs one analysis at a time, on the caller's thread:
+:meth:`WorkerPool.run` owns every worker pipe until the run's verdicts
+are complete, and a second thread sharing the pool waits for the first
+to finish.  Any exception inside the loop, Ctrl-C included, kills the
+workers still holding the run's batches before it propagates, so the
+next run starts on a clean pool.
 
 Two contracts, both tested differentially against the serial engine:
 
@@ -48,7 +41,7 @@ Two contracts, both tested differentially against the serial engine:
   the parallel :class:`~repro.mutation.analysis.MutationRun` is
   field-for-field identical to the serial one (wall-clock aside; see
   :meth:`~repro.mutation.analysis.MutationRun.same_results`), at every
-  batch size, worker count, and degree of cross-run interleaving.
+  batch size and worker count.
 
 * **Robustness.**  The paper's kill rule (i) is "the program crashed while
   running the test cases".  In-process, the step budget already converts
@@ -73,9 +66,7 @@ Two contracts, both tested differentially against the serial engine:
     remaining never-started mutants are re-queued untouched.
 
   A replacement worker is spawned whenever work remains, so every mutant
-  still runs; the engine never wedges on a hostile mutant.  All of this
-  is applied per run: a worker death inside run A's batch classifies and
-  re-queues only run A's mutants.
+  still runs; the engine never wedges on a hostile mutant.
 
 Per-worker ``StepBudgetGuard.timeouts`` counters are aggregated into
 ``MutationRun.step_timeouts`` so sandbox activity stays observable across
@@ -92,7 +83,7 @@ import os
 import pickle
 import threading
 import time
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing.connection import Connection, wait as connection_wait
 from typing import (
@@ -107,11 +98,10 @@ from typing import (
     Tuple,
 )
 
-from ..core.errors import RunCancelled
 from ..generator.suite import TestSuite
 from ..harness.oracles import CompositeOracle, KillReason
 from ..harness.outcomes import SuiteResult
-from ..obs import Telemetry, coalesce
+from ..obs import NULL_TELEMETRY, Telemetry, coalesce
 from .analysis import (
     ClassBuilder,
     MutantOutcome,
@@ -132,8 +122,7 @@ from .typemodel import TypeModel
 #: executing traceable Python lines, where only elapsed time is observable.
 DEFAULT_WALL_CLOCK_BACKSTOP = 60.0
 
-#: How long the dispatcher waits on worker pipes before running a health
-#: pass while runs are active.
+#: How long the run loop waits on worker pipes before its next health pass.
 _POLL_INTERVAL = 0.05
 
 #: The adaptive default aims for ~8 batches per worker: small enough that
@@ -141,15 +130,8 @@ _POLL_INTERVAL = 0.05
 #: enough to amortize the pipe round-trip.
 DEFAULT_BATCH_DIVISOR = 8
 
-#: How many battery configurations each worker keeps warm at once.  One
-#: was enough when a pool served one run at a time; interleaved runs
-#: would thrash a single slot (A, B, A, B … re-ships every batch), so the
-#: slot became a small keyed LRU, mirrored exactly on the parent side.
-WORKER_BATTERY_LRU = 4
-
 #: Run ids distinguish runs sharing one (persistent) pool, so a stale
-#: message from a previous battery — or a *concurrent* one — can never
-#: fill another run's slot.
+#: message from a previous battery can never fill another run's slot.
 _RUN_IDS = itertools.count(1)
 
 
@@ -198,44 +180,32 @@ def _analysis_from_spec(spec: WorkerSpec) -> MutationAnalysis:
 def _worker_main(connection: Connection) -> None:
     """Worker loop: battery configs and mutant batches in, verdicts out.
 
-    Messages: ``("battery", token, spec)`` installs one analysis in the
-    worker's battery LRU — the rebuilt serial engine, with its compiled
-    original class, suite fixtures and coverage matrix, is cached under
-    the token until :data:`WORKER_BATTERY_LRU` fresher batteries evict
-    it, so a rerun of a recent battery ships no spec at all;
+    Messages: ``("battery", token, spec)`` installs one analysis — the
+    rebuilt serial engine, with its compiled original class, suite
+    fixtures and coverage matrix — in place of the previous one, so a
+    rerun of the same battery ships no spec at all;
     ``("batch", run_id, token, ((index, mutant), …))`` runs each mutant
-    in order under the named battery, streaming one
+    in order under that battery, streaming one
     ``("done", run_id, index, outcome, timeouts)`` per mutant (or
     ``("error", run_id, index, message)`` for a harness-level failure);
-    ``None`` exits.  The parent mirrors the LRU's insert/touch/evict
-    sequence over the same FIFO pipe, so it always knows which batteries
-    a worker still holds.  The worker is a plain serial
+    ``None`` exits.  The worker is a plain serial
     :class:`MutationAnalysis` seeded with the parent's reference run;
     parallelism changes *where* a mutant runs, never *how*.
     """
-    analyses: "OrderedDict[str, MutationAnalysis]" = OrderedDict()
+    token: Optional[str] = None
+    analysis: Optional[MutationAnalysis] = None
     try:
         while True:
             message = connection.recv()
             if message is None:
                 break
-            kind = message[0]
-            if kind == "battery":
-                token, spec = message[1], message[2]
-                if token in analyses:
-                    analyses.move_to_end(token)
-                else:
-                    analyses[token] = _analysis_from_spec(spec)
-                    while len(analyses) > WORKER_BATTERY_LRU:
-                        analyses.popitem(last=False)
+            if message[0] == "battery":
+                token, analysis = message[1], _analysis_from_spec(message[2])
                 continue
-            run_id, token, tasks = message[1], message[2], message[3]
-            analysis = analyses.get(token)
-            if analysis is not None:
-                analyses.move_to_end(token)
+            run_id, batch_token, tasks = message[1], message[2], message[3]
             for index, mutant in tasks:
                 try:
-                    if analysis is None:
+                    if batch_token != token:
                         raise RuntimeError("batch received before battery")
                     outcome, timeouts = analysis.analyze_single(mutant)
                     connection.send(("done", run_id, index, outcome, timeouts))
@@ -260,129 +230,42 @@ class _Worker:
     """Parent-side handle for one worker process."""
 
     __slots__ = ("process", "connection", "assigned", "batch_len",
-                 "batch_started", "last_heard", "epochs", "run")
+                 "batch_started", "last_heard", "token")
 
     def __init__(self, process, connection: Connection):
         self.process = process
         self.connection = connection
-        #: Batch tasks not yet resolved, in execution order.
+        #: Batch tasks not yet resolved, in execution order; the worker
+        #: holds a batch exactly while this is non-empty.
         self.assigned: Deque[Tuple[int, CompiledMutant]] = deque()
         self.batch_len = 0
         self.batch_started = 0.0
         self.last_heard = 0.0
-        #: Parent-side mirror of the worker's battery LRU (token →
-        #: None, insertion-ordered).  Updated with exactly the same
-        #: insert/touch/evict sequence the worker applies, over the same
-        #: FIFO pipe, so membership here is authoritative.
-        self.epochs: "OrderedDict[str, None]" = OrderedDict()
-        #: The run whose batch this worker is currently executing.
-        self.run: Optional["_RunHandle"] = None
-
-
-class _Wakeup:
-    """A self-pipe the dispatcher waits on alongside worker connections,
-    so a newly registered run (or a close) is noticed immediately rather
-    than at the next poll tick."""
-
-    __slots__ = ("_reader", "_writer", "_closed")
-
-    def __init__(self):
-        self._reader, self._writer = os.pipe()
-        os.set_blocking(self._reader, False)
-        os.set_blocking(self._writer, False)
-        self._closed = False
-
-    def fileno(self) -> int:
-        return self._reader
-
-    def set(self) -> None:
-        try:
-            os.write(self._writer, b"x")
-        except (BlockingIOError, OSError):
-            pass  # already signalled (pipe full) or closed
-
-    def drain(self) -> None:
-        try:
-            while os.read(self._reader, 4096):
-                pass
-        except (BlockingIOError, OSError):
-            pass
-
-    def close(self) -> None:
-        if not self._closed:
-            self._closed = True
-            os.close(self._reader)
-            os.close(self._writer)
-
-
-@dataclass
-class _RunHandle:
-    """One registered ``analyze`` call, as the dispatcher sees it.
-
-    The submitting thread blocks on ``done``; the dispatcher fills
-    ``state`` and records telemetry on the run's own session.  The
-    in-flight budget (``workers``) is the back-pressure knob: a run never
-    holds more concurrent batches than workers it asked for, so K
-    interleaved runs share the pool instead of one monopolizing it.
-    """
-
-    state: "_PoolState"
-    obs: Telemetry
-    workers: int
-    backstop: float
-    #: Cooperative cancellation: set by the submitter (sweep Ctrl-C);
-    #: the dispatcher notices within one poll interval, kills the run's
-    #: assigned workers, abandons its pending queue, and fails the run
-    #: with :class:`RunCancelled`.
-    cancel: Optional[threading.Event] = None
-    inflight: int = 0
-    submitted_at: float = 0.0
-    first_dispatch_at: Optional[float] = None
-    depth_peak: int = 0
-    error: Optional[BaseException] = None
-    done: threading.Event = field(default_factory=threading.Event)
-
-    @property
-    def cancelled(self) -> bool:
-        return self.cancel is not None and self.cancel.is_set()
+        #: Spec token of the battery the worker holds, ``None`` before the
+        #: first one ships.
+        self.token: Optional[str] = None
 
 
 class WorkerPool:
-    """A multi-tenant pool of mutation workers persisting across runs.
+    """A pool of mutation workers persisting across runs.
 
     Engines draw workers from here instead of spawning their own; a pool
     survives battery boundaries, so table2/table3-style back-to-back runs
-    reuse warm processes (and their worker-side battery LRUs) instead of
+    reuse warm processes (and the battery each one holds) instead of
     paying fork + spec shipping every time.  One process-wide shared pool
     (:func:`shared_worker_pool`) is the default; tests and embedders can
     pass a private pool to the engine.
 
-    Any number of runs may be in flight at once: each ``analyze`` call
-    registers a :class:`_RunHandle` via :meth:`execute` and blocks until
-    its verdicts are complete, while a single dispatcher thread owns
-    every worker pipe, round-robins ready batches across the registered
-    runs (respecting each run's in-flight budget), classifies crashes
-    and hangs against the owning run only, and sizes the pool to the
-    *largest* single run's worker request — concurrent runs share
-    capacity, they do not multiply it.
+    :meth:`run` executes one analysis at a time on the calling thread,
+    holding a lock for the whole run: two threads sharing a pool are
+    served one after the other.
     """
 
     def __init__(self, context=None):
         self._context = context if context is not None else _mp_context()
         self.workers: List[_Worker] = []
         self._closed = False
-        self._lock = threading.RLock()
-        #: run_id → handle, for message fencing.
-        self._runs: Dict[int, _RunHandle] = {}
-        #: Submission order, for round-robin fairness and deterministic
-        #: spawn attribution.
-        self._order: List[_RunHandle] = []
-        self._rr = 0
-        #: Workers lost mid-batch and not yet replaced; replacement
-        #: spawns consume one casualty each and count as respawns.
-        self._casualties = 0
-        self._wakeup = _Wakeup()
-        self._dispatcher: Optional[threading.Thread] = None
+        self._lock = threading.Lock()
 
     @property
     def size(self) -> int:
@@ -394,189 +277,87 @@ class WorkerPool:
 
     # -- run execution ---------------------------------------------------
 
-    def execute(self, handle: _RunHandle) -> None:
-        """Register one run and block until every verdict is recorded.
+    def run(self, state: "_PoolState") -> None:
+        """Drive one run until every verdict is recorded.
 
-        Thread-safe: concurrent callers interleave on the pool.  Raises
-        whatever error the dispatcher attributed to the run.
+        Any exception raised meanwhile (a ``KeyboardInterrupt`` reaching
+        this thread, a failing cache write) kills the workers still
+        holding this run's batches before it propagates, so none of them
+        carries the abandoned run into the next one.
         """
         with self._lock:
             if self._closed:
                 raise RuntimeError("worker pool is closed")
-            handle.submitted_at = time.perf_counter()
-            self._runs[handle.state.run_id] = handle
-            self._order.append(handle)
-            if self._dispatcher is None or not self._dispatcher.is_alive():
-                self._dispatcher = threading.Thread(
-                    target=self._dispatch_loop,
-                    name="repro-pool-dispatcher",
-                    daemon=True,
-                )
-                self._dispatcher.start()
-        self._wakeup.set()
-        handle.done.wait()
-        if handle.error is not None:
-            raise handle.error
+            try:
+                self._drive(state)
+            except BaseException:
+                for worker in [w for w in self.workers if w.assigned]:
+                    self._kill(worker)
+                raise
 
-    # -- dispatcher ------------------------------------------------------
+    def _drive(self, state: "_PoolState") -> None:
+        """Health pass → sizing → dispatch → wait, until the run is done.
 
-    def _dispatch_loop(self) -> None:
+        The pool grows to ``min(workers, in flight + pending)``; a run
+        never holds more than ``workers`` batches at once.  A replacement
+        for a worker lost mid-batch counts as a respawn.
+        """
         while True:
-            with self._lock:
-                if self._closed:
-                    self._fail_all(RuntimeError("worker pool closed mid-run"))
-                    return
-                active = bool(self._runs)
-                watched = [worker.connection for worker in self.workers
-                           if worker.assigned]
+            if self._closed:
+                raise RuntimeError("worker pool closed mid-run")
+            now = time.perf_counter()
+            for worker in list(self.workers):
+                if not worker.process.is_alive():
+                    self._retire_dead(worker, state)
+                elif (worker.assigned
+                        and now - worker.last_heard > state.backstop):
+                    self._retire_hung(worker, state)
+            if state.remaining <= 0:
+                return
+            busy = sum(1 for worker in self.workers if worker.assigned)
+            while len(self.workers) < min(state.workers,
+                                          busy + len(state.pending)):
+                self._spawn(state.obs)
+                if state.casualties > 0:
+                    state.casualties -= 1
+                    state.obs.count("parallel.respawns")
+            for worker in list(self.workers):
+                if not state.pending or busy >= state.workers:
+                    break
+                if not worker.assigned:
+                    self._dispatch(worker, state)
+                    busy += 1
+            watched = [worker.connection for worker in self.workers
+                       if worker.assigned]
             try:
-                ready = connection_wait(
-                    [self._wakeup, *watched],
-                    timeout=_POLL_INTERVAL if active else None,
-                )
+                ready = connection_wait(watched, timeout=_POLL_INTERVAL)
             except OSError:
-                ready = []  # a pipe vanished mid-wait; the tick classifies
-            with self._lock:
-                if self._closed:
-                    self._fail_all(RuntimeError("worker pool closed mid-run"))
-                    return
-                try:
-                    self._wakeup.drain()
-                    for source in ready:
-                        if source is self._wakeup:
-                            continue
-                        worker = self._worker_for(source)
-                        if worker is not None:
-                            self._drain_worker(worker)
-                    if self._runs:
-                        self._tick()
-                except Exception as error:  # noqa: BLE001 — never die silent
-                    # A dispatcher bug must not strand blocked submitters:
-                    # fail every active run loudly and keep serving.
-                    self._fail_all(error)
-
-    def _tick(self) -> None:
-        """One scheduling pass: cancel → health → sizing → dispatch →
-        finalize."""
-        now = time.perf_counter()
-        for handle in [h for h in self._order if h.cancelled]:
-            self._cancel_run(handle)
-        for worker in list(self.workers):
-            if not worker.process.is_alive():
-                self._retire_dead(worker)
-            elif (worker.run is not None and worker.assigned
-                    and now - worker.last_heard > worker.run.backstop):
-                self._retire_hung(worker)
-        self._resize()
-        idle = [worker for worker in self.workers if worker.run is None]
-        for worker in idle:
-            handle = self._next_runnable()
-            if handle is None:
-                break
-            self._dispatch(worker, handle)
-        for handle in [h for h in self._order if h.state.remaining <= 0]:
-            self._order.remove(handle)
-            self._runs.pop(handle.state.run_id, None)
-            handle.obs.count_max("pool.queue_depth", handle.depth_peak)
-            handle.done.set()
-        if not self._runs:
-            self._rr = 0
-            self._casualties = 0
-
-    def _cancel_run(self, handle: _RunHandle) -> None:
-        """Abandon one run at its submitter's request.
-
-        Workers currently executing the run's batches are killed, not
-        detached: a detached-but-busy worker would accept a neighbour's
-        batch into its pipe and then look hung on it.  Casualties are
-        respawned by the normal resize pass, so the pool itself is never
-        recycled and neighbouring runs keep their warm workers.  Verdicts
-        already recorded are discarded with the run; the submitter gets
-        :class:`RunCancelled`.
-        """
-        state, obs = handle.state, handle.obs
-        for worker in list(self.workers):
-            if worker.run is not handle:
-                continue
-            worker.assigned.clear()
-            worker.batch_len = 0
-            self._finish_batch(worker)
-            self._casualties += 1
-            try:
-                worker.process.kill()
-                worker.process.join()
-            except (OSError, AssertionError):
-                pass  # already gone
-            self.discard(worker)
-        abandoned = len(state.pending)
-        state.pending.clear()
-        obs.event("pool.run_cancelled", run=state.run_id,
-                  pending=abandoned, outstanding=state.remaining)
-        obs.count("pool.runs_cancelled")
-        if handle in self._order:
-            self._order.remove(handle)
-        self._runs.pop(state.run_id, None)
-        handle.error = RunCancelled(
-            f"analysis cancelled with {state.remaining} verdict(s) "
-            f"outstanding"
-        )
-        handle.done.set()
-
-    def _next_runnable(self) -> Optional[_RunHandle]:
-        """Round-robin over runs with pending work and budget headroom."""
-        count = len(self._order)
-        for step in range(count):
-            handle = self._order[(self._rr + step) % count]
-            if handle.state.pending and handle.inflight < handle.workers:
-                self._rr = (self._rr + step + 1) % count
-                return handle
-        return None
-
-    def _resize(self) -> None:
-        """Size the pool to the largest single run's usable worker count.
-
-        Capacity is shared, not multiplied: with runs A and B both asking
-        for 2 workers, the pool holds 2 and the round-robin interleaves
-        their batches.  A replacement for a worker lost mid-batch counts
-        as a respawn on the telemetry of the run it is spawned for.
-        """
-        target = 0
-        spawn_for: Optional[_RunHandle] = None
-        for handle in self._order:
-            usable = min(handle.workers,
-                         handle.inflight + len(handle.state.pending))
-            if usable > target:
-                target = usable
-            if (spawn_for is None and handle.state.pending
-                    and handle.inflight < handle.workers):
-                spawn_for = handle
-        while len(self.workers) < target and spawn_for is not None:
-            self.spawn_one(spawn_for.obs)
-            if self._casualties > 0:
-                self._casualties -= 1
-                spawn_for.obs.count("parallel.respawns")
+                ready = []  # a pipe vanished; the next health pass classifies
+            for worker in list(self.workers):
+                if worker.connection in ready:
+                    self._drain_worker(worker, state)
 
     # -- message handling ------------------------------------------------
 
-    def _drain_worker(self, worker: _Worker) -> None:
+    def _drain_worker(self, worker: _Worker, state: "_PoolState") -> None:
         """Apply every message currently sitting in one worker's pipe."""
         try:
             while worker.connection.poll(0):
-                self._apply_message(worker, worker.connection.recv())
+                self._apply_message(worker, worker.connection.recv(), state)
         except (EOFError, OSError):
-            pass  # pipe closed mid-batch: the next tick classifies it
+            pass  # pipe closed mid-batch: the next health pass classifies it
 
-    def _apply_message(self, worker: _Worker, message: Tuple) -> None:
+    def _apply_message(self, worker: _Worker, message: Tuple,
+                       state: "_PoolState") -> None:
         kind = message[0]
         if kind not in ("done", "error"):
             return
         run_id, index = message[1], message[2]
         previously_heard = worker.last_heard
         worker.last_heard = time.perf_counter()
-        handle = self._runs.get(run_id)
-        if handle is None or handle is not worker.run:
+        if run_id != state.run_id:
             return  # residue of a previous run on this persistent worker
-        state, obs = handle.state, handle.obs
+        obs = state.obs
         task: Optional[Tuple[int, CompiledMutant]] = None
         for assigned in worker.assigned:
             if assigned[0] == index:
@@ -610,37 +391,26 @@ class WorkerPool:
                 seconds=round(worker.last_heard - worker.batch_started, 6),
             )
             worker.batch_len = 0
-            self._finish_batch(worker)
-
-    def _finish_batch(self, worker: _Worker) -> None:
-        """Release the worker's batch slot back to its run's budget."""
-        if worker.run is not None:
-            worker.run.inflight -= 1
-            worker.run = None
 
     # -- health ----------------------------------------------------------
 
-    def _retire_dead(self, worker: _Worker) -> None:
+    def _retire_dead(self, worker: _Worker, state: "_PoolState") -> None:
         # Salvage results the worker sent before dying, then apply the
-        # batch crash rule *against the owning run only*: a single
-        # unreported mutant was provably executing and is classified as a
-        # process-boundary crash kill; a multi-mutant remainder is
-        # re-dispatched solo so one poisoned mutant cannot take out its
-        # batchmates' verdicts.  An idle dead worker carries no state and
-        # is simply pruned.
+        # batch crash rule: a single unreported mutant was provably
+        # executing and is classified as a process-boundary crash kill; a
+        # multi-mutant remainder is re-dispatched solo so one poisoned
+        # mutant cannot take out its batchmates' verdicts.  An idle dead
+        # worker carries no state and is simply pruned.
         worker.process.join()
-        handle = worker.run
-        if handle is not None:
-            self._drain_worker(worker)
-            handle = worker.run  # salvage may have completed the batch
-        if handle is not None:
-            state, obs = handle.state, handle.obs
+        if worker.assigned:
+            self._drain_worker(worker, state)
+        if worker.assigned:  # salvage may have completed the batch
+            obs = state.obs
             unreported = [task for task in worker.assigned
                           if state.results[task[0]] is None]
             worker.assigned.clear()
             worker.batch_len = 0
-            self._finish_batch(worker)
-            self._casualties += 1
+            state.casualties += 1
             if len(unreported) == 1:
                 index, mutant = unreported[0]
                 obs.event("parallel.worker_crash", index=index,
@@ -660,43 +430,36 @@ class WorkerPool:
                 for task in reversed(unreported):
                     state.solo.add(task[0])
                     state.pending.appendleft(task)
-        self.discard(worker)
+        self._discard(worker)
 
-    def _retire_hung(self, worker: _Worker) -> None:
+    def _retire_hung(self, worker: _Worker, state: "_PoolState") -> None:
         # The verdict may have landed in the pipe while we were not
         # looking; salvage it first — only a genuinely silent worker is a
         # hang.
-        handle = worker.run
-        if handle is None:
-            return
-        self._drain_worker(worker)
-        if worker.run is None:
+        self._drain_worker(worker, state)
+        if not worker.assigned:
             return  # salvage completed the batch; the worker is fine
-        state, obs = handle.state, handle.obs
         unreported = [task for task in worker.assigned
                       if state.results[task[0]] is None]
         worker.assigned.clear()
         worker.batch_len = 0
         if not unreported:
-            self._finish_batch(worker)
             return
         # Execution is in-order and every verdict streams back the moment
         # it exists, so a silent worker is provably stuck on its *first*
         # unreported mutant; the rest of the batch never started and is
         # re-queued untouched.
-        self._finish_batch(worker)
-        self._casualties += 1
+        obs = state.obs
+        state.casualties += 1
         index, mutant = unreported[0]
-        worker.process.kill()
-        worker.process.join()
-        self.discard(worker)
+        self._kill(worker)
         obs.event("parallel.wall_timeout", index=index,
                   mutant=mutant.record.ident,
-                  backstop=handle.backstop)
+                  backstop=state.backstop)
         obs.count("parallel.wall_timeouts")
         state.record(index, _boundary_outcome(
             mutant.record, KillReason.WALL_TIMEOUT,
-            f"no verdict within the {handle.backstop:.1f}s wall-clock "
+            f"no verdict within the {state.backstop:.1f}s wall-clock "
             f"backstop; worker killed",
         ))
         rest = unreported[1:]
@@ -709,25 +472,11 @@ class WorkerPool:
 
     # -- dispatch --------------------------------------------------------
 
-    def _dispatch(self, worker: _Worker, handle: _RunHandle) -> None:
-        """Hand the worker its next batch for ``handle``'s run."""
-        state, obs = handle.state, handle.obs
-        if worker.assigned or not state.pending:
-            return
+    def _dispatch(self, worker: _Worker, state: "_PoolState") -> None:
+        """Hand an idle worker the run's next batch, shipping the battery
+        first unless the worker already holds it."""
+        obs = state.obs
         now = time.perf_counter()
-        token = state.token
-        if token not in worker.epochs:
-            try:
-                worker.connection.send(("battery", token, state.spec))
-            except (BrokenPipeError, OSError):
-                return  # dead worker: the next tick prunes and respawns
-            worker.epochs[token] = None
-            obs.count("parallel.battery_shipped")
-            while len(worker.epochs) > WORKER_BATTERY_LRU:
-                worker.epochs.popitem(last=False)
-                obs.count("pool.battery_evictions")
-        else:
-            worker.epochs.move_to_end(token)
         batch: List[Tuple[int, CompiledMutant]] = []
         while state.pending and len(batch) < state.batch_size:
             index = state.pending[0][0]
@@ -736,11 +485,25 @@ class WorkerPool:
             batch.append(state.pending.popleft())
             if index in state.solo:
                 break  # …and never takes batchmates of its own
-        #: Tasks still queued pool-wide after this batch left — the
-        #: executor's backlog, reported per dispatch and peak-tracked.
-        depth = sum(len(h.state.pending) for h in self._order)
-        if depth > handle.depth_peak:
-            handle.depth_peak = depth
+        # Busy from here on: an exception during either send kills the
+        # worker instead of leaving a half-written message in its pipe.
+        worker.assigned = deque(batch)
+        worker.batch_len = len(batch)
+        worker.batch_started = worker.last_heard = now
+        try:
+            if worker.token != state.token:
+                worker.connection.send(("battery", state.token, state.spec))
+                worker.token = state.token
+                obs.count("parallel.battery_shipped")
+            worker.connection.send(("batch", state.run_id, state.token,
+                                    tuple(batch)))
+        except OSError:
+            # The worker died while idle: the batch never started, so it
+            # goes back to the front of the queue untouched.
+            state.pending.extendleft(reversed(batch))
+            self._kill(worker)
+            return
+        depth = len(state.pending)
         for index, mutant in batch:
             obs.event(
                 "parallel.dispatch", index=index,
@@ -750,42 +513,10 @@ class WorkerPool:
                 depth=depth,
             )
         obs.count("parallel.batches")
-        if handle.first_dispatch_at is None:
-            handle.first_dispatch_at = now
-            queue_wait = now - handle.submitted_at
-            obs.event("pool.queue_wait", run=state.run_id,
-                      seconds=round(queue_wait, 6))
-            obs.count("pool.queue_wait_ms", int(queue_wait * 1000))
-        worker.assigned = deque(batch)
-        worker.batch_len = len(batch)
-        worker.batch_started = worker.last_heard = now
-        worker.run = handle
-        handle.inflight += 1
-        try:
-            worker.connection.send(("batch", state.run_id, token,
-                                    tuple(batch)))
-        except (BrokenPipeError, OSError):
-            # Worker already dead; the next tick applies the batch crash
-            # rule to the assigned tasks (classify one, re-dispatch many).
-            pass
 
     # -- worker lifecycle ------------------------------------------------
 
-    def prune_dead(self) -> None:
-        """Drop workers that died while idle (no state to classify)."""
-        with self._lock:
-            for worker in list(self.workers):
-                if not worker.process.is_alive() and worker.run is None:
-                    self.discard(worker)
-
-    def ensure(self, count: int, telemetry: Optional[Telemetry] = None) -> None:
-        """Grow the pool to at least ``count`` live workers."""
-        with self._lock:
-            while len(self.workers) < count:
-                self.spawn_one(telemetry)
-
-    def spawn_one(self, telemetry: Optional[Telemetry] = None) -> _Worker:
-        obs = coalesce(telemetry)
+    def _spawn(self, obs: Telemetry) -> None:
         parent_connection, child_connection = self._context.Pipe(duplex=True)
         process = self._context.Process(
             target=_worker_main, args=(child_connection,), daemon=True,
@@ -794,11 +525,9 @@ class WorkerPool:
         child_connection.close()
         obs.event("parallel.worker_spawned", pid=process.pid)
         obs.count("parallel.workers_spawned")
-        worker = _Worker(process, parent_connection)
-        self.workers.append(worker)
-        return worker
+        self.workers.append(_Worker(process, parent_connection))
 
-    def discard(self, worker: _Worker) -> None:
+    def _discard(self, worker: _Worker) -> None:
         """Forget one (already killed or dead) worker."""
         try:
             worker.connection.close()
@@ -807,46 +536,30 @@ class WorkerPool:
         if worker in self.workers:
             self.workers.remove(worker)
 
-    def _worker_for(self, connection) -> Optional[_Worker]:
-        for worker in self.workers:
-            if worker.connection is connection:
-                return worker
-        return None
-
-    def _fail_all(self, error: BaseException) -> None:
-        for handle in self._order:
-            handle.error = error
-            handle.done.set()
-        self._order.clear()
-        self._runs.clear()
+    def _kill(self, worker: _Worker) -> None:
+        """Stop one worker, whatever state it is in, and forget it."""
+        try:
+            worker.process.kill()
+            worker.process.join()
+        except (OSError, AssertionError):
+            pass  # already gone
+        self._discard(worker)
 
     def close(self) -> None:
         """Shut every worker down; the pool is unusable afterwards.
 
-        Idempotent and exception-silent by contract: the ``atexit`` hook
-        (:func:`shutdown_shared_pool`) may run after the interpreter has
-        already torn down the dispatcher thread, reaped worker processes,
-        or closed their pipes — every step here tolerates workers and
-        pipes that are already gone, and a second call is a no-op.
+        A run in progress on another thread stops at its next health pass
+        with ``RuntimeError("worker pool closed mid-run")``; close waits
+        for it to let go of the pool.  Idempotent and exception-silent by
+        contract: the ``atexit`` hook (:func:`shutdown_shared_pool`) may
+        run after the interpreter has already reaped worker processes or
+        closed their pipes — every step here tolerates workers and pipes
+        that are already gone, and a second call is a no-op.
         """
+        if self._closed:
+            return
+        self._closed = True
         with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            dispatcher = self._dispatcher
-        try:
-            self._wakeup.set()
-        except Exception:  # noqa: BLE001 — pipe already closed
-            pass
-        if (dispatcher is not None and dispatcher.is_alive()
-                and dispatcher is not threading.current_thread()):
-            try:
-                dispatcher.join(timeout=5.0)
-            except Exception:  # noqa: BLE001 — interpreter tearing down
-                pass
-        with self._lock:
-            if self._runs:
-                self._fail_all(RuntimeError("worker pool closed mid-run"))
             for worker in self.workers:
                 try:
                     worker.connection.send(None)
@@ -865,10 +578,6 @@ class WorkerPool:
                 except Exception:  # noqa: BLE001
                     pass
             self.workers.clear()
-        try:
-            self._wakeup.close()
-        except Exception:  # noqa: BLE001
-            pass
 
     def __enter__(self) -> "WorkerPool":
         return self
@@ -886,8 +595,8 @@ def shared_worker_pool() -> WorkerPool:
 
     Created on first use and kept warm until :func:`shutdown_shared_pool`
     (registered ``atexit``) — this is what carries worker processes across
-    batteries within one experiment process.  Concurrent engines register
-    runs on it and interleave; nothing ever falls back to a private pool.
+    batteries within one experiment process.  Engines on several threads
+    take turns on it, one run at a time.
     """
     global _SHARED_POOL
     with _SHARED_POOL_LOCK:
@@ -900,11 +609,10 @@ def shutdown_shared_pool() -> None:
     """Close the shared pool (safe to call when none exists).
 
     Registered ``atexit``, so it can run after the interpreter has begun
-    tearing the process down — after daemon threads (including the pool
-    dispatcher) have been stopped, worker processes reaped, and pipes
-    closed.  It must therefore be idempotent and never raise: a shutdown
-    race at exit is cosmetic, and an exception here would mask the
-    program's real outcome.
+    tearing the process down — after worker processes have been reaped
+    and pipes closed.  It must therefore be idempotent and never raise: a
+    shutdown race at exit is cosmetic, and an exception here would mask
+    the program's real outcome.
     """
     global _SHARED_POOL
     with _SHARED_POOL_LOCK:
@@ -928,12 +636,12 @@ def _mp_context():
 
 
 def _spec_token(spec: WorkerSpec) -> str:
-    """The battery epoch token: content hash of the pickled spec.
+    """The battery's spec token: content hash of the pickled spec.
 
-    Workers cache their rebuilt analyses under this token, so re-running
-    a recent battery (same class, suite, reference, coverage, flags)
-    ships no spec at all; an unseen token configures on the next
-    dispatch.
+    Each worker remembers the token of the battery it holds, so
+    re-running that battery (same class, suite, reference, coverage,
+    flags) ships no spec at all; any other token configures the worker
+    on its next dispatch.
     """
     payload = pickle.dumps(spec, protocol=pickle.HIGHEST_PROTOCOL)
     return hashlib.sha256(payload).hexdigest()
@@ -967,6 +675,13 @@ class _PoolState:
     token: str = ""
     spec: Optional[WorkerSpec] = None
     batch_size: int = 1
+    #: Most batches in flight at once, and the width the pool may grow to.
+    workers: int = 1
+    backstop: float = DEFAULT_WALL_CLOCK_BACKSTOP
+    obs: Telemetry = NULL_TELEMETRY
+    #: Workers lost mid-batch and not yet replaced; each replacement
+    #: spawn consumes one and counts as a respawn.
+    casualties: int = 0
     #: Indices that must be dispatched as singleton batches: survivors of
     #: a crashed multi-mutant batch, re-run alone so a poisoned batchmate
     #: cannot contaminate their verdicts (and so the poisoned one, alone
@@ -995,11 +710,11 @@ class ParallelMutationAnalysis:
     """Fans mutants out to worker processes; merges serial-identical results.
 
     Accepts the same configuration as :class:`MutationAnalysis` plus the
-    pool shape: ``workers`` (this run's in-flight budget and the pool
-    width it may grow the pool to), ``batch_size`` (mutants per dispatch
-    chunk; default adaptive) and ``pool`` (an explicit
+    pool shape: ``workers`` (the most batches this run keeps in flight,
+    and the width it may grow the pool to), ``batch_size`` (mutants per
+    dispatch chunk; default adaptive) and ``pool`` (an explicit
     :class:`WorkerPool`; default the process-wide shared pool, which keeps
-    workers warm across batteries and interleaves concurrent runs).
+    workers warm across batteries).
     Every configuration object (suite, oracle, class builder, setup hook)
     must be picklable because workers are rebuilt from them; all shipped
     configurations in :mod:`repro.experiments.config` are.
@@ -1022,8 +737,7 @@ class ParallelMutationAnalysis:
                  static_triage: bool = True,
                  triage_type_model: Optional[TypeModel] = None,
                  batch_size: Optional[int] = None,
-                 pool: Optional[WorkerPool] = None,
-                 cancel_event: Optional[threading.Event] = None):
+                 pool: Optional[WorkerPool] = None):
         if wall_clock_backstop <= 0:
             raise ValueError("wall-clock backstop must be positive")
         if batch_size is not None and batch_size < 1:
@@ -1041,9 +755,6 @@ class ParallelMutationAnalysis:
         self._backstop = wall_clock_backstop
         self._batch_size = batch_size
         self._pool_override = pool
-        # Cooperative cancellation never influences verdicts, so it does
-        # not enter the experiment fingerprint.
-        self._cancel_event = cancel_event
         # The cache lives in the parent only: hits are resolved before any
         # worker is scheduled, and write-backs happen as verdicts arrive.
         # Workers stay cache-oblivious, so a worker process never touches
@@ -1058,8 +769,8 @@ class ParallelMutationAnalysis:
         self._static_triage = static_triage
         self._triage_type_model = triage_type_model
         # Telemetry lives in the parent only: worker lifecycle, dispatch
-        # waits and task turnarounds are recorded here (by the pool's
-        # dispatcher thread, onto this run's session), while workers run
+        # waits and task turnarounds are recorded here (by the pool's run
+        # loop, onto this run's session), while workers run
         # un-instrumented (the WorkerSpec never carries a session), so the
         # trace stays consistent and workers stay byte-identical to the
         # serial engine.
@@ -1077,7 +788,6 @@ class ParallelMutationAnalysis:
             reference=reference, prune=prune, coverage=coverage,
             telemetry=telemetry, static_triage=static_triage,
             triage_type_model=triage_type_model,
-            cancel_event=cancel_event,
         )
 
     # ------------------------------------------------------------------
@@ -1107,8 +817,6 @@ class ParallelMutationAnalysis:
         identical ``MutationRun``.
         """
         mutants = list(mutants)
-        if self._cancel_event is not None and self._cancel_event.is_set():
-            raise RunCancelled("analysis cancelled before dispatch")
         reference = self.reference_results()
         started = time.perf_counter()
         cache = self._cache
@@ -1202,6 +910,9 @@ class ParallelMutationAnalysis:
             # ``remaining`` and no worker ever sees them.
             results=[None] * len(mutants),
             remaining=len(mutants) - len(skip),
+            workers=self._workers,
+            backstop=self._backstop,
+            obs=self._obs,
             cache=cache,
             keys=keys,
             enqueued_at=time.perf_counter(),
@@ -1231,14 +942,7 @@ class ParallelMutationAnalysis:
                                                     self._workers))
         pool = (self._pool_override if self._pool_override is not None
                 else shared_worker_pool())
-        handle = _RunHandle(
-            state=state,
-            obs=self._obs,
-            workers=self._workers,
-            backstop=self._backstop,
-            cancel=self._cancel_event,
-        )
-        pool.execute(handle)
+        pool.run(state)
         return state
 
 

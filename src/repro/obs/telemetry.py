@@ -102,11 +102,10 @@ class Telemetry:
         self._span_stats: Dict[str, List[float]] = {}
         self._events_emitted = 0
         self._closed = False
-        # One session may be written from several threads (the pool's
-        # dispatcher thread records dispatch/task events; the threads that
-        # submit runs record their own spans); counter bumps, span-stat
-        # folds and sink writes are tiny critical sections, so a single
-        # plain lock keeps the trace consistent.
+        # A caller may share one session between its own threads (engines
+        # run on several threads record spans and counters side by side);
+        # counter bumps, span-stat folds and sink writes are tiny critical
+        # sections, so a single plain lock keeps the trace consistent.
         self._lock = threading.Lock()
 
     # -- recording ---------------------------------------------------------
@@ -130,14 +129,6 @@ class Telemetry:
         emitted once as the closing ``counters`` event)."""
         with self._lock:
             self._counters[name] = self._counters.get(name, 0) + amount
-
-    def count_max(self, name: str, value: int) -> None:
-        """Raise a named counter to ``value`` if it is below it — a
-        high-water-mark counter (e.g. peak queue depth, peak scenarios
-        in flight) rendered alongside the additive ones."""
-        with self._lock:
-            if value > self._counters.get(name, 0):
-                self._counters[name] = value
 
     # -- inspection --------------------------------------------------------
 
@@ -259,9 +250,6 @@ class NullTelemetry(Telemetry):
         return None
 
     def count(self, name: str, amount: int = 1) -> None:
-        return None
-
-    def count_max(self, name: str, value: int) -> None:
         return None
 
     def close(self) -> None:

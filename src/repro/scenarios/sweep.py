@@ -44,7 +44,6 @@ confined to the ``timings=True`` rendering, mirroring
 from __future__ import annotations
 
 import json
-import threading
 import time
 from dataclasses import dataclass, field, replace as dc_replace
 from typing import (
@@ -399,13 +398,12 @@ class SweepRunner:
                  batch_size: Optional[int] = None,
                  prune: bool = True,
                  static_triage: bool = True,
-                 telemetry: Optional[Telemetry] = None,
-                 pool: Optional[object] = None):
+                 telemetry: Optional[Telemetry] = None):
         """``workers > 1`` routes every non-empty battery through the
-        parallel engine; ``pool`` overrides its worker pool (default: the
-        process-wide shared pool, warm across scenarios).  ``cache``,
-        ``prune``, ``static_triage``, ``batch_size`` and ``telemetry``
-        are passed through to the engines unchanged."""
+        parallel engine on the process-wide shared pool, warm across
+        scenarios.  ``cache``, ``prune``, ``static_triage``,
+        ``batch_size`` and ``telemetry`` are passed through to the
+        engines unchanged."""
         if workers < 1:
             raise ScenarioError("workers must be >= 1")
         self._registry = registry
@@ -417,7 +415,6 @@ class SweepRunner:
         self._static_triage = static_triage
         self._telemetry = telemetry
         self._obs = coalesce(telemetry)
-        self._pool = pool
         # Sweep-wide memos (see module docstring).
         self._classes: Dict[Tuple[str, int], type] = {}
         self._suites: Dict[Tuple[str, Tuple[int, int, int, int]],
@@ -425,10 +422,6 @@ class SweepRunner:
         self._references: Dict[Tuple[str, str],
                                Tuple[SuiteResult,
                                      Optional[CoverageMatrix]]] = {}
-        # Set by Ctrl-C: the engine of the interrupted scenario shares
-        # this event, so a run still registered on the worker pool is
-        # abandoned, and every later scenario is reported cancelled.
-        self._cancel = threading.Event()
 
     # -- component / suite resolution -----------------------------------
 
@@ -645,14 +638,13 @@ class SweepRunner:
             static_triage=self._static_triage,
             triage_type_model=type_model,
             telemetry=self._telemetry,
-            cancel_event=self._cancel,
         )
         if self._workers > 1 and mutants:
             from ..mutation.parallel import ParallelMutationAnalysis
 
             engine = ParallelMutationAnalysis(
                 cls, suite, workers=self._workers,
-                batch_size=self._batch_size, pool=self._pool, **options
+                batch_size=self._batch_size, **options
             )
         else:
             engine = MutationAnalysis(cls, suite, **options)
@@ -670,18 +662,18 @@ class SweepRunner:
                         progress: Optional[ProgressCallback]
                         ) -> List[ScenarioResult]:
         results: List[ScenarioResult] = []
+        cancelled = False  # set by Ctrl-C; every later scenario is cancelled
         for position, scenario in enumerate(scenarios, start=1):
-            if self._cancel.is_set():
+            if cancelled:
                 result = self._cancelled_result(scenario)
             else:
                 try:
                     result = self.run_scenario(scenario)
                 except KeyboardInterrupt:
-                    # Ctrl-C mid-scenario: cancel the sweep (which also
-                    # unhooks any run still registered on the pool — the
-                    # engine's cancel event is ours) and record the
-                    # interrupted scenario as cancelled.
-                    self._cancel.set()
+                    # Ctrl-C mid-scenario: the pool has already killed the
+                    # workers holding this scenario's batches; record it
+                    # as cancelled and cancel the rest of the sweep.
+                    cancelled = True
                     result = self._cancelled_result(scenario)
             results.append(result)
             self._tally(result)

@@ -155,7 +155,7 @@ class TestSelectiveOutputOracle:
 
     def test_memos_stay_out_of_fingerprint_and_pickle(self):
         # The memos must not leak into the cache fingerprint or into the
-        # pickled battery whose hash is the worker pool's epoch.
+        # pickled battery whose hash is the worker pool's spec token.
         oracle = SelectiveOutputOracle({"GetCount"})
         fingerprint = canonical(oracle)
         payload = pickle.dumps(oracle)

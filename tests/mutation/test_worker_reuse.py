@@ -3,9 +3,10 @@
 The throughput claim is that back-to-back batteries (a table2/table3-style
 slice) pay fork + battery-spec shipping once, not once per battery.  The
 observable contract: worker-spawn counts are flat after the first battery,
-an identical battery rerun ships no spec at all (the worker-side epoch
-cache), a worker killed mid-battery is respawned and the replacement's
-verdicts are serial-identical, and pools never leak state across battery
+an identical battery rerun ships no spec at all (each worker keeps the
+battery it last ran), a worker killed mid-battery is respawned and the
+replacement's verdicts are serial-identical, an interrupt mid-run leaves
+no worker holding a batch, and pools never leak state across battery
 boundaries (run ids fence stale messages).
 """
 
@@ -19,6 +20,7 @@ from repro.components import CSortableObList, OBLIST_TYPE_MODEL
 from repro.generator.driver import DriverGenerator
 from repro.harness.oracles import KillReason, experiment_oracle
 from repro.mutation.analysis import MutationAnalysis
+from repro.mutation.cache import MutationOutcomeCache
 from repro.mutation.generate import generate_mutants
 from repro.mutation.parallel import (
     ParallelMutationAnalysis,
@@ -111,7 +113,7 @@ class TestPoolPersistence:
                 "parallel.battery_shipped", 0
             )
             rerun_telemetry.close()
-            # The worker-side epoch cache recognized the identical spec.
+            # Each worker still held the identical spec's battery.
             assert reshipped == 0
             assert rerun.same_results(first)
 
@@ -122,7 +124,7 @@ class TestPoolPersistence:
             battery(mutants, SEEDS[1], pool, telemetry=telemetry)  # new suite
             shipped = telemetry.counters().get("parallel.battery_shipped", 0)
             telemetry.close()
-            assert shipped == 2  # different epoch: every worker reconfigured
+            assert shipped == 2  # different spec: every worker reconfigured
 
 
 class TestCrashRespawn:
@@ -130,20 +132,24 @@ class TestCrashRespawn:
 
     def test_respawned_worker_finishes_battery_serial_identically(
             self, mutants):
+        # One worker: the six innocent mutants can only run on the
+        # replacement for the worker the hostile mutant kills, so the
+        # respawn is certain rather than a race against a second worker
+        # draining them first.
         suite = small_suite(SEEDS[0])
         hostile = hostile_mutant("X0201", CRASH_SOURCE)
         battery_one = [hostile] + list(mutants[:6])
         with WorkerPool() as pool:
             telemetry = Telemetry(sink=MemorySink())
             run = ParallelMutationAnalysis(
-                CSortableObList, suite, oracle=oracle(), workers=2,
+                CSortableObList, suite, oracle=oracle(), workers=1,
                 pool=pool, static_triage=False, telemetry=telemetry,
             ).analyze(battery_one)
             counters = telemetry.counters()
             telemetry.close()
 
             assert run.outcomes[0].reason is KillReason.WORKER_CRASH
-            assert counters.get("parallel.respawns", 0) >= 1
+            assert counters.get("parallel.respawns", 0) == 1
             serial = MutationAnalysis(
                 CSortableObList, suite, oracle=oracle(), static_triage=False,
             ).analyze(battery_one[1:])
@@ -151,10 +157,11 @@ class TestCrashRespawn:
 
     def test_crash_during_interleave_never_corrupts_the_other_run(
             self, mutants):
-        # Run A carries a worker-killing mutant while run B executes
-        # concurrently on the same pool: A's crash classification and
-        # solo re-dispatches are fenced to A's run id, so B's verdicts
-        # stay serial-identical and free of boundary kills.
+        # Run A carries a worker-killing mutant and run B is submitted to
+        # the same pool from a second thread.  The pool serves the two
+        # runs one after the other, so A's crash classification and solo
+        # re-dispatches stay inside A: B's verdicts are serial-identical
+        # and free of boundary kills.
         import threading
 
         suite = small_suite(SEEDS[0])
@@ -177,7 +184,8 @@ class TestCrashRespawn:
             for thread in threads:
                 thread.start()
             for thread in threads:
-                thread.join()
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads)
 
         assert results["a"].outcomes[0].reason is KillReason.WORKER_CRASH
         serial_a = MutationAnalysis(
@@ -196,17 +204,24 @@ class TestCrashRespawn:
         )
 
     def test_next_battery_reuses_the_respawned_pool(self, mutants):
+        # One worker, as above: with two, the survivor can drain the
+        # battery before the crash is seen, and the pool ends it one
+        # worker short with nothing left to respawn for.
         suite = small_suite(SEEDS[0])
         hostile = hostile_mutant("X0202", CRASH_SOURCE)
         with WorkerPool() as pool:
+            first = Telemetry(sink=MemorySink())
             ParallelMutationAnalysis(
-                CSortableObList, suite, oracle=oracle(), workers=2,
-                pool=pool, static_triage=False,
+                CSortableObList, suite, oracle=oracle(), workers=1,
+                pool=pool, static_triage=False, telemetry=first,
             ).analyze([hostile] + list(mutants[:6]))
+            assert first.counters().get("parallel.respawns", 0) == 1
+            first.close()
 
             # Battery two on the same pool: no new spawns, clean verdicts.
             telemetry = Telemetry(sink=MemorySink())
-            rerun = battery(mutants, SEEDS[1], pool, telemetry=telemetry)
+            rerun = battery(mutants, SEEDS[1], pool, telemetry=telemetry,
+                            workers=1)
             counters = telemetry.counters()
             telemetry.close()
             assert counters.get("parallel.workers_spawned", 0) == 0
@@ -246,12 +261,11 @@ class TestSharedPool:
         shutdown_shared_pool()
 
     def test_overlapping_analyses_share_one_pool(self, mutants):
-        # Two engines driving the same pool at once (the pipelined sweep
-        # does exactly this) interleave on its workers instead of one of
-        # them silently falling back to a cold private pool — the
-        # multi-tenant dispatcher fences runs by id and round-robins
-        # their batches, so both finish with serial-identical verdicts
-        # and the pool never grows past the largest single request.
+        # Two threads driving the same pool take turns on its warm
+        # workers instead of one of them falling back to a cold private
+        # pool: the pool serves one run after the other, both finish with
+        # serial-identical verdicts, and the pool never grows past the
+        # largest single request.
         import threading
 
         with WorkerPool() as pool:
@@ -265,7 +279,8 @@ class TestSharedPool:
             for thread in threads:
                 thread.start()
             for thread in threads:
-                thread.join()
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads)
 
             assert pool.size <= 2  # shared capacity, not 2 + 2
             for seed in SEEDS[:2]:
@@ -274,24 +289,6 @@ class TestSharedPool:
                     static_triage=False,
                 ).analyze(mutants)
                 assert runs[seed].same_results(serial)
-
-    def test_interleaved_batteries_stay_within_the_battery_lru(self, mutants):
-        # Interleaving two batteries must not thrash spec re-shipping:
-        # each worker keeps a small LRU of shipped batteries, so running
-        # A, B, A, B on one pool ships each spec to each worker at most
-        # once (4 total for two batteries × two workers), not once per
-        # alternation.
-        shipped = 0
-        with WorkerPool() as pool:
-            for _ in range(2):  # A, B, A, B
-                for seed in SEEDS[:2]:
-                    telemetry = Telemetry(sink=MemorySink())
-                    battery(mutants, seed, pool, telemetry=telemetry)
-                    shipped += telemetry.counters().get(
-                        "parallel.battery_shipped", 0
-                    )
-                    telemetry.close()
-        assert shipped == 4  # two batteries × two workers, no re-ships
 
 
 class TestPoolHygiene:
@@ -309,3 +306,38 @@ class TestPoolHygiene:
             assert pool.size == 2
             assert all(worker.process.is_alive()
                        for worker in pool.workers)
+
+
+class InterruptingCache(MutationOutcomeCache):
+    """A store whose verdict write-back raises ``KeyboardInterrupt``, as
+    Ctrl-C would if it reached the pool while it applied a verdict."""
+
+    def store(self, *args, **kwargs):
+        raise KeyboardInterrupt
+
+
+class TestInterrupt:
+    """An interrupt inside the run loop propagates and leaves the pool
+    clean for the next run."""
+
+    def test_interrupt_while_applying_a_verdict(self, mutants, tmp_path):
+        with WorkerPool() as pool:
+            with pytest.raises(KeyboardInterrupt):
+                ParallelMutationAnalysis(
+                    CSortableObList, small_suite(SEEDS[0]), oracle=oracle(),
+                    workers=2, pool=pool, static_triage=False,
+                    cache=InterruptingCache(tmp_path),
+                ).analyze(mutants)
+            assert not any(worker.assigned for worker in pool.workers)
+
+            rerun = battery(mutants, SEEDS[0], pool)
+            serial = MutationAnalysis(
+                CSortableObList, small_suite(SEEDS[0]), oracle=oracle(),
+                static_triage=False,
+            ).analyze(mutants)
+            assert rerun.same_results(serial)
+            assert not any(
+                outcome.reason in (KillReason.WORKER_CRASH,
+                                   KillReason.WALL_TIMEOUT)
+                for outcome in rerun.outcomes
+            )
