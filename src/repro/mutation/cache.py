@@ -46,9 +46,7 @@ are never cached: they depend on wall-clock and process scheduling, not on
 the fingerprinted inputs.
 
 **The segment store (format v4).**  Entries live in ONE append-only file,
-``store.seg``, instead of the v3 file-per-entry tree (707 entries cost 707
-``open``+``write``+``rename`` round-trips — the cold-cache overhead
-``BENCH_mutation_cache.json`` measured at 74%).  Layout::
+``store.seg``.  Layout::
 
     store.seg := MAGIC(8) record*
     record    := header(12) key payload
@@ -66,26 +64,19 @@ the fingerprinted inputs.
 ``crc32`` covers ``key + payload``.  An in-memory offset index is rebuilt
 by a single sequential scan on open; the scan checks *structure* only
 (kind, key length, payload bounds) so a damaged payload stays isolated —
-it is caught by the CRC at lookup time and counted as a ``corrupt`` miss,
-exactly like a damaged v3 entry file.  A torn or garbage tail (structural
-damage) ends the scan: records before it stay live, records after it are
-counted misses, and the next append truncates the dead tail.  Appends are
-flushed per store so sequential sharers (a second engine, a later process)
-see every record; concurrent *writers* need one process to go last —
-within a run only the parent ever writes.
+it is caught by the CRC at lookup time and counted as a ``corrupt`` miss.
+A torn or garbage tail (structural damage) ends the scan: records before
+it stay live, records after it are counted misses, and the next append
+truncates the dead tail.  Appends are flushed per store so sequential
+sharers (a second engine, a later process) see every record; concurrent
+*writers* need one process to go last — within a run only the parent
+ever writes.
 
 ``compact()`` rewrites the segment keeping exactly the live records (the
 latest record per content address), dropping superseded duplicates and
 unreadable records.  Entries of *different* experiment configurations are
 all live — reverting a configuration change must keep hitting its old
 entries — so compaction never loses a verdict.
-
-**v3 migration.**  Fingerprint recipes hash :data:`CACHE_KEY_VERSION`
-(still 3), so v3 content addresses remain valid under the v4 store.  A
-lookup that misses the segment consults the legacy ``objects/``/
-``index/``/``triage/`` tree; a valid legacy entry counts as a hit and is
-transparently appended to the segment (read-side migration), a corrupt
-one as a ``corrupt`` miss.  Legacy files are never deleted or rewritten.
 """
 
 from __future__ import annotations
@@ -96,7 +87,7 @@ import struct
 import tempfile
 import threading
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
 
@@ -110,9 +101,8 @@ if TYPE_CHECKING:  # imported lazily to keep cache <- analysis acyclic
     from .mutant import CompiledMutant
 
 #: Version of the *fingerprint recipe* — part of every content address.
-#: Deliberately NOT bumped for the v3→v4 store rewrite: the addressing
-#: inputs are unchanged, so v3 entries stay addressable and the read-side
-#: migration is meaningful rather than vacuous.
+#: Bumping it changes every address, which orphans every record in every
+#: existing store: bump it only when the addressing inputs change.
 CACHE_KEY_VERSION = 3
 
 #: Version of the *store layout* (record framing, entry payloads).
@@ -121,11 +111,8 @@ CACHE_KEY_VERSION = 3
 #: v3: ``MutantOutcome`` grew ``static_status`` and the store gained the
 #: content-addressed static-triage verdicts.
 #: v4: the file-per-entry tree became the append-only segment file; v3
-#: directories are migrated transparently on the read side.
+#: directories are not read.
 CACHE_FORMAT_VERSION = 4
-
-#: The last file-per-entry layout version, accepted on the legacy read path.
-LEGACY_FORMAT_VERSION = 3
 
 #: The segment file's name under the cache directory.
 SEGMENT_FILE = "store.seg"
@@ -244,14 +231,6 @@ class CacheStats:
             corrupt=self.corrupt - earlier.corrupt,
         )
 
-    def merged(self, other: "CacheStats") -> "CacheStats":
-        return CacheStats(
-            hits=self.hits + other.hits,
-            misses=self.misses + other.misses,
-            invalidations=self.invalidations + other.invalidations,
-            corrupt=self.corrupt + other.corrupt,
-        )
-
     def format(self) -> str:
         return (
             f"{self.hits} hits, {self.misses} misses "
@@ -309,6 +288,16 @@ class ScenarioEntry:
     payload: Dict[str, Any]
 
 
+#: Each data record kind's entry type and telemetry counter prefix.  The
+#: insertion order (outcome, triage, scenario) is the order ``compact()``
+#: writes the kinds in.
+_DATA_KINDS = {
+    _KIND_OUTCOME: (CacheEntry, "cache."),
+    _KIND_TRIAGE: (TriageEntry, "cache.triage_"),
+    _KIND_SCENARIO: (ScenarioEntry, "cache.scenario_"),
+}
+
+
 @dataclass(frozen=True)
 class CompactionReport:
     """What one :meth:`MutationOutcomeCache.compact` pass did."""
@@ -346,33 +335,33 @@ class MutationOutcomeCache:
     directory may be shared by serial and parallel runs, by different
     experiments (tables 1-3) and by sequential engines in one process:
     entries are pure content addresses and never collide across
-    configurations.  Legacy v3 directories (``objects/``/``index/``/
-    ``triage/``) are consulted on a segment miss and migrated in place.
+    configurations.
     """
 
     def __init__(self, directory,
                  telemetry: Optional[Telemetry] = None) -> None:
         self._directory = Path(directory)
-        self._hits = 0
-        self._misses = 0
+        # Lifetime counters per data kind.  The outcome kind's feed
+        # CacheStats; the scenario kind's are reported by scenario_stats()
+        # beside (not inside) CacheStats, whose hit rate gates CI on
+        # per-mutant entries; the triage kind's are telemetry only.
+        self._counts = {
+            kind: {"hits": 0, "misses": 0, "stores": 0, "corrupt": 0}
+            for kind in _DATA_KINDS
+        }
         self._invalidations = 0
-        self._corrupt = 0
-        # Scenario-record lifetime counters, kept beside (not inside)
-        # CacheStats — its hit rate gates CI on per-mutant entries.
-        self._scenario_stats = {"hits": 0, "misses": 0,
-                                "stores": 0, "corrupt": 0}
         # Mirrors the lifetime counters into a run-telemetry session
         # (``cache.hits`` …); observation only, the default records nothing.
         self._obs = coalesce(telemetry)
-        self._entries: Dict[str, _Location] = {}
-        self._triage_index: Dict[str, _Location] = {}
-        self._scenario_index: Dict[str, _Location] = {}
+        # One offset index per data kind, by content address.
+        self._indexes: Dict[int, Dict[str, _Location]] = {
+            kind: {} for kind in _DATA_KINDS
+        }
         self._slots: Dict[str, str] = {}
         # A caller may share one store between its own threads (engines
         # run on several threads look entries up and write verdicts back);
-        # every public operation holds this lock.  RLock because lookups
-        # nest into appends on the legacy-migration path.
-        self._lock = threading.RLock()
+        # every public operation holds this lock, and none calls another.
+        self._lock = threading.Lock()
         self._handle = None          # lazily opened segment file object
         self._writable = False       # whether _handle was opened read-write
         self._loaded = False         # whether the open-time scan has run
@@ -400,17 +389,18 @@ class MutationOutcomeCache:
     def snapshot(self) -> CacheStats:
         """Immutable view of the lifetime counters (diff with ``since``)."""
         with self._lock:
+            counts = self._counts[_KIND_OUTCOME]
             return CacheStats(
-                hits=self._hits,
-                misses=self._misses,
+                hits=counts["hits"],
+                misses=counts["misses"],
                 invalidations=self._invalidations,
-                corrupt=self._corrupt,
+                corrupt=counts["corrupt"],
             )
 
     def scenario_stats(self) -> Dict[str, int]:
         """Lifetime scenario-record counters (hits/misses/stores/corrupt)."""
         with self._lock:
-            return dict(self._scenario_stats)
+            return dict(self._counts[_KIND_SCENARIO])
 
     @property
     def write_errors(self) -> int:
@@ -428,8 +418,7 @@ class MutationOutcomeCache:
         """Reachable records (outcome/triage/scenario) in the segment index."""
         with self._lock:
             self._ensure_loaded()
-            return (len(self._entries) + len(self._triage_index)
-                    + len(self._scenario_index))
+            return sum(len(index) for index in self._indexes.values())
 
     def segment_bytes(self) -> int:
         """Bytes of segment the index covers (dead tail excluded)."""
@@ -454,18 +443,6 @@ class MutationOutcomeCache:
                             mutant.record.ident),
         )
 
-    # Legacy (v3 file-per-entry) paths — the read-side migration source.
-
-    def _entry_path(self, key: CacheKey) -> Path:
-        return self._directory / "objects" / key.entry[:2] / f"{key.entry}.pkl"
-
-    def _slot_path(self, key: CacheKey) -> Path:
-        return self._directory / "index" / key.slot[:2] / f"{key.slot}.fp"
-
-    def _triage_path(self, fingerprint: str) -> Path:
-        return (self._directory / "triage" / fingerprint[:2]
-                / f"{fingerprint}.pkl")
-
     # -- lookup / store -------------------------------------------------
 
     def lookup(self, key: CacheKey) -> Optional[CacheEntry]:
@@ -474,41 +451,16 @@ class MutationOutcomeCache:
         An indexed-but-unreadable record (CRC mismatch, unpicklable
         payload, version skew, wrong payload) counts as ``corrupt`` and is
         dropped from the index so the rewritten entry starts clean.  A
-        segment miss falls back to the legacy v3 file, migrating a valid
-        one into the segment.
+        miss whose slot last held a *different* entry counts as an
+        invalidation (the experiment changed).
         """
         with self._lock:
-            self._ensure_loaded()
-            location = self._entries.get(key.entry)
-            if location is not None:
-                entry = self._read_outcome(location, key.entry)
-                if entry is not None:
-                    self._hits += 1
-                    self._obs.count("cache.hits")
-                    return entry
-                # The record existed but would not load: a corrupt miss,
-                # and the index slot is dropped so a re-store starts clean.
-                del self._entries[key.entry]
-                self._misses += 1
-                self._corrupt += 1
-                self._obs.count("cache.misses")
-                self._obs.count("cache.corrupt")
-                return None
-            status, migrated = self._legacy_outcome(key)
-            if status == "hit":
-                self._hits += 1
-                self._obs.count("cache.hits")
-                return migrated
-            self._misses += 1
-            self._obs.count("cache.misses")
-            if status == "corrupt":
-                self._corrupt += 1
-                self._obs.count("cache.corrupt")
-                return None
-            if self._slot_points_elsewhere(key):
+            entry, indexed = self._fetch(_KIND_OUTCOME, key.entry)
+            if not indexed and self._slots.get(key.slot,
+                                               key.entry) != key.entry:
                 self._invalidations += 1
                 self._obs.count("cache.invalidations")
-            return None
+            return entry
 
     def store(self, key: CacheKey, outcome: "MutantOutcome",
               step_timeouts: int) -> None:
@@ -525,24 +477,7 @@ class MutationOutcomeCache:
             step_timeouts=step_timeouts,
         )
         with self._lock:
-            if self._writes_disabled:
-                self._note_write_error()
-                return
-            try:
-                location = self._append(
-                    _KIND_OUTCOME,
-                    (key.entry + key.slot).encode("ascii"),
-                    pickle.dumps(entry),
-                )
-            except OSError:
-                # A full/read-only disk degrades to no caching: the write
-                # side turns off, lookups keep serving, the engine never
-                # sees the failure.
-                self._note_write_error()
-                return
-            self._entries[key.entry] = location
-            self._slots[key.slot] = key.entry
-            self._obs.count("cache.stores")
+            self._append(_KIND_OUTCOME, key.entry + key.slot, entry)
 
     # -- static-triage verdicts -----------------------------------------
 
@@ -550,30 +485,14 @@ class MutationOutcomeCache:
         """The stored ``(status, digest)`` triage verdict, or ``None``.
 
         Same robustness contract as :meth:`lookup` — a corrupt or
-        version-skewed record is a miss, never a crash, and legacy v3
-        triage files are migrated on hit.  Counters are telemetry-only
-        (``cache.triage_*``): triage verdicts are a cheap side store and
-        do not participate in :class:`CacheStats`, whose hit-rate gates CI
-        on the expensive *outcome* entries.
+        version-skewed record is a miss, never a crash.  Counters are
+        telemetry-only (``cache.triage_*``): triage verdicts are a cheap
+        side store and do not participate in :class:`CacheStats`, whose
+        hit-rate gates CI on the expensive *outcome* entries.
         """
         with self._lock:
-            self._ensure_loaded()
-            location = self._triage_index.get(fingerprint)
-            if location is not None:
-                entry = self._read_triage(location, fingerprint)
-                if entry is not None:
-                    self._obs.count("cache.triage_hits")
-                    return (entry.status, entry.digest)
-                del self._triage_index[fingerprint]
-                self._obs.count("cache.triage_misses")
-                self._obs.count("cache.triage_corrupt")
-                return None
-            migrated = self._legacy_triage(fingerprint)
-            if migrated is not None:
-                self._obs.count("cache.triage_hits")
-                return (migrated.status, migrated.digest)
-            self._obs.count("cache.triage_misses")
-            return None
+            entry, _ = self._fetch(_KIND_TRIAGE, fingerprint)
+            return None if entry is None else (entry.status, entry.digest)
 
     def store_triage(self, fingerprint: str, status: str,
                      digest: str) -> None:
@@ -585,19 +504,7 @@ class MutationOutcomeCache:
             digest=digest,
         )
         with self._lock:
-            if self._writes_disabled:
-                self._note_write_error()
-                return
-            try:
-                location = self._append(
-                    _KIND_TRIAGE, fingerprint.encode("ascii"),
-                    pickle.dumps(entry)
-                )
-            except OSError:
-                self._note_write_error()
-                return
-            self._triage_index[fingerprint] = location
-            self._obs.count("cache.triage_stores")
+            self._append(_KIND_TRIAGE, fingerprint, entry)
 
     # -- scenario-level results -----------------------------------------
 
@@ -611,25 +518,8 @@ class MutationOutcomeCache:
         whose hit-rate gates CI on per-mutant outcome entries.
         """
         with self._lock:
-            self._ensure_loaded()
-            location = self._scenario_index.get(fingerprint)
-            if location is None:
-                self._scenario_stats["misses"] += 1
-                self._obs.count("cache.scenario_misses")
-                return None
-            entry = self._load_record(location, _KIND_SCENARIO, fingerprint)
-            if (not isinstance(entry, ScenarioEntry)
-                    or entry.version != CACHE_FORMAT_VERSION
-                    or entry.fingerprint != fingerprint):
-                del self._scenario_index[fingerprint]
-                self._scenario_stats["misses"] += 1
-                self._scenario_stats["corrupt"] += 1
-                self._obs.count("cache.scenario_misses")
-                self._obs.count("cache.scenario_corrupt")
-                return None
-            self._scenario_stats["hits"] += 1
-            self._obs.count("cache.scenario_hits")
-            return entry.payload
+            entry, _ = self._fetch(_KIND_SCENARIO, fingerprint)
+            return None if entry is None else entry.payload
 
     def store_scenario(self, fingerprint: str,
                        payload: Dict[str, Any]) -> None:
@@ -640,20 +530,7 @@ class MutationOutcomeCache:
             payload=payload,
         )
         with self._lock:
-            if self._writes_disabled:
-                self._note_write_error()
-                return
-            try:
-                location = self._append(
-                    _KIND_SCENARIO, fingerprint.encode("ascii"),
-                    pickle.dumps(entry)
-                )
-            except OSError:
-                self._note_write_error()
-                return
-            self._scenario_index[fingerprint] = location
-            self._scenario_stats["stores"] += 1
-            self._obs.count("cache.scenario_stores")
+            self._append(_KIND_SCENARIO, fingerprint, entry)
 
     # -- maintenance ----------------------------------------------------
 
@@ -684,46 +561,27 @@ class MutationOutcomeCache:
         descriptor, temp_name = tempfile.mkstemp(
             dir=str(self._directory), prefix=SEGMENT_FILE, suffix=".tmp"
         )
-        kept = 0
-        new_entries: Dict[str, _Location] = {}
-        new_triage: Dict[str, _Location] = {}
-        new_scenarios: Dict[str, _Location] = {}
+        new_indexes: Dict[int, Dict[str, _Location]] = {
+            kind: {} for kind in _DATA_KINDS
+        }
         replayed_slots: Dict[str, str] = {}
         try:
             with os.fdopen(descriptor, "wb") as handle:
                 handle.write(_MAGIC)
                 offset = len(_MAGIC)
-                for fingerprint, location in self._entries.items():
-                    if self._read_outcome(location, fingerprint) is None:
-                        continue
-                    blob = self._record_bytes(location)
-                    handle.write(blob)
-                    new_entries[fingerprint] = _Location(offset, len(blob))
-                    key = blob[_HEADER.size:
-                               _HEADER.size + _KEY_LENGTHS[_KIND_OUTCOME]]
-                    replayed_slots[
-                        key[_FINGERPRINT_LENGTH:].decode("ascii")
-                    ] = fingerprint
-                    offset += len(blob)
-                    kept += 1
-                for fingerprint, location in self._triage_index.items():
-                    if self._read_triage(location, fingerprint) is None:
-                        continue
-                    blob = self._record_bytes(location)
-                    handle.write(blob)
-                    new_triage[fingerprint] = _Location(offset, len(blob))
-                    offset += len(blob)
-                    kept += 1
-                for fingerprint, location in self._scenario_index.items():
-                    entry = self._load_record(location, _KIND_SCENARIO,
-                                              fingerprint)
-                    if not isinstance(entry, ScenarioEntry):
-                        continue
-                    blob = self._record_bytes(location)
-                    handle.write(blob)
-                    new_scenarios[fingerprint] = _Location(offset, len(blob))
-                    offset += len(blob)
-                    kept += 1
+                for kind, index in self._indexes.items():
+                    for address, location in index.items():
+                        if self._load(kind, address, location) is None:
+                            continue
+                        blob = self._record_bytes(location)
+                        handle.write(blob)
+                        new_indexes[kind][address] = _Location(offset,
+                                                               len(blob))
+                        offset += len(blob)
+                        if kind == _KIND_OUTCOME:
+                            slot = blob[_HEADER.size + _FINGERPRINT_LENGTH:
+                                        _HEADER.size + _KEY_LENGTHS[kind]]
+                            replayed_slots[slot.decode("ascii")] = address
                 # Pin only the slot mappings replaying the kept records
                 # would get wrong (a slot superseded by another entry's
                 # record); pins are bookkeeping, not live verdicts, and
@@ -739,18 +597,14 @@ class MutationOutcomeCache:
                 handle.flush()
             os.replace(temp_name, self.segment_path)
         except OSError:
-            self._remove_quietly(Path(temp_name))
-            raise
-        if self._handle is not None:
             try:
-                self._handle.close()
+                os.unlink(temp_name)
             except OSError:
                 pass
-            self._handle = None
-            self._writable = False
-        self._entries = new_entries
-        self._triage_index = new_triage
-        self._scenario_index = new_scenarios
+            raise
+        self._release()
+        kept = sum(len(index) for index in new_indexes.values())
+        self._indexes = new_indexes
         self._end = offset
         self._records_seen = kept
         self._torn = False
@@ -766,13 +620,7 @@ class MutationOutcomeCache:
     def close(self) -> None:
         """Flush and release the segment handle (idempotent)."""
         with self._lock:
-            if self._handle is not None:
-                try:
-                    self._handle.close()
-                except OSError:
-                    pass
-                self._handle = None
-                self._writable = False
+            self._release()
 
     def __enter__(self) -> "MutationOutcomeCache":
         return self
@@ -780,18 +628,105 @@ class MutationOutcomeCache:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
+    # -- records --------------------------------------------------------
+
+    def _fetch(self, kind: int, address: str) -> Tuple[Any, bool]:
+        """Look one address up and count a hit, a miss or a corrupt miss.
+
+        Returns the valid entry (``None`` on a miss) and whether a record
+        was indexed under ``address`` at all.  An indexed record that
+        fails :meth:`_load` is dropped from its index so a re-store
+        starts clean.
+        """
+        self._ensure_loaded()
+        index = self._indexes[kind]
+        location = index.get(address)
+        if location is None:
+            self._count(kind, "misses")
+            return None, False
+        entry = self._load(kind, address, location)
+        if entry is None:
+            del index[address]
+            self._count(kind, "misses")
+            self._count(kind, "corrupt")
+        else:
+            self._count(kind, "hits")
+        return entry, True
+
+    def _load(self, kind: int, address: str, location: _Location) -> Any:
+        """The entry of one indexed record if it is valid, else ``None``.
+
+        The one validity check, for every data kind, on every lookup and
+        in ``compact()``: the record re-reads whole with the expected
+        kind, its CRC matches, its key starts with ``address``, and its
+        payload unpickles to the kind's entry type at the current
+        ``CACHE_FORMAT_VERSION``, stored under ``address``.  Never raises.
+        """
+        try:
+            blob = self._record_bytes(location)
+            if len(blob) != location.length:
+                return None
+            record_kind, _, key_length, payload_length, crc = _HEADER.unpack(
+                blob[:_HEADER.size]
+            )
+            if (record_kind != kind
+                    or _HEADER.size + key_length + payload_length
+                    != len(blob)):
+                return None
+            body = blob[_HEADER.size:]
+            if zlib.crc32(body) & 0xFFFFFFFF != crc:
+                return None
+            if not body[:key_length].decode("ascii").startswith(address):
+                return None
+            entry = pickle.loads(body[key_length:])
+        except Exception:  # noqa: BLE001 — any damage is a miss, never a crash
+            return None
+        entry_type, _ = _DATA_KINDS[kind]
+        if (not isinstance(entry, entry_type)
+                or entry.version != CACHE_FORMAT_VERSION
+                or entry.fingerprint != address):
+            return None
+        return entry
+
+    def _append(self, kind: int, key: str, entry: Any) -> None:
+        """Append one data record and index it; best-effort, never raises.
+
+        A full or read-only disk degrades to no caching: the first failed
+        write turns the write side off, lookups keep serving, and the
+        caller never sees the failure.
+        """
+        if self._writes_disabled:
+            self._note_write_error()
+            return
+        blob = self._encode_record(kind, key.encode("ascii"),
+                                   pickle.dumps(entry))
+        try:
+            offset = self._write(blob)
+        except OSError:
+            self._note_write_error()
+            return
+        self._index(kind, key, _Location(offset, len(blob)))
+        self._count(kind, "stores")
+
+    def _index(self, kind: int, key: str, location: _Location) -> None:
+        """Point the index at one record (scanned or just appended)."""
+        address = key[:_FINGERPRINT_LENGTH]
+        if kind == _KIND_SLOT:  # bookkeeping, not a data record
+            self._slots[address] = key[_FINGERPRINT_LENGTH:]
+            return
+        self._indexes[kind][address] = location
+        self._records_seen += 1
+        if kind == _KIND_OUTCOME:
+            self._slots[key[_FINGERPRINT_LENGTH:]] = address
+
+    def _count(self, kind: int, event: str) -> None:
+        self._counts[kind][event] += 1
+        self._obs.count(_DATA_KINDS[kind][1] + event)
+
     # -- segment internals ----------------------------------------------
 
     def _ensure_loaded(self) -> None:
-        """Scan the segment once, building the offset index.
-
-        The scan validates structure only (magic, kind, key length,
-        payload bounds): it stops at the first structurally broken record
-        — a torn or garbage tail — leaving everything before it live.
-        Payload damage inside a well-framed record is deliberately NOT
-        detected here; the lookup-time CRC catches it and counts it as a
-        ``corrupt`` miss, matching the v3 per-file semantics.
-        """
+        """Scan the segment once, building the offset index."""
         if self._loaded:
             return
         self._loaded = True
@@ -799,70 +734,80 @@ class MutationOutcomeCache:
             data = self.segment_path.read_bytes()
         except OSError:
             return  # no segment yet (or unreadable): empty index
-        if not data.startswith(_MAGIC):
-            if data:
-                # Not our file: leave it alone, never append into it.
-                self._torn = True
-                self._obs.count("cache.segment_torn")
-            return
-        offset = len(_MAGIC)
-        while True:
-            parsed = self._parse_header(data, offset)
-            if parsed is None:
-                break
-            kind, key_length, payload_length, _ = parsed
-            total = _HEADER.size + key_length + payload_length
-            key = data[offset + _HEADER.size:
-                       offset + _HEADER.size + key_length].decode("ascii")
-            location = _Location(offset, total)
-            if kind == _KIND_OUTCOME:
-                self._entries[key[:_FINGERPRINT_LENGTH]] = location
-                self._slots[key[_FINGERPRINT_LENGTH:]] = (
-                    key[:_FINGERPRINT_LENGTH]
-                )
-                self._records_seen += 1
-            elif kind == _KIND_TRIAGE:
-                self._triage_index[key] = location
-                self._records_seen += 1
-            elif kind == _KIND_SCENARIO:
-                self._scenario_index[key] = location
-                self._records_seen += 1
-            else:  # _KIND_SLOT — bookkeeping, not a data record
-                self._slots[key[:_FINGERPRINT_LENGTH]] = (
-                    key[_FINGERPRINT_LENGTH:]
-                )
-            offset += total
-        self._end = offset
-        if offset < len(data):
+        if data.startswith(_MAGIC):
+            self._scan(data, len(_MAGIC), 0)
+        elif data:
+            # Not our file: leave it alone, never append into it.
             self._torn = True
             self._obs.count("cache.segment_torn")
 
-    @staticmethod
-    def _parse_header(data: bytes, offset: int
-                      ) -> Optional[Tuple[int, int, int, int]]:
-        """Structural validation of one record header, or ``None``."""
-        if offset + _HEADER.size > len(data):
-            return None
-        kind, _, key_length, payload_length, crc = _HEADER.unpack_from(
-            data, offset
-        )
-        expected_key = _KEY_LENGTHS.get(kind)
-        if expected_key is None or key_length != expected_key:
-            return None
-        if offset + _HEADER.size + key_length + payload_length > len(data):
-            return None
-        key = data[offset + _HEADER.size:offset + _HEADER.size + key_length]
-        if not key.isascii():
-            return None
-        return (kind, key_length, payload_length, crc)
+    def _catch_up(self) -> None:
+        """Absorb records another in-process sharer appended after our scan.
+
+        Called before every append so a second cache object on the same
+        directory never overwrites a first one's records.  (Concurrent
+        *processes* appending simultaneously are out of scope — within a
+        run only the engine parent writes.)
+        """
+        try:
+            size = os.path.getsize(self.segment_path)
+        except OSError:
+            size = 0
+        if size <= self._end or self._torn:
+            return
+        if self._end == 0:
+            # The segment appeared after our (empty) first scan — another
+            # sharer created it.  Load it from scratch instead of parsing
+            # from offset 0, which would misread the magic as a record.
+            self._loaded = False
+            self._records_seen = 0
+            self._ensure_loaded()
+            return
+        try:
+            handle = self._open(writable=False)
+            handle.seek(self._end)
+            data = handle.read(size - self._end)
+        except OSError:
+            return
+        self._scan(data, 0, self._end)
+
+    def _scan(self, data: bytes, offset: int, base: int) -> None:
+        """Index the records of ``data`` from ``offset`` on, where
+        ``data[0]`` lies at segment offset ``base``.
+
+        The walk validates structure only (kind, key length, payload
+        bounds): it stops at the first structurally broken record — a
+        torn or garbage tail — leaving everything before it live, and
+        ``_end`` just past it.  Payload damage inside a well-framed record
+        is deliberately NOT detected here; the lookup-time CRC catches it
+        and counts it as a ``corrupt`` miss.
+        """
+        while offset + _HEADER.size <= len(data):
+            kind, _, key_length, payload_length, _ = _HEADER.unpack_from(
+                data, offset
+            )
+            start = offset + _HEADER.size
+            end = start + key_length + payload_length
+            key = data[start:start + key_length]
+            if (_KEY_LENGTHS.get(kind) != key_length or end > len(data)
+                    or not key.isascii()):
+                break
+            self._index(kind, key.decode("ascii"),
+                        _Location(base + offset, end - offset))
+            offset = end
+        self._end = base + offset
+        if offset < len(data):
+            self._torn = True
+            self._obs.count("cache.segment_torn")
 
     @staticmethod
     def _encode_record(kind: int, key: bytes, payload: bytes) -> bytes:
         crc = zlib.crc32(key + payload) & 0xFFFFFFFF
         return _HEADER.pack(kind, 0, len(key), len(payload), crc) + key + payload
 
-    def _append(self, kind: int, key: bytes, payload: bytes) -> _Location:
-        """Write one record at the validated end of the segment."""
+    def _write(self, blob: bytes) -> int:
+        """Write one record at the validated end of the segment and return
+        its offset.  Raises ``OSError`` after rolling back a partial write."""
         self._ensure_loaded()
         if self._torn and self.segment_path.exists() \
                 and not self._segment_is_ours():
@@ -878,7 +823,6 @@ class MutationOutcomeCache:
         elif self._torn:
             handle.truncate(self._end)
             self._torn = False
-        blob = self._encode_record(kind, key, payload)
         handle.seek(self._end)
         try:
             handle.write(blob)
@@ -893,11 +837,10 @@ class MutationOutcomeCache:
             # record before ``_end`` stays live.
             self._rollback_tail(handle)
             raise
-        location = _Location(self._end, len(blob))
+        offset = self._end
         self._end += len(blob)
-        self._records_seen += 1
         self._obs.count("cache.segment_appends")
-        return location
+        return offset
 
     def _rollback_tail(self, handle) -> None:
         """Truncate a failed append's partial bytes back to ``_end``."""
@@ -928,71 +871,10 @@ class MutationOutcomeCache:
         except OSError:
             return False
 
-    def _catch_up(self) -> None:
-        """Absorb records another in-process sharer appended after our scan.
-
-        Called before every append so a second cache object on the same
-        directory never overwrites a first one's records.  (Concurrent
-        *processes* appending simultaneously are out of scope — within a
-        run only the engine parent writes.)
-        """
-        try:
-            size = os.path.getsize(self.segment_path)
-        except OSError:
-            size = 0
-        if size <= self._end or self._torn:
-            return
-        if self._end == 0:
-            # The segment appeared after our (empty) first scan — another
-            # sharer created it.  Load it from scratch instead of parsing
-            # from offset 0, which would misread the magic as a record.
-            self._loaded = False
-            self._records_seen = 0
-            self._ensure_loaded()
-            return
-        try:
-            handle = self._open(writable=False)
-            handle.seek(self._end)
-            data = handle.read(size - self._end)
-        except OSError:
-            return
-        offset = 0
-        while True:
-            parsed = self._parse_header(data, offset)
-            if parsed is None:
-                break
-            kind, key_length, payload_length, _ = parsed
-            total = _HEADER.size + key_length + payload_length
-            key = data[offset + _HEADER.size:
-                       offset + _HEADER.size + key_length].decode("ascii")
-            location = _Location(self._end + offset, total)
-            if kind == _KIND_OUTCOME:
-                self._entries[key[:_FINGERPRINT_LENGTH]] = location
-                self._slots[key[_FINGERPRINT_LENGTH:]] = (
-                    key[:_FINGERPRINT_LENGTH]
-                )
-                self._records_seen += 1
-            elif kind == _KIND_TRIAGE:
-                self._triage_index[key] = location
-                self._records_seen += 1
-            elif kind == _KIND_SCENARIO:
-                self._scenario_index[key] = location
-                self._records_seen += 1
-            else:
-                self._slots[key[:_FINGERPRINT_LENGTH]] = (
-                    key[_FINGERPRINT_LENGTH:]
-                )
-            offset += total
-        self._end += offset
-        if self._end < size:
-            self._torn = True
-
     def _open(self, writable: bool):
         if self._handle is not None and (self._writable or not writable):
             return self._handle
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        self._release()
         if writable:
             self._directory.mkdir(parents=True, exist_ok=True)
             try:
@@ -1005,132 +887,17 @@ class MutationOutcomeCache:
             self._writable = False
         return self._handle
 
+    def _release(self) -> None:
+        """Close the segment handle, if one is open."""
+        if self._handle is not None:
+            try:
+                self._handle.close()
+            except OSError:
+                pass
+            self._handle = None
+            self._writable = False
+
     def _record_bytes(self, location: _Location) -> bytes:
         handle = self._open(writable=False)
         handle.seek(location.offset)
         return handle.read(location.length)
-
-    def _load_record(self, location: _Location, kind: int,
-                     key: str) -> Optional[object]:
-        """Re-read and fully validate one indexed record.  Never raises."""
-        try:
-            blob = self._record_bytes(location)
-            if len(blob) != location.length:
-                return None
-            record_kind, _, key_length, payload_length, crc = _HEADER.unpack(
-                blob[:_HEADER.size]
-            )
-            if (record_kind != kind
-                    or _HEADER.size + key_length + payload_length
-                    != len(blob)):
-                return None
-            body = blob[_HEADER.size:]
-            if zlib.crc32(body) & 0xFFFFFFFF != crc:
-                return None
-            if not body[:key_length].decode("ascii").startswith(key):
-                return None
-            return pickle.loads(body[key_length:])
-        except Exception:  # noqa: BLE001 — any damage is a miss, never a crash
-            return None
-
-    def _read_outcome(self, location: _Location,
-                      fingerprint: str) -> Optional[CacheEntry]:
-        entry = self._load_record(location, _KIND_OUTCOME, fingerprint)
-        if (not isinstance(entry, CacheEntry)
-                or entry.version != CACHE_FORMAT_VERSION
-                or entry.fingerprint != fingerprint):
-            return None
-        return entry
-
-    def _read_triage(self, location: _Location,
-                     fingerprint: str) -> Optional[TriageEntry]:
-        entry = self._load_record(location, _KIND_TRIAGE, fingerprint)
-        if (not isinstance(entry, TriageEntry)
-                or entry.version != CACHE_FORMAT_VERSION
-                or entry.fingerprint != fingerprint):
-            return None
-        return entry
-
-    # -- legacy (v3) read-side migration --------------------------------
-
-    def _legacy_outcome(self, key: CacheKey
-                        ) -> Tuple[str, Optional[CacheEntry]]:
-        """Load, validate and migrate one v3 entry file.  Never raises.
-
-        Returns ``("hit", entry)``, ``("corrupt", None)`` for a
-        present-but-unreadable file (removed, like any damaged entry), or
-        ``("absent", None)``.  A valid legacy entry is re-appended to the
-        segment under the v4 record version (transparent read-side
-        migration); the legacy file itself is left untouched.
-        """
-        path = self._entry_path(key)
-        try:
-            with open(path, "rb") as handle:
-                entry = pickle.load(handle)
-            if (not isinstance(entry, CacheEntry)
-                    or entry.version != LEGACY_FORMAT_VERSION
-                    or entry.fingerprint != key.entry):
-                raise ValueError("cache entry does not match its address")
-        except FileNotFoundError:
-            return ("absent", None)
-        except Exception:  # noqa: BLE001 — corruption is a miss, never a crash
-            self._remove_quietly(path)
-            return ("corrupt", None)
-        entry = replace(entry, version=CACHE_FORMAT_VERSION)
-        try:
-            location = self._append(
-                _KIND_OUTCOME,
-                (key.entry + key.slot).encode("ascii"),
-                pickle.dumps(entry),
-            )
-        except OSError:
-            return ("hit", entry)  # migration retries next time
-        self._entries[key.entry] = location
-        self._slots.setdefault(key.slot, key.entry)
-        self._obs.count("cache.migrations")
-        return ("hit", entry)
-
-    def _legacy_triage(self, fingerprint: str) -> Optional[TriageEntry]:
-        path = self._triage_path(fingerprint)
-        try:
-            with open(path, "rb") as handle:
-                entry = pickle.load(handle)
-            if (not isinstance(entry, TriageEntry)
-                    or entry.version != LEGACY_FORMAT_VERSION
-                    or entry.fingerprint != fingerprint):
-                raise ValueError("triage entry does not match its address")
-        except FileNotFoundError:
-            return None
-        except Exception:  # noqa: BLE001 — corruption is a miss, never a crash
-            self._obs.count("cache.triage_corrupt")
-            self._remove_quietly(path)
-            return None
-        entry = replace(entry, version=CACHE_FORMAT_VERSION)
-        try:
-            location = self._append(
-                _KIND_TRIAGE, fingerprint.encode("ascii"), pickle.dumps(entry)
-            )
-        except OSError:
-            return entry
-        self._triage_index[fingerprint] = location
-        self._obs.count("cache.migrations")
-        return entry
-
-    def _slot_points_elsewhere(self, key: CacheKey) -> bool:
-        """True when this slot was last stored under a *different* entry."""
-        recorded = self._slots.get(key.slot)
-        if recorded is None:
-            try:
-                recorded = self._slot_path(key).read_text(
-                    encoding="ascii"
-                ).strip()
-            except OSError:
-                return False
-        return bool(recorded) and recorded != key.entry
-
-    @staticmethod
-    def _remove_quietly(path: Path) -> None:
-        try:
-            path.unlink()
-        except OSError:
-            pass

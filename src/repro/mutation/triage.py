@@ -531,10 +531,8 @@ def triage_fingerprint(owner: type, method_source: str, mutated_source: str,
 
     Everything the verdict depends on: both sources, the fold
     configuration (the integral-local set fully determines which folds can
-    fire), and the cache *key* version — the fingerprint recipe version,
-    which the v3→v4 store-layout rewrite deliberately did not bump, so
-    v3-era verdicts stay addressable — so a verdict is only ever replayed
-    for byte-identical inputs.
+    fire), and the cache *key* version (the fingerprint recipe version) —
+    so a verdict is only ever replayed for byte-identical inputs.
     """
     from .cache import CACHE_KEY_VERSION
 

@@ -166,7 +166,7 @@ class TestComponentInvalidation:
 
 def _payload_offset(cache, key):
     """File offset of the victim record's pickled payload."""
-    location = cache._entries[key.entry]
+    location = cache._indexes[_KIND_OUTCOME][key.entry]
     return location.offset + _HEADER.size + _KEY_LENGTHS[_KIND_OUTCOME]
 
 
@@ -185,7 +185,7 @@ def _zero_payload(cache, key):
 
 def _flip_crc(cache, key):
     """Invert the stored CRC: the intact payload no longer verifies."""
-    location = cache._entries[key.entry]
+    location = cache._indexes[_KIND_OUTCOME][key.entry]
     with open(cache.segment_path, "r+b") as handle:
         handle.seek(location.offset + 8)   # <BBHII — crc is the last field
         crc = handle.read(4)
@@ -236,17 +236,14 @@ class TestCorruptEntries:
         assert result.cache_stats.corrupt == 1
 
     def test_wrong_payload_type_is_corrupt(self, mutants, warm_cache):
-        import pickle
-
         # A well-framed record (valid CRC) whose payload is not a
         # CacheEntry: the typed read rejects it as corrupt.
         victim = self.keys(mutants, warm_cache)[0]
-        location = warm_cache._append(
+        warm_cache._append(
             _KIND_OUTCOME,
-            (victim.entry + victim.slot).encode("ascii"),
-            pickle.dumps({"not": "a CacheEntry"}),
+            victim.entry + victim.slot,
+            {"not": "a CacheEntry"},
         )
-        warm_cache._entries[victim.entry] = location
         result = run(mutants, warm_cache)
         assert result.cache_stats.corrupt == 1
         assert result.cache_stats.hits == len(mutants) - 1

@@ -3,29 +3,30 @@
 The store's robustness contract: one ``store.seg`` file, an in-memory
 offset index rebuilt by scan on open, torn/garbage tails tolerated as
 counted misses (never crashes), ``compact()`` preserves every live
-verdict, v3 file-per-entry directories migrate transparently on the read
-side, and sequential sharers of one directory never clobber each other.
+verdict and drops every record a lookup rejects, and sequential sharers
+of one directory never clobber each other.
 """
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import replace
 
 import pytest
 
+import repro.mutation.cache as cache_module
 from repro.components import CSortableObList, OBLIST_TYPE_MODEL
+from repro.core.fingerprint import sha256_hex
 from repro.generator.driver import DriverGenerator
 from repro.harness.oracles import experiment_oracle
 from repro.mutation.analysis import MutationAnalysis
 from repro.mutation.cache import (
     CACHE_FORMAT_VERSION,
-    LEGACY_FORMAT_VERSION,
     SEGMENT_FILE,
-    CacheEntry,
+    _KIND_OUTCOME,
     MutationOutcomeCache,
 )
 from repro.mutation.generate import generate_mutants
+from repro.obs import MemorySink, Telemetry
 
 SEED = 20010701
 MUTANT_COUNT = 10
@@ -59,6 +60,10 @@ def mutants():
         CSortableObList, ["FindMax"], type_model=OBLIST_TYPE_MODEL
     )
     return pool[:MUTANT_COUNT]
+
+
+def _key(tag: str) -> str:
+    return sha256_hex("segment-store-test", tag)
 
 
 def run(mutants, cache, **options):
@@ -145,89 +150,6 @@ class TestTailDamage:
         assert warm.cache_stats.hits == len(mutants)
 
 
-class TestLegacyMigration:
-    """A v3 file-per-entry directory is read — and migrated — on miss."""
-
-    def legacy_layout(self, mutants, directory):
-        """Build a v3 tree by hand from per-mutant serial verdicts."""
-        scratch = MutationOutcomeCache(directory)  # for paths/keys only
-        analysis = MutationAnalysis(
-            CSortableObList, small_suite(), oracle=oracle(),
-            cache=scratch,
-        )
-        experiment = analysis.experiment_fingerprint()
-        for mutant in mutants:
-            outcome, timeouts = analysis.analyze_single(mutant)
-            key = scratch.key_for(experiment, mutant)
-            entry = CacheEntry(
-                version=LEGACY_FORMAT_VERSION,
-                fingerprint=key.entry,
-                outcome=outcome,
-                step_timeouts=timeouts,
-            )
-            path = scratch._entry_path(key)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_bytes(pickle.dumps(entry))
-            slot = scratch._slot_path(key)
-            slot.parent.mkdir(parents=True, exist_ok=True)
-            slot.write_text(key.entry)
-        return scratch._entry_path(scratch.key_for(experiment, mutants[0]))
-
-    def test_v3_entries_hit_and_migrate_into_the_segment(self, mutants,
-                                                         tmp_path):
-        self.legacy_layout(mutants, tmp_path)
-        assert not (tmp_path / SEGMENT_FILE).exists()
-
-        cache = MutationOutcomeCache(tmp_path)
-        fresh = MutationAnalysis(
-            CSortableObList, small_suite(), oracle=oracle(),
-        ).analyze(mutants)
-        migrated = run(mutants, cache, static_triage=False)
-        assert migrated.same_results(fresh)
-        assert migrated.cache_stats.hits == len(mutants)
-        assert migrated.cache_stats.misses == 0
-        # Every legacy hit was appended to the segment …
-        assert cache.live_records() == len(mutants)
-
-        # … so the legacy tree is now dead weight: delete it and the next
-        # run is segment-only warm.
-        import shutil
-
-        shutil.rmtree(tmp_path / "objects")
-        shutil.rmtree(tmp_path / "index")
-        warm = run(mutants, MutationOutcomeCache(tmp_path),
-                   static_triage=False)
-        assert warm.same_results(fresh)
-        assert warm.cache_stats.hits == len(mutants)
-
-    def test_migrated_entries_carry_the_current_version(self, mutants,
-                                                        tmp_path):
-        self.legacy_layout(mutants, tmp_path)
-        cache = MutationOutcomeCache(tmp_path)
-        analysis = MutationAnalysis(
-            CSortableObList, small_suite(), oracle=oracle(), cache=cache,
-        )
-        experiment = analysis.experiment_fingerprint()
-        key = cache.key_for(experiment, mutants[0])
-        entry = cache.lookup(key)
-        assert entry is not None
-        assert entry.version == CACHE_FORMAT_VERSION
-        # The segment copy satisfies the next lookup without the file.
-        relookup = MutationOutcomeCache(tmp_path).lookup(key)
-        assert relookup is not None
-        assert relookup.outcome == entry.outcome
-
-    def test_corrupt_legacy_file_is_a_counted_miss(self, mutants, tmp_path):
-        victim = self.legacy_layout(mutants, tmp_path)
-        victim.write_bytes(b"\x80 not a pickle")
-        result = run(mutants, MutationOutcomeCache(tmp_path),
-                     static_triage=False)
-        assert result.cache_stats.hits == len(mutants) - 1
-        assert result.cache_stats.misses == 1
-        assert result.cache_stats.corrupt == 1
-        assert not victim.exists()  # damaged legacy files are removed
-
-
 class TestCompaction:
     """compact() drops dead weight but never a live verdict."""
 
@@ -297,7 +219,7 @@ class TestCompaction:
         )
         experiment = analysis.experiment_fingerprint()
         key = cache.key_for(experiment, mutants[0])
-        location = cache._entries[key.entry]
+        location = cache._indexes[_KIND_OUTCOME][key.entry]
         with open(cache.segment_path, "r+b") as handle:
             handle.seek(location.offset + location.length - 8)
             handle.write(b"\x00" * 8)
@@ -309,6 +231,26 @@ class TestCompaction:
                      static_triage=False)
         assert result.cache_stats.hits == len(mutants) - 1
         assert result.cache_stats.misses == 1
+
+    def test_compaction_drops_version_skewed_scenario_records(
+            self, tmp_path, monkeypatch):
+        # A well-framed scenario record (valid CRC) from another layout
+        # version is a corrupt miss on lookup, so compaction drops it too.
+        live, skewed = _key("live"), _key("skewed")
+        cache = MutationOutcomeCache(tmp_path)
+        cache.store_scenario(live, {"ident": "live"})
+        with monkeypatch.context() as patch:
+            patch.setattr(cache_module, "CACHE_FORMAT_VERSION",
+                          CACHE_FORMAT_VERSION - 1)
+            cache.store_scenario(skewed, {"ident": "skewed"})
+
+        report = cache.compact()
+        assert report.records_kept == 1
+        assert report.records_dropped == 1
+        reopened = MutationOutcomeCache(tmp_path)
+        assert reopened.lookup_scenario(live) == {"ident": "live"}
+        assert reopened.lookup_scenario(skewed) is None
+        assert reopened.scenario_stats()["corrupt"] == 0  # gone, not damaged
 
 
 class TestSequentialSharers:
@@ -348,3 +290,29 @@ class TestSequentialSharers:
         assert cache.live_records() > len(mutants)
         warm = run(mutants, MutationOutcomeCache(tmp_path))
         assert warm.cache_stats.hits == len(mutants)
+
+    def test_torn_tail_found_while_catching_up_is_counted(self, tmp_path):
+        # A dead tail counts one ``cache.segment_torn`` whether the scan
+        # on open finds it or a sharer's catch-up before an append does.
+        telemetry = Telemetry(sink=MemorySink())
+        first = MutationOutcomeCache(tmp_path, telemetry=telemetry)
+        first.store_scenario(_key("first"), {"ident": "first"})
+        second = MutationOutcomeCache(tmp_path)
+        second.store_scenario(_key("second"), {"ident": "second"})
+        second.close()
+        with open(tmp_path / SEGMENT_FILE, "ab") as handle:
+            handle.write(b"\xff" * 37)  # structurally invalid appendage
+
+        reopened = Telemetry(sink=MemorySink())
+        MutationOutcomeCache(tmp_path, telemetry=reopened).live_records()
+        assert reopened.counters().get("cache.segment_torn", 0) == 1
+
+        first.store_scenario(_key("third"), {"ident": "third"})
+        assert telemetry.counters().get("cache.segment_torn", 0) == 1
+        first.close()
+        # The catch-up kept the second sharer's record; the append
+        # replaced the garbage.
+        final = MutationOutcomeCache(tmp_path)
+        assert final.live_records() == 3
+        assert final.lookup_scenario(_key("second")) == {"ident": "second"}
+        assert final.lookup_scenario(_key("third")) == {"ident": "third"}

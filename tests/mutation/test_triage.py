@@ -34,7 +34,11 @@ from repro.core.errors import MutationError
 from repro.generator.driver import DriverGenerator
 from repro.generator.values import TypeBinding
 from repro.mutation.analysis import MutationAnalysis
-from repro.mutation.cache import CACHE_FORMAT_VERSION, MutationOutcomeCache
+from repro.mutation.cache import (
+    CACHE_FORMAT_VERSION,
+    _KIND_TRIAGE,
+    MutationOutcomeCache,
+)
 from repro.mutation.generate import generate_mutants
 from repro.mutation.mutant import Mutant, rebuild_compiled_mutant
 from repro.mutation.parallel import ParallelMutationAnalysis
@@ -576,7 +580,7 @@ class TestTriageCache:
         assert cache.lookup_triage(key) == ("bytecode_equivalent", "digest123")
         # A corrupt payload (scribbled segment record) is a miss, never an
         # exception — the lookup-time CRC rejects it.
-        location = cache._triage_index[key]
+        location = cache._indexes[_KIND_TRIAGE][key]
         with open(cache.segment_path, "r+b") as handle:
             handle.seek(location.offset + location.length - 8)
             handle.write(b"\x80damaged")
