@@ -24,9 +24,9 @@ And the dispatch-throughput knob:
 They also share the coverage-guided pruning switch:
 
 * ``--no-prune`` — disable coverage-guided mutant×case pruning (on by
-  default; pruning skips test cases whose reference execution never
-  reaches the mutated method — verdicts are bit-identical either way, see
-  :mod:`repro.mutation.coverage`).
+  default; pruning skips test cases whose reference execution never runs
+  the mutated line and runs the calls before it unguarded — verdicts are
+  bit-identical either way, see :mod:`repro.mutation.coverage`).
 
 And the static-triage switch:
 
@@ -106,7 +106,7 @@ def add_prune_arguments(parser: argparse.ArgumentParser) -> None:
     group.add_argument(
         "--no-prune", action="store_true",
         help="disable coverage-guided mutant×case pruning (pruning skips "
-             "cases that never execute the mutated method; verdicts are "
+             "cases that never execute the mutated line; verdicts are "
              "identical with or without it)",
     )
 

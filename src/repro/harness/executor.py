@@ -41,8 +41,9 @@ StepGuard = Callable[..., Any]
 
 #: A case tracer wraps one complete case's execution in a context manager —
 #: the seam the coverage recorder (:mod:`repro.mutation.coverage`) hooks to
-#: observe which CUT methods a case dynamically reaches.  Tracers observe
-#: only; results must be identical with or without one.
+#: observe which lines of CUT methods a case dynamically runs (it numbers
+#: the guarded calls through the step guard seam).  Tracers observe only;
+#: results must be identical with or without one.
 CaseTracer = Callable[[TestCase], ContextManager[None]]
 
 

@@ -16,15 +16,18 @@ does in practice); ``stop_on_first_kill=False`` measures how many distinct
 cases kill each mutant instead.
 
 **Coverage-guided pruning** (on by default, ``prune=False`` for the
-exhaustive run): the reference pass additionally records, per test case,
-the set of CUT methods its execution dynamically reaches
-(:mod:`repro.mutation.coverage`).  A case whose coverage set does not
-contain a mutant's ``method_name`` executes code identical to the original
-and deterministically replays the reference outcome, so the analysis skips
-it and synthesizes that replay instead of executing it — verdicts, kill
-reasons, killing cases and details are bit-identical to the unpruned run;
-only the executed/skipped case counters differ (which is why
-:meth:`MutationRun.same_results` compares outcomes modulo those counters).
+exhaustive run): the reference pass additionally records, per test case
+and per line of every CUT method, the first guarded call that ran the line
+(:mod:`repro.mutation.coverage`).  A mutant runs the original's code until
+the original first runs the line its splice rewrote.  So a case whose
+reference never ran that line replays the reference outcome, and the
+analysis synthesizes that replay instead of executing it; in the cases it
+does execute, the calls before that first call run without the step guard.
+Verdicts, kill reasons, killing cases, details and step timeouts are
+identical to the unpruned run; only the executed/skipped case counters
+differ (which is why :meth:`MutationRun.same_results` compares outcomes
+modulo those counters).  A ``setup`` hook declares state shared across
+cases, which voids that argument, so with one the analysis runs exhaustively.
 """
 
 from __future__ import annotations
@@ -33,14 +36,20 @@ import time
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..core.errors import MutationError
 from ..generator.suite import TestSuite
-from ..generator.testcase import TestCase
 from ..harness.executor import TestExecutor
 from ..harness.oracles import CompositeOracle, KillReason, paper_oracle
 from ..harness.outcomes import SuiteResult, TestResult, Verdict
 from ..obs import Telemetry, coalesce
 from .cache import CacheStats, MutationOutcomeCache, experiment_fingerprint
-from .coverage import CoverageMatrix, record_coverage
+from .coverage import (
+    NEVER,
+    Column,
+    CoverageMatrix,
+    mutated_line,
+    record_coverage,
+)
 from .mutant import CompiledMutant, Mutant
 from .sandbox import DEFAULT_STEP_BUDGET, StepBudgetGuard
 from .triage import (
@@ -54,11 +63,6 @@ from .typemodel import TypeModel
 #: Builds the runnable class for a mutant (experiment 2 swaps in a builder
 #: that re-derives the subclass over the mutated base).
 ClassBuilder = Callable[[CompiledMutant], type]
-
-#: One case a mutant executes: the case, its reference result, and how
-#: many cases coverage-guided pruning skipped before it.
-_PlannedCase = Tuple[TestCase, Optional[TestResult], int]
-
 
 @dataclass(frozen=True)
 class MutantOutcome:
@@ -316,7 +320,8 @@ class MutationAnalysis:
                  static_triage: bool = True,
                  triage_type_model: Optional[TypeModel] = None):
         """``setup`` runs before every suite execution (e.g. resetting an
-        ambient database) so runs are independent.
+        ambient database) so runs are independent.  It declares state the
+        cases share, so with it the analysis does not prune.
 
         ``reference`` seeds the original class's recorded run: a parallel
         worker receives the parent's reference instead of re-executing the
@@ -327,11 +332,15 @@ class MutationAnalysis:
         is unchanged; see :mod:`repro.mutation.cache`.
 
         ``prune`` enables coverage-guided mutant×case pruning (the
-        default): only cases whose reference-run coverage reaches the
-        mutant's method are executed; the rest provably replay the
-        reference outcome, which is synthesized instead.  ``coverage``
-        seeds the recorded matrix the same way ``reference`` seeds the
-        golden run (the parallel engine ships both to its workers).
+        default): only cases whose reference run reached the mutated line
+        are executed, and their calls before the first one that ran it go
+        unguarded; the skipped cases provably replay the reference
+        outcome, which is synthesized instead.  ``coverage`` seeds the
+        recorded matrix the same way ``reference`` seeds the golden run
+        (the parallel engine ships both to its workers); a matrix recorded
+        under another ``check_invariants`` raises ``ValueError``.  Pruning
+        raises :class:`~repro.core.errors.MutationError` if a reference
+        call reaches ``step_budget``.
 
         ``telemetry`` attaches a run-telemetry session
         (:mod:`repro.obs`): the reference pass and every mutant get
@@ -365,16 +374,23 @@ class MutationAnalysis:
         self._check_invariants = check_invariants
         self._setup = setup
         self._cache = cache
-        self._prune = prune
+        self._prune = prune and setup is None
         self._static_triage = static_triage
         self._triage_type_model = triage_type_model
         self._obs = coalesce(telemetry)
-        self._coverage: Optional[CoverageMatrix] = coverage if prune else None
+        if (coverage is not None
+                and coverage.check_invariants != check_invariants):
+            raise ValueError(
+                f"coverage matrix was recorded with check_invariants="
+                f"{coverage.check_invariants}, the analysis runs with "
+                f"{check_invariants}"
+            )
+        self._coverage: Optional[CoverageMatrix] = (
+            coverage if self._prune else None
+        )
         self._reference: Optional[SuiteResult] = reference
         self._reference_by_ident: Optional[Dict[str, TestResult]] = None
-        self._case_plans: Dict[
-            str, Tuple[Tuple[_PlannedCase, ...], int]
-        ] = {}
+        self._plans: Dict[Optional[Column], bytes] = {}
 
     # ------------------------------------------------------------------
 
@@ -387,7 +403,7 @@ class MutationAnalysis:
 
         With pruning enabled this is the *one instrumented pass*: the same
         execution that records the golden results also records the
-        per-case method-coverage matrix, so pruning never costs an extra
+        per-case line-coverage matrix, so pruning never costs an extra
         suite run.
         """
         if self._reference is None:
@@ -399,7 +415,6 @@ class MutationAnalysis:
                     self._reference, recorded = record_coverage(
                         self._original, self._suite,
                         check_invariants=self._check_invariants,
-                        setup=self._setup,
                         telemetry=self._obs,
                     )
                     if self._coverage is None:
@@ -419,7 +434,13 @@ class MutationAnalysis:
         """The recorded (or seeded) coverage matrix; ``None`` when pruning
         is off.  Recording happens alongside the reference run; when the
         reference was seeded externally without a matrix, one dedicated
-        instrumented pass over the original records it."""
+        instrumented pass over the original records it.
+
+        Raises :class:`~repro.core.errors.MutationError` when a reference
+        call took at least ``step_budget`` line events: guarded, the same
+        call times out on every mutant, so neither an unguarded prefix nor
+        a skipped case would give the exhaustive verdict.
+        """
         if not self._prune:
             return None
         if self._coverage is None:
@@ -428,8 +449,15 @@ class MutationAnalysis:
             _, self._coverage = record_coverage(
                 self._original, self._suite,
                 check_invariants=self._check_invariants,
-                setup=self._setup,
                 telemetry=self._obs,
+            )
+        steps, case_ident, call = self._coverage.peak
+        if steps >= self._budget:
+            raise MutationError(
+                f"call {call} of case {case_ident} takes {steps} line events "
+                f"on the original {self._original.__name__}, which reaches "
+                f"the step budget of {self._budget}: raise the budget or "
+                f"run with prune=False"
             )
         return self._coverage
 
@@ -454,6 +482,7 @@ class MutationAnalysis:
         precedes them in submission order).
         """
         reference = self.reference_results()
+        self.coverage_matrix()  # refuses a budget the reference reaches
         started = time.perf_counter()
         cache = self._cache
         triage = self.static_triage_for(mutants)
@@ -544,36 +573,26 @@ class MutationAnalysis:
             ),
         )
 
-    def _case_plan(self, method_name: str
-                   ) -> Tuple[Tuple[_PlannedCase, ...], int]:
-        """The cases a mutant of ``method_name`` executes, and the total
-        number pruning skips.
+    def _case_plan(self, mutant: CompiledMutant) -> bytes:
+        """Per suite case, how many leading calls the mutant runs
+        unguarded, or :data:`~repro.mutation.coverage.NEVER` for a case it
+        skips.
 
-        Each entry pairs a covering case, in suite order, with its
-        reference result and the number of cases skipped before it.
-        Every mutant of the method walks the same list, so it is built
-        once per method and analysis.
+        Every mutant rewriting the same line of the same method shares the
+        plan, so it is built once per line and analysis.
         """
-        plan = self._case_plans.get(method_name)
+        coverage = self.coverage_matrix()
+        column: Optional[Column] = None
+        if coverage is not None:
+            column = (mutant.record.method_name, mutated_line(mutant))
+        plan = self._plans.get(column)
         if plan is None:
-            coverage = self.coverage_matrix()
-            reference_by_ident = self._reference_map()
-            entries: List[_PlannedCase] = []
-            skipped = 0
-            for case in self._suite.cases:
-                if (coverage is not None
-                        and not coverage.covers(case.ident, method_name)):
-                    # The case's reference run never entered the method, so
-                    # a mutant run executes identical code and replays the
-                    # reference outcome: that replay (no kill, no detail) is
-                    # synthesized instead of executed.
-                    skipped += 1
-                    continue
-                entries.append(
-                    (case, reference_by_ident.get(case.ident), skipped)
-                )
-            plan = (tuple(entries), skipped)
-            self._case_plans[method_name] = plan
+            cases = self._suite.cases
+            plan = self._plans[column] = (
+                bytes(len(cases)) if coverage is None
+                else coverage.first_calls([case.ident for case in cases],
+                                          *column)
+            )
         return plan
 
     def analyze_single(self, mutant: CompiledMutant
@@ -584,7 +603,8 @@ class MutationAnalysis:
         sandbox recorded for this mutant (the unit the parallel engine
         aggregates across workers).
         """
-        planned, cases_skipped = self._case_plan(mutant.record.method_name)
+        plan = self._case_plan(mutant)
+        reference_by_ident = self._reference_map()
         mutant_class = self._builder(mutant)
         guard = StepBudgetGuard(self._budget)
         executor = TestExecutor(
@@ -601,13 +621,26 @@ class MutationAnalysis:
         first_detail = ""
         killing_cases: List[str] = []
         cases_run = 0
+        cases_skipped = 0
 
-        for case, reference_result, skipped_before in planned:
+        for case, unguarded in zip(self._suite.cases, plan):
+            if unguarded == NEVER:
+                # The case's reference run never ran the mutated line, so a
+                # mutant run executes identical code and replays the
+                # reference outcome: that replay (no kill, no detail) is
+                # synthesized instead of executed.
+                cases_skipped += 1
+                continue
             cases_run += 1
+            # Before its first call that ran the line, the case runs the
+            # original's calls on the original's state.
+            guard.let_through(unguarded)
             observed = executor.run_case(case)
             if observed.verdict is Verdict.INCOMPLETE:
                 continue
-            judgement = self._oracle.judge(observed, reference_result)
+            judgement = self._oracle.judge(
+                observed, reference_by_ident.get(case.ident)
+            )
             if judgement.detected:
                 if first_reason is KillReason.NONE:
                     first_reason = judgement.reason
@@ -615,8 +648,6 @@ class MutationAnalysis:
                     first_detail = judgement.detail
                 killing_cases.append(case.ident)
                 if self._stop_on_first_kill:
-                    # Only the cases before the killing one were skipped.
-                    cases_skipped = skipped_before
                     break
 
         killed = first_reason is not KillReason.NONE

@@ -1,69 +1,107 @@
-"""Coverage-guided mutant×case pruning: who can possibly kill whom.
+"""Coverage-guided pruning: where a mutant can first differ from the original.
 
-A mutant injected into method ``m`` differs from the original class in
-``m``'s body and nowhere else.  A test case whose execution never enters
-``m`` therefore runs **byte-identical code** on the mutant and on the
-original — it deterministically replays the reference outcome and cannot
-kill.  The paper's evaluation (sec. 4) runs every suite case over every
-mutant anyway; this module records which CUT methods each case *actually*
-executes — once, during the reference run — so the analysis engines can
-skip the provably irrelevant (mutant, case) pairs while producing verdicts
-bit-identical to the exhaustive run.
+A mutant differs from the original class in one expression on one line of
+one method.  On a test case it therefore runs exactly the original's code,
+on the original's state, until the original first runs that line.  The
+paper's evaluation (sec. 4) runs every suite case over every mutant anyway;
+this module records, once, during the reference run, where that point lies
+in each case, so the analysis engines can
 
-Coverage is **dynamic**, not static: the recorder is a ``sys.setprofile``
-hook installed around each case by :class:`~repro.harness.executor.\
-TestExecutor`'s ``case_tracer`` seam, mapping every entered frame back to a
-CUT method by code object.  That makes indirect intra-class calls visible —
-``Sort1`` calling ``IsSorted`` through a postcondition check marks
-``IsSorted`` covered even though no test step names it — which is exactly
-what the soundness argument needs (a case is skipped only when the mutated
-method's code never ran, directly *or* transitively).  Static step
-inspection would miss those edges and prune unsoundly.
+* skip every case whose reference never ran the mutated line — the mutant
+  replays the reference outcome there, so the replay is synthesized; and
+* run the calls before the first call that ran the line without the step
+  guard, because up to that call the mutant *is* the original.
 
-The recorded :class:`CoverageMatrix` is pure data (case ident → frozen set
-of method names): it pickles to parallel workers, and its content
-fingerprint feeds the outcome-cache experiment key so pruned and unpruned
-entries can never cross-contaminate.
+Verdicts, kill reasons, killing cases, details and step timeouts are
+identical to the exhaustive run; only the executed-case counters and the
+time differ.  Mutation tools such as PIT select tests per line the same
+way.
+
+Coverage is **dynamic**.  A ``sys.settrace`` hook is installed around each
+case through :class:`~repro.harness.executor.TestExecutor`'s
+``case_tracer`` seam, and the case's guarded calls (constructor, each step,
+each invariant check, teardown and the final-state capture) are numbered
+through its ``step_guard`` seam.  The hook maps every frame back to CUT
+methods by code object, so indirect intra-class calls count: ``Sort1``
+reaching ``IsSorted`` through its postcondition marks ``IsSorted``'s lines,
+which static step inspection would miss.  The code map holds everything
+that can run a method's source — the function, anything reachable through
+``__wrapped__``, and the code objects nested in them (comprehensions,
+lambdas, generator expressions) — under *every* method name bound to the
+function, so an alias (``Increment = Bump``) is covered whichever name a
+case calls.  Lines are keyed relative to the method's first source line,
+as :meth:`~repro.mutation.operators.base.MethodContext.rewritten_line`
+reports the line a splice rewrites; line :data:`ENTRY` is the method's
+entry column, the first call that entered any of its code.
+
+The same hook counts each guarded call's line events in every frame, as
+:class:`~repro.mutation.sandbox.StepBudgetGuard` does, and the matrix keeps
+the largest count.  An unguarded call or a skipped case cannot time out, so
+an analysis whose step budget that count reaches refuses to prune.
+
+The :class:`CoverageMatrix` is pure data: the case order plus one ``bytes``
+column per (method, line).  It pickles to parallel workers, and its content
+fingerprint feeds the outcome-cache experiment key, so outcomes recorded
+under one matrix are never replayed under another.
 """
 
 from __future__ import annotations
 
 import sys
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from types import CodeType
 from typing import (
     TYPE_CHECKING,
+    Any,
     Callable,
     Dict,
     FrozenSet,
     Iterator,
+    List,
     Mapping,
     Optional,
-    Set,
+    Sequence,
     Tuple,
 )
 
+from ..core.errors import MutationError
 from ..core.fingerprint import canonical, sha256_hex
+from .operators.base import MethodContext
 
 if TYPE_CHECKING:  # imported lazily to keep coverage <- harness acyclic
     from ..generator.suite import TestSuite
     from ..generator.testcase import TestCase
     from ..harness.outcomes import SuiteResult
+    from .mutant import CompiledMutant
+
+#: The line key of a method's entry column.  Source lines count from 1.
+ENTRY = 0
+
+#: A column byte meaning "this case's reference never ran the line".
+NEVER = 255
+
+#: Call indices above this are stored as it.  The cap errs earlier, so it
+#: only guards calls that could have run unguarded.
+_LAST_INDEX = NEVER - 1
+
+#: A column's key: (method name, line relative to the method's first line).
+Column = Tuple[str, int]
 
 
-def _method_code_map(cut_class: type) -> Dict[object, str]:
-    """Code object → method name, over the whole MRO of the class.
+def _code_map(cut_class: type) -> Dict[CodeType, Tuple[Tuple[str, int], ...]]:
+    """Code object → every (method name, first source line) it can run for.
 
     Walking the MRO matters for experiment 2: the reference run executes
     ``CSortableObList``, but the mutants live in inherited ``CObList``
     methods, whose frames carry the base class's code objects.  Properties
     and static/class methods are unwrapped so their bodies map too.  When
-    several classes define the same method name the *name* is what
-    coverage records — pruning keys on the mutant's ``method_name``, so a
-    subclass override executing still (conservatively) marks the name
-    covered.
+    several classes define the same method name their code maps under the
+    one name, so a subclass override running (conservatively) counts for
+    the base method too.
     """
-    mapping: Dict[object, str] = {}
+    mapping: Dict[CodeType, List[Tuple[str, int]]] = {}
     for klass in cut_class.__mro__:
         if klass is object:
             continue
@@ -75,24 +113,85 @@ def _method_code_map(cut_class: type) -> Dict[object, str]:
             else:
                 functions = (attribute,)
             for function in functions:
-                code = getattr(function, "__code__", None)
-                if code is not None:
-                    mapping.setdefault(code, name)
-    return mapping
+                codes = _wrapped_codes(function)
+                if not codes:
+                    continue
+                # The innermost function is the one whose source a splice
+                # rewrites (``inspect.getsource`` unwraps the same way).
+                owner = (name, codes[-1].co_firstlineno)
+                for code in codes:
+                    for nested in _nested_codes(code):
+                        owners = mapping.setdefault(nested, [])
+                        if owner not in owners:
+                            owners.append(owner)
+    return {code: tuple(owners) for code, owners in mapping.items()}
+
+
+def _wrapped_codes(function: Any) -> List[CodeType]:
+    """The code of ``function`` and of everything down its ``__wrapped__``
+    chain, outermost first."""
+    codes: List[CodeType] = []
+    seen = set()
+    while function is not None and id(function) not in seen:
+        seen.add(id(function))
+        code = getattr(function, "__code__", None)
+        if isinstance(code, CodeType):
+            codes.append(code)
+        function = getattr(function, "__wrapped__", None)
+    return codes
+
+
+def _nested_codes(code: CodeType) -> Iterator[CodeType]:
+    yield code
+    for constant in code.co_consts:
+        if isinstance(constant, CodeType):
+            yield from _nested_codes(constant)
 
 
 @dataclass(frozen=True)
 class CoverageMatrix:
-    """Per test case, the CUT methods its reference run dynamically executed.
+    """Per test case and per (method, line): the first guarded call whose
+    reference run executed that line.
 
-    Pure value object: picklable to workers, canonicalisable for the
-    outcome-cache fingerprint.  ``covers`` errs on the safe side — a case
-    the matrix has never seen is reported as covering everything, so it is
-    executed rather than skipped.
+    ``columns`` holds one ``bytes`` column per (method, line) a case ran,
+    in ``case_idents`` order; each byte is the index of the first call
+    (capped at 254) or :data:`NEVER`.  A line no case ran has no column.
+    The matrix errs on the safe side: a case it never recorded reads as
+    reaching every line from its first call on, so it is executed, fully
+    guarded.
+
+    ``check_invariants`` is the executor flag the calls were numbered
+    under (invariant checks are guarded calls), and ``peak`` is the most
+    line events one guarded reference call took, with its case and call
+    index.
     """
 
     class_name: str
-    methods_by_case: Mapping[str, FrozenSet[str]] = field(default_factory=dict)
+    case_idents: Tuple[str, ...] = ()
+    columns: Mapping[Column, bytes] = field(default_factory=dict)
+    check_invariants: bool = True
+    peak: Tuple[int, str, int] = (0, "", 0)
+
+    def first_calls(self, case_idents: Sequence[str], method_name: str,
+                    line: int = ENTRY) -> bytes:
+        """For each case, the index of the first call that ran the line:
+        :data:`NEVER` when the case's reference never ran it, ``0`` for a
+        case the matrix never recorded."""
+        column = self.columns.get((method_name, line))
+        positions = {ident: position
+                     for position, ident in enumerate(self.case_idents)}
+        return bytes(
+            0 if position is None
+            else NEVER if column is None
+            else column[position]
+            for position in map(positions.get, case_idents)
+        )
+
+    def first_call(self, case_ident: str, method_name: str,
+                   line: int = ENTRY) -> Optional[int]:
+        """:meth:`first_calls` for one case, ``None`` for never."""
+        first = self.first_calls((case_ident,), method_name, line)[0]
+        return None if first == NEVER else first
 
     def covers(self, case_ident: str, method_name: str) -> bool:
         """May this case's execution reach ``method_name``?
@@ -101,121 +200,228 @@ class CoverageMatrix:
         ``False`` only when the case was recorded and the method's code
         provably did not run.
         """
-        covered = self.methods_by_case.get(case_ident)
-        if covered is None:
-            return True
-        return method_name in covered
+        return self.first_call(case_ident, method_name) is not None
 
     def cases_covering(self, method_name: str) -> Tuple[str, ...]:
+        column = self.columns.get((method_name, ENTRY), b"")
         return tuple(
-            ident for ident, covered in self.methods_by_case.items()
-            if method_name in covered
+            ident for ident, value in zip(self.case_idents, column)
+            if value != NEVER
         )
 
     def methods_of(self, case_ident: str) -> FrozenSet[str]:
-        return self.methods_by_case.get(case_ident, frozenset())
+        if case_ident not in self.case_idents:
+            return frozenset()
+        position = self.case_idents.index(case_ident)
+        return frozenset(
+            method for (method, line), column in self.columns.items()
+            if line == ENTRY and column[position] != NEVER
+        )
 
     def fingerprint(self) -> str:
         """Content hash — part of the outcome-cache experiment key, so a
         pruned entry can only ever be replayed under the exact matrix that
-        justified its skips."""
-        return sha256_hex("coverage-matrix", canonical(self))
+        justified its skips.
+
+        ``peak`` is left out: it licenses nothing, and a garbage
+        collection inside a call (a weakref callback is Python code) can
+        move it by a few line events from one recording to the next.
+        """
+        return sha256_hex("coverage-matrix", canonical((
+            self.class_name, self.case_idents, self.columns,
+            self.check_invariants,
+        )))
 
     def density(self, method_name: str) -> float:
         """Fraction of recorded cases covering the method (observability)."""
-        if not self.methods_by_case:
+        if not self.case_idents:
             return 1.0
-        return len(self.cases_covering(method_name)) / len(self.methods_by_case)
+        return len(self.cases_covering(method_name)) / len(self.case_idents)
 
     def __len__(self) -> int:
-        return len(self.methods_by_case)
+        return len(self.case_idents)
 
 
-def _restore_profile(previous: object) -> None:
-    """Give the profile hook back to whoever held it before.
+class CoverageRecorder:
+    """Records a :class:`CoverageMatrix` through the executor's two seams.
 
-    ``sys.getprofile()`` returns a C-level profiler such as
-    ``cProfile.Profile`` as the profiler object itself, which is not
-    callable: handing it to ``sys.setprofile`` would make the next event
-    raise ``TypeError``.  Such a profiler is re-enabled instead, which
-    re-installs its own C hook; Python-level hooks are restored as they
-    are.
-    """
-    if previous is not None and not callable(previous):
-        previous.enable()
-    else:
-        sys.setprofile(previous)
+    Pass :meth:`tracing` as ``TestExecutor(case_tracer=…)`` and
+    :meth:`guard` as ``step_guard=…``.  Around each complete case the
+    recorder installs one ``sys.settrace`` hook and restores the previous
+    trace function afterwards; it leaves the profile hook alone.  The hook
+    only observes: the reference results are identical to an untraced run.
 
-
-class MethodCoverageTracer:
-    """Records a :class:`CoverageMatrix` through the executor's case seam.
-
-    Pass :meth:`tracing` as ``TestExecutor(case_tracer=…)``: around each
-    complete case the tracer installs a ``sys.setprofile`` hook that maps
-    every Python ``call`` event back to a CUT method via the code-object
-    table.  The profile hook only *observes* — the reference results are
-    bit-identical to an untraced run — and it sees every activation in the
-    case's dynamic extent: direct test steps, intra-class sibling calls,
-    invariant checks, teardown, and final-state capture.
+    Per line event in a CUT frame the hook makes one dict probe keyed by
+    ``(id(code), line)``; the hits fold into the columns when the case
+    ends.
     """
 
-    def __init__(self, cut_class: type):
+    def __init__(self, cut_class: type, check_invariants: bool = True):
         self._class_name = cut_class.__name__
-        self._method_by_code = _method_code_map(cut_class)
-        self._covered: Dict[str, Set[str]] = {}
+        self._check_invariants = check_invariants
+        # Keyed by ``id`` in the hot path: a code object hashes its whole
+        # contents on every probe.  The map keeps the code objects alive.
+        self._code_owners = _code_map(cut_class)
+        self._owners = owners = {
+            id(code): entries for code, entries in self._code_owners.items()
+        }
+        self._cases: List[str] = []
+        self._columns: Dict[Column, bytearray] = {}
+        self._peak: Tuple[int, str, int] = (0, "", 0)
+        # Per-case state, reset by ``tracing``: the first call that ran each
+        # (code id, line) — line ``None`` for the code's entry — the index
+        # of the current (or next) guarded call, whether one is running,
+        # and its line events so far.
+        hits: Dict[Tuple[int, Optional[int]], int] = {}
+        call = 0
+        inside = False
+        steps = 0
 
-    @contextmanager
-    def tracing(self, case: "TestCase") -> Iterator[None]:
-        hit = self._covered.setdefault(case.ident, set())
-        method_by_code = self._method_by_code
+        def counted(frame, event, arg):  # noqa: ARG001 — sys.settrace API
+            nonlocal steps
+            if event == "line":
+                steps += 1
+            return counted
 
-        def profiler(frame, event, arg):  # noqa: ARG001 — sys.setprofile API
-            if event == "call":
-                name = method_by_code.get(frame.f_code)
-                if name is not None:
-                    hit.add(name)
+        def recorded(frame, event, arg):  # noqa: ARG001
+            # A CUT frame can also run outside any guarded call (a returned
+            # object's ``bit_state``, say): its lines then count toward
+            # the next call, and toward no call's budget.
+            nonlocal steps
+            if event == "line":
+                if inside:
+                    steps += 1
+                key = (id(frame.f_code), frame.f_lineno)
+                if key not in hits:
+                    hits[key] = call
+            return recorded
 
-        previous = sys.getprofile()
-        sys.setprofile(profiler)
-        try:
-            yield
-        finally:
-            _restore_profile(previous)
+        def hook(frame, event, arg):  # noqa: ARG001 — "call" events only
+            code = id(frame.f_code)
+            if code in owners:
+                key = (code, None)
+                if key not in hits:
+                    hits[key] = call
+                return recorded
+            # Like StepBudgetGuard, count every frame a guarded call enters
+            # and none other.
+            return counted if inside else None
+
+        def guard(function: Callable, *args: Any, **kwargs: Any) -> Any:
+            nonlocal inside, steps, call
+            steps = 0
+            inside = True
+            try:
+                return function(*args, **kwargs)
+            finally:
+                inside = False
+                if steps > self._peak[0]:
+                    self._peak = (steps, self._cases[-1], call)
+                call += 1
+
+        @contextmanager
+        def tracing(case: "TestCase") -> Iterator[None]:
+            nonlocal hits, call
+            hits = {}
+            call = 0
+            self._cases.append(case.ident)
+            previous = sys.gettrace()
+            sys.settrace(hook)
+            try:
+                yield
+            finally:
+                sys.settrace(previous)
+                self._fold(hits)
+
+        self.guard = guard
+        self.tracing = tracing
+
+    def _fold(self, hits: Mapping[Tuple[int, Optional[int]], int]) -> None:
+        position = len(self._cases) - 1
+        for (code, line), call in hits.items():
+            value = min(call, _LAST_INDEX)
+            for name, first_line in self._owners[code]:
+                key = (name, ENTRY if line is None else line - first_line + 1)
+                column = self._columns.get(key)
+                if column is None:
+                    column = self._columns[key] = bytearray()
+                if len(column) <= position:
+                    column.extend(bytes((NEVER,)) * (position + 1
+                                                     - len(column)))
+                if value < column[position]:
+                    column[position] = value
 
     def matrix(self) -> CoverageMatrix:
+        size = len(self._cases)
         return CoverageMatrix(
             class_name=self._class_name,
-            methods_by_case={
-                ident: frozenset(methods)
-                for ident, methods in self._covered.items()
+            case_idents=tuple(self._cases),
+            columns={
+                key: bytes(column.ljust(size, bytes((NEVER,))))
+                for key, column in self._columns.items()
             },
+            check_invariants=self._check_invariants,
+            peak=self._peak,
         )
 
 
 def record_coverage(cut_class: type, suite: "TestSuite",
                     check_invariants: bool = True,
-                    setup: Optional[Callable[[], None]] = None,
                     telemetry=None,
                     ) -> Tuple["SuiteResult", CoverageMatrix]:
     """One instrumented pass: the reference results *and* their coverage.
 
     This is the single extra-cost operation of pruning — the suite runs
-    once on the original class under the profile hook, yielding both the
+    once on the original class under the trace hook, yielding both the
     golden :class:`~repro.harness.outcomes.SuiteResult` the oracles judge
-    against and the matrix that licenses every later skip.  ``telemetry``
-    (a :class:`repro.obs.Telemetry`) gives the pass per-case timing spans;
-    observation only.
+    against and the matrix that licenses every later skip and unguarded
+    call.  ``telemetry`` (a :class:`repro.obs.Telemetry`) gives the pass
+    per-case timing spans; observation only.
     """
     from ..harness.executor import TestExecutor
 
-    if setup is not None:
-        setup()
-    tracer = MethodCoverageTracer(cut_class)
+    recorder = CoverageRecorder(cut_class, check_invariants=check_invariants)
     executor = TestExecutor(
         cut_class,
         check_invariants=check_invariants,
-        case_tracer=tracer.tracing,
+        step_guard=recorder.guard,
+        case_tracer=recorder.tracing,
         telemetry=telemetry,
     )
     reference = executor.run_suite(suite)
-    return reference, tracer.matrix()
+    return reference, recorder.matrix()
+
+
+#: Per owner class, the parsed context of each mutated method (``None``
+#: when its source cannot be read), shared by every analysis of the class
+#: (the equivalence probe builds one per round).  Weak keys keep generated
+#: classes collectable.
+_CONTEXTS: "weakref.WeakKeyDictionary[type, Dict[str, Any]]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def mutated_line(mutant: "CompiledMutant") -> int:
+    """The line the mutant's splice rewrote, relative to its method's first
+    source line, or :data:`ENTRY` when that node lies outside the body
+    (defaults, decorators) or the source cannot be read.
+
+    The line comes from the splice's own slot table, not from the record's
+    ``line`` label, which can name another occurrence.
+    """
+    record = mutant.record
+    contexts = _CONTEXTS.setdefault(mutant.owner, {})
+    if record.method_name not in contexts:
+        try:
+            # Only the slot table is needed, not the attribute universe.
+            contexts[record.method_name] = MethodContext(
+                mutant.owner, record.method_name,
+                attribute_universe=frozenset(),
+            )
+        except (MutationError, OSError, TypeError):
+            contexts[record.method_name] = None
+    context = contexts[record.method_name]
+    if context is None:
+        return ENTRY
+    line = context.rewritten_line(record.variable, record.occurrence)
+    return ENTRY if line is None else line

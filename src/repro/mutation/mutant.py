@@ -118,8 +118,11 @@ def compile_mutant_function(record: Mutant, owner: type) -> Callable:
     globals_dict: Dict = dict(vars(defining_module)) if defining_module else {}
     namespace: Dict = {}
     exec(code, globals_dict, namespace)  # noqa: S102 — mutant reconstruction
+    # The def's own name: an alias (``Increment = Bump``) is mutated
+    # through the function it names, whose source defines ``Bump``.
+    defined = getattr(module.body[0], "name", None) if module.body else None
     try:
-        return namespace[record.method_name]
+        return namespace[defined]
     except KeyError:
         raise MutationError(
             f"mutated source of {record.ident} did not define "

@@ -116,6 +116,7 @@ class MethodContext:
         )
         self.use_sites: Tuple[UseSite, ...] = tuple(self._collect_use_sites())
         self._slots = _load_slots(module, set(self.locals))
+        self._body_nodes: Optional[Set[int]] = None
 
     # -- variable sets (Table 1 notation) ----------------------------------
 
@@ -179,6 +180,27 @@ class MethodContext:
             yield self.tree
         finally:
             _fill_slot(slot, original)
+
+    def rewritten_line(self, variable: str, occurrence: int) -> Optional[int]:
+        """The line of the ``Name`` that :meth:`splice` replaces for this
+        use, counted from 1 at the method's first source line.
+
+        ``None`` when the use is not found, or when it lies outside the
+        body (a parameter default or a decorator): that code runs when the
+        class is built, not on a line of the method.  Unlike
+        :attr:`UseSite.line`, this is the pre-order node the splice
+        rewrites.
+        """
+        slots = self._slots.get(variable, ())
+        if not 0 <= occurrence < len(slots):
+            return None
+        if self._body_nodes is None:
+            self._body_nodes = {
+                id(node) for statement in self.function.body
+                for node in ast.walk(statement)
+            }
+        node = _slot_node(slots[occurrence])
+        return node.lineno if id(node) in self._body_nodes else None
 
     def compile_mutant(self, module: ast.Module):
         """Compile a mutated module and return the resulting function object.

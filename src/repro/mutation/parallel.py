@@ -818,6 +818,7 @@ class ParallelMutationAnalysis:
         """
         mutants = list(mutants)
         reference = self.reference_results()
+        self.coverage_matrix()  # refuses a budget the reference reaches
         started = time.perf_counter()
         cache = self._cache
         keys: Optional[List[CacheKey]] = None

@@ -10,7 +10,13 @@ wall-clock timeouts, so mutation scores are exactly reproducible.
 
 The guard plugs into :class:`~repro.harness.executor.TestExecutor` via its
 ``step_guard`` parameter: each constructor call, method call, invariant
-check and teardown runs under its own fresh budget.
+check, teardown and final-state capture runs under its own fresh budget.
+Not every call is guarded, though: :meth:`StepBudgetGuard.let_through`
+lets a case's leading calls run untraced.  The mutation analysis uses it
+for the calls a mutant makes before it can first differ from the original
+(:mod:`repro.mutation.coverage`): those calls run the original's code on
+the original's state, and the reference pass has checked that no call of
+the original reaches the budget.
 """
 
 from __future__ import annotations
@@ -33,6 +39,9 @@ class StepBudgetGuard:
     the start of every call, so a call costs two ``settrace`` swaps and
     builds no closure.  A guard is not re-entrant: a guarded call must not
     call the same guard again.
+
+    :meth:`let_through` makes the next few calls run without the tracer;
+    they can neither time out nor count toward :attr:`timeouts`.
     """
 
     def __init__(self, budget: int = DEFAULT_STEP_BUDGET):
@@ -40,6 +49,7 @@ class StepBudgetGuard:
             raise ValueError("step budget must be positive")
         self.budget = budget
         self.timeouts = 0  # how many guarded calls were cut (observability)
+        self._free = 0  # calls still to let through untraced
         # The tracer runs once per traced event, so it is the hottest code
         # in a mutant run.  Non-"line" events (call/return/exception) bail
         # out first, and the countdown lives in a closure cell rather than
@@ -67,7 +77,15 @@ class StepBudgetGuard:
         self._tracer = tracer
         self._arm = arm
 
+    def let_through(self, calls: int) -> None:
+        """Run the next ``calls`` calls untraced (replaces any calls still
+        left from an earlier grant)."""
+        self._free = calls
+
     def __call__(self, function: Callable, *args: Any, **kwargs: Any) -> Any:
+        if self._free:
+            self._free -= 1
+            return function(*args, **kwargs)
         self._arm(self.budget, function)
         previous = sys.gettrace()
         # Installed again on every call: CPython drops a trace function

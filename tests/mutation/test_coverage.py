@@ -10,7 +10,9 @@ Soundness hinges on coverage being *dynamic*: ``Sort1``/``Sort2``/
 ``ShellSort`` reach ``IsSorted`` only through their postcondition check,
 never through a test step, so a statically derived matrix would prune the
 exact cases able to kill an ``IsSorted`` mutant.  The indirect-kill tests
-below pin that down.
+below pin that down.  Pruning is per line and runs the calls before a
+case first reaches the mutated line unguarded, so the line-level tests run
+small classes whose mutated lines are easy to miss.
 """
 
 from __future__ import annotations
@@ -22,14 +24,37 @@ from dataclasses import replace
 
 import pytest
 
-from repro.components import CObList, CSortableObList, OBLIST_TYPE_MODEL
+from repro.components import (
+    CObList,
+    CSortableObList,
+    OBLIST_TYPE_MODEL,
+    Product,
+    reset_database,
+)
+from repro.core.errors import MutationError
+from repro.experiments.config import sortable_oracle, sortable_suite
 from repro.generator.driver import DriverGenerator
 from repro.harness.oracles import experiment_oracle
 from repro.mutation.analysis import MutationAnalysis
 from repro.mutation.cache import MutationOutcomeCache
-from repro.mutation.coverage import CoverageMatrix, record_coverage
+from repro.mutation.coverage import (
+    ENTRY,
+    CoverageMatrix,
+    mutated_line,
+    record_coverage,
+)
 from repro.mutation.generate import generate_mutants
 from repro.mutation.parallel import ParallelMutationAnalysis
+
+from .pruning_subjects import (
+    Basket,
+    Drainer,
+    Ledger,
+    Picker,
+    Scaler,
+    Tally,
+    suite_of,
+)
 
 SEEDS = (20010701, 7, 99)
 WORKER_COUNTS = (1, 2)
@@ -62,6 +87,66 @@ def indirect_suite(seed: int, limit: int = 40):
 
 def oracle():
     return experiment_oracle(CSortableObList.__tspec__)
+
+
+def pruned_and_exhaustive(subject, suite, mutants, workers, **options):
+    """The same battery with pruning on and off, on one engine."""
+    engine = ParallelMutationAnalysis if workers > 1 else MutationAnalysis
+    extra = {"workers": workers} if workers > 1 else {}
+    return tuple(
+        engine(subject, suite, prune=prune, **extra, **options)
+        .analyze(mutants)
+        for prune in (True, False)
+    )
+
+
+#: Mutated lines a per-line recorder could miss: (class, method, suite).
+#: Each suite mixes cases that never call the method with cases that call
+#: it first at a later step, so pruning both skips and runs prefixes
+#: unguarded.
+LINE_SUBJECTS = {
+    # Increment is Bump under a second name; cases call either.
+    "aliased method": (Tally, "Increment", suite_of(
+        "Tally",
+        [("Increment", 1), ("Bump", 2)],
+        [("Total",)],
+        [("Bump", 2), ("Total",), ("Increment", 3), ("Bump", 1)],
+    )),
+    "name in a comprehension": (Basket, "CountAbove", suite_of(
+        "Basket",
+        [("Add", 3)],
+        [("Add", 1), ("Add", 5), ("CountAbove", 2)],
+        [("CountAbove", 0)],
+        [("Add", 7), ("CountAbove", 4), ("Add", 2)],
+    )),
+    "continuation line of a call": (Scaler, "Scale", suite_of(
+        "Scaler",
+        [("Set", 3)],
+        [("Set", 2), ("Scale", 3)],
+        [("Scale", 1), ("Set", 4)],
+        [("Set", 5), ("Set", 1), ("Scale", 2)],
+    )),
+    "functools.wraps method": (Ledger, "Post", suite_of(
+        "Ledger",
+        [("Balance",)],
+        [("Balance",), ("Post", 50)],
+        [("Post", 5), ("Balance",), ("Post", 120)],
+    )),
+    "breadth-first label on another line": (Picker, "Pick", suite_of(
+        "Picker",
+        [("Reset",)],
+        [("Pick", 7)],
+        [("Reset",), ("Pick", 2)],
+        [("Pick", -1), ("Pick", 9)],
+    )),
+    # Drain is first reached at step 3; some of its mutants loop forever.
+    "endless loop at step 3": (Drainer, "Drain", suite_of(
+        "Drainer",
+        [("Fill", 3)],
+        [("Fill", 4), ("Fill", 1), ("Drain", 2)],
+        [("Fill", 2), ("Fill", 2), ("Drain", 1)],
+    )),
+}
 
 
 #: Call counter for the builder below — module-level so the builder
@@ -137,7 +222,8 @@ class TestMatrixRecording:
 
     def test_unknown_case_is_conservatively_covered(self):
         matrix = CoverageMatrix(
-            class_name="X", methods_by_case={"c1": frozenset({"FindMax"})}
+            class_name="X", case_idents=("c1",),
+            columns={("FindMax", ENTRY): bytes((0,))},
         )
         assert matrix.covers("never-recorded", "anything")
         assert not matrix.covers("c1", "FindMin")
@@ -159,6 +245,18 @@ class TestMatrixRecording:
         _, other = record_coverage(CSortableObList, mixed_suite(SEEDS[1], 20))
         assert first.fingerprint() != other.fingerprint()
 
+    def test_seeded_matrix_with_other_invariant_flag_is_refused(self):
+        suite = mixed_suite(SEEDS[0], limit=10)
+        _, matrix = record_coverage(CSortableObList, suite,
+                                    check_invariants=False)
+        assert not matrix.check_invariants
+        with pytest.raises(ValueError, match="check_invariants"):
+            MutationAnalysis(CSortableObList, suite, coverage=matrix)
+        # Seeded under the flag it was recorded with, it is accepted.
+        analysis = MutationAnalysis(CSortableObList, suite, coverage=matrix,
+                                    check_invariants=False)
+        assert analysis.coverage_matrix() is matrix
+
     def test_density_observability(self):
         suite = mixed_suite(SEEDS[0], limit=30)
         _, matrix = record_coverage(CSortableObList, suite)
@@ -174,7 +272,8 @@ def called_after_the_reference_pass():
 
 
 class TestExternalProfilers:
-    """The recorder borrows the profile hook and must hand it back."""
+    """The recorder borrows the trace hook, hands it back, and leaves the
+    profile hook alone."""
 
     def test_cprofile_records_calls_after_the_reference_pass(self):
         profiler = cProfile.Profile()
@@ -189,6 +288,21 @@ class TestExternalProfilers:
         assert len(matrix) == 10
         functions = {name for _, _, name in pstats.Stats(profiler).stats}
         assert "called_after_the_reference_pass" in functions
+
+    def test_python_trace_hook_is_restored(self):
+        def hook(frame, event, arg):  # noqa: ARG001 — sys.settrace API
+            return None
+
+        previous = sys.gettrace()
+        sys.settrace(hook)
+        try:
+            _, matrix = record_coverage(
+                CSortableObList, mixed_suite(SEEDS[0], limit=3)
+            )
+            assert sys.gettrace() is hook
+        finally:
+            sys.settrace(previous)
+        assert len(matrix) == 3
 
     def test_python_profile_hook_is_restored(self):
         def hook(frame, event, arg):  # noqa: ARG001 — sys.setprofile API
@@ -249,18 +363,62 @@ class TestPrunedEqualsUnpruned:
         matrix = analysis.coverage_matrix()
         order = [case.ident for case in suite.cases]
         cut_short = 0
-        for outcome in run.outcomes:
+        for outcome, mutant in zip(run.outcomes, findmax_mutants):
             considered = order
             if outcome.killed and stop_on_first_kill:
                 considered = order[:order.index(outcome.killing_case) + 1]
+            line = mutated_line(mutant)
             skipped = sum(
-                not matrix.covers(ident, outcome.mutant.method_name)
+                matrix.first_call(ident, outcome.mutant.method_name, line)
+                is None
                 for ident in considered
             )
             assert outcome.cases_skipped == skipped
             assert outcome.cases_run == len(considered) - skipped
             cut_short += len(considered) < len(order)
         assert cut_short > 0 if stop_on_first_kill else cut_short == 0
+
+    def test_shared_state_disables_pruning(self):
+        # Product cases share the module-global DATABASE, which the setup
+        # hook resets once per suite run.  At seed 11, case TC60 removes a
+        # product an earlier case inserted; skipping that earlier case
+        # would turn six UpdateName survivors into output_diff kills.
+        suite = DriverGenerator(Product.__tspec__, seed=11).generate()
+        methods = ("UpdateName", "UpdateQty", "UpdatePrice", "UpdateProv",
+                   "ShowAttributes", "InsertProduct", "RemoveProduct")
+        mutants, _ = generate_mutants(Product, methods)
+        pruned, exhaustive = pruned_and_exhaustive(
+            Product, suite, mutants, workers=1,
+            setup=reset_database, static_triage=False,
+        )
+        assert pruned.same_results(exhaustive)
+        assert pruned.cases_skipped == 0
+        assert MutationAnalysis(Product, suite, setup=reset_database
+                                ).coverage_matrix() is None
+
+    def test_step_budget_the_original_reaches_is_refused(self,
+                                                         findmax_mutants):
+        # On these cases the original itself needs 109 line events in one
+        # call, so every guarded run of that call times out at 100.
+        suite = sortable_suite()
+        suite = replace(suite, cases=suite.cases[:60])
+
+        def analysis(budget, prune=True):
+            return MutationAnalysis(
+                CSortableObList, suite, oracle=sortable_oracle(),
+                step_budget=budget, prune=prune,
+            )
+
+        refusal = r"call \d+ of case TC\d+ .*step budget of 100"
+        with pytest.raises(MutationError, match=refusal):
+            analysis(100).analyze(findmax_mutants)
+        exhaustive = analysis(100, prune=False).analyze(findmax_mutants)
+        assert len(exhaustive.killed) == len(findmax_mutants)
+        assert exhaustive.step_timeouts == len(findmax_mutants)
+        # One more line event of headroom and pruning is sound again.
+        assert analysis(110).analyze(findmax_mutants).same_results(
+            analysis(110, prune=False).analyze(findmax_mutants)
+        )
 
     def test_exhaustive_run_records_no_matrix(self, findmax_mutants):
         analysis = MutationAnalysis(
@@ -270,6 +428,35 @@ class TestPrunedEqualsUnpruned:
         assert analysis.coverage_matrix() is None
         run = analysis.analyze(findmax_mutants[:3])
         assert run.cases_skipped == 0
+
+
+class TestLineLevelPruning:
+    """Skipped cases and unguarded prefixes where lines are easy to miss."""
+
+    @pytest.mark.parametrize("workers", WORKER_COUNTS)
+    @pytest.mark.parametrize("subject", sorted(LINE_SUBJECTS))
+    def test_differential(self, subject, workers):
+        cut_class, method, suite = LINE_SUBJECTS[subject]
+        mutants, _ = generate_mutants(cut_class, [method])
+        pruned, exhaustive = pruned_and_exhaustive(
+            cut_class, suite, mutants, workers,
+            static_triage=False,
+        )
+        assert exhaustive.killed
+        assert pruned.same_results(exhaustive)
+        assert pruned.step_timeouts == exhaustive.step_timeouts
+        assert pruned.cases_skipped > 0
+        if subject == "endless loop at step 3":
+            assert exhaustive.step_timeouts > 0
+
+    def test_every_bound_name_is_covered(self):
+        cut_class, _, suite = LINE_SUBJECTS["aliased method"]
+        _, matrix = record_coverage(cut_class, suite)
+        # TC1 calls neither name; TC2 reaches the shared code first
+        # through Bump, at call 2 (constructor, invariant, Bump).
+        for name in ("Bump", "Increment"):
+            assert matrix.cases_covering(name) == ("TC0", "TC2")
+            assert matrix.first_call("TC2", name) == 2
 
 
 class TestIndirectKillSoundness:

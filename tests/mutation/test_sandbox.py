@@ -154,6 +154,24 @@ class TestBudgetSemantics:
         with pytest.raises(SandboxTimeout, match="in 'finite_work'"):
             guard(finite_work, 1_000)
 
+    def test_let_through_runs_leading_calls_untraced(self):
+        guard = StepBudgetGuard(budget=50)
+        guard.let_through(2)
+        previous = sys.gettrace()
+        # Over budget, yet neither call is cut: both run untraced.
+        assert guard(finite_work, 1_000) == 1_000
+        assert guard(lambda: sys.gettrace() is previous)
+        with pytest.raises(SandboxTimeout):
+            guard(finite_work, 1_000)
+        assert guard.timeouts == 1
+
+    def test_let_through_replaces_an_unused_grant(self):
+        guard = StepBudgetGuard(budget=50)
+        guard.let_through(3)
+        guard.let_through(0)
+        with pytest.raises(SandboxTimeout):
+            guard(finite_work, 1_000)
+
 
 class TestCallCountGuard:
     def test_counts_calls(self):
