@@ -22,11 +22,10 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..components import CObList, CSortableObList, OBLIST_TYPE_MODEL
-from ..mutation.analysis import MutationAnalysis, MutationRun
+from ..mutation.analysis import MutationRun, analyze_mutants
 from ..mutation.cache import MutationOutcomeCache
 from ..mutation.generate import MutantGenerator, generate_mutants
 from ..mutation.operators import ALL_OPERATORS
-from ..mutation.parallel import ParallelMutationAnalysis
 from ..obs import Telemetry
 from .config import (
     EXPERIMENT_SEED,
@@ -184,19 +183,19 @@ def run_table1(workers: int = 1,
             CSortableObList, TABLE2_METHODS, type_model=OBLIST_TYPE_MODEL,
             telemetry=telemetry,
         )
-        engine = ParallelMutationAnalysis if workers > 1 else MutationAnalysis
-        run = engine(
+        run = analyze_mutants(
             CSortableObList,
             suite,
+            mutants,
+            workers=workers,
+            batch_size=batch_size,
             oracle=sortable_oracle(),
             cache=cache,
             prune=prune,
             static_triage=static_triage,
             triage_type_model=OBLIST_TYPE_MODEL,
             telemetry=telemetry,
-            **({"workers": workers, "batch_size": batch_size}
-               if workers > 1 else {}),
-        ).analyze(mutants)
+        )
     return Table1Result(demos=demos, run=run)
 
 

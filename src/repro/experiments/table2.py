@@ -22,11 +22,10 @@ from typing import Optional, Sequence, Tuple
 
 from ..components import CSortableObList, OBLIST_TYPE_MODEL
 from ..generator.suite import TestSuite
-from ..mutation.analysis import MutationAnalysis, MutationRun
+from ..mutation.analysis import MutationRun, analyze_mutants
 from ..mutation.cache import MutationOutcomeCache
 from ..mutation.equivalence import EquivalenceReport, probe_equivalence
 from ..mutation.generate import GenerationReport, generate_mutants
-from ..mutation.parallel import ParallelMutationAnalysis
 from ..mutation.score import ScoreTable, build_score_table
 from ..obs import Telemetry
 from .config import (
@@ -92,10 +91,12 @@ def run_table2(seed: int = EXPERIMENT_SEED,
         CSortableObList, methods, type_model=OBLIST_TYPE_MODEL,
         telemetry=telemetry,
     )
-    engine = ParallelMutationAnalysis if workers > 1 else MutationAnalysis
-    analysis = engine(
+    run = analyze_mutants(
         CSortableObList,
         suite,
+        mutants,
+        workers=workers,
+        batch_size=batch_size,
         oracle=sortable_oracle(),
         stop_on_first_kill=stop_on_first_kill,
         cache=cache,
@@ -103,10 +104,7 @@ def run_table2(seed: int = EXPERIMENT_SEED,
         static_triage=static_triage,
         triage_type_model=OBLIST_TYPE_MODEL,
         telemetry=telemetry,
-        **({"workers": workers, "batch_size": batch_size}
-           if workers > 1 else {}),
     )
-    run = analysis.analyze(mutants)
 
     equivalence = None
     if with_equivalence:

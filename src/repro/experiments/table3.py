@@ -22,10 +22,9 @@ from typing import Optional, Sequence, Tuple
 from ..components import CObList, CSortableObList, OBLIST_TYPE_MODEL
 from ..generator.suite import TestSuite
 from ..history.incremental import IncrementalPlan
-from ..mutation.analysis import MutationAnalysis, MutationRun
+from ..mutation.analysis import MutationRun, analyze_mutants
 from ..mutation.cache import MutationOutcomeCache
 from ..mutation.generate import GenerationReport, generate_mutants
-from ..mutation.parallel import ParallelMutationAnalysis
 from ..mutation.score import ScoreTable, build_score_table
 from ..obs import Telemetry
 from .config import (
@@ -122,10 +121,12 @@ def run_table3(seed: int = EXPERIMENT_SEED,
     builder = subclass_over_mutant_base()
 
     def analysis(original_class, suite, oracle, class_builder=None):
-        engine = ParallelMutationAnalysis if workers > 1 else MutationAnalysis
-        return engine(
+        return analyze_mutants(
             original_class,
             _truncated(suite, max_cases),
+            mutants,
+            workers=workers,
+            batch_size=batch_size,
             oracle=oracle,
             class_builder=class_builder,
             cache=cache,
@@ -133,24 +134,20 @@ def run_table3(seed: int = EXPERIMENT_SEED,
             static_triage=static_triage,
             triage_type_model=OBLIST_TYPE_MODEL,
             telemetry=telemetry,
-            **({"workers": workers, "batch_size": batch_size}
-               if workers > 1 else {}),
         )
 
     incremental_run = analysis(
         CSortableObList, plan.executed_suite, sortable_oracle(), builder
-    ).analyze(mutants)
+    )
     incremental_table = build_score_table(incremental_run, methods=methods)
 
     base_suite_run = None
     full_suite_run = None
     if with_contrast_runs:
-        base_suite_run = analysis(
-            CObList, oblist_suite(seed), oblist_oracle()
-        ).analyze(mutants)
+        base_suite_run = analysis(CObList, oblist_suite(seed), oblist_oracle())
         full_suite_run = analysis(
             CSortableObList, sortable_suite(seed), sortable_oracle(), builder
-        ).analyze(mutants)
+        )
 
     return Table3Result(
         plan=plan,

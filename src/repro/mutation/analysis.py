@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.errors import MutationError
 from ..generator.suite import TestSuite
@@ -42,7 +42,12 @@ from ..harness.executor import TestExecutor
 from ..harness.oracles import CompositeOracle, KillReason, paper_oracle
 from ..harness.outcomes import SuiteResult, TestResult, Verdict
 from ..obs import Telemetry, coalesce
-from .cache import CacheStats, MutationOutcomeCache, experiment_fingerprint
+from .cache import (
+    CacheKey,
+    CacheStats,
+    MutationOutcomeCache,
+    experiment_fingerprint,
+)
 from .coverage import (
     NEVER,
     Column,
@@ -270,8 +275,8 @@ class MutationRun:
         )
 
 
-def triaged_outcome(mutant: CompiledMutant, triage: StaticTriage,
-                    by_ident: Dict[str, MutantOutcome]) -> MutantOutcome:
+def _triaged_outcome(mutant: CompiledMutant, triage: StaticTriage,
+                     by_ident: Dict[str, MutantOutcome]) -> MutantOutcome:
     """The outcome of a statically-triaged mutant, without dispatching it.
 
     A proven-equivalent mutant survives by construction — the suite would
@@ -280,8 +285,7 @@ def triaged_outcome(mutant: CompiledMutant, triage: StaticTriage,
     behaves identically to its executed group representative under every
     input, so the representative's verdict (kill flag, reason, killing
     case(s), detail) is propagated verbatim; only the provenance marker
-    and the per-mutant case counters differ.  Both engines build skipped
-    outcomes through this one helper, which is what keeps them identical.
+    and the per-mutant case counters differ.
     """
     status = triage.status_of(mutant.ident)
     if status is TriageStatus.REDUNDANT:
@@ -300,6 +304,14 @@ def triaged_outcome(mutant: CompiledMutant, triage: StaticTriage,
         reason=KillReason.NONE,
         static_status=status.value,
     )
+
+
+def _set_verdict(span, outcome: MutantOutcome) -> None:
+    """Copy the verdict-bearing fields of ``outcome`` onto its span."""
+    span.set("killed", outcome.killed)
+    span.set("reason", outcome.reason.value)
+    span.set("cases_run", outcome.cases_run)
+    span.set("cases_skipped", outcome.cases_skipped)
 
 
 class MutationAnalysis:
@@ -471,71 +483,94 @@ class MutationAnalysis:
 
     # ------------------------------------------------------------------
 
-    def analyze(self, mutants: Sequence[CompiledMutant]) -> MutationRun:
-        """Run the suite over every mutant (replaying cached outcomes).
+    def analyze(self, mutants: Iterable[CompiledMutant]) -> MutationRun:
+        """Run the suite over every mutant (replaying stored outcomes).
 
-        With static triage enabled (the default), proven-equivalent and
-        redundant mutants are resolved *without dispatch*: no suite
-        execution, no outcome-cache traffic — their outcomes are
-        synthesized (equivalents) or propagated from the executed group
-        representative (redundant mutants, whose representative always
-        precedes them in submission order).
+        The one analysis loop of both engines.  It takes the battery as a
+        list once, triages it and derives the store keys, then hands the
+        mutants triage does not skip to :meth:`_resolve`, the one step the
+        parallel engine overrides.  Triage resolves the rest *without
+        dispatch* — no suite execution, no store traffic: a proven
+        equivalent gets a synthesized survivor outcome, and a redundant
+        mutant takes the verdict of its group representative, which always
+        precedes it in submission order and is never itself skipped.
         """
+        mutants = list(mutants)
         reference = self.reference_results()
         self.coverage_matrix()  # refuses a budget the reference reaches
         started = time.perf_counter()
         cache = self._cache
         triage = self.static_triage_for(mutants)
-        keys = None
+        keys: List[Optional[CacheKey]] = [None] * len(mutants)
         stats_before = None
         if cache is not None:
             experiment = self.experiment_fingerprint()
             keys = [cache.key_for(experiment, mutant) for mutant in mutants]
             stats_before = cache.snapshot()
-        outcomes: List[MutantOutcome] = []
+        untriaged = [index for index, mutant in enumerate(mutants)
+                     if triage is None or not triage.is_skipped(mutant.ident)]
+        results: List[Optional[Tuple[MutantOutcome, int]]] = (
+            [None] * len(mutants)
+        )
+        self._resolve(mutants, untriaged, keys, results)
         by_ident: Dict[str, MutantOutcome] = {}
-        step_timeouts = 0
         for index, mutant in enumerate(mutants):
-            with self._obs.span("analysis.mutant",
-                                mutant=mutant.record.ident,
-                                operator=mutant.record.operator,
-                                method=mutant.record.method_name) as span:
-                if (triage is not None
-                        and triage.is_skipped(mutant.ident)):
-                    outcome = triaged_outcome(mutant, triage, by_ident)
-                    timeouts = 0
+            if results[index] is None:
+                with self._mutant_span(mutant) as span:
+                    outcome = _triaged_outcome(mutant, triage, by_ident)
                     span.set("triage", outcome.static_status)
-                else:
-                    entry = (cache.lookup(keys[index])
-                             if cache is not None else None)
-                    if entry is not None:
-                        outcome, timeouts = entry.outcome, entry.step_timeouts
-                        span.set("cache", "hit")
-                    else:
-                        if cache is not None:
-                            span.set("cache", "miss")
-                        outcome, timeouts = self.analyze_single(mutant)
-                        if cache is not None:
-                            cache.store(keys[index], outcome, timeouts)
-                span.set("killed", outcome.killed)
-                span.set("reason", outcome.reason.value)
-                span.set("cases_run", outcome.cases_run)
-                span.set("cases_skipped", outcome.cases_skipped)
-            outcomes.append(outcome)
-            by_ident[mutant.ident] = outcome
-            step_timeouts += timeouts
+                    _set_verdict(span, outcome)
+                results[index] = (outcome, 0)
+            by_ident[mutant.ident] = results[index][0]
         elapsed = time.perf_counter() - started
         return MutationRun(
             class_name=self._original.__name__,
             suite_size=len(self._suite),
-            outcomes=tuple(outcomes),
+            outcomes=tuple(outcome for outcome, _ in results),
             reference=reference,
             elapsed_seconds=elapsed,
-            step_timeouts=step_timeouts,
+            step_timeouts=sum(timeouts for _, timeouts in results),
             cache_stats=(cache.snapshot().since(stats_before)
                          if cache is not None else None),
             triage=triage,
         )
+
+    def _resolve(self, mutants: List[CompiledMutant], indices: List[int],
+                 keys: List[Optional[CacheKey]],
+                 results: List[Optional[Tuple[MutantOutcome, int]]]) -> None:
+        """Set ``results[i]`` to ``(outcome, step timeouts)`` for each
+        index ``i`` in ``indices``: replayed from the store, or executed
+        here and written back.  ``keys[i]`` is ``None`` without a store.
+        """
+        for index in indices:
+            mutant = mutants[index]
+            with self._mutant_span(mutant) as span:
+                result = self._replay(keys[index])
+                if self._cache is not None:
+                    span.set("cache", "miss" if result is None else "hit")
+                if result is None:
+                    result = self.analyze_single(mutant)
+                    self._write_back(keys[index], *result)
+                _set_verdict(span, result[0])
+            results[index] = result
+
+    def _replay(self, key: Optional[CacheKey]
+                ) -> Optional[Tuple[MutantOutcome, int]]:
+        """The stored ``(outcome, step timeouts)`` under ``key``, if any."""
+        entry = self._cache.lookup(key) if key is not None else None
+        return None if entry is None else (entry.outcome, entry.step_timeouts)
+
+    def _write_back(self, key: Optional[CacheKey], outcome: MutantOutcome,
+                    timeouts: int) -> None:
+        """Store one executed verdict (nothing without a store)."""
+        if key is not None:
+            self._cache.store(key, outcome, timeouts)
+
+    def _mutant_span(self, mutant: CompiledMutant):
+        return self._obs.span("analysis.mutant",
+                              mutant=mutant.record.ident,
+                              operator=mutant.record.operator,
+                              method=mutant.record.method_name)
 
     def static_triage_for(self, mutants: Sequence[CompiledMutant]
                           ) -> Optional[StaticTriage]:
@@ -665,13 +700,14 @@ class MutationAnalysis:
 
 
 def analyze_mutants(original_class: type, suite: TestSuite,
-                    mutants: Sequence[CompiledMutant],
+                    mutants: Iterable[CompiledMutant],
                     workers: int = 1,
                     batch_size: Optional[int] = None,
                     **options) -> MutationRun:
-    """One-call convenience over :class:`MutationAnalysis`.
+    """Run ``mutants`` on the engine ``workers`` selects.
 
-    ``workers > 1`` dispatches to the process-pool engine
+    The one place that picks the engine: ``workers > 1`` runs the store
+    misses on the process pool
     (:class:`~repro.mutation.parallel.ParallelMutationAnalysis`), whose
     result is field-for-field identical to the serial run; ``batch_size``
     shapes its dispatch chunking (default adaptive) and is meaningless —

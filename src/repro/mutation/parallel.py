@@ -3,11 +3,18 @@
 The paper ran every mutant "as a separate class … individually compiled"
 (sec. 4) — each mutant execution is an independent program, which is
 exactly the independence that makes per-mutant fan-out safe.  This module
-exploits it: mutants are distributed over N worker processes, each worker
-**recompiles the mutant from its source payload** (the pickle protocol of
+exploits it with one override: :class:`ParallelMutationAnalysis` is the
+serial :class:`~repro.mutation.analysis.MutationAnalysis`, whose one
+analysis loop still triages the battery, derives the store keys, fills
+the triaged outcomes and assembles the run.  Only the step that resolves
+the untriaged mutants differs: store hits replay in the parent, and the
+misses go to N worker processes.  Each worker **recompiles the mutant
+from its source payload** (the pickle protocol of
 :class:`~repro.mutation.mutant.CompiledMutant`), runs the suite under a
 fresh :class:`~repro.mutation.sandbox.StepBudgetGuard`, and ships the
-outcome back to the parent.
+outcome back to the parent, which writes it back to the store through
+the serial engine's path as it arrives.  The pool changes *where* a
+mutant runs, never *how*.
 
 Two throughput mechanisms keep orchestration from swamping the win:
 
@@ -86,35 +93,16 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing.connection import Connection, wait as connection_wait
-from typing import (
-    Callable,
-    Deque,
-    Dict,
-    FrozenSet,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Callable, Deque, List, Optional, Set, Tuple
 
 from ..generator.suite import TestSuite
 from ..harness.oracles import CompositeOracle, KillReason
 from ..harness.outcomes import SuiteResult
-from ..obs import NULL_TELEMETRY, Telemetry, coalesce
-from .analysis import (
-    ClassBuilder,
-    MutantOutcome,
-    MutationAnalysis,
-    MutationRun,
-    triaged_outcome,
-)
-from .cache import CacheKey, MutationOutcomeCache
+from ..obs import Telemetry
+from .analysis import ClassBuilder, MutantOutcome, MutationAnalysis
+from .cache import CacheKey
 from .coverage import CoverageMatrix
 from .mutant import CompiledMutant
-from .sandbox import DEFAULT_STEP_BUDGET
-from .triage import StaticTriage, triage_mutants
-from .typemodel import TypeModel
 
 #: Default wall-clock backstop per mutant, in seconds.  Generous: the step
 #: budget catches ordinary runaway mutants deterministically within
@@ -358,30 +346,22 @@ class WorkerPool:
         if run_id != state.run_id:
             return  # residue of a previous run on this persistent worker
         obs = state.obs
-        task: Optional[Tuple[int, CompiledMutant]] = None
-        for assigned in worker.assigned:
-            if assigned[0] == index:
-                task = assigned
-                break
-        if task is not None:
-            worker.assigned.remove(task)
+        task = next((assigned for assigned in worker.assigned
+                     if assigned[0] == index), None)
+        if task is None:
+            return  # only this worker's batch can report to it
+        worker.assigned.remove(task)
         if kind == "done":
-            state.record(index, message[3], message[4])
             obs.event(
                 "parallel.task", index=index,
-                mutant=state.mutants[index].record.ident,
+                mutant=task[1].record.ident,
                 seconds=round(worker.last_heard - previously_heard, 6),
             )
-            if state.cache is not None and state.keys is not None:
-                # Write-back happens in the parent so workers never touch
-                # the store; identical keys carry identical payloads, so a
-                # duplicate store (e.g. during salvage) is a harmless
-                # append the next compaction folds away.
-                state.cache.store(state.keys[index], message[3], message[4])
+            state.record(index, message[3], message[4], executed=True)
         else:
             obs.count("parallel.worker_errors")
             state.record(index, _boundary_outcome(
-                state.mutants[index].record,
+                task[1].record,
                 KillReason.WORKER_CRASH,
                 f"worker failed to run mutant: {message[3]}",
             ))
@@ -407,7 +387,7 @@ class WorkerPool:
         if worker.assigned:  # salvage may have completed the batch
             obs = state.obs
             unreported = [task for task in worker.assigned
-                          if state.results[task[0]] is None]
+                          if task[0] not in state.reported]
             worker.assigned.clear()
             worker.batch_len = 0
             state.casualties += 1
@@ -440,7 +420,7 @@ class WorkerPool:
         if not worker.assigned:
             return  # salvage completed the batch; the worker is fine
         unreported = [task for task in worker.assigned
-                      if state.results[task[0]] is None]
+                      if task[0] not in state.reported]
         worker.assigned.clear()
         worker.batch_len = 0
         if not unreported:
@@ -665,20 +645,24 @@ def _boundary_outcome(record, reason: KillReason,
 
 @dataclass
 class _PoolState:
-    """Mutable bookkeeping for one ``analyze`` call."""
+    """Mutable bookkeeping for one pool run."""
 
-    mutants: List[CompiledMutant]
     pending: Deque[Tuple[int, CompiledMutant]]
-    results: List[Optional[MutantOutcome]]
+    #: Takes each verdict once, as ``(index, outcome, step timeouts,
+    #: executed)``; ``executed`` is false for a worker-boundary kill.
+    deliver: Callable[[int, MutantOutcome, int, bool], None]
     remaining: int
-    run_id: int = 0
-    token: str = ""
-    spec: Optional[WorkerSpec] = None
-    batch_size: int = 1
+    run_id: int
+    token: str
+    spec: WorkerSpec
+    batch_size: int
     #: Most batches in flight at once, and the width the pool may grow to.
-    workers: int = 1
-    backstop: float = DEFAULT_WALL_CLOCK_BACKSTOP
-    obs: Telemetry = NULL_TELEMETRY
+    workers: int
+    backstop: float
+    obs: Telemetry
+    #: When the pending queue was filled — dispatch events report each
+    #: task's queue wait relative to this instant.
+    enqueued_at: float
     #: Workers lost mid-batch and not yet replaced; each replacement
     #: spawn consumes one and counts as a respawn.
     casualties: int = 0
@@ -687,271 +671,109 @@ class _PoolState:
     #: cannot contaminate their verdicts (and so the poisoned one, alone
     #: in its batch, is attributable when it kills its worker again).
     solo: Set[int] = field(default_factory=set)
-    step_timeouts: int = 0
-    #: When the pending queue was filled — dispatch events report each
-    #: task's queue wait relative to this instant.
-    enqueued_at: float = 0.0
-    #: Outcome cache + per-index entry keys; ``None`` when caching is off.
-    #: Only in-process verdicts ("done" messages) are written back — a
-    #: worker-boundary kill depends on scheduling, not fingerprinted input.
-    cache: Optional[MutationOutcomeCache] = None
-    keys: Optional[List[CacheKey]] = None
+    #: Indices whose verdict has been delivered.
+    reported: Set[int] = field(default_factory=set)
 
     def record(self, index: int, outcome: MutantOutcome,
-               timeouts: int = 0) -> None:
-        """Fill one result slot exactly once (duplicates are dropped)."""
-        if self.results[index] is None:
-            self.results[index] = outcome
+               timeouts: int = 0, executed: bool = False) -> None:
+        """Deliver one verdict exactly once (duplicates are dropped)."""
+        if index not in self.reported:
+            self.reported.add(index)
             self.remaining -= 1
-            self.step_timeouts += timeouts
+            self.deliver(index, outcome, timeouts, executed)
 
 
-class ParallelMutationAnalysis:
-    """Fans mutants out to worker processes; merges serial-identical results.
+class ParallelMutationAnalysis(MutationAnalysis):
+    """The serial engine with its store misses run on worker processes.
 
-    Accepts the same configuration as :class:`MutationAnalysis` plus the
-    pool shape: ``workers`` (the most batches this run keeps in flight,
-    and the width it may grow the pool to), ``batch_size`` (mutants per
-    dispatch chunk; default adaptive) and ``pool`` (an explicit
-    :class:`WorkerPool`; default the process-wide shared pool, which keeps
-    workers warm across batteries).
+    Accepts the configuration of :class:`MutationAnalysis` plus the pool
+    shape, by keyword: ``workers`` (the most batches this run keeps in
+    flight, and the width it may grow the pool to; default the CPU
+    count), ``wall_clock_backstop`` (seconds a worker may stay silent on
+    a mutant), ``batch_size`` (mutants per dispatch chunk; default
+    adaptive) and ``pool`` (an explicit :class:`WorkerPool`; default the
+    process-wide shared pool, which keeps workers warm across batteries).
     Every configuration object (suite, oracle, class builder, setup hook)
     must be picklable because workers are rebuilt from them; all shipped
     configurations in :mod:`repro.experiments.config` are.
     """
 
-    def __init__(self, original_class: type, suite: TestSuite,
-                 oracle: Optional[CompositeOracle] = None,
-                 class_builder: Optional[ClassBuilder] = None,
-                 step_budget: int = DEFAULT_STEP_BUDGET,
-                 stop_on_first_kill: bool = True,
-                 check_invariants: bool = True,
-                 setup: Optional[Callable[[], None]] = None,
-                 reference: Optional[SuiteResult] = None,
+    def __init__(self, original_class: type, suite: TestSuite, *args,
                  workers: Optional[int] = None,
                  wall_clock_backstop: float = DEFAULT_WALL_CLOCK_BACKSTOP,
-                 cache: Optional[MutationOutcomeCache] = None,
-                 prune: bool = True,
-                 coverage: Optional[CoverageMatrix] = None,
-                 telemetry: Optional[Telemetry] = None,
-                 static_triage: bool = True,
-                 triage_type_model: Optional[TypeModel] = None,
                  batch_size: Optional[int] = None,
-                 pool: Optional[WorkerPool] = None):
+                 pool: Optional[WorkerPool] = None,
+                 **options):
         if wall_clock_backstop <= 0:
             raise ValueError("wall-clock backstop must be positive")
         if batch_size is not None and batch_size < 1:
             raise ValueError("batch size must be at least 1")
-        self._original = original_class
-        self._suite = suite
-        self._oracle = oracle
-        self._class_builder = class_builder
-        self._step_budget = step_budget
-        self._stop_on_first_kill = stop_on_first_kill
-        self._check_invariants = check_invariants
-        self._setup = setup
+        super().__init__(original_class, suite, *args, **options)
         self._workers = max(1, workers if workers is not None
                             else (os.cpu_count() or 1))
         self._backstop = wall_clock_backstop
         self._batch_size = batch_size
-        self._pool_override = pool
-        # The cache lives in the parent only: hits are resolved before any
-        # worker is scheduled, and write-backs happen as verdicts arrive.
-        # Workers stay cache-oblivious, so a worker process never touches
-        # the store and the serial-equivalence contract is unaffected.
-        self._cache = cache
-        self._prune = prune
-        # Static triage runs in the parent only, before the pool is sized:
-        # a triaged mutant never enters the pending queue, so no worker
-        # ever sees it — the zero-dispatch guarantee is structural (batch
-        # assembly only ever draws from the pending queue), and the
-        # WorkerSpec needs no triage state at all.
-        self._static_triage = static_triage
-        self._triage_type_model = triage_type_model
-        # Telemetry lives in the parent only: worker lifecycle, dispatch
-        # waits and task turnarounds are recorded here (by the pool's run
-        # loop, onto this run's session), while workers run
-        # un-instrumented (the WorkerSpec never carries a session), so the
-        # trace stays consistent and workers stay byte-identical to the
-        # serial engine.
-        self._obs = coalesce(telemetry)
-        # The reference run — and, under pruning, the coverage matrix it
-        # records in the same instrumented pass — is computed (or seeded)
-        # in the parent, once, by a plain serial analysis; workers inherit
-        # both verbatim.  The serial helper also owns the experiment
-        # fingerprint (it sees the same configuration), but is never given
-        # the cache itself.
-        self._serial = MutationAnalysis(
-            original_class, suite, oracle=oracle, class_builder=class_builder,
-            step_budget=step_budget, stop_on_first_kill=stop_on_first_kill,
-            check_invariants=check_invariants, setup=setup,
-            reference=reference, prune=prune, coverage=coverage,
-            telemetry=telemetry, static_triage=static_triage,
-            triage_type_model=triage_type_model,
-        )
+        self._pool = pool
 
-    # ------------------------------------------------------------------
+    def _resolve(self, mutants: List[CompiledMutant], indices: List[int],
+                 keys: List[Optional[CacheKey]],
+                 results: List[Optional[Tuple[MutantOutcome, int]]]) -> None:
+        """Replay store hits here and run the misses on the worker pool.
 
-    @property
-    def suite(self) -> TestSuite:
-        return self._suite
-
-    @property
-    def workers(self) -> int:
-        return self._workers
-
-    def reference_results(self) -> SuiteResult:
-        return self._serial.reference_results()
-
-    def coverage_matrix(self) -> Optional[CoverageMatrix]:
-        return self._serial.coverage_matrix()
-
-    # ------------------------------------------------------------------
-
-    def analyze(self, mutants: Sequence[CompiledMutant]) -> MutationRun:
-        """Run the suite over every mutant across the worker pool.
-
-        With a cache attached, hits are replayed in the parent before the
-        pool is sized: a fully warm run touches no worker and executes
-        zero mutant test cases, yet still assembles a ``same_results``-
-        identical ``MutationRun``.
+        Everything but execution stays in the parent: store lookups and
+        write-backs, and telemetry (workers run un-instrumented, so the
+        trace stays consistent).  A fully warm run therefore touches no
+        worker.  Each executed verdict is written back as it arrives; a
+        worker-boundary kill is never stored, since it depends on
+        scheduling rather than on fingerprinted input.
         """
-        mutants = list(mutants)
-        reference = self.reference_results()
-        self.coverage_matrix()  # refuses a budget the reference reaches
-        started = time.perf_counter()
-        cache = self._cache
-        keys: Optional[List[CacheKey]] = None
-        prefilled: dict = {}
-        #: Redundant mutants: excluded from the pending queue, their slots
-        #: are filled *after* the pool drains, from the representative's
-        #: now-known verdict.
-        deferred: Dict[int, CompiledMutant] = {}
-        stats_before = None
-        triage: Optional[StaticTriage] = None
         with self._obs.span("parallel.run", mutants=len(mutants),
                             workers=self._workers) as span:
-            if self._static_triage:
-                triage = triage_mutants(
-                    self._original, mutants,
-                    type_model=self._triage_type_model,
-                    cache=cache,
-                    telemetry=self._obs,
-                )
-                equivalents, deferred = triage.partition(mutants)
-                for index, mutant in equivalents.items():
-                    prefilled[index] = (triaged_outcome(mutant, triage, {}), 0)
-                span.set("triage_skipped", len(prefilled) + len(deferred))
-            if cache is not None:
-                experiment = self._serial.experiment_fingerprint()
-                keys = [cache.key_for(experiment, mutant)
-                        for mutant in mutants]
-                stats_before = cache.snapshot()
-                cache_hits = 0
-                for index in range(len(mutants)):
-                    if index in prefilled or index in deferred:
-                        # Triage already resolved this slot — no store
-                        # traffic for mutants that are never executed.
-                        continue
-                    entry = cache.lookup(keys[index])
-                    if entry is not None:
-                        prefilled[index] = (entry.outcome,
-                                            entry.step_timeouts)
-                        cache_hits += 1
-                span.set("cache_hits", cache_hits)
-            state = self._run_pool(mutants, reference, prefilled, cache,
-                                   keys, skip=frozenset(deferred))
+            misses: Deque[Tuple[int, CompiledMutant]] = deque()
+            for index in indices:
+                results[index] = self._replay(keys[index])
+                if results[index] is None:
+                    misses.append((index, mutants[index]))
+            if self._cache is not None:
+                span.set("cache_hits", len(indices) - len(misses))
+            if not misses:
+                return
+
+            def deliver(index: int, outcome: MutantOutcome, timeouts: int,
+                        executed: bool) -> None:
+                results[index] = (outcome, timeouts)
+                if executed:
+                    self._write_back(keys[index], outcome, timeouts)
+
+            spec = WorkerSpec(
+                original_class=self._original,
+                suite=self._suite,
+                oracle=self._oracle,
+                class_builder=self._builder_spec,
+                step_budget=self._budget,
+                stop_on_first_kill=self._stop_on_first_kill,
+                check_invariants=self._check_invariants,
+                setup=self._setup,
+                reference=self.reference_results(),
+                prune=self._prune,
+                coverage=self.coverage_matrix(),
+            )
+            state = _PoolState(
+                pending=misses,
+                deliver=deliver,
+                remaining=len(misses),
+                run_id=next(_RUN_IDS),
+                token=_spec_token(spec),
+                spec=spec,
+                batch_size=(self._batch_size if self._batch_size is not None
+                            else default_batch_size(len(misses),
+                                                    self._workers)),
+                workers=self._workers,
+                backstop=self._backstop,
+                obs=self._obs,
+                enqueued_at=time.perf_counter(),
+            )
             span.set("batch_size", state.batch_size)
-            if deferred:
-                by_ident = {
-                    mutants[index].ident: outcome
-                    for index, outcome in enumerate(state.results)
-                    if outcome is not None
-                }
-                for index, mutant in deferred.items():
-                    state.results[index] = triaged_outcome(
-                        mutant, triage, by_ident
-                    )
-        elapsed = time.perf_counter() - started
-        outcomes = tuple(
-            outcome for outcome in state.results if outcome is not None
-        )
-        return MutationRun(
-            class_name=self._original.__name__,
-            suite_size=len(self._suite),
-            outcomes=outcomes,
-            reference=reference,
-            elapsed_seconds=elapsed,
-            step_timeouts=state.step_timeouts,
-            cache_stats=(cache.snapshot().since(stats_before)
-                         if cache is not None else None),
-            triage=triage,
-        )
-
-    # ------------------------------------------------------------------
-    # Pool mechanics
-    # ------------------------------------------------------------------
-
-    def _run_pool(self, mutants: List[CompiledMutant],
-                  reference: SuiteResult,
-                  prefilled: Optional[dict] = None,
-                  cache: Optional[MutationOutcomeCache] = None,
-                  keys: Optional[List[CacheKey]] = None,
-                  skip: FrozenSet[int] = frozenset()) -> _PoolState:
-        prefilled = prefilled or {}
-        state = _PoolState(
-            mutants=mutants,
-            pending=deque(
-                (index, mutant) for index, mutant in enumerate(mutants)
-                if index not in prefilled and index not in skip
-            ),
-            # ``skip`` slots (statically-redundant mutants) stay ``None``
-            # through the pool loop; the caller fills them afterwards from
-            # their representative's verdict, so they never count towards
-            # ``remaining`` and no worker ever sees them.
-            results=[None] * len(mutants),
-            remaining=len(mutants) - len(skip),
-            workers=self._workers,
-            backstop=self._backstop,
-            obs=self._obs,
-            cache=cache,
-            keys=keys,
-            enqueued_at=time.perf_counter(),
-        )
-        for index, (outcome, timeouts) in prefilled.items():
-            state.record(index, outcome, timeouts)
-        if not state.pending:
-            return state
-        state.spec = WorkerSpec(
-            original_class=self._original,
-            suite=self._suite,
-            oracle=self._oracle,
-            class_builder=self._class_builder,
-            step_budget=self._step_budget,
-            stop_on_first_kill=self._stop_on_first_kill,
-            check_invariants=self._check_invariants,
-            setup=self._setup,
-            reference=reference,
-            prune=self._prune,
-            coverage=self._serial.coverage_matrix(),
-        )
-        state.token = _spec_token(state.spec)
-        state.run_id = next(_RUN_IDS)
-        state.batch_size = (self._batch_size
-                            if self._batch_size is not None
-                            else default_batch_size(len(state.pending),
-                                                    self._workers))
-        pool = (self._pool_override if self._pool_override is not None
-                else shared_worker_pool())
-        pool.run(state)
-        return state
-
-
-def analyze_mutants_parallel(original_class: type, suite: TestSuite,
-                             mutants: Sequence[CompiledMutant],
-                             workers: Optional[int] = None,
-                             **options) -> MutationRun:
-    """One-call convenience over :class:`ParallelMutationAnalysis`."""
-    return ParallelMutationAnalysis(
-        original_class, suite, workers=workers, **options
-    ).analyze(mutants)
+            pool = (self._pool if self._pool is not None
+                    else shared_worker_pool())
+            pool.run(state)

@@ -190,32 +190,6 @@ class StaticTriage:
         """Never dispatched: proven equivalent or redundant."""
         return self.status_of(ident) is not TriageStatus.UNDECIDED
 
-    def partition(self, mutants: Sequence["CompiledMutant"]
-                  ) -> Tuple[Dict[int, "CompiledMutant"],
-                             Dict[int, "CompiledMutant"]]:
-        """Split a battery into ``(equivalents, redundants)`` index maps.
-
-        The dispatch plan the batched engine builds its batches from:
-        indices in neither map are executable and may be grouped into
-        worker batches freely; ``equivalents`` get survivor outcomes
-        synthesized up front; ``redundants`` are filled *after* the pool
-        drains, from their representative's then-known verdict (the
-        representative always precedes its group in submission order, so
-        it is never itself skipped).  Because skipped mutants never enter
-        the pending queue, batching cannot change which mutants a triaged
-        run ships to workers — the zero-dispatch guarantee survives any
-        batch size.
-        """
-        equivalents: Dict[int, "CompiledMutant"] = {}
-        redundants: Dict[int, "CompiledMutant"] = {}
-        for index, mutant in enumerate(mutants):
-            status = self.status_of(mutant.ident)
-            if status is TriageStatus.REDUNDANT:
-                redundants[index] = mutant
-            elif status is not TriageStatus.UNDECIDED:
-                equivalents[index] = mutant
-        return equivalents, redundants
-
     # -- aggregates -----------------------------------------------------
 
     @property

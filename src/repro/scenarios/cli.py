@@ -11,9 +11,10 @@ Subcommands:
 * ``report`` — merge shard reports produced by ``run --report-out`` and
   apply the same gate to the merged whole.
 
-The incremental-run, throughput, pruning, triage and telemetry flags are
-the shared ones every table experiment uses
-(:mod:`repro.experiments.cli`).
+The incremental-run, pruning, triage and telemetry flags are the shared
+ones every table experiment uses (:mod:`repro.experiments.cli`); a sweep
+always dispatches at the adaptive batch size, so ``run`` takes no
+``--batch-size``.
 """
 
 from __future__ import annotations
@@ -29,10 +30,8 @@ from ..experiments.cli import (
     add_cache_arguments,
     add_obs_arguments,
     add_prune_arguments,
-    add_throughput_arguments,
     add_triage_arguments,
     add_workers_argument,
-    batch_size_from_arguments,
     cache_from_arguments,
     compact_cache,
     finish_telemetry,
@@ -150,7 +149,6 @@ def _cmd_run(arguments: argparse.Namespace) -> int:
         workers=arguments.workers,
         workspace=arguments.workspace,
         cache=cache,
-        batch_size=batch_size_from_arguments(arguments),
         prune=prune_from_arguments(arguments),
         static_triage=static_triage_from_arguments(arguments),
         telemetry=telemetry,
@@ -250,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("-v", "--verbose", action="store_true",
                             help="print one progress line per scenario")
     add_cache_arguments(run_parser)
-    add_throughput_arguments(run_parser)
     add_prune_arguments(run_parser)
     add_triage_arguments(run_parser)
     add_obs_arguments(run_parser)

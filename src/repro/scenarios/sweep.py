@@ -29,9 +29,9 @@ fingerprint, the component *source* hash, the suite fingerprint and the
 verdict-bearing engine flags.  A warm sweep of an unchanged registry
 replays every scenario from the store — zero mutants executed, zero
 reference passes — and still renders the byte-identical deterministic
-report.  Worker count and batch size are deliberately not part of the
-key: engines are serial-equivalent, so a result computed at any
-parallelism replays everywhere.
+report.  The worker count is deliberately not part of the key: engines
+are serial-equivalent, so a result computed at any parallelism replays
+everywhere.
 
 Determinism: :meth:`SweepReport.to_dict` with ``timings=False`` is the
 *deterministic projection* — same registry, same seeds, same flags ⇒
@@ -71,7 +71,7 @@ from ..harness.oracles import (
     paper_oracle,
 )
 from ..harness.outcomes import SuiteResult, Verdict
-from ..mutation.analysis import MutationAnalysis, MutationRun
+from ..mutation.analysis import MutationAnalysis, MutationRun, analyze_mutants
 from ..mutation.cache import CACHE_KEY_VERSION, MutationOutcomeCache
 from ..mutation.coverage import CoverageMatrix
 from ..mutation.generate import build_battery
@@ -395,22 +395,19 @@ class SweepRunner:
                  workers: int = 1,
                  workspace: Optional[PathLike] = None,
                  cache: Optional[MutationOutcomeCache] = None,
-                 batch_size: Optional[int] = None,
                  prune: bool = True,
                  static_triage: bool = True,
                  telemetry: Optional[Telemetry] = None):
-        """``workers > 1`` routes every non-empty battery through the
-        parallel engine on the process-wide shared pool, warm across
-        scenarios.  ``cache``, ``prune``, ``static_triage``,
-        ``batch_size`` and ``telemetry`` are passed through to the
-        engines unchanged."""
+        """``workers > 1`` runs every battery on the parallel engine, on
+        the process-wide shared pool, warm across scenarios, at the
+        adaptive batch size.  ``cache``, ``prune``, ``static_triage`` and
+        ``telemetry`` are passed through to the engines unchanged."""
         if workers < 1:
             raise ScenarioError("workers must be >= 1")
         self._registry = registry
         self._workers = workers
         self._workspace = workspace
         self._cache = cache
-        self._batch_size = batch_size
         self._prune = prune
         self._static_triage = static_triage
         self._telemetry = telemetry
@@ -536,8 +533,8 @@ class SweepRunner:
         :func:`canonical`, so editing a component or the generator
         invalidates its scenarios), the realized suite fingerprint, and
         the verdict-bearing engine flags.  Deliberately excluded:
-        ``workers`` and ``batch_size`` — engines are serial-equivalent,
-        so one stored result replays at any parallelism.
+        ``workers`` — engines are serial-equivalent, so one stored result
+        replays at any parallelism.
         """
         if self._cache is None:
             return None
@@ -626,9 +623,10 @@ class SweepRunner:
                  type_model: Optional[object],
                  reference: SuiteResult,
                  coverage: Optional[CoverageMatrix]) -> MutationRun:
-        oracle = resolve_oracle(scenario.oracle, spec)
-        options = dict(
-            oracle=oracle,
+        return analyze_mutants(
+            cls, suite, mutants,
+            workers=self._workers,
+            oracle=resolve_oracle(scenario.oracle, spec),
             step_budget=scenario.budgets.step_budget,
             setup=setup,
             reference=reference,
@@ -639,16 +637,6 @@ class SweepRunner:
             triage_type_model=type_model,
             telemetry=self._telemetry,
         )
-        if self._workers > 1 and mutants:
-            from ..mutation.parallel import ParallelMutationAnalysis
-
-            engine = ParallelMutationAnalysis(
-                cls, suite, workers=self._workers,
-                batch_size=self._batch_size, **options
-            )
-        else:
-            engine = MutationAnalysis(cls, suite, **options)
-        return engine.analyze(list(mutants))
 
     def _tally(self, result: ScenarioResult) -> None:
         self._obs.count("sweep.scenarios", 1)

@@ -21,12 +21,10 @@ from repro.components import CSortableObList, OBLIST_TYPE_MODEL
 from repro.generator.driver import DriverGenerator
 from repro.harness.oracles import KillReason, experiment_oracle
 from repro.mutation.analysis import MutationAnalysis, analyze_mutants
+from repro.mutation.cache import MutationOutcomeCache
 from repro.mutation.generate import generate_mutants
 from repro.mutation.mutant import Mutant, rebuild_compiled_mutant
-from repro.mutation.parallel import (
-    ParallelMutationAnalysis,
-    analyze_mutants_parallel,
-)
+from repro.mutation.parallel import ParallelMutationAnalysis, WorkerPool
 from repro.mutation.score import build_score_table
 
 SEEDS = (20010701, 7, 99)
@@ -116,20 +114,38 @@ class TestSerialEquivalence:
         )
         assert parallel.same_results(serial)
 
-    def test_convenience_wrapper(self, findmax_mutants, serial_runs):
-        seed = SEEDS[0]
-        run = analyze_mutants_parallel(
-            CSortableObList, small_suite(seed), findmax_mutants,
-            workers=2, oracle=oracle(),
-        )
-        assert run.same_results(serial_runs[seed])
-
     def test_empty_battery(self):
         run = ParallelMutationAnalysis(
             CSortableObList, small_suite(SEEDS[0]), oracle=oracle(), workers=2
         ).analyze([])
         assert run.total == 0
         assert run.outcomes == ()
+
+
+class TestBatteryAsGenerator:
+    """Both engines take the battery as any iterable, read once."""
+
+    @pytest.mark.parametrize("store", (False, True),
+                             ids=("no-store", "store"))
+    @pytest.mark.parametrize("static_triage", (True, False),
+                             ids=("triage", "no-triage"))
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_generator_gives_the_list_run(self, workers, static_triage,
+                                          store, findmax_mutants, tmp_path):
+        battery = findmax_mutants[:8]
+
+        def run(mutants, name):
+            return analyze_mutants(
+                CSortableObList, small_suite(SEEDS[0]), mutants,
+                workers=workers, oracle=oracle(),
+                static_triage=static_triage,
+                cache=MutationOutcomeCache(tmp_path / name) if store else None,
+            )
+
+        from_list = run(list(battery), "list")
+        from_generator = run((mutant for mutant in battery), "generator")
+        assert from_generator.total == len(battery)
+        assert from_generator.same_results(from_list)
 
 
 class TestMutantReconstruction:
@@ -251,3 +267,45 @@ class TestWallClockBackstopRobustness:
                 CSortableObList, small_suite(SEEDS[0]),
                 wall_clock_backstop=0.0,
             )
+
+
+class TestCrashAndHangVerdictsNeverStored:
+    """Worker-boundary kills depend on scheduling, not on fingerprinted
+    input, so the store keeps only the verdicts workers computed."""
+
+    def test_boundary_kills_miss_again_when_warm(self, findmax_mutants,
+                                                 tmp_path):
+        suite = small_suite(SEEDS[0])
+        crasher = hostile_mutant("X0004", CRASH_SOURCE)
+        hanger = hostile_mutant("X0005", HANG_SOURCE)
+        ordinary = list(findmax_mutants[:4])
+        battery = [crasher] + ordinary[:2] + [hanger] + ordinary[2:]
+        expected = {crasher.ident: KillReason.WORKER_CRASH,
+                    hanger.ident: KillReason.WALL_TIMEOUT}
+
+        with WorkerPool() as pool:
+            def run():
+                engine = ParallelMutationAnalysis(
+                    CSortableObList, suite, oracle=oracle(), workers=2,
+                    wall_clock_backstop=1.5, static_triage=False,
+                    cache=MutationOutcomeCache(tmp_path), pool=pool,
+                )
+                return engine, engine.analyze(battery)
+
+            engine, cold = run()
+            assert cold.cache_stats.misses == len(battery)
+            reasons = {outcome.mutant.ident: outcome.reason
+                       for outcome in cold.outcomes}
+            assert {ident: reasons[ident] for ident in expected} == expected
+
+            store = MutationOutcomeCache(tmp_path)
+            experiment = engine.experiment_fingerprint()
+            assert store.live_records() == len(ordinary)
+            for mutant in battery:
+                entry = store.lookup(store.key_for(experiment, mutant))
+                assert (entry is None) == (mutant.ident in expected)
+
+            _, warm = run()
+            assert warm.cache_stats.hits == len(ordinary)
+            assert warm.cache_stats.misses == 2
+            assert warm.same_results(cold)
