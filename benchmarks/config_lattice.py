@@ -1,0 +1,205 @@
+"""The configuration-invariance lattice on the full-size Tables 2 and 3.
+
+Runs the Table 2 battery (709 mutants over the 624-case suite) and the
+three Table 3 batteries once per cell of a covering set of the lattice
+
+    engine {serial; pool at 1, 2 and 4 workers}
+    × batch {1, 7, whole battery, adaptive}
+    × store {none, cold, warm} × prune {on, off} × telemetry {off, on}
+
+in which every axis value appears, and compares each run's verdict digest
+with the golden digest the end-to-end benchmark recorded at the default
+seed (``table2@20010701`` and ``table3@20010701`` in
+``benchmarks/e2e/golden.json``, which this script only reads).  The
+engines are built from the public engine API, the way the benchmark's
+traced mode builds them, and a verdict line is the benchmark's
+``label/ident killed reason killing_case``.  Each battery's step-timeout
+count, which the digest leaves out, must equal the first cell's.  A warm
+cell replays the store that the cold cell before it with the same prune
+setting filled, so it crosses engines and batch sizes, and must miss
+nothing; a cold cell must hit nothing; a traced cell's events must pass
+the trace schema.
+
+From the repository root::
+
+    PYTHONPATH=src python benchmarks/config_lattice.py
+
+Exit status 0 when every run passes these checks, 1 otherwise.  The
+small-battery form of this check, which covers every value pair of the
+axis pairs, is ``tests/mutation/test_config_lattice.py``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
+
+from repro.components import CObList, CSortableObList, OBLIST_TYPE_MODEL
+from repro.experiments.config import (
+    EXPERIMENT_SEED,
+    TABLE2_METHODS,
+    TABLE3_METHODS,
+    incremental_plan,
+    oblist_oracle,
+    oblist_suite,
+    sortable_oracle,
+    sortable_suite,
+    subclass_over_mutant_base,
+)
+from repro.mutation.analysis import MutationAnalysis, MutationRun
+from repro.mutation.cache import MutationOutcomeCache
+from repro.mutation.generate import generate_mutants
+from repro.mutation.parallel import ParallelMutationAnalysis
+from repro.obs import MemorySink, Telemetry, validate_event
+
+GOLDEN = Path(__file__).resolve().parent / "e2e" / "golden.json"
+
+
+class Cell(NamedTuple):
+    workers: Optional[int]  # None: the serial engine
+    batch: Union[int, str, None]
+    store: str
+    prune: bool
+    traced: bool
+
+    @property
+    def ident(self) -> str:
+        engine = ("serial" if self.workers is None
+                  else f"pool{self.workers}-b{self.batch}")
+        return "-".join((engine, self.store,
+                         "prune" if self.prune else "full",
+                         "traced" if self.traced else "plain"))
+
+
+#: Every engine, batch, store, prune and telemetry value appears.  Each
+#: warm cell follows the cold cell that fills its store: the pool replays
+#: what the serial engine stored, and the other way round.
+CELLS = (
+    Cell(None, None, "cold", True, True),
+    Cell(1, "whole", "warm", True, False),
+    Cell(2, 1, "none", False, True),
+    Cell(4, 7, "cold", False, False),
+    Cell(2, "adaptive", "warm", False, True),
+    Cell(None, None, "warm", False, False),
+)
+
+#: One battery: (label, class under test, suite, engine options).
+Battery = Tuple[str, type, object, dict]
+
+
+def table2_batteries() -> Tuple[List[Battery], Sequence]:
+    mutants, _ = generate_mutants(CSortableObList, TABLE2_METHODS,
+                                  type_model=OBLIST_TYPE_MODEL)
+    return [("", CSortableObList, sortable_suite(EXPERIMENT_SEED),
+             {"oracle": sortable_oracle()})], mutants
+
+
+def table3_batteries() -> Tuple[List[Battery], Sequence]:
+    mutants, _ = generate_mutants(CObList, TABLE3_METHODS, ident_prefix="B",
+                                  type_model=OBLIST_TYPE_MODEL)
+    builder = subclass_over_mutant_base()
+    return [
+        ("incremental/", CSortableObList,
+         incremental_plan(EXPERIMENT_SEED).executed_suite,
+         {"oracle": sortable_oracle(), "class_builder": builder}),
+        ("base/", CObList, oblist_suite(EXPERIMENT_SEED),
+         {"oracle": oblist_oracle()}),
+        ("full/", CSortableObList, sortable_suite(EXPERIMENT_SEED),
+         {"oracle": sortable_oracle(), "class_builder": builder}),
+    ], mutants
+
+
+TABLES = {"table2": table2_batteries, "table3": table3_batteries}
+
+
+def verdict_lines(label: str, run: MutationRun) -> List[str]:
+    return [f"{label}{outcome.mutant.ident} {int(outcome.killed)} "
+            f"{outcome.reason.value} {outcome.killing_case}"
+            for outcome in run.outcomes]
+
+
+def run_cell(cell: Cell, batteries: List[Battery], mutants: Sequence,
+             stores: Path) -> Tuple[str, List[int], List[str]]:
+    """The verdict digest of the batteries under ``cell``, their step
+    timeouts, and what else the cell got wrong."""
+    cache = None
+    if cell.store != "none":
+        cache = MutationOutcomeCache(stores / ("prune" if cell.prune
+                                               else "full"))
+    sink = MemorySink()
+    telemetry = Telemetry(sink=sink) if cell.traced else None
+    problems: List[str] = []
+    lines: List[str] = []
+    timeouts: List[int] = []
+    for label, original_class, suite, options in batteries:
+        options = dict(options, cache=cache, prune=cell.prune,
+                       static_triage=True,
+                       triage_type_model=OBLIST_TYPE_MODEL,
+                       telemetry=telemetry)
+        if cell.workers is None:
+            analysis = MutationAnalysis(original_class, suite, **options)
+        else:
+            analysis = ParallelMutationAnalysis(
+                original_class, suite, workers=cell.workers,
+                batch_size={"whole": len(mutants), "adaptive": None}.get(
+                    cell.batch, cell.batch),
+                **options,
+            )
+        run = analysis.analyze(mutants)
+        lines += verdict_lines(label, run)
+        timeouts.append(run.step_timeouts)
+        stats = run.cache_stats
+        if cell.store == "cold" and stats.hits:
+            problems.append(f"{label or 'run'}: {stats.hits} hits in a "
+                            f"cold store")
+        if cell.store == "warm" and stats.misses:
+            problems.append(f"{label or 'run'}: {stats.misses} misses in a "
+                            f"warm store")
+    if telemetry is not None:
+        telemetry.close()
+        if not sink.events:
+            problems.append("empty trace")
+        for event in sink.events:
+            validate_event(event)
+    digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+    return digest, timeouts, problems
+
+
+def main() -> int:
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))["entries"]
+    failures = 0
+    first_timeouts = {}
+    with tempfile.TemporaryDirectory() as directory:
+        inputs = {table: build() for table, build in TABLES.items()}
+        for cell in CELLS:
+            for table, (batteries, mutants) in inputs.items():
+                started = time.perf_counter()
+                digest, timeouts, problems = run_cell(
+                    cell, batteries, mutants, Path(directory) / table)
+                expected_timeouts = first_timeouts.setdefault(table, timeouts)
+                if timeouts != expected_timeouts:
+                    problems.append(f"step timeouts {timeouts}, first cell "
+                                    f"{expected_timeouts}")
+                expected = golden[f"{table}@{EXPERIMENT_SEED}"][
+                    "verdicts_sha256"]
+                if digest != expected:
+                    problems.append(f"verdict digest {digest[:16]}, golden "
+                                    f"{expected[:16]}")
+                failures += bool(problems)
+                status = "; ".join(problems) or (
+                    f"verdicts match the golden, step timeouts {timeouts}")
+                print(f"{cell.ident:<34} {table}: {status} "
+                      f"({time.perf_counter() - started:.1f} s)", flush=True)
+    print(f"{len(CELLS) * len(TABLES) - failures} of "
+          f"{len(CELLS) * len(TABLES)} lattice runs reproduce the golden "
+          f"verdicts")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

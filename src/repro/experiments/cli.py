@@ -6,20 +6,12 @@ Every table CLI accepts the same incremental-run flags:
   a content-addressed cache under ``DIR``; a warm rerun of an unchanged
   experiment executes zero mutant test cases (see
   :mod:`repro.mutation.cache` and README "Incremental runs");
-* ``--no-cache`` — force caching off even when a wrapper always passes
-  ``--cache-dir``;
 * ``--cache-stats`` — print hit/miss/invalidation counters after each
   mutation run (lines start with ``cache`` so table output can be compared
   across runs with a simple filter);
 * ``--cache-compact`` — rewrite the cache's segment file after the run,
   dropping superseded and damaged records (prints a ``cache compact:``
   line).
-
-And the dispatch-throughput knob:
-
-* ``--batch-size N`` — mutants per worker dispatch chunk under
-  ``--workers`` > 1 (default: adaptive, ~``dispatched / (8 × workers)``;
-  verdicts are identical at every batch size).
 
 They also share the coverage-guided pruning switch:
 
@@ -45,15 +37,28 @@ And the run-telemetry flags (:mod:`repro.obs`):
   the run (every line starts with ``obs`` so row comparisons can strip
   it, like the ``cache…`` lines).
 
-Telemetry is off when neither flag is given — zero events are emitted —
-and changes no verdicts when on (DESIGN §5 documents the guarantee).
+Telemetry is off when neither flag is given — zero events are emitted.
+
+Engine, worker count, batch size, store temperature, pruning and
+telemetry never change a verdict; one test module checks that contract
+over their whole lattice (``tests/mutation/test_config_lattice.py``, and
+``benchmarks/config_lattice.py`` on the full-size Tables 2 and 3).
+
+Counts are checked as they are parsed (:func:`count_at_least`): a
+``--workers``, ``--max-cases`` or ``--max-scenarios`` the run cannot
+honour is a usage error (exit 2), and :func:`exit_on_repro_error` turns a
+:class:`~repro.core.errors.ReproError` such as an unknown ``--methods``
+name into ``error: …`` and exit 2.
 """
 
 from __future__ import annotations
 
 import argparse
-from typing import Optional
+import functools
+import sys
+from typing import Callable, Optional, Sequence
 
+from ..core.errors import ReproError
 from ..mutation.analysis import MutationRun
 from ..mutation.cache import MutationOutcomeCache
 from ..obs import JsonlSink, Telemetry
@@ -67,10 +72,6 @@ def add_cache_arguments(parser: argparse.ArgumentParser) -> None:
              "(warm reruns of an unchanged experiment re-execute nothing)",
     )
     group.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the outcome cache even if --cache-dir is given",
-    )
-    group.add_argument(
         "--cache-stats", action="store_true",
         help="print cache hit/miss/invalidation counters after the run",
     )
@@ -81,23 +82,44 @@ def add_cache_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def count_at_least(minimum: int) -> Callable[[str], int]:
+    """The argparse ``type`` of an integer count of at least ``minimum``."""
+
+    def count(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum}, got {value}"
+            )
+        return value
+
+    return count
+
+
+def exit_on_repro_error(main: Callable[[Optional[Sequence[str]]], int]
+                        ) -> Callable[[Optional[Sequence[str]]], int]:
+    """Wrap a CLI ``main``: a :class:`ReproError` prints ``error: …`` on
+    stderr and exits 2, as ``python -m repro.scenarios`` does."""
+
+    @functools.wraps(main)
+    def guarded(argv: Optional[Sequence[str]] = None) -> int:
+        try:
+            return main(argv)
+        except ReproError as error:
+            print(f"error: {error}", file=sys.stderr)
+            return 2
+
+    return guarded
+
+
 def add_workers_argument(parser: argparse.ArgumentParser,
                          default: int = 1) -> None:
     """The shared ``--workers N`` flag (serial when 1; the parallel
     engine's verdicts are field-for-field identical at any count)."""
     parser.add_argument(
-        "--workers", type=int, default=default, metavar="N",
+        "--workers", type=count_at_least(1), default=default, metavar="N",
         help="worker processes for mutation analysis "
              f"(default {default}; 1 = serial engine, verdicts identical)",
-    )
-
-
-def add_throughput_arguments(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group("dispatch throughput")
-    group.add_argument(
-        "--batch-size", type=int, default=None, metavar="N",
-        help="mutants per worker dispatch chunk when --workers > 1 "
-             "(default: adaptive; verdicts identical at every size)",
     )
 
 
@@ -135,14 +157,6 @@ def add_obs_arguments(parser: argparse.ArgumentParser) -> None:
         help="print the telemetry summary after the run (lines start "
              "with 'obs' for easy filtering)",
     )
-
-
-def batch_size_from_arguments(arguments: argparse.Namespace) -> Optional[int]:
-    """The explicit dispatch chunk size, or ``None`` (adaptive default)."""
-    batch_size = getattr(arguments, "batch_size", None)
-    if batch_size is not None and batch_size < 1:
-        raise SystemExit("--batch-size must be at least 1")
-    return batch_size
 
 
 def prune_from_arguments(arguments: argparse.Namespace) -> bool:
@@ -184,7 +198,7 @@ def cache_from_arguments(arguments: argparse.Namespace,
                          telemetry: Optional[Telemetry] = None
                          ) -> Optional[MutationOutcomeCache]:
     """The cache the flags describe, or ``None`` when caching is off."""
-    if arguments.no_cache or not arguments.cache_dir:
+    if not arguments.cache_dir:
         return None
     return MutationOutcomeCache(arguments.cache_dir, telemetry=telemetry)
 

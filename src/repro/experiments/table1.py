@@ -17,16 +17,32 @@ executes zero mutant test cases while printing identical rows.
 from __future__ import annotations
 
 import argparse
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..components import CObList, CSortableObList, OBLIST_TYPE_MODEL
 from ..mutation.analysis import MutationRun, analyze_mutants
 from ..mutation.cache import MutationOutcomeCache
 from ..mutation.generate import MutantGenerator, generate_mutants
 from ..mutation.operators import ALL_OPERATORS
+from ..mutation.operators.base import MutationOperator
 from ..obs import Telemetry
+from .cli import (
+    add_cache_arguments,
+    add_obs_arguments,
+    add_prune_arguments,
+    add_triage_arguments,
+    add_workers_argument,
+    cache_from_arguments,
+    compact_cache,
+    count_at_least,
+    exit_on_repro_error,
+    finish_telemetry,
+    print_cache_stats,
+    prune_from_arguments,
+    static_triage_from_arguments,
+    telemetry_from_arguments,
+)
 from .config import (
     EXPERIMENT_SEED,
     TABLE2_METHODS,
@@ -107,15 +123,12 @@ class Table1Result:
         raise KeyError(operator)
 
 
-def _operator_demo(operator_name: str) -> OperatorDemo:
-    """One operator's row — a pure function of the operator name, so the
-    per-operator fan-out can run in worker processes and still merge
-    deterministically (generation has no RNG or shared state)."""
+def _operator_demo(operator: MutationOperator) -> OperatorDemo:
+    """One operator's row over both experiments' subject methods."""
     targets = (
         (CSortableObList, TABLE2_METHODS),
         (CObList, TABLE3_METHODS),
     )
-    operator = next(op for op in ALL_OPERATORS if op.name == operator_name)
     untyped_total = 0
     typed_total = 0
     example: Optional[str] = None
@@ -147,33 +160,22 @@ def run_table1(workers: int = 1,
                cache: Optional[MutationOutcomeCache] = None,
                prune: bool = True,
                static_triage: bool = True,
-               batch_size: Optional[int] = None,
                telemetry: Optional[Telemetry] = None) -> Table1Result:
     """Regenerate Table 1 over the experiments' subject methods.
 
-    ``workers > 1`` fans the five operator columns out to a process pool;
-    rows come back in operator order, so the result is identical to the
-    serial run.  ``with_analysis`` additionally executes the typed
-    ``CSortableObList`` pool under the experiment suite (on the parallel
-    engine when ``workers > 1``) and reports per-operator kill counts;
-    ``cache`` replays unchanged verdicts from the outcome cache,
-    ``prune=False`` disables coverage-guided mutant×case pruning (verdicts
-    are identical either way), ``static_triage=False`` disables the static
-    equivalent-mutant triage pass (triaged mutants are never dispatched;
-    every *executed* mutant's verdict is identical either way),
-    ``batch_size`` sets the parallel engine's dispatch chunk (default
-    adaptive; verdicts identical at every size), and
-    ``max_cases`` truncates the suite (smoke/CI hook).  ``telemetry`` attaches a run-telemetry session to
-    generation and analysis (the per-operator demo fan-out runs in
-    worker processes and stays un-instrumented); rows are identical
-    with or without it.
+    The five operator rows are generated in-process.  ``with_analysis``
+    additionally executes the typed ``CSortableObList`` pool under the
+    experiment suite (on the parallel engine when ``workers > 1``) and
+    reports per-operator kill counts; ``cache`` replays unchanged verdicts
+    from the outcome cache, ``prune=False`` disables coverage-guided
+    mutant×case pruning (verdicts are identical either way),
+    ``static_triage=False`` disables the static equivalent-mutant triage
+    pass (triaged mutants are never dispatched; every *executed* mutant's
+    verdict is identical either way), and ``max_cases`` truncates the
+    suite (smoke/CI hook).  ``telemetry`` attaches a run-telemetry session
+    to the analysis run; rows are identical with or without it.
     """
-    names = [operator.name for operator in ALL_OPERATORS]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(names))) as pool:
-            demos = tuple(pool.map(_operator_demo, names))
-    else:
-        demos = tuple(_operator_demo(name) for name in names)
+    demos = tuple(_operator_demo(operator) for operator in ALL_OPERATORS)
     run = None
     if with_analysis:
         suite = sortable_suite(seed)
@@ -188,7 +190,6 @@ def run_table1(workers: int = 1,
             suite,
             mutants,
             workers=workers,
-            batch_size=batch_size,
             oracle=sortable_oracle(),
             cache=cache,
             prune=prune,
@@ -199,25 +200,9 @@ def run_table1(workers: int = 1,
     return Table1Result(demos=demos, run=run)
 
 
+@exit_on_repro_error
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI: ``python -m repro.experiments.table1 [--workers N] …``."""
-    from .cli import (
-        add_cache_arguments,
-        add_obs_arguments,
-        add_prune_arguments,
-        add_throughput_arguments,
-        add_triage_arguments,
-        add_workers_argument,
-        batch_size_from_arguments,
-        cache_from_arguments,
-        compact_cache,
-        finish_telemetry,
-        print_cache_stats,
-        prune_from_arguments,
-        static_triage_from_arguments,
-        telemetry_from_arguments,
-    )
-
     parser = argparse.ArgumentParser(
         description="Regenerate Table 1 (interface mutation operators)."
     )
@@ -229,10 +214,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument("--seed", type=int, default=EXPERIMENT_SEED,
                         help="suite-generation seed (with --with-analysis)")
-    parser.add_argument("--max-cases", type=int, default=None,
+    parser.add_argument("--max-cases", type=count_at_least(1), default=None,
                         help="truncate the suite (smoke runs only)")
     add_cache_arguments(parser)
-    add_throughput_arguments(parser)
     add_prune_arguments(parser)
     add_triage_arguments(parser)
     add_obs_arguments(parser)
@@ -247,7 +231,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         cache=cache,
         prune=prune_from_arguments(arguments),
         static_triage=static_triage_from_arguments(arguments),
-        batch_size=batch_size_from_arguments(arguments),
         telemetry=telemetry,
     )
     print(result.format())

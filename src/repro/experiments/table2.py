@@ -28,6 +28,22 @@ from ..mutation.equivalence import EquivalenceReport, probe_equivalence
 from ..mutation.generate import GenerationReport, generate_mutants
 from ..mutation.score import ScoreTable, build_score_table
 from ..obs import Telemetry
+from .cli import (
+    add_cache_arguments,
+    add_obs_arguments,
+    add_prune_arguments,
+    add_triage_arguments,
+    add_workers_argument,
+    cache_from_arguments,
+    compact_cache,
+    count_at_least,
+    exit_on_repro_error,
+    finish_telemetry,
+    print_cache_stats,
+    prune_from_arguments,
+    static_triage_from_arguments,
+    telemetry_from_arguments,
+)
 from .config import (
     EXPERIMENT_SEED,
     TABLE2_METHODS,
@@ -65,7 +81,6 @@ def run_table2(seed: int = EXPERIMENT_SEED,
                cache: Optional[MutationOutcomeCache] = None,
                prune: bool = True,
                static_triage: bool = True,
-               batch_size: Optional[int] = None,
                telemetry: Optional[Telemetry] = None) -> Table2Result:
     """Execute experiment 1 end to end.
 
@@ -79,10 +94,8 @@ def run_table2(seed: int = EXPERIMENT_SEED,
     static equivalent-mutant triage pass; with it on (the default),
     statically-proven mutants are never dispatched, the equivalence probe
     skips them, and every *executed* mutant's verdict is identical to the
-    untriaged run.  ``batch_size`` sets the parallel engine's dispatch
-    chunk (default adaptive; verdicts identical at every size).
-    ``telemetry`` attaches a run-telemetry session (rows are identical
-    with or without it).
+    untriaged run.  ``telemetry`` attaches a run-telemetry session (rows
+    are identical with or without it).
     """
     suite = sortable_suite(seed)
     if max_cases is not None:
@@ -96,7 +109,6 @@ def run_table2(seed: int = EXPERIMENT_SEED,
         suite,
         mutants,
         workers=workers,
-        batch_size=batch_size,
         oracle=sortable_oracle(),
         stop_on_first_kill=stop_on_first_kill,
         cache=cache,
@@ -127,25 +139,9 @@ def run_table2(seed: int = EXPERIMENT_SEED,
     )
 
 
+@exit_on_repro_error
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI: ``python -m repro.experiments.table2 [--workers N] …``."""
-    from .cli import (
-        add_cache_arguments,
-        add_obs_arguments,
-        add_prune_arguments,
-        add_throughput_arguments,
-        add_triage_arguments,
-        add_workers_argument,
-        batch_size_from_arguments,
-        cache_from_arguments,
-        compact_cache,
-        finish_telemetry,
-        print_cache_stats,
-        prune_from_arguments,
-        static_triage_from_arguments,
-        telemetry_from_arguments,
-    )
-
     parser = argparse.ArgumentParser(
         description="Run experiment 1 (Table 2: CSortableObList mutation)."
     )
@@ -154,12 +150,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="suite-generation seed")
     parser.add_argument("--methods", nargs="+", default=list(TABLE2_METHODS),
                         help="methods to mutate (default: the Table 2 rows)")
-    parser.add_argument("--max-cases", type=int, default=None,
+    parser.add_argument("--max-cases", type=count_at_least(1), default=None,
                         help="truncate the suite (smoke runs only)")
     parser.add_argument("--no-equivalence", action="store_true",
                         help="skip the equivalence probe")
     add_cache_arguments(parser)
-    add_throughput_arguments(parser)
     add_prune_arguments(parser)
     add_triage_arguments(parser)
     add_obs_arguments(parser)
@@ -175,7 +170,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         cache=cache,
         prune=prune_from_arguments(arguments),
         static_triage=static_triage_from_arguments(arguments),
-        batch_size=batch_size_from_arguments(arguments),
         telemetry=telemetry,
     )
     print(result.generation.summary())

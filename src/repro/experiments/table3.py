@@ -27,6 +27,22 @@ from ..mutation.cache import MutationOutcomeCache
 from ..mutation.generate import GenerationReport, generate_mutants
 from ..mutation.score import ScoreTable, build_score_table
 from ..obs import Telemetry
+from .cli import (
+    add_cache_arguments,
+    add_obs_arguments,
+    add_prune_arguments,
+    add_triage_arguments,
+    add_workers_argument,
+    cache_from_arguments,
+    compact_cache,
+    count_at_least,
+    exit_on_repro_error,
+    finish_telemetry,
+    print_cache_stats,
+    prune_from_arguments,
+    static_triage_from_arguments,
+    telemetry_from_arguments,
+)
 from .config import (
     EXPERIMENT_SEED,
     TABLE3_METHODS,
@@ -91,7 +107,6 @@ def run_table3(seed: int = EXPERIMENT_SEED,
                cache: Optional[MutationOutcomeCache] = None,
                prune: bool = True,
                static_triage: bool = True,
-               batch_size: Optional[int] = None,
                telemetry: Optional[Telemetry] = None) -> Table3Result:
     """Execute experiment 2 end to end.
 
@@ -109,9 +124,9 @@ def run_table3(seed: int = EXPERIMENT_SEED,
     the dynamic coverage recorder observes).  ``static_triage=False``
     disables the static equivalent-mutant triage pass (triage is applied
     to the shared ``CObList`` mutant pool once per battery; executed
-    verdicts are identical either way).  ``batch_size`` sets the parallel
-    engine's dispatch chunk (default adaptive); the batteries share one
-    persistent worker pool, so the contrast runs reuse warm processes.
+    verdicts are identical either way).  Under ``workers > 1`` the
+    batteries share one persistent worker pool, so the contrast runs
+    reuse warm processes.
     """
     plan = incremental_plan(seed)
     mutants, generation = generate_mutants(
@@ -126,7 +141,6 @@ def run_table3(seed: int = EXPERIMENT_SEED,
             _truncated(suite, max_cases),
             mutants,
             workers=workers,
-            batch_size=batch_size,
             oracle=oracle,
             class_builder=class_builder,
             cache=cache,
@@ -159,25 +173,9 @@ def run_table3(seed: int = EXPERIMENT_SEED,
     )
 
 
+@exit_on_repro_error
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI: ``python -m repro.experiments.table3 [--workers N] …``."""
-    from .cli import (
-        add_cache_arguments,
-        add_obs_arguments,
-        add_prune_arguments,
-        add_throughput_arguments,
-        add_triage_arguments,
-        add_workers_argument,
-        batch_size_from_arguments,
-        cache_from_arguments,
-        compact_cache,
-        finish_telemetry,
-        print_cache_stats,
-        prune_from_arguments,
-        static_triage_from_arguments,
-        telemetry_from_arguments,
-    )
-
     parser = argparse.ArgumentParser(
         description="Run experiment 2 (Table 3: base-class faults, "
                     "incremental subclass suite)."
@@ -187,12 +185,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="suite-generation seed")
     parser.add_argument("--methods", nargs="+", default=list(TABLE3_METHODS),
                         help="base-class methods to mutate")
-    parser.add_argument("--max-cases", type=int, default=None,
+    parser.add_argument("--max-cases", type=count_at_least(1), default=None,
                         help="truncate the suites (smoke runs only)")
     parser.add_argument("--contrast", action="store_true",
                         help="also run the base-suite and full-suite contrasts")
     add_cache_arguments(parser)
-    add_throughput_arguments(parser)
     add_prune_arguments(parser)
     add_triage_arguments(parser)
     add_obs_arguments(parser)
@@ -208,7 +205,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         cache=cache,
         prune=prune_from_arguments(arguments),
         static_triage=static_triage_from_arguments(arguments),
-        batch_size=batch_size_from_arguments(arguments),
         telemetry=telemetry,
     )
     print(result.generation.summary())

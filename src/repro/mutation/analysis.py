@@ -702,22 +702,19 @@ class MutationAnalysis:
 def analyze_mutants(original_class: type, suite: TestSuite,
                     mutants: Iterable[CompiledMutant],
                     workers: int = 1,
-                    batch_size: Optional[int] = None,
                     **options) -> MutationRun:
     """Run ``mutants`` on the engine ``workers`` selects.
 
     The one place that picks the engine: ``workers > 1`` runs the store
     misses on the process pool
-    (:class:`~repro.mutation.parallel.ParallelMutationAnalysis`), whose
-    result is field-for-field identical to the serial run; ``batch_size``
-    shapes its dispatch chunking (default adaptive) and is meaningless —
-    and therefore ignored — for the serial engine.
+    (:class:`~repro.mutation.parallel.ParallelMutationAnalysis`, at its
+    adaptive batch size), whose result is field-for-field identical to
+    the serial run.
     """
     if workers > 1:
         from .parallel import ParallelMutationAnalysis
 
         return ParallelMutationAnalysis(
-            original_class, suite, workers=workers, batch_size=batch_size,
-            **options
+            original_class, suite, workers=workers, **options
         ).analyze(mutants)
     return MutationAnalysis(original_class, suite, **options).analyze(mutants)

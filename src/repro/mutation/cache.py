@@ -39,11 +39,12 @@ untouched still hits.
 :class:`~repro.mutation.analysis.MutantOutcome` (plus the mutant's
 sandbox-timeout count) and the key covers every input the verdict depends
 on, a warm run assembles a :class:`~repro.mutation.analysis.MutationRun`
-that passes ``same_results`` against a cold run — the differential suite
-in ``tests/mutation/test_cache.py`` enforces this for serial and parallel
-engines alike.  Worker-boundary kills (``WORKER_CRASH``/``WALL_TIMEOUT``)
-are never cached: they depend on wall-clock and process scheduling, not on
-the fingerprinted inputs.
+that passes ``same_results`` against a cold run — the warm cells of the
+configuration-invariance lattice (``tests/mutation/test_config_lattice.py``)
+enforce this for serial and parallel engines alike, each replaying a
+store another configuration filled.  Worker-boundary kills
+(``WORKER_CRASH``/``WALL_TIMEOUT``) are never cached: they depend on
+wall-clock and process scheduling, not on the fingerprinted inputs.
 
 **The segment store (format v4).**  Entries live in ONE append-only file,
 ``store.seg``.  Layout::

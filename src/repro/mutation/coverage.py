@@ -57,7 +57,6 @@ from typing import (
     Any,
     Callable,
     Dict,
-    FrozenSet,
     Iterator,
     List,
     Mapping,
@@ -187,37 +186,6 @@ class CoverageMatrix:
             for position in map(positions.get, case_idents)
         )
 
-    def first_call(self, case_ident: str, method_name: str,
-                   line: int = ENTRY) -> Optional[int]:
-        """:meth:`first_calls` for one case, ``None`` for never."""
-        first = self.first_calls((case_ident,), method_name, line)[0]
-        return None if first == NEVER else first
-
-    def covers(self, case_ident: str, method_name: str) -> bool:
-        """May this case's execution reach ``method_name``?
-
-        ``True`` for unknown cases (never recorded → never prune them);
-        ``False`` only when the case was recorded and the method's code
-        provably did not run.
-        """
-        return self.first_call(case_ident, method_name) is not None
-
-    def cases_covering(self, method_name: str) -> Tuple[str, ...]:
-        column = self.columns.get((method_name, ENTRY), b"")
-        return tuple(
-            ident for ident, value in zip(self.case_idents, column)
-            if value != NEVER
-        )
-
-    def methods_of(self, case_ident: str) -> FrozenSet[str]:
-        if case_ident not in self.case_idents:
-            return frozenset()
-        position = self.case_idents.index(case_ident)
-        return frozenset(
-            method for (method, line), column in self.columns.items()
-            if line == ENTRY and column[position] != NEVER
-        )
-
     def fingerprint(self) -> str:
         """Content hash — part of the outcome-cache experiment key, so a
         pruned entry can only ever be replayed under the exact matrix that
@@ -231,12 +199,6 @@ class CoverageMatrix:
             self.class_name, self.case_idents, self.columns,
             self.check_invariants,
         )))
-
-    def density(self, method_name: str) -> float:
-        """Fraction of recorded cases covering the method (observability)."""
-        if not self.case_idents:
-            return 1.0
-        return len(self.cases_covering(method_name)) / len(self.case_idents)
 
     def __len__(self) -> int:
         return len(self.case_idents)

@@ -9,10 +9,10 @@ managers, accumulates counters, and streams schema-versioned events
 
 Telemetry is **off by default** everywhere (:data:`NULL_TELEMETRY`
 absorbs every call) and is purely observational: enabling it provably
-changes no verdicts — see ``tests/obs/test_differential.py`` and DESIGN
-§5.  Enable it on the table CLIs with ``--trace-out PATH`` /
-``--obs-summary``; validate a recorded trace with
-``python -m repro.obs trace.jsonl``.
+changes no verdicts — see the configuration-invariance lattice
+(``tests/mutation/test_config_lattice.py``) and DESIGN §5.  Enable it on
+the table CLIs with ``--trace-out PATH`` / ``--obs-summary``; validate a
+recorded trace with ``python -m repro.obs trace.jsonl``.
 """
 
 from .schema import (

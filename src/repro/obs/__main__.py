@@ -3,8 +3,8 @@
 Validates every line of one or more JSONL trace files against the
 telemetry event schema and prints per-kind counts.  Exit status 0 when
 every file conforms, 1 on the first schema violation (naming file and
-line), 2 on unreadable input — the gate the ``mutation-obs`` CI job runs
-over recorded artifacts.
+line), 2 on unreadable input — the gate the ``mutation-gates`` CI job
+runs over a recorded Table 1 trace.
 """
 
 from __future__ import annotations

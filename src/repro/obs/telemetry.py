@@ -18,9 +18,10 @@ Two hard guarantees the instrumented hot paths rely on:
   never branches on "is telemetry on"; it calls unconditionally and the
   null object absorbs it.
 * **Observation only.**  Nothing in this module feeds back into verdict
-  logic; the differential suite (``tests/obs/test_differential.py``)
-  proves ``MutationRun.same_results`` holds with telemetry on vs off
-  across seeds, worker counts and cache temperatures.
+  logic; the configuration-invariance lattice
+  (``tests/mutation/test_config_lattice.py``) checks that
+  ``MutationRun.same_results`` holds with telemetry on vs off across
+  engines, worker counts, batch sizes, store temperatures and pruning.
 """
 
 from __future__ import annotations

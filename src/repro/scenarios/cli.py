@@ -11,10 +11,10 @@ Subcommands:
 * ``report`` — merge shard reports produced by ``run --report-out`` and
   apply the same gate to the merged whole.
 
-The incremental-run, pruning, triage and telemetry flags are the shared
-ones every table experiment uses (:mod:`repro.experiments.cli`); a sweep
-always dispatches at the adaptive batch size, so ``run`` takes no
-``--batch-size``.
+The incremental-run, pruning, triage and telemetry flags, and the count
+checks of ``--workers`` and ``--max-scenarios``, are the shared ones every
+table experiment uses (:mod:`repro.experiments.cli`); a sweep dispatches
+at the pool's adaptive batch size.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from ..experiments.cli import (
     add_workers_argument,
     cache_from_arguments,
     compact_cache,
+    count_at_least,
     finish_telemetry,
     prune_from_arguments,
     static_triage_from_arguments,
@@ -238,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
              "(default: a shared per-machine temp workspace)",
     )
     run_parser.add_argument(
-        "--max-scenarios", type=int, default=0, metavar="N",
+        "--max-scenarios", type=count_at_least(0), default=0, metavar="N",
         help="run at most N scenarios (0 = all selected)",
     )
     run_parser.add_argument(

@@ -1,9 +1,10 @@
 """Smoke tests for the frozen experiment tables on tiny configurations.
 
 These are deliberately small: one method, a truncated suite.  They pin
-down the *shape* of each table (rows, operators, totals that must agree)
-and the parallel contract — ``workers=2`` must reproduce the ``workers=1``
-rows exactly — without paying for the full paper workloads.
+down the *shape* of each table (rows, operators, totals that must agree),
+that ``workers=2`` reaches the parallel engine and reproduces the
+``workers=1`` rows, and that the CLIs refuse counts they cannot honour —
+without paying for the full paper workloads.
 """
 
 from __future__ import annotations
@@ -26,12 +27,6 @@ OPERATOR_NAMES = tuple(operator.name for operator in ALL_OPERATORS)
 
 
 class TestTable1:
-    def test_parallel_reproduces_serial_rows(self):
-        serial = run_table1()
-        parallel = run_table1(workers=2)
-        assert parallel == serial
-        assert parallel.demos == serial.demos
-
     def test_row_shape(self):
         result = run_table1()
         assert len(result.demos) == len(OPERATOR_NAMES)
@@ -114,3 +109,30 @@ class TestCommandLine:
         assert exit_code == 0
         output = capsys.readouterr().out
         assert "Table 3" in output
+
+    @pytest.mark.parametrize("arguments,refusal", [
+        (["--max-cases", "-620"], "--max-cases: must be at least 1, got -620"),
+        (["--max-cases", "0"], "--max-cases: must be at least 1, got 0"),
+        (["--workers", "-3", "--max-cases", "5"],
+         "--workers: must be at least 1, got -3"),
+    ], ids=("negative-max-cases", "zero-max-cases", "negative-workers"))
+    def test_table2_cli_refuses_counts_it_cannot_honour(self, arguments,
+                                                        refusal, capsys):
+        # A negative slice counted from the end, an empty suite scored
+        # 0.0%, and a negative worker count ran serially.
+        with pytest.raises(SystemExit) as exit_info:
+            table2_main(["--methods", "FindMax", "--no-equivalence",
+                         *arguments])
+        assert exit_info.value.code == 2
+        assert refusal in capsys.readouterr().err
+
+    def test_table2_cli_reports_an_unknown_method(self, capsys):
+        exit_code = table2_main([
+            "--methods", "NoSuchMethod", "--max-cases", "5",
+            "--no-equivalence",
+        ])
+        assert exit_code == 2
+        error = capsys.readouterr().err
+        assert error.startswith("error: ")
+        assert "NoSuchMethod" in error
+        assert "Traceback" not in error

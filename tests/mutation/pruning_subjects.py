@@ -1,13 +1,14 @@
-"""Small self-testable classes for the pruning differential tests.
+"""Small self-testable classes whose mutated lines pruning could miss.
 
 Each class puts a mutated line where a per-line coverage recorder could
 miss it: a method bound under two names, a name inside a comprehension
 (its own code object), a name on the continuation line of a multi-line
 call, a ``functools.wraps``-decorated method, a use whose breadth-first
 label names another line, and a method first reached at step 3 whose
-mutants can loop forever there.  The classes live in a
-module of their own so ``inspect.getsource`` and the worker processes of
-the parallel engine can find them.
+mutants can loop forever there.  :data:`LINE_SUBJECTS` pairs each with
+the method to mutate and a suite; the configuration lattice runs them.
+The classes live in a module of their own so ``inspect.getsource`` and
+the worker processes of the parallel engine can find them.
 """
 
 from __future__ import annotations
@@ -178,3 +179,52 @@ class Drainer(BuiltInTest):
             remaining = remaining - 1
         self.level = max(0, self.level - amount)
         return remaining
+
+
+#: Mutated lines a per-line recorder could miss: (class, method, suite).
+#: Each suite mixes cases that never call the method with cases that call
+#: it first at a later step, so pruning both skips and runs prefixes
+#: unguarded.
+LINE_SUBJECTS = {
+    # Increment is Bump under a second name; cases call either.
+    "alias": (Tally, "Increment", suite_of(
+        "Tally",
+        [("Increment", 1), ("Bump", 2)],
+        [("Total",)],
+        [("Bump", 2), ("Total",), ("Increment", 3), ("Bump", 1)],
+    )),
+    "comprehension": (Basket, "CountAbove", suite_of(
+        "Basket",
+        [("Add", 3)],
+        [("Add", 1), ("Add", 5), ("CountAbove", 2)],
+        [("CountAbove", 0)],
+        [("Add", 7), ("CountAbove", 4), ("Add", 2)],
+    )),
+    "continuation": (Scaler, "Scale", suite_of(
+        "Scaler",
+        [("Set", 3)],
+        [("Set", 2), ("Scale", 3)],
+        [("Scale", 1), ("Set", 4)],
+        [("Set", 5), ("Set", 1), ("Scale", 2)],
+    )),
+    "wraps": (Ledger, "Post", suite_of(
+        "Ledger",
+        [("Balance",)],
+        [("Balance",), ("Post", 50)],
+        [("Post", 5), ("Balance",), ("Post", 120)],
+    )),
+    "breadth-first": (Picker, "Pick", suite_of(
+        "Picker",
+        [("Reset",)],
+        [("Pick", 7)],
+        [("Reset",), ("Pick", 2)],
+        [("Pick", -1), ("Pick", 9)],
+    )),
+    # Drain is first reached at step 3; some of its mutants loop forever.
+    "endless-loop": (Drainer, "Drain", suite_of(
+        "Drainer",
+        [("Fill", 3)],
+        [("Fill", 4), ("Fill", 1), ("Drain", 2)],
+        [("Fill", 2), ("Fill", 2), ("Drain", 1)],
+    )),
+}

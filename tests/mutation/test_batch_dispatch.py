@@ -1,16 +1,12 @@
-"""Differential tests for batched dispatch: batched ≡ per-mutant ≡ serial.
+"""Batched dispatch: batches really form, and a poisoned batch harms one.
 
-Batching changes only *how many pipe round-trips* carry the work — never
-which mutant runs, in what order results merge, or what any verdict is.
-The matrix here drives the parallel engine across seeds × worker counts ×
-batch sizes (explicit 1, a ragged 7, the whole pool, and the adaptive
-default) × cache states (off, cold, warm) × triage (on, off), asserting
-``same_results``/``same_verdicts`` against the serial engine every time.
-
-The poisoned-batch tests check the batch refinement of the crash/hang
-rules: a mutant that kills or hangs its worker mid-batch is the ONLY
-mutant classified at the process boundary — every batchmate is re-run and
-keeps its serial-identical verdict.
+That batch size never moves a verdict is checked with every other run
+setting by the configuration lattice (``test_config_lattice.py``).  Here,
+batches of more than one mutant really go over the wire, a warm run ships
+none, triage composes with batching, and the batch refinement of the
+crash/hang rules holds: a mutant that kills or hangs its worker mid-batch
+is the ONLY mutant classified at the process boundary — every batchmate
+is re-run and keeps its serial-identical verdict.
 """
 
 from __future__ import annotations
@@ -35,8 +31,6 @@ from .test_parallel import CRASH_SOURCE, HANG_SOURCE, hostile_mutant
 
 SEEDS = (20010701, 7, 99)
 MUTANT_COUNT = 12
-POOL_BATCH = MUTANT_COUNT  # "pool-size": the whole battery in one chunk
-BATCH_SIZES = (1, 7, POOL_BATCH, None)  # None = adaptive default
 
 
 def small_suite(seed: int):
@@ -59,17 +53,6 @@ def mutants():
         CSortableObList, ["FindMax"], type_model=OBLIST_TYPE_MODEL
     )
     return pool[:MUTANT_COUNT]
-
-
-@pytest.fixture(scope="module")
-def serial_runs(mutants):
-    return {
-        seed: MutationAnalysis(
-            CSortableObList, small_suite(seed), oracle=oracle(),
-            static_triage=True, triage_type_model=OBLIST_TYPE_MODEL,
-        ).analyze(mutants)
-        for seed in SEEDS
-    }
 
 
 def batched(mutants, seed, *, workers=2, batch_size=None, cache=None,
@@ -104,22 +87,8 @@ class TestAdaptiveDefault:
 
 
 class TestBatchedEqualsSerial:
-    """seeds × workers × batch sizes: verdicts never move."""
-
-    @pytest.mark.parametrize("batch_size", BATCH_SIZES)
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_two_workers(self, seed, batch_size, mutants, serial_runs):
-        run = batched(mutants, seed, workers=2, batch_size=batch_size)
-        assert run.same_results(serial_runs[seed])
-
-    @pytest.mark.parametrize("workers,batch_size", [
-        (1, 7), (1, POOL_BATCH), (4, 1), (4, 7), (4, POOL_BATCH),
-    ])
-    def test_other_worker_counts(self, workers, batch_size, mutants,
-                                 serial_runs):
-        seed = SEEDS[0]
-        run = batched(mutants, seed, workers=workers, batch_size=batch_size)
-        assert run.same_results(serial_runs[seed])
+    """Batches of several mutants really form (the lattice checks that
+    their verdicts equal the serial engine's)."""
 
     def test_batching_actually_batches(self, mutants):
         # Not just equivalence: with an explicit chunk of 5, multi-mutant
@@ -153,32 +122,20 @@ class TestTriageOffDifferential:
                       static_triage=False)
         assert run.same_results(serial_off)
 
-    def test_triage_on_off_same_verdicts(self, mutants, serial_runs):
+    def test_triage_on_off_same_verdicts(self, mutants):
         seed = SEEDS[1]
+        serial = MutationAnalysis(
+            CSortableObList, small_suite(seed), oracle=oracle(),
+            static_triage=True, triage_type_model=OBLIST_TYPE_MODEL,
+        ).analyze(mutants)
         on = batched(mutants, seed, batch_size=7, static_triage=True)
         off = batched(mutants, seed, batch_size=7, static_triage=False)
         assert on.same_verdicts(off)
-        assert on.same_verdicts(serial_runs[seed])
+        assert on.same_verdicts(serial)
 
 
 class TestCacheMatrix:
-    """cache {cold, warm} × batch sizes: cached ≡ fresh at every chunk."""
-
-    @pytest.mark.parametrize("batch_size", BATCH_SIZES)
-    def test_cold_then_warm(self, batch_size, mutants, serial_runs,
-                            tmp_path):
-        seed = SEEDS[2]
-        cache = MutationOutcomeCache(tmp_path)
-        cold = batched(mutants, seed, batch_size=batch_size, cache=cache)
-        assert cold.same_results(serial_runs[seed])
-        assert cold.cache_stats.hits == 0
-
-        # Warm replays under a DIFFERENT batch size than the one that
-        # populated the store (chunking is not a fingerprint input).
-        warm = batched(mutants, seed, batch_size=1 if batch_size != 1 else 7,
-                       cache=cache)
-        assert warm.same_results(serial_runs[seed])
-        assert warm.cache_stats.misses == 0
+    """A warm store keeps the pool idle."""
 
     def test_warm_run_ships_no_batches(self, mutants, tmp_path):
         seed = SEEDS[2]

@@ -1,11 +1,11 @@
-"""Differential tests for the incremental mutation-outcome cache.
+"""Tests for the incremental mutation-outcome cache.
 
-The cached≡fresh guarantee, checked the same way the parallel engine's
-serial-equivalence is: for every seed and worker count, a warm-cache run
-must produce a ``MutationRun`` that passes ``same_results`` against both
-the cold run that populated the cache and a fresh run that never saw a
-cache — and a fully warm run must execute **zero** mutant test cases
-(every lookup hits; the class builder is never invoked).
+That a warm run is ``same_results``-identical to a fresh one, on either
+engine and whichever configuration filled the store, is checked by the
+warm cells of the configuration lattice (``test_config_lattice.py``).
+Here a fully warm run must execute **zero** mutant test cases (every
+lookup hits; the class builder is never invoked), a partly warm run only
+the new mutants, and the engine picker must pass the store on.
 """
 
 from __future__ import annotations
@@ -20,10 +20,8 @@ from repro.harness.oracles import experiment_oracle
 from repro.mutation.analysis import MutationAnalysis, analyze_mutants
 from repro.mutation.cache import MutationOutcomeCache
 from repro.mutation.generate import generate_mutants
-from repro.mutation.parallel import ParallelMutationAnalysis
 
 SEEDS = (20010701, 7, 99)
-WORKER_COUNTS = (1, 2)
 MUTANT_COUNT = 20
 
 
@@ -60,58 +58,13 @@ def findmax_mutants():
     return mutants[:MUTANT_COUNT]
 
 
-@pytest.fixture(scope="module")
-def populated(findmax_mutants, tmp_path_factory):
-    """Per seed: a fresh (cache-less) run and a cache populated cold."""
-    by_seed = {}
-    for seed in SEEDS:
-        cache = MutationOutcomeCache(
-            tmp_path_factory.mktemp(f"outcomes-{seed}")
-        )
-        fresh = MutationAnalysis(
-            CSortableObList, small_suite(seed), oracle=oracle()
-        ).analyze(findmax_mutants)
-        cold = MutationAnalysis(
-            CSortableObList, small_suite(seed), oracle=oracle(), cache=cache
-        ).analyze(findmax_mutants)
-        by_seed[seed] = (fresh, cold, cache)
-    return by_seed
-
-
 class TestWarmEqualsFresh:
-    """3 seeds x workers {1, 2}: warm ≡ cold ≡ fresh, full hit."""
+    """Without a store a run reports no store counters."""
 
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_warm_run_is_fresh_identical(self, seed, workers,
-                                         findmax_mutants, populated):
-        fresh, cold, cache = populated[seed]
-        assert cold.same_results(fresh)
-        assert cold.cache_stats.hits == 0
-        assert cold.cache_stats.misses == len(findmax_mutants)
-
-        engine = (ParallelMutationAnalysis if workers > 1 else MutationAnalysis)
-        warm = engine(
-            CSortableObList, small_suite(seed), oracle=oracle(), cache=cache,
-            **({"workers": workers} if workers > 1 else {}),
+    def test_run_without_cache_has_no_stats(self, findmax_mutants):
+        fresh = MutationAnalysis(
+            CSortableObList, small_suite(SEEDS[0]), oracle=oracle()
         ).analyze(findmax_mutants)
-
-        assert warm.same_results(fresh)
-        assert warm.same_results(cold)
-        # Full hit: zero mutants executed, every verdict replayed.
-        assert warm.cache_stats.hits == len(findmax_mutants)
-        assert warm.cache_stats.misses == 0
-        assert warm.cache_stats.invalidations == 0
-        assert warm.cache_stats.corrupt == 0
-        # The replayed outcomes still carry the original cases_run counts
-        # (that is what same_results requires) …
-        for mine, theirs in zip(warm.outcomes, fresh.outcomes):
-            assert mine.cases_run == theirs.cases_run
-            assert mine.mutant == theirs.mutant
-            assert mine.reason is theirs.reason
-
-    def test_run_without_cache_has_no_stats(self, populated):
-        fresh, _, _ = populated[SEEDS[0]]
         assert fresh.cache_stats is None
 
 
@@ -152,31 +105,7 @@ class TestZeroExecutionOnFullHit:
 
 
 class TestCrossEngineSharing:
-    """Serial and parallel runs share one cache, both directions."""
-
-    def test_parallel_warm_after_serial_cold(self, findmax_mutants, populated):
-        seed = SEEDS[0]
-        fresh, _, cache = populated[seed]
-        warm = ParallelMutationAnalysis(
-            CSortableObList, small_suite(seed), oracle=oracle(),
-            workers=2, cache=cache,
-        ).analyze(findmax_mutants)
-        assert warm.same_results(fresh)
-        assert warm.cache_stats.hits == len(findmax_mutants)
-
-    def test_serial_warm_after_parallel_cold(self, findmax_mutants, tmp_path):
-        seed = SEEDS[1]
-        suite = small_suite(seed)
-        cache = MutationOutcomeCache(tmp_path)
-        cold = ParallelMutationAnalysis(
-            CSortableObList, suite, oracle=oracle(), workers=2, cache=cache,
-        ).analyze(findmax_mutants)
-        assert cold.cache_stats.misses == len(findmax_mutants)
-        warm = MutationAnalysis(
-            CSortableObList, suite, oracle=oracle(), cache=cache
-        ).analyze(findmax_mutants)
-        assert warm.same_results(cold)
-        assert warm.cache_stats.hits == len(findmax_mutants)
+    """The engine picker hands the store to the pool engine."""
 
     def test_analyze_mutants_dispatch_passes_cache(self, findmax_mutants,
                                                    tmp_path):

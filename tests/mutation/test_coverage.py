@@ -1,18 +1,13 @@
-"""Differential tests for coverage-guided mutant×case pruning.
+"""Tests for the coverage recorder behind mutant×case pruning.
 
-The pruned≡unpruned guarantee, checked the same way the parallel engine's
-serial-equivalence and the cache's warm≡cold are: for every seed and worker
-count, a pruned run must pass ``same_results`` against the exhaustive run —
-identical verdicts, kill reasons, killing cases, details and sandbox-timeout
-counts — while executing strictly fewer test cases.
-
-Soundness hinges on coverage being *dynamic*: ``Sort1``/``Sort2``/
-``ShellSort`` reach ``IsSorted`` only through their postcondition check,
-never through a test step, so a statically derived matrix would prune the
-exact cases able to kill an ``IsSorted`` mutant.  The indirect-kill tests
-below pin that down.  Pruning is per line and runs the calls before a
-case first reaches the mutated line unguarded, so the line-level tests run
-small classes whose mutated lines are easy to miss.
+That pruned runs match exhaustive ones is checked by the configuration
+lattice (``test_config_lattice.py``).  Here the matrix must be *dynamic*:
+``Sort1``/``Sort2``/``ShellSort`` reach ``IsSorted`` only through their
+postcondition, so a statically derived matrix would prune the cases able
+to kill an ``IsSorted`` mutant.  Case counters follow suite order, shared
+state or a budget the original reaches turns pruning off or is refused,
+profilers keep working, and pruned and exhaustive entries never share a
+store.
 """
 
 from __future__ import annotations
@@ -39,25 +34,16 @@ from repro.mutation.analysis import MutationAnalysis
 from repro.mutation.cache import MutationOutcomeCache
 from repro.mutation.coverage import (
     ENTRY,
+    NEVER,
     CoverageMatrix,
     mutated_line,
     record_coverage,
 )
 from repro.mutation.generate import generate_mutants
-from repro.mutation.parallel import ParallelMutationAnalysis
 
-from .pruning_subjects import (
-    Basket,
-    Drainer,
-    Ledger,
-    Picker,
-    Scaler,
-    Tally,
-    suite_of,
-)
+from .pruning_subjects import LINE_SUBJECTS
 
 SEEDS = (20010701, 7, 99)
-WORKER_COUNTS = (1, 2)
 MUTANT_COUNT = 15
 
 SORT_METHODS = ("Sort1", "Sort2", "ShellSort")
@@ -89,64 +75,9 @@ def oracle():
     return experiment_oracle(CSortableObList.__tspec__)
 
 
-def pruned_and_exhaustive(subject, suite, mutants, workers, **options):
-    """The same battery with pruning on and off, on one engine."""
-    engine = ParallelMutationAnalysis if workers > 1 else MutationAnalysis
-    extra = {"workers": workers} if workers > 1 else {}
-    return tuple(
-        engine(subject, suite, prune=prune, **extra, **options)
-        .analyze(mutants)
-        for prune in (True, False)
-    )
-
-
-#: Mutated lines a per-line recorder could miss: (class, method, suite).
-#: Each suite mixes cases that never call the method with cases that call
-#: it first at a later step, so pruning both skips and runs prefixes
-#: unguarded.
-LINE_SUBJECTS = {
-    # Increment is Bump under a second name; cases call either.
-    "aliased method": (Tally, "Increment", suite_of(
-        "Tally",
-        [("Increment", 1), ("Bump", 2)],
-        [("Total",)],
-        [("Bump", 2), ("Total",), ("Increment", 3), ("Bump", 1)],
-    )),
-    "name in a comprehension": (Basket, "CountAbove", suite_of(
-        "Basket",
-        [("Add", 3)],
-        [("Add", 1), ("Add", 5), ("CountAbove", 2)],
-        [("CountAbove", 0)],
-        [("Add", 7), ("CountAbove", 4), ("Add", 2)],
-    )),
-    "continuation line of a call": (Scaler, "Scale", suite_of(
-        "Scaler",
-        [("Set", 3)],
-        [("Set", 2), ("Scale", 3)],
-        [("Scale", 1), ("Set", 4)],
-        [("Set", 5), ("Set", 1), ("Scale", 2)],
-    )),
-    "functools.wraps method": (Ledger, "Post", suite_of(
-        "Ledger",
-        [("Balance",)],
-        [("Balance",), ("Post", 50)],
-        [("Post", 5), ("Balance",), ("Post", 120)],
-    )),
-    "breadth-first label on another line": (Picker, "Pick", suite_of(
-        "Picker",
-        [("Reset",)],
-        [("Pick", 7)],
-        [("Reset",), ("Pick", 2)],
-        [("Pick", -1), ("Pick", 9)],
-    )),
-    # Drain is first reached at step 3; some of its mutants loop forever.
-    "endless loop at step 3": (Drainer, "Drain", suite_of(
-        "Drainer",
-        [("Fill", 3)],
-        [("Fill", 4), ("Fill", 1), ("Drain", 2)],
-        [("Fill", 2), ("Fill", 2), ("Drain", 1)],
-    )),
-}
+def reached(matrix, case_ident, method_name):
+    """Whether the case's reference ran any of the method's code."""
+    return matrix.first_calls((case_ident,), method_name) != bytes((NEVER,))
 
 
 #: Call counter for the builder below — module-level so the builder
@@ -165,14 +96,6 @@ def findmax_mutants():
         CSortableObList, ["FindMax"], type_model=OBLIST_TYPE_MODEL
     )
     return mutants[:MUTANT_COUNT]
-
-
-@pytest.fixture(scope="module")
-def issorted_mutants():
-    mutants, _ = generate_mutants(
-        CSortableObList, ["IsSorted"], type_model=OBLIST_TYPE_MODEL
-    )
-    return mutants
 
 
 class TestMatrixRecording:
@@ -194,7 +117,8 @@ class TestMatrixRecording:
                 if step.method_name in cut_methods
             }
             # Dynamic coverage is a superset of the statically visible calls.
-            assert stepped <= matrix.methods_of(case.ident)
+            for method_name in stepped:
+                assert reached(matrix, case.ident, method_name)
 
     def test_indirect_postcondition_calls_are_covered(self):
         suite = indirect_suite(SEEDS[0], limit=20)
@@ -202,8 +126,7 @@ class TestMatrixRecording:
         for case in suite.cases:
             # No step names IsSorted, yet every case runs a sort whose
             # postcondition calls it — dynamic coverage must see that.
-            assert "IsSorted" in matrix.methods_of(case.ident)
-            assert matrix.covers(case.ident, "IsSorted")
+            assert reached(matrix, case.ident, "IsSorted")
 
     def test_inherited_base_methods_are_covered(self):
         # Experiment 2's shape: the executed class is the subclass, the
@@ -215,19 +138,17 @@ class TestMatrixRecording:
             name for name, attribute in vars(CObList).items()
             if callable(attribute) and not name.startswith("_")
         }
-        covered_anywhere = set().union(
-            *(matrix.methods_of(case.ident) for case in suite.cases)
-        )
-        assert covered_anywhere & base_methods
+        assert any(reached(matrix, case.ident, name)
+                   for case in suite.cases for name in base_methods)
 
     def test_unknown_case_is_conservatively_covered(self):
         matrix = CoverageMatrix(
             class_name="X", case_idents=("c1",),
             columns={("FindMax", ENTRY): bytes((0,))},
         )
-        assert matrix.covers("never-recorded", "anything")
-        assert not matrix.covers("c1", "FindMin")
-        assert matrix.covers("c1", "FindMax")
+        assert reached(matrix, "never-recorded", "anything")
+        assert not reached(matrix, "c1", "FindMin")
+        assert reached(matrix, "c1", "FindMax")
 
     def test_traced_reference_identical_to_untraced(self):
         from repro.harness.executor import TestExecutor
@@ -256,15 +177,6 @@ class TestMatrixRecording:
         analysis = MutationAnalysis(CSortableObList, suite, coverage=matrix,
                                     check_invariants=False)
         assert analysis.coverage_matrix() is matrix
-
-    def test_density_observability(self):
-        suite = mixed_suite(SEEDS[0], limit=30)
-        _, matrix = record_coverage(CSortableObList, suite)
-        density = matrix.density("FindMax")
-        assert 0.0 <= density <= 1.0
-        assert len(matrix.cases_covering("FindMax")) == round(
-            density * len(matrix)
-        )
 
 
 def called_after_the_reference_pass():
@@ -317,37 +229,7 @@ class TestExternalProfilers:
 
 
 class TestPrunedEqualsUnpruned:
-    """3 seeds × workers {1, 2}: pruned ≡ exhaustive, modulo case counters."""
-
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_differential(self, seed, workers, findmax_mutants):
-        suite = mixed_suite(seed)
-
-        def run(prune):
-            engine = (ParallelMutationAnalysis if workers > 1
-                      else MutationAnalysis)
-            return engine(
-                CSortableObList, suite, oracle=oracle(), prune=prune,
-                **({"workers": workers} if workers > 1 else {}),
-            ).analyze(findmax_mutants)
-
-        pruned = run(prune=True)
-        exhaustive = run(prune=False)
-
-        assert pruned.same_results(exhaustive)
-        assert pruned.step_timeouts == exhaustive.step_timeouts
-        for mine, theirs in zip(pruned.outcomes, exhaustive.outcomes):
-            assert mine.killed == theirs.killed
-            assert mine.reason is theirs.reason
-            assert mine.killing_case == theirs.killing_case
-            assert mine.killing_cases == theirs.killing_cases
-            assert mine.detail == theirs.detail
-        # The whole point: strictly fewer cases executed, the difference
-        # fully accounted for by the skip counters.
-        assert pruned.cases_skipped > 0
-        assert pruned.cases_executed < exhaustive.cases_executed
-        assert exhaustive.cases_skipped == 0
+    """Case counters, shared state and the step budget under pruning."""
 
     @pytest.mark.parametrize("stop_on_first_kill", (True, False))
     def test_case_counters_follow_suite_order(self, findmax_mutants,
@@ -367,12 +249,9 @@ class TestPrunedEqualsUnpruned:
             considered = order
             if outcome.killed and stop_on_first_kill:
                 considered = order[:order.index(outcome.killing_case) + 1]
-            line = mutated_line(mutant)
-            skipped = sum(
-                matrix.first_call(ident, outcome.mutant.method_name, line)
-                is None
-                for ident in considered
-            )
+            skipped = matrix.first_calls(
+                considered, outcome.mutant.method_name, mutated_line(mutant)
+            ).count(NEVER)
             assert outcome.cases_skipped == skipped
             assert outcome.cases_run == len(considered) - skipped
             cut_short += len(considered) < len(order)
@@ -387,9 +266,10 @@ class TestPrunedEqualsUnpruned:
         methods = ("UpdateName", "UpdateQty", "UpdatePrice", "UpdateProv",
                    "ShowAttributes", "InsertProduct", "RemoveProduct")
         mutants, _ = generate_mutants(Product, methods)
-        pruned, exhaustive = pruned_and_exhaustive(
-            Product, suite, mutants, workers=1,
-            setup=reset_database, static_triage=False,
+        pruned, exhaustive = (
+            MutationAnalysis(Product, suite, prune=prune, setup=reset_database,
+                             static_triage=False).analyze(mutants)
+            for prune in (True, False)
         )
         assert pruned.same_results(exhaustive)
         assert pruned.cases_skipped == 0
@@ -431,65 +311,17 @@ class TestPrunedEqualsUnpruned:
 
 
 class TestLineLevelPruning:
-    """Skipped cases and unguarded prefixes where lines are easy to miss."""
-
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    @pytest.mark.parametrize("subject", sorted(LINE_SUBJECTS))
-    def test_differential(self, subject, workers):
-        cut_class, method, suite = LINE_SUBJECTS[subject]
-        mutants, _ = generate_mutants(cut_class, [method])
-        pruned, exhaustive = pruned_and_exhaustive(
-            cut_class, suite, mutants, workers,
-            static_triage=False,
-        )
-        assert exhaustive.killed
-        assert pruned.same_results(exhaustive)
-        assert pruned.step_timeouts == exhaustive.step_timeouts
-        assert pruned.cases_skipped > 0
-        if subject == "endless loop at step 3":
-            assert exhaustive.step_timeouts > 0
+    """A method bound under two names is covered under both."""
 
     def test_every_bound_name_is_covered(self):
-        cut_class, _, suite = LINE_SUBJECTS["aliased method"]
+        cut_class, _, suite = LINE_SUBJECTS["alias"]
         _, matrix = record_coverage(cut_class, suite)
-        # TC1 calls neither name; TC2 reaches the shared code first
-        # through Bump, at call 2 (constructor, invariant, Bump).
+        # TC1 calls neither name; TC0 enters the shared code through
+        # Increment and TC2 through Bump, both at call 2 (constructor,
+        # invariant, then the method).
         for name in ("Bump", "Increment"):
-            assert matrix.cases_covering(name) == ("TC0", "TC2")
-            assert matrix.first_call("TC2", name) == 2
-
-
-class TestIndirectKillSoundness:
-    """Mutants in ``IsSorted``, reached only through postconditions.
-
-    If pruning consulted static step names it would skip every case of
-    ``indirect_suite`` for these mutants and the kills would vanish; the
-    dynamic matrix keeps them.
-    """
-
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_indirect_kills_survive_pruning(self, seed, workers,
-                                            issorted_mutants):
-        suite = indirect_suite(seed)
-
-        def run(prune):
-            engine = (ParallelMutationAnalysis if workers > 1
-                      else MutationAnalysis)
-            return engine(
-                CSortableObList, suite, oracle=oracle(), prune=prune,
-                **({"workers": workers} if workers > 1 else {}),
-            ).analyze(issorted_mutants)
-
-        pruned = run(prune=True)
-        exhaustive = run(prune=False)
-        assert pruned.same_results(exhaustive)
-        # The suite must actually be able to kill through the indirect
-        # edge, otherwise this test proves nothing.
-        assert pruned.killed
-        for mine, theirs in zip(pruned.outcomes, exhaustive.outcomes):
-            assert mine.killed == theirs.killed
-            assert mine.killing_case == theirs.killing_case
+            assert matrix.first_calls(("TC0", "TC1", "TC2"), name) == bytes(
+                (2, NEVER, 2))
 
 
 class TestCacheIsolation:
@@ -533,43 +365,3 @@ class TestCacheIsolation:
         # Replayed outcomes preserve the skip accounting of the cold run.
         for mine, theirs in zip(warm.outcomes, cold.outcomes):
             assert mine.cases_skipped == theirs.cases_skipped
-
-    def test_parallel_warm_after_serial_pruned_cold(self, findmax_mutants,
-                                                    tmp_path):
-        suite = mixed_suite(SEEDS[1])
-        cache = MutationOutcomeCache(tmp_path)
-        cold = MutationAnalysis(
-            CSortableObList, suite, oracle=oracle(), cache=cache, prune=True,
-        ).analyze(findmax_mutants)
-        warm = ParallelMutationAnalysis(
-            CSortableObList, suite, oracle=oracle(), workers=2, cache=cache,
-            prune=True,
-        ).analyze(findmax_mutants)
-        assert warm.cache_stats.hits == len(findmax_mutants)
-        assert warm.same_results(cold)
-
-
-class TestBaseClassMutantsThroughSubclass:
-    """Experiment 2's shape: mutants in the base, coverage on the subclass."""
-
-    def test_pruned_equals_unpruned_with_class_builder(self):
-        from repro.mutation.mutant import rebuild_subclass
-
-        mutants, _ = generate_mutants(
-            CObList, ["RemoveHead"], ident_prefix="B",
-            type_model=OBLIST_TYPE_MODEL,
-        )
-        suite = mixed_suite(SEEDS[0], limit=50)
-        builder = (lambda m:
-                   rebuild_subclass(CSortableObList, CObList, m.build_class()))
-
-        def run(prune):
-            return MutationAnalysis(
-                CSortableObList, suite, class_builder=builder,
-                oracle=oracle(), prune=prune,
-            ).analyze(mutants[:12])
-
-        pruned = run(prune=True)
-        exhaustive = run(prune=False)
-        assert pruned.same_results(exhaustive)
-        assert pruned.killed  # base faults still visible through the subclass

@@ -388,6 +388,17 @@ def test_cli_run_filter_and_shard(tmp_path, capsys):
     assert "sweep: 2 scenarios" in capsys.readouterr().out
 
 
+def test_cli_run_refuses_a_negative_max_scenarios(tmp_path, capsys):
+    # It used to run all but the last scenario and pass the gate.
+    registry = _registry_file(tmp_path)
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main(["run", "--registry", registry, "--max-scenarios", "-1",
+                  "--workspace", str(tmp_path / "ws")])
+    assert exit_info.value.code == 2
+    assert ("--max-scenarios: must be at least 0, got -1"
+            in capsys.readouterr().err)
+
+
 def test_cli_report_merges_shards(tmp_path, capsys):
     registry = _registry_file(tmp_path)
     shard_paths = []
