@@ -18,15 +18,17 @@ count, which the digest leaves out, must equal the first cell's.  A warm
 cell replays the store that the cold cell before it with the same prune
 setting filled, so it crosses engines and batch sizes, and must miss
 nothing; a cold cell must hit nothing; a traced cell's events must pass
-the trace schema.
+the trace schema.  Per table, the pruned cells must account for every
+case: their executed plus skipped cases must equal the cases each
+exhaustive cell executes, and they must execute at least 30 % fewer.
 
 From the repository root::
 
     PYTHONPATH=src python benchmarks/config_lattice.py
 
-Exit status 0 when every run passes these checks, 1 otherwise.  The
-small-battery form of this check, which covers every value pair of the
-axis pairs, is ``tests/mutation/test_config_lattice.py``.
+Exit status 0 when every run and both tables pass these checks, 1
+otherwise.  The small-battery form of this check, which covers every
+value pair of the axis pairs, is ``tests/mutation/test_config_lattice.py``.
 """
 
 from __future__ import annotations
@@ -58,6 +60,10 @@ from repro.mutation.parallel import ParallelMutationAnalysis
 from repro.obs import MemorySink, Telemetry, validate_event
 
 GOLDEN = Path(__file__).resolve().parent / "e2e" / "golden.json"
+
+#: The least share of the exhaustive cells' case executions that the
+#: pruned cells must skip.
+MIN_PRUNED_SHARE = 0.30
 
 
 class Cell(NamedTuple):
@@ -124,9 +130,11 @@ def verdict_lines(label: str, run: MutationRun) -> List[str]:
 
 
 def run_cell(cell: Cell, batteries: List[Battery], mutants: Sequence,
-             stores: Path) -> Tuple[str, List[int], List[str]]:
+             stores: Path) -> Tuple[str, List[int], Tuple[int, int],
+                                    List[str]]:
     """The verdict digest of the batteries under ``cell``, their step
-    timeouts, and what else the cell got wrong."""
+    timeouts, the cases they executed and skipped, and what else the cell
+    got wrong."""
     cache = None
     if cell.store != "none":
         cache = MutationOutcomeCache(stores / ("prune" if cell.prune
@@ -136,6 +144,7 @@ def run_cell(cell: Cell, batteries: List[Battery], mutants: Sequence,
     problems: List[str] = []
     lines: List[str] = []
     timeouts: List[int] = []
+    executed = skipped = 0
     for label, original_class, suite, options in batteries:
         options = dict(options, cache=cache, prune=cell.prune,
                        static_triage=True,
@@ -153,6 +162,8 @@ def run_cell(cell: Cell, batteries: List[Battery], mutants: Sequence,
         run = analysis.analyze(mutants)
         lines += verdict_lines(label, run)
         timeouts.append(run.step_timeouts)
+        executed += run.cases_executed
+        skipped += run.cases_skipped
         stats = run.cache_stats
         if cell.store == "cold" and stats.hits:
             problems.append(f"{label or 'run'}: {stats.hits} hits in a "
@@ -167,20 +178,46 @@ def run_cell(cell: Cell, batteries: List[Battery], mutants: Sequence,
         for event in sink.events:
             validate_event(event)
     digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
-    return digest, timeouts, problems
+    return digest, timeouts, (executed, skipped), problems
+
+
+def pruning_problems(cases: List[Tuple[Cell, int, int]]) -> List[str]:
+    """What one table's ``(cell, executed, skipped)`` case counts get
+    wrong: every pruned cell must execute or skip exactly the cases every
+    exhaustive cell executes, and execute ``MIN_PRUNED_SHARE`` fewer."""
+    exhaustive = sorted({executed for cell, executed, _ in cases
+                         if not cell.prune})
+    if len(exhaustive) != 1:
+        return [f"exhaustive cells executed {exhaustive} cases"]
+    full = exhaustive[0]
+    problems = []
+    for cell, executed, skipped in cases:
+        if not cell.prune:
+            continue
+        if executed + skipped != full:
+            problems.append(f"{cell.ident} executed {executed} + skipped "
+                            f"{skipped} cases, exhaustive cells executed "
+                            f"{full}")
+        if executed > (1 - MIN_PRUNED_SHARE) * full:
+            problems.append(f"{cell.ident} executed {executed} of {full} "
+                            f"cases, fewer than {MIN_PRUNED_SHARE:.0%} "
+                            f"skipped")
+    return problems
 
 
 def main() -> int:
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))["entries"]
     failures = 0
     first_timeouts = {}
+    cases = {table: [] for table in TABLES}
     with tempfile.TemporaryDirectory() as directory:
         inputs = {table: build() for table, build in TABLES.items()}
         for cell in CELLS:
             for table, (batteries, mutants) in inputs.items():
                 started = time.perf_counter()
-                digest, timeouts, problems = run_cell(
+                digest, timeouts, (executed, skipped), problems = run_cell(
                     cell, batteries, mutants, Path(directory) / table)
+                cases[table].append((cell, executed, skipped))
                 expected_timeouts = first_timeouts.setdefault(table, timeouts)
                 if timeouts != expected_timeouts:
                     problems.append(f"step timeouts {timeouts}, first cell "
@@ -198,6 +235,17 @@ def main() -> int:
     print(f"{len(CELLS) * len(TABLES) - failures} of "
           f"{len(CELLS) * len(TABLES)} lattice runs reproduce the golden "
           f"verdicts")
+    for table, table_cases in cases.items():
+        problems = pruning_problems(table_cases)
+        failures += bool(problems)
+        pruned = max(executed for cell, executed, _ in table_cases
+                     if cell.prune)
+        full = max(executed for cell, executed, _ in table_cases
+                   if not cell.prune)
+        print(f"{table} pruning: " + ("; ".join(problems) or (
+            f"pruned cells execute {pruned} of the {full} cases exhaustive "
+            f"cells execute ({1 - pruned / full:.1%} fewer) and skip the "
+            f"rest")), flush=True)
     return 1 if failures else 0
 
 

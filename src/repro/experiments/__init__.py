@@ -4,6 +4,10 @@ One module per regenerated artefact: :mod:`table1` (operators),
 :mod:`table2` (experiment 1), :mod:`table3` (experiment 2),
 :mod:`figures` (Figures 1–7), :mod:`ablations` (design-decision studies),
 with the shared configuration in :mod:`config`.
+
+The table modules are ``python -m`` entry points, so the package does not
+import them (runpy warns about a module imported before it runs); import
+``run_table1`` and friends from the submodules.
 """
 
 from .ablations import (
@@ -39,9 +43,6 @@ from .figures import (
     figure67_generated_driver,
     provider_binding,
 )
-from .table1 import OPERATOR_DEFINITIONS, OperatorDemo, Table1Result, run_table1
-from .table2 import Table2Result, run_table2
-from .table3 import Table3Result, run_table3
 
 __all__ = [
     "CoverageAblationResult",
@@ -50,16 +51,11 @@ __all__ = [
     "Figure2Result",
     "Figure45Result",
     "Figure67Result",
-    "OPERATOR_DEFINITIONS",
-    "OperatorDemo",
     "OracleAblationResult",
     "OverheadResult",
     "SubclassOverMutantBase",
     "TABLE2_METHODS",
     "TABLE3_METHODS",
-    "Table1Result",
-    "Table2Result",
-    "Table3Result",
     "coverage_ablation",
     "edge_bound_ablation",
     "figure1_product_interface",
@@ -72,9 +68,6 @@ __all__ = [
     "oblist_suite",
     "oracle_ablation",
     "provider_binding",
-    "run_table1",
-    "run_table2",
-    "run_table3",
     "sortable_oracle",
     "sortable_suite",
     "subclass_over_mutant_base",

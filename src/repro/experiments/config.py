@@ -24,8 +24,8 @@ paper rationale:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
+from dataclasses import dataclass, replace
+from typing import Optional, Tuple
 
 from ..components import (
     CObList,
@@ -61,6 +61,20 @@ def sortable_suite(seed: int = EXPERIMENT_SEED) -> TestSuite:
 def oblist_suite(seed: int = EXPERIMENT_SEED) -> TestSuite:
     """The base-class suite for ``CObList`` (the subclass's reuse pool)."""
     return DriverGenerator(CObList.__tspec__, seed=seed).generate()
+
+
+def truncated_suite(suite: TestSuite, max_cases: Optional[int]) -> TestSuite:
+    """``suite`` cut to its first ``max_cases`` cases; ``None`` keeps it all.
+
+    A smoke hook, not a paper configuration.  A count below 1 would slice
+    from the end or leave an empty suite that scores 0.0 %, so it is a
+    ``ValueError``, as ``--max-cases`` is a usage error on the CLIs.
+    """
+    if max_cases is None:
+        return suite
+    if max_cases < 1:
+        raise ValueError(f"max_cases must be at least 1, got {max_cases}")
+    return replace(suite, cases=suite.cases[:max_cases])
 
 
 def incremental_plan(seed: int = EXPERIMENT_SEED) -> IncrementalPlan:

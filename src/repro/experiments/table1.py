@@ -17,7 +17,7 @@ executes zero mutant test cases while printing identical rows.
 from __future__ import annotations
 
 import argparse
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 from ..components import CObList, CSortableObList, OBLIST_TYPE_MODEL
@@ -49,6 +49,7 @@ from .config import (
     TABLE3_METHODS,
     sortable_oracle,
     sortable_suite,
+    truncated_suite,
 )
 
 #: Operator definitions, verbatim from Table 1.
@@ -171,16 +172,16 @@ def run_table1(workers: int = 1,
     mutant×case pruning (verdicts are identical either way),
     ``static_triage=False`` disables the static equivalent-mutant triage
     pass (triaged mutants are never dispatched; every *executed* mutant's
-    verdict is identical either way), and ``max_cases`` truncates the
-    suite (smoke/CI hook).  ``telemetry`` attaches a run-telemetry session
-    to the analysis run; rows are identical with or without it.
+    verdict is identical either way), and ``max_cases`` (at least 1)
+    truncates the suite (smoke/CI hook).  ``telemetry`` attaches a
+    run-telemetry session to the analysis run; rows are identical with or
+    without it.
     """
+    suite = (truncated_suite(sortable_suite(seed), max_cases)
+             if with_analysis else None)
     demos = tuple(_operator_demo(operator) for operator in ALL_OPERATORS)
     run = None
-    if with_analysis:
-        suite = sortable_suite(seed)
-        if max_cases is not None:
-            suite = replace(suite, cases=suite.cases[:max_cases])
+    if suite is not None:
         mutants, _ = generate_mutants(
             CSortableObList, TABLE2_METHODS, type_model=OBLIST_TYPE_MODEL,
             telemetry=telemetry,

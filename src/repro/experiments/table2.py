@@ -17,7 +17,7 @@ Paper reference points (for EXPERIMENTS.md):
 from __future__ import annotations
 
 import argparse
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from ..components import CSortableObList, OBLIST_TYPE_MODEL
@@ -49,6 +49,7 @@ from .config import (
     TABLE2_METHODS,
     sortable_oracle,
     sortable_suite,
+    truncated_suite,
 )
 
 
@@ -75,7 +76,6 @@ class Table2Result:
 def run_table2(seed: int = EXPERIMENT_SEED,
                methods: Tuple[str, ...] = TABLE2_METHODS,
                with_equivalence: bool = True,
-               stop_on_first_kill: bool = True,
                workers: int = 1,
                max_cases: Optional[int] = None,
                cache: Optional[MutationOutcomeCache] = None,
@@ -85,8 +85,9 @@ def run_table2(seed: int = EXPERIMENT_SEED,
     """Execute experiment 1 end to end.
 
     ``workers > 1`` runs the mutant battery on the parallel engine (results
-    are field-for-field identical to the serial run).  ``max_cases``
-    truncates the suite — a smoke/bench hook, not a paper configuration.
+    are field-for-field identical to the serial run).  ``max_cases`` (at
+    least 1) truncates the suite — a smoke/bench hook, not a paper
+    configuration.
     ``cache`` replays unchanged mutant verdicts from the incremental
     outcome cache (cached runs are ``same_results``-identical to fresh);
     ``prune=False`` disables coverage-guided mutant×case pruning (verdicts
@@ -97,9 +98,7 @@ def run_table2(seed: int = EXPERIMENT_SEED,
     untriaged run.  ``telemetry`` attaches a run-telemetry session (rows
     are identical with or without it).
     """
-    suite = sortable_suite(seed)
-    if max_cases is not None:
-        suite = replace(suite, cases=suite.cases[:max_cases])
+    suite = truncated_suite(sortable_suite(seed), max_cases)
     mutants, generation = generate_mutants(
         CSortableObList, methods, type_model=OBLIST_TYPE_MODEL,
         telemetry=telemetry,
@@ -110,7 +109,6 @@ def run_table2(seed: int = EXPERIMENT_SEED,
         mutants,
         workers=workers,
         oracle=sortable_oracle(),
-        stop_on_first_kill=stop_on_first_kill,
         cache=cache,
         prune=prune,
         static_triage=static_triage,

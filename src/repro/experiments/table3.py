@@ -16,11 +16,10 @@ can also run the base class's own full suite and the subclass's full
 from __future__ import annotations
 
 import argparse
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from ..components import CObList, CSortableObList, OBLIST_TYPE_MODEL
-from ..generator.suite import TestSuite
 from ..history.incremental import IncrementalPlan
 from ..mutation.analysis import MutationRun, analyze_mutants
 from ..mutation.cache import MutationOutcomeCache
@@ -52,6 +51,7 @@ from .config import (
     sortable_oracle,
     sortable_suite,
     subclass_over_mutant_base,
+    truncated_suite,
 )
 
 
@@ -93,12 +93,6 @@ class Table3Result:
         return "; ".join(parts)
 
 
-def _truncated(suite: TestSuite, max_cases: Optional[int]) -> TestSuite:
-    if max_cases is None:
-        return suite
-    return replace(suite, cases=suite.cases[:max_cases])
-
-
 def run_table3(seed: int = EXPERIMENT_SEED,
                methods: Tuple[str, ...] = TABLE3_METHODS,
                with_contrast_runs: bool = False,
@@ -114,10 +108,11 @@ def run_table3(seed: int = EXPERIMENT_SEED,
     base class's own suite and under the subclass's full suite — the
     comparison that substantiates the "retest inherited features" message.
     ``workers > 1`` runs every mutant battery on the parallel engine
-    (serial-identical results); ``max_cases`` truncates the suites — a
-    smoke/bench hook, not a paper configuration.  ``cache`` is shared by
-    all three batteries: each run's entries are keyed by its own suite,
-    oracle and builder, so the contrast runs never cross-contaminate.
+    (serial-identical results); ``max_cases`` (at least 1) truncates the
+    suites — a smoke/bench hook, not a paper configuration.  ``cache`` is
+    shared by all three batteries: each run's entries are keyed by its own
+    suite, oracle and builder, so the contrast runs never
+    cross-contaminate.
     ``prune=False`` disables coverage-guided mutant×case pruning (verdicts
     are identical either way; pruning here must see through inheritance —
     base-class mutants are reached via inherited subclass methods, which
@@ -138,7 +133,7 @@ def run_table3(seed: int = EXPERIMENT_SEED,
     def analysis(original_class, suite, oracle, class_builder=None):
         return analyze_mutants(
             original_class,
-            _truncated(suite, max_cases),
+            truncated_suite(suite, max_cases),
             mutants,
             workers=workers,
             oracle=oracle,

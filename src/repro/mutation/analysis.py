@@ -709,8 +709,10 @@ def analyze_mutants(original_class: type, suite: TestSuite,
     misses on the process pool
     (:class:`~repro.mutation.parallel.ParallelMutationAnalysis`, at its
     adaptive batch size), whose result is field-for-field identical to
-    the serial run.
+    the serial run.  A count below 1 is a ``ValueError``.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     if workers > 1:
         from .parallel import ParallelMutationAnalysis
 

@@ -16,20 +16,23 @@ analysis: idents forced equivalent, and idents forced non-equivalent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..core.errors import MutationError
 from ..generator.driver import DriverGenerator
-from ..generator.values import TypeBinding
 from ..harness.oracles import KillReason
 from ..tspec.model import ClassSpec
-from .analysis import ClassBuilder, MutationAnalysis
+from .analysis import MutationAnalysis
 from .mutant import CompiledMutant
-from .sandbox import DEFAULT_STEP_BUDGET
 from .triage import StaticTriage, TriageStatus
 
 #: Probe seeds: several independent suites to reduce sampling luck.
 DEFAULT_PROBE_SEEDS = (101, 202, 303)
+
+#: The probe suites' loop bound (the main suites use 1) and the share of
+#: argument values drawn from the domain boundaries.
+PROBE_EDGE_BOUND = 2
+PROBE_BOUNDARY_PROBABILITY = 0.3
 
 
 @dataclass(frozen=True)
@@ -59,15 +62,9 @@ class EquivalenceReport:
 def probe_equivalence(original_class: type,
                       spec: ClassSpec,
                       survivors: Sequence[CompiledMutant],
-                      class_builder: Optional[ClassBuilder] = None,
-                      bindings: Optional[TypeBinding] = None,
                       seeds: Sequence[int] = DEFAULT_PROBE_SEEDS,
-                      edge_bound: int = 2,
-                      boundary_probability: float = 0.3,
                       extra_variants: int = 2,
                       max_transactions: int = 2000,
-                      step_budget: int = DEFAULT_STEP_BUDGET,
-                      setup: Optional[Callable[[], None]] = None,
                       manual_equivalent: Sequence[str] = (),
                       manual_not_equivalent: Sequence[str] = (),
                       triage: Optional[StaticTriage] = None,
@@ -75,8 +72,9 @@ def probe_equivalence(original_class: type,
     """Deep-probe the survivors and classify them.
 
     The probe suites intentionally exceed the main suite: a higher edge
-    bound exercises loops twice, boundary mixing hits domain extremes, and
-    multiple seeds vary the data.
+    bound (:data:`PROBE_EDGE_BOUND`) exercises loops twice, boundary mixing
+    (:data:`PROBE_BOUNDARY_PROBABILITY`) hits domain extremes, and multiple
+    seeds vary the data.
 
     Manual-override idents must name actual survivors: an unknown ident is
     a configuration error (most likely a typo that would otherwise vanish
@@ -135,9 +133,8 @@ def probe_equivalence(original_class: type,
         probe_suite = DriverGenerator(
             spec,
             seed=seed,
-            bindings=bindings,
-            edge_bound=edge_bound,
-            boundary_probability=boundary_probability,
+            edge_bound=PROBE_EDGE_BOUND,
+            boundary_probability=PROBE_BOUNDARY_PROBABILITY,
             extra_variants=extra_variants,
             max_transactions=max_transactions,
         ).generate()
@@ -148,9 +145,6 @@ def probe_equivalence(original_class: type,
         analysis = MutationAnalysis(
             original_class,
             probe_suite,
-            class_builder=class_builder,
-            step_budget=step_budget,
-            setup=setup,
             static_triage=False,
         )
         run = analysis.analyze(pending)

@@ -235,7 +235,6 @@ def build_battery(target: type, method_names: Sequence[str],
                   operator_names: Optional[Sequence[str]] = None,
                   type_model: Optional[TypeModel] = None,
                   max_mutants: int = 0,
-                  ident_prefix: str = "M",
                   telemetry: Optional[Telemetry] = None,
                   ) -> Tuple[List[CompiledMutant], GenerationReport, bool]:
     """A mutant battery from declarative inputs (registry entries).
@@ -253,7 +252,6 @@ def build_battery(target: type, method_names: Sequence[str],
     mutants, report = generate_mutants(
         target, method_names,
         operators=operators,
-        ident_prefix=ident_prefix,
         type_model=type_model,
         telemetry=telemetry,
     )

@@ -249,8 +249,8 @@ class WorkerPool:
     served one after the other.
     """
 
-    def __init__(self, context=None):
-        self._context = context if context is not None else _mp_context()
+    def __init__(self):
+        self._context = _mp_context()
         self.workers: List[_Worker] = []
         self._closed = False
         self._lock = threading.Lock()
@@ -688,11 +688,12 @@ class ParallelMutationAnalysis(MutationAnalysis):
 
     Accepts the configuration of :class:`MutationAnalysis` plus the pool
     shape, by keyword: ``workers`` (the most batches this run keeps in
-    flight, and the width it may grow the pool to; default the CPU
-    count), ``wall_clock_backstop`` (seconds a worker may stay silent on
-    a mutant), ``batch_size`` (mutants per dispatch chunk; default
-    adaptive) and ``pool`` (an explicit :class:`WorkerPool`; default the
-    process-wide shared pool, which keeps workers warm across batteries).
+    flight, and the width it may grow the pool to; at least 1, default
+    the CPU count), ``wall_clock_backstop`` (seconds a worker may stay
+    silent on a mutant), ``batch_size`` (mutants per dispatch chunk;
+    default adaptive) and ``pool`` (an explicit :class:`WorkerPool`;
+    default the process-wide shared pool, which keeps workers warm across
+    batteries).
     Every configuration object (suite, oracle, class builder, setup hook)
     must be picklable because workers are rebuilt from them; all shipped
     configurations in :mod:`repro.experiments.config` are.
@@ -704,13 +705,15 @@ class ParallelMutationAnalysis(MutationAnalysis):
                  batch_size: Optional[int] = None,
                  pool: Optional[WorkerPool] = None,
                  **options):
+        if workers is not None and workers < 1:
+            raise ValueError(f"workers must be at least 1, got {workers}")
         if wall_clock_backstop <= 0:
             raise ValueError("wall-clock backstop must be positive")
         if batch_size is not None and batch_size < 1:
             raise ValueError("batch size must be at least 1")
         super().__init__(original_class, suite, *args, **options)
-        self._workers = max(1, workers if workers is not None
-                            else (os.cpu_count() or 1))
+        self._workers = (workers if workers is not None
+                         else (os.cpu_count() or 1))
         self._backstop = wall_clock_backstop
         self._batch_size = batch_size
         self._pool = pool

@@ -163,7 +163,6 @@ class ScoreTable:
 def build_score_table(run: MutationRun,
                       equivalence: Optional[EquivalenceReport] = None,
                       methods: Optional[Sequence[str]] = None,
-                      operators: Sequence[str] = OPERATOR_NAMES,
                       ) -> ScoreTable:
     """Assemble the Table-2/3 view from a run (+ optional equivalence pass).
 
@@ -182,16 +181,18 @@ def build_score_table(run: MutationRun,
         methods = ordered
 
     per_method: Dict[Tuple[str, str], int] = {}
-    generated: Dict[str, int] = {operator: 0 for operator in operators}
-    killed: Dict[str, int] = {operator: 0 for operator in operators}
-    equivalent: Dict[str, int] = {operator: 0 for operator in operators}
-    static_equivalent: Dict[str, int] = {operator: 0 for operator in operators}
+    generated: Dict[str, int] = {operator: 0 for operator in OPERATOR_NAMES}
+    killed: Dict[str, int] = {operator: 0 for operator in OPERATOR_NAMES}
+    equivalent: Dict[str, int] = {operator: 0 for operator in OPERATOR_NAMES}
+    static_equivalent: Dict[str, int] = {
+        operator: 0 for operator in OPERATOR_NAMES
+    }
     assertion_kills = 0
 
     for outcome in run.outcomes:
         operator = outcome.mutant.operator
         if operator not in generated:
-            continue  # an operator outside the requested columns
+            continue  # an operator outside the Table 1 columns
         key = (outcome.mutant.method_name, operator)
         per_method[key] = per_method.get(key, 0) + 1
         generated[operator] += 1
@@ -215,12 +216,12 @@ def build_score_table(run: MutationRun,
             equivalent=equivalent[operator],
             static_equivalent=static_equivalent[operator],
         )
-        for operator in operators
+        for operator in OPERATOR_NAMES
     )
     return ScoreTable(
         class_name=run.class_name,
         methods=tuple(methods),
-        operators=tuple(operators),
+        operators=OPERATOR_NAMES,
         per_method=per_method,
         columns=columns,
         assertion_kills=assertion_kills,

@@ -673,7 +673,14 @@ class SweepRunner:
             shard: Optional[Tuple[int, int]] = None,
             max_scenarios: int = 0,
             progress: Optional[ProgressCallback] = None) -> SweepReport:
-        """Execute the (filtered, sharded) registry and aggregate."""
+        """Execute the (filtered, sharded) registry and aggregate.
+
+        ``max_scenarios > 0`` runs only the first that many; 0 runs all.
+        """
+        if max_scenarios < 0:
+            raise ScenarioError(
+                f"max_scenarios must be at least 0, got {max_scenarios}"
+            )
         started = time.perf_counter()
         selected = self._registry.filtered(filter_expression)
         if shard is not None:

@@ -3,38 +3,49 @@
 These are deliberately small: one method, a truncated suite.  They pin
 down the *shape* of each table (rows, operators, totals that must agree),
 that ``workers=2`` reaches the parallel engine and reproduces the
-``workers=1`` rows, and that the CLIs refuse counts they cannot honour —
-without paying for the full paper workloads.
+``workers=1`` rows, and that the runners and CLIs refuse counts they
+cannot honour — without paying for the full paper workloads.
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from repro.experiments import (
-    OPERATOR_DEFINITIONS,
-    TABLE2_METHODS,
-    TABLE3_METHODS,
-    run_table1,
-    run_table2,
-    run_table3,
-)
-from repro.experiments.table2 import main as table2_main
-from repro.experiments.table3 import main as table3_main
+from repro.experiments import TABLE2_METHODS, TABLE3_METHODS
+from repro.experiments.table1 import OPERATOR_DEFINITIONS, run_table1
+from repro.experiments.table2 import main as table2_main, run_table2
+from repro.experiments.table3 import main as table3_main, run_table3
 from repro.mutation.operators import ALL_OPERATORS
 
 OPERATOR_NAMES = tuple(operator.name for operator in ALL_OPERATORS)
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 class TestTable1:
-    def test_row_shape(self):
-        result = run_table1()
+    @pytest.fixture(scope="class")
+    def result(self):
+        return run_table1()
+
+    def test_row_shape(self, result):
         assert len(result.demos) == len(OPERATOR_NAMES)
         assert tuple(demo.operator for demo in result.demos) == OPERATOR_NAMES
         for demo in result.demos:
             assert demo.definition == OPERATOR_DEFINITIONS[demo.operator]
             assert 0 < demo.typed_mutants <= demo.untyped_mutants
             assert demo.example != "<no mutants>"
+
+    def test_format_contains_table_header(self, result):
+        assert "Table 1" in result.format()
+
+    def test_demo_lookup(self, result):
+        assert result.demo_for("IndVarBitNeg").operator == "IndVarBitNeg"
+        with pytest.raises(KeyError):
+            result.demo_for("Bogus")
 
 
 class TestTable2:
@@ -91,7 +102,35 @@ class TestTable3:
         assert TABLE3_METHODS == ("AddHead", "RemoveAt", "RemoveHead")
 
 
+class TestRunnersRefuseCounts:
+    @pytest.mark.parametrize("max_cases", [-620, 0])
+    @pytest.mark.parametrize("runner,options", [
+        (run_table1, {"with_analysis": True}),
+        (run_table2, {"methods": ("FindMax",), "with_equivalence": False}),
+        (run_table3, {"methods": ("RemoveHead",)}),
+    ], ids=("table1", "table2", "table3"))
+    def test_max_cases_below_one(self, runner, options, max_cases):
+        # A negative count sliced from the end and 0 left an empty suite;
+        # either scored 0.0 % instead of failing as --max-cases does.
+        with pytest.raises(ValueError, match="max_cases must be at least 1"):
+            runner(max_cases=max_cases, **options)
+
+
 class TestCommandLine:
+    @pytest.mark.parametrize("table", ["table1", "table2", "table3"])
+    def test_module_runs_without_runpy_warning(self, table):
+        # The package used to import the table modules, so runpy found
+        # each one already imported before running it as __main__.
+        env = dict(os.environ)
+        src = str(REPO_ROOT / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        completed = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning",
+             "-m", f"repro.experiments.{table}", "--help"],
+            capture_output=True, text=True, env=env, cwd=REPO_ROOT,
+        )
+        assert completed.returncode == 0, completed.stderr
+
     def test_table2_cli_smoke(self, capsys):
         exit_code = table2_main([
             "--methods", "FindMax", "--max-cases", "40",

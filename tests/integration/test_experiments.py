@@ -7,10 +7,7 @@ stays fast.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.experiments import (
-    OPERATOR_DEFINITIONS,
     figure1_product_interface,
     figure2_product_tfm,
     figure3_tspec_roundtrip,
@@ -18,9 +15,9 @@ from repro.experiments import (
     figure67_generated_driver,
     edge_bound_ablation,
     incremental_plan,
-    run_table1,
     test_mode_overhead as _test_mode_overhead,
 )
+from repro.experiments.table1 import OPERATOR_DEFINITIONS, run_table1
 
 
 class TestTable1:
@@ -32,15 +29,6 @@ class TestTable1:
             assert demo.untyped_mutants >= demo.typed_mutants
             assert demo.definition == OPERATOR_DEFINITIONS[demo.operator]
             assert demo.example != "<no mutants>"
-
-    def test_format_contains_table_header(self):
-        assert "Table 1" in run_table1().format()
-
-    def test_demo_lookup(self):
-        result = run_table1()
-        assert result.demo_for("IndVarBitNeg").operator == "IndVarBitNeg"
-        with pytest.raises(KeyError):
-            result.demo_for("Bogus")
 
 
 class TestFigures:

@@ -221,6 +221,16 @@ class TestWallClockBackstopRobustness:
                 wall_clock_backstop=0.0,
             )
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_worker_counts_below_one_rejected(self, workers):
+        # ``analyze_mutants`` ran the serial engine at 0, and the engine
+        # clamped -3 to one worker.
+        suite = small_suite(SEEDS[0])
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            analyze_mutants(CSortableObList, suite, [], workers=workers)
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            ParallelMutationAnalysis(CSortableObList, suite, workers=workers)
+
 
 class TestCrashAndHangVerdictsNeverStored:
     """Worker-boundary kills depend on scheduling, not on fingerprinted

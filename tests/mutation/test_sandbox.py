@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import sys
+import time
 
 import pytest
 
@@ -82,6 +83,36 @@ class TestStepBudgetGuard:
     def test_invalid_budget(self):
         with pytest.raises(ValueError):
             StepBudgetGuard(budget=0)
+
+
+def best_of_five(function):
+    """The shortest of five timed calls of ``function``."""
+    times = []
+    for _ in range(5):
+        started = time.perf_counter()
+        function()
+        times.append(time.perf_counter() - started)
+    return min(times)
+
+
+class TestGuardOverhead:
+    #: Line tracing costs tens of interpreter operations per line.  The
+    #: bound is generous because machines vary: it catches a tracer whose
+    #: fast path turns quadratic or renders something per event, not the
+    #: interpreter's speed.
+    BOUND = 200.0
+
+    def test_guarded_loop_stays_within_bound(self):
+        def workload():
+            total = 0
+            for value in range(20_000):
+                total += value
+            return total
+
+        guard = StepBudgetGuard(budget=10_000_000)
+        plain = best_of_five(workload)
+        guarded = best_of_five(lambda: guard(workload))
+        assert guarded / plain < self.BOUND, (plain, guarded)
 
 
 def line_events(function, *args):

@@ -303,6 +303,13 @@ def test_merge_rejects_mismatched_registries():
         merge_reports([])
 
 
+def test_negative_max_scenarios_rejected(mixed_registry, tmp_path):
+    # -1 used to slice from the end and run all but the last scenario.
+    runner = SweepRunner(mixed_registry, workspace=tmp_path / "ws")
+    with pytest.raises(ScenarioError, match="must be at least 0, got -1"):
+        runner.run(max_scenarios=-1)
+
+
 def test_merge_rejects_overlapping_shards():
     result = ScenarioResult(ident="x", component="c",
                             scenario_fingerprint="f")
