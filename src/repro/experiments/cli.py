@@ -113,13 +113,15 @@ def exit_on_repro_error(main: Callable[[Optional[Sequence[str]]], int]
 
 
 def add_workers_argument(parser: argparse.ArgumentParser,
-                         default: int = 1) -> None:
+                         default: int = 1,
+                         help: Optional[str] = None) -> None:
     """The shared ``--workers N`` flag (serial when 1; the parallel
     engine's verdicts are field-for-field identical at any count)."""
     parser.add_argument(
         "--workers", type=count_at_least(1), default=default, metavar="N",
-        help="worker processes for mutation analysis "
-             f"(default {default}; 1 = serial engine, verdicts identical)",
+        help=help or ("worker processes for mutation analysis "
+                      f"(default {default}; 1 = serial engine, verdicts "
+                      f"identical)"),
     )
 
 

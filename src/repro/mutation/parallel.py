@@ -33,12 +33,19 @@ Two throughput mechanisms keep orchestration from swamping the win:
   matrix stay cached worker-side until a different battery replaces
   them.  Stale messages from a previous battery are discarded by run id.
 
-The pool runs one analysis at a time, on the caller's thread:
-:meth:`WorkerPool.run` owns every worker pipe until the run's verdicts
+The pool runs one run at a time, on the caller's thread:
+:meth:`WorkerPool.run` owns every worker pipe until the run's results
 are complete, and a second thread sharing the pool waits for the first
 to finish.  Any exception inside the loop, Ctrl-C included, kills the
 workers still holding the run's batches before it propagates, so the
 next run starts on a clean pool.
+
+The pool itself knows nothing of mutants.  A :class:`PoolJob` names its
+tasks, a picklable spec whose ``runner()`` builds the callable a worker
+applies to each task, and the result that stands in for a task that
+takes its worker down.  This engine's jobs run mutants; the scenario
+sweep (:mod:`repro.scenarios.sweep`) runs whole scenarios on the same
+pool, under the same crash, respawn and interrupt rules.
 
 Two contracts, both tested differentially against the serial engine:
 
@@ -85,6 +92,7 @@ from __future__ import annotations
 import atexit
 import hashlib
 import itertools
+import math
 import multiprocessing
 import os
 import pickle
@@ -93,7 +101,9 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing.connection import Connection, wait as connection_wait
-from typing import Callable, Deque, List, Optional, Set, Tuple
+from typing import (
+    Any, Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple,
+)
 
 from ..generator.suite import TestSuite
 from ..harness.oracles import CompositeOracle, KillReason
@@ -125,7 +135,7 @@ _RUN_IDS = itertools.count(1)
 
 def default_batch_size(dispatched: int, workers: int) -> int:
     """The adaptive chunk size: ``max(1, dispatched // (8 × workers))``."""
-    return max(1, dispatched // (DEFAULT_BATCH_DIVISOR * max(1, workers)))
+    return max(1, dispatched // (DEFAULT_BATCH_DIVISOR * workers))
 
 
 @dataclass(frozen=True)
@@ -147,63 +157,86 @@ class WorkerSpec:
     prune: bool = True
     coverage: Optional[CoverageMatrix] = None
 
+    def runner(self) -> Callable[[CompiledMutant], Tuple[MutantOutcome, int]]:
+        """The plain serial analysis a worker judges every mutant with."""
+        return MutationAnalysis(
+            self.original_class,
+            self.suite,
+            oracle=self.oracle,
+            class_builder=self.class_builder,
+            step_budget=self.step_budget,
+            stop_on_first_kill=self.stop_on_first_kill,
+            check_invariants=self.check_invariants,
+            setup=self.setup,
+            reference=self.reference,
+            prune=self.prune,
+            coverage=self.coverage,
+        ).analyze_single
 
-def _analysis_from_spec(spec: WorkerSpec) -> MutationAnalysis:
-    """The plain serial analysis a worker judges every mutant with."""
-    return MutationAnalysis(
-        spec.original_class,
-        spec.suite,
-        oracle=spec.oracle,
-        class_builder=spec.class_builder,
-        step_budget=spec.step_budget,
-        stop_on_first_kill=spec.stop_on_first_kill,
-        check_invariants=spec.check_invariants,
-        setup=spec.setup,
-        reference=spec.reference,
-        prune=spec.prune,
-        coverage=spec.coverage,
-    )
+
+@dataclass(frozen=True)
+class PoolJob:
+    """One run on a :class:`WorkerPool`, as its caller describes it.
+
+    ``spec`` ships once to every worker that takes a task of the job (it
+    must pickle); the worker calls ``spec.runner()`` once and applies the
+    returned callable to each task, in order, sending each result back.
+    The parent hands every task's result to ``deliver(index, result,
+    executed)``, where ``index`` is the task's position in ``tasks``.
+    ``executed`` is false for a result ``lost(task, reason, detail)``
+    built in the parent because the task took its worker down, raised
+    out of the runner, or outlived ``backstop`` seconds of silence.
+    ``describe(task)`` gives the telemetry attributes naming a task.
+    """
+
+    tasks: Sequence[Any]
+    spec: Any
+    deliver: Callable[[int, Any, bool], None]
+    lost: Callable[[Any, KillReason, str], Any]
+    describe: Callable[[Any], Dict[str, Any]]
+    #: Most batches in flight at once, and the width the pool may grow to.
+    workers: int
+    obs: Telemetry
+    batch_size: int = 1
+    backstop: float = math.inf
 
 
 def _worker_main(connection: Connection) -> None:
-    """Worker loop: battery configs and mutant batches in, verdicts out.
+    """Worker loop: job specs and task batches in, results out.
 
-    Messages: ``("battery", token, spec)`` installs one analysis — the
-    rebuilt serial engine, with its compiled original class, suite
-    fixtures and coverage matrix — in place of the previous one, so a
-    rerun of the same battery ships no spec at all;
-    ``("batch", run_id, token, ((index, mutant), …))`` runs each mutant
-    in order under that battery, streaming one
-    ``("done", run_id, index, outcome, timeouts)`` per mutant (or
-    ``("error", run_id, index, message)`` for a harness-level failure);
-    ``None`` exits.  The worker is a plain serial
-    :class:`MutationAnalysis` seeded with the parent's reference run;
-    parallelism changes *where* a mutant runs, never *how*.
+    Messages: ``("spec", token, spec)`` installs ``spec.runner()`` in
+    place of the previous runner, so a rerun of the same job spec (the
+    same battery, say) ships no spec at all;
+    ``("batch", run_id, token, ((index, task), …))`` applies the runner
+    to each task in order, streaming one ``("done", run_id, index,
+    result)`` per task (or ``("error", run_id, index, message)`` for a
+    harness-level failure); ``None`` exits.  For a mutant job the runner
+    is a plain serial :class:`MutationAnalysis` seeded with the parent's
+    reference run; parallelism changes *where* a task runs, never *how*.
     """
     token: Optional[str] = None
-    analysis: Optional[MutationAnalysis] = None
+    runner: Optional[Callable[[Any], Any]] = None
     try:
         while True:
             message = connection.recv()
             if message is None:
                 break
-            if message[0] == "battery":
-                token, analysis = message[1], _analysis_from_spec(message[2])
+            if message[0] == "spec":
+                token, runner = message[1], message[2].runner()
                 continue
             run_id, batch_token, tasks = message[1], message[2], message[3]
-            for index, mutant in tasks:
+            for index, task in tasks:
                 try:
                     if batch_token != token:
-                        raise RuntimeError("batch received before battery")
-                    outcome, timeouts = analysis.analyze_single(mutant)
-                    connection.send(("done", run_id, index, outcome, timeouts))
+                        raise RuntimeError("batch received before its spec")
+                    connection.send(("done", run_id, index, runner(task)))
                 except KeyboardInterrupt:
                     raise
                 except BaseException as error:  # noqa: BLE001 — must not die
                     # A harness-level failure (builder blew up, SystemExit
                     # from mutated code, …).  Report it instead of taking
                     # the worker down; the parent classifies it as a
-                    # worker-boundary kill.
+                    # worker-boundary failure.
                     connection.send(
                         ("error", run_id, index,
                          f"{type(error).__name__}: {error}")
@@ -225,17 +258,17 @@ class _Worker:
         self.connection = connection
         #: Batch tasks not yet resolved, in execution order; the worker
         #: holds a batch exactly while this is non-empty.
-        self.assigned: Deque[Tuple[int, CompiledMutant]] = deque()
+        self.assigned: Deque[Tuple[int, Any]] = deque()
         self.batch_len = 0
         self.batch_started = 0.0
         self.last_heard = 0.0
-        #: Spec token of the battery the worker holds, ``None`` before the
+        #: Token of the job spec the worker holds, ``None`` before the
         #: first one ships.
         self.token: Optional[str] = None
 
 
 class WorkerPool:
-    """A pool of mutation workers persisting across runs.
+    """A pool of workers persisting across runs.
 
     Engines draw workers from here instead of spawning their own; a pool
     survives battery boundaries, so table2/table3-style back-to-back runs
@@ -244,9 +277,9 @@ class WorkerPool:
     (:func:`shared_worker_pool`) is the default; tests and embedders can
     pass a private pool to the engine.
 
-    :meth:`run` executes one analysis at a time on the calling thread,
-    holding a lock for the whole run: two threads sharing a pool are
-    served one after the other.
+    :meth:`run` executes one :class:`PoolJob` at a time on the calling
+    thread, holding a lock for the whole run: two threads sharing a pool
+    are served one after the other.
     """
 
     def __init__(self):
@@ -265,8 +298,8 @@ class WorkerPool:
 
     # -- run execution ---------------------------------------------------
 
-    def run(self, state: "_PoolState") -> None:
-        """Drive one run until every verdict is recorded.
+    def run(self, job: PoolJob) -> None:
+        """Drive one job until every task's result is delivered.
 
         Any exception raised meanwhile (a ``KeyboardInterrupt`` reaching
         this thread, a failing cache write) kills the workers still
@@ -276,6 +309,14 @@ class WorkerPool:
         with self._lock:
             if self._closed:
                 raise RuntimeError("worker pool is closed")
+            state = _PoolState(
+                job=job,
+                pending=deque(enumerate(job.tasks)),
+                remaining=len(job.tasks),
+                run_id=next(_RUN_IDS),
+                token=_spec_token(job.spec),
+                enqueued_at=time.perf_counter(),
+            )
             try:
                 self._drive(state)
             except BaseException:
@@ -290,6 +331,7 @@ class WorkerPool:
         never holds more than ``workers`` batches at once.  A replacement
         for a worker lost mid-batch counts as a respawn.
         """
+        job = state.job
         while True:
             if self._closed:
                 raise RuntimeError("worker pool closed mid-run")
@@ -298,19 +340,19 @@ class WorkerPool:
                 if not worker.process.is_alive():
                     self._retire_dead(worker, state)
                 elif (worker.assigned
-                        and now - worker.last_heard > state.backstop):
+                        and now - worker.last_heard > job.backstop):
                     self._retire_hung(worker, state)
             if state.remaining <= 0:
                 return
             busy = sum(1 for worker in self.workers if worker.assigned)
-            while len(self.workers) < min(state.workers,
+            while len(self.workers) < min(job.workers,
                                           busy + len(state.pending)):
-                self._spawn(state.obs)
+                self._spawn(job.obs)
                 if state.casualties > 0:
                     state.casualties -= 1
-                    state.obs.count("parallel.respawns")
+                    job.obs.count("parallel.respawns")
             for worker in list(self.workers):
-                if not state.pending or busy >= state.workers:
+                if not state.pending or busy >= job.workers:
                     break
                 if not worker.assigned:
                     self._dispatch(worker, state)
@@ -345,7 +387,7 @@ class WorkerPool:
         worker.last_heard = time.perf_counter()
         if run_id != state.run_id:
             return  # residue of a previous run on this persistent worker
-        obs = state.obs
+        obs = state.job.obs
         task = next((assigned for assigned in worker.assigned
                      if assigned[0] == index), None)
         if task is None:
@@ -353,18 +395,14 @@ class WorkerPool:
         worker.assigned.remove(task)
         if kind == "done":
             obs.event(
-                "parallel.task", index=index,
-                mutant=task[1].record.ident,
+                "parallel.task", index=index, **state.job.describe(task[1]),
                 seconds=round(worker.last_heard - previously_heard, 6),
             )
-            state.record(index, message[3], message[4], executed=True)
+            state.record(index, message[3], executed=True)
         else:
             obs.count("parallel.worker_errors")
-            state.record(index, _boundary_outcome(
-                task[1].record,
-                KillReason.WORKER_CRASH,
-                f"worker failed to run mutant: {message[3]}",
-            ))
+            state.lose(task, KillReason.WORKER_CRASH,
+                       f"worker failed to run the task: {message[3]}")
         if not worker.assigned and worker.batch_len:
             obs.event(
                 "parallel.batch", size=worker.batch_len,
@@ -376,32 +414,32 @@ class WorkerPool:
 
     def _retire_dead(self, worker: _Worker, state: "_PoolState") -> None:
         # Salvage results the worker sent before dying, then apply the
-        # batch crash rule: a single unreported mutant was provably
-        # executing and is classified as a process-boundary crash kill; a
-        # multi-mutant remainder is re-dispatched solo so one poisoned
-        # mutant cannot take out its batchmates' verdicts.  An idle dead
-        # worker carries no state and is simply pruned.
+        # batch crash rule: a single unreported task was provably
+        # executing and is handed to the job's ``lost`` as a
+        # process-boundary crash; a multi-task remainder is re-dispatched
+        # solo so one poisoned task cannot take out its batchmates'
+        # results.  An idle dead worker carries no state and is simply
+        # pruned.
         worker.process.join()
         if worker.assigned:
             self._drain_worker(worker, state)
         if worker.assigned:  # salvage may have completed the batch
-            obs = state.obs
+            obs = state.job.obs
             unreported = [task for task in worker.assigned
                           if task[0] not in state.reported]
             worker.assigned.clear()
             worker.batch_len = 0
             state.casualties += 1
             if len(unreported) == 1:
-                index, mutant = unreported[0]
+                index, task = unreported[0]
                 obs.event("parallel.worker_crash", index=index,
-                          mutant=mutant.record.ident,
+                          **state.job.describe(task),
                           exitcode=worker.process.exitcode)
                 obs.count("parallel.worker_crashes")
-                state.record(index, _boundary_outcome(
-                    mutant.record, KillReason.WORKER_CRASH,
-                    f"worker process died (exitcode {worker.process.exitcode}) "
-                    f"while running the suite",
-                ))
+                state.lose(unreported[0], KillReason.WORKER_CRASH,
+                           f"worker process died (exitcode "
+                           f"{worker.process.exitcode}) while running the "
+                           f"suite")
             elif unreported:
                 obs.event("parallel.batch_failed", size=len(unreported),
                           reason="crash",
@@ -413,7 +451,7 @@ class WorkerPool:
         self._discard(worker)
 
     def _retire_hung(self, worker: _Worker, state: "_PoolState") -> None:
-        # The verdict may have landed in the pipe while we were not
+        # The result may have landed in the pipe while we were not
         # looking; salvage it first — only a genuinely silent worker is a
         # hang.
         self._drain_worker(worker, state)
@@ -425,23 +463,21 @@ class WorkerPool:
         worker.batch_len = 0
         if not unreported:
             return
-        # Execution is in-order and every verdict streams back the moment
+        # Execution is in-order and every result streams back the moment
         # it exists, so a silent worker is provably stuck on its *first*
-        # unreported mutant; the rest of the batch never started and is
+        # unreported task; the rest of the batch never started and is
         # re-queued untouched.
-        obs = state.obs
+        obs = state.job.obs
+        backstop = state.job.backstop
         state.casualties += 1
-        index, mutant = unreported[0]
+        index, task = unreported[0]
         self._kill(worker)
         obs.event("parallel.wall_timeout", index=index,
-                  mutant=mutant.record.ident,
-                  backstop=state.backstop)
+                  **state.job.describe(task), backstop=backstop)
         obs.count("parallel.wall_timeouts")
-        state.record(index, _boundary_outcome(
-            mutant.record, KillReason.WALL_TIMEOUT,
-            f"no verdict within the {state.backstop:.1f}s wall-clock "
-            f"backstop; worker killed",
-        ))
+        state.lose(unreported[0], KillReason.WALL_TIMEOUT,
+                   f"no verdict within the {backstop:.1f}s wall-clock "
+                   f"backstop; worker killed")
         rest = unreported[1:]
         if rest:
             obs.event("parallel.batch_failed", size=len(rest),
@@ -453,12 +489,13 @@ class WorkerPool:
     # -- dispatch --------------------------------------------------------
 
     def _dispatch(self, worker: _Worker, state: "_PoolState") -> None:
-        """Hand an idle worker the run's next batch, shipping the battery
-        first unless the worker already holds it."""
-        obs = state.obs
+        """Hand an idle worker the run's next batch, shipping the job's
+        spec first unless the worker already holds it."""
+        job = state.job
+        obs = job.obs
         now = time.perf_counter()
-        batch: List[Tuple[int, CompiledMutant]] = []
-        while state.pending and len(batch) < state.batch_size:
+        batch: List[Tuple[int, Any]] = []
+        while state.pending and len(batch) < job.batch_size:
             index = state.pending[0][0]
             if index in state.solo and batch:
                 break  # a solo task never joins a batch already in hand
@@ -472,7 +509,7 @@ class WorkerPool:
         worker.batch_started = worker.last_heard = now
         try:
             if worker.token != state.token:
-                worker.connection.send(("battery", state.token, state.spec))
+                worker.connection.send(("spec", state.token, job.spec))
                 worker.token = state.token
                 obs.count("parallel.battery_shipped")
             worker.connection.send(("batch", state.run_id, state.token,
@@ -484,10 +521,9 @@ class WorkerPool:
             self._kill(worker)
             return
         depth = len(state.pending)
-        for index, mutant in batch:
+        for index, task in batch:
             obs.event(
-                "parallel.dispatch", index=index,
-                mutant=mutant.record.ident,
+                "parallel.dispatch", index=index, **job.describe(task),
                 waited=round(now - state.enqueued_at, 6),
                 batch=len(batch),
                 depth=depth,
@@ -615,51 +651,45 @@ def _mp_context():
     return multiprocessing.get_context()
 
 
-def _spec_token(spec: WorkerSpec) -> str:
-    """The battery's spec token: content hash of the pickled spec.
+def _spec_token(spec: Any) -> str:
+    """The job's spec token: content hash of the pickled spec.
 
-    Each worker remembers the token of the battery it holds, so
-    re-running that battery (same class, suite, reference, coverage,
-    flags) ships no spec at all; any other token configures the worker
-    on its next dispatch.
+    Each worker remembers the token of the spec it holds, so re-running
+    a battery (same class, suite, reference, coverage, flags) ships no
+    spec at all; any other token configures the worker on its next
+    dispatch.
     """
     payload = pickle.dumps(spec, protocol=pickle.HIGHEST_PROTOCOL)
     return hashlib.sha256(payload).hexdigest()
 
 
-def _boundary_outcome(record, reason: KillReason,
-                      detail: str) -> MutantOutcome:
+def _boundary_result(mutant: CompiledMutant, reason: KillReason,
+                     detail: str) -> Tuple[MutantOutcome, int]:
     """The paper's "program crashed" clause, applied at the process
     boundary: the mutant is killed, but no in-process case verdict
-    exists, so ``killing_case`` stays empty and ``cases_run`` is 0."""
+    exists, so ``killing_case`` stays empty, ``cases_run`` is 0 and no
+    step timeout is counted."""
     return MutantOutcome(
-        mutant=record,
+        mutant=mutant.record,
         killed=True,
         reason=reason,
         killing_case="",
         cases_run=0,
         killing_cases=(),
         detail=detail,
-    )
+    ), 0
 
 
 @dataclass
 class _PoolState:
     """Mutable bookkeeping for one pool run."""
 
-    pending: Deque[Tuple[int, CompiledMutant]]
-    #: Takes each verdict once, as ``(index, outcome, step timeouts,
-    #: executed)``; ``executed`` is false for a worker-boundary kill.
-    deliver: Callable[[int, MutantOutcome, int, bool], None]
+    job: PoolJob
+    #: ``(index, task)`` pairs not yet dispatched.
+    pending: Deque[Tuple[int, Any]]
     remaining: int
     run_id: int
     token: str
-    spec: WorkerSpec
-    batch_size: int
-    #: Most batches in flight at once, and the width the pool may grow to.
-    workers: int
-    backstop: float
-    obs: Telemetry
     #: When the pending queue was filled — dispatch events report each
     #: task's queue wait relative to this instant.
     enqueued_at: float
@@ -667,20 +697,25 @@ class _PoolState:
     #: spawn consumes one and counts as a respawn.
     casualties: int = 0
     #: Indices that must be dispatched as singleton batches: survivors of
-    #: a crashed multi-mutant batch, re-run alone so a poisoned batchmate
-    #: cannot contaminate their verdicts (and so the poisoned one, alone
+    #: a crashed multi-task batch, re-run alone so a poisoned batchmate
+    #: cannot contaminate their results (and so the poisoned one, alone
     #: in its batch, is attributable when it kills its worker again).
     solo: Set[int] = field(default_factory=set)
-    #: Indices whose verdict has been delivered.
+    #: Indices whose result has been delivered.
     reported: Set[int] = field(default_factory=set)
 
-    def record(self, index: int, outcome: MutantOutcome,
-               timeouts: int = 0, executed: bool = False) -> None:
-        """Deliver one verdict exactly once (duplicates are dropped)."""
+    def record(self, index: int, result: Any, executed: bool) -> None:
+        """Deliver one result exactly once (duplicates are dropped)."""
         if index not in self.reported:
             self.reported.add(index)
             self.remaining -= 1
-            self.deliver(index, outcome, timeouts, executed)
+            self.job.deliver(index, result, executed)
+
+    def lose(self, task: Tuple[int, Any], reason: KillReason,
+             detail: str) -> None:
+        """Deliver the job's stand-in result for a task its worker lost."""
+        self.record(task[0], self.job.lost(task[1], reason, detail),
+                    executed=False)
 
 
 class ParallelMutationAnalysis(MutationAnalysis):
@@ -732,21 +767,22 @@ class ParallelMutationAnalysis(MutationAnalysis):
         """
         with self._obs.span("parallel.run", mutants=len(mutants),
                             workers=self._workers) as span:
-            misses: Deque[Tuple[int, CompiledMutant]] = deque()
+            misses: List[int] = []
             for index in indices:
                 results[index] = self._replay(keys[index])
                 if results[index] is None:
-                    misses.append((index, mutants[index]))
+                    misses.append(index)
             if self._cache is not None:
                 span.set("cache_hits", len(indices) - len(misses))
             if not misses:
                 return
 
-            def deliver(index: int, outcome: MutantOutcome, timeouts: int,
+            def deliver(position: int, result: Tuple[MutantOutcome, int],
                         executed: bool) -> None:
-                results[index] = (outcome, timeouts)
+                index = misses[position]
+                results[index] = result
                 if executed:
-                    self._write_back(keys[index], outcome, timeouts)
+                    self._write_back(keys[index], *result)
 
             spec = WorkerSpec(
                 original_class=self._original,
@@ -761,22 +797,20 @@ class ParallelMutationAnalysis(MutationAnalysis):
                 prune=self._prune,
                 coverage=self.coverage_matrix(),
             )
-            state = _PoolState(
-                pending=misses,
-                deliver=deliver,
-                remaining=len(misses),
-                run_id=next(_RUN_IDS),
-                token=_spec_token(spec),
+            job = PoolJob(
+                tasks=[mutants[index] for index in misses],
                 spec=spec,
+                deliver=deliver,
+                lost=_boundary_result,
+                describe=lambda mutant: {"mutant": mutant.record.ident},
+                workers=self._workers,
+                obs=self._obs,
                 batch_size=(self._batch_size if self._batch_size is not None
                             else default_batch_size(len(misses),
                                                     self._workers)),
-                workers=self._workers,
                 backstop=self._backstop,
-                obs=self._obs,
-                enqueued_at=time.perf_counter(),
             )
-            span.set("batch_size", state.batch_size)
+            span.set("batch_size", job.batch_size)
             pool = (self._pool if self._pool is not None
                     else shared_worker_pool())
-            pool.run(state)
+            pool.run(job)

@@ -13,8 +13,9 @@ Subcommands:
 
 The incremental-run, pruning, triage and telemetry flags, and the count
 checks of ``--workers`` and ``--max-scenarios``, are the shared ones every
-table experiment uses (:mod:`repro.experiments.cli`); a sweep dispatches
-at the pool's adaptive batch size.
+table experiment uses (:mod:`repro.experiments.cli`).  ``--workers N``
+runs whole scenarios on N worker processes; the store holds scenario
+records only, so ``--cache-stats`` prints the scenario line alone.
 """
 
 from __future__ import annotations
@@ -176,14 +177,12 @@ def _cmd_run(arguments: argparse.Namespace) -> int:
     _write_report(report, arguments)
     print(report.render_text())
     if arguments.cache_stats and cache is not None:
-        print(f"cache: {cache.snapshot().format()}")
         scenario_stats = cache.scenario_stats()
-        if any(scenario_stats.values()):
-            print("scenario cache: "
-                  f"{scenario_stats['hits']} hits, "
-                  f"{scenario_stats['misses']} misses, "
-                  f"{scenario_stats['stores']} stores, "
-                  f"{scenario_stats['corrupt']} corrupt")
+        print("scenario cache: "
+              f"{scenario_stats['hits']} hits, "
+              f"{scenario_stats['misses']} misses, "
+              f"{scenario_stats['stores']} stores, "
+              f"{scenario_stats['corrupt']} corrupt")
     compact_cache(cache, arguments)
     finish_telemetry(telemetry, arguments)
     return _gate(report)
@@ -232,7 +231,11 @@ def build_parser() -> argparse.ArgumentParser:
         "run", help="execute the sweep and write the aggregated report"
     )
     _add_selection_arguments(run_parser)
-    add_workers_argument(run_parser)
+    add_workers_argument(
+        run_parser,
+        help="worker processes that each run whole scenarios (default 1; "
+             "1 = in this process, reports identical)",
+    )
     run_parser.add_argument(
         "--workspace", default=None, metavar="DIR",
         help="directory for materialized generated components "

@@ -4,8 +4,7 @@
 :class:`~repro.scenarios.registry.ScenarioRegistry` through the existing
 mutation pipeline — resolve the component (catalog ref or seeded
 generator), generate the suite, build the operator battery, run the
-serial or parallel engine — and folds the outcomes into one
-:class:`SweepReport`.
+serial engine — and folds the outcomes into one :class:`SweepReport`.
 
 Cost sharing across the sweep, not per scenario:
 
@@ -14,24 +13,28 @@ Cost sharing across the sweep, not per scenario:
   the same class object;
 * suites are generated once per ``(component, suite-config)``;
 * the reference run and its coverage matrix are recorded once per
-  ``(component, suite)`` and *seeded* into every engine that needs them —
-  exactly how the parallel engine seeds its workers;
-* all parallel scenarios draw from one warm
-  :class:`~repro.mutation.parallel.WorkerPool`, and an optional
-  :class:`~repro.mutation.cache.MutationOutcomeCache` spans the sweep.
+  ``(component, suite)`` and *seeded* into every engine that needs them.
 
-Scenarios run one at a time, in registry order, in the calling process;
-``workers > 1`` spreads each scenario's mutants over the worker pool.
+With ``workers == 1`` scenarios run one at a time, in registry order, in
+the calling process.  With ``workers > 1`` the calling process looks
+every scenario up in the store and hands the misses to that many worker
+processes that each run whole scenarios: one task per run of adjacent
+scenarios with the same component (the registry lists them together),
+on the process-wide :class:`~repro.mutation.parallel.WorkerPool`.  A
+worker runs its task on a fresh serial runner without a store or
+telemetry; the calling process writes the records, tallies, reports
+progress and builds the report in registry order.  A worker that dies
+costs one error row per scenario of its task, never the sweep.
 
 Scenario warm cache: with a cache attached, each finished (non-failed)
 scenario's result projection is persisted keyed by the scenario content
 fingerprint, the component *source* hash, the suite fingerprint and the
-verdict-bearing engine flags.  A warm sweep of an unchanged registry
-replays every scenario from the store — zero mutants executed, zero
-reference passes — and still renders the byte-identical deterministic
-report.  The worker count is deliberately not part of the key: engines
-are serial-equivalent, so a result computed at any parallelism replays
-everywhere.
+verdict-bearing engine flags.  Engines never get the store, so it holds
+scenario records only.  A warm sweep of an unchanged registry replays
+every scenario from the store — zero mutants executed, zero reference
+passes, no worker started — and still renders the byte-identical
+deterministic report.  The worker count is deliberately not part of the
+key: a scenario's result does not depend on which process ran it.
 
 Determinism: :meth:`SweepReport.to_dict` with ``timings=False`` is the
 *deterministic projection* — same registry, same seeds, same flags ⇒
@@ -46,6 +49,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field, replace as dc_replace
+from itertools import groupby
 from typing import (
     Any,
     Callable,
@@ -64,6 +68,7 @@ from ..generator.driver import DriverGenerator
 from ..generator.suite import TestSuite
 from ..harness.oracles import (
     CompositeOracle,
+    KillReason,
     assertions_only_oracle,
     experiment_oracle,
     log_level_oracle,
@@ -71,10 +76,11 @@ from ..harness.oracles import (
     paper_oracle,
 )
 from ..harness.outcomes import SuiteResult, Verdict
-from ..mutation.analysis import MutationAnalysis, MutationRun, analyze_mutants
+from ..mutation.analysis import MutationAnalysis
 from ..mutation.cache import CACHE_KEY_VERSION, MutationOutcomeCache
 from ..mutation.coverage import CoverageMatrix
 from ..mutation.generate import build_battery
+from ..mutation.parallel import PoolJob, shared_worker_pool
 from ..obs import Telemetry, coalesce
 from ..obs.summary import aggregate_counters
 from ..tspec.model import ClassSpec
@@ -87,6 +93,9 @@ ProgressCallback = Callable[[int, int, ScenarioConfig, "ScenarioResult"], None]
 
 #: Schema tag of the report JSON (bump on incompatible shape changes).
 REPORT_SCHEMA = "repro-sweep-report/1"
+
+#: The error of a scenario the sweep stopped before running.
+_CANCELLED = "RunCancelled: sweep cancelled before this scenario ran"
 
 
 def resolve_oracle(name: str, spec: ClassSpec) -> CompositeOracle:
@@ -398,12 +407,14 @@ class SweepRunner:
                  prune: bool = True,
                  static_triage: bool = True,
                  telemetry: Optional[Telemetry] = None):
-        """``workers > 1`` runs every battery on the parallel engine, on
-        the process-wide shared pool, warm across scenarios, at the
-        adaptive batch size.  ``cache``, ``prune``, ``static_triage`` and
-        ``telemetry`` are passed through to the engines unchanged."""
+        """``workers > 1`` runs the scenarios the store cannot answer on
+        that many processes of the process-wide shared pool, each running
+        whole scenarios (see the module docstring).  ``cache`` holds the
+        scenario records; ``prune`` and ``static_triage`` are passed to
+        the serial engine unchanged, and ``telemetry`` observes this
+        process only.  A count below 1 is a ``ValueError``."""
         if workers < 1:
-            raise ScenarioError("workers must be >= 1")
+            raise ValueError(f"workers must be at least 1, got {workers}")
         self._registry = registry
         self._workers = workers
         self._workspace = workspace
@@ -496,22 +507,21 @@ class SweepRunner:
         the sweep."""
         started = time.perf_counter()
         try:
-            return self._run_scenario(scenario, started)
+            key, replayed = self._lookup(scenario, started)
+            if replayed is not None:
+                return replayed
+            result = self._execute(scenario, started)
         except Exception as error:
-            return ScenarioResult(
-                ident=scenario.ident,
-                component=scenario.component.describe(),
-                scenario_fingerprint=scenario.fingerprint(),
-                tags=scenario.tags,
-                groups=scenario.groups,
-                oracle=scenario.oracle,
-                operators=scenario.operators,
-                elapsed_seconds=time.perf_counter() - started,
-                error=f"{type(error).__name__}: {error}",
+            return self._error_result(
+                scenario, f"{type(error).__name__}: {error}",
+                elapsed=time.perf_counter() - started,
             )
+        self._record(key, result)
+        return result
 
-    def _cancelled_result(self, scenario: ScenarioConfig) -> ScenarioResult:
-        """The row a scenario gets when the sweep stops before running it."""
+    def _error_result(self, scenario: ScenarioConfig, error: str,
+                      elapsed: float = 0.0) -> ScenarioResult:
+        """The row of a scenario that failed outright or never ran."""
         return ScenarioResult(
             ident=scenario.ident,
             component=scenario.component.describe(),
@@ -520,12 +530,13 @@ class SweepRunner:
             groups=scenario.groups,
             oracle=scenario.oracle,
             operators=scenario.operators,
-            error="RunCancelled: sweep cancelled before this scenario ran",
+            elapsed_seconds=elapsed,
+            error=error,
         )
 
     def _scenario_key(self, scenario: ScenarioConfig, cls: type,
-                      suite: TestSuite) -> Optional[str]:
-        """The scenario warm-cache address, or ``None`` without a cache.
+                      suite: TestSuite) -> str:
+        """The scenario warm-cache address.
 
         Covers everything that can change the deterministic projection:
         the scenario content fingerprint (operators, oracle, budgets,
@@ -533,11 +544,9 @@ class SweepRunner:
         :func:`canonical`, so editing a component or the generator
         invalidates its scenarios), the realized suite fingerprint, and
         the verdict-bearing engine flags.  Deliberately excluded:
-        ``workers`` — engines are serial-equivalent, so one stored result
-        replays at any parallelism.
+        ``workers`` — a scenario's result does not depend on the process
+        that ran it, so one stored result replays at any parallelism.
         """
-        if self._cache is None:
-            return None
         return sha256_hex(
             "scenario-result",
             f"v{CACHE_KEY_VERSION}",
@@ -548,22 +557,38 @@ class SweepRunner:
             canonical(self._static_triage),
         )
 
-    def _run_scenario(self, scenario: ScenarioConfig,
-                      started: float) -> ScenarioResult:
+    def _lookup(self, scenario: ScenarioConfig, started: float
+                ) -> Tuple[Optional[str], Optional[ScenarioResult]]:
+        """The scenario's store key and, on a hit, its replayed row;
+        ``(None, None)`` without a store."""
+        if self._cache is None:
+            return None, None
+        cls, spec, _, _ = self._resolve_component(scenario)
+        suite = self._suite_for(scenario.component.describe(), scenario,
+                                spec)
+        key = self._scenario_key(scenario, cls, suite)
+        stored = self._cache.lookup_scenario(key)
+        if stored is None:
+            self._obs.count("sweep.scenario_cache_misses")
+            return key, None
+        self._obs.count("sweep.scenario_cache_hits")
+        return key, dc_replace(
+            _result_from_mapping(stored),
+            elapsed_seconds=time.perf_counter() - started,
+        )
+
+    def _record(self, key: Optional[str], result: ScenarioResult) -> None:
+        """Store an executed scenario's row under ``key``; a failed row
+        (error or oracle failure) is never stored."""
+        if key is not None and not result.failed:
+            self._cache.store_scenario(key, result.to_dict(timings=True))
+
+    def _execute(self, scenario: ScenarioConfig,
+                 started: float) -> ScenarioResult:
         cls, spec, setup, type_model = self._resolve_component(scenario)
         component_key = scenario.component.describe()
         methods = scenario.methods or default_methods(spec)
         suite = self._suite_for(component_key, scenario, spec)
-        cache_key = self._scenario_key(scenario, cls, suite)
-        if cache_key is not None:
-            stored = self._cache.lookup_scenario(cache_key)
-            if stored is not None:
-                self._obs.count("sweep.scenario_cache_hits")
-                return dc_replace(
-                    _result_from_mapping(stored),
-                    elapsed_seconds=time.perf_counter() - started,
-                )
-            self._obs.count("sweep.scenario_cache_misses")
         mutants, generation, truncated = build_battery(
             cls, methods,
             operator_names=scenario.operators,
@@ -574,15 +599,23 @@ class SweepRunner:
         reference, coverage = self._reference_for(
             component_key, cls, suite, setup
         )
-        run = self._analyze(
-            cls, suite, mutants, scenario, spec, setup, type_model,
-            reference, coverage,
-        )
+        run = MutationAnalysis(
+            cls, suite,
+            oracle=resolve_oracle(scenario.oracle, spec),
+            step_budget=scenario.budgets.step_budget,
+            setup=setup,
+            reference=reference,
+            coverage=coverage,
+            prune=self._prune,
+            static_triage=self._static_triage,
+            triage_type_model=type_model,
+            telemetry=self._telemetry,
+        ).analyze(mutants)
         oracle_failures = sum(
             1 for result in run.reference.results
             if result.verdict is not Verdict.PASS
         )
-        result = ScenarioResult(
+        return ScenarioResult(
             ident=scenario.ident,
             component=component_key,
             scenario_fingerprint=scenario.fingerprint(),
@@ -611,63 +644,125 @@ class SweepRunner:
             cases_skipped=run.cases_skipped,
             elapsed_seconds=time.perf_counter() - started,
         )
-        if cache_key is not None and not result.failed:
-            self._cache.store_scenario(
-                cache_key, result.to_dict(timings=True)
-            )
-        return result
 
-    def _analyze(self, cls: type, suite: TestSuite, mutants: Sequence,
-                 scenario: ScenarioConfig, spec: ClassSpec,
-                 setup: Optional[Callable[[], None]],
-                 type_model: Optional[object],
-                 reference: SuiteResult,
-                 coverage: Optional[CoverageMatrix]) -> MutationRun:
-        return analyze_mutants(
-            cls, suite, mutants,
-            workers=self._workers,
-            oracle=resolve_oracle(scenario.oracle, spec),
-            step_budget=scenario.budgets.step_budget,
-            setup=setup,
-            reference=reference,
-            coverage=coverage,
-            cache=self._cache,
-            prune=self._prune,
-            static_triage=self._static_triage,
-            triage_type_model=type_model,
-            telemetry=self._telemetry,
-        )
-
-    def _tally(self, result: ScenarioResult) -> None:
+    def _finish(self, results: List[ScenarioResult],
+                scenarios: Sequence[ScenarioConfig], result: ScenarioResult,
+                progress: Optional[ProgressCallback]) -> None:
+        """Append the next row in registry order, tally and report it."""
+        results.append(result)
         self._obs.count("sweep.scenarios", 1)
         if result.oracle_failures:
             self._obs.count("sweep.oracle_failures",
                             result.oracle_failures)
         if result.error:
             self._obs.count("sweep.errors", 1)
+        if progress is not None:
+            progress(len(results), len(scenarios), scenarios[len(results) - 1],
+                     result)
 
     def _run_sequential(self, scenarios: Sequence[ScenarioConfig],
                         progress: Optional[ProgressCallback]
                         ) -> List[ScenarioResult]:
         results: List[ScenarioResult] = []
         cancelled = False  # set by Ctrl-C; every later scenario is cancelled
-        for position, scenario in enumerate(scenarios, start=1):
+        for scenario in scenarios:
             if cancelled:
-                result = self._cancelled_result(scenario)
+                result = self._error_result(scenario, _CANCELLED)
             else:
                 try:
                     result = self.run_scenario(scenario)
                 except KeyboardInterrupt:
-                    # Ctrl-C mid-scenario: the pool has already killed the
-                    # workers holding this scenario's batches; record it
-                    # as cancelled and cancel the rest of the sweep.
+                    # Ctrl-C mid-scenario: record it as cancelled and
+                    # cancel the rest of the sweep.
                     cancelled = True
-                    result = self._cancelled_result(scenario)
-            results.append(result)
-            self._tally(result)
-            if progress is not None:
-                progress(position, len(scenarios), scenario, result)
+                    result = self._error_result(scenario, _CANCELLED)
+            self._finish(results, scenarios, result, progress)
         return results
+
+    def _run_pooled(self, scenarios: Sequence[ScenarioConfig],
+                    progress: Optional[ProgressCallback]
+                    ) -> List[ScenarioResult]:
+        """Look every scenario up here and run the misses on the pool,
+        one task per run of adjacent misses with the same component.
+
+        Rows are finished in registry order as soon as every row before
+        them is known.  Ctrl-C (the pool has already killed the workers
+        holding tasks) cancels every scenario without a row."""
+        rows: List[Optional[ScenarioResult]] = [None] * len(scenarios)
+        keys: List[Optional[str]] = [None] * len(scenarios)
+        results: List[ScenarioResult] = []
+
+        def finish_ready() -> None:
+            while len(results) < len(rows) and rows[len(results)] is not None:
+                position = len(results)
+                self._record(keys[position], rows[position])
+                self._finish(results, scenarios, rows[position], progress)
+
+        try:
+            misses: List[int] = []
+            for position, scenario in enumerate(scenarios):
+                started = time.perf_counter()
+                try:
+                    key, row = self._lookup(scenario, started)
+                except Exception as error:
+                    key, row = None, self._error_result(
+                        scenario, f"{type(error).__name__}: {error}",
+                        elapsed=time.perf_counter() - started,
+                    )
+                if row is None:
+                    keys[position] = key
+                    misses.append(position)
+                rows[position] = row
+                finish_ready()
+            tasks = [tuple(group) for _, group in groupby(
+                misses, key=lambda position:
+                    scenarios[position].component.describe()
+            )]
+            if tasks:
+                self._run_tasks(scenarios, tasks, rows, finish_ready)
+        except KeyboardInterrupt:
+            pass
+        for position, scenario in enumerate(scenarios):
+            if rows[position] is None:
+                rows[position] = self._error_result(scenario, _CANCELLED)
+        finish_ready()
+        return results
+
+    def _run_tasks(self, scenarios: Sequence[ScenarioConfig],
+                   tasks: List[Tuple[int, ...]],
+                   rows: List[Optional[ScenarioResult]],
+                   finish_ready: Callable[[], None]) -> None:
+        """Run each task (a tuple of positions) on the shared pool and
+        fill its rows as it arrives."""
+
+        def deliver(index: int, task_rows: Tuple[ScenarioResult, ...],
+                    executed: bool) -> None:
+            for position, row in zip(tasks[index], task_rows):
+                rows[position] = row
+            finish_ready()
+
+        def lost(task: Tuple[ScenarioConfig, ...], reason: KillReason,
+                 detail: str) -> Tuple[ScenarioResult, ...]:
+            return tuple(self._error_result(scenario, f"WorkerCrash: {detail}")
+                         for scenario in task)
+
+        job = PoolJob(
+            tasks=[tuple(scenarios[position] for position in task)
+                   for task in tasks],
+            spec=_ScenarioTaskSpec(self._workspace, self._prune,
+                                   self._static_triage),
+            deliver=deliver,
+            lost=lost,
+            describe=lambda task: {
+                "idents": ",".join(scenario.ident for scenario in task)
+            },
+            workers=self._workers,
+            obs=self._obs,
+        )
+        with self._obs.span("parallel.run",
+                            scenarios=sum(len(task) for task in tasks),
+                            tasks=len(tasks), workers=self._workers):
+            shared_worker_pool().run(job)
 
     def run(self, filter_expression: str = "",
             shard: Optional[Tuple[int, int]] = None,
@@ -690,7 +785,10 @@ class SweepRunner:
             scenarios = scenarios[:max_scenarios]
         with self._obs.span("sweep.run", scenarios=len(scenarios),
                             workers=self._workers):
-            results = self._run_sequential(scenarios, progress)
+            if self._workers > 1:
+                results = self._run_pooled(scenarios, progress)
+            else:
+                results = self._run_sequential(scenarios, progress)
         counters = (dict(self._telemetry.counters())
                     if self._telemetry is not None else {})
         return SweepReport(
@@ -701,3 +799,29 @@ class SweepRunner:
             counters=counters,
             elapsed_seconds=time.perf_counter() - started,
         )
+
+
+@dataclass(frozen=True)
+class _ScenarioTaskSpec:
+    """What a pool worker needs to run scenario tasks (picklable).
+
+    Each task runs on a fresh serial :class:`SweepRunner` with no store
+    and no telemetry, so a worker carries nothing from one task to the
+    next, and a task's scenarios share their component, suite and
+    reference run as they would in a serial sweep.
+    """
+
+    workspace: Optional[PathLike]
+    prune: bool
+    static_triage: bool
+
+    def runner(self) -> Callable[[Tuple[ScenarioConfig, ...]],
+                                 Tuple[ScenarioResult, ...]]:
+        return self._run_task
+
+    def _run_task(self, scenarios: Tuple[ScenarioConfig, ...]
+                  ) -> Tuple[ScenarioResult, ...]:
+        sweep = SweepRunner(ScenarioRegistry(()), workspace=self.workspace,
+                            prune=self.prune,
+                            static_triage=self.static_triage)
+        return tuple(sweep.run_scenario(scenario) for scenario in scenarios)

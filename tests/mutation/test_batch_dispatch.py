@@ -77,7 +77,6 @@ class TestAdaptiveDefault:
         assert default_batch_size(30, 2) == 1
         assert default_batch_size(100, 4) == 3
         assert default_batch_size(0, 2) == 1     # floor at one
-        assert default_batch_size(5, 0) == 1     # degenerate worker count
 
     def test_explicit_batch_size_validated(self):
         with pytest.raises(ValueError):

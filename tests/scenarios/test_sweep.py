@@ -5,13 +5,15 @@ registry + same seeds ⇒ byte-identical report JSON modulo timings
 (``to_json(timings=False)``), whatever the worker count and cache
 temperature.  On top of that, a fully-warm sweep of an unchanged registry
 must replay from the scenario store without executing a single mutant or
-reference pass, and one scenario dying of an arbitrary ``Exception`` must
-cost exactly its own row.
+reference pass (or starting a worker), the store holds scenario records
+only, one scenario dying of an arbitrary ``Exception`` must cost exactly
+its own row, and a worker process dying costs exactly its task's rows.
 """
 
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -19,6 +21,7 @@ from repro.core.errors import ScenarioError
 from repro.mutation.cache import MutationOutcomeCache
 from repro.mutation.parallel import shutdown_shared_pool
 from repro.obs import MemorySink, Telemetry
+from repro.obs.schema import validate_event
 from repro.scenarios import (
     ScenarioResult,
     SweepReport,
@@ -100,6 +103,15 @@ WORK_SPANS = ("analysis.reference", "analysis.mutant", "parallel.run",
 
 @pytest.fixture(scope="module", autouse=True)
 def _shared_pool_cleanup():
+    yield
+    shutdown_shared_pool()
+
+
+@pytest.fixture
+def fresh_pool():
+    """Fork the shared pool's workers after the test's patches, and drop
+    them afterwards: a worker keeps whatever code it was forked with."""
+    shutdown_shared_pool()
     yield
     shutdown_shared_pool()
 
@@ -187,18 +199,25 @@ class TestDifferentialMatrix:
         assert warm.to_json(timings=False) == baseline
 
     def test_results_keep_registry_order(self, mixed_registry, tmp_path):
-        report = SweepRunner(mixed_registry, workspace=tmp_path / "ws").run()
-        assert [result.ident for result in report.results] == \
-            [scenario.ident for scenario in mixed_registry]
+        for workers in (1, 2):
+            report = SweepRunner(mixed_registry, workers=workers,
+                                 workspace=tmp_path / "ws").run()
+            assert [result.ident for result in report.results] == \
+                [scenario.ident for scenario in mixed_registry], workers
 
     def test_progress_positions_stay_dense(self, mixed_registry, tmp_path):
-        seen = []
-        SweepRunner(mixed_registry, workspace=tmp_path / "ws").run(
-            progress=lambda position, total, scenario, result:
-                seen.append((position, total))
-        )
-        assert seen == [(index, len(MIXED_ENTRIES))
-                        for index in range(1, len(MIXED_ENTRIES) + 1)]
+        for workers in (1, 2):
+            seen = []
+            SweepRunner(mixed_registry, workers=workers,
+                        workspace=tmp_path / "ws").run(
+                progress=lambda position, total, scenario, result:
+                    seen.append((position, total, scenario.ident,
+                                 result.ident))
+            )
+            assert seen == [
+                (index, len(MIXED_ENTRIES), scenario.ident, scenario.ident)
+                for index, scenario in enumerate(mixed_registry, start=1)
+            ], workers
 
 
 class TestWarmReplay:
@@ -237,6 +256,43 @@ class TestWarmReplay:
         assert len(runner._references) == 0
         assert not any(name in spans for name in WORK_SPANS)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_store_holds_scenario_records_only(self, mixed_registry,
+                                               tmp_path, workers):
+        cache_dir = tmp_path / "cache"
+        cache = MutationOutcomeCache(cache_dir)
+        SweepRunner(mixed_registry, workers=workers,
+                    workspace=tmp_path / "ws", cache=cache).run()
+        assert cache.scenario_stats()["stores"] == len(MIXED_ENTRIES)
+        assert cache.snapshot().lookups == 0  # no engine saw the store
+        # Reopened, the segment indexes the scenario records and nothing
+        # else: no outcome or triage record was written.
+        assert MutationOutcomeCache(cache_dir).live_records() == \
+            len(MIXED_ENTRIES)
+
+    def test_warm_pooled_sweep_starts_no_worker(self, mixed_registry,
+                                                baseline, tmp_path,
+                                                fresh_pool):
+        cache_dir = tmp_path / "cache"
+        SweepRunner(
+            mixed_registry, workspace=tmp_path / "ws-cold",
+            cache=MutationOutcomeCache(cache_dir),
+        ).run()
+        telemetry = Telemetry(sink=MemorySink())
+        warm = SweepRunner(
+            mixed_registry, workers=2, workspace=tmp_path / "ws-warm",
+            cache=MutationOutcomeCache(cache_dir), telemetry=telemetry,
+        ).run()
+        counters = telemetry.counters()
+        spans = telemetry.span_stats()
+        telemetry.close()
+
+        assert warm.to_json(timings=False) == baseline
+        assert counters.get("sweep.scenario_cache_hits", 0) == \
+            len(MIXED_ENTRIES)
+        assert counters.get("parallel.workers_spawned", 0) == 0
+        assert not any(name in spans for name in WORK_SPANS)
+
     def test_editing_the_component_misses(self, mixed_registry, tmp_path,
                                           monkeypatch):
         cache_dir = tmp_path / "cache"
@@ -265,7 +321,7 @@ class TestErrorIsolation:
     """One scenario's crash never takes down the rest of the sweep."""
 
     def test_non_repro_error_is_contained(self, mixed_registry, tmp_path,
-                                          monkeypatch):
+                                          monkeypatch, fresh_pool):
         real_synthesize = sweep_module.synthesize
 
         def hostile_synthesize(genspec):
@@ -274,23 +330,93 @@ class TestErrorIsolation:
             return real_synthesize(genspec)
 
         monkeypatch.setattr(sweep_module, "synthesize", hostile_synthesize)
+        for workers in (1, 2):
+            telemetry = Telemetry(sink=MemorySink())
+            report = SweepRunner(
+                mixed_registry, workers=workers, workspace=tmp_path / "ws",
+                telemetry=telemetry,
+            ).run()
+            counters = telemetry.counters()
+            telemetry.close()
+
+            assert not report.passed
+            assert len(report.errors) == 1
+            assert report.errors[0].ident == "mixed-queue"
+            assert report.errors[0].error == "RuntimeError: synthetic fault"
+            assert counters.get("sweep.errors", 0) == 1
+            # The three survivors are complete, green rows.
+            healthy = [result for result in report.results
+                       if not result.error]
+            assert len(healthy) == 3
+            assert all(result.mutants_total > 0 for result in healthy)
+            assert all(result.oracle_failures == 0 for result in healthy)
+
+    def test_dead_worker_costs_only_its_task(self, mixed_registry, baseline,
+                                             tmp_path, monkeypatch,
+                                             fresh_pool):
+        # The two stack scenarios share a component, so they form one
+        # task; the worker dies on the second, after finishing the first.
+        real_run_scenario = SweepRunner.run_scenario
+
+        def dying_run_scenario(self, scenario):
+            if scenario.ident == "mixed-stack-glob":
+                os._exit(3)
+            return real_run_scenario(self, scenario)
+
+        monkeypatch.setattr(SweepRunner, "run_scenario", dying_run_scenario)
         telemetry = Telemetry(sink=MemorySink())
         report = SweepRunner(
-            mixed_registry, workspace=tmp_path / "ws", telemetry=telemetry,
+            mixed_registry, workers=2, workspace=tmp_path / "ws",
+            telemetry=telemetry,
         ).run()
         counters = telemetry.counters()
         telemetry.close()
 
-        assert not report.passed
-        assert len(report.errors) == 1
-        assert report.errors[0].ident == "mixed-queue"
-        assert report.errors[0].error == "RuntimeError: synthetic fault"
-        assert counters.get("sweep.errors", 0) == 1
-        # The three survivors are complete, green rows.
+        assert [result.ident for result in report.errors] == \
+            ["mixed-stack-bitneg", "mixed-stack-glob"]
+        for result in report.errors:
+            assert result.error.startswith("WorkerCrash: worker process "
+                                           "died (exitcode 3)")
+        assert counters.get("parallel.worker_crashes", 0) == 1
+        assert counters.get("sweep.errors", 0) == 2
+        serial = {item["ident"]: item
+                  for item in json.loads(baseline)["results"]}
         healthy = [result for result in report.results if not result.error]
-        assert len(healthy) == 3
-        assert all(result.mutants_total > 0 for result in healthy)
-        assert all(result.oracle_failures == 0 for result in healthy)
+        assert [result.ident for result in healthy] == \
+            ["mixed-queue", "mixed-account"]
+        for result in healthy:
+            assert result.to_dict(timings=False) == serial[result.ident]
+
+
+class TestPooledTelemetry:
+    """The parent traces its wait on the scenario pool as one span."""
+
+    def test_one_parallel_run_span(self, mixed_registry, baseline,
+                                   tmp_path):
+        sink = MemorySink()
+        telemetry = Telemetry(sink=sink)
+        report = SweepRunner(
+            mixed_registry, workers=2, workspace=tmp_path / "ws",
+            cache=MutationOutcomeCache(tmp_path / "cache"),
+            telemetry=telemetry,
+        ).run()
+        telemetry.close()
+
+        assert report.to_json(timings=False) == baseline
+        for event in sink.events:
+            validate_event(event)
+        pool_spans = [event for event in sink.events
+                      if event["kind"] == "span"
+                      and event["name"] == "parallel.run"]
+        assert len(pool_spans) == 1
+        # Two stack scenarios share one task; queue and account get theirs.
+        assert pool_spans[0]["attrs"] == {"scenarios": 4, "tasks": 3,
+                                          "workers": 2}
+
+
+def test_workers_below_one_rejected(mixed_registry):
+    with pytest.raises(ValueError, match="workers must be at least 1, got 0"):
+        SweepRunner(mixed_registry, workers=0)
 
 
 def test_merge_rejects_mismatched_registries():
