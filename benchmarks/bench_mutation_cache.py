@@ -1,11 +1,11 @@
 """Incremental outcome cache — cold vs warm wall-clock, segment-store edition.
 
-Runs the Table 1 workload (the full typed mutant pool over the Table 2
-target methods of ``CSortableObList``, truncated suite) three times into a
-fresh cache directory — once with no cache (fresh baseline), once cold
-(populating), once warm (replaying) — plus a warm run on the 2-worker
-engine, then compacts the store and replays once more, and writes
-``BENCH_mutation_cache.json`` at the repository root.
+Runs the Table 2 battery without the probe (the full typed mutant pool
+over the Table 2 target methods of ``CSortableObList``, truncated suite)
+three times into a fresh cache directory — once with no cache (fresh
+baseline), once cold (populating), once warm (replaying) — plus a warm
+run on the 2-worker engine, then compacts the store and replays once
+more, and writes ``BENCH_mutation_cache.json`` at the repository root.
 
 The asserted contract is the cached≡fresh guarantee under real load: every
 warm run (including the post-compaction one) must pass ``same_results``

@@ -1,6 +1,9 @@
-"""Shared CLI plumbing for the table experiments.
+"""Shared CLI plumbing for the Table 2 and Table 3 experiments and the
+scenario sweep.
 
-Every table CLI accepts the same incremental-run flags:
+The Table 2 and Table 3 CLIs accept the same incremental-run flags, and
+``python -m repro.scenarios run`` accepts them too (its store holds one
+record per scenario):
 
 * ``--cache-dir DIR`` — replay mutant outcomes from (and record them into)
   a content-addressed cache under ``DIR``; a warm rerun of an unchanged
@@ -13,7 +16,7 @@ Every table CLI accepts the same incremental-run flags:
   dropping superseded and damaged records (prints a ``cache compact:``
   line).
 
-They also share the coverage-guided pruning switch:
+The two table CLIs also share the coverage-guided pruning switch:
 
 * ``--no-prune`` — disable coverage-guided mutant×case pruning (on by
   default; pruning skips test cases whose reference execution never runs
@@ -28,7 +31,7 @@ And the static-triage switch:
   representative executes — every *executed* mutant's verdict is
   bit-identical either way, see :mod:`repro.mutation.triage`).
 
-And the run-telemetry flags (:mod:`repro.obs`):
+And all three share the run-telemetry flags (:mod:`repro.obs`):
 
 * ``--trace-out PATH`` — stream schema-versioned JSONL span/counter
   events for the whole run (generation, reference pass, per-mutant and
@@ -113,15 +116,13 @@ def exit_on_repro_error(main: Callable[[Optional[Sequence[str]]], int]
 
 
 def add_workers_argument(parser: argparse.ArgumentParser,
-                         default: int = 1,
                          help: Optional[str] = None) -> None:
     """The shared ``--workers N`` flag (serial when 1; the parallel
     engine's verdicts are field-for-field identical at any count)."""
     parser.add_argument(
-        "--workers", type=count_at_least(1), default=default, metavar="N",
+        "--workers", type=count_at_least(1), default=1, metavar="N",
         help=help or ("worker processes for mutation analysis "
-                      f"(default {default}; 1 = serial engine, verdicts "
-                      f"identical)"),
+                      "(default 1; 1 = serial engine, verdicts identical)"),
     )
 
 

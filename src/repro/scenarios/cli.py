@@ -11,11 +11,13 @@ Subcommands:
 * ``report`` — merge shard reports produced by ``run --report-out`` and
   apply the same gate to the merged whole.
 
-The incremental-run, pruning, triage and telemetry flags, and the count
-checks of ``--workers`` and ``--max-scenarios``, are the shared ones every
-table experiment uses (:mod:`repro.experiments.cli`).  ``--workers N``
-runs whole scenarios on N worker processes; the store holds scenario
-records only, so ``--cache-stats`` prints the scenario line alone.
+The incremental-run and telemetry flags, and the count checks of
+``--workers`` and ``--max-scenarios``, are the shared ones the table
+experiments use (:mod:`repro.experiments.cli`).  ``--workers N`` runs
+whole scenarios on N worker processes; the store holds scenario records
+only, so ``--cache-stats`` prints the scenario line alone.  A sweep
+always prunes and triages (neither moves a verdict), so ``run`` has no
+``--no-prune`` or ``--no-static-triage``.
 """
 
 from __future__ import annotations
@@ -30,15 +32,11 @@ from ..core.errors import ReproError
 from ..experiments.cli import (
     add_cache_arguments,
     add_obs_arguments,
-    add_prune_arguments,
-    add_triage_arguments,
     add_workers_argument,
     cache_from_arguments,
     compact_cache,
     count_at_least,
     finish_telemetry,
-    prune_from_arguments,
-    static_triage_from_arguments,
     telemetry_from_arguments,
 )
 from .registry import (
@@ -151,8 +149,6 @@ def _cmd_run(arguments: argparse.Namespace) -> int:
         workers=arguments.workers,
         workspace=arguments.workspace,
         cache=cache,
-        prune=prune_from_arguments(arguments),
-        static_triage=static_triage_from_arguments(arguments),
         telemetry=telemetry,
     )
 
@@ -252,8 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("-v", "--verbose", action="store_true",
                             help="print one progress line per scenario")
     add_cache_arguments(run_parser)
-    add_prune_arguments(run_parser)
-    add_triage_arguments(run_parser)
     add_obs_arguments(run_parser)
     run_parser.set_defaults(handler=_cmd_run)
 

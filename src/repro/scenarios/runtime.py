@@ -4,9 +4,10 @@ Generated components (:mod:`repro.scenarios.genspec`) live in modules that
 are *materialized* — written into a workspace directory and imported by
 file path, never installed on ``sys.path``.  That breaks the default
 pickling of classes, which ships ``(module, qualname)`` and requires the
-receiving process to import the module by name: a persistent mutation
-worker (:mod:`repro.mutation.parallel`) may have been forked before the
-module existed, and its plain ``import`` would fail.
+receiving process to import the module by name: a persistent pool worker
+(:mod:`repro.mutation.parallel`), running mutant batches or whole sweep
+scenarios, may have been forked before the module existed, and its plain
+``import`` would fail.
 
 The fix is a metaclass.  Every generated class is an instance of
 :class:`GeneratedComponentMeta`, and a reducer for that metaclass is

@@ -16,31 +16,37 @@ Cost sharing across the sweep, not per scenario:
   ``(component, suite)`` and *seeded* into every engine that needs them.
 
 With ``workers == 1`` scenarios run one at a time, in registry order, in
-the calling process.  With ``workers > 1`` the calling process looks
-every scenario up in the store and hands the misses to that many worker
-processes that each run whole scenarios: one task per run of adjacent
-scenarios with the same component (the registry lists them together),
-on the process-wide :class:`~repro.mutation.parallel.WorkerPool`.  A
-worker runs its task on a fresh serial runner without a store or
-telemetry; the calling process writes the records, tallies, reports
-progress and builds the report in registry order.  A worker that dies
-costs one error row per scenario of its task, never the sweep.
+the calling process.  With ``workers > 1`` the calling process resolves
+every scenario (its class and suite), looks it up in the store and hands
+the misses to that many worker processes that each run whole scenarios:
+one task per run of adjacent scenarios with the same component (the
+registry lists them together), on the process-wide
+:class:`~repro.mutation.parallel.WorkerPool`.  A task carries the class
+and suites it runs on (a generated class pickles through its metaclass,
+see :mod:`repro.scenarios.runtime`), so a worker only builds the battery,
+records the reference run and runs the analysis, on a fresh serial runner
+without a store or telemetry; the calling process writes the records,
+tallies, reports progress and builds the report in registry order.  A
+worker that dies costs one error row per scenario of its task, never the
+sweep.
+
+Every engine in a sweep prunes and triages; neither moves a verdict.
 
 Scenario warm cache: with a cache attached, each finished (non-failed)
 scenario's result projection is persisted keyed by the scenario content
-fingerprint, the component *source* hash, the suite fingerprint and the
-verdict-bearing engine flags.  Engines never get the store, so it holds
-scenario records only.  A warm sweep of an unchanged registry replays
-every scenario from the store — zero mutants executed, zero reference
-passes, no worker started — and still renders the byte-identical
-deterministic report.  The worker count is deliberately not part of the
-key: a scenario's result does not depend on which process ran it.
+fingerprint, the component *source* hash and the suite fingerprint.
+Engines never get the store, so it holds scenario records only.  A warm
+sweep of an unchanged registry replays every scenario from the store —
+zero mutants executed, zero reference passes, no worker started — and
+still renders the byte-identical deterministic report.  The worker count
+is deliberately not part of the key: a scenario's result does not depend
+on which process ran it.
 
 Determinism: :meth:`SweepReport.to_dict` with ``timings=False`` is the
 *deterministic projection* — same registry, same seeds, same flags ⇒
 byte-identical JSON.  Wall-clock, cache counters and the executed/skipped
-case tallies (which legitimately vary warm-vs-cold and pruned-vs-not) are
-confined to the ``timings=True`` rendering, mirroring
+case tallies (which legitimately vary warm-vs-cold) are confined to the
+``timings=True`` rendering, mirroring
 :meth:`~repro.mutation.analysis.MutationRun.same_results`.
 """
 
@@ -397,6 +403,16 @@ def merge_reports(reports: Sequence[SweepReport]) -> SweepReport:
     )
 
 
+@dataclass(frozen=True)
+class _Resolved:
+    """A scenario with the class and suite it runs on; it pickles, so a
+    pool task carries it to the worker that runs it."""
+
+    scenario: ScenarioConfig
+    cls: type
+    suite: TestSuite
+
+
 class SweepRunner:
     """Executes scenarios, sharing warm state across the whole sweep."""
 
@@ -404,23 +420,18 @@ class SweepRunner:
                  workers: int = 1,
                  workspace: Optional[PathLike] = None,
                  cache: Optional[MutationOutcomeCache] = None,
-                 prune: bool = True,
-                 static_triage: bool = True,
                  telemetry: Optional[Telemetry] = None):
         """``workers > 1`` runs the scenarios the store cannot answer on
         that many processes of the process-wide shared pool, each running
         whole scenarios (see the module docstring).  ``cache`` holds the
-        scenario records; ``prune`` and ``static_triage`` are passed to
-        the serial engine unchanged, and ``telemetry`` observes this
-        process only.  A count below 1 is a ``ValueError``."""
+        scenario records, and ``telemetry`` observes this process only.
+        A count below 1 is a ``ValueError``."""
         if workers < 1:
             raise ValueError(f"workers must be at least 1, got {workers}")
         self._registry = registry
         self._workers = workers
         self._workspace = workspace
         self._cache = cache
-        self._prune = prune
-        self._static_triage = static_triage
         self._telemetry = telemetry
         self._obs = coalesce(telemetry)
         # Sweep-wide memos (see module docstring).
@@ -433,11 +444,9 @@ class SweepRunner:
 
     # -- component / suite resolution -----------------------------------
 
-    def _resolve_component(self, scenario: ScenarioConfig
-                           ) -> Tuple[type, ClassSpec,
-                                      Optional[Callable[[], None]],
-                                      Optional[object]]:
-        """The scenario's class, spec, setup hook and triage type model."""
+    def _resolve(self, scenario: ScenarioConfig) -> _Resolved:
+        """The scenario with its class and suite; a generated class is
+        synthesized and materialized once per ``(family, seed)``."""
         selector = scenario.component
         if selector.is_generated:
             key = (selector.family, selector.seed)
@@ -451,10 +460,10 @@ class SweepRunner:
                     )
                     cls = materialize(component, self._workspace)
                 self._classes[key] = cls
-            return cls, cls.__tspec__, None, None
-        cls = component_by_name(selector.ref)
-        return (cls, cls.__tspec__,
-                setup_for(selector.ref), type_model_for(selector.ref))
+        else:
+            cls = component_by_name(selector.ref)
+        suite = self._suite_for(selector.describe(), scenario, cls.__tspec__)
+        return _Resolved(scenario, cls, suite)
 
     def _suite_for(self, component_key: str,
                    scenario: ScenarioConfig, spec: ClassSpec) -> TestSuite:
@@ -486,8 +495,7 @@ class SweepRunner:
         cached = self._references.get(key)
         if cached is None:
             recorder = MutationAnalysis(
-                cls, suite, setup=setup, prune=self._prune,
-                telemetry=self._telemetry,
+                cls, suite, setup=setup, telemetry=self._telemetry,
             )
             cached = (recorder.reference_results(),
                       recorder.coverage_matrix())
@@ -506,18 +514,41 @@ class SweepRunner:
         ``error`` row and one ``sweep.errors`` tick — never the rest of
         the sweep."""
         started = time.perf_counter()
+        item, key, row = self._prepare(scenario, started)
+        if row is None:
+            row = self._run(item, started)
+            self._record(key, row)
+        return row
+
+    def _prepare(self, scenario: ScenarioConfig, started: float
+                 ) -> Tuple[Optional[_Resolved], Optional[str],
+                            Optional[ScenarioResult]]:
+        """Resolve the scenario and look it up: ``(item, key, row)``.
+
+        ``row`` is the replayed row or the error row of a scenario that
+        could not be resolved; when it is ``None``, ``item`` must run and
+        ``key`` is its store address (``None`` without a store)."""
         try:
-            key, replayed = self._lookup(scenario, started)
-            if replayed is not None:
-                return replayed
-            result = self._execute(scenario, started)
+            item = self._resolve(scenario)
+            key, row = self._lookup(item, started)
         except Exception as error:
-            return self._error_result(
-                scenario, f"{type(error).__name__}: {error}",
-                elapsed=time.perf_counter() - started,
-            )
-        self._record(key, result)
-        return result
+            return None, None, self._failed(scenario, error, started)
+        return item, key, row
+
+    def _run(self, item: _Resolved, started: float) -> ScenarioResult:
+        """Execute a resolved scenario; an ``Exception`` becomes its
+        error row."""
+        try:
+            return self._execute(item, started)
+        except Exception as error:
+            return self._failed(item.scenario, error, started)
+
+    def _failed(self, scenario: ScenarioConfig, error: Exception,
+                started: float) -> ScenarioResult:
+        return self._error_result(
+            scenario, f"{type(error).__name__}: {error}",
+            elapsed=time.perf_counter() - started,
+        )
 
     def _error_result(self, scenario: ScenarioConfig, error: str,
                       elapsed: float = 0.0) -> ScenarioResult:
@@ -534,39 +565,33 @@ class SweepRunner:
             error=error,
         )
 
-    def _scenario_key(self, scenario: ScenarioConfig, cls: type,
-                      suite: TestSuite) -> str:
+    def _scenario_key(self, item: _Resolved) -> str:
         """The scenario warm-cache address.
 
         Covers everything that can change the deterministic projection:
         the scenario content fingerprint (operators, oracle, budgets,
         methods, suite config), the component *source* hash (via
         :func:`canonical`, so editing a component or the generator
-        invalidates its scenarios), the realized suite fingerprint, and
-        the verdict-bearing engine flags.  Deliberately excluded:
-        ``workers`` — a scenario's result does not depend on the process
-        that ran it, so one stored result replays at any parallelism.
+        invalidates its scenarios) and the realized suite fingerprint.
+        Deliberately excluded: ``workers`` — a scenario's result does not
+        depend on the process that ran it, so one stored result replays
+        at any parallelism.
         """
         return sha256_hex(
             "scenario-result",
             f"v{CACHE_KEY_VERSION}",
-            scenario.fingerprint(),
-            canonical(cls),
-            suite.fingerprint(),
-            canonical(self._prune),
-            canonical(self._static_triage),
+            item.scenario.fingerprint(),
+            canonical(item.cls),
+            item.suite.fingerprint(),
         )
 
-    def _lookup(self, scenario: ScenarioConfig, started: float
+    def _lookup(self, item: _Resolved, started: float
                 ) -> Tuple[Optional[str], Optional[ScenarioResult]]:
         """The scenario's store key and, on a hit, its replayed row;
         ``(None, None)`` without a store."""
         if self._cache is None:
             return None, None
-        cls, spec, _, _ = self._resolve_component(scenario)
-        suite = self._suite_for(scenario.component.describe(), scenario,
-                                spec)
-        key = self._scenario_key(scenario, cls, suite)
+        key = self._scenario_key(item)
         stored = self._cache.lookup_scenario(key)
         if stored is None:
             self._obs.count("sweep.scenario_cache_misses")
@@ -583,12 +608,16 @@ class SweepRunner:
         if key is not None and not result.failed:
             self._cache.store_scenario(key, result.to_dict(timings=True))
 
-    def _execute(self, scenario: ScenarioConfig,
-                 started: float) -> ScenarioResult:
-        cls, spec, setup, type_model = self._resolve_component(scenario)
-        component_key = scenario.component.describe()
+    def _execute(self, item: _Resolved, started: float) -> ScenarioResult:
+        scenario, cls, suite = item.scenario, item.cls, item.suite
+        selector = scenario.component
+        spec = cls.__tspec__
+        setup = type_model = None
+        if not selector.is_generated:
+            setup, type_model = (setup_for(selector.ref),
+                                 type_model_for(selector.ref))
+        component_key = selector.describe()
         methods = scenario.methods or default_methods(spec)
-        suite = self._suite_for(component_key, scenario, spec)
         mutants, generation, truncated = build_battery(
             cls, methods,
             operator_names=scenario.operators,
@@ -606,8 +635,6 @@ class SweepRunner:
             setup=setup,
             reference=reference,
             coverage=coverage,
-            prune=self._prune,
-            static_triage=self._static_triage,
             triage_type_model=type_model,
             telemetry=self._telemetry,
         ).analyze(mutants)
@@ -682,8 +709,9 @@ class SweepRunner:
     def _run_pooled(self, scenarios: Sequence[ScenarioConfig],
                     progress: Optional[ProgressCallback]
                     ) -> List[ScenarioResult]:
-        """Look every scenario up here and run the misses on the pool,
-        one task per run of adjacent misses with the same component.
+        """Resolve and look up every scenario here and run the misses on
+        the pool, one task per run of adjacent misses with the same
+        component.
 
         Rows are finished in registry order as soon as every row before
         them is known.  Ctrl-C (the pool has already killed the workers
@@ -699,27 +727,20 @@ class SweepRunner:
                 self._finish(results, scenarios, rows[position], progress)
 
         try:
-            misses: List[int] = []
+            misses: List[Tuple[int, _Resolved]] = []
             for position, scenario in enumerate(scenarios):
-                started = time.perf_counter()
-                try:
-                    key, row = self._lookup(scenario, started)
-                except Exception as error:
-                    key, row = None, self._error_result(
-                        scenario, f"{type(error).__name__}: {error}",
-                        elapsed=time.perf_counter() - started,
-                    )
-                if row is None:
+                item, key, rows[position] = self._prepare(
+                    scenario, time.perf_counter()
+                )
+                if rows[position] is None:
                     keys[position] = key
-                    misses.append(position)
-                rows[position] = row
+                    misses.append((position, item))
                 finish_ready()
             tasks = [tuple(group) for _, group in groupby(
-                misses, key=lambda position:
-                    scenarios[position].component.describe()
+                misses, key=lambda miss: miss[1].scenario.component.describe()
             )]
             if tasks:
-                self._run_tasks(scenarios, tasks, rows, finish_ready)
+                self._run_tasks(tasks, rows, finish_ready)
         except KeyboardInterrupt:
             pass
         for position, scenario in enumerate(scenarios):
@@ -728,33 +749,31 @@ class SweepRunner:
         finish_ready()
         return results
 
-    def _run_tasks(self, scenarios: Sequence[ScenarioConfig],
-                   tasks: List[Tuple[int, ...]],
+    def _run_tasks(self, tasks: List[Tuple[Tuple[int, _Resolved], ...]],
                    rows: List[Optional[ScenarioResult]],
                    finish_ready: Callable[[], None]) -> None:
-        """Run each task (a tuple of positions) on the shared pool and
-        fill its rows as it arrives."""
+        """Run each task (a tuple of positioned, resolved scenarios) on
+        the shared pool and fill its rows as it arrives."""
 
         def deliver(index: int, task_rows: Tuple[ScenarioResult, ...],
                     executed: bool) -> None:
-            for position, row in zip(tasks[index], task_rows):
+            for (position, _), row in zip(tasks[index], task_rows):
                 rows[position] = row
             finish_ready()
 
-        def lost(task: Tuple[ScenarioConfig, ...], reason: KillReason,
+        def lost(task: Tuple[_Resolved, ...], reason: KillReason,
                  detail: str) -> Tuple[ScenarioResult, ...]:
-            return tuple(self._error_result(scenario, f"WorkerCrash: {detail}")
-                         for scenario in task)
+            return tuple(self._error_result(item.scenario,
+                                            f"WorkerCrash: {detail}")
+                         for item in task)
 
         job = PoolJob(
-            tasks=[tuple(scenarios[position] for position in task)
-                   for task in tasks],
-            spec=_ScenarioTaskSpec(self._workspace, self._prune,
-                                   self._static_triage),
+            tasks=[tuple(item for _, item in task) for task in tasks],
+            spec=_ScenarioTaskSpec(),
             deliver=deliver,
             lost=lost,
             describe=lambda task: {
-                "idents": ",".join(scenario.ident for scenario in task)
+                "idents": ",".join(item.scenario.ident for item in task)
             },
             workers=self._workers,
             obs=self._obs,
@@ -801,27 +820,20 @@ class SweepRunner:
         )
 
 
-@dataclass(frozen=True)
 class _ScenarioTaskSpec:
-    """What a pool worker needs to run scenario tasks (picklable).
+    """The job spec of scenario tasks on the pool (picklable).
 
-    Each task runs on a fresh serial :class:`SweepRunner` with no store
-    and no telemetry, so a worker carries nothing from one task to the
-    next, and a task's scenarios share their component, suite and
-    reference run as they would in a serial sweep.
+    Each task, a tuple of resolved scenarios, runs on a fresh serial
+    :class:`SweepRunner` with no store and no telemetry, so a worker
+    carries nothing from one task to the next, and a task's scenarios
+    share their reference run as they would in a serial sweep.
     """
 
-    workspace: Optional[PathLike]
-    prune: bool
-    static_triage: bool
-
-    def runner(self) -> Callable[[Tuple[ScenarioConfig, ...]],
+    def runner(self) -> Callable[[Tuple[_Resolved, ...]],
                                  Tuple[ScenarioResult, ...]]:
-        return self._run_task
+        return _run_task
 
-    def _run_task(self, scenarios: Tuple[ScenarioConfig, ...]
-                  ) -> Tuple[ScenarioResult, ...]:
-        sweep = SweepRunner(ScenarioRegistry(()), workspace=self.workspace,
-                            prune=self.prune,
-                            static_triage=self.static_triage)
-        return tuple(sweep.run_scenario(scenario) for scenario in scenarios)
+
+def _run_task(items: Tuple[_Resolved, ...]) -> Tuple[ScenarioResult, ...]:
+    sweep = SweepRunner(ScenarioRegistry(()))
+    return tuple(sweep._run(item, time.perf_counter()) for item in items)

@@ -10,6 +10,7 @@ cannot honour — without paying for the full paper workloads.
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,6 +22,7 @@ from repro.experiments.table1 import OPERATOR_DEFINITIONS, run_table1
 from repro.experiments.table2 import main as table2_main, run_table2
 from repro.experiments.table3 import main as table3_main, run_table3
 from repro.mutation.operators import ALL_OPERATORS
+from repro.obs import validate_jsonl
 
 OPERATOR_NAMES = tuple(operator.name for operator in ALL_OPERATORS)
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -105,10 +107,9 @@ class TestTable3:
 class TestRunnersRefuseCounts:
     @pytest.mark.parametrize("max_cases", [-620, 0])
     @pytest.mark.parametrize("runner,options", [
-        (run_table1, {"with_analysis": True}),
         (run_table2, {"methods": ("FindMax",), "with_equivalence": False}),
         (run_table3, {"methods": ("RemoveHead",)}),
-    ], ids=("table1", "table2", "table3"))
+    ], ids=("table2", "table3"))
     def test_max_cases_below_one(self, runner, options, max_cases):
         # A negative count sliced from the end and 0 left an empty suite;
         # either scored 0.0 % instead of failing as --max-cases does.
@@ -140,6 +141,27 @@ class TestCommandLine:
         output = capsys.readouterr().out
         assert "Mutation results for class CSortableObList" in output
         assert "Table 2" in output
+
+    def test_table2_cli_store_and_trace_flags(self, tmp_path, capsys):
+        # Cold, then warm into the same store: the warm run replays every
+        # verdict the cold run stored.
+        arguments = ["--methods", "FindMax", "--max-cases", "40",
+                     "--no-equivalence", "--cache-dir", str(tmp_path / "store"),
+                     "--cache-stats"]
+        trace = tmp_path / "trace.jsonl"
+        assert table2_main([*arguments, "--trace-out", str(trace)]) == 0
+        cold = capsys.readouterr().out
+        misses = re.search(r"^cache: 0 hits, (\d+) misses", cold, re.M)
+        assert misses is not None, cold
+        assert int(misses.group(1)) > 0
+        assert validate_jsonl(trace.read_text().splitlines()) > 0
+
+        assert table2_main([*arguments, "--cache-compact",
+                            "--obs-summary"]) == 0
+        warm = capsys.readouterr().out
+        assert f"cache: {misses.group(1)} hits, 0 misses" in warm
+        assert re.search(r"^cache compact: ", warm, re.M)
+        assert re.search(r"^obs", warm, re.M)
 
     def test_table3_cli_smoke(self, capsys):
         exit_code = table3_main([

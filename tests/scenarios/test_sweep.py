@@ -205,6 +205,27 @@ class TestDifferentialMatrix:
             assert [result.ident for result in report.results] == \
                 [scenario.ident for scenario in mixed_registry], workers
 
+    def test_workers_get_resolved_inputs(self, mixed_registry, baseline,
+                                         tmp_path, monkeypatch, fresh_pool):
+        # The calling process synthesizes each component and generates
+        # each suite; a worker only builds the battery, records the
+        # reference run and runs the analysis.
+        test_process = os.getpid()
+
+        def parent_only(build):
+            def guarded(*args, **kwargs):
+                if os.getpid() != test_process:
+                    raise RuntimeError(f"{build.__name__} ran in a worker")
+                return build(*args, **kwargs)
+            return guarded
+
+        for name in ("synthesize", "DriverGenerator"):
+            monkeypatch.setattr(sweep_module, name,
+                                parent_only(getattr(sweep_module, name)))
+        report = SweepRunner(mixed_registry, workers=2,
+                             workspace=tmp_path / "ws").run()
+        assert report.to_json(timings=False) == baseline
+
     def test_progress_positions_stay_dense(self, mixed_registry, tmp_path):
         for workers in (1, 2):
             seen = []
@@ -279,9 +300,10 @@ class TestWarmReplay:
             cache=MutationOutcomeCache(cache_dir),
         ).run()
         telemetry = Telemetry(sink=MemorySink())
+        warm_cache = MutationOutcomeCache(cache_dir)
         warm = SweepRunner(
             mixed_registry, workers=2, workspace=tmp_path / "ws-warm",
-            cache=MutationOutcomeCache(cache_dir), telemetry=telemetry,
+            cache=warm_cache, telemetry=telemetry,
         ).run()
         counters = telemetry.counters()
         spans = telemetry.span_stats()
@@ -292,6 +314,8 @@ class TestWarmReplay:
             len(MIXED_ENTRIES)
         assert counters.get("parallel.workers_spawned", 0) == 0
         assert not any(name in spans for name in WORK_SPANS)
+        # A replayed row is not written back.
+        assert warm_cache.scenario_stats()["stores"] == 0
 
     def test_editing_the_component_misses(self, mixed_registry, tmp_path,
                                           monkeypatch):
@@ -356,14 +380,14 @@ class TestErrorIsolation:
                                              fresh_pool):
         # The two stack scenarios share a component, so they form one
         # task; the worker dies on the second, after finishing the first.
-        real_run_scenario = SweepRunner.run_scenario
+        real_execute = SweepRunner._execute
 
-        def dying_run_scenario(self, scenario):
-            if scenario.ident == "mixed-stack-glob":
+        def dying_execute(self, item, started):
+            if item.scenario.ident == "mixed-stack-glob":
                 os._exit(3)
-            return real_run_scenario(self, scenario)
+            return real_execute(self, item, started)
 
-        monkeypatch.setattr(SweepRunner, "run_scenario", dying_run_scenario)
+        monkeypatch.setattr(SweepRunner, "_execute", dying_execute)
         telemetry = Telemetry(sink=MemorySink())
         report = SweepRunner(
             mixed_registry, workers=2, workspace=tmp_path / "ws",

@@ -59,16 +59,15 @@ def test_pooled_sigint_keeps_finished_rows(tmp_path, monkeypatch):
                                "CObList"))
     serial = {result.ident: result.to_dict(timings=False)
               for result in SweepRunner(registry).run().results}
-    real_run_scenario = SweepRunner.run_scenario
+    real_execute = SweepRunner._execute
 
-    def interrupting_run_scenario(self, scenario):
-        if scenario.ident == "boom":
+    def interrupting_execute(self, item, started):
+        if item.scenario.ident == "boom":
             os.kill(os.getppid(), signal.SIGINT)
             time.sleep(60)  # until the parent kills this worker
-        return real_run_scenario(self, scenario)
+        return real_execute(self, item, started)
 
-    monkeypatch.setattr(SweepRunner, "run_scenario",
-                        interrupting_run_scenario)
+    monkeypatch.setattr(SweepRunner, "_execute", interrupting_execute)
     shutdown_shared_pool()  # fork the workers after the patch
     try:
         report = SweepRunner(registry, workers=2).run()
