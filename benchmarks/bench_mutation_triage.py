@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -29,7 +28,6 @@ from pathlib import Path
 from repro.components import CSortableObList, OBLIST_TYPE_MODEL
 from repro.experiments.config import TABLE2_METHODS, sortable_oracle, sortable_suite
 from repro.mutation.analysis import MutationAnalysis
-from repro.mutation.cache import MutationOutcomeCache
 from repro.mutation.equivalence import probe_equivalence
 from repro.mutation.generate import generate_mutants
 from repro.mutation.triage import triage_mutants
@@ -63,21 +61,10 @@ def _timed(function, *args, **kwargs):
 def run_bench() -> dict:
     suite, mutants = _workload()
 
-    # The triage pass alone, cold and (verdict-cache) warm.
-    triage, triage_cold_seconds = _timed(
+    # The triage pass alone.
+    triage, triage_seconds = _timed(
         triage_mutants, CSortableObList, mutants, type_model=OBLIST_TYPE_MODEL
     )
-    with tempfile.TemporaryDirectory(prefix="bench-mutation-triage-") as root:
-        cache = MutationOutcomeCache(root)
-        _, prime_seconds = _timed(
-            triage_mutants, CSortableObList, mutants,
-            type_model=OBLIST_TYPE_MODEL, cache=cache,
-        )
-        replayed, triage_warm_seconds = _timed(
-            triage_mutants, CSortableObList, mutants,
-            type_model=OBLIST_TYPE_MODEL, cache=cache,
-        )
-    assert replayed.entries == triage.entries
 
     # Full analyses with and without the pass.
     with_triage = MutationAnalysis(
@@ -113,9 +100,7 @@ def run_bench() -> dict:
         },
         "cpu_count": os.cpu_count(),
         "triage": {
-            "cold_seconds": round(triage_cold_seconds, 3),
-            "warm_seconds": round(triage_warm_seconds, 3),
-            "prime_seconds": round(prime_seconds, 3),
+            "seconds": round(triage_seconds, 3),
             "ast_equivalent": len(triage.ast_equivalent),
             "bytecode_equivalent": len(triage.bytecode_equivalent),
             "redundant": len(triage.redundant),

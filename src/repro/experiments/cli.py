@@ -5,11 +5,12 @@ The Table 2 and Table 3 CLIs accept the same incremental-run flags, and
 ``python -m repro.scenarios run`` accepts them too (its store holds one
 record per scenario):
 
-* ``--cache-dir DIR`` — replay mutant outcomes from (and record them into)
-  a content-addressed cache under ``DIR``; a warm rerun of an unchanged
-  experiment executes zero mutant test cases (see
+* ``--cache-dir DIR`` — replay each mutation run from (and record it
+  into) a content-addressed store under ``DIR``, one record per run; a
+  warm rerun of an unchanged experiment executes zero mutant test cases,
+  and any changed input misses the whole run (see
   :mod:`repro.mutation.cache` and README "Incremental runs");
-* ``--cache-stats`` — print hit/miss/invalidation counters after each
+* ``--cache-stats`` — print hit/miss/corrupt counters after each
   mutation run (lines start with ``cache`` so table output can be compared
   across runs with a simple filter);
 * ``--cache-compact`` — rewrite the cache's segment file after the run,
@@ -71,12 +72,12 @@ def add_cache_arguments(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("incremental runs (outcome cache)")
     group.add_argument(
         "--cache-dir", default=None, metavar="DIR",
-        help="content-addressed mutant-outcome cache directory "
+        help="content-addressed store of whole mutation runs "
              "(warm reruns of an unchanged experiment re-execute nothing)",
     )
     group.add_argument(
         "--cache-stats", action="store_true",
-        help="print cache hit/miss/invalidation counters after the run",
+        help="print cache hit/miss/corrupt counters after the run",
     )
     group.add_argument(
         "--cache-compact", action="store_true",

@@ -88,8 +88,9 @@ def run_table2(seed: int = EXPERIMENT_SEED,
     are field-for-field identical to the serial run).  ``max_cases`` (at
     least 1) truncates the suite — a smoke/bench hook, not a paper
     configuration.
-    ``cache`` replays unchanged mutant verdicts from the incremental
-    outcome cache (cached runs are ``same_results``-identical to fresh);
+    ``cache`` replays the whole run from the incremental outcome store
+    when nothing it depends on changed (cached runs are
+    ``same_results``-identical to fresh);
     ``prune=False`` disables coverage-guided mutant×case pruning (verdicts
     are identical either way).  ``static_triage=False`` disables the
     static equivalent-mutant triage pass; with it on (the default),

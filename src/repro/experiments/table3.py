@@ -110,7 +110,7 @@ def run_table3(seed: int = EXPERIMENT_SEED,
     ``workers > 1`` runs every mutant battery on the parallel engine
     (serial-identical results); ``max_cases`` (at least 1) truncates the
     suites — a smoke/bench hook, not a paper configuration.  ``cache`` is
-    shared by all three batteries: each run's entries are keyed by its own
+    shared by all three batteries: each run's record is keyed by its own
     suite, oracle and builder, so the contrast runs never
     cross-contaminate.
     ``prune=False`` disables coverage-guided mutant×case pruning (verdicts

@@ -28,6 +28,11 @@ identical to the unpruned run; only the executed/skipped case counters
 differ (which is why :meth:`MutationRun.same_results` compares outcomes
 modulo those counters).  A ``setup`` hook declares state shared across
 cases, which voids that argument, so with one the analysis runs exhaustively.
+
+**Stored runs** (``cache=``): the analysis looks its whole run up in the
+outcome store (:mod:`repro.mutation.cache`) after the reference pass.  A
+hit rebuilds the run from the record, with no triage and no execution; a
+miss triages, executes and stores one record for the run.
 """
 
 from __future__ import annotations
@@ -37,16 +42,17 @@ from dataclasses import dataclass, replace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.errors import MutationError
+from ..core.fingerprint import canonical
 from ..generator.suite import TestSuite
 from ..harness.executor import TestExecutor
 from ..harness.oracles import CompositeOracle, KillReason, paper_oracle
 from ..harness.outcomes import SuiteResult, TestResult, Verdict
 from ..obs import Telemetry, coalesce
 from .cache import (
-    CacheKey,
     CacheStats,
     MutationOutcomeCache,
     experiment_fingerprint,
+    run_fingerprint,
 )
 from .coverage import (
     NEVER,
@@ -68,6 +74,11 @@ from .typemodel import TypeModel
 #: Builds the runnable class for a mutant (experiment 2 swaps in a builder
 #: that re-derives the subclass over the mutated base).
 ClassBuilder = Callable[[CompiledMutant], type]
+
+#: Kill reasons that wall-clock and process scheduling decide, not the
+#: fingerprinted inputs: a run holding one is never stored.
+_BOUNDARY_KILLS = (KillReason.WORKER_CRASH, KillReason.WALL_TIMEOUT)
+
 
 @dataclass(frozen=True)
 class MutantOutcome:
@@ -144,9 +155,9 @@ class MutationRun:
     #: often the sandbox had to bound a runaway mutant).  Aggregated across
     #: workers by the parallel engine.
     step_timeouts: int = 0
-    #: Outcome-cache lookup counters for this run (``None`` when the run
-    #: was executed without a cache).  Excluded from ``same_results``: a
-    #: warm run differs from a cold run only here and in wall-clock.
+    #: Store counters of this run's one lookup (``None`` when the run was
+    #: executed without a store).  Excluded from ``same_results``: a warm
+    #: run differs from a cold run only here and in wall-clock.
     cache_stats: Optional[CacheStats] = None
     #: The static-triage verdicts this run was executed under (``None``
     #: when triage was disabled).  Excluded from ``same_results``, which
@@ -306,6 +317,32 @@ def _triaged_outcome(mutant: CompiledMutant, triage: StaticTriage,
     )
 
 
+def _stored_verdict(outcome: MutantOutcome, timeouts: int) -> Tuple:
+    """What a run record keeps of one mutant's result: every outcome
+    field but the mutant record, then its step timeouts."""
+    return (outcome.killed, outcome.reason.value, outcome.killing_case,
+            outcome.killing_cases, outcome.detail, outcome.cases_run,
+            outcome.cases_skipped, outcome.static_status, timeouts)
+
+
+def _replayed(mutant: CompiledMutant, verdict: Tuple
+              ) -> Tuple[MutantOutcome, int]:
+    """The ``(outcome, step timeouts)`` a :func:`_stored_verdict` holds."""
+    (killed, reason, killing_case, killing_cases, detail, cases_run,
+     cases_skipped, static_status, timeouts) = verdict
+    return MutantOutcome(
+        mutant=mutant.record,
+        killed=killed,
+        reason=KillReason(reason),
+        killing_case=killing_case,
+        cases_run=cases_run,
+        killing_cases=killing_cases,
+        detail=detail,
+        cases_skipped=cases_skipped,
+        static_status=static_status,
+    ), timeouts
+
+
 def _set_verdict(span, outcome: MutantOutcome) -> None:
     """Copy the verdict-bearing fields of ``outcome`` onto its span."""
     span.set("killed", outcome.killed)
@@ -339,9 +376,10 @@ class MutationAnalysis:
         worker receives the parent's reference instead of re-executing the
         suite, so every worker judges against bit-identical golden results.
 
-        ``cache`` replays previously computed outcomes whose content
-        fingerprint (mutant source, suite, oracle, budget, builder, flags)
-        is unchanged; see :mod:`repro.mutation.cache`.
+        ``cache`` replays a whole run stored under the same key (mutant
+        sources, battery order, suite, oracle, budget, builder, flags,
+        pruning, triage setting) and stores each run it executes; see
+        :mod:`repro.mutation.cache`.
 
         ``prune`` enables coverage-guided mutant×case pruning (the
         default): only cases whose reference run reached the mutated line
@@ -484,35 +522,59 @@ class MutationAnalysis:
     # ------------------------------------------------------------------
 
     def analyze(self, mutants: Iterable[CompiledMutant]) -> MutationRun:
-        """Run the suite over every mutant (replaying stored outcomes).
+        """Run the suite over every mutant, or replay the stored run.
 
         The one analysis loop of both engines.  It takes the battery as a
-        list once, triages it and derives the store keys, then hands the
-        mutants triage does not skip to :meth:`_resolve`, the one step the
-        parallel engine overrides.  Triage resolves the rest *without
-        dispatch* — no suite execution, no store traffic: a proven
-        equivalent gets a synthesized survivor outcome, and a redundant
-        mutant takes the verdict of its group representative, which always
-        precedes it in submission order and is never itself skipped.
+        list once and, with a store, looks the whole run up: a stored run
+        is rebuilt without triage or execution.  Otherwise it triages the
+        battery and hands the mutants triage does not skip to
+        :meth:`_resolve`, the one step the parallel engine overrides.
+        Triage resolves the rest *without dispatch*: a proven equivalent
+        gets a synthesized survivor outcome, and a redundant mutant takes
+        the verdict of its group representative, which always precedes it
+        in submission order and is never itself skipped.  The finished run
+        is stored as one record, unless it holds a worker-boundary kill.
         """
         mutants = list(mutants)
         reference = self.reference_results()
         self.coverage_matrix()  # refuses a budget the reference reaches
         started = time.perf_counter()
-        cache = self._cache
-        triage = self.static_triage_for(mutants)
-        keys: List[Optional[CacheKey]] = [None] * len(mutants)
-        stats_before = None
+        cache, key = self._cache, ""
+        entry, corrupt = None, False
         if cache is not None:
-            experiment = self.experiment_fingerprint()
-            keys = [cache.key_for(experiment, mutant) for mutant in mutants]
-            stats_before = cache.snapshot()
+            key = self.run_fingerprint(mutants)
+            entry, corrupt = cache.lookup(key)
+        if entry is not None:
+            triage = entry.triage
+            results = [_replayed(mutant, verdict)
+                       for mutant, verdict in zip(mutants, entry.verdicts)]
+        else:
+            triage = self.static_triage_for(mutants)
+            results = self._execute(mutants, triage)
+            if cache is not None and not any(
+                    outcome.reason in _BOUNDARY_KILLS
+                    for outcome, _ in results):
+                cache.store(key, [_stored_verdict(*result)
+                                  for result in results], triage)
+        stats = None
+        if cache is not None:
+            dispatched = sum(outcome.dispatched for outcome, _ in results)
+            stats = (CacheStats(hits=dispatched) if entry is not None
+                     else CacheStats(misses=dispatched, corrupt=int(corrupt)))
+        return self._assemble(results, reference, triage, stats,
+                              time.perf_counter() - started)
+
+    def _execute(self, mutants: List[CompiledMutant],
+                 triage: Optional[StaticTriage]
+                 ) -> List[Tuple[MutantOutcome, int]]:
+        """Each mutant's ``(outcome, step timeouts)``: executed through
+        :meth:`_resolve` unless triage skips it, then synthesized."""
         untriaged = [index for index, mutant in enumerate(mutants)
                      if triage is None or not triage.is_skipped(mutant.ident)]
         results: List[Optional[Tuple[MutantOutcome, int]]] = (
             [None] * len(mutants)
         )
-        self._resolve(mutants, untriaged, keys, results)
+        self._resolve(mutants, untriaged, results)
         by_ident: Dict[str, MutantOutcome] = {}
         for index, mutant in enumerate(mutants):
             if results[index] is None:
@@ -522,7 +584,24 @@ class MutationAnalysis:
                     _set_verdict(span, outcome)
                 results[index] = (outcome, 0)
             by_ident[mutant.ident] = results[index][0]
-        elapsed = time.perf_counter() - started
+        return results
+
+    def _resolve(self, mutants: List[CompiledMutant], indices: List[int],
+                 results: List[Optional[Tuple[MutantOutcome, int]]]) -> None:
+        """Set ``results[i]`` to ``(outcome, step timeouts)`` for each
+        index ``i`` in ``indices``, executing the mutant here."""
+        for index in indices:
+            mutant = mutants[index]
+            with self._mutant_span(mutant) as span:
+                results[index] = self.analyze_single(mutant)
+                _set_verdict(span, results[index][0])
+
+    def _assemble(self, results: List[Tuple[MutantOutcome, int]],
+                  reference: SuiteResult, triage: Optional[StaticTriage],
+                  cache_stats: Optional[CacheStats],
+                  elapsed: float) -> MutationRun:
+        """The run of per-mutant ``(outcome, step timeouts)`` results,
+        executed or replayed."""
         return MutationRun(
             class_name=self._original.__name__,
             suite_size=len(self._suite),
@@ -530,41 +609,9 @@ class MutationAnalysis:
             reference=reference,
             elapsed_seconds=elapsed,
             step_timeouts=sum(timeouts for _, timeouts in results),
-            cache_stats=(cache.snapshot().since(stats_before)
-                         if cache is not None else None),
+            cache_stats=cache_stats,
             triage=triage,
         )
-
-    def _resolve(self, mutants: List[CompiledMutant], indices: List[int],
-                 keys: List[Optional[CacheKey]],
-                 results: List[Optional[Tuple[MutantOutcome, int]]]) -> None:
-        """Set ``results[i]`` to ``(outcome, step timeouts)`` for each
-        index ``i`` in ``indices``: replayed from the store, or executed
-        here and written back.  ``keys[i]`` is ``None`` without a store.
-        """
-        for index in indices:
-            mutant = mutants[index]
-            with self._mutant_span(mutant) as span:
-                result = self._replay(keys[index])
-                if self._cache is not None:
-                    span.set("cache", "miss" if result is None else "hit")
-                if result is None:
-                    result = self.analyze_single(mutant)
-                    self._write_back(keys[index], *result)
-                _set_verdict(span, result[0])
-            results[index] = result
-
-    def _replay(self, key: Optional[CacheKey]
-                ) -> Optional[Tuple[MutantOutcome, int]]:
-        """The stored ``(outcome, step timeouts)`` under ``key``, if any."""
-        entry = self._cache.lookup(key) if key is not None else None
-        return None if entry is None else (entry.outcome, entry.step_timeouts)
-
-    def _write_back(self, key: Optional[CacheKey], outcome: MutantOutcome,
-                    timeouts: int) -> None:
-        """Store one executed verdict (nothing without a store)."""
-        if key is not None:
-            self._cache.store(key, outcome, timeouts)
 
     def _mutant_span(self, mutant: CompiledMutant):
         return self._obs.span("analysis.mutant",
@@ -580,9 +627,16 @@ class MutationAnalysis:
         return triage_mutants(
             self._original, mutants,
             type_model=self._triage_type_model,
-            cache=self._cache,
             telemetry=self._obs,
         )
+
+    def run_fingerprint(self, mutants: Sequence[CompiledMutant]) -> str:
+        """The store address of this configuration's run over ``mutants``:
+        the experiment, the battery in order and the triage setting."""
+        triage = (self._static_triage,
+                  self._triage_type_model if self._static_triage else None)
+        return run_fingerprint(self.experiment_fingerprint(), mutants,
+                               canonical(triage))
 
     def experiment_fingerprint(self) -> str:
         """The cache fingerprint of this configuration (mutants excluded).
@@ -590,7 +644,7 @@ class MutationAnalysis:
         Incorporates the pruning flag and the coverage matrix's content
         hash, so outcomes computed under pruning can only be replayed
         under the exact matrix that justified their skips — pruned and
-        unpruned cache entries never cross-contaminate.
+        unpruned run records never cross-contaminate.
         """
         coverage = self.coverage_matrix()
         return experiment_fingerprint(

@@ -1,83 +1,82 @@
-"""Incremental mutation analysis: a content-addressed outcome cache.
+"""Incremental mutation analysis: a content-addressed store of whole runs.
 
 The paper's evaluation (Tables 1-3) re-executes every mutant's full test
-sequence on every run, even though most (mutant, suite) pairs are unchanged
-between invocations.  This module eliminates that redundancy the same way
-Harrold-style incremental reuse (:mod:`repro.history`) does at the
-test-case level: a verdict already computed for *identical inputs* is
-replayed instead of re-derived.
+sequence on every run, even when nothing changed between invocations.
+This module removes that redundancy at the grain the paper reuses test
+results (sec. 3.4.2, whole transactions of a derived class): one record
+per analysis run, replayed when the run is repeated on identical inputs.
 
-**Key anatomy.**  A cache entry is addressed by the SHA-256 fingerprint of
-every input that can change a mutant's outcome:
+**Key anatomy.**  A run record is addressed by the SHA-256 of every input
+that can change one of the run's verdicts:
 
-* the **mutant** — its full record (operator, location, replacement, and
-  crucially the mutated source) plus the owner class's identity and source
-  hash;
-* the **suite** — :meth:`~repro.generator.suite.TestSuite.fingerprint`,
-  a content hash over every case's steps, argument values and seed;
-* the **oracle configuration** — the composite's detector chain and each
-  detector's parameters (e.g. the observed-method set);
-* the **sandbox step budget** and the analysis flags
-  (``stop_on_first_kill``, ``check_invariants``) — both change
-  ``cases_run`` or verdicts;
-* the **pruning configuration** — the coverage-guided pruning flag plus
-  the content hash of the recorded coverage matrix
-  (:meth:`~repro.mutation.coverage.CoverageMatrix.fingerprint`), so
-  outcomes computed under pruning are only replayed under the exact
-  matrix that justified their skips and pruned/unpruned entries never
-  cross-contaminate;
-* the **class-builder identity** and the original class (identity + source
-  hash) — experiment 2 re-derives the subclass over the mutated base, so a
-  different builder means different behaviour;
-* the **setup hook** and the cache *key* version.
+* the **experiment** (:func:`experiment_fingerprint`) — the original
+  class (identity + source hash), the suite
+  (:meth:`~repro.generator.suite.TestSuite.fingerprint`, a content hash
+  over every case's steps, argument values and seed), the oracle
+  configuration, the class builder, the sandbox step budget, the analysis
+  flags (``stop_on_first_kill``, ``check_invariants``), the setup hook,
+  the pruning flag plus the content hash of the recorded coverage matrix
+  (:meth:`~repro.mutation.coverage.CoverageMatrix.fingerprint`), and the
+  cache *key* version;
+* the **battery**, in order — each mutant's :func:`mutant_fingerprint`
+  (its full record, crucially the mutated source, and its owner);
+* the **triage setting** — static triage on or off, and the canonical
+  type model it folds under.
 
-Change any component — one mutant's source, one test-case value, one
-oracle flag, the budget — and only the affected entries miss; everything
-untouched still hits.
+Change any of them — one mutant's source, the battery's order, one
+test-case value, one oracle flag, the budget — and the whole run misses
+and re-executes; reverting the change hits the old record again.  Engine,
+worker count, batch size and telemetry are not inputs, so runs that
+differ only there share one record.
 
-**Cached ≡ fresh.**  Because the stored value is the exact
-:class:`~repro.mutation.analysis.MutantOutcome` (plus the mutant's
-sandbox-timeout count) and the key covers every input the verdict depends
-on, a warm run assembles a :class:`~repro.mutation.analysis.MutationRun`
-that passes ``same_results`` against a cold run — the warm cells of the
-configuration-invariance lattice (``tests/mutation/test_config_lattice.py``)
-enforce this for serial and parallel engines alike, each replaying a
-store another configuration filled.  Worker-boundary kills
-(``WORKER_CRASH``/``WALL_TIMEOUT``) are never cached: they depend on
-wall-clock and process scheduling, not on the fingerprinted inputs.
+**Cached ≡ fresh.**  The payload holds, per mutant in battery order, every
+field of its :class:`~repro.mutation.analysis.MutantOutcome` but the mutant
+record (the battery in hand supplies it) plus its sandbox-timeout count,
+and the run's :class:`~repro.mutation.triage.StaticTriage`.  A warm run
+therefore assembles a :class:`~repro.mutation.analysis.MutationRun` that
+passes ``same_results`` against a cold run without triaging or executing
+anything — the warm cells of the configuration-invariance lattice
+(``tests/mutation/test_config_lattice.py``) enforce this for serial and
+parallel engines alike, each replaying a store another configuration
+filled.  No timing is stored, so two cold fills write identical bytes.  A
+run holding a worker-boundary kill (``WORKER_CRASH``/``WALL_TIMEOUT``) is
+never stored: those depend on wall-clock and process scheduling, not on
+the fingerprinted inputs.  A run that does not finish stores nothing.
 
-**The segment store (format v4).**  Entries live in ONE append-only file,
+**The segment store (format v4).**  Records live in ONE append-only file,
 ``store.seg``.  Layout::
 
     store.seg := MAGIC(8) record*
     record    := header(12) key payload
     header    := kind:u8 flags:u8 key_len:u16 payload_len:u32 crc32:u32
-    kind 1    := outcome  — key = entry_fp(64) + slot_fp(64),
-                            payload = pickled CacheEntry
-    kind 2    := triage   — key = triage_fp(64), payload = pickled TriageEntry
-    kind 3    := slot     — key = slot_fp(64) + entry_fp(64), no payload
-                            (written by compact() to pin the final slot map)
     kind 4    := scenario — key = scenario_fp(64),
                             payload = pickled ScenarioEntry (a whole
                             sweep ScenarioResult projection; see
                             repro.scenarios.sweep)
+    kind 5    := run      — key = run_fp(64), payload = pickled RunEntry
+
+Kinds 1-3 (one outcome record per mutant, one triage record per mutant,
+and the slot pins behind the old invalidation counter) are retired: the scan
+still steps over them, since an unknown kind would end it as a torn tail,
+but they are dead — never looked up, not counted as live, and dropped by
+``compact()``.
 
 ``crc32`` covers ``key + payload``.  An in-memory offset index is rebuilt
 by a single sequential scan on open; the scan checks *structure* only
 (kind, key length, payload bounds) so a damaged payload stays isolated —
 it is caught by the CRC at lookup time and counted as a ``corrupt`` miss.
 A torn or garbage tail (structural damage) ends the scan: records before
-it stay live, records after it are counted misses, and the next append
+it stay live, records after it are misses, and the next append
 truncates the dead tail.  Appends are flushed per store so sequential
 sharers (a second engine, a later process) see every record; concurrent
 *writers* need one process to go last — within a run only the parent
 ever writes.
 
 ``compact()`` rewrites the segment keeping exactly the live records (the
-latest record per content address), dropping superseded duplicates and
-unreadable records.  Entries of *different* experiment configurations are
-all live — reverting a configuration change must keep hitting its old
-entries — so compaction never loses a verdict.
+latest record per content address), dropping superseded duplicates,
+retired kinds and unreadable records.  Records of *different* experiment
+configurations are all live — reverting a configuration change must keep
+hitting its old record — so compaction never loses a verdict.
 """
 
 from __future__ import annotations
@@ -90,7 +89,9 @@ import threading
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, Optional, Sequence, Tuple,
+)
 
 from ..core.fingerprint import canonical, sha256_hex
 from ..obs import Telemetry, coalesce
@@ -98,8 +99,8 @@ from ..obs import Telemetry, coalesce
 if TYPE_CHECKING:  # imported lazily to keep cache <- analysis acyclic
     from ..generator.suite import TestSuite
     from ..harness.oracles import CompositeOracle
-    from .analysis import MutantOutcome
     from .mutant import CompiledMutant
+    from .triage import StaticTriage
 
 #: Version of the *fingerprint recipe* — part of every content address.
 #: Bumping it changes every address, which orphans every record in every
@@ -112,7 +113,8 @@ CACHE_KEY_VERSION = 3
 #: v3: ``MutantOutcome`` grew ``static_status`` and the store gained the
 #: content-addressed static-triage verdicts.
 #: v4: the file-per-entry tree became the append-only segment file; v3
-#: directories are not read.
+#: directories are not read.  The scenario (4) and run (5) kinds were
+#: added to v4 without a bump, as new kinds that leave the framing alone.
 CACHE_FORMAT_VERSION = 4
 
 #: The segment file's name under the cache directory.
@@ -120,22 +122,22 @@ SEGMENT_FILE = "store.seg"
 
 _MAGIC = b"RMOC0004"
 _HEADER = struct.Struct("<BBHII")  # kind, flags, key_len, payload_len, crc32
-_KIND_OUTCOME = 1
-_KIND_TRIAGE = 2
-_KIND_SLOT = 3
-#: Scenario-level results (kind 4) are an *additive* extension of the v4
-#: layout: the record framing, addressing recipe and every existing
-#: record kind are untouched, so CACHE_FORMAT_VERSION stays 4 and
-#: existing stores keep hitting.  (An older reader treats the first
-#: kind-4 record as a torn tail — the damage mode the format already
-#: tolerates.)
+#: Scenario (4) and run (5) records are *additive* extensions of the v4
+#: layout: the record framing is untouched, so CACHE_FORMAT_VERSION stays
+#: 4.  (An older reader treats the first record of a kind it does not
+#: know as a torn tail — the damage mode the format already tolerates.)
 _KIND_SCENARIO = 4
+_KIND_RUN = 5
 _FINGERPRINT_LENGTH = 64
+#: Key length per record kind.  Kinds 1-3 are retired (per-mutant outcome,
+#: per-mutant triage verdict, slot pin); their lengths stay so a scan
+#: steps over them in stores written before the run kind existed.
 _KEY_LENGTHS = {
-    _KIND_OUTCOME: 2 * _FINGERPRINT_LENGTH,
-    _KIND_TRIAGE: _FINGERPRINT_LENGTH,
-    _KIND_SLOT: 2 * _FINGERPRINT_LENGTH,
+    1: 2 * _FINGERPRINT_LENGTH,
+    2: _FINGERPRINT_LENGTH,
+    3: 2 * _FINGERPRINT_LENGTH,
     _KIND_SCENARIO: _FINGERPRINT_LENGTH,
+    _KIND_RUN: _FINGERPRINT_LENGTH,
 }
 
 
@@ -156,13 +158,14 @@ def experiment_fingerprint(original_class: type,
                            coverage_fingerprint: str = "") -> str:
     """Hash of everything mutants of one analysis configuration share.
 
-    Computed once per ``analyze`` call and combined with each mutant's own
-    fingerprint to address entries.  ``oracle=None`` and an explicitly
-    passed default oracle hash identically only if they are *structurally*
-    equal — callers pass the effective oracle, not the constructor arg.
+    Computed once per ``analyze`` call and combined with the battery's
+    mutant fingerprints to address its run record.  ``oracle=None`` and an
+    explicitly passed default oracle hash identically only if they are
+    *structurally* equal — callers pass the effective oracle, not the
+    constructor arg.
     ``prune``/``coverage_fingerprint`` bind pruned outcomes to the exact
     coverage matrix that licensed their skipped cases (unpruned runs pass
-    ``False``/``""``), keeping pruned and unpruned entries disjoint.
+    ``False``/``""``), keeping pruned and unpruned records disjoint.
     """
     return sha256_hex(
         "experiment",
@@ -187,12 +190,13 @@ def mutant_fingerprint(mutant: "CompiledMutant") -> str:
     )
 
 
-@dataclass(frozen=True)
-class CacheKey:
-    """Where one (experiment, mutant) pair lives in the store."""
-
-    entry: str  # content address: experiment fingerprint x mutant fingerprint
-    slot: str   # logical slot (owner, operator, ident): counts invalidations
+def run_fingerprint(experiment: str, mutants: Sequence["CompiledMutant"],
+                    triage: str) -> str:
+    """Address of one analysis run: the experiment, the battery in
+    order, and the triage setting (``triage`` is its canonical form)."""
+    return sha256_hex("run", experiment,
+                      *(mutant_fingerprint(mutant) for mutant in mutants),
+                      triage)
 
 
 # ---------------------------------------------------------------------------
@@ -202,17 +206,17 @@ class CacheKey:
 
 @dataclass(frozen=True)
 class CacheStats:
-    """Lookup counters, surfaced on ``MutationRun.cache_stats``.
+    """One run's store counters, surfaced on ``MutationRun.cache_stats``.
 
-    ``invalidations`` counts misses whose slot previously held an entry
-    under a different fingerprint (the experiment changed); ``corrupt``
-    counts entries that existed but could not be loaded (damaged record,
-    unpicklable payload, version skew) — those are also misses.
+    ``hits`` and ``misses`` count the mutants the run would dispatch (those
+    static triage does not skip): every one hits when the run's record is
+    found, and every one misses otherwise.  ``corrupt`` counts the run
+    records the lookup found but could not load (damaged record,
+    unpicklable payload, version skew) — those are misses too.
     """
 
     hits: int = 0
     misses: int = 0
-    invalidations: int = 0
     corrupt: int = 0
 
     @property
@@ -223,20 +227,10 @@ class CacheStats:
     def hit_rate(self) -> float:
         return self.hits / self.lookups if self.lookups else 0.0
 
-    def since(self, earlier: "CacheStats") -> "CacheStats":
-        """The delta between two snapshots of one cache's counters."""
-        return CacheStats(
-            hits=self.hits - earlier.hits,
-            misses=self.misses - earlier.misses,
-            invalidations=self.invalidations - earlier.invalidations,
-            corrupt=self.corrupt - earlier.corrupt,
-        )
-
     def format(self) -> str:
         return (
             f"{self.hits} hits, {self.misses} misses "
-            f"({self.invalidations} invalidated, {self.corrupt} corrupt) — "
-            f"hit rate {self.hit_rate:.1%}"
+            f"({self.corrupt} corrupt) — hit rate {self.hit_rate:.1%}"
         )
 
 
@@ -246,30 +240,19 @@ class CacheStats:
 
 
 @dataclass(frozen=True)
-class CacheEntry:
-    """One stored verdict: the outcome plus its sandbox-timeout count."""
+class RunEntry:
+    """One stored analysis run.
 
-    version: int
-    fingerprint: str           # the entry address this payload was stored under
-    outcome: "MutantOutcome"
-    step_timeouts: int
-
-
-@dataclass(frozen=True)
-class TriageEntry:
-    """One stored static-triage verdict (per-mutant checks only).
-
-    Only the content-addressed per-mutant result is stored — the status of
-    the AST/bytecode identity checks plus the normalized-bytecode digest.
-    The cross-mutant redundancy grouping is *derived* from the digests on
-    every run because it depends on which other mutants are in the battery,
-    so a ``redundant`` status never appears here.
+    ``verdicts`` holds one tuple per mutant, in battery order: the fields
+    of its outcome but the mutant record, then its step-timeout count
+    (the analysis packs and unpacks them).  ``triage`` is the run's static
+    triage (``None`` with triage off).
     """
 
     version: int
-    fingerprint: str
-    status: str                # TriageStatus value (never "redundant")
-    digest: str                # normalized-bytecode digest
+    fingerprint: str           # the run address this payload was stored under
+    verdicts: Tuple[Tuple[Any, ...], ...]
+    triage: Optional["StaticTriage"]
 
 
 @dataclass(frozen=True)
@@ -289,12 +272,11 @@ class ScenarioEntry:
     payload: Dict[str, Any]
 
 
-#: Each data record kind's entry type and telemetry counter prefix.  The
-#: insertion order (outcome, triage, scenario) is the order ``compact()``
-#: writes the kinds in.
+#: Each live record kind's entry type and telemetry counter prefix.  The
+#: insertion order (run, scenario) is the order ``compact()`` writes the
+#: kinds in.
 _DATA_KINDS = {
-    _KIND_OUTCOME: (CacheEntry, "cache."),
-    _KIND_TRIAGE: (TriageEntry, "cache.triage_"),
+    _KIND_RUN: (RunEntry, "cache."),
     _KIND_SCENARIO: (ScenarioEntry, "cache.scenario_"),
 }
 
@@ -328,29 +310,27 @@ class _Location:
 
 
 class MutationOutcomeCache:
-    """Content-addressed, on-disk store of :class:`MutantOutcome`\\ s.
+    """Content-addressed, on-disk store of analysis runs and sweep scenarios.
 
     Format v4: one append-only segment file (``store.seg``) plus an
     in-memory offset index rebuilt by scan on open — see the module
     docstring for the record format and robustness rules.  The same
     directory may be shared by serial and parallel runs, by different
-    experiments (tables 1-3) and by sequential engines in one process:
-    entries are pure content addresses and never collide across
+    experiments (tables 2 and 3, sweeps) and by sequential engines in one
+    process: records are pure content addresses and never collide across
     configurations.
     """
 
     def __init__(self, directory,
                  telemetry: Optional[Telemetry] = None) -> None:
         self._directory = Path(directory)
-        # Lifetime counters per data kind.  The outcome kind's feed
-        # CacheStats; the scenario kind's are reported by scenario_stats()
-        # beside (not inside) CacheStats, whose hit rate gates CI on
-        # per-mutant entries; the triage kind's are telemetry only.
+        # Lifetime counters per data kind: the run kind's are telemetry
+        # only (each run derives its CacheStats from its own lookup); the
+        # scenario kind's are also reported by scenario_stats().
         self._counts = {
             kind: {"hits": 0, "misses": 0, "stores": 0, "corrupt": 0}
             for kind in _DATA_KINDS
         }
-        self._invalidations = 0
         # Mirrors the lifetime counters into a run-telemetry session
         # (``cache.hits`` …); observation only, the default records nothing.
         self._obs = coalesce(telemetry)
@@ -358,16 +338,15 @@ class MutationOutcomeCache:
         self._indexes: Dict[int, Dict[str, _Location]] = {
             kind: {} for kind in _DATA_KINDS
         }
-        self._slots: Dict[str, str] = {}
         # A caller may share one store between its own threads (engines
-        # run on several threads look entries up and write verdicts back);
+        # run on several threads look runs up and write them back);
         # every public operation holds this lock, and none calls another.
         self._lock = threading.Lock()
         self._handle = None          # lazily opened segment file object
         self._writable = False       # whether _handle was opened read-write
         self._loaded = False         # whether the open-time scan has run
         self._end = 0                # offset just past the last valid record
-        self._records_seen = 0       # data records (outcome/triage/scenario)
+        self._records_seen = 0       # records of every kind, retired included
         self._torn = False           # file extends past _end with a dead tail
         # Write-failure degradation (ENOSPC, EROFS, quota …): after the
         # first failed append the store turns its write side off for the
@@ -387,17 +366,6 @@ class MutationOutcomeCache:
 
     # -- statistics -----------------------------------------------------
 
-    def snapshot(self) -> CacheStats:
-        """Immutable view of the lifetime counters (diff with ``since``)."""
-        with self._lock:
-            counts = self._counts[_KIND_OUTCOME]
-            return CacheStats(
-                hits=counts["hits"],
-                misses=counts["misses"],
-                invalidations=self._invalidations,
-                corrupt=counts["corrupt"],
-            )
-
     def scenario_stats(self) -> Dict[str, int]:
         """Lifetime scenario-record counters (hits/misses/stores/corrupt)."""
         with self._lock:
@@ -416,7 +384,7 @@ class MutationOutcomeCache:
             return self._writes_disabled
 
     def live_records(self) -> int:
-        """Reachable records (outcome/triage/scenario) in the segment index."""
+        """Reachable run and scenario records in the segment index."""
         with self._lock:
             self._ensure_loaded()
             return sum(len(index) for index in self._indexes.values())
@@ -427,85 +395,35 @@ class MutationOutcomeCache:
             self._ensure_loaded()
             return self._end
 
-    # -- addressing -----------------------------------------------------
+    # -- analysis runs --------------------------------------------------
 
-    def key_for(self, experiment: str, mutant: "CompiledMutant") -> CacheKey:
-        """The (content, slot) address of one mutant under one experiment.
-
-        Idents restart at ``M0001`` in every battery, so the slot names
-        the operator too: single-operator batteries over one class (the
-        operator-split sweep scenarios) would otherwise share slots for
-        different mutants and count a first fill as invalidations.
-        """
-        owner = f"{mutant.owner.__module__}.{mutant.owner.__qualname__}"
-        return CacheKey(
-            entry=sha256_hex("entry", experiment, mutant_fingerprint(mutant)),
-            slot=sha256_hex("slot", owner, mutant.record.operator,
-                            mutant.record.ident),
-        )
-
-    # -- lookup / store -------------------------------------------------
-
-    def lookup(self, key: CacheKey) -> Optional[CacheEntry]:
-        """The stored entry, or ``None`` (miss).  Never raises.
+    def lookup(self, key: str) -> Tuple[Optional[RunEntry], bool]:
+        """The run record stored under ``key`` (``None`` on a miss), and
+        whether the lookup found a record it could not load.  Never raises.
 
         An indexed-but-unreadable record (CRC mismatch, unpicklable
-        payload, version skew, wrong payload) counts as ``corrupt`` and is
-        dropped from the index so the rewritten entry starts clean.  A
-        miss whose slot last held a *different* entry counts as an
-        invalidation (the experiment changed).
+        payload, version skew, wrong payload) is such a ``corrupt`` miss;
+        it is dropped from the index so the rewritten record starts clean.
         """
         with self._lock:
-            entry, indexed = self._fetch(_KIND_OUTCOME, key.entry)
-            if not indexed and self._slots.get(key.slot,
-                                               key.entry) != key.entry:
-                self._invalidations += 1
-                self._obs.count("cache.invalidations")
-            return entry
+            return self._fetch(_KIND_RUN, key)
 
-    def store(self, key: CacheKey, outcome: "MutantOutcome",
-              step_timeouts: int) -> None:
-        """Append one verdict to the segment; best-effort, never raises.
+    def store(self, key: str, verdicts: Sequence[Tuple[Any, ...]],
+              triage: Optional["StaticTriage"]) -> None:
+        """Append one run record to the segment; best-effort, never raises.
 
         Identical keys always carry identical payloads (determinism of the
-        analysis), so a duplicate append (e.g. during salvage) is harmless:
-        the index keeps the latest record and ``compact()`` drops the rest.
+        analysis), so a duplicate append is harmless: the index keeps the
+        latest record and ``compact()`` drops the rest.
         """
-        entry = CacheEntry(
+        entry = RunEntry(
             version=CACHE_FORMAT_VERSION,
-            fingerprint=key.entry,
-            outcome=outcome,
-            step_timeouts=step_timeouts,
+            fingerprint=key,
+            verdicts=tuple(verdicts),
+            triage=triage,
         )
         with self._lock:
-            self._append(_KIND_OUTCOME, key.entry + key.slot, entry)
-
-    # -- static-triage verdicts -----------------------------------------
-
-    def lookup_triage(self, fingerprint: str) -> Optional[Tuple[str, str]]:
-        """The stored ``(status, digest)`` triage verdict, or ``None``.
-
-        Same robustness contract as :meth:`lookup` — a corrupt or
-        version-skewed record is a miss, never a crash.  Counters are
-        telemetry-only (``cache.triage_*``): triage verdicts are a cheap
-        side store and do not participate in :class:`CacheStats`, whose
-        hit-rate gates CI on the expensive *outcome* entries.
-        """
-        with self._lock:
-            entry, _ = self._fetch(_KIND_TRIAGE, fingerprint)
-            return None if entry is None else (entry.status, entry.digest)
-
-    def store_triage(self, fingerprint: str, status: str,
-                     digest: str) -> None:
-        """Append one static-triage verdict; best-effort, never raises."""
-        entry = TriageEntry(
-            version=CACHE_FORMAT_VERSION,
-            fingerprint=fingerprint,
-            status=status,
-            digest=digest,
-        )
-        with self._lock:
-            self._append(_KIND_TRIAGE, fingerprint, entry)
+            self._append(_KIND_RUN, key, entry)
 
     # -- scenario-level results -----------------------------------------
 
@@ -514,9 +432,8 @@ class MutationOutcomeCache:
 
         Same robustness contract as :meth:`lookup`: a corrupt or
         version-skewed record is a miss, never a crash.  Counters are
-        telemetry-only (``cache.scenario_*``) — scenario records replay
-        *whole sweep scenarios* and stay out of :class:`CacheStats`,
-        whose hit-rate gates CI on per-mutant outcome entries.
+        reported by :meth:`scenario_stats` and mirrored to telemetry as
+        ``cache.scenario_*``.
         """
         with self._lock:
             entry, _ = self._fetch(_KIND_SCENARIO, fingerprint)
@@ -539,12 +456,10 @@ class MutationOutcomeCache:
         """Rewrite the segment keeping exactly the live records.
 
         Drops superseded duplicates (an address stored more than once),
-        records invalidated by damage (unreadable at compaction time) and
-        any dead tail; preserves every reachable verdict — including
-        entries of *other* experiment configurations sharing the store,
-        so reverting a configuration change still hits.  The final slot
-        map is pinned with explicit slot records (kind 3), because replay
-        order of the surviving entries no longer encodes it.
+        records of the retired kinds, records made unreadable by damage and
+        any dead tail; preserves every reachable record — including those
+        of *other* experiment configurations sharing the store, so
+        reverting a configuration change still hits.
 
         Atomic: the new segment is built alongside and swapped in with
         ``os.replace``.  ``OSError`` propagates — compaction is an
@@ -565,7 +480,6 @@ class MutationOutcomeCache:
         new_indexes: Dict[int, Dict[str, _Location]] = {
             kind: {} for kind in _DATA_KINDS
         }
-        replayed_slots: Dict[str, str] = {}
         try:
             with os.fdopen(descriptor, "wb") as handle:
                 handle.write(_MAGIC)
@@ -579,22 +493,6 @@ class MutationOutcomeCache:
                         new_indexes[kind][address] = _Location(offset,
                                                                len(blob))
                         offset += len(blob)
-                        if kind == _KIND_OUTCOME:
-                            slot = blob[_HEADER.size + _FINGERPRINT_LENGTH:
-                                        _HEADER.size + _KEY_LENGTHS[kind]]
-                            replayed_slots[slot.decode("ascii")] = address
-                # Pin only the slot mappings replaying the kept records
-                # would get wrong (a slot superseded by another entry's
-                # record); pins are bookkeeping, not live verdicts, and
-                # stay out of the record counts.
-                for slot, entry in self._slots.items():
-                    if replayed_slots.get(slot) == entry:
-                        continue
-                    blob = self._encode_record(
-                        _KIND_SLOT, (slot + entry).encode("ascii"), b""
-                    )
-                    handle.write(blob)
-                    offset += len(blob)
                 handle.flush()
             os.replace(temp_name, self.segment_path)
         except OSError:
@@ -634,10 +532,10 @@ class MutationOutcomeCache:
     def _fetch(self, kind: int, address: str) -> Tuple[Any, bool]:
         """Look one address up and count a hit, a miss or a corrupt miss.
 
-        Returns the valid entry (``None`` on a miss) and whether a record
-        was indexed under ``address`` at all.  An indexed record that
-        fails :meth:`_load` is dropped from its index so a re-store
-        starts clean.
+        Returns the valid entry (``None`` on a miss) and whether the miss
+        was corrupt: a record was indexed under ``address`` but failed
+        :meth:`_load`.  Such a record is dropped from its index so a
+        re-store starts clean.
         """
         self._ensure_loaded()
         index = self._indexes[kind]
@@ -650,16 +548,16 @@ class MutationOutcomeCache:
             del index[address]
             self._count(kind, "misses")
             self._count(kind, "corrupt")
-        else:
-            self._count(kind, "hits")
-        return entry, True
+            return None, True
+        self._count(kind, "hits")
+        return entry, False
 
     def _load(self, kind: int, address: str, location: _Location) -> Any:
         """The entry of one indexed record if it is valid, else ``None``.
 
         The one validity check, for every data kind, on every lookup and
         in ``compact()``: the record re-reads whole with the expected
-        kind, its CRC matches, its key starts with ``address``, and its
+        kind, its CRC matches, its key is ``address``, and its
         payload unpickles to the kind's entry type at the current
         ``CACHE_FORMAT_VERSION``, stored under ``address``.  Never raises.
         """
@@ -677,7 +575,7 @@ class MutationOutcomeCache:
             body = blob[_HEADER.size:]
             if zlib.crc32(body) & 0xFFFFFFFF != crc:
                 return None
-            if not body[:key_length].decode("ascii").startswith(address):
+            if body[:key_length].decode("ascii") != address:
                 return None
             entry = pickle.loads(body[key_length:])
         except Exception:  # noqa: BLE001 — any damage is a miss, never a crash
@@ -710,15 +608,11 @@ class MutationOutcomeCache:
         self._count(kind, "stores")
 
     def _index(self, kind: int, key: str, location: _Location) -> None:
-        """Point the index at one record (scanned or just appended)."""
-        address = key[:_FINGERPRINT_LENGTH]
-        if kind == _KIND_SLOT:  # bookkeeping, not a data record
-            self._slots[address] = key[_FINGERPRINT_LENGTH:]
-            return
-        self._indexes[kind][address] = location
+        """Point the index at one record (scanned or just appended); a
+        record of a retired kind is counted but stays dead."""
         self._records_seen += 1
-        if kind == _KIND_OUTCOME:
-            self._slots[key[_FINGERPRINT_LENGTH:]] = address
+        if kind in self._indexes:
+            self._indexes[kind][key] = location
 
     def _count(self, kind: int, event: str) -> None:
         self._counts[kind][event] += 1

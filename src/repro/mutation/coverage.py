@@ -47,6 +47,7 @@ under one matrix are never replayed under another.
 
 from __future__ import annotations
 
+import gc
 import sys
 import weakref
 from contextlib import contextmanager
@@ -191,9 +192,7 @@ class CoverageMatrix:
         pruned entry can only ever be replayed under the exact matrix that
         justified its skips.
 
-        ``peak`` is left out: it licenses nothing, and a garbage
-        collection inside a call (a weakref callback is Python code) can
-        move it by a few line events from one recording to the next.
+        ``peak`` is left out: it licenses nothing.
         """
         return sha256_hex("coverage-matrix", canonical((
             self.class_name, self.case_idents, self.columns,
@@ -273,9 +272,15 @@ class CoverageRecorder:
             nonlocal inside, steps, call
             steps = 0
             inside = True
+            # Like StepBudgetGuard, no collection inside the call: its
+            # weakref callbacks would add their lines to the peak.
+            collecting = gc.isenabled()
+            gc.disable()
             try:
                 return function(*args, **kwargs)
             finally:
+                if collecting:
+                    gc.enable()
                 inside = False
                 if steps > self._peak[0]:
                     self._peak = (steps, self._cases[-1], call)

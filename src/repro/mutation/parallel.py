@@ -5,16 +5,15 @@ The paper ran every mutant "as a separate class … individually compiled"
 exactly the independence that makes per-mutant fan-out safe.  This module
 exploits it with one override: :class:`ParallelMutationAnalysis` is the
 serial :class:`~repro.mutation.analysis.MutationAnalysis`, whose one
-analysis loop still triages the battery, derives the store keys, fills
-the triaged outcomes and assembles the run.  Only the step that resolves
-the untriaged mutants differs: store hits replay in the parent, and the
-misses go to N worker processes.  Each worker **recompiles the mutant
-from its source payload** (the pickle protocol of
-:class:`~repro.mutation.mutant.CompiledMutant`), runs the suite under a
-fresh :class:`~repro.mutation.sandbox.StepBudgetGuard`, and ships the
-outcome back to the parent, which writes it back to the store through
-the serial engine's path as it arrives.  The pool changes *where* a
-mutant runs, never *how*.
+analysis loop still looks the run up in the store, triages the battery,
+fills the triaged outcomes, assembles the run and stores it.  Only the
+step that resolves the untriaged mutants differs: they go to N worker
+processes.  Each worker **recompiles the mutant from its source payload**
+(the pickle protocol of :class:`~repro.mutation.mutant.CompiledMutant`),
+runs the suite under a fresh
+:class:`~repro.mutation.sandbox.StepBudgetGuard`, and ships the outcome
+back to the parent.  The pool changes *where* a mutant runs, never
+*how*; a run replayed from the store touches no worker.
 
 Two throughput mechanisms keep orchestration from swamping the win:
 
@@ -110,7 +109,6 @@ from ..harness.oracles import CompositeOracle, KillReason
 from ..harness.outcomes import SuiteResult
 from ..obs import Telemetry
 from .analysis import ClassBuilder, MutantOutcome, MutationAnalysis
-from .cache import CacheKey
 from .coverage import CoverageMatrix
 from .mutant import CompiledMutant
 
@@ -181,17 +179,17 @@ class PoolJob:
     ``spec`` ships once to every worker that takes a task of the job (it
     must pickle); the worker calls ``spec.runner()`` once and applies the
     returned callable to each task, in order, sending each result back.
-    The parent hands every task's result to ``deliver(index, result,
-    executed)``, where ``index`` is the task's position in ``tasks``.
-    ``executed`` is false for a result ``lost(task, reason, detail)``
-    built in the parent because the task took its worker down, raised
-    out of the runner, or outlived ``backstop`` seconds of silence.
+    The parent hands every task's result to ``deliver(index, result)``,
+    where ``index`` is the task's position in ``tasks``.  A task that took
+    its worker down, raised out of the runner, or outlived ``backstop``
+    seconds of silence gets the result ``lost(task, reason, detail)``
+    builds in the parent.
     ``describe(task)`` gives the telemetry attributes naming a task.
     """
 
     tasks: Sequence[Any]
     spec: Any
-    deliver: Callable[[int, Any, bool], None]
+    deliver: Callable[[int, Any], None]
     lost: Callable[[Any, KillReason, str], Any]
     describe: Callable[[Any], Dict[str, Any]]
     #: Most batches in flight at once, and the width the pool may grow to.
@@ -302,7 +300,7 @@ class WorkerPool:
         """Drive one job until every task's result is delivered.
 
         Any exception raised meanwhile (a ``KeyboardInterrupt`` reaching
-        this thread, a failing cache write) kills the workers still
+        this thread, a failing ``deliver``) kills the workers still
         holding this run's batches before it propagates, so none of them
         carries the abandoned run into the next one.
         """
@@ -398,7 +396,7 @@ class WorkerPool:
                 "parallel.task", index=index, **state.job.describe(task[1]),
                 seconds=round(worker.last_heard - previously_heard, 6),
             )
-            state.record(index, message[3], executed=True)
+            state.record(index, message[3])
         else:
             obs.count("parallel.worker_errors")
             state.lose(task, KillReason.WORKER_CRASH,
@@ -704,22 +702,21 @@ class _PoolState:
     #: Indices whose result has been delivered.
     reported: Set[int] = field(default_factory=set)
 
-    def record(self, index: int, result: Any, executed: bool) -> None:
+    def record(self, index: int, result: Any) -> None:
         """Deliver one result exactly once (duplicates are dropped)."""
         if index not in self.reported:
             self.reported.add(index)
             self.remaining -= 1
-            self.job.deliver(index, result, executed)
+            self.job.deliver(index, result)
 
     def lose(self, task: Tuple[int, Any], reason: KillReason,
              detail: str) -> None:
         """Deliver the job's stand-in result for a task its worker lost."""
-        self.record(task[0], self.job.lost(task[1], reason, detail),
-                    executed=False)
+        self.record(task[0], self.job.lost(task[1], reason, detail))
 
 
 class ParallelMutationAnalysis(MutationAnalysis):
-    """The serial engine with its store misses run on worker processes.
+    """The serial engine with its mutants run on worker processes.
 
     Accepts the configuration of :class:`MutationAnalysis` plus the pool
     shape, by keyword: ``workers`` (the most batches this run keeps in
@@ -754,35 +751,20 @@ class ParallelMutationAnalysis(MutationAnalysis):
         self._pool = pool
 
     def _resolve(self, mutants: List[CompiledMutant], indices: List[int],
-                 keys: List[Optional[CacheKey]],
                  results: List[Optional[Tuple[MutantOutcome, int]]]) -> None:
-        """Replay store hits here and run the misses on the worker pool.
+        """Run the mutants at ``indices`` on the worker pool.
 
-        Everything but execution stays in the parent: store lookups and
-        write-backs, and telemetry (workers run un-instrumented, so the
-        trace stays consistent).  A fully warm run therefore touches no
-        worker.  Each executed verdict is written back as it arrives; a
-        worker-boundary kill is never stored, since it depends on
-        scheduling rather than on fingerprinted input.
+        Telemetry stays in the parent: workers run un-instrumented, so the
+        trace has one writer.
         """
         with self._obs.span("parallel.run", mutants=len(mutants),
                             workers=self._workers) as span:
-            misses: List[int] = []
-            for index in indices:
-                results[index] = self._replay(keys[index])
-                if results[index] is None:
-                    misses.append(index)
-            if self._cache is not None:
-                span.set("cache_hits", len(indices) - len(misses))
-            if not misses:
+            if not indices:
                 return
 
-            def deliver(position: int, result: Tuple[MutantOutcome, int],
-                        executed: bool) -> None:
-                index = misses[position]
-                results[index] = result
-                if executed:
-                    self._write_back(keys[index], *result)
+            def deliver(position: int,
+                        result: Tuple[MutantOutcome, int]) -> None:
+                results[indices[position]] = result
 
             spec = WorkerSpec(
                 original_class=self._original,
@@ -798,7 +780,7 @@ class ParallelMutationAnalysis(MutationAnalysis):
                 coverage=self.coverage_matrix(),
             )
             job = PoolJob(
-                tasks=[mutants[index] for index in misses],
+                tasks=[mutants[index] for index in indices],
                 spec=spec,
                 deliver=deliver,
                 lost=_boundary_result,
@@ -806,7 +788,7 @@ class ParallelMutationAnalysis(MutationAnalysis):
                 workers=self._workers,
                 obs=self._obs,
                 batch_size=(self._batch_size if self._batch_size is not None
-                            else default_batch_size(len(misses),
+                            else default_batch_size(len(indices),
                                                     self._workers)),
                 backstop=self._backstop,
             )

@@ -6,7 +6,11 @@ mutants as separate programs, where a hang is observed externally; in-process
 we bound each guarded call with a **line-event budget**: a ``sys.settrace``
 hook counts line events and raises :class:`SandboxTimeout` when the budget
 is exhausted.  The budget is deterministic (same run → same count), unlike
-wall-clock timeouts, so mutation scores are exactly reproducible.
+wall-clock timeouts, so mutation scores are exactly reproducible.  That
+needs the cyclic garbage collector off during a guarded call: a collection
+runs weakref callbacks and finalizers, which are Python code, so their
+lines would count toward whichever call the allocation count happened to
+interrupt.
 
 The guard plugs into :class:`~repro.harness.executor.TestExecutor` via its
 ``step_guard`` parameter: each constructor call, method call, invariant
@@ -21,6 +25,7 @@ the original reaches the budget.
 
 from __future__ import annotations
 
+import gc
 import sys
 from typing import Any, Callable
 
@@ -88,6 +93,8 @@ class StepBudgetGuard:
             return function(*args, **kwargs)
         self._arm(self.budget, function)
         previous = sys.gettrace()
+        collecting = gc.isenabled()
+        gc.disable()  # no collection's callbacks count toward this call
         # Installed again on every call: CPython drops a trace function
         # that raised, so the tracer is gone after each SandboxTimeout.
         sys.settrace(self._tracer)
@@ -98,6 +105,8 @@ class StepBudgetGuard:
             raise
         finally:
             sys.settrace(previous)
+            if collecting:
+                gc.enable()
 
 
 class CallCountGuard:

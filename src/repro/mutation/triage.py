@@ -58,10 +58,10 @@ whole construction empirically: no statically-equivalent mutant is ever
 killed by any generated suite, across seeds, operators and every shipped
 component.
 
-A triage verdict depends only on the owner's method source, the mutated
-source and the fold configuration, so verdicts are **content-addressed**
-in the same store as mutant outcomes (:meth:`repro.mutation.cache.\
-MutationOutcomeCache.lookup_triage`) and replayed on warm runs.
+A run stored in the outcome store (:mod:`repro.mutation.cache`) keeps
+its :class:`StaticTriage`, and the run key names the triage setting
+(on or off, and the type model): a warm run replays the triage with the
+verdicts and never re-runs this pass.
 
 ``python -m repro.mutation.triage`` renders the triage of a table battery
 as findings through the :mod:`repro.analysis` machinery (text, JSON, or
@@ -93,7 +93,6 @@ from ..obs import Telemetry, coalesce
 from .typemodel import INTEGRAL_TAGS, TypeModel, infer_local_types
 
 if TYPE_CHECKING:  # imported lazily to keep triage <- analysis acyclic
-    from .cache import MutationOutcomeCache
     from .generate import GenerationReport
     from .mutant import CompiledMutant
 
@@ -499,40 +498,15 @@ def _original_method_source(owner: type, method_name: str) -> str:
     )
 
 
-def triage_fingerprint(owner: type, method_source: str, mutated_source: str,
-                       integral_locals: frozenset) -> str:
-    """Content address of one mutant's static verdict.
-
-    Everything the verdict depends on: both sources, the fold
-    configuration (the integral-local set fully determines which folds can
-    fire), and the cache *key* version (the fingerprint recipe version) —
-    so a verdict is only ever replayed for byte-identical inputs.
-    """
-    from .cache import CACHE_KEY_VERSION
-
-    return sha256_hex(
-        "triage",
-        f"v{CACHE_KEY_VERSION}",
-        f"{owner.__module__}.{owner.__qualname__}",
-        method_source,
-        mutated_source,
-        ",".join(sorted(integral_locals)),
-    )
-
-
 def triage_mutants(original_class: type,
                    mutants: Sequence["CompiledMutant"],
                    type_model: Optional[TypeModel] = None,
-                   cache: Optional["MutationOutcomeCache"] = None,
                    telemetry: Optional[Telemetry] = None) -> StaticTriage:
     """Run the three static checks over a battery, in submission order.
 
     ``type_model`` enables the integral identity folds (the experiments
     pass the same model the generation gate uses); without it only the
-    universally sound normalizations apply.  ``cache`` replays
-    content-addressed per-mutant verdicts (checks 1 and 2; the redundancy
-    grouping is derived from the digests each run, because it depends on
-    which *other* mutants are in the battery).  ``telemetry`` receives the
+    universally sound normalizations apply.  ``telemetry`` receives the
     ``triage.*`` counters and a ``triage.run`` span.
     """
     obs = coalesce(telemetry)
@@ -558,52 +532,30 @@ def triage_mutants(original_class: type,
                   mutants=len(mutants)) as span:
         for mutant in mutants:
             record = mutant.record
-            method_source = _original_method_source(
-                original_class, record.method_name
-            )
             original_text, original_digest, integral = original_forms(
                 record.method_name
             )
-            key = None
-            verdict: Optional[Tuple[TriageStatus, str]] = None
-            if cache is not None:
-                key = triage_fingerprint(
-                    mutant.owner, method_source, record.mutated_source,
-                    integral,
+            try:
+                mutated_text = normalized_source_text(
+                    record.mutated_source, integral
                 )
-                stored = cache.lookup_triage(key)
-                if stored is not None:
-                    try:
-                        verdict = (TriageStatus(stored[0]), stored[1])
-                    except ValueError:
-                        verdict = None  # unknown status string: recompute
-            if verdict is None:
-                try:
-                    mutated_text = normalized_source_text(
+                if mutated_text == original_text:
+                    status, digest = (TriageStatus.AST_EQUIVALENT,
+                                      original_digest)
+                else:
+                    digest = normalized_bytecode_digest(
                         record.mutated_source, integral
                     )
-                    if mutated_text == original_text:
-                        verdict = (TriageStatus.AST_EQUIVALENT,
-                                   original_digest)
-                    else:
-                        digest = normalized_bytecode_digest(
-                            record.mutated_source, integral
-                        )
-                        if digest == original_digest:
-                            verdict = (TriageStatus.BYTECODE_EQUIVALENT,
-                                       digest)
-                        else:
-                            verdict = (TriageStatus.UNDECIDED, digest)
-                except MutationError:
-                    # A source ast.unparse rendered in a way that does not
-                    # re-parse (possible for untyped batteries, e.g. an
-                    # attribute assignment on an int constant).  Nothing is
-                    # proven: the mutant executes normally, and the empty
-                    # digest below keeps it out of redundancy grouping.
-                    verdict = (TriageStatus.UNDECIDED, "")
-                if cache is not None and key is not None:
-                    cache.store_triage(key, verdict[0].value, verdict[1])
-            status, digest = verdict
+                    status = (TriageStatus.BYTECODE_EQUIVALENT
+                              if digest == original_digest
+                              else TriageStatus.UNDECIDED)
+            except MutationError:
+                # A source ast.unparse rendered in a way that does not
+                # re-parse (possible for untyped batteries, e.g. an
+                # attribute assignment on an int constant).  Nothing is
+                # proven: the mutant executes normally, and the empty
+                # digest below keeps it out of redundancy grouping.
+                status, digest = TriageStatus.UNDECIDED, ""
             representative = ""
             if status is TriageStatus.UNDECIDED and digest:
                 group = (record.method_name, digest)

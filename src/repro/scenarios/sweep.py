@@ -755,8 +755,8 @@ class SweepRunner:
         """Run each task (a tuple of positioned, resolved scenarios) on
         the shared pool and fill its rows as it arrives."""
 
-        def deliver(index: int, task_rows: Tuple[ScenarioResult, ...],
-                    executed: bool) -> None:
+        def deliver(index: int,
+                    task_rows: Tuple[ScenarioResult, ...]) -> None:
             for (position, _), row in zip(tasks[index], task_rows):
                 rows[position] = row
             finish_ready()

@@ -73,7 +73,7 @@ def test_enospc_degrades_to_cache_off_and_counts_losses(tmp_path):
     assert cache.write_errors == 1
     # further stores are skipped but still counted as losses
     cache.store_scenario(_key("lost-2"), {"ident": "lost-2"})
-    cache.store_triage(_key("lost-3"), "equivalent", _key("digest"))
+    cache.store(_key("lost-3"), (), None)
     assert cache.write_errors == 3
     assert telemetry.counters()["cache.write_error"] == 3
 
@@ -136,6 +136,6 @@ def test_write_failure_never_reaches_the_caller(tmp_path):
     _inject(cache)
     # best-effort contract: no OSError escapes any store method
     cache.store_scenario(_key("a"), {"ident": "a"})
-    cache.store_triage(_key("b"), "equivalent", _key("c"))
+    cache.store(_key("b"), (), None)
     assert cache.write_errors == 2
     cache.close()

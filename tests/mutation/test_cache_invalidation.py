@@ -1,11 +1,11 @@
-"""Invalidation semantics of the mutation-outcome cache.
+"""Invalidation semantics of the run record, and damaged records.
 
 Content addressing means "invalidation" is not a deletion pass: changing
-any fingerprinted input simply re-addresses the affected entries, so they
-miss (and the slot index reports them as *invalidations*, not cold
-misses), while every untouched entry keeps hitting — and reverting the
-change hits the original entries again.  Corrupt segment records (scribbled
-payload, flipped CRC, wrong payload type) are misses, never crashes.
+any input of the run key re-addresses the run, so the whole run misses
+and executes again, and reverting the change hits the old record again.
+Engine, worker count, batch size and telemetry are no key inputs and
+hit.  Corrupt run records (scribbled payload, flipped CRC, wrong payload
+type) are misses, never crashes.
 """
 
 from __future__ import annotations
@@ -15,61 +15,26 @@ from dataclasses import replace
 import pytest
 
 from repro.components import CSortableObList, OBLIST_TYPE_MODEL
-from repro.generator.driver import DriverGenerator
-from repro.harness.oracles import assertions_only_oracle, experiment_oracle
-from repro.mutation.analysis import MutationAnalysis
+from repro.harness.oracles import assertions_only_oracle
+from repro.mutation.analysis import MutationAnalysis, analyze_mutants
 from repro.mutation.cache import (
     _HEADER,
     _KEY_LENGTHS,
-    _KIND_OUTCOME,
+    _KIND_RUN,
+    CacheStats,
     MutationOutcomeCache,
 )
-from repro.mutation.generate import build_battery, generate_mutants
 from repro.mutation.mutant import CompiledMutant, compile_mutant_function
+from repro.obs import MemorySink, Telemetry
 
-SEED = 20010701
-MUTANT_COUNT = 8
+from .test_cache import battery_of, counting_builder, oracle, small_suite
 
-
-def small_suite(seed: int = SEED):
-    suite = DriverGenerator(CSortableObList.__tspec__, seed=seed).generate()
-    relevant = tuple(
-        case for case in suite.cases
-        if any(step.method_name in ("FindMax", "FindMin")
-               for step in case.steps)
-    )[:30]
-    return replace(suite, cases=relevant)
+KEY_MUTANTS = 8
 
 
 @pytest.fixture(scope="module")
 def mutants():
-    pool, _ = generate_mutants(
-        CSortableObList, ["FindMax"], type_model=OBLIST_TYPE_MODEL
-    )
-    return pool[:MUTANT_COUNT]
-
-
-@pytest.fixture()
-def warm_cache(mutants, tmp_path):
-    """A cache populated by one cold run of the canonical configuration."""
-    cache = MutationOutcomeCache(tmp_path)
-    MutationAnalysis(
-        CSortableObList, small_suite(), oracle=experiment_oracle(
-            CSortableObList.__tspec__
-        ), cache=cache,
-    ).analyze(mutants)
-    return cache
-
-
-def run(mutants, cache, *, suite=None, oracle=None, **options):
-    analysis = MutationAnalysis(
-        CSortableObList,
-        suite if suite is not None else small_suite(),
-        oracle=oracle or experiment_oracle(CSortableObList.__tspec__),
-        cache=cache,
-        **options,
-    )
-    return analysis.analyze(mutants)
+    return battery_of("FindMax")[:KEY_MUTANTS]
 
 
 def perturbed_mutant(mutant: CompiledMutant) -> CompiledMutant:
@@ -83,91 +48,125 @@ def perturbed_mutant(mutant: CompiledMutant) -> CompiledMutant:
     )
 
 
+def perturbed_suite(suite):
+    """The suite with one integer argument of its first case moved by one."""
+    case = suite.cases[0]
+    index, step = next(
+        (index, step) for index, step in enumerate(case.steps)
+        if step.arguments and isinstance(step.arguments[0], int)
+    )
+    step = replace(step, arguments=(step.arguments[0] + 1,)
+                   + step.arguments[1:])
+    case = replace(case, steps=case.steps[:index] + (step,)
+                   + case.steps[index + 1:])
+    perturbed = replace(suite, cases=(case,) + suite.cases[1:])
+    assert perturbed.fingerprint() != suite.fingerprint()
+    return perturbed
+
+
+def options(**changed):
+    return lambda battery, suite: (battery, suite, changed)
+
+
+#: Each key input, changed: ``change(battery, suite)`` gives the battery,
+#: suite and extra analysis options of the changed run.  The FindMin
+#: battery reuses the FindMax battery's idents, so filling one cold store
+#: with both is two cold misses, nothing more.
+KEY_CHANGES = {
+    "mutant-source": lambda battery, suite: (
+        [perturbed_mutant(battery[0])] + battery[1:], suite, {}),
+    "battery-order": lambda battery, suite: (battery[::-1], suite, {}),
+    "case-value": lambda battery, suite: (
+        battery, perturbed_suite(suite), {}),
+    "oracle": options(oracle=assertions_only_oracle()),
+    "stop-on-first-kill": options(stop_on_first_kill=False),
+    "check-invariants": options(check_invariants=False),
+    "class-builder": options(class_builder=counting_builder),
+    "prune": options(prune=False),
+    "triage-off": options(static_triage=False),
+    "triage-type-model": options(triage_type_model=None),
+    "findmin-after-findmax": lambda battery, suite: (
+        battery_of("FindMin")[:KEY_MUTANTS], suite, {}),
+}
+
+#: What a run may change and still hit: none of it is a key input.
+NEUTRAL_CHANGES = {
+    "pool2": options(workers=2),
+    "pool2-batch1": options(workers=2, batch_size=1),
+    "pool4": options(workers=4),
+    "telemetry": lambda battery, suite: (
+        battery, suite, {"telemetry": Telemetry(sink=MemorySink())}),
+}
+
+
+def run_battery(battery, cache, suite=None, **changed):
+    settings = dict(oracle=oracle(), triage_type_model=OBLIST_TYPE_MODEL)
+    settings.update(changed)
+    return analyze_mutants(
+        CSortableObList, suite if suite is not None else small_suite(limit=30),
+        battery, cache=cache, **settings,
+    )
+
+
+@pytest.mark.parametrize("change", [*KEY_CHANGES, *NEUTRAL_CHANGES])
+def test_run_key(change, mutants, tmp_path):
+    """A changed key input misses the whole run, and reverting it hits
+    again; a changed engine, worker count, batch size or telemetry hits."""
+    battery = list(mutants)
+    cache = MutationOutcomeCache(tmp_path)
+    cold = run_battery(battery, cache)
+    assert cold.cache_stats == CacheStats(misses=cold.dispatched_count)
+
+    make = {**KEY_CHANGES, **NEUTRAL_CHANGES}[change]
+    changed_battery, suite, changed = make(battery, small_suite(limit=30))
+    rerun = run_battery(changed_battery, cache, suite=suite, **changed)
+    if change in NEUTRAL_CHANGES:
+        assert rerun.cache_stats == CacheStats(hits=rerun.dispatched_count)
+        assert rerun.same_results(cold)
+    else:
+        assert rerun.cache_stats == CacheStats(misses=rerun.dispatched_count)
+
+    reverted = run_battery(battery, cache)
+    assert reverted.cache_stats == CacheStats(hits=cold.dispatched_count)
+    assert reverted.same_results(cold)
+
+
+@pytest.fixture()
+def warm_cache(mutants, tmp_path):
+    """A store filled by one cold run of the canonical configuration."""
+    cache = MutationOutcomeCache(tmp_path)
+    run_battery(mutants, cache)
+    return cache
+
+
 class TestComponentInvalidation:
-    """Each fingerprint component invalidates exactly the affected entries."""
-
-    def test_one_mutant_source_change_misses_only_that_entry(
-            self, mutants, warm_cache):
-        edited = list(mutants)
-        edited[0] = perturbed_mutant(mutants[0])
-        result = run(edited, warm_cache)
-        assert result.cache_stats.hits == len(mutants) - 1
-        assert result.cache_stats.misses == 1
-        # The slot index knows this mutant existed under another fingerprint.
-        assert result.cache_stats.invalidations == 1
-
-    def test_one_test_case_value_invalidates_the_suite_entries(
-            self, mutants, warm_cache):
-        suite = small_suite()
-        case = suite.cases[0]
-        step_index, step = next(
-            (index, step) for index, step in enumerate(case.steps)
-            if step.arguments and isinstance(step.arguments[0], int)
-        )
-        perturbed_step = replace(
-            step, arguments=(step.arguments[0] + 1,) + step.arguments[1:]
-        )
-        perturbed_case = replace(
-            case,
-            steps=case.steps[:step_index]
-            + (perturbed_step,)
-            + case.steps[step_index + 1:],
-        )
-        perturbed = replace(suite, cases=(perturbed_case,) + suite.cases[1:])
-        assert perturbed.fingerprint() != suite.fingerprint()
-
-        # Every entry of this experiment ran under the old suite, so every
-        # lookup misses — and each is an invalidation, not a cold miss.
-        result = run(mutants, warm_cache, suite=perturbed)
-        assert result.cache_stats.hits == 0
-        assert result.cache_stats.misses == len(mutants)
-        assert result.cache_stats.invalidations == len(mutants)
-
-    def test_oracle_configuration_invalidates(self, mutants, warm_cache):
-        result = run(mutants, warm_cache, oracle=assertions_only_oracle())
-        assert result.cache_stats.hits == 0
-        assert result.cache_stats.invalidations == len(mutants)
+    """The step budget, the one key input the sandbox reads."""
 
     def test_step_budget_invalidates(self, mutants, warm_cache):
-        result = run(mutants, warm_cache, step_budget=123_456)
-        assert result.cache_stats.hits == 0
-        assert result.cache_stats.invalidations == len(mutants)
+        result = run_battery(mutants, warm_cache, step_budget=123_456)
+        assert result.cache_stats == CacheStats(
+            misses=result.dispatched_count)
 
-    def test_analysis_flags_invalidate(self, mutants, warm_cache):
-        result = run(mutants, warm_cache, stop_on_first_kill=False)
-        assert result.cache_stats.hits == 0
-        assert result.cache_stats.invalidations == len(mutants)
+    def test_revert_hits_the_original_entries_again(self, mutants,
+                                                    warm_cache):
+        run_battery(mutants, warm_cache, step_budget=123_456)
+        reverted = run_battery(mutants, warm_cache)
+        assert reverted.cache_stats == CacheStats(
+            hits=reverted.dispatched_count)
+        assert reverted.same_results(run_battery(mutants, None))
 
-    def test_revert_hits_the_original_entries_again(self, mutants, warm_cache):
-        run(mutants, warm_cache, step_budget=123_456)  # supersedes the slots
-        reverted = run(mutants, warm_cache)
-        assert reverted.cache_stats.hits == len(mutants)
-        assert reverted.cache_stats.misses == 0
 
-    def test_single_operator_batteries_share_no_slots(self, tmp_path):
-        # Idents restart at M0001 in every battery, so two single-operator
-        # batteries over one class reuse idents for different mutants.
-        # Filling a fresh store with both is a first fill: every lookup is
-        # a cold miss, none an invalidation.
-        cache = MutationOutcomeCache(tmp_path)
-        batteries = [
-            build_battery(CSortableObList, ["FindMax"],
-                          operator_names=[operator],
-                          type_model=OBLIST_TYPE_MODEL,
-                          max_mutants=MUTANT_COUNT)[0]
-            for operator in ("IndVarRepGlob", "IndVarRepLoc")
-        ]
-        assert batteries[0][0].ident == batteries[1][0].ident
-        for battery in batteries:
-            result = run(battery, cache)
-            assert result.cache_stats.misses == len(battery)
-            assert result.cache_stats.invalidations == 0
+def _run_key(mutants, cache):
+    return MutationAnalysis(
+        CSortableObList, small_suite(limit=30), oracle=oracle(),
+        triage_type_model=OBLIST_TYPE_MODEL, cache=cache,
+    ).run_fingerprint(mutants)
 
 
 def _payload_offset(cache, key):
-    """File offset of the victim record's pickled payload."""
-    location = cache._indexes[_KIND_OUTCOME][key.entry]
-    return location.offset + _HEADER.size + _KEY_LENGTHS[_KIND_OUTCOME]
+    """File offset of the run record's pickled payload."""
+    location = cache._indexes[_KIND_RUN][key]
+    return location.offset + _HEADER.size + _KEY_LENGTHS[_KIND_RUN]
 
 
 def _scribble_payload(cache, key):
@@ -185,7 +184,7 @@ def _zero_payload(cache, key):
 
 def _flip_crc(cache, key):
     """Invert the stored CRC: the intact payload no longer verifies."""
-    location = cache._indexes[_KIND_OUTCOME][key.entry]
+    location = cache._indexes[_KIND_RUN][key]
     with open(cache.segment_path, "r+b") as handle:
         handle.seek(location.offset + 8)   # <BBHII — crc is the last field
         crc = handle.read(4)
@@ -194,15 +193,7 @@ def _flip_crc(cache, key):
 
 
 class TestCorruptEntries:
-    """A present-but-unreadable segment record is a miss, never a crash."""
-
-    def keys(self, mutants, cache):
-        analysis = MutationAnalysis(
-            CSortableObList, small_suite(),
-            oracle=experiment_oracle(CSortableObList.__tspec__), cache=cache,
-        )
-        experiment = analysis.experiment_fingerprint()
-        return [cache.key_for(experiment, mutant) for mutant in mutants]
+    """A present-but-unreadable run record is a miss, never a crash."""
 
     @pytest.mark.parametrize("damage", [
         _scribble_payload,
@@ -211,39 +202,32 @@ class TestCorruptEntries:
     ])
     def test_damaged_entry_is_a_miss_then_healed(self, damage, mutants,
                                                  warm_cache):
-        victim = self.keys(mutants, warm_cache)[0]
-        damage(warm_cache, victim)
-        result = run(mutants, warm_cache)
-        assert result.cache_stats.hits == len(mutants) - 1
-        assert result.cache_stats.misses == 1
-        assert result.cache_stats.corrupt == 1
-        # The rerun re-appended the entry; the next run is fully warm again.
-        healed = run(mutants, warm_cache)
-        assert healed.cache_stats.hits == len(mutants)
-        assert healed.cache_stats.corrupt == 0
+        damage(warm_cache, _run_key(mutants, warm_cache))
+        result = run_battery(mutants, warm_cache)
+        assert result.cache_stats == CacheStats(
+            misses=result.dispatched_count, corrupt=1)
+        # The rerun re-appended the record; the next run is warm again.
+        healed = run_battery(mutants, warm_cache)
+        assert healed.cache_stats == CacheStats(hits=result.dispatched_count)
+        assert healed.same_results(result)
 
     def test_damage_survives_reopen_as_one_corrupt_miss(self, mutants,
                                                         warm_cache):
-        # A fresh cache object on the same directory rebuilds its index by
+        # A fresh store object on the same directory rebuilds its index by
         # scan — structure is intact, so the damaged record is indexed,
         # and only the lookup-time CRC rejects it.
-        victim = self.keys(mutants, warm_cache)[0]
-        _scribble_payload(warm_cache, victim)
+        _scribble_payload(warm_cache, _run_key(mutants, warm_cache))
         warm_cache.close()
         reopened = MutationOutcomeCache(warm_cache.directory)
-        result = run(mutants, reopened)
-        assert result.cache_stats.hits == len(mutants) - 1
+        result = run_battery(mutants, reopened)
+        assert result.cache_stats.hits == 0
         assert result.cache_stats.corrupt == 1
 
     def test_wrong_payload_type_is_corrupt(self, mutants, warm_cache):
         # A well-framed record (valid CRC) whose payload is not a
-        # CacheEntry: the typed read rejects it as corrupt.
-        victim = self.keys(mutants, warm_cache)[0]
-        warm_cache._append(
-            _KIND_OUTCOME,
-            victim.entry + victim.slot,
-            {"not": "a CacheEntry"},
-        )
-        result = run(mutants, warm_cache)
+        # RunEntry: the typed read rejects it as corrupt.
+        warm_cache._append(_KIND_RUN, _run_key(mutants, warm_cache),
+                           {"not": "a RunEntry"})
+        result = run_battery(mutants, warm_cache)
         assert result.cache_stats.corrupt == 1
-        assert result.cache_stats.hits == len(mutants) - 1
+        assert result.cache_stats.hits == 0

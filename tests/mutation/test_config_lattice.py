@@ -239,12 +239,13 @@ def store_filler(cell: Cell) -> Cell:
 
 class _KeepsTimeouts:
     """Keeps each mutant's step-timeout count, which a run reports only
-    summed, so a mismatch can name the mutant."""
+    summed, so a mismatch can name the mutant: as executed, or as the
+    warm store's run record holds it."""
 
-    def _resolve(self, mutants, indices, keys, results):
-        super()._resolve(mutants, indices, keys, results)
-        self.timeouts = {mutants[index].ident: results[index][1]
-                         for index in indices}
+    def _assemble(self, results, *args):
+        self.timeouts = {outcome.mutant.ident: timeouts
+                         for outcome, timeouts in results}
+        return super()._assemble(results, *args)
 
 
 class SerialEngine(_KeepsTimeouts, MutationAnalysis):

@@ -42,6 +42,7 @@ from repro.mutation.coverage import (
 from repro.mutation.generate import generate_mutants
 
 from .pruning_subjects import LINE_SUBJECTS
+from .test_sandbox import collections_with_callbacks
 
 SEEDS = (20010701, 7, 99)
 MUTANT_COUNT = 15
@@ -299,6 +300,17 @@ class TestPrunedEqualsUnpruned:
         assert analysis(110).analyze(findmax_mutants).same_results(
             analysis(110, prune=False).analyze(findmax_mutants)
         )
+
+    def test_collections_leave_the_peak_alone(self):
+        # The 109 line events above sit one below a budget of 110 only if
+        # no collection runs its Python callbacks inside that call.
+        suite = sortable_suite()
+        suite = replace(suite, cases=suite.cases[:60])
+        _, quiet = record_coverage(CSortableObList, suite)
+        with collections_with_callbacks():
+            _, busy = record_coverage(CSortableObList, suite)
+        assert quiet.peak[0] == 109
+        assert busy.peak == quiet.peak
 
     def test_exhaustive_run_records_no_matrix(self, findmax_mutants):
         analysis = MutationAnalysis(

@@ -234,7 +234,7 @@ class TestWallClockBackstopRobustness:
 
 class TestCrashAndHangVerdictsNeverStored:
     """Worker-boundary kills depend on scheduling, not on fingerprinted
-    input, so the store keeps only the verdicts workers computed."""
+    input, so a run holding one is never stored."""
 
     def test_boundary_kills_miss_again_when_warm(self, findmax_mutants,
                                                  tmp_path):
@@ -262,13 +262,17 @@ class TestCrashAndHangVerdictsNeverStored:
             assert {ident: reasons[ident] for ident in expected} == expected
 
             store = MutationOutcomeCache(tmp_path)
-            experiment = engine.experiment_fingerprint()
-            assert store.live_records() == len(ordinary)
-            for mutant in battery:
-                entry = store.lookup(store.key_for(experiment, mutant))
-                assert (entry is None) == (mutant.ident in expected)
+            assert store.live_records() == 0
+            assert store.lookup(engine.run_fingerprint(battery)) == (None,
+                                                                      False)
 
-            _, warm = run()
-            assert warm.cache_stats.hits == len(ordinary)
-            assert warm.cache_stats.misses == 2
-            assert warm.same_results(cold)
+            # The rerun misses and executes again: the boundary kills
+            # recur, which only running the mutants can produce.
+            _, rerun = run()
+            assert rerun.cache_stats.hits == 0
+            assert rerun.cache_stats.misses == len(battery)
+            reasons = {outcome.mutant.ident: outcome.reason
+                       for outcome in rerun.outcomes}
+            assert {ident: reasons[ident] for ident in expected} == expected
+            assert rerun.same_results(cold)
+            assert MutationOutcomeCache(tmp_path).live_records() == 0

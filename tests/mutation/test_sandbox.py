@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import sys
 import time
+import weakref
+from contextlib import contextmanager
 
 import pytest
 
@@ -134,8 +137,45 @@ def line_events(function, *args):
     return count
 
 
+@contextmanager
+def collections_with_callbacks():
+    """Collect at almost every allocation, and leave each collection a
+    Python weakref callback to run in the next one."""
+    class Node:
+        pass
+
+    refs = []
+
+    def litter(phase, info):  # noqa: ARG001 — gc.callbacks API
+        if phase == "stop":
+            node = Node()
+            node.cycle = node
+            refs.append(weakref.ref(node, refs.remove))
+
+    threshold = gc.get_threshold()
+    gc.callbacks.append(litter)
+    gc.set_threshold(1)
+    try:
+        yield
+    finally:
+        gc.set_threshold(*threshold)
+        gc.callbacks.remove(litter)
+        gc.collect()
+
+
 class TestBudgetSemantics:
     """What the budget counts; the goldens pin what it decides."""
+
+    def test_collections_inside_a_call_cost_no_budget(self):
+        # The callbacks of a collection are Python code: were one to run
+        # inside the call, its lines would push the call over the budget.
+        def allocating():
+            return [[] for _ in range(50)]
+
+        events = line_events(allocating)
+        with collections_with_callbacks():
+            for _ in range(20):
+                assert len(StepBudgetGuard(budget=events + 1)(allocating)) == 50
 
     def test_exact_boundary(self):
         events = line_events(finite_work, 20)

@@ -2,75 +2,58 @@
 
 The store's robustness contract: one ``store.seg`` file, an in-memory
 offset index rebuilt by scan on open, torn/garbage tails tolerated as
-counted misses (never crashes), ``compact()`` preserves every live
-verdict and drops every record a lookup rejects, and sequential sharers
-of one directory never clobber each other.
+misses (never crashes), ``compact()`` preserves every live record and
+drops every record a lookup rejects, records of the retired kinds stay
+dead, and sequential sharers of one directory never clobber each other.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+import pickle
+import zlib
 
 import pytest
 
 import repro.mutation.cache as cache_module
 from repro.components import CSortableObList, OBLIST_TYPE_MODEL
 from repro.core.fingerprint import sha256_hex
-from repro.generator.driver import DriverGenerator
-from repro.harness.oracles import experiment_oracle
 from repro.mutation.analysis import MutationAnalysis
 from repro.mutation.cache import (
+    _HEADER,
+    _KIND_RUN,
+    _MAGIC,
     CACHE_FORMAT_VERSION,
     SEGMENT_FILE,
-    _KIND_OUTCOME,
     MutationOutcomeCache,
 )
-from repro.mutation.generate import generate_mutants
 from repro.obs import MemorySink, Telemetry
 
-SEED = 20010701
+from .test_cache import BUILD_CALLS, battery_of, counting_builder, oracle
+from .test_cache import small_suite as cache_suite
+
 MUTANT_COUNT = 10
 
 
-def small_suite(seed: int = SEED):
-    suite = DriverGenerator(CSortableObList.__tspec__, seed=seed).generate()
-    relevant = tuple(
-        case for case in suite.cases
-        if any(step.method_name in ("FindMax", "FindMin")
-               for step in case.steps)
-    )[:30]
-    return replace(suite, cases=relevant)
-
-
-def oracle():
-    return experiment_oracle(CSortableObList.__tspec__)
-
-
-BUILD_CALLS = {"count": 0}
-
-
-def counting_builder(mutant):
-    BUILD_CALLS["count"] += 1
-    return mutant.build_class()
+def small_suite():
+    return cache_suite(limit=30)
 
 
 @pytest.fixture(scope="module")
 def mutants():
-    pool, _ = generate_mutants(
-        CSortableObList, ["FindMax"], type_model=OBLIST_TYPE_MODEL
-    )
-    return pool[:MUTANT_COUNT]
+    return battery_of("FindMax")[:MUTANT_COUNT]
 
 
 def _key(tag: str) -> str:
     return sha256_hex("segment-store-test", tag)
 
 
+def analysis(cache, **options):
+    return MutationAnalysis(CSortableObList, small_suite(), oracle=oracle(),
+                            cache=cache, **options)
+
+
 def run(mutants, cache, **options):
-    return MutationAnalysis(
-        CSortableObList, small_suite(), oracle=oracle(), cache=cache,
-        **options,
-    ).analyze(mutants)
+    return analysis(cache, **options).analyze(mutants)
 
 
 class TestRoundTrip:
@@ -93,7 +76,7 @@ class TestRoundTrip:
                                                         tmp_path):
         cache = MutationOutcomeCache(tmp_path)
         run(mutants, cache, static_triage=False)
-        assert cache.live_records() == len(mutants)
+        assert cache.live_records() == 1  # one record for the whole run
         assert cache.segment_bytes() == (
             (tmp_path / SEGMENT_FILE).stat().st_size
         )
@@ -104,22 +87,25 @@ class TestTailDamage:
 
     def test_truncated_tail_loses_only_the_torn_record(self, mutants,
                                                        tmp_path):
-        cold = run(mutants, MutationOutcomeCache(tmp_path),
+        kept = run(mutants, MutationOutcomeCache(tmp_path),
                    static_triage=False)
+        torn = run(mutants, MutationOutcomeCache(tmp_path),
+                   static_triage=False, step_budget=123_456)
         segment = tmp_path / SEGMENT_FILE
         segment.write_bytes(segment.read_bytes()[:-10])  # tear the last record
 
         reopened = MutationOutcomeCache(tmp_path)
-        assert reopened.live_records() == len(mutants) - 1
-        healed = run(mutants, reopened, static_triage=False)
-        assert healed.same_results(cold)
-        assert healed.cache_stats.hits == len(mutants) - 1
-        assert healed.cache_stats.misses == 1  # the torn record, re-executed
-
-        # The heal re-appended it (truncating the dead tail first): warm.
-        warm = run(mutants, MutationOutcomeCache(tmp_path),
-                   static_triage=False)
+        assert reopened.live_records() == 1
+        warm = run(mutants, reopened, static_triage=False)
         assert warm.cache_stats.hits == len(mutants)
+        assert warm.same_results(kept)
+        healed = run(mutants, reopened, static_triage=False,
+                     step_budget=123_456)
+        assert healed.same_results(torn)
+        assert healed.cache_stats.misses == len(mutants)  # re-executed
+
+        # The heal re-appended it (truncating the dead tail first).
+        assert MutationOutcomeCache(tmp_path).live_records() == 2
 
     def test_garbage_tail_keeps_every_record_live(self, mutants, tmp_path):
         cold = run(mutants, MutationOutcomeCache(tmp_path))
@@ -177,20 +163,16 @@ class TestCompaction:
     def test_compaction_drops_superseded_duplicates(self, mutants, tmp_path):
         cache = MutationOutcomeCache(tmp_path)
         run(mutants, cache, static_triage=False)
-        analysis = MutationAnalysis(
-            CSortableObList, small_suite(), oracle=oracle(), cache=cache,
-        )
-        experiment = analysis.experiment_fingerprint()
-        key = cache.key_for(experiment, mutants[0])
-        entry = cache.lookup(key)
-        cache.store(key, entry.outcome, entry.step_timeouts)  # duplicate
+        key = analysis(cache, static_triage=False).run_fingerprint(mutants)
+        entry, _ = cache.lookup(key)
+        cache.store(key, entry.verdicts, entry.triage)  # duplicate
         before = (tmp_path / SEGMENT_FILE).stat().st_size
 
         report = cache.compact()
-        assert report.records_kept == len(mutants)
+        assert report.records_kept == 1
         assert report.records_dropped == 1
         assert (tmp_path / SEGMENT_FILE).stat().st_size < before
-        assert MutationOutcomeCache(tmp_path).lookup(key) is not None
+        assert MutationOutcomeCache(tmp_path).lookup(key)[0] == entry
 
     def test_compaction_keeps_other_experiments_entries(self, mutants,
                                                         tmp_path):
@@ -200,8 +182,8 @@ class TestCompaction:
         default = run(mutants, cache, static_triage=False)
         budgeted = run(mutants, cache, static_triage=False,
                        step_budget=123_456)
-        assert budgeted.cache_stats.invalidations == len(mutants)
-        cache.compact()
+        assert budgeted.cache_stats.misses == len(mutants)
+        assert cache.compact().records_kept == 2
 
         reverted = run(mutants, MutationOutcomeCache(tmp_path),
                        static_triage=False)
@@ -214,23 +196,24 @@ class TestCompaction:
     def test_compaction_drops_damaged_records(self, mutants, tmp_path):
         cache = MutationOutcomeCache(tmp_path)
         run(mutants, cache, static_triage=False)
-        analysis = MutationAnalysis(
-            CSortableObList, small_suite(), oracle=oracle(), cache=cache,
-        )
-        experiment = analysis.experiment_fingerprint()
-        key = cache.key_for(experiment, mutants[0])
-        location = cache._indexes[_KIND_OUTCOME][key.entry]
+        run(mutants, cache, static_triage=False, step_budget=123_456)
+        key = analysis(cache, static_triage=False).run_fingerprint(mutants)
+        location = cache._indexes[_KIND_RUN][key]
         with open(cache.segment_path, "r+b") as handle:
             handle.seek(location.offset + location.length - 8)
             handle.write(b"\x00" * 8)
 
         report = cache.compact()
-        assert report.records_kept == len(mutants) - 1
+        assert report.records_kept == 1
         assert report.records_dropped == 1
         result = run(mutants, MutationOutcomeCache(tmp_path),
                      static_triage=False)
-        assert result.cache_stats.hits == len(mutants) - 1
-        assert result.cache_stats.misses == 1
+        assert result.cache_stats.hits == 0
+        assert result.cache_stats.misses == len(mutants)
+        assert result.cache_stats.corrupt == 0  # dropped, not damaged
+        budgeted = run(mutants, MutationOutcomeCache(tmp_path),
+                       static_triage=False, step_budget=123_456)
+        assert budgeted.cache_stats.hits == len(mutants)
 
     def test_compaction_drops_version_skewed_scenario_records(
             self, tmp_path, monkeypatch):
@@ -279,17 +262,22 @@ class TestSequentialSharers:
         assert (rerun.cache_stats.hits + rerun.cache_stats.misses
                 == len(mutants))
 
-        # Nothing was lost: a fresh reader sees one live copy of each.
+        # Nothing was lost: a fresh reader sees one live copy of the run.
         fresh = MutationOutcomeCache(tmp_path)
+        assert fresh.live_records() == 1
         warm = run(mutants, fresh, static_triage=False)
         assert warm.cache_stats.hits == len(mutants)
 
     def test_triage_and_outcomes_share_the_segment(self, mutants, tmp_path):
+        # With static triage on, the one run record holds the triage
+        # beside the verdicts.
         cache = MutationOutcomeCache(tmp_path)
-        run(mutants, cache)  # static triage on: triage verdicts stored too
-        assert cache.live_records() > len(mutants)
-        warm = run(mutants, MutationOutcomeCache(tmp_path))
+        cold = run(mutants, cache, triage_type_model=OBLIST_TYPE_MODEL)
+        assert cold.triage is not None and cache.live_records() == 1
+        warm = run(mutants, MutationOutcomeCache(tmp_path),
+                   triage_type_model=OBLIST_TYPE_MODEL)
         assert warm.cache_stats.hits == len(mutants)
+        assert warm.triage == cold.triage
 
     def test_torn_tail_found_while_catching_up_is_counted(self, tmp_path):
         # A dead tail counts one ``cache.segment_torn`` whether the scan
@@ -316,3 +304,51 @@ class TestSequentialSharers:
         assert final.live_records() == 3
         assert final.lookup_scenario(_key("second")) == {"ident": "second"}
         assert final.lookup_scenario(_key("third")) == {"ident": "third"}
+
+
+def _framed(kind: int, key: str, payload: bytes) -> bytes:
+    """One segment record, framed by hand."""
+    body = key.encode("ascii") + payload
+    return _HEADER.pack(kind, 0, len(key), len(payload),
+                        zlib.crc32(body) & 0xFFFFFFFF) + body
+
+
+class TestRetiredKinds:
+    """Stores written before the run kind existed still open."""
+
+    def test_retired_records_are_dead_and_compacted_away(self, tmp_path):
+        # A scenario record, framed by the store itself, behind one record
+        # of each retired kind: per-mutant outcome (1), per-mutant triage
+        # verdict (2) and slot pin (3).
+        source = MutationOutcomeCache(tmp_path / "source")
+        source.store_scenario(_key("scenario"), {"ident": "scenario"})
+        source.close()
+        scenario = source.segment_path.read_bytes()[len(_MAGIC):]
+        retired = (_framed(1, _key("entry") + _key("slot"),
+                           pickle.dumps({"outcome": "retired"}))
+                   + _framed(2, _key("triage"), pickle.dumps(("x", "y")))
+                   + _framed(3, _key("slot") + _key("entry"), b""))
+        store = tmp_path / "store"
+        store.mkdir()
+        (store / SEGMENT_FILE).write_bytes(_MAGIC + retired + scenario)
+
+        cache = MutationOutcomeCache(store)
+        assert cache.live_records() == 1  # the retired records are dead
+        assert cache.lookup_scenario(_key("scenario")) == {"ident": "scenario"}
+        # A run record appended behind them survives a reopen: the scan
+        # stepped over the retired kinds instead of stopping as if torn.
+        cache.store(_key("run"), (("verdict",),), None)
+        cache.close()
+        reopened = MutationOutcomeCache(store)
+        assert reopened.live_records() == 2
+        assert reopened.lookup(_key("run"))[0].verdicts == (("verdict",),)
+
+        size = (store / SEGMENT_FILE).stat().st_size
+        report = reopened.compact()
+        assert (report.records_before, report.records_kept,
+                report.records_dropped) == (5, 2, 3)
+        assert (store / SEGMENT_FILE).stat().st_size == size - len(retired)
+        compacted = MutationOutcomeCache(store)
+        assert compacted.lookup_scenario(_key("scenario")) == {
+            "ident": "scenario"}
+        assert compacted.lookup(_key("run"))[0].verdicts == (("verdict",),)

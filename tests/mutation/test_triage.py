@@ -31,12 +31,14 @@ from repro.components import (
     reset_database,
 )
 from repro.core.errors import MutationError
+from repro.core.fingerprint import sha256_hex
 from repro.generator.driver import DriverGenerator
 from repro.generator.values import TypeBinding
+import repro.mutation.analysis as analysis_module
 from repro.mutation.analysis import MutationAnalysis
 from repro.mutation.cache import (
     CACHE_FORMAT_VERSION,
-    _KIND_TRIAGE,
+    _KIND_RUN,
     MutationOutcomeCache,
 )
 from repro.mutation.generate import generate_mutants
@@ -49,7 +51,6 @@ from repro.mutation.triage import (
     build_triage_findings,
     normalized_bytecode_digest,
     normalized_source_text,
-    triage_fingerprint,
     triage_mutants,
     triage_registry,
 )
@@ -556,51 +557,67 @@ class TestZeroDispatch:
 
 
 class TestTriageCache:
-    def test_verdicts_cached_and_replayed(self, tmp_path, findmax_battery):
+    """A stored run keeps its triage, and the run key names the setting."""
+
+    def test_verdicts_cached_and_replayed(self, tmp_path, findmax_battery,
+                                          monkeypatch):
         battery, _ = findmax_battery
         cache = MutationOutcomeCache(tmp_path / "cache")
-        cold = triage_mutants(
-            CSortableObList, battery, type_model=OBLIST_TYPE_MODEL,
-            cache=cache,
-        )
-        warm = triage_mutants(
-            CSortableObList, battery, type_model=OBLIST_TYPE_MODEL,
-            cache=cache,
-        )
-        assert warm == cold
 
-    def test_store_lookup_roundtrip_and_corruption(self, tmp_path):
-        cache = MutationOutcomeCache(tmp_path / "cache")
-        key = triage_fingerprint(
-            CSortableObList, "def f():\n    pass\n",
-            "def f():\n    return 0\n", frozenset(),
+        def run():
+            return MutationAnalysis(
+                CSortableObList, findmax_suite(SEEDS[0], limit=25),
+                cache=cache, triage_type_model=OBLIST_TYPE_MODEL,
+            ).analyze(battery)
+
+        cold = run()
+        assert cold.triage == triage_mutants(
+            CSortableObList, battery, type_model=OBLIST_TYPE_MODEL
         )
-        assert cache.lookup_triage(key) is None
-        cache.store_triage(key, "bytecode_equivalent", "digest123")
-        assert cache.lookup_triage(key) == ("bytecode_equivalent", "digest123")
+        monkeypatch.setattr(analysis_module, "triage_mutants",
+                            lambda *args, **kwargs: pytest.fail("triaged"))
+        assert run().triage == cold.triage
+
+    def test_store_lookup_roundtrip_and_corruption(self, tmp_path,
+                                                   findmax_triage):
+        cache = MutationOutcomeCache(tmp_path / "cache")
+        key = sha256_hex("triage-roundtrip")
+        assert cache.lookup(key) == (None, False)
+        cache.store(key, (), findmax_triage)
+        entry, corrupt = cache.lookup(key)
+        assert entry.triage == findmax_triage and not corrupt
         # A corrupt payload (scribbled segment record) is a miss, never an
         # exception — the lookup-time CRC rejects it.
-        location = cache._indexes[_KIND_TRIAGE][key]
+        location = cache._indexes[_KIND_RUN][key]
         with open(cache.segment_path, "r+b") as handle:
             handle.seek(location.offset + location.length - 8)
             handle.write(b"\x80damaged")
-        assert cache.lookup_triage(key) is None
+        assert cache.lookup(key) == (None, True)
 
-    def test_fingerprint_covers_fold_configuration(self):
-        base = triage_fingerprint(CSortableObList, "a", "b", frozenset())
-        typed = triage_fingerprint(
-            CSortableObList, "a", "b", frozenset({"x"})
-        )
-        assert base != typed
+    def test_fingerprint_covers_fold_configuration(self, findmax_battery):
+        battery, _ = findmax_battery
+        suite = findmax_suite(SEEDS[0], limit=25)
+
+        def key(**options):
+            return MutationAnalysis(
+                CSortableObList, suite, **options
+            ).run_fingerprint(battery)
+
+        typed = key(triage_type_model=OBLIST_TYPE_MODEL)
+        assert typed != key()
+        assert typed != key(static_triage=False,
+                            triage_type_model=OBLIST_TYPE_MODEL)
+        # With triage off the model folds nothing, so it is no input.
+        assert key(static_triage=False) == key(
+            static_triage=False, triage_type_model=OBLIST_TYPE_MODEL)
 
     def test_cache_format_version_bumped_for_triage(self):
         assert CACHE_FORMAT_VERSION >= 3
 
     def test_outcome_cache_cold_warm_and_triage_off(self, tmp_path,
                                                     findmax_battery):
-        """Warm replays every dispatched verdict; synthesized outcomes
-        never enter the store, and entries are shared across the
-        ``--no-static-triage`` boundary."""
+        """Warm replays the whole run; triage off is another run key, so
+        that run misses and executes every mutant."""
         battery, _ = findmax_battery
         suite = findmax_suite(SEEDS[0], limit=25)
         cache = MutationOutcomeCache(tmp_path / "cache")
@@ -618,13 +635,10 @@ class TestTriageCache:
         assert warm.same_results(cold)
         assert warm.cache_stats.misses == 0
         assert warm.cache_stats.hits == cold.dispatched_count
-        # Triage off against the same store: the dispatched mutants all
-        # hit (the experiment fingerprint excludes the triage flag); only
-        # the formerly-synthesized ones execute.
         off = run(False)
         assert off.same_verdicts(cold)
-        assert off.cache_stats.hits == cold.dispatched_count
-        assert off.cache_stats.misses == len(battery) - cold.dispatched_count
+        assert off.cache_stats.hits == 0
+        assert off.cache_stats.misses == len(battery)
 
 
 # ---------------------------------------------------------------------------

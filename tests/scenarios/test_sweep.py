@@ -281,13 +281,17 @@ class TestWarmReplay:
     def test_store_holds_scenario_records_only(self, mixed_registry,
                                                tmp_path, workers):
         cache_dir = tmp_path / "cache"
-        cache = MutationOutcomeCache(cache_dir)
+        telemetry = Telemetry(sink=MemorySink())
+        cache = MutationOutcomeCache(cache_dir, telemetry=telemetry)
         SweepRunner(mixed_registry, workers=workers,
                     workspace=tmp_path / "ws", cache=cache).run()
         assert cache.scenario_stats()["stores"] == len(MIXED_ENTRIES)
-        assert cache.snapshot().lookups == 0  # no engine saw the store
+        # No engine saw the store: the run kind's counters stayed at 0.
+        counters = telemetry.counters()
+        assert not any(counters.get(f"cache.{event}", 0)
+                       for event in ("hits", "misses", "stores"))
         # Reopened, the segment indexes the scenario records and nothing
-        # else: no outcome or triage record was written.
+        # else: no run record was written.
         assert MutationOutcomeCache(cache_dir).live_records() == \
             len(MIXED_ENTRIES)
 
