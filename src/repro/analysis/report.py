@@ -8,10 +8,10 @@ SARIF viewers) and carries per-rule metadata from the registry.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from .findings import LintResult, Severity
-from .registry import RuleRegistry, default_registry
+from .registry import default_registry
 
 TOOL_NAME = "concat-lint"
 TOOL_URI = "https://example.invalid/pyconcat/concat-lint"  # informational only
@@ -58,9 +58,8 @@ def render_json(result: LintResult) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def render_sarif(result: LintResult,
-                 registry: Optional[RuleRegistry] = None) -> str:
-    registry = registry or default_registry()
+def render_sarif(result: LintResult) -> str:
+    registry = default_registry()
     rules = [
         {
             "id": row["id"],

@@ -17,22 +17,12 @@ record per scenario):
   dropping superseded and damaged records (prints a ``cache compact:``
   line).
 
-The two table CLIs also share the coverage-guided pruning switch:
+All three always prune (:mod:`repro.mutation.coverage`) and triage
+(:mod:`repro.mutation.triage`).  The exhaustive run is an engine option,
+``MutationAnalysis(prune=False)``, which the configuration lattices
+compare every pruned run against.
 
-* ``--no-prune`` — disable coverage-guided mutant×case pruning (on by
-  default; pruning skips test cases whose reference execution never runs
-  the mutated line and runs the calls before it unguarded — verdicts are
-  bit-identical either way, see :mod:`repro.mutation.coverage`).
-
-And the static-triage switch:
-
-* ``--no-static-triage`` — disable the static equivalent-mutant triage
-  pass (on by default; triage proves mutants equivalent by normalized-AST
-  or bytecode identity and groups bytecode-redundant mutants so only one
-  representative executes — every *executed* mutant's verdict is
-  bit-identical either way, see :mod:`repro.mutation.triage`).
-
-And all three share the run-telemetry flags (:mod:`repro.obs`):
+All three share the run-telemetry flags (:mod:`repro.obs`):
 
 * ``--trace-out PATH`` — stream schema-versioned JSONL span/counter
   events for the whole run (generation, reference pass, per-mutant and
@@ -127,27 +117,6 @@ def add_workers_argument(parser: argparse.ArgumentParser,
     )
 
 
-def add_prune_arguments(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group("coverage-guided pruning")
-    group.add_argument(
-        "--no-prune", action="store_true",
-        help="disable coverage-guided mutant×case pruning (pruning skips "
-             "cases that never execute the mutated line; verdicts are "
-             "identical with or without it)",
-    )
-
-
-def add_triage_arguments(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group("static equivalent-mutant triage")
-    group.add_argument(
-        "--no-static-triage", action="store_true",
-        help="disable the static triage pass (triage proves equivalents "
-             "by AST/bytecode identity and executes one representative "
-             "per redundancy class; executed verdicts are identical "
-             "with or without it)",
-    )
-
-
 def add_obs_arguments(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("run telemetry")
     group.add_argument(
@@ -161,16 +130,6 @@ def add_obs_arguments(parser: argparse.ArgumentParser) -> None:
         help="print the telemetry summary after the run (lines start "
              "with 'obs' for easy filtering)",
     )
-
-
-def prune_from_arguments(arguments: argparse.Namespace) -> bool:
-    """Whether pruning is enabled (default) under the parsed flags."""
-    return not arguments.no_prune
-
-
-def static_triage_from_arguments(arguments: argparse.Namespace) -> bool:
-    """Whether static triage is enabled (default) under the parsed flags."""
-    return not arguments.no_static_triage
 
 
 def telemetry_from_arguments(arguments: argparse.Namespace

@@ -31,8 +31,6 @@ from ..obs import Telemetry
 from .cli import (
     add_cache_arguments,
     add_obs_arguments,
-    add_prune_arguments,
-    add_triage_arguments,
     add_workers_argument,
     cache_from_arguments,
     compact_cache,
@@ -40,8 +38,6 @@ from .cli import (
     exit_on_repro_error,
     finish_telemetry,
     print_cache_stats,
-    prune_from_arguments,
-    static_triage_from_arguments,
     telemetry_from_arguments,
 )
 from .config import (
@@ -79,8 +75,6 @@ def run_table2(seed: int = EXPERIMENT_SEED,
                workers: int = 1,
                max_cases: Optional[int] = None,
                cache: Optional[MutationOutcomeCache] = None,
-               prune: bool = True,
-               static_triage: bool = True,
                telemetry: Optional[Telemetry] = None) -> Table2Result:
     """Execute experiment 1 end to end.
 
@@ -90,14 +84,10 @@ def run_table2(seed: int = EXPERIMENT_SEED,
     configuration.
     ``cache`` replays the whole run from the incremental outcome store
     when nothing it depends on changed (cached runs are
-    ``same_results``-identical to fresh);
-    ``prune=False`` disables coverage-guided mutant×case pruning (verdicts
-    are identical either way).  ``static_triage=False`` disables the
-    static equivalent-mutant triage pass; with it on (the default),
-    statically-proven mutants are never dispatched, the equivalence probe
-    skips them, and every *executed* mutant's verdict is identical to the
-    untriaged run.  ``telemetry`` attaches a run-telemetry session (rows
-    are identical with or without it).
+    ``same_results``-identical to fresh).  The run always prunes and
+    triages: statically-proven mutants are never dispatched and the
+    equivalence probe skips them.  ``telemetry`` attaches a run-telemetry
+    session (rows are identical with or without it).
     """
     suite = truncated_suite(sortable_suite(seed), max_cases)
     mutants, generation = generate_mutants(
@@ -111,8 +101,6 @@ def run_table2(seed: int = EXPERIMENT_SEED,
         workers=workers,
         oracle=sortable_oracle(),
         cache=cache,
-        prune=prune,
-        static_triage=static_triage,
         triage_type_model=OBLIST_TYPE_MODEL,
         telemetry=telemetry,
     )
@@ -154,8 +142,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--no-equivalence", action="store_true",
                         help="skip the equivalence probe")
     add_cache_arguments(parser)
-    add_prune_arguments(parser)
-    add_triage_arguments(parser)
     add_obs_arguments(parser)
     arguments = parser.parse_args(argv)
     telemetry = telemetry_from_arguments(arguments)
@@ -167,8 +153,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         workers=arguments.workers,
         max_cases=arguments.max_cases,
         cache=cache,
-        prune=prune_from_arguments(arguments),
-        static_triage=static_triage_from_arguments(arguments),
         telemetry=telemetry,
     )
     print(result.generation.summary())

@@ -29,8 +29,6 @@ from ..obs import Telemetry
 from .cli import (
     add_cache_arguments,
     add_obs_arguments,
-    add_prune_arguments,
-    add_triage_arguments,
     add_workers_argument,
     cache_from_arguments,
     compact_cache,
@@ -38,8 +36,6 @@ from .cli import (
     exit_on_repro_error,
     finish_telemetry,
     print_cache_stats,
-    prune_from_arguments,
-    static_triage_from_arguments,
     telemetry_from_arguments,
 )
 from .config import (
@@ -99,8 +95,6 @@ def run_table3(seed: int = EXPERIMENT_SEED,
                workers: int = 1,
                max_cases: Optional[int] = None,
                cache: Optional[MutationOutcomeCache] = None,
-               prune: bool = True,
-               static_triage: bool = True,
                telemetry: Optional[Telemetry] = None) -> Table3Result:
     """Execute experiment 2 end to end.
 
@@ -113,13 +107,9 @@ def run_table3(seed: int = EXPERIMENT_SEED,
     shared by all three batteries: each run's record is keyed by its own
     suite, oracle and builder, so the contrast runs never
     cross-contaminate.
-    ``prune=False`` disables coverage-guided mutant×case pruning (verdicts
-    are identical either way; pruning here must see through inheritance —
-    base-class mutants are reached via inherited subclass methods, which
-    the dynamic coverage recorder observes).  ``static_triage=False``
-    disables the static equivalent-mutant triage pass (triage is applied
-    to the shared ``CObList`` mutant pool once per battery; executed
-    verdicts are identical either way).  Under ``workers > 1`` the
+    Every battery prunes (base-class mutants are reached via inherited
+    subclass methods, which the dynamic coverage recorder observes) and
+    triages the shared ``CObList`` mutant pool.  Under ``workers > 1`` the
     batteries share one persistent worker pool, so the contrast runs
     reuse warm processes.
     """
@@ -139,8 +129,6 @@ def run_table3(seed: int = EXPERIMENT_SEED,
             oracle=oracle,
             class_builder=class_builder,
             cache=cache,
-            prune=prune,
-            static_triage=static_triage,
             triage_type_model=OBLIST_TYPE_MODEL,
             telemetry=telemetry,
         )
@@ -185,8 +173,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--contrast", action="store_true",
                         help="also run the base-suite and full-suite contrasts")
     add_cache_arguments(parser)
-    add_prune_arguments(parser)
-    add_triage_arguments(parser)
     add_obs_arguments(parser)
     arguments = parser.parse_args(argv)
     telemetry = telemetry_from_arguments(arguments)
@@ -198,8 +184,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         workers=arguments.workers,
         max_cases=arguments.max_cases,
         cache=cache,
-        prune=prune_from_arguments(arguments),
-        static_triage=static_triage_from_arguments(arguments),
         telemetry=telemetry,
     )
     print(result.generation.summary())

@@ -352,14 +352,14 @@ def _set_verdict(span, outcome: MutantOutcome) -> None:
 
 
 class MutationAnalysis:
-    """Runs a test suite over a battery of mutants."""
+    """Runs a test suite over a battery of mutants, checking the class
+    invariant after every call, as the paper's generated driver does."""
 
     def __init__(self, original_class: type, suite: TestSuite,
                  oracle: Optional[CompositeOracle] = None,
                  class_builder: Optional[ClassBuilder] = None,
                  step_budget: int = DEFAULT_STEP_BUDGET,
                  stop_on_first_kill: bool = True,
-                 check_invariants: bool = True,
                  setup: Optional[Callable[[], None]] = None,
                  reference: Optional[SuiteResult] = None,
                  cache: Optional[MutationOutcomeCache] = None,
@@ -387,10 +387,9 @@ class MutationAnalysis:
         unguarded; the skipped cases provably replay the reference
         outcome, which is synthesized instead.  ``coverage`` seeds the
         recorded matrix the same way ``reference`` seeds the golden run
-        (the parallel engine ships both to its workers); a matrix recorded
-        under another ``check_invariants`` raises ``ValueError``.  Pruning
-        raises :class:`~repro.core.errors.MutationError` if a reference
-        call reaches ``step_budget``.
+        (the parallel engine ships both to its workers).  Pruning raises
+        :class:`~repro.core.errors.MutationError` if a reference call
+        reaches ``step_budget``.
 
         ``telemetry`` attaches a run-telemetry session
         (:mod:`repro.obs`): the reference pass and every mutant get
@@ -421,20 +420,12 @@ class MutationAnalysis:
         self._builder_spec = class_builder
         self._budget = step_budget
         self._stop_on_first_kill = stop_on_first_kill
-        self._check_invariants = check_invariants
         self._setup = setup
         self._cache = cache
         self._prune = prune and setup is None
         self._static_triage = static_triage
         self._triage_type_model = triage_type_model
         self._obs = coalesce(telemetry)
-        if (coverage is not None
-                and coverage.check_invariants != check_invariants):
-            raise ValueError(
-                f"coverage matrix was recorded with check_invariants="
-                f"{coverage.check_invariants}, the analysis runs with "
-                f"{check_invariants}"
-            )
         self._coverage: Optional[CoverageMatrix] = (
             coverage if self._prune else None
         )
@@ -463,20 +454,15 @@ class MutationAnalysis:
                                 prune=self._prune):
                 if self._prune:
                     self._reference, recorded = record_coverage(
-                        self._original, self._suite,
-                        check_invariants=self._check_invariants,
-                        telemetry=self._obs,
+                        self._original, self._suite, telemetry=self._obs,
                     )
                     if self._coverage is None:
                         self._coverage = recorded
                 else:
                     if self._setup is not None:
                         self._setup()
-                    executor = TestExecutor(
-                        self._original,
-                        check_invariants=self._check_invariants,
-                        telemetry=self._obs,
-                    )
+                    executor = TestExecutor(self._original,
+                                            telemetry=self._obs)
                     self._reference = executor.run_suite(self._suite)
         return self._reference
 
@@ -497,9 +483,7 @@ class MutationAnalysis:
             self.reference_results()
         if self._coverage is None:
             _, self._coverage = record_coverage(
-                self._original, self._suite,
-                check_invariants=self._check_invariants,
-                telemetry=self._obs,
+                self._original, self._suite, telemetry=self._obs,
             )
         steps, case_ident, call = self._coverage.peak
         if steps >= self._budget:
@@ -654,7 +638,6 @@ class MutationAnalysis:
             self._builder_spec,
             self._budget,
             self._stop_on_first_kill,
-            self._check_invariants,
             self._setup,
             prune=self._prune,
             coverage_fingerprint=(
@@ -698,7 +681,6 @@ class MutationAnalysis:
         guard = StepBudgetGuard(self._budget)
         executor = TestExecutor(
             mutant_class,
-            check_invariants=self._check_invariants,
             step_guard=guard,
             telemetry=self._obs,
         )

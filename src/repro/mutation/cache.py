@@ -13,9 +13,9 @@ that can change one of the run's verdicts:
   class (identity + source hash), the suite
   (:meth:`~repro.generator.suite.TestSuite.fingerprint`, a content hash
   over every case's steps, argument values and seed), the oracle
-  configuration, the class builder, the sandbox step budget, the analysis
-  flags (``stop_on_first_kill``, ``check_invariants``), the setup hook,
-  the pruning flag plus the content hash of the recorded coverage matrix
+  configuration, the class builder, the sandbox step budget, the
+  ``stop_on_first_kill`` flag, the setup hook, the pruning flag plus the
+  content hash of the recorded coverage matrix
   (:meth:`~repro.mutation.coverage.CoverageMatrix.fingerprint`), and the
   cache *key* version;
 * the **battery**, in order — each mutant's :func:`mutant_fingerprint`
@@ -152,7 +152,6 @@ def experiment_fingerprint(original_class: type,
                            class_builder: Optional[Callable],
                            step_budget: int,
                            stop_on_first_kill: bool,
-                           check_invariants: bool,
                            setup: Optional[Callable] = None,
                            prune: bool = False,
                            coverage_fingerprint: str = "") -> str:
@@ -176,7 +175,6 @@ def experiment_fingerprint(original_class: type,
         canonical(class_builder),
         canonical(step_budget),
         canonical(stop_on_first_kill),
-        canonical(check_invariants),
         canonical(setup),
         canonical(prune),
         coverage_fingerprint,

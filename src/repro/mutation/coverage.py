@@ -160,16 +160,14 @@ class CoverageMatrix:
     reaching every line from its first call on, so it is executed, fully
     guarded.
 
-    ``check_invariants`` is the executor flag the calls were numbered
-    under (invariant checks are guarded calls), and ``peak`` is the most
-    line events one guarded reference call took, with its case and call
-    index.
+    Invariant checks are guarded calls, numbered with the rest.  ``peak``
+    is the most line events one guarded reference call took, with its case
+    and call index.
     """
 
     class_name: str
     case_idents: Tuple[str, ...] = ()
     columns: Mapping[Column, bytes] = field(default_factory=dict)
-    check_invariants: bool = True
     peak: Tuple[int, str, int] = (0, "", 0)
 
     def first_calls(self, case_idents: Sequence[str], method_name: str,
@@ -196,7 +194,6 @@ class CoverageMatrix:
         """
         return sha256_hex("coverage-matrix", canonical((
             self.class_name, self.case_idents, self.columns,
-            self.check_invariants,
         )))
 
     def __len__(self) -> int:
@@ -217,9 +214,8 @@ class CoverageRecorder:
     ends.
     """
 
-    def __init__(self, cut_class: type, check_invariants: bool = True):
+    def __init__(self, cut_class: type):
         self._class_name = cut_class.__name__
-        self._check_invariants = check_invariants
         # Keyed by ``id`` in the hot path: a code object hashes its whole
         # contents on every probe.  The map keeps the code objects alive.
         self._code_owners = _code_map(cut_class)
@@ -327,13 +323,11 @@ class CoverageRecorder:
                 key: bytes(column.ljust(size, bytes((NEVER,))))
                 for key, column in self._columns.items()
             },
-            check_invariants=self._check_invariants,
             peak=self._peak,
         )
 
 
 def record_coverage(cut_class: type, suite: "TestSuite",
-                    check_invariants: bool = True,
                     telemetry=None,
                     ) -> Tuple["SuiteResult", CoverageMatrix]:
     """One instrumented pass: the reference results *and* their coverage.
@@ -347,10 +341,9 @@ def record_coverage(cut_class: type, suite: "TestSuite",
     """
     from ..harness.executor import TestExecutor
 
-    recorder = CoverageRecorder(cut_class, check_invariants=check_invariants)
+    recorder = CoverageRecorder(cut_class)
     executor = TestExecutor(
         cut_class,
-        check_invariants=check_invariants,
         step_guard=recorder.guard,
         case_tracer=recorder.tracing,
         telemetry=telemetry,

@@ -3,8 +3,10 @@
 For each target method of a class, apply every operator of the registry to
 every applicable mutation point, compile the result, and keep the mutants
 that compile cleanly (sec. 4).  Duplicates — distinct points that produce
-textually identical method sources — are dropped, and every drop is counted
-in the :class:`GenerationReport` (never silent).
+textually identical method sources, or the original method's own source —
+are dropped, and every drop is counted in the :class:`GenerationReport`
+(never silent).  Sources that differ only after normalization are left to
+the static triage pass (:mod:`repro.mutation.triage`).
 """
 
 from __future__ import annotations
@@ -33,32 +35,6 @@ from .typemodel import (
 )
 
 
-@dataclass(frozen=True)
-class DroppedDuplicate:
-    """One mutation point dropped at generation time, and why.
-
-    ``kind`` is ``"duplicate-source"`` when the point produced a method
-    source an earlier point already generated (same fault, different
-    derivation — the textual analogue of the bytecode redundancy classes
-    :mod:`repro.mutation.triage` groups), or ``"textual-noop"`` when it
-    reproduced the original method verbatim (not a mutant at all).
-    """
-
-    method: str
-    operator: str
-    variable: str
-    occurrence: int
-    line: int
-    replacement: str
-    kind: str
-
-    def title(self) -> str:
-        return (
-            f"[{self.operator}] {self.method}: {self.variable!r}"
-            f"#{self.occurrence} -> {self.replacement} ({self.kind})"
-        )
-
-
 @dataclass
 class GenerationReport:
     """Accounting of one generation run."""
@@ -70,29 +46,11 @@ class GenerationReport:
     duplicates: int = 0
     type_incompatible: int = 0  # rejected by the C++-typing gate
     per_method_operator: Dict[Tuple[str, str], int] = field(default_factory=dict)
-    #: WHICH (point, operator) pairs the ``duplicates`` counter covers —
-    #: one record per drop, in drop order, so the triage report can
-    #: cross-check textual-dup drops against bytecode-redundancy classes.
-    dropped: List[DroppedDuplicate] = field(default_factory=list)
 
     def count(self, method: str, operator: str) -> None:
         key = (method, operator)
         self.per_method_operator[key] = self.per_method_operator.get(key, 0) + 1
         self.generated += 1
-
-    def drop_duplicate(self, method: str, operator: str, point,
-                       kind: str) -> None:
-        """Count one duplicate drop and record which point it was."""
-        self.duplicates += 1
-        self.dropped.append(DroppedDuplicate(
-            method=method,
-            operator=operator,
-            variable=point.site.variable,
-            occurrence=point.site.occurrence,
-            line=point.site.line,
-            replacement=render_expr(point.replacement),
-            kind=kind,
-        ))
 
     def summary(self) -> str:
         return (
@@ -169,18 +127,12 @@ class MutantGenerator:
                                 mutated_source = ast.unparse(module)
                                 key = (method_name, mutated_source)
                                 if key in seen_sources:
-                                    report.drop_duplicate(
-                                        method_name, operator.name, point,
-                                        kind="duplicate-source",
-                                    )
+                                    report.duplicates += 1
                                     continue
                                 if (mutated_source.strip()
                                         == normalized_originals[method_name]):
                                     # Textual no-op: not a mutant at all.
-                                    report.drop_duplicate(
-                                        method_name, operator.name, point,
-                                        kind="textual-noop",
-                                    )
+                                    report.duplicates += 1
                                     continue
                                 seen_sources.add(key)
                                 function = context.compile_mutant(module)

@@ -146,7 +146,6 @@ class WorkerSpec:
     class_builder: Optional[ClassBuilder]
     step_budget: int
     stop_on_first_kill: bool
-    check_invariants: bool
     setup: Optional[Callable[[], None]]
     reference: SuiteResult
     #: Coverage-guided pruning: the matrix is recorded once in the parent
@@ -164,7 +163,6 @@ class WorkerSpec:
             class_builder=self.class_builder,
             step_budget=self.step_budget,
             stop_on_first_kill=self.stop_on_first_kill,
-            check_invariants=self.check_invariants,
             setup=self.setup,
             reference=self.reference,
             prune=self.prune,
@@ -773,7 +771,6 @@ class ParallelMutationAnalysis(MutationAnalysis):
                 class_builder=self._builder_spec,
                 step_budget=self._budget,
                 stop_on_first_kill=self._stop_on_first_kill,
-                check_invariants=self._check_invariants,
                 setup=self._setup,
                 reference=self.reference_results(),
                 prune=self._prune,

@@ -63,9 +63,11 @@ its :class:`StaticTriage`, and the run key names the triage setting
 (on or off, and the type model): a warm run replays the triage with the
 verdicts and never re-runs this pass.
 
-``python -m repro.mutation.triage`` renders the triage of a table battery
-as findings through the :mod:`repro.analysis` machinery (text, JSON, or
-SARIF 2.1.0 — rules ``MT001``–``MT004``).
+On the paper subjects the pass proves no mutant equivalent: Table 2's
+typed battery holds one redundancy class per ``ShellSort`` ``// 2``
+spelling, and Table 3's none.  Its verdicts reach users only through the
+engines (:attr:`~repro.mutation.analysis.MutationRun.triage`) and the
+score table's count of proven equivalents.
 """
 
 from __future__ import annotations
@@ -93,7 +95,6 @@ from ..obs import Telemetry, coalesce
 from .typemodel import INTEGRAL_TAGS, TypeModel, infer_local_types
 
 if TYPE_CHECKING:  # imported lazily to keep triage <- analysis acyclic
-    from .generate import GenerationReport
     from .mutant import CompiledMutant
 
 
@@ -230,15 +231,6 @@ class StaticTriage:
     def _with_status(self, status: TriageStatus) -> Tuple[str, ...]:
         return tuple(
             entry.ident for entry in self.entries if entry.status is status
-        )
-
-    def summary(self) -> str:
-        return (
-            f"static triage: {len(self.ast_equivalent)} AST-equivalent, "
-            f"{len(self.bytecode_equivalent)} bytecode-equivalent, "
-            f"{len(self.redundant)} redundant "
-            f"({len(self.entries) - self.skipped} of {len(self.entries)} "
-            f"mutants executed)"
         )
 
 
@@ -587,199 +579,3 @@ def triage_mutants(original_class: type,
             obs.count("triage.redundant_grouped", len(triage.redundant))
         span.set("skipped", triage.skipped)
     return triage
-
-
-# ---------------------------------------------------------------------------
-# The findings report (text / JSON / SARIF via repro.analysis)
-# ---------------------------------------------------------------------------
-
-
-def triage_registry():
-    """The triage rule set, in the shape the SARIF emitter expects."""
-    from ..analysis.findings import Severity
-    from ..analysis.registry import Rule, RuleRegistry
-
-    class _TriageRule(Rule):
-        severity = Severity.INFO
-
-        def check(self, unit):  # pragma: no cover — findings built directly
-            return ()
-
-    class AstEquivalent(_TriageRule):
-        id = "MT001"
-        name = "ast-equivalent-mutant"
-        summary = ("Mutant's normalized AST is identical to the original "
-                   "method (proven equivalent; never executed)")
-
-    class BytecodeEquivalent(_TriageRule):
-        id = "MT002"
-        name = "bytecode-equivalent-mutant"
-        summary = ("Mutant's normalized bytecode is identical to the "
-                   "original method (proven equivalent; never executed)")
-
-    class RedundantClass(_TriageRule):
-        id = "MT003"
-        name = "redundant-mutant-class"
-        summary = ("Mutants with pairwise-identical normalized bytecode; "
-                   "one representative is executed per class")
-
-    class TextualDuplicate(_TriageRule):
-        id = "MT004"
-        name = "textual-duplicate-dropped"
-        summary = ("Mutation point dropped at generation time because it "
-                   "produced an already-seen method source")
-
-    return RuleRegistry(
-        (AstEquivalent(), BytecodeEquivalent(), RedundantClass(),
-         TextualDuplicate())
-    )
-
-
-def _method_line(owner: type, method_name: str, offset: int) -> int:
-    """Best-effort absolute source line for a mutant (1-based)."""
-    for klass in owner.__mro__:
-        function = klass.__dict__.get(method_name)
-        if function is None:
-            continue
-        if isinstance(function, (staticmethod, classmethod)):
-            function = function.__func__
-        code = getattr(function, "__code__", None)
-        if code is not None:
-            return code.co_firstlineno + max(0, offset - 1)
-    return max(1, offset)
-
-
-def build_triage_findings(original_class: type,
-                          mutants: Sequence["CompiledMutant"],
-                          triage: StaticTriage,
-                          generation: Optional["GenerationReport"] = None):
-    """Render a triage (plus optional generation accounting) as findings.
-
-    The result plugs straight into the ``repro.analysis`` emitters; the
-    generation report's dropped-duplicate records let the report show both
-    dedup layers side by side — textual duplicates caught at generation
-    time (MT004) against bytecode-redundancy classes caught here (MT003).
-    """
-    from ..analysis.findings import Finding, LintResult, Severity
-
-    path = inspect.getsourcefile(original_class) or "<unknown>"
-    records = {mutant.record.ident: mutant.record for mutant in mutants}
-    findings: List[Finding] = []
-
-    def finding(rule_id: str, rule_name: str, line: int, message: str):
-        findings.append(Finding(
-            rule_id=rule_id,
-            rule_name=rule_name,
-            severity=Severity.INFO,
-            path=path,
-            line=line,
-            message=message,
-            component=original_class.__name__,
-        ))
-
-    for entry in triage.entries:
-        record = records.get(entry.ident)
-        if record is None or entry.status is TriageStatus.UNDECIDED:
-            continue
-        line = _method_line(original_class, record.method_name, record.line)
-        title = (f"{record.ident} [{record.operator}] "
-                 f"{record.method_name}: {record.description}")
-        if entry.status is TriageStatus.AST_EQUIVALENT:
-            finding("MT001", "ast-equivalent-mutant", line,
-                    f"{title} — normalized AST identical to the original; "
-                    f"proven equivalent, excluded from the score denominator")
-        elif entry.status is TriageStatus.BYTECODE_EQUIVALENT:
-            finding("MT002", "bytecode-equivalent-mutant", line,
-                    f"{title} — normalized bytecode identical to the "
-                    f"original; proven equivalent, excluded from the score "
-                    f"denominator")
-        elif entry.status is TriageStatus.REDUNDANT:
-            finding("MT003", "redundant-mutant-class", line,
-                    f"{title} — bytecode-identical to {entry.representative}; "
-                    f"verdict propagated from the representative")
-    if generation is not None:
-        for dropped in generation.dropped:
-            line = _method_line(original_class, dropped.method, dropped.line)
-            finding("MT004", "textual-duplicate-dropped", line,
-                    f"[{dropped.operator}] {dropped.method}: replacing "
-                    f"{dropped.variable!r} (occurrence {dropped.occurrence}) "
-                    f"with {dropped.replacement} duplicated an already-"
-                    f"generated source ({dropped.kind}); dropped before "
-                    f"compilation")
-    result = LintResult(findings=findings, components=1, files=1)
-    return result
-
-
-# ---------------------------------------------------------------------------
-# CLI: python -m repro.mutation.triage
-# ---------------------------------------------------------------------------
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Triage a table battery and emit the findings report."""
-    import argparse
-
-    from ..analysis.report import render_json, render_sarif, render_text
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.mutation.triage",
-        description="Static equivalent-mutant triage report "
-                    "(normalized-AST / bytecode identity, redundancy "
-                    "classes) over a table battery.",
-    )
-    parser.add_argument(
-        "--target", choices=("table2", "table3"), default="table2",
-        help="battery to triage: table2 = CSortableObList experiment-1 "
-             "pool, table3 = CObList base-class pool (default: table2)",
-    )
-    parser.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text",
-        help="report format (default: text)",
-    )
-    parser.add_argument(
-        "--output", default=None, metavar="PATH",
-        help="write the report to PATH instead of stdout",
-    )
-    parser.add_argument(
-        "--no-type-folds", action="store_true",
-        help="disable the type-model-gated integral folds (universally "
-             "sound normalizations only)",
-    )
-    arguments = parser.parse_args(argv)
-
-    from ..components import CObList, CSortableObList, OBLIST_TYPE_MODEL
-    from ..experiments.config import TABLE2_METHODS, TABLE3_METHODS
-    from .generate import generate_mutants
-
-    if arguments.target == "table2":
-        target, methods, prefix = CSortableObList, TABLE2_METHODS, "M"
-    else:
-        target, methods, prefix = CObList, TABLE3_METHODS, "B"
-    mutants, generation = generate_mutants(
-        target, methods, ident_prefix=prefix, type_model=OBLIST_TYPE_MODEL
-    )
-    type_model = None if arguments.no_type_folds else OBLIST_TYPE_MODEL
-    triage = triage_mutants(target, mutants, type_model=type_model)
-    result = build_triage_findings(target, mutants, triage,
-                                   generation=generation)
-
-    if arguments.format == "sarif":
-        rendered = render_sarif(result, registry=triage_registry())
-    elif arguments.format == "json":
-        rendered = render_json(result)
-    else:
-        rendered = "\n".join((
-            render_text(result),
-            generation.summary(),
-            triage.summary(),
-        ))
-    if arguments.output:
-        with open(arguments.output, "w", encoding="utf-8") as handle:
-            handle.write(rendered + "\n")
-    else:
-        print(rendered)
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

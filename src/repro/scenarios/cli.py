@@ -15,9 +15,8 @@ The incremental-run and telemetry flags, and the count checks of
 ``--workers`` and ``--max-scenarios``, are the shared ones the table
 experiments use (:mod:`repro.experiments.cli`).  ``--workers N`` runs
 whole scenarios on N worker processes; the store holds scenario records
-only, so ``--cache-stats`` prints the scenario line alone.  A sweep
-always prunes and triages (neither moves a verdict), so ``run`` has no
-``--no-prune`` or ``--no-static-triage``.
+only, so ``--cache-stats`` prints the scenario line alone.  A sweep,
+like the tables, always prunes and triages.
 """
 
 from __future__ import annotations

@@ -80,7 +80,6 @@ KEY_CHANGES = {
         battery, perturbed_suite(suite), {}),
     "oracle": options(oracle=assertions_only_oracle()),
     "stop-on-first-kill": options(stop_on_first_kill=False),
-    "check-invariants": options(check_invariants=False),
     "class-builder": options(class_builder=counting_builder),
     "prune": options(prune=False),
     "triage-off": options(static_triage=False),

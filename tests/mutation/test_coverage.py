@@ -167,16 +167,10 @@ class TestMatrixRecording:
         _, other = record_coverage(CSortableObList, mixed_suite(SEEDS[1], 20))
         assert first.fingerprint() != other.fingerprint()
 
-    def test_seeded_matrix_with_other_invariant_flag_is_refused(self):
+    def test_seeded_matrix_is_used_as_is(self):
         suite = mixed_suite(SEEDS[0], limit=10)
-        _, matrix = record_coverage(CSortableObList, suite,
-                                    check_invariants=False)
-        assert not matrix.check_invariants
-        with pytest.raises(ValueError, match="check_invariants"):
-            MutationAnalysis(CSortableObList, suite, coverage=matrix)
-        # Seeded under the flag it was recorded with, it is accepted.
-        analysis = MutationAnalysis(CSortableObList, suite, coverage=matrix,
-                                    check_invariants=False)
+        _, matrix = record_coverage(CSortableObList, suite)
+        analysis = MutationAnalysis(CSortableObList, suite, coverage=matrix)
         assert analysis.coverage_matrix() is matrix
 
 

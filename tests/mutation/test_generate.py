@@ -2,11 +2,20 @@
 
 from __future__ import annotations
 
+import ast
+
 import pytest
 
 from repro.components import CObList, CSortableObList, OBLIST_TYPE_MODEL
 from repro.mutation.generate import GenerationReport, MutantGenerator, generate_mutants
-from repro.mutation.operators import ALL_OPERATORS, IndVarBitNeg, OPERATOR_NAMES
+from repro.mutation.operators import (
+    ALL_OPERATORS,
+    OPERATOR_NAMES,
+    IndVarBitNeg,
+    IndVarRepReq,
+    MutationOperator,
+    MutationPoint,
+)
 
 
 class TestGeneration:
@@ -74,6 +83,37 @@ class TestGeneration:
         first, _ = generator.generate(["FindMax"])
         second, _ = generator.generate(["FindMin"])
         assert first and second
+
+    def test_doubled_operator_counts_duplicates(self):
+        """A second copy of an operator re-derives every source the first
+        generated: each counts as one duplicate and adds no mutant."""
+        operator = ALL_OPERATORS[-1]
+        single, _ = generate_mutants(CObList, ["AddHead"],
+                                     operators=(operator,))
+        doubled, report = generate_mutants(CObList, ["AddHead"],
+                                           operators=(operator, operator))
+        assert report.duplicates == len(single) > 0
+        assert [m.record for m in doubled] == [m.record for m in single]
+
+    def test_textual_noop_counts_as_one_duplicate(self):
+        class SelfReplace(MutationOperator):
+            name = "IndVarRepLoc"
+
+            def points(self, context):
+                for point in IndVarRepReq().points(context):
+                    yield MutationPoint(
+                        site=point.site,
+                        replacement=ast.Name(id=point.site.variable,
+                                             ctx=ast.Load()),
+                        description="self replacement (no-op)",
+                    )
+                    return
+
+        mutants, report = generate_mutants(
+            CObList, ["AddHead"], operators=(SelfReplace(),)
+        )
+        assert mutants == []
+        assert report.duplicates == 1
 
 
 class TestPaperScale:

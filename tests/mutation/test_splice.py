@@ -118,7 +118,7 @@ def assert_same_generation(generate, monkeypatch):
         reference_mutants, reference_report = generate()
     assert mutants, "the battery should not be empty"
     assert [m.record for m in mutants] == [m.record for m in reference_mutants]
-    assert report == reference_report  # ``dropped`` included
+    assert report == reference_report
     # dict equality ignores insertion order; compare that too.
     assert (list(report.per_method_operator.items())
             == list(reference_report.per_method_operator.items()))
