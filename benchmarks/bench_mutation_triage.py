@@ -40,7 +40,7 @@ MAX_CASES = 200
 #: Cap the probe pool so the benchmark stays tractable; statically-triaged
 #: survivors are always force-included so the skip path is exercised.
 PROBE_POOL = 18
-PROBE_OPTIONS = dict(seeds=(1,), max_transactions=30, extra_variants=0)
+PROBE_OPTIONS = dict(max_transactions=30, extra_variants=0)
 
 
 def _workload():

@@ -53,7 +53,7 @@ def main() -> None:
     survivors = [m for m in mutants if m.ident in survivor_idents]
     print(f"\nprobing {len(survivors)} survivors for equivalence…")
     equivalence = probe_equivalence(
-        CSortableObList, CSortableObList.__tspec__, survivors, seeds=(101, 202)
+        CSortableObList, CSortableObList.__tspec__, survivors
     )
     print(equivalence.summary())
 

@@ -20,7 +20,6 @@ import sys
 from typing import List, Optional
 
 from .config import LintConfig
-from .findings import Severity
 from .loader import TargetError
 from .registry import default_registry
 from .report import render_json, render_sarif, render_text, summary_line

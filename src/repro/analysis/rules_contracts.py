@@ -12,7 +12,7 @@ a module global, or a builtin.
 from __future__ import annotations
 
 import ast
-from typing import Iterable, List, Optional, Set, Tuple
+from typing import Iterable, Optional, Set
 
 from .findings import Finding, Severity
 from .registry import Rule, register

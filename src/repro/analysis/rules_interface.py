@@ -14,7 +14,7 @@ underscore.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Set
+from typing import Iterable, Set
 
 from .findings import Finding, Severity
 from .registry import Rule, register

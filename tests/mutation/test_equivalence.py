@@ -39,34 +39,62 @@ class TestProbe:
         assert survivors, "the tiny suite must leave survivors"
         report = probe_equivalence(
             CSortableObList, CSortableObList.__tspec__, survivors,
-            seeds=(1,), **PROBE_OPTIONS,
+            **PROBE_OPTIONS,
         )
         classified = set(report.likely_equivalent) | set(report.escaped)
         assert classified == {m.ident for m in survivors}
         assert not (set(report.likely_equivalent) & set(report.escaped))
 
     def test_probe_finds_escapes(self, survivors):
-        # A weak main suite leaves revealable mutants; the stronger probe
-        # must kill at least one of them.
+        # A weak main suite leaves revealable mutants; the one stronger
+        # probe suite must kill at least one of them, and without
+        # overrides the escapes are exactly its kills.
         report = probe_equivalence(
             CSortableObList, CSortableObList.__tspec__, survivors,
-            seeds=(1, 2), **PROBE_OPTIONS,
+            **PROBE_OPTIONS,
         )
         assert report.escaped
-        for ident in report.escaped:
-            assert ident in report.probe_kill_reasons
+        assert set(report.escaped) == set(report.probe_kill_reasons)
+
+    def test_one_suite_per_probe(self, survivors, monkeypatch):
+        built = []
+        real_generate = DriverGenerator.generate
+
+        def spy_generate(generator, *args, **kwargs):
+            suite = real_generate(generator, *args, **kwargs)
+            built.append(len(suite))
+            return suite
+
+        monkeypatch.setattr(DriverGenerator, "generate", spy_generate)
+        report = probe_equivalence(
+            CSortableObList, CSortableObList.__tspec__, survivors,
+            **PROBE_OPTIONS,
+        )
+        # The survivor the suite cannot kill gets no second suite.
+        assert report.likely_equivalent
+        assert built == [report.probe_suite_size]
+        assert report.probe_suite_size > 0
+
+        # Nothing left to probe: no suite at all.
+        built.clear()
+        report = probe_equivalence(
+            CSortableObList, CSortableObList.__tspec__, survivors,
+            manual_equivalent=[m.ident for m in survivors], **PROBE_OPTIONS,
+        )
+        assert built == []
+        assert report.probe_suite_size == 0
 
     def test_manual_overrides(self, survivors):
         target = survivors[0].ident
         forced_equivalent = probe_equivalence(
             CSortableObList, CSortableObList.__tspec__, survivors,
-            seeds=(1,), manual_equivalent=[target], **PROBE_OPTIONS,
+            manual_equivalent=[target], **PROBE_OPTIONS,
         )
         assert target in forced_equivalent.likely_equivalent
 
         forced_not = probe_equivalence(
             CSortableObList, CSortableObList.__tspec__, survivors,
-            seeds=(1,), manual_not_equivalent=[target], **PROBE_OPTIONS,
+            manual_not_equivalent=[target], **PROBE_OPTIONS,
         )
         assert target in forced_not.escaped
         assert target not in forced_not.likely_equivalent
@@ -75,15 +103,27 @@ class TestProbe:
         with pytest.raises(MutationError, match="M9999"):
             probe_equivalence(
                 CSortableObList, CSortableObList.__tspec__, survivors,
-                seeds=(1,), manual_equivalent=["M9999"], **PROBE_OPTIONS,
+                manual_equivalent=["M9999"], **PROBE_OPTIONS,
             )
         with pytest.raises(MutationError, match="not in the survivor set"):
             probe_equivalence(
                 CSortableObList, CSortableObList.__tspec__, survivors,
-                seeds=(1,), manual_not_equivalent=["TYPO1"], **PROBE_OPTIONS,
+                manual_not_equivalent=["TYPO1"], **PROBE_OPTIONS,
             )
 
-    def test_triage_proofs_skip_the_probe(self, survivors):
+    @pytest.mark.parametrize("triage", [
+        None, StaticTriage(class_name="CSortableObList"),
+    ], ids=["untriaged", "empty-triage"])
+    def test_ident_in_both_override_lists_rejected(self, survivors, triage):
+        target = survivors[0].ident
+        with pytest.raises(MutationError, match=target):
+            probe_equivalence(
+                CSortableObList, CSortableObList.__tspec__, survivors,
+                manual_equivalent=[target], manual_not_equivalent=[target],
+                triage=triage, **PROBE_OPTIONS,
+            )
+
+    def test_triage_proofs_skip_the_probe(self, survivors, monkeypatch):
         """A survivor the static pass proved equivalent is classified
         without probing; a redundant survivor inherits its executed
         representative's classification."""
@@ -104,20 +144,28 @@ class TestProbe:
                 ),
             ),
         )
+        probed = []
+        real_analyze = MutationAnalysis.analyze
+
+        def spy_analyze(analysis, mutants, *args, **kwargs):
+            probed.extend(mutant.ident for mutant in mutants)
+            return real_analyze(analysis, mutants, *args, **kwargs)
+
+        monkeypatch.setattr(MutationAnalysis, "analyze", spy_analyze)
         report = probe_equivalence(
             CSortableObList, CSortableObList.__tspec__, survivors,
-            seeds=(1, 2), triage=triage, **PROBE_OPTIONS,
+            triage=triage, **PROBE_OPTIONS,
         )
+        assert proven.ident not in probed
+        assert member.ident not in probed
         assert proven.ident in report.likely_equivalent
         assert proven.ident not in report.probe_kill_reasons
-        # The member was never probed: it is classified exactly as its
-        # representative was.
-        if representative.ident in report.escaped:
-            assert member.ident in report.escaped
-            assert (report.probe_kill_reasons[member.ident]
-                    is report.probe_kill_reasons[representative.ident])
-        else:
-            assert member.ident in report.likely_equivalent
+        # The probe kills the representative; the member, never probed,
+        # is classified exactly as its representative was.
+        assert representative.ident in report.escaped
+        assert member.ident in report.escaped
+        assert (report.probe_kill_reasons[member.ident]
+                is report.probe_kill_reasons[representative.ident])
 
     def test_manual_not_equivalent_beats_triage(self, survivors):
         target = survivors[0]
@@ -132,7 +180,7 @@ class TestProbe:
         )
         report = probe_equivalence(
             CSortableObList, CSortableObList.__tspec__, survivors,
-            seeds=(1,), triage=triage,
+            triage=triage,
             manual_not_equivalent=[target.ident], **PROBE_OPTIONS,
         )
         assert target.ident in report.escaped
@@ -144,16 +192,17 @@ class TestProbe:
         )
         assert report.likely_equivalent == ()
         assert report.escaped == ()
-        assert report.probe_suite_sizes == ()
+        assert report.probe_suite_size == 0
 
     def test_summary(self, survivors):
         report = probe_equivalence(
-            CSortableObList, CSortableObList.__tspec__, survivors, seeds=(1,),
+            CSortableObList, CSortableObList.__tspec__, survivors,
             **PROBE_OPTIONS,
         )
         text = report.summary()
         assert "likely-equivalent" in text
         assert "escaped" in text
+        assert f"(probe suite: {report.probe_suite_size} cases)" in text
 
 
 class TestProbeSkipsStaticTriage:

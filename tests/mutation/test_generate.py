@@ -4,10 +4,8 @@ from __future__ import annotations
 
 import ast
 
-import pytest
-
 from repro.components import CObList, CSortableObList, OBLIST_TYPE_MODEL
-from repro.mutation.generate import GenerationReport, MutantGenerator, generate_mutants
+from repro.mutation.generate import MutantGenerator, generate_mutants
 from repro.mutation.operators import (
     ALL_OPERATORS,
     OPERATOR_NAMES,

@@ -83,7 +83,7 @@ class TestBuildScoreTable:
             likely_equivalent=("M2",),
             escaped=("M3",),
             probe_kill_reasons={"M3": KillReason.OUTPUT_DIFFERENCE},
-            probe_suite_sizes=(100,),
+            probe_suite_size=100,
         )
         table = build_score_table(run, equivalence)
         column = table.column("IndVarRepReq")

@@ -46,7 +46,6 @@ from repro.mutation.mutant import Mutant, rebuild_compiled_mutant
 from repro.mutation.parallel import ParallelMutationAnalysis
 from repro.mutation.score import build_score_table
 from repro.mutation.triage import (
-    StaticTriage,
     TriageStatus,
     normalized_bytecode_digest,
     normalized_source_text,
