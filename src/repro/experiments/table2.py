@@ -113,7 +113,7 @@ def run_table2(seed: int = EXPERIMENT_SEED,
         survivors = [m for m in mutants if m.ident in survivor_idents]
         equivalence = probe_equivalence(
             CSortableObList, CSortableObList.__tspec__, survivors,
-            triage=run.triage,
+            triage=run.triage, telemetry=telemetry,
         )
 
     table = build_score_table(run, equivalence, methods=methods)

@@ -23,6 +23,7 @@ from typing import Dict, Optional, Sequence, Tuple
 from ..core.errors import MutationError
 from ..generator.driver import DriverGenerator
 from ..harness.oracles import KillReason
+from ..obs import Telemetry, coalesce
 from ..tspec.model import ClassSpec
 from .analysis import MutationAnalysis
 from .mutant import CompiledMutant
@@ -67,6 +68,7 @@ def probe_equivalence(original_class: type,
                       manual_equivalent: Sequence[str] = (),
                       manual_not_equivalent: Sequence[str] = (),
                       triage: Optional[StaticTriage] = None,
+                      telemetry: Optional[Telemetry] = None,
                       ) -> EquivalenceReport:
     """Deep-probe the survivors and classify them.
 
@@ -88,6 +90,11 @@ def probe_equivalence(original_class: type,
     whose bytecode matches an earlier survivor's (``REDUNDANT``) inherits
     its representative's probe classification instead of being probed
     itself — the probe only ever executes statically-undecided survivors.
+    A redundant survivor forced equivalent inherits no kill.
+
+    ``telemetry`` records one ``equivalence.probe`` span (the probe suite's
+    size, the pending survivors and the kills) and reaches the probe's
+    analysis, so its cases are traced too.
     """
     known_idents = {mutant.ident for mutant in survivors}
     forced_equivalent = set(manual_equivalent)
@@ -129,33 +136,40 @@ def probe_equivalence(original_class: type,
     ]
     kill_reasons: Dict[str, KillReason] = {}
     probe_suite_size = 0
-    if pending:
-        probe_suite = DriverGenerator(
-            spec,
-            seed=PROBE_SEED,
-            edge_bound=PROBE_EDGE_BOUND,
-            boundary_probability=PROBE_BOUNDARY_PROBABILITY,
-            extra_variants=extra_variants,
-            max_transactions=max_transactions,
-        ).generate()
-        probe_suite_size = len(probe_suite)
-        # No static triage.  Triage never changes a verdict, and with
-        # ``triage`` given the pending survivors already exclude every
-        # proven-equivalent or redundant mutant, so a pass finds nothing.
-        run = MutationAnalysis(
-            original_class,
-            probe_suite,
-            static_triage=False,
-        ).analyze(pending)
-        for outcome in run.outcomes:
-            if outcome.killed:
-                kill_reasons[outcome.mutant.ident] = outcome.reason
+    with coalesce(telemetry).span("equivalence.probe",
+                                  pending=len(pending)) as span:
+        if pending:
+            probe_suite = DriverGenerator(
+                spec,
+                seed=PROBE_SEED,
+                edge_bound=PROBE_EDGE_BOUND,
+                boundary_probability=PROBE_BOUNDARY_PROBABILITY,
+                extra_variants=extra_variants,
+                max_transactions=max_transactions,
+            ).generate()
+            probe_suite_size = len(probe_suite)
+            # No static triage.  Triage never changes a verdict, and with
+            # ``triage`` given the pending survivors already exclude every
+            # proven-equivalent or redundant mutant, so a pass finds
+            # nothing.
+            run = MutationAnalysis(
+                original_class,
+                probe_suite,
+                static_triage=False,
+                telemetry=telemetry,
+            ).analyze(pending)
+            for outcome in run.outcomes:
+                if outcome.killed:
+                    kill_reasons[outcome.mutant.ident] = outcome.reason
+        span.set("suite", probe_suite_size)
+        span.set("kills", len(kill_reasons))
 
     # Redundant survivors inherit their representative's classification:
     # identical normalized bytecode means identical behaviour under the
-    # probe suite, so running them would only reproduce the result.
+    # probe suite, so running them would only reproduce the result.  One
+    # forced equivalent keeps no kill.
     for ident, representative in propagated.items():
-        if representative in kill_reasons:
+        if representative in kill_reasons and ident not in forced_equivalent:
             kill_reasons[ident] = kill_reasons[representative]
 
     still_alive = known_idents - set(kill_reasons)

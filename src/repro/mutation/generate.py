@@ -97,17 +97,8 @@ class MutantGenerator:
         mutants: List[CompiledMutant] = []
         seen_sources: Set[Tuple[str, str]] = set()
         number = 0
-        contexts = {name: self._context(name) for name in method_names}
-        # The no-op check compares against the *normalized* original (parsed
-        # and unparsed, so formatting differences don't count as mutations).
-        # Normalizing is O(method source) — hoisted out of the per-point loop,
-        # which runs operators x points times per method.
-        normalized_originals = {
-            name: ast.unparse(context.tree).strip()
-            for name, context in contexts.items()
-        }
         for method_name in method_names:
-            context = contexts[method_name]
+            context = self._context(method_name)
             local_types = (
                 infer_local_types(context.function, self._type_model)
                 if self._type_model is not None else {}
@@ -122,19 +113,19 @@ class MutantGenerator:
                             report.type_incompatible += 1
                             continue
                         try:
+                            # The unparse of the spliced tree, rendered from
+                            # the method's template; the original's own
+                            # unparse is a textual no-op, not a mutant.
+                            mutated_source = context.render(point.site,
+                                                            point.replacement)
+                            key = (method_name, mutated_source)
+                            if (key in seen_sources
+                                    or mutated_source == context.unparsed):
+                                report.duplicates += 1
+                                continue
+                            seen_sources.add(key)
                             with context.splice(point.site,
                                                 point.replacement) as module:
-                                mutated_source = ast.unparse(module)
-                                key = (method_name, mutated_source)
-                                if key in seen_sources:
-                                    report.duplicates += 1
-                                    continue
-                                if (mutated_source.strip()
-                                        == normalized_originals[method_name]):
-                                    # Textual no-op: not a mutant at all.
-                                    report.duplicates += 1
-                                    continue
-                                seen_sources.add(key)
                                 function = context.compile_mutant(module)
                         except (MutationError, SyntaxError):
                             report.compile_failures += 1
@@ -170,11 +161,9 @@ class MutantGenerator:
         if self._type_model is None:
             return True
         variable_tag = local_types.get(point.site.variable)
-        import ast as _ast
-
         replacement = point.replacement
-        if (isinstance(replacement, _ast.UnaryOp)
-                and isinstance(replacement.op, _ast.Invert)):
+        if (isinstance(replacement, ast.UnaryOp)
+                and isinstance(replacement.op, ast.Invert)):
             # IndVarBitNeg: negation compiles on integral operands only.
             return negatable(variable_tag)
         replacement_tag = expression_tag(

@@ -30,8 +30,8 @@ import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import (
-    AbstractSet, Dict, FrozenSet, Iterator, List, Optional, Sequence, Set,
-    Tuple,
+    AbstractSet, Dict, FrozenSet, Iterator, List, NamedTuple, Optional,
+    Sequence, Set, Tuple,
 )
 
 from ...core.errors import MutationError
@@ -65,6 +65,17 @@ class UseSite:
 _Slot = Tuple[ast.AST, str, Optional[int]]
 
 
+class _Span(NamedTuple):
+    """Where one slot's ``Name`` sits in the method's unparse."""
+
+    start: int
+    end: int
+    #: unparse puts a unary operand here in parentheses: ``(~x) ** 2``.
+    parenthesized: bool
+    #: the slot is an attribute's object: ``x.next``, so ``-1 .next``.
+    before_dot: bool
+
+
 class MethodContext:
     """Parsed view of one method: AST, variable sets, use sites.
 
@@ -73,8 +84,10 @@ class MethodContext:
     class's full source.
 
     The method is parsed once: :meth:`splice` puts each replacement into
-    ``tree`` in place and takes it out again, so one context must not be
-    spliced from two threads at once.
+    ``tree`` in place and takes it out again.  :meth:`render` gives a
+    mutant's text from one template of the method, which fills ``tree``
+    with placeholders on first use.  One context must not be spliced or
+    rendered from two threads at once.
     """
 
     def __init__(self, owner: type, method_name: str,
@@ -117,6 +130,8 @@ class MethodContext:
         self.use_sites: Tuple[UseSite, ...] = tuple(self._collect_use_sites())
         self._slots = _load_slots(module, set(self.locals))
         self._body_nodes: Optional[Set[int]] = None
+        self._unparsed: Optional[str] = None
+        self._spans: Dict[str, List[_Span]] = {}
 
     # -- variable sets (Table 1 notation) ----------------------------------
 
@@ -163,16 +178,10 @@ class MethodContext:
         The replacement takes the location of the ``Name`` it displaces
         (its own children inherit it) and goes into that ``Name``'s slot of
         the one shared tree; the ``Name`` goes back on exit, however the
-        ``with`` body leaves.  Unparse or compile the yielded tree inside
-        the body only.
+        ``with`` body leaves.  Compile the yielded tree inside the body
+        only; :meth:`render` gives its ``ast.unparse``.
         """
-        slots = self._slots.get(site.variable, ())
-        if not 0 <= site.occurrence < len(slots):
-            raise MutationError(
-                f"use site {site.describe()} not found in "
-                f"{self.owner.__name__}.{self.method_name}"
-            )
-        slot = slots[site.occurrence]
+        slot = self._slots[site.variable][self._occurrence(site)]
         original = _slot_node(slot)
         ast.fix_missing_locations(ast.copy_location(replacement, original))
         _fill_slot(slot, replacement)
@@ -180,6 +189,37 @@ class MethodContext:
             yield self.tree
         finally:
             _fill_slot(slot, original)
+
+    @property
+    def unparsed(self) -> str:
+        """``ast.unparse`` of the method as parsed."""
+        if self._unparsed is None:
+            self._unparsed, self._spans = _template(self.tree, self._slots)
+        return self._unparsed
+
+    def render(self, site: UseSite, replacement: ast.expr) -> str:
+        """Exactly what ``ast.unparse`` gives for the tree that
+        ``splice(site, replacement)`` yields, without splicing.
+
+        The text is :attr:`unparsed` with the use's name swapped for the
+        replacement's text.  ``replacement`` must have a shape the
+        operators build: ``name_expr``, ``attribute_expr``,
+        ``constant_expr`` of None or an int, or ``bitneg_expr``; any other
+        node raises ``TypeError``.
+        """
+        occurrence = self._occurrence(site)
+        template = self.unparsed
+        span = self._spans[site.variable][occurrence]
+        text = _replacement_text(replacement, span)
+        return template[:span.start] + text + template[span.end:]
+
+    def _occurrence(self, site: UseSite) -> int:
+        if not 0 <= site.occurrence < len(self._slots.get(site.variable, ())):
+            raise MutationError(
+                f"use site {site.describe()} not found in "
+                f"{self.owner.__name__}.{self.method_name}"
+            )
+        return site.occurrence
 
     def rewritten_line(self, variable: str, occurrence: int) -> Optional[int]:
         """The line of the ``Name`` that :meth:`splice` replaces for this
@@ -269,6 +309,103 @@ def _fill_slot(slot: _Slot, node: ast.AST) -> None:
         setattr(parent, field, node)
     else:
         getattr(parent, field)[index] = node
+
+
+#: Placeholder names read ``<marker><slot number><marker>``.  No
+#: identifier can hold the marker (U+2400, a printable symbol, so unparse
+#: keeps it as is inside f-strings); a string constant that holds it makes
+#: :func:`_template` double it.
+_MARKER = "\u2400"
+
+
+def _template(tree: ast.Module, slots_by_name: Dict[str, List[_Slot]],
+              ) -> Tuple[str, Dict[str, List[_Span]]]:
+    """``ast.unparse(tree)`` and, per name, the :class:`_Span` of each of
+    its slots in that text.
+
+    Two unparses with a placeholder in every slot: ``Name`` placeholders
+    give the text and the offsets, ``~placeholder`` ones show which slots
+    unparse wraps a unary operand in (``(~x) ** 2`` and ``(~x).next`` do,
+    ``f(~x)`` does not).  Each slot's ``Name`` goes back in ``finally``.
+    """
+    slots = [(name, slot) for name, named in slots_by_name.items()
+             for slot in named]
+    marker = _MARKER
+    while True:
+        names = [ast.Name(id=f"{marker}{number}{marker}", ctx=ast.Load())
+                 for number in range(len(slots))]
+        plain = _unparse_filled(tree, slots, names).split(marker)
+        # unparse writes each slot once, so any other marker is a string's.
+        if len(plain) == 2 * len(slots) + 1:
+            break
+        marker += _MARKER
+    negated = _unparse_filled(
+        tree, slots, [ast.UnaryOp(op=ast.Invert(), operand=name)
+                      for name in names],
+    ).split(marker)
+
+    parts: List[str] = []
+    spans: List[Optional[_Span]] = [None] * len(slots)
+    offset = closing = 0
+    for position, number in enumerate(map(int, plain[1::2])):
+        segment = plain[2 * position]
+        parts.append(segment)
+        offset += len(segment)
+        # The negated text adds "~" or "(~" before a placeholder and ")"
+        # after a wrapped one.
+        opening = len(negated[2 * position]) - len(segment) - closing
+        closing = opening - 1
+        name, (parent, field, _) = slots[number]
+        spans[number] = _Span(
+            offset, offset + len(name), opening == 2,
+            isinstance(parent, ast.Attribute) and field == "value",
+        )
+        parts.append(name)
+        offset += len(name)
+    parts.append(plain[-1])
+    by_name: Dict[str, List[_Span]] = {name: [] for name in slots_by_name}
+    for (name, _), span in zip(slots, spans):
+        by_name[name].append(span)
+    return "".join(parts), by_name
+
+
+def _unparse_filled(tree: ast.Module, slots: List[Tuple[str, _Slot]],
+                    fillers: List[ast.expr]) -> str:
+    """``ast.unparse(tree)`` with each slot holding its filler."""
+    originals = [_slot_node(slot) for _, slot in slots]
+    try:
+        for (_, slot), filler in zip(slots, fillers):
+            _fill_slot(slot, filler)
+        return ast.unparse(tree)
+    finally:
+        for (_, slot), original in zip(slots, originals):
+            _fill_slot(slot, original)
+
+
+def _replacement_text(replacement: ast.expr, span: _Span) -> str:
+    """What unparse writes for ``replacement`` in the slot at ``span``."""
+    if isinstance(replacement, ast.Name):
+        return replacement.id
+    if (isinstance(replacement, ast.Attribute)
+            and isinstance(replacement.value, ast.Name)):
+        return f"{replacement.value.id}.{replacement.attr}"
+    if isinstance(replacement, ast.Constant):
+        value = replacement.value
+        if value is None:
+            return "None"
+        if isinstance(value, int):
+            # unparse writes `3 .real`, since `3.real` does not parse.
+            return f"{value!r} " if span.before_dot else repr(value)
+    if (isinstance(replacement, ast.UnaryOp)
+            and isinstance(replacement.op, ast.Invert)
+            and isinstance(replacement.operand, ast.Name)):
+        text = f"~{replacement.operand.id}"
+        return f"({text})" if span.parenthesized else text
+    raise TypeError(
+        f"cannot render a {ast.dump(replacement)} replacement; the "
+        "operators build names, self attributes, None or int constants "
+        "and ~name"
+    )
 
 
 # ---------------------------------------------------------------------------

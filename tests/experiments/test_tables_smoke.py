@@ -22,7 +22,7 @@ from repro.experiments.table1 import OPERATOR_DEFINITIONS, run_table1
 from repro.experiments.table2 import main as table2_main, run_table2
 from repro.experiments.table3 import main as table3_main, run_table3
 from repro.mutation.operators import ALL_OPERATORS
-from repro.obs import validate_jsonl
+from repro.obs import MemorySink, Telemetry, validate_jsonl
 
 OPERATOR_NAMES = tuple(operator.name for operator in ALL_OPERATORS)
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -72,6 +72,25 @@ class TestTable2:
         assert parallel.run.same_results(serial.run)
         assert parallel.table == serial.table
         assert parallel.suite == serial.suite
+
+    def test_probe_traces_into_the_run_session(self):
+        sink = MemorySink()
+        result = run_table2(methods=("FindMax",), max_cases=40,
+                            telemetry=Telemetry(sink=sink))
+        spans = [event for event in sink.events if event["kind"] == "span"]
+        probes = [span["attrs"] for span in spans
+                  if span["name"] == "equivalence.probe"]
+        equivalence = result.equivalence
+        assert probes == [{
+            "pending": probes[0]["pending"],
+            "suite": equivalence.probe_suite_size,
+            "kills": len(equivalence.probe_kill_reasons),
+        }]
+        assert probes[0]["pending"] > 0
+        # One analysis.mutant span per mutant of the main run, then one per
+        # survivor the probe executes.
+        assert (sum(span["name"] == "analysis.mutant" for span in spans)
+                == result.run.total + probes[0]["pending"])
 
     def test_methods_default_is_table2(self):
         assert TABLE2_METHODS == (

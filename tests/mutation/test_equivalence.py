@@ -12,6 +12,7 @@ from repro.mutation.analysis import MutationAnalysis
 from repro.mutation.equivalence import probe_equivalence
 from repro.mutation.generate import generate_mutants
 from repro.mutation.triage import MutantTriage, StaticTriage, TriageStatus
+from repro.obs import MemorySink, Telemetry
 
 
 #: Keep probes cheap in unit tests: a capped probe model and few survivors.
@@ -166,6 +167,51 @@ class TestProbe:
         assert member.ident in report.escaped
         assert (report.probe_kill_reasons[member.ident]
                 is report.probe_kill_reasons[representative.ident])
+
+    def test_forced_equivalent_member_inherits_no_kill(self, survivors):
+        """A redundant survivor named in ``manual_equivalent`` is likely
+        equivalent, and the report lists no probe kill for it."""
+        member = survivors[1]
+        representative = survivors[2]
+        triage = StaticTriage(
+            class_name="CSortableObList",
+            entries=(
+                MutantTriage(
+                    ident=member.ident, method_name="Sort1",
+                    status=TriageStatus.REDUNDANT, digest="d1",
+                    representative=representative.ident,
+                ),
+            ),
+        )
+        report = probe_equivalence(
+            CSortableObList, CSortableObList.__tspec__, survivors,
+            triage=triage, manual_equivalent=[member.ident],
+            **PROBE_OPTIONS,
+        )
+        assert representative.ident in report.probe_kill_reasons
+        assert member.ident in report.likely_equivalent
+        assert member.ident not in report.escaped
+        assert member.ident not in report.probe_kill_reasons
+
+    def test_probe_span_and_traced_cases(self, survivors):
+        sink = MemorySink()
+        report = probe_equivalence(
+            CSortableObList, CSortableObList.__tspec__, survivors,
+            telemetry=Telemetry(sink=sink), **PROBE_OPTIONS,
+        )
+        spans = [event for event in sink.events if event["kind"] == "span"]
+        probes = [span for span in spans
+                  if span["name"] == "equivalence.probe"]
+        assert [probe["attrs"] for probe in probes] == [{
+            "pending": len(survivors),
+            "suite": report.probe_suite_size,
+            "kills": len(report.probe_kill_reasons),
+        }]
+        # The probe's analysis traces into the caller's session.
+        probed = {span["attrs"]["mutant"] for span in spans
+                  if span["name"] == "analysis.mutant"}
+        assert probed == {mutant.ident for mutant in survivors}
+        assert any(span["name"] == "executor.case" for span in spans)
 
     def test_manual_not_equivalent_beats_triage(self, survivors):
         target = survivors[0]

@@ -1,12 +1,15 @@
-"""The in-place splice against the per-mutant re-parse it replaced.
+"""The in-place splice and the template render against the per-mutant
+re-parse and unparse they replaced.
 
 ``MethodContext.splice`` puts each replacement into the method's one parsed
-tree and takes it out again.  Generation used to re-parse the method for
-every mutant, run a ``NodeTransformer`` over the fresh module and fix the
-locations of the whole module; that path is kept here, test-only, as the
-reference.  On every battery the experiments and the scenario families
-generate, both paths must give the same mutant records, the same
-``GenerationReport`` and code objects equal field by field.
+tree and takes it out again, and ``MethodContext.render`` writes the
+mutant's source from one template of the method.  Generation used to
+re-parse the method for every mutant, run a ``NodeTransformer`` over the
+fresh module, fix the locations of the whole module and ``ast.unparse``
+it; that path is kept here, test-only, as the reference.  On every battery
+the experiments and the scenario families generate, both paths must give
+the same mutant records, the same ``GenerationReport`` and code objects
+equal field by field.
 """
 
 from __future__ import annotations
@@ -23,9 +26,18 @@ from repro.components import CObList, CSortableObList, OBLIST_TYPE_MODEL
 from repro.core.errors import MutationError
 from repro.experiments.config import TABLE2_METHODS, TABLE3_METHODS
 from repro.mutation.generate import MutantGenerator, generate_mutants
-from repro.mutation.operators import ALL_OPERATORS, MethodContext, UseSite
+from repro.mutation.mutant import rebuild_compiled_mutant
+from repro.mutation.operators import (
+    ALL_OPERATORS, REQUIRED_CONSTANTS, MethodContext, UseSite,
+)
 from repro.mutation.operators import base
-from repro.mutation.operators.base import infer_attribute_universe
+from repro.mutation.operators.base import (
+    attribute_expr,
+    bitneg_expr,
+    constant_expr,
+    infer_attribute_universe,
+    name_expr,
+)
 from repro.scenarios.families import FAMILY_NAMES
 from repro.scenarios.genspec import GeneratorSpec, synthesize
 from repro.scenarios.materialize import materialize
@@ -71,14 +83,21 @@ def reparse_splice(context, site, replacement):
     yield mutated
 
 
-def assert_same_constant(new, old, where):
+def unparse_render(context, site, replacement):
+    """The mutant's source as ``ast.unparse`` of the re-parsed splice."""
+    with reparse_splice(context, site, replacement) as module:
+        return ast.unparse(module)
+
+
+def assert_same_constant(new, old, where, skip=frozenset()):
     assert type(new) is type(old), where
     if isinstance(old, types.CodeType):
-        assert_same_code(new, old, where)
+        assert_same_code(new, old, where, skip)
     elif isinstance(old, tuple):
         assert len(new) == len(old), where
         for index, (item_new, item_old) in enumerate(zip(new, old)):
-            assert_same_constant(item_new, item_old, f"{where}[{index}]")
+            assert_same_constant(item_new, item_old, f"{where}[{index}]",
+                                 skip)
     elif isinstance(old, frozenset):
         assert new == old, where
         assert sorted(map(repr, new)) == sorted(map(repr, old)), where
@@ -87,15 +106,16 @@ def assert_same_constant(new, old, where):
         assert repr(new) == repr(old), where
 
 
-def assert_same_code(new, old, where="code"):
-    """Every ``co_*`` field equal; constants compared recursively.
+def assert_same_code(new, old, where="code", skip=frozenset()):
+    """Every ``co_*`` field but those in ``skip`` equal; constants
+    compared recursively.
 
     Not ``marshal.dumps``: its FLAG_REF bits follow reference counts, so
     it can tell equal code objects apart.
     """
     for name in dir(old):
         # co_lnotab is derived from co_linetable (and deprecated in 3.12).
-        if not name.startswith("co_") or name == "co_lnotab":
+        if not name.startswith("co_") or name == "co_lnotab" or name in skip:
             continue
         value_new, value_old = getattr(new, name), getattr(old, name)
         if name == "co_consts":
@@ -103,7 +123,7 @@ def assert_same_code(new, old, where="code"):
             for index, (const_new, const_old) in enumerate(
                     zip(value_new, value_old)):
                 assert_same_constant(const_new, const_old,
-                                     f"{where}.co_consts[{index}]")
+                                     f"{where}.co_consts[{index}]", skip)
         elif callable(value_old):  # co_lines(), co_positions()
             assert list(value_new()) == list(value_old()), f"{where}.{name}"
         else:
@@ -111,10 +131,23 @@ def assert_same_code(new, old, where="code"):
 
 
 def assert_same_generation(generate, monkeypatch):
-    """``generate()`` spliced in place and through fresh parses agree."""
-    mutants, report = generate()
+    """``generate()`` spliced in place and rendered from templates agrees
+    with fresh parses and unparses; each template is the unparse."""
+    built = []
+    build = MutantGenerator._context
+
+    def spy(generator, method_name):
+        built.append(build(generator, method_name))
+        return built[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(MutantGenerator, "_context", spy)
+        mutants, report = generate()
+    for context in built:
+        assert context.unparsed == ast.unparse(context.tree)
     with monkeypatch.context() as patch:
         patch.setattr(MethodContext, "splice", reparse_splice)
+        patch.setattr(MethodContext, "render", unparse_render)
         reference_mutants, reference_report = generate()
     assert mutants, "the battery should not be empty"
     assert [m.record for m in mutants] == [m.record for m in reference_mutants]
@@ -177,6 +210,166 @@ class TestSpliceMatchesReparse:
 
 
 # ---------------------------------------------------------------------------
+# What a pool worker rebuilds
+# ---------------------------------------------------------------------------
+
+
+#: What recompiling a function from its text rather than from the spliced
+#: tree may change: the file name and the line data.
+LINE_DATA = frozenset({"co_filename", "co_firstlineno", "co_linetable",
+                       "co_lines", "co_positions"})
+
+
+class TestRebuiltFromSource:
+    """A worker of the pool compiles each mutant anew from its
+    ``mutated_source`` (``rebuild_compiled_mutant``).  For every typed
+    Table 2 and Table 3 mutant that gives the generated code.  Untyped
+    batteries do not round-trip: unparse writes ``-1 .next``, which
+    parses as ``-(1 .next)`` (DESIGN.md §5 item 17)."""
+
+    @pytest.mark.parametrize("target, methods, prefix, count", [
+        (CSortableObList, TABLE2_METHODS, "M", 709),
+        (CObList, TABLE3_METHODS, "B", 176),
+    ], ids=["table2", "table3"])
+    def test_typed_mutant_rebuilds_to_its_code(self, target, methods,
+                                               prefix, count):
+        mutants, _ = generate_mutants(target, methods, ident_prefix=prefix,
+                                      type_model=OBLIST_TYPE_MODEL)
+        assert len(mutants) == count
+        for mutant in mutants:
+            rebuilt = rebuild_compiled_mutant(mutant.record, target)
+            assert_same_code(rebuilt.function.__code__,
+                             mutant.function.__code__, mutant.ident,
+                             skip=LINE_DATA)
+
+
+# ---------------------------------------------------------------------------
+# The renderer's edge cases
+# ---------------------------------------------------------------------------
+
+
+class Shapes:
+    """Uses where unparse writes text around what fills the slot."""
+
+    def __init__(self):
+        self.head = None
+        self.count = 0
+
+    def power(self):
+        x = self.count
+        return x ** 2 + 2 ** x
+
+    def positions(self, call):
+        node = self.head
+        return (node.next, node[0], node(), call(node), -node, not node)
+
+    def formatted(self):
+        value = self.count
+        return f"{value}" + f"{value.real!r:>{value}}"
+
+    def marked(self):
+        # The template's placeholder marker, in string constants.
+        text = "\u2400"
+        return text + "\u2400\u24000\u2400"
+
+
+SHAPES = ("power", "positions", "formatted", "marked")
+
+
+def rendered(method, occurrence, build):
+    """The last line of one render, checked against the spliced unparse."""
+    context = MethodContext(Shapes, method)
+    site = [site for site in context.use_sites
+            if site.occurrence == occurrence][0]
+    replacement = build(site.variable)
+    text = context.render(site, replacement)
+    with context.splice(site, replacement) as module:
+        assert text == ast.unparse(module)
+    return text.splitlines()[-1].strip()
+
+
+def minus_one(variable):
+    return constant_expr(-1)
+
+
+class TestRender:
+    @pytest.mark.parametrize("method", SHAPES)
+    def test_every_operator_shape_renders_as_unparse(self, method):
+        context = MethodContext(Shapes, method)
+        assert context.unparsed == ast.unparse(context.tree)
+        for site in context.use_sites:
+            for replacement in (
+                    bitneg_expr(site.variable), attribute_expr("count"),
+                    name_expr("other"),
+                    *map(constant_expr, REQUIRED_CONSTANTS)):
+                with context.splice(site, replacement) as module:
+                    expected = ast.unparse(module)
+                assert context.render(site, replacement) == expected
+
+    def test_int_before_an_attribute_dot(self):
+        # unparse writes `-1 .next`, which parses as `-(1 .next)`;
+        # mutated sources keep that text.
+        assert rendered("positions", 0, minus_one).startswith(
+            "return (-1 .next, ")
+        assert rendered("positions", 0, lambda _: constant_expr(0)
+                        ).startswith("return (0 .next, ")
+        assert rendered("positions", 0, lambda _: constant_expr(None)
+                        ).startswith("return (None.next, ")
+        assert rendered("formatted", 1, minus_one) == (
+            "return f'{value}' + f'{-1 .real!r:>{value}}'")
+
+    def test_negation_wrapped_where_unparse_wraps_it(self):
+        assert rendered("power", 0, bitneg_expr) == "return (~x) ** 2 + 2 ** x"
+        assert rendered("power", 1, bitneg_expr) == "return x ** 2 + 2 ** (~x)"
+        line = "return (node.next, node[0], node(), call(node), -node, not node)"
+        for occurrence, old, new in (
+                (0, "node.next", "(~node).next"),
+                (1, "node[0]", "(~node)[0]"),
+                (2, "node()", "(~node)()"),
+                (3, "call(node)", "call(~node)"),
+                (4, "-node", "-~node"),
+                (5, "not node", "not ~node")):
+            assert rendered("positions", occurrence, bitneg_expr) == (
+                line.replace(old, new, 1))
+
+    def test_name_inside_an_fstring(self):
+        assert rendered("formatted", 0, bitneg_expr) == (
+            "return f'{~value}' + f'{value.real!r:>{value}}'")
+        assert rendered("formatted", 1, bitneg_expr) == (
+            "return f'{value}' + f'{(~value).real!r:>{value}}'")
+        assert rendered("formatted", 2, lambda _: attribute_expr("count")
+                        ) == ("return f'{value}' + "
+                              "f'{value.real!r:>{self.count}}'")
+
+    def test_marker_in_a_string_constant(self):
+        assert rendered("marked", 0, lambda _: attribute_expr("count")) == (
+            "return self.count + '\u2400\u24000\u2400'")
+
+    @pytest.mark.parametrize("replacement", [
+        ast.BinOp(left=name_expr("x"), op=ast.Add(), right=constant_expr(1)),
+        ast.UnaryOp(op=ast.USub(), operand=name_expr("x")),
+        ast.UnaryOp(op=ast.Invert(), operand=constant_expr(1)),
+        ast.Attribute(value=attribute_expr("head"), attr="next",
+                      ctx=ast.Load()),
+        constant_expr("text"),
+        constant_expr(1.5),
+    ], ids=["binop", "minus", "invert-constant", "nested-attribute", "str",
+            "float"])
+    def test_other_replacements_rejected(self, replacement):
+        context = MethodContext(Shapes, "power")
+        with pytest.raises(TypeError, match="cannot render"):
+            context.render(context.use_sites[0], replacement)
+
+    def test_unknown_site_rejected(self):
+        context = MethodContext(Shapes, "power")
+        site = context.use_sites[0]
+        beyond = UseSite(site.variable, occurrence=2, line=site.line,
+                         column=site.column)
+        with pytest.raises(MutationError, match="not found"):
+            context.render(beyond, constant_expr(0))
+
+
+# ---------------------------------------------------------------------------
 # The shared tree is restored
 # ---------------------------------------------------------------------------
 
@@ -203,6 +396,13 @@ class TestTreeRestored:
             "drive", "idle"]
         for context, parsed in built:
             assert dump(context) == parsed
+
+    @pytest.mark.parametrize("method", SHAPES)
+    def test_template_leaves_the_tree_as_parsed(self, method):
+        context = MethodContext(Shapes, method)
+        parsed = dump(context)
+        assert context.unparsed
+        assert dump(context) == parsed
 
     def test_body_that_raises_still_restores(self):
         context = MethodContext(Machine, "drive")
