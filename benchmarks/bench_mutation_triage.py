@@ -15,22 +15,37 @@ are *recorded* for machines to compare; on this battery the typed pool
 contains one redundancy class per ``// 2`` spelling in ``ShellSort`` and
 no AST/bytecode-equivalent mutants, so the expected avoidance is small
 but non-zero.
+
+A second test triages every builtin scenario battery, built as the sweep
+builds it, with the pass and with the reference normalization of
+``tests/mutation/triage_reference.py`` (the path the pass replaced), and
+requires field-identical ``StaticTriage`` values.  Tier-1 checks one
+battery per scenario family; this test checks the whole corpus.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sys
 import time
 from dataclasses import replace
 from pathlib import Path
 
-from repro.components import CSortableObList, OBLIST_TYPE_MODEL
+from repro.components import (
+    CSortableObList,
+    OBLIST_TYPE_MODEL,
+    component_by_name,
+    type_model_for,
+)
 from repro.experiments.config import TABLE2_METHODS, sortable_oracle, sortable_suite
 from repro.mutation.analysis import MutationAnalysis
 from repro.mutation.equivalence import probe_equivalence
-from repro.mutation.generate import generate_mutants
+from repro.mutation.generate import build_battery, generate_mutants
 from repro.mutation.triage import triage_mutants
+from repro.scenarios.genspec import GeneratorSpec, synthesize
+from repro.scenarios.materialize import materialize
+from repro.scenarios.registry import builtin_registry, default_methods
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 OUTPUT_PATH = REPO_ROOT / "BENCH_mutation_triage.json"
@@ -163,6 +178,46 @@ def test_triage_avoids_executions_soundly(benchmark):
     assert data["without_triage"]["dispatched"] == data["workload"]["mutants"]
     assert data["probe"]["classifications_identical"]
     assert OUTPUT_PATH.exists()
+
+
+def builtin_scenario_batteries(workspace):
+    """``(class, battery, type model)`` for every builtin scenario,
+    generated as ``SweepRunner`` generates it."""
+    classes = {}
+    for scenario in builtin_registry():
+        selector = scenario.component
+        if selector.is_generated:
+            key = (selector.family, selector.seed)
+            if key not in classes:
+                classes[key] = materialize(
+                    synthesize(GeneratorSpec(*key)), workspace
+                )
+            cls, type_model = classes[key], None
+        else:
+            cls = component_by_name(selector.ref)
+            type_model = type_model_for(selector.ref)
+        mutants, _, _ = build_battery(
+            cls, scenario.methods or default_methods(cls.__tspec__),
+            operator_names=scenario.operators,
+            type_model=type_model,
+            max_mutants=scenario.budgets.max_mutants,
+        )
+        yield cls, mutants, type_model
+
+
+def test_builtin_scenarios_triage_as_the_reference(tmp_path):
+    if str(REPO_ROOT) not in sys.path:
+        sys.path.insert(0, str(REPO_ROOT))
+    from tests.mutation.triage_reference import assert_same_triage
+
+    checked = mutants_checked = 0
+    for cls, mutants, type_model in builtin_scenario_batteries(tmp_path):
+        assert_same_triage(cls, mutants, type_model)
+        checked += 1
+        mutants_checked += len(mutants)
+    print(f"\n{checked} builtin scenario batteries, {mutants_checked} "
+          f"mutants: every StaticTriage field-identical to the reference")
+    assert checked == len(builtin_registry()) == 106
 
 
 if __name__ == "__main__":

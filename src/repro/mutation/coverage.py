@@ -354,8 +354,8 @@ def record_coverage(cut_class: type, suite: "TestSuite",
 
 #: Per owner class, the parsed context of each mutated method (``None``
 #: when its source cannot be read), shared by every analysis of the class
-#: (the equivalence probe builds one per round).  Weak keys keep generated
-#: classes collectable.
+#: (the main run's and the equivalence probe's, which builds one for its
+#: suite).  Weak keys keep generated classes collectable.
 _CONTEXTS: "weakref.WeakKeyDictionary[type, Dict[str, Any]]" = (
     weakref.WeakKeyDictionary()
 )

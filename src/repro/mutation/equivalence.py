@@ -93,8 +93,9 @@ def probe_equivalence(original_class: type,
     A redundant survivor forced equivalent inherits no kill.
 
     ``telemetry`` records one ``equivalence.probe`` span (the probe suite's
-    size, the pending survivors and the kills) and reaches the probe's
-    analysis, so its cases are traced too.
+    size, the pending survivors and the kills), an ``equivalence.suite``
+    span inside it around the probe suite's generation (its ``cases``),
+    and reaches the probe's analysis, so its cases are traced too.
     """
     known_idents = {mutant.ident for mutant in survivors}
     forced_equivalent = set(manual_equivalent)
@@ -136,17 +137,19 @@ def probe_equivalence(original_class: type,
     ]
     kill_reasons: Dict[str, KillReason] = {}
     probe_suite_size = 0
-    with coalesce(telemetry).span("equivalence.probe",
-                                  pending=len(pending)) as span:
+    obs = coalesce(telemetry)
+    with obs.span("equivalence.probe", pending=len(pending)) as span:
         if pending:
-            probe_suite = DriverGenerator(
-                spec,
-                seed=PROBE_SEED,
-                edge_bound=PROBE_EDGE_BOUND,
-                boundary_probability=PROBE_BOUNDARY_PROBABILITY,
-                extra_variants=extra_variants,
-                max_transactions=max_transactions,
-            ).generate()
+            with obs.span("equivalence.suite") as suite_span:
+                probe_suite = DriverGenerator(
+                    spec,
+                    seed=PROBE_SEED,
+                    edge_bound=PROBE_EDGE_BOUND,
+                    boundary_probability=PROBE_BOUNDARY_PROBABILITY,
+                    extra_variants=extra_variants,
+                    max_transactions=max_transactions,
+                ).generate()
+                suite_span.set("cases", len(probe_suite))
             probe_suite_size = len(probe_suite)
             # No static triage.  Triage never changes a verdict, and with
             # ``triage`` given the pending survivors already exclude every

@@ -10,12 +10,13 @@ of the story: three escalating checks, each of which **proves** its
 verdict, run before a single mutant is dispatched.
 
 1. **Normalized-AST identity.**  The original and the mutated method are
-   reparsed, stripped of docstrings and dead ``pass`` padding, run through
+   parsed, stripped of docstrings and dead ``pass`` padding, run through
    a small set of provably value-preserving folds, and canonically
    unparsed.  Identical text means the mutant compiles to the same program
    as the original — equivalent by construction.
 
-2. **Bytecode identity.**  Both normalized ASTs are compiled (CPython's
+2. **Bytecode identity.**  The same normalized trees are compiled — each
+   source is parsed and normalized once (CPython's
    compiler constant-folds genuinely constant expressions, so ``1 + 1``
    and ``2`` meet here even though their ASTs differ) and the resulting
    code objects are compared facet by facet — ``co_code``, ``co_consts``
@@ -129,8 +130,9 @@ class MutantTriage:
     method_name: str
     status: TriageStatus
     #: Normalized-bytecode digest of the mutated method (the redundancy
-    #: grouping key; empty only if the mutated source failed to compile,
-    #: which generation already prevents).
+    #: grouping key).  Empty when the mutated source does not parse: an
+    #: untyped battery can hold such text (``-1 .next = after``), and
+    #: that mutant stays ``UNDECIDED`` and out of every group.
     digest: str = ""
     #: For ``REDUNDANT``: the ident of the executed group representative.
     representative: str = ""
@@ -239,65 +241,78 @@ class StaticTriage:
 # ---------------------------------------------------------------------------
 
 
-class _Normalizer(ast.NodeTransformer):
-    """Applies the provably value-preserving folds documented above."""
+#: Nodes no fold rewrites or looks inside: names, constants, expression
+#: contexts and operators.  The normalizer returns them untouched.
+_LEAVES = frozenset({
+    ast.Name, ast.Constant,
+    *ast.expr_context.__subclasses__(),
+    *ast.operator.__subclasses__(),
+    *ast.unaryop.__subclasses__(),
+    *ast.cmpop.__subclasses__(),
+    *ast.boolop.__subclasses__(),
+})
+
+
+class _Normalizer:
+    """Applies the provably value-preserving folds documented above.
+
+    A bottom-up rewrite, like ``ast.NodeTransformer``, but in place: it
+    dispatches on ``type(node)`` through :data:`_FOLDS` (built once),
+    stores each child it rewrites back into its field or list slot, and
+    skips the :data:`_LEAVES`.
+    """
 
     def __init__(self, integral_locals: frozenset):
         self._integral = integral_locals
 
+    def visit(self, node: ast.AST) -> ast.AST:
+        kind = type(node)
+        if kind in _LEAVES:
+            return node
+        for name in kind._fields:
+            value = getattr(node, name, None)
+            if isinstance(value, list):
+                for index, item in enumerate(value):
+                    if isinstance(item, ast.AST):
+                        value[index] = self.visit(item)
+            elif isinstance(value, ast.AST):
+                folded = self.visit(value)
+                if folded is not value:
+                    setattr(node, name, folded)
+        fold = _FOLDS.get(kind)
+        return node if fold is None else fold(self, node)
+
     # -- docstrings and dead pass ---------------------------------------
 
-    def visit_FunctionDef(self, node: ast.FunctionDef):  # noqa: N802
-        self.generic_visit(node)
-        node.body = self._clean_body(node.body)
+    def _clean_definition(self, node):
+        body = node.body
+        if (body and isinstance(body[0], ast.Expr)
+                and isinstance(body[0].value, ast.Constant)
+                and isinstance(body[0].value.value, str)):
+            body = body[1:]
+        node.body = self._strip_pass(body, node)
         return node
 
-    visit_AsyncFunctionDef = visit_FunctionDef  # noqa: N815
-
-    def visit_ClassDef(self, node: ast.ClassDef):  # noqa: N802
-        self.generic_visit(node)
-        node.body = self._clean_body(node.body)
-        return node
-
-    def visit_If(self, node: ast.If):  # noqa: N802
-        self.generic_visit(node)
+    def _clean_conditional(self, node):
         node.test = self._fold_test(node.test)
-        node.body = self._strip_pass(node.body)
-        node.orelse = self._strip_pass(node.orelse, allow_empty=True)
+        return self._clean_bodies(node)
+
+    def _clean_bodies(self, node):
+        node.body = self._strip_pass(node.body, node)
+        node.orelse = self._strip_pass(node.orelse, node, allow_empty=True)
         return node
 
-    def visit_While(self, node: ast.While):  # noqa: N802
-        self.generic_visit(node)
-        node.test = self._fold_test(node.test)
-        node.body = self._strip_pass(node.body)
-        node.orelse = self._strip_pass(node.orelse, allow_empty=True)
-        return node
-
-    def visit_For(self, node: ast.For):  # noqa: N802
-        self.generic_visit(node)
-        node.body = self._strip_pass(node.body)
-        node.orelse = self._strip_pass(node.orelse, allow_empty=True)
-        return node
-
-    def visit_Assert(self, node: ast.Assert):  # noqa: N802
-        self.generic_visit(node)
+    def _clean_test(self, node):
         node.test = self._fold_test(node.test)
         return node
 
-    def visit_IfExp(self, node: ast.IfExp):  # noqa: N802
-        self.generic_visit(node)
-        node.test = self._fold_test(node.test)
-        return node
-
-    def visit_comprehension(self, node: ast.comprehension):  # noqa: N802
-        self.generic_visit(node)
+    def _clean_guards(self, node: ast.comprehension):
         node.ifs = [self._fold_test(test) for test in node.ifs]
         return node
 
     # -- integral identity folds ----------------------------------------
 
-    def visit_BinOp(self, node: ast.BinOp):  # noqa: N802
-        self.generic_visit(node)
+    def _fold_binop(self, node: ast.BinOp):
         if isinstance(node.op, (ast.Add, ast.Sub)):
             if self._is_int_const(node.right, 0) and self._integral_expr(node.left):
                 return node.left
@@ -312,8 +327,7 @@ class _Normalizer(ast.NodeTransformer):
                 return node.right
         return node
 
-    def visit_UnaryOp(self, node: ast.UnaryOp):  # noqa: N802
-        self.generic_visit(node)
+    def _fold_unaryop(self, node: ast.UnaryOp):
         operand = node.operand
         if isinstance(node.op, ast.UAdd) and self._integral_expr(operand):
             # +x is the identity on ints.
@@ -328,21 +342,20 @@ class _Normalizer(ast.NodeTransformer):
 
     # -- helpers --------------------------------------------------------
 
-    def _clean_body(self, body: List[ast.stmt]) -> List[ast.stmt]:
-        if (body and isinstance(body[0], ast.Expr)
-                and isinstance(body[0].value, ast.Constant)
-                and isinstance(body[0].value.value, str)):
-            body = body[1:]
-        return self._strip_pass(body)
-
     @staticmethod
-    def _strip_pass(body: List[ast.stmt],
+    def _strip_pass(body: List[ast.stmt], owner: ast.stmt,
                     allow_empty: bool = False) -> List[ast.stmt]:
-        """Remove ``pass`` padding, keeping one when the body would empty."""
+        """Remove ``pass`` padding, keeping one when the body would empty.
+
+        That ``pass`` is the one node normalization creates.  It takes its
+        owner's span, which is what ``ast.fix_missing_locations`` gives
+        it: the compiler keeps or drops a ``NOP`` by its line, and check 2
+        hashes ``co_code``.
+        """
         kept = [stmt for stmt in body if not isinstance(stmt, ast.Pass)]
         if kept or allow_empty:
             return kept
-        return [ast.Pass()] if body else body
+        return [ast.copy_location(ast.Pass(), owner)] if body else body
 
     def _fold_test(self, test: ast.expr) -> ast.expr:
         # not not E in a test position branches identically to E.
@@ -369,20 +382,35 @@ class _Normalizer(ast.NodeTransformer):
                 and expression.value == value)
 
 
-def _integral_locals(source: str, type_model: Optional[TypeModel]) -> frozenset:
+#: The node types a fold applies to, and the fold.
+_FOLDS = {
+    ast.FunctionDef: _Normalizer._clean_definition,
+    ast.AsyncFunctionDef: _Normalizer._clean_definition,
+    ast.ClassDef: _Normalizer._clean_definition,
+    ast.If: _Normalizer._clean_conditional,
+    ast.While: _Normalizer._clean_conditional,
+    ast.For: _Normalizer._clean_bodies,
+    ast.Assert: _Normalizer._clean_test,
+    ast.IfExp: _Normalizer._clean_test,
+    ast.comprehension: _Normalizer._clean_guards,
+    ast.BinOp: _Normalizer._fold_binop,
+    ast.UnaryOp: _Normalizer._fold_unaryop,
+}
+
+
+def _integral_locals(module: ast.Module,
+                     type_model: Optional[TypeModel]) -> frozenset:
     """Locals of the *original* method whose inferred tag is integral.
 
     The folds run over both the original and the mutated source; inferring
     tags once, from the original, keeps the two sides normalized under the
     same assumptions (the operators replace uses, not definitions, so the
-    original's assignments still govern each local's type).
+    original's assignments still govern each local's type).  ``module`` is
+    the original's parse, read before it is normalized.
     """
-    if type_model is None:
+    if type_model is None or not module.body:
         return frozenset()
-    try:
-        function = ast.parse(source).body[0]
-    except (SyntaxError, IndexError):
-        return frozenset()
+    function = module.body[0]
     if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
         return frozenset()
     tags = infer_local_types(function, type_model)
@@ -397,16 +425,18 @@ def _integral_locals(source: str, type_model: Optional[TypeModel]) -> frozenset:
     return frozenset(integral)
 
 
+def _parse(source: str) -> ast.Module:
+    try:
+        return ast.parse(textwrap.dedent(source))
+    except SyntaxError as error:
+        raise MutationError(f"cannot parse method source: {error}") from error
+
+
 def normalize_method_source(source: str,
                             integral_locals: frozenset = frozenset(),
                             ) -> ast.Module:
     """Parse and normalize one method's source (see the module docstring)."""
-    try:
-        module = ast.parse(textwrap.dedent(source))
-    except SyntaxError as error:
-        raise MutationError(f"cannot parse method source: {error}") from error
-    normalized = _Normalizer(integral_locals).visit(module)
-    return ast.fix_missing_locations(normalized)
+    return _Normalizer(integral_locals).visit(_parse(source))
 
 
 def normalized_source_text(source: str,
@@ -444,16 +474,14 @@ def _code_facets(code: types.CodeType) -> tuple:
     )
 
 
-def normalized_bytecode_digest(source: str,
-                               integral_locals: frozenset = frozenset(),
-                               ) -> str:
-    """Check 2's identity: a digest over the normalized method's code.
+def _bytecode_digest(module: ast.Module) -> str:
+    """Check 2's identity of a normalized tree.
 
-    The normalized module is *compiled but never executed* — CPython's own
-    compiler supplies the genuine constant folding (``1 + 1`` meets ``2``
-    here) and the comparison walks the resulting code objects.
+    The tree is *compiled but never executed* — CPython's own compiler
+    supplies the genuine constant folding (``1 + 1`` meets ``2`` here) and
+    the comparison walks the resulting code objects.  ``compile`` leaves
+    the tree as it was.
     """
-    module = normalize_method_source(source, integral_locals)
     with warnings.catch_warnings():
         # Injected faults like `0 is None` trip SyntaxWarning by design.
         warnings.simplefilter("ignore", SyntaxWarning)
@@ -463,6 +491,13 @@ def normalized_bytecode_digest(source: str,
         if isinstance(const, types.CodeType)
     )
     return sha256_hex("triage-bytecode", repr(facets))
+
+
+def normalized_bytecode_digest(source: str,
+                               integral_locals: frozenset = frozenset(),
+                               ) -> str:
+    """Check 2's identity: a digest over the normalized method's code."""
+    return _bytecode_digest(normalize_method_source(source, integral_locals))
 
 
 # ---------------------------------------------------------------------------
@@ -490,6 +525,31 @@ def _original_method_source(owner: type, method_name: str) -> str:
     )
 
 
+def _original_forms(source: str, type_model: Optional[TypeModel]
+                    ) -> Tuple[str, str, frozenset]:
+    """(normalized text, bytecode digest, integral locals) of an original
+    method, from one parse: the tags are read before the tree is
+    normalized."""
+    module = _parse(source)
+    integral = _integral_locals(module, type_model)
+    _Normalizer(integral).visit(module)
+    return ast.unparse(module).strip(), _bytecode_digest(module), integral
+
+
+def _checks(source: str, integral_locals: frozenset, original_text: str,
+            original_digest: str) -> Tuple[TriageStatus, str]:
+    """Checks 1 and 2 on one mutated source, from one parse: check 2
+    compiles the tree check 1 unparsed.  Returns ``(status, digest)``;
+    the status is ``UNDECIDED`` unless one check proves equivalence."""
+    module = normalize_method_source(source, integral_locals)
+    if ast.unparse(module).strip() == original_text:
+        return TriageStatus.AST_EQUIVALENT, original_digest
+    digest = _bytecode_digest(module)
+    if digest == original_digest:
+        return TriageStatus.BYTECODE_EQUIVALENT, digest
+    return TriageStatus.UNDECIDED, digest
+
+
 def triage_mutants(original_class: type,
                    mutants: Sequence["CompiledMutant"],
                    type_model: Optional[TypeModel] = None,
@@ -507,17 +567,12 @@ def triage_mutants(original_class: type,
     representatives: Dict[Tuple[str, str], str] = {}
 
     def original_forms(method_name: str) -> Tuple[str, str, frozenset]:
-        """(normalized text, bytecode digest, integral locals) per method."""
         cached = original_cache.get(method_name)
         if cached is None:
-            source = _original_method_source(original_class, method_name)
-            integral = _integral_locals(source, type_model)
-            cached = (
-                normalized_source_text(source, integral),
-                normalized_bytecode_digest(source, integral),
-                integral,
+            cached = original_cache[method_name] = _original_forms(
+                _original_method_source(original_class, method_name),
+                type_model,
             )
-            original_cache[method_name] = cached
         return cached
 
     with obs.span("triage.run", component=original_class.__name__,
@@ -528,19 +583,8 @@ def triage_mutants(original_class: type,
                 record.method_name
             )
             try:
-                mutated_text = normalized_source_text(
-                    record.mutated_source, integral
-                )
-                if mutated_text == original_text:
-                    status, digest = (TriageStatus.AST_EQUIVALENT,
-                                      original_digest)
-                else:
-                    digest = normalized_bytecode_digest(
-                        record.mutated_source, integral
-                    )
-                    status = (TriageStatus.BYTECODE_EQUIVALENT
-                              if digest == original_digest
-                              else TriageStatus.UNDECIDED)
+                status, digest = _checks(record.mutated_source, integral,
+                                         original_text, original_digest)
             except MutationError:
                 # A source ast.unparse rendered in a way that does not
                 # re-parse (possible for untyped batteries, e.g. an

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.components import CSortableObList, OBLIST_TYPE_MODEL
@@ -13,6 +15,7 @@ from repro.mutation.equivalence import probe_equivalence
 from repro.mutation.generate import generate_mutants
 from repro.mutation.triage import MutantTriage, StaticTriage, TriageStatus
 from repro.obs import MemorySink, Telemetry
+from repro.obs.schema import validate_jsonl
 
 
 #: Keep probes cheap in unit tests: a capped probe model and few survivors.
@@ -207,6 +210,19 @@ class TestProbe:
             "suite": report.probe_suite_size,
             "kills": len(report.probe_kill_reasons),
         }]
+        # The suite build has a span of its own, inside the probe's and
+        # before its first case.
+        builds = [span for span in spans
+                  if span["name"] == "equivalence.suite"]
+        assert [build["attrs"] for build in builds] == [
+            {"cases": report.probe_suite_size}]
+        build, probe = builds[0], probes[0]
+        assert probe["t"] <= build["t"]
+        assert build["t"] + build["dur"] <= probe["t"] + probe["dur"]
+        cases = [span for span in spans if span["name"] == "executor.case"]
+        assert build["t"] + build["dur"] <= min(case["t"] for case in cases)
+        # The trace still passes the schema gate of `python -m repro.obs`.
+        assert validate_jsonl(json.dumps(event) for event in sink.events)
         # The probe's analysis traces into the caller's session.
         probed = {span["attrs"]["mutant"] for span in spans
                   if span["name"] == "analysis.mutant"}

@@ -317,6 +317,31 @@ class TestStaticTriage:
         assert clone == findmax_triage
         assert clone.status_of("S0003") is TriageStatus.BYTECODE_EQUIVALENT
 
+    def test_unparseable_source_stays_undecided_and_ungrouped(self):
+        """Untyped ``ShellSort`` mutants whose text does not parse
+        (``-1 .next = after``) prove nothing, carry no digest and join no
+        redundancy class, while the battery's two classes stand."""
+        mutants, _ = generate_mutants(CSortableObList, ["ShellSort"])
+        unparseable = set()
+        for mutant in mutants:
+            try:
+                ast.parse(mutant.record.mutated_source)
+            except SyntaxError:
+                unparseable.add(mutant.ident)
+        assert len(unparseable) == 4
+        triage = triage_mutants(CSortableObList, mutants)
+        for entry in triage.entries:
+            if entry.ident in unparseable:
+                assert (entry.status, entry.digest, entry.representative) == (
+                    TriageStatus.UNDECIDED, "", ""), entry.ident
+            else:
+                assert entry.digest, entry.ident
+        groups = triage.groups()
+        assert len(groups) == 2
+        assert not unparseable & set(groups)
+        assert not unparseable & {
+            member for members in groups.values() for member in members}
+
 
 # ---------------------------------------------------------------------------
 # The soundness property
