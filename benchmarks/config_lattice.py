@@ -22,13 +22,24 @@ the trace schema.  Per table, the pruned cells must account for every
 case: their executed plus skipped cases must equal the cases each
 exhaustive cell executes, and they must execute at least 30 % fewer.
 
+Two checks follow the lattice.  The untyped Table 2 battery (1633
+mutants over the 624-case suite; no golden exists for it) runs serially
+and on two pool workers, at batch size 1 and at the adaptive size, and
+each pool run must be ``same_results`` with the serial one: four of its
+mutants' sources do not parse back, so a worker must run the code the
+generator compiled.  Then every builtin scenario battery is generated
+twice, with the one context per method that generation shares and with a
+fresh context per generator run (``tests/mutation/context_reference.py``);
+the records, reports and code objects must agree, and a pickle round trip
+must keep every code field.
+
 From the repository root::
 
     PYTHONPATH=src python benchmarks/config_lattice.py
 
-Exit status 0 when every run and both tables pass these checks, 1
-otherwise.  The small-battery form of this check, which covers every
-value pair of the axis pairs, is ``tests/mutation/test_config_lattice.py``.
+Exit status 0 when every run and check passes, 1 otherwise.  The
+small-battery form of the lattice, which covers every value pair of the
+axis pairs, is ``tests/mutation/test_config_lattice.py``.
 """
 
 from __future__ import annotations
@@ -41,7 +52,13 @@ import time
 from pathlib import Path
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from repro.components import CObList, CSortableObList, OBLIST_TYPE_MODEL
+from repro.components import (
+    CObList,
+    CSortableObList,
+    OBLIST_TYPE_MODEL,
+    component_by_name,
+    type_model_for,
+)
 from repro.experiments.config import (
     EXPERIMENT_SEED,
     TABLE2_METHODS,
@@ -55,10 +72,14 @@ from repro.experiments.config import (
 )
 from repro.mutation.analysis import MutationAnalysis, MutationRun
 from repro.mutation.cache import MutationOutcomeCache
-from repro.mutation.generate import generate_mutants
+from repro.mutation.generate import build_battery, generate_mutants
 from repro.mutation.parallel import ParallelMutationAnalysis
 from repro.obs import MemorySink, Telemetry, validate_event
+from repro.scenarios.genspec import GeneratorSpec, synthesize
+from repro.scenarios.materialize import materialize
+from repro.scenarios.registry import builtin_registry, default_methods
 
+REPO_ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "e2e" / "golden.json"
 
 #: The least share of the exhaustive cells' case executions that the
@@ -205,6 +226,104 @@ def pruning_problems(cases: List[Tuple[Cell, int, int]]) -> List[str]:
     return problems
 
 
+def first_difference(run: MutationRun, serial: MutationRun) -> str:
+    """Where ``run`` is not ``same_results`` with ``serial``."""
+    for mine, theirs in zip(run.outcomes, serial.outcomes):
+        fields = [name for name in ("killed", "reason", "killing_case",
+                                    "killing_cases", "detail")
+                  if getattr(mine, name) != getattr(theirs, name)]
+        if fields:
+            return (f"{mine.mutant.ident} {', '.join(fields)}: "
+                    f"{mine.reason.value}, serial {theirs.reason.value}")
+    return (f"step timeouts {run.step_timeouts}, serial "
+            f"{serial.step_timeouts}, or the reference")
+
+
+def untyped_failures() -> int:
+    """The untyped Table 2 battery on the pool at batch size 1 and at the
+    adaptive size against the serial engine; prints one line per run."""
+    mutants, _ = generate_mutants(CSortableObList, TABLE2_METHODS)
+    suite = sortable_suite(EXPERIMENT_SEED)
+    started = time.perf_counter()
+    serial = MutationAnalysis(CSortableObList, suite,
+                              oracle=sortable_oracle()).analyze(mutants)
+    print(f"{'untyped-serial-none-prune-plain':<34} table2: {serial.total} "
+          f"mutants, {len(serial.killed)} killed, step timeouts "
+          f"{serial.step_timeouts} ({time.perf_counter() - started:.1f} s)",
+          flush=True)
+    failures = 0
+    for batch in (1, "adaptive"):
+        started = time.perf_counter()
+        run = ParallelMutationAnalysis(
+            CSortableObList, suite, oracle=sortable_oracle(), workers=2,
+            batch_size=None if batch == "adaptive" else batch,
+        ).analyze(mutants)
+        same = run.same_results(serial)
+        failures += not same
+        status = ("same results as the serial run" if same
+                  else f"differs from the serial run: "
+                       f"{first_difference(run, serial)}")
+        print(f"{f'untyped-pool2-b{batch}-none-prune-plain':<34} table2: "
+              f"{status} ({time.perf_counter() - started:.1f} s)",
+              flush=True)
+    return failures
+
+
+def scenario_batteries(classes: dict, workspace: Path):
+    """``(ident, (mutants, report))`` for every builtin scenario, generated
+    as ``SweepRunner`` generates it, before its budget cuts the battery."""
+    for scenario in builtin_registry():
+        selector = scenario.component
+        if selector.is_generated:
+            key = (selector.family, selector.seed)
+            if key not in classes:
+                classes[key] = materialize(synthesize(GeneratorSpec(*key)),
+                                           workspace)
+            cls, type_model = classes[key], None
+        else:
+            cls = component_by_name(selector.ref)
+            type_model = type_model_for(selector.ref)
+        mutants, report, _ = build_battery(
+            cls, scenario.methods or default_methods(cls.__tspec__),
+            operator_names=scenario.operators, type_model=type_model,
+        )
+        yield scenario.ident, (mutants, report)
+
+
+def identity_failures(workspace: Path) -> int:
+    """Every builtin scenario battery with shared and with fresh contexts,
+    and through a pickle round trip; prints one summary line."""
+    if str(REPO_ROOT) not in sys.path:
+        sys.path.insert(0, str(REPO_ROOT))
+    from tests.mutation.context_reference import (
+        assert_pickle_keeps_code,
+        assert_same_generation,
+        empty_contexts,
+        fresh_contexts,
+    )
+
+    started = time.perf_counter()
+    classes: dict = {}
+    with fresh_contexts():
+        fresh = dict(scenario_batteries(classes, workspace))
+    with empty_contexts():
+        shared = list(scenario_batteries(classes, workspace))
+    failures = mutants = 0
+    for ident, generation in shared:
+        try:
+            assert_same_generation(generation, fresh[ident])
+            assert_pickle_keeps_code(generation[0])
+        except AssertionError as error:
+            failures += 1
+            print(f"{ident}: {error}", flush=True)
+        mutants += len(generation[0])
+    print(f"{len(shared) - failures} of {len(shared)} builtin scenario "
+          f"batteries ({mutants} mutants) generate with shared contexts as "
+          f"with fresh ones and pickle with their code "
+          f"({time.perf_counter() - started:.1f} s)", flush=True)
+    return failures
+
+
 def main() -> int:
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))["entries"]
     failures = 0
@@ -246,6 +365,9 @@ def main() -> int:
             f"pruned cells execute {pruned} of the {full} cases exhaustive "
             f"cells execute ({1 - pruned / full:.1%} fewer) and skip the "
             f"rest")), flush=True)
+    failures += untyped_failures()
+    with tempfile.TemporaryDirectory() as workspace:
+        failures += identity_failures(Path(workspace))
     return 1 if failures else 0
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Iterable, List
 
 from ..core.errors import MutationError
-from ..mutation.operators import ALL_OPERATORS, MethodContext
+from ..mutation.operators import ALL_OPERATORS, method_context
 from .findings import Finding, Severity
 from .registry import Rule, register
 from .unit import ComponentUnit
@@ -63,7 +63,7 @@ class MutationApplicability(Rule):
         if owner is None:
             return 0
         try:
-            context = MethodContext(owner, method_name)
+            context = method_context(owner, method_name)
         except (MutationError, OSError, TypeError):
             return 0
         return sum(len(operator.points(context)) for operator in ALL_OPERATORS)

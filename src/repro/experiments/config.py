@@ -104,7 +104,7 @@ class SubclassOverMutantBase:
 
     A dataclass rather than a closure so the builder pickles: the parallel
     mutation engine ships it to worker processes, which re-derive the
-    subclass over each locally recompiled mutant base.
+    subclass over each mutant base they rebuild.
     """
 
     subclass: type

@@ -164,8 +164,18 @@ class TestSuite:
         spec and seed therefore share a fingerprint, and a suite that
         round-trips pickling keeps its fingerprint — the property the
         mutation outcome cache keys on.
+
+        The hash is stored on the instance the first time it is asked for,
+        outside the fields: equality and :func:`canonical` ignore it, a
+        pickle carries it, and a suite :func:`dataclasses.replace` derives
+        hashes afresh.
         """
-        return sha256_hex("testsuite", canonical(self))
+        try:
+            return self.__dict__["_fingerprint"]
+        except KeyError:
+            fingerprint = sha256_hex("testsuite", canonical(self))
+            object.__setattr__(self, "_fingerprint", fingerprint)
+            return fingerprint
 
     # -- reporting ------------------------------------------------------------
 

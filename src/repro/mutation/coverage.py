@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import gc
 import sys
-import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from types import CodeType
@@ -68,7 +67,7 @@ from typing import (
 
 from ..core.errors import MutationError
 from ..core.fingerprint import canonical, sha256_hex
-from .operators.base import MethodContext
+from .operators.base import method_context
 
 if TYPE_CHECKING:  # imported lazily to keep coverage <- harness acyclic
     from ..generator.suite import TestSuite
@@ -352,36 +351,19 @@ def record_coverage(cut_class: type, suite: "TestSuite",
     return reference, recorder.matrix()
 
 
-#: Per owner class, the parsed context of each mutated method (``None``
-#: when its source cannot be read), shared by every analysis of the class
-#: (the main run's and the equivalence probe's, which builds one for its
-#: suite).  Weak keys keep generated classes collectable.
-_CONTEXTS: "weakref.WeakKeyDictionary[type, Dict[str, Any]]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
 def mutated_line(mutant: "CompiledMutant") -> int:
     """The line the mutant's splice rewrote, relative to its method's first
     source line, or :data:`ENTRY` when that node lies outside the body
     (defaults, decorators) or the source cannot be read.
 
-    The line comes from the splice's own slot table, not from the record's
-    ``line`` label, which can name another occurrence.
+    The line comes from the splice's own slot table (the method's one
+    context, which generated the mutant), not from the record's ``line``
+    label, which can name another occurrence.
     """
     record = mutant.record
-    contexts = _CONTEXTS.setdefault(mutant.owner, {})
-    if record.method_name not in contexts:
-        try:
-            # Only the slot table is needed, not the attribute universe.
-            contexts[record.method_name] = MethodContext(
-                mutant.owner, record.method_name,
-                attribute_universe=frozenset(),
-            )
-        except (MutationError, OSError, TypeError):
-            contexts[record.method_name] = None
-    context = contexts[record.method_name]
-    if context is None:
+    try:
+        context = method_context(mutant.owner, record.method_name)
+    except (MutationError, OSError, TypeError):
         return ENTRY
     line = context.rewritten_line(record.variable, record.occurrence)
     return ENTRY if line is None else line

@@ -23,7 +23,7 @@ from .operators.base import (
     MethodContext,
     MutationOperator,
     MutationPoint,
-    infer_attribute_universe,
+    method_context,
     render_expr,
 )
 from .typemodel import (
@@ -78,7 +78,6 @@ class MutantGenerator:
         self._target = target
         self._operators = tuple(operators)
         self._prefix = ident_prefix
-        self._universe = infer_attribute_universe(target)
         self._type_model = type_model
         # Per-(method, operator) generation spans; the default null
         # session records nothing.
@@ -126,7 +125,8 @@ class MutantGenerator:
                             seen_sources.add(key)
                             with context.splice(point.site,
                                                 point.replacement) as module:
-                                function = context.compile_mutant(module)
+                                function, code = context.compile_mutant(
+                                    module)
                         except (MutationError, SyntaxError):
                             report.compile_failures += 1
                             continue
@@ -143,17 +143,16 @@ class MutantGenerator:
                             description=point.description,
                             mutated_source=mutated_source,
                         )
-                        mutants.append(
-                            CompiledMutant(record, self._target, function)
-                        )
+                        mutants.append(CompiledMutant(
+                            record, self._target, function, code))
                         report.count(method_name, operator.name)
                     span.set("mutants", report.generated - produced_before)
         return mutants, report
 
     def _context(self, method_name: str) -> MethodContext:
-        return MethodContext(
-            self._target, method_name, attribute_universe=self._universe
-        )
+        # The method's one context on this thread, shared with every
+        # other generator run, pruning, triage and the lint.
+        return method_context(self._target, method_name)
 
     def _type_compatible(self, point: MutationPoint,
                          local_types: Dict[str, Optional[str]]) -> bool:

@@ -13,21 +13,26 @@ and knows how to **materialise** itself as a separate class:
 * :func:`rebuild_subclass` — re-derives a subclass on top of a mutated base
   (experiment 2: faults in ``CObList``, tests through ``CSortableObList``).
 
-Compiled function objects do not pickle, but the :class:`Mutant` record is
-pure data and the owner class is importable, so a ``CompiledMutant``
-pickles by shipping ``(record, owner)`` and **recompiling the mutated
-source on arrival** (:func:`rebuild_compiled_mutant`).  That is what lets
-the parallel engine fan mutants out to worker processes: each worker
-rebuilds the exact mutant class from its source payload, the in-process
-analogue of the paper's "individually compiled" separate programs.
+Function objects do not pickle, but code objects marshal, the
+:class:`Mutant` record is pure data and the owner class is importable, so
+a ``CompiledMutant`` pickles by shipping ``(record, owner, marshalled
+module code)`` and **running that code on arrival**
+(:func:`rebuild_compiled_mutant`).  That is what lets the parallel engine
+fan mutants out to worker processes: each worker runs the very code the
+generator compiled, the in-process analogue of the paper's "individually
+compiled" separate programs.  Re-parsing ``mutated_source`` would not be
+exact: ``ast.unparse`` text does not always parse back to the spliced
+tree (``-1 .next = after``), and its line data never matches.
 """
 
 from __future__ import annotations
 
 import ast
 import inspect
+import marshal
 import warnings
 from dataclasses import dataclass
+from types import CodeType
 from typing import Callable, Dict, Optional, Tuple
 
 from ..core.errors import MutationError
@@ -56,12 +61,19 @@ class Mutant:
 
 
 class CompiledMutant:
-    """A mutant plus its compiled method, able to materialise mutant classes."""
+    """A mutant plus its compiled method, able to materialise mutant classes.
 
-    def __init__(self, record: Mutant, owner: type, function: Callable):
+    ``code`` is the module code that defined ``function``: the function's
+    own code is one of its constants, so keeping it costs one small code
+    object, and it is what a pickle ships.
+    """
+
+    def __init__(self, record: Mutant, owner: type, function: Callable,
+                 code: CodeType):
         self.record = record
         self.owner = owner
         self.function = function
+        self.code = code
         self._class_cache: Optional[type] = None
 
     @property
@@ -92,47 +104,64 @@ class CompiledMutant:
         return f"CompiledMutant({self.record.title()})"
 
     def __reduce__(self):
-        # Function objects do not pickle; ship the source-bearing record and
-        # the (importable) owner, and recompile on the receiving side.
-        return (rebuild_compiled_mutant, (self.record, self.owner))
+        # Function objects do not pickle; ship the record, the (importable)
+        # owner and the module code, and run that code on the receiving
+        # side.  ``marshal`` is specific to the Python version: the pool's
+        # workers are forks or spawns of this same interpreter.
+        return (rebuild_compiled_mutant,
+                (self.record, self.owner, marshal.dumps(self.code)))
 
 
-def compile_mutant_function(record: Mutant, owner: type) -> Callable:
-    """Recompile a mutant's method from its recorded source.
+def define_mutant_function(code: CodeType, owner: type) -> Callable:
+    """Run a mutant's module code and return what its one ``def`` binds.
 
-    The mutated source is executed in the owner's defining-module globals so
-    imported helpers (contract checks, node classes) resolve exactly as they
-    did when the mutant was first generated.
+    The code runs in a copy of the owner's defining-module globals, so
+    defaults and imported helpers (contract checks, node classes) resolve
+    exactly as they do for the original.  The binding is the def's own
+    name, which is not the method's for an alias: ``Increment = Bump`` is
+    mutated through the function it names, whose source defines ``Bump``.
+    """
+    defining_module = inspect.getmodule(owner)
+    globals_dict: Dict = dict(vars(defining_module)) if defining_module else {}
+    namespace: Dict = {}
+    exec(code, globals_dict, namespace)  # noqa: S102 — mutant construction
+    if len(namespace) != 1:
+        raise MutationError(
+            f"mutant code {code.co_filename} binds {sorted(namespace)}, "
+            "not one function"
+        )
+    return namespace.popitem()[1]
+
+
+def compile_mutant_function(record: Mutant,
+                            owner: type) -> Tuple[Callable, CodeType]:
+    """Compile a mutant's method from its recorded source: the function
+    and the module code that defined it.
+
+    This builds a mutant from hand-written source (test fixtures);
+    generated mutants carry the code the generator compiled.
     """
     try:
         module = ast.parse(record.mutated_source)
     except SyntaxError as error:
         raise MutationError(
-            f"cannot re-parse mutated source of {record.ident}: {error}"
+            f"cannot parse mutated source of {record.ident}: {error}"
         ) from error
     with warnings.catch_warnings():
         # Injected faults like `0 is None` trip SyntaxWarning by design.
         warnings.simplefilter("ignore", SyntaxWarning)
         code = compile(module, filename=f"<mutant {record.ident}>", mode="exec")
-    defining_module = inspect.getmodule(owner)
-    globals_dict: Dict = dict(vars(defining_module)) if defining_module else {}
-    namespace: Dict = {}
-    exec(code, globals_dict, namespace)  # noqa: S102 — mutant reconstruction
-    # The def's own name: an alias (``Increment = Bump``) is mutated
-    # through the function it names, whose source defines ``Bump``.
-    defined = getattr(module.body[0], "name", None) if module.body else None
-    try:
-        return namespace[defined]
-    except KeyError:
-        raise MutationError(
-            f"mutated source of {record.ident} did not define "
-            f"{record.method_name!r}"
-        ) from None
+    return define_mutant_function(code, owner), code
 
 
-def rebuild_compiled_mutant(record: Mutant, owner: type) -> CompiledMutant:
-    """Reconstruct a :class:`CompiledMutant` from its picklable payload."""
-    return CompiledMutant(record, owner, compile_mutant_function(record, owner))
+def rebuild_compiled_mutant(record: Mutant, owner: type,
+                            code: bytes) -> CompiledMutant:
+    """Reconstruct a :class:`CompiledMutant` from its pickle payload:
+    ``code`` is the marshalled module code."""
+    module_code = marshal.loads(code)
+    return CompiledMutant(record, owner,
+                          define_mutant_function(module_code, owner),
+                          module_code)
 
 
 def rebuild_subclass(subclass: type, original_base: type,

@@ -10,6 +10,7 @@ from .base import (
     OperatorRegistry,
     UseSite,
     infer_attribute_universe,
+    method_context,
     render_expr,
 )
 from .ind_var_bit_neg import IndVarBitNeg
@@ -72,5 +73,6 @@ __all__ = [
     "REQUIRED_CONSTANTS",
     "UseSite",
     "infer_attribute_universe",
+    "method_context",
     "render_expr",
 ]

@@ -26,15 +26,18 @@ import ast
 import builtins
 import inspect
 import textwrap
+import threading
 import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass
+from types import CodeType
 from typing import (
-    AbstractSet, Dict, FrozenSet, Iterator, List, NamedTuple, Optional,
+    Callable, Dict, FrozenSet, Iterator, List, NamedTuple, Optional,
     Sequence, Set, Tuple,
 )
 
 from ...core.errors import MutationError
+from ..mutant import define_mutant_function
 
 #: The RC set (Table 1): NULL plus the classic integer edge constants.
 #: MAXINT/MININT are the 32-bit C limits the paper's setting implies.
@@ -79,20 +82,21 @@ class _Span(NamedTuple):
 class MethodContext:
     """Parsed view of one method: AST, variable sets, use sites.
 
-    ``attribute_universe`` is the set of instance attributes the *class*
-    owns (needed for E(R2)); when omitted it is inferred from the defining
-    class's full source.
+    E(R2) needs the instance attributes the *class* owns, which
+    :func:`infer_attribute_universe` reads from the class hierarchy's
+    source.
 
     The method is parsed once: :meth:`splice` puts each replacement into
     ``tree`` in place and takes it out again.  :meth:`render` gives a
     mutant's text from one template of the method, which fills ``tree``
     with placeholders on first use.  One context must not be spliced or
-    rendered from two threads at once.
+    rendered from two threads at once; :func:`method_context` gives each
+    thread its own.  The context holds its owner weakly, so a context kept
+    for a class does not keep the class alive.
     """
 
-    def __init__(self, owner: type, method_name: str,
-                 attribute_universe: Optional[AbstractSet[str]] = None):
-        self.owner = owner
+    def __init__(self, owner: type, method_name: str):
+        self._owner = weakref.ref(owner)
         self.method_name = method_name
         function = _find_defining_dict(owner, method_name)
         self.source = textwrap.dedent(inspect.getsource(function))
@@ -117,8 +121,7 @@ class MethodContext:
         )
         self.locals: Tuple[str, ...] = tuple(sorted(_assigned_names(self.function)
                                                     - set(self.parameters) - {"self"}))
-        universe = (attribute_universe if attribute_universe is not None
-                    else infer_attribute_universe(owner))
+        universe = infer_attribute_universe(owner)
         # G(R2) holds *data* attributes only: a `self.helper()` call names a
         # method, not a "global variable" in Table 1's sense.
         self.attributes_used: Tuple[str, ...] = tuple(
@@ -132,6 +135,10 @@ class MethodContext:
         self._body_nodes: Optional[Set[int]] = None
         self._unparsed: Optional[str] = None
         self._spans: Dict[str, List[_Span]] = {}
+
+    @property
+    def owner(self) -> type:
+        return self._owner()
 
     # -- variable sets (Table 1 notation) ----------------------------------
 
@@ -242,8 +249,10 @@ class MethodContext:
         node = _slot_node(slots[occurrence])
         return node.lineno if id(node) in self._body_nodes else None
 
-    def compile_mutant(self, module: ast.Module):
-        """Compile a mutated module and return the resulting function object.
+    def compile_mutant(self, module: ast.Module
+                       ) -> Tuple[Callable, CodeType]:
+        """Compile a mutated module: the resulting function object and the
+        module code that defined it.
 
         The function is evaluated in the defining module's globals so that
         imported helpers (contract checks, node classes) resolve exactly as
@@ -257,17 +266,36 @@ class MethodContext:
             warnings.simplefilter("ignore", SyntaxWarning)
             code = compile(module, filename=f"<mutant of {self.method_name}>",
                            mode="exec")
-        defining_module = inspect.getmodule(self.owner)
-        namespace: Dict = {}
-        globals_dict = dict(vars(defining_module)) if defining_module else {}
-        exec(code, globals_dict, namespace)  # noqa: S102 — mutant construction
-        try:
-            return namespace[self.function.name]
-        except KeyError:
-            raise MutationError(
-                f"compiled mutant of {self.method_name} did not define "
-                f"{self.function.name!r}"
-            ) from None
+        return define_mutant_function(code, self.owner), code
+
+
+#: Per thread, per owner class, the context of each method
+#: :func:`method_context` built.  Weak keys keep generated classes
+#: collectable; the thread-local keeps a context off every other thread.
+_CONTEXTS = threading.local()
+
+
+def method_context(owner: type, method_name: str) -> MethodContext:
+    """The one :class:`MethodContext` of ``owner.method_name`` on this
+    thread.
+
+    A method's variable sets, use sites and template belong to the method,
+    so generation, pruning, triage and the lint share one context per
+    method.  Contexts are per thread because splicing and the lazy
+    template fill the shared tree in place.  A construction that raises
+    stores nothing.
+    """
+    try:
+        classes = _CONTEXTS.classes
+    except AttributeError:
+        classes = _CONTEXTS.classes = weakref.WeakKeyDictionary()
+    methods = classes.get(owner)
+    if methods is None:
+        methods = classes[owner] = {}
+    context = methods.get(method_name)
+    if context is None:
+        context = methods[method_name] = MethodContext(owner, method_name)
+    return context
 
 
 def _load_slots(tree: ast.AST, names: Set[str]) -> Dict[str, List[_Slot]]:

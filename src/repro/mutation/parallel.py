@@ -8,9 +8,9 @@ serial :class:`~repro.mutation.analysis.MutationAnalysis`, whose one
 analysis loop still looks the run up in the store, triages the battery,
 fills the triaged outcomes, assembles the run and stores it.  Only the
 step that resolves the untriaged mutants differs: they go to N worker
-processes.  Each worker **recompiles the mutant from its source payload**
-(the pickle protocol of :class:`~repro.mutation.mutant.CompiledMutant`),
-runs the suite under a fresh
+processes.  Each worker **runs the module code the generator compiled**
+(the pickle protocol of :class:`~repro.mutation.mutant.CompiledMutant`
+ships it marshalled), runs the suite under a fresh
 :class:`~repro.mutation.sandbox.StepBudgetGuard`, and ships the outcome
 back to the parent.  The pool changes *where* a mutant runs, never
 *how*; a run replayed from the store touches no worker.

@@ -75,7 +75,6 @@ from __future__ import annotations
 
 import ast
 import enum
-import inspect
 import textwrap
 import types
 import warnings
@@ -93,6 +92,7 @@ from typing import (
 from ..core.errors import MutationError
 from ..core.fingerprint import sha256_hex
 from ..obs import Telemetry, coalesce
+from .operators.base import method_context
 from .typemodel import INTEGRAL_TAGS, TypeModel, infer_local_types
 
 if TYPE_CHECKING:  # imported lazily to keep triage <- analysis acyclic
@@ -345,7 +345,8 @@ class _Normalizer:
     @staticmethod
     def _strip_pass(body: List[ast.stmt], owner: ast.stmt,
                     allow_empty: bool = False) -> List[ast.stmt]:
-        """Remove ``pass`` padding, keeping one when the body would empty.
+        """Remove ``pass`` padding, keeping one when the body would empty
+        (a definition whose body was only its docstring included).
 
         That ``pass`` is the one node normalization creates.  It takes its
         owner's span, which is what ``ast.fix_missing_locations`` gives
@@ -355,7 +356,7 @@ class _Normalizer:
         kept = [stmt for stmt in body if not isinstance(stmt, ast.Pass)]
         if kept or allow_empty:
             return kept
-        return [ast.copy_location(ast.Pass(), owner)] if body else body
+        return [ast.copy_location(ast.Pass(), owner)]
 
     def _fold_test(self, test: ast.expr) -> ast.expr:
         # not not E in a test position branches identically to E.
@@ -506,15 +507,13 @@ def normalized_bytecode_digest(source: str,
 
 
 def _original_method_source(owner: type, method_name: str) -> str:
-    """The defining class's source for one method (dedented)."""
+    """The defining class's source for one method (dedented), read from
+    the method's one context."""
     for klass in owner.__mro__:
-        function = klass.__dict__.get(method_name)
-        if function is None:
+        if klass.__dict__.get(method_name) is None:
             continue
-        if isinstance(function, (staticmethod, classmethod)):
-            function = function.__func__
         try:
-            return textwrap.dedent(inspect.getsource(function))
+            return method_context(klass, method_name).source
         except (OSError, TypeError) as error:
             raise MutationError(
                 f"cannot read source of {owner.__name__}.{method_name}: "

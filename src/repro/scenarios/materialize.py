@@ -2,7 +2,7 @@
 
 The mutation pipeline requires real source files: operators read method
 bodies via ``inspect.getsource``, the outcome cache fingerprints classes
-by their source text, and worker processes recompile mutants inside the
+by their source text, and worker processes define mutants inside the
 owner's defining module.  So a generated component is *written to disk*
 in a workspace directory and imported from that file — its module name
 embeds a content digest (see :mod:`repro.scenarios.genspec`), which makes

@@ -22,9 +22,10 @@ was forked.
 
 Mutant classes built *from* a generated component (``CompiledMutant
 .build_class`` copies the owner's namespace and inherits this metaclass)
-are never pickled directly — the engines ship the source-bearing
-:class:`~repro.mutation.mutant.Mutant` record and rebuild locally — so the
-reducer only ever sees the materialized originals.
+are never pickled directly — the engines ship the
+:class:`~repro.mutation.mutant.Mutant` record with the mutant's compiled
+code and rebuild locally — so the reducer only ever sees the materialized
+originals.
 """
 
 from __future__ import annotations

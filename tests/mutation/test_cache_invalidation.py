@@ -44,7 +44,7 @@ def perturbed_mutant(mutant: CompiledMutant) -> CompiledMutant:
         mutated_source=mutant.record.mutated_source + "\n# touched",
     )
     return CompiledMutant(
-        record, mutant.owner, compile_mutant_function(record, mutant.owner)
+        record, mutant.owner, *compile_mutant_function(record, mutant.owner)
     )
 
 

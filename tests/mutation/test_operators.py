@@ -99,8 +99,10 @@ class TestMethodContext:
         context = context_for("idle")
         site = context.use_sites[0]
         with context.splice(site, ast.Constant(value=5)) as module:
-            function = context.compile_mutant(module)
+            function, code = context.compile_mutant(module)
         assert callable(function)
+        # The module code that defined it holds the function's own code.
+        assert function.__code__ in code.co_consts
         machine = Machine()
         function(machine)  # the mutated body executes
         assert machine.fuel == 5  # burn use replaced by 5

@@ -8,7 +8,7 @@ mutants — one that kills its worker process outright and one that hangs
 past the wall-clock backstop — and the paper's "program crashed" clause
 must be applied at the process boundary while every remaining mutant
 still runs; the battery may be any iterable, and mutants survive the
-process boundary by source recompilation.
+process boundary as the module code the generator compiled.
 """
 
 from __future__ import annotations
@@ -24,7 +24,9 @@ from repro.harness.oracles import KillReason, experiment_oracle
 from repro.mutation.analysis import MutationAnalysis, analyze_mutants
 from repro.mutation.cache import MutationOutcomeCache
 from repro.mutation.generate import generate_mutants
-from repro.mutation.mutant import Mutant, rebuild_compiled_mutant
+from repro.mutation.mutant import (
+    CompiledMutant, Mutant, compile_mutant_function,
+)
 from repro.mutation.parallel import ParallelMutationAnalysis, WorkerPool
 
 SEEDS = (20010701, 7, 99)
@@ -102,14 +104,14 @@ class TestBatteryAsGenerator:
 
 
 class TestMutantReconstruction:
-    """Mutants must round-trip the process boundary by source recompilation."""
+    """Mutants must round-trip the process boundary as their compiled code."""
 
     def test_pickle_roundtrip_preserves_record_and_owner(self, findmax_mutants):
         original = findmax_mutants[0]
         clone = pickle.loads(pickle.dumps(original))
         assert clone.record == original.record
         assert clone.owner is original.owner
-        assert clone.function is not original.function  # recompiled
+        assert clone.function is not original.function  # defined anew
 
     def test_reconstructed_mutant_behaves_identically(self, findmax_mutants):
         original = findmax_mutants[0]
@@ -158,7 +160,8 @@ def hostile_mutant(ident: str, source: str):
         description="hostile fixture mutant",
         mutated_source=source,
     )
-    return rebuild_compiled_mutant(record, CSortableObList)
+    return CompiledMutant(record, CSortableObList,
+                          *compile_mutant_function(record, CSortableObList))
 
 
 class TestWorkerCrashRobustness:

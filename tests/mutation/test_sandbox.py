@@ -258,7 +258,9 @@ class TestStepTimeoutsSurfacedInRun:
     @staticmethod
     def _fixture(body: str):
         from repro.components import CSortableObList
-        from repro.mutation.mutant import Mutant, rebuild_compiled_mutant
+        from repro.mutation.mutant import (
+            CompiledMutant, Mutant, compile_mutant_function,
+        )
 
         record = Mutant(
             ident="L0001",
@@ -272,7 +274,9 @@ class TestStepTimeoutsSurfacedInRun:
             description="sandbox fixture mutant",
             mutated_source=body,
         )
-        return rebuild_compiled_mutant(record, CSortableObList)
+        return CompiledMutant(
+            record, CSortableObList,
+            *compile_mutant_function(record, CSortableObList))
 
     @staticmethod
     def _findmax_suite():

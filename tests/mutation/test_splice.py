@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import ast
 import gc
-import types
 import weakref
 from contextlib import contextmanager
 
@@ -26,7 +25,7 @@ from repro.components import CObList, CSortableObList, OBLIST_TYPE_MODEL
 from repro.core.errors import MutationError
 from repro.experiments.config import TABLE2_METHODS, TABLE3_METHODS
 from repro.mutation.generate import MutantGenerator, generate_mutants
-from repro.mutation.mutant import rebuild_compiled_mutant
+from repro.mutation.mutant import compile_mutant_function
 from repro.mutation.operators import (
     ALL_OPERATORS, REQUIRED_CONSTANTS, MethodContext, UseSite,
 )
@@ -43,6 +42,7 @@ from repro.scenarios.genspec import GeneratorSpec, synthesize
 from repro.scenarios.materialize import materialize
 from repro.scenarios.registry import default_methods
 
+from .context_reference import assert_same_code
 from .test_operators import Machine
 
 
@@ -87,47 +87,6 @@ def unparse_render(context, site, replacement):
     """The mutant's source as ``ast.unparse`` of the re-parsed splice."""
     with reparse_splice(context, site, replacement) as module:
         return ast.unparse(module)
-
-
-def assert_same_constant(new, old, where, skip=frozenset()):
-    assert type(new) is type(old), where
-    if isinstance(old, types.CodeType):
-        assert_same_code(new, old, where, skip)
-    elif isinstance(old, tuple):
-        assert len(new) == len(old), where
-        for index, (item_new, item_old) in enumerate(zip(new, old)):
-            assert_same_constant(item_new, item_old, f"{where}[{index}]",
-                                 skip)
-    elif isinstance(old, frozenset):
-        assert new == old, where
-        assert sorted(map(repr, new)) == sorted(map(repr, old)), where
-    else:
-        # repr separates what == conflates: 0.0 and -0.0, nan and nan.
-        assert repr(new) == repr(old), where
-
-
-def assert_same_code(new, old, where="code", skip=frozenset()):
-    """Every ``co_*`` field but those in ``skip`` equal; constants
-    compared recursively.
-
-    Not ``marshal.dumps``: its FLAG_REF bits follow reference counts, so
-    it can tell equal code objects apart.
-    """
-    for name in dir(old):
-        # co_lnotab is derived from co_linetable (and deprecated in 3.12).
-        if not name.startswith("co_") or name == "co_lnotab" or name in skip:
-            continue
-        value_new, value_old = getattr(new, name), getattr(old, name)
-        if name == "co_consts":
-            assert len(value_new) == len(value_old), f"{where}.co_consts"
-            for index, (const_new, const_old) in enumerate(
-                    zip(value_new, value_old)):
-                assert_same_constant(const_new, const_old,
-                                     f"{where}.co_consts[{index}]", skip)
-        elif callable(value_old):  # co_lines(), co_positions()
-            assert list(value_new()) == list(value_old()), f"{where}.{name}"
-        else:
-            assert value_new == value_old, f"{where}.{name}"
 
 
 def assert_same_generation(generate, monkeypatch):
@@ -221,11 +180,12 @@ LINE_DATA = frozenset({"co_filename", "co_firstlineno", "co_linetable",
 
 
 class TestRebuiltFromSource:
-    """A worker of the pool compiles each mutant anew from its
-    ``mutated_source`` (``rebuild_compiled_mutant``).  For every typed
-    Table 2 and Table 3 mutant that gives the generated code.  Untyped
-    batteries do not round-trip: unparse writes ``-1 .next``, which
-    parses as ``-(1 .next)`` (DESIGN.md §5 item 17)."""
+    """``compile_mutant_function`` compiles a mutant anew from its
+    ``mutated_source``.  For every typed Table 2 and Table 3 mutant that
+    gives the generated code, line data aside.  Untyped batteries do not
+    round-trip: unparse writes ``-1 .next``, which parses as
+    ``-(1 .next)``, so the pool ships each mutant's compiled code instead
+    (DESIGN.md §5 item 17)."""
 
     @pytest.mark.parametrize("target, methods, prefix, count", [
         (CSortableObList, TABLE2_METHODS, "M", 709),
@@ -237,8 +197,8 @@ class TestRebuiltFromSource:
                                       type_model=OBLIST_TYPE_MODEL)
         assert len(mutants) == count
         for mutant in mutants:
-            rebuilt = rebuild_compiled_mutant(mutant.record, target)
-            assert_same_code(rebuilt.function.__code__,
+            rebuilt, _ = compile_mutant_function(mutant.record, target)
+            assert_same_code(rebuilt.__code__,
                              mutant.function.__code__, mutant.ident,
                              skip=LINE_DATA)
 

@@ -42,7 +42,9 @@ from repro.mutation.cache import (
     MutationOutcomeCache,
 )
 from repro.mutation.generate import generate_mutants
-from repro.mutation.mutant import Mutant, rebuild_compiled_mutant
+from repro.mutation.mutant import (
+    CompiledMutant, Mutant, compile_mutant_function,
+)
 from repro.mutation.parallel import ParallelMutationAnalysis
 from repro.mutation.score import build_score_table
 from repro.mutation.triage import (
@@ -131,7 +133,7 @@ def _synthetic(cls: type, method_name: str, ident: str, source: str,
         description=description,
         mutated_source=source,
     )
-    return rebuild_compiled_mutant(record, cls)
+    return CompiledMutant(record, cls, *compile_mutant_function(record, cls))
 
 
 def synthetic_equivalents(cls: type, method_name: str):

@@ -158,6 +158,38 @@ LONE_PASS = {
 }
 
 
+#: Definitions whose body is only a docstring: (owner type, source, the
+#: same with a one-line ``pass`` body).
+DOCSTRING_ONLY = {
+    "def": (ast.FunctionDef,
+            'def f(self):\n    def g():\n        """doc"""\n    return g\n',
+            "def f(self):\n    def g(): pass\n    return g\n"),
+    "class": (ast.ClassDef,
+              'def f(self):\n    class A:\n        """doc"""\n    return A\n',
+              "def f(self):\n    class A: pass\n    return A\n"),
+    "method": (ast.FunctionDef, 'def f(self):\n    """doc"""\n',
+               "def f(self): pass\n"),
+}
+
+
+class DocstringBodies:
+    """A method holding a class and a function that are only docstrings."""
+
+    def __init__(self):
+        self.count = 0
+
+    def build(self):
+        total = self.count
+
+        class Holder:
+            """holder"""
+
+        def helper():
+            """helper"""
+
+        return total + 1 if Holder and helper else total
+
+
 class TestTraversal:
     @pytest.mark.parametrize("owner", sorted(LONE_PASS))
     def test_lone_pass_sits_on_its_owner(self, owner):
@@ -229,6 +261,29 @@ class TestTraversal:
         assert_normalizes_as_reference(source)
         text = normalized_source_text(source)
         assert '"""' not in text and "'" not in text
+
+    @pytest.mark.parametrize("owner", sorted(DOCSTRING_ONLY))
+    def test_docstring_only_body_keeps_a_pass(self, owner):
+        owner_type, source, one_line = DOCSTRING_ONLY[owner]
+        tree = normalize_method_source(source)
+        kept = [(node, child) for node in ast.walk(tree)
+                for child in ast.iter_child_nodes(node)
+                if isinstance(child, ast.Pass)]
+        assert len(kept) == 1
+        node, lone = kept[0]
+        assert type(node) is owner_type and node.body == [lone]
+        assert ([getattr(lone, name) for name in SPAN]
+                == [getattr(node, name) for name in SPAN])
+        # As if the body had been a `pass` on its owner's line.
+        assert (normalized_bytecode_digest(source)
+                == normalized_bytecode_digest(one_line))
+
+    def test_docstring_only_bodies_triage(self):
+        mutants, _ = generate_mutants(DocstringBodies, ["build"])
+        assert mutants
+        result = triage_mutants(DocstringBodies, mutants)
+        assert len(result.entries) == len(mutants)
+        assert all(entry.digest for entry in result.entries)
 
     def test_async_def(self):
         source = textwrap.dedent('''\
