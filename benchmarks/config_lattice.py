@@ -22,7 +22,7 @@ the trace schema.  Per table, the pruned cells must account for every
 case: their executed plus skipped cases must equal the cases each
 exhaustive cell executes, and they must execute at least 30 % fewer.
 
-Two checks follow the lattice.  The untyped Table 2 battery (1633
+Three checks follow the lattice.  The untyped Table 2 battery (1633
 mutants over the 624-case suite; no golden exists for it) runs serially
 and on two pool workers, at batch size 1 and at the adaptive size, and
 each pool run must be ``same_results`` with the serial one: four of its
@@ -31,7 +31,11 @@ generator compiled.  Then every builtin scenario battery is generated
 twice, with the one context per method that generation shares and with a
 fresh context per generator run (``tests/mutation/context_reference.py``);
 the records, reports and code objects must agree, and a pickle round trip
-must keep every code field.
+must keep every code field.  Last, the coverage recorder must record what
+the recorder it replaced records (``tests/mutation/coverage_reference.py``:
+the same reference results and an equal matrix, fingerprint included) on
+the equivalence probe's suite, Table 3's three suites and every distinct
+(class, suite) pair of the builtin scenarios.
 
 From the repository root::
 
@@ -49,6 +53,7 @@ import json
 import sys
 import tempfile
 import time
+from dataclasses import replace
 from pathlib import Path
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -57,6 +62,7 @@ from repro.components import (
     CSortableObList,
     OBLIST_TYPE_MODEL,
     component_by_name,
+    setup_for,
     type_model_for,
 )
 from repro.experiments.config import (
@@ -70,8 +76,10 @@ from repro.experiments.config import (
     sortable_suite,
     subclass_over_mutant_base,
 )
+from repro.generator.driver import DriverGenerator
 from repro.mutation.analysis import MutationAnalysis, MutationRun
 from repro.mutation.cache import MutationOutcomeCache
+from repro.mutation.equivalence import probe_suite
 from repro.mutation.generate import build_battery, generate_mutants
 from repro.mutation.parallel import ParallelMutationAnalysis
 from repro.obs import MemorySink, Telemetry, validate_event
@@ -269,9 +277,9 @@ def untyped_failures() -> int:
     return failures
 
 
-def scenario_batteries(classes: dict, workspace: Path):
-    """``(ident, (mutants, report))`` for every builtin scenario, generated
-    as ``SweepRunner`` generates it, before its budget cuts the battery."""
+def scenario_classes(classes: dict, workspace: Path):
+    """``(scenario, class)`` for every builtin scenario, each generated
+    class materialized once into ``classes``, as ``SweepRunner`` does."""
     for scenario in builtin_registry():
         selector = scenario.component
         if selector.is_generated:
@@ -279,15 +287,44 @@ def scenario_batteries(classes: dict, workspace: Path):
             if key not in classes:
                 classes[key] = materialize(synthesize(GeneratorSpec(*key)),
                                            workspace)
-            cls, type_model = classes[key], None
+            yield scenario, classes[key]
         else:
-            cls = component_by_name(selector.ref)
-            type_model = type_model_for(selector.ref)
+            yield scenario, component_by_name(selector.ref)
+
+
+def scenario_batteries(classes: dict, workspace: Path):
+    """``(ident, (mutants, report))`` for every builtin scenario, generated
+    as ``SweepRunner`` generates it, before its budget cuts the battery."""
+    for scenario, cls in scenario_classes(classes, workspace):
+        selector = scenario.component
+        type_model = (None if selector.is_generated
+                      else type_model_for(selector.ref))
         mutants, report, _ = build_battery(
             cls, scenario.methods or default_methods(cls.__tspec__),
             operator_names=scenario.operators, type_model=type_model,
         )
         yield scenario.ident, (mutants, report)
+
+
+def scenario_suites(classes: dict, workspace: Path):
+    """``(label, class, suite, setup)`` for every distinct (class, suite)
+    pair of the builtin scenarios, each suite built as ``SweepRunner``
+    builds it."""
+    seen = set()
+    for scenario, cls in scenario_classes(classes, workspace):
+        selector, config = scenario.component, scenario.suite
+        key = (selector.describe(), config)
+        if key in seen:
+            continue
+        seen.add(key)
+        suite = DriverGenerator(
+            cls.__tspec__, seed=config.seed, edge_bound=config.edge_bound,
+            max_transactions=config.max_transactions,
+        ).generate()
+        if config.max_cases:
+            suite = replace(suite, cases=suite.cases[:config.max_cases])
+        setup = None if selector.is_generated else setup_for(selector.ref)
+        yield scenario.ident, cls, suite, setup
 
 
 def identity_failures(workspace: Path) -> int:
@@ -320,6 +357,36 @@ def identity_failures(workspace: Path) -> int:
     print(f"{len(shared) - failures} of {len(shared)} builtin scenario "
           f"batteries ({mutants} mutants) generate with shared contexts as "
           f"with fresh ones and pickle with their code "
+          f"({time.perf_counter() - started:.1f} s)", flush=True)
+    return failures
+
+
+def recorder_failures(table3: List[Battery], workspace: Path) -> int:
+    """The coverage recorder against the one it replaced on the probe
+    suite, Table 3's suites and every distinct builtin scenario suite;
+    prints one summary line and one line per failure."""
+    if str(REPO_ROOT) not in sys.path:
+        sys.path.insert(0, str(REPO_ROOT))
+    from tests.mutation.coverage_reference import assert_same_recording
+
+    started = time.perf_counter()
+    scenarios = list(scenario_suites({}, workspace))
+    subjects = [("probe", CSortableObList,
+                 probe_suite(CSortableObList.__tspec__), None)]
+    subjects += [(f"table3 {label.rstrip('/')}", cls, suite, None)
+                 for label, cls, suite, _ in table3]
+    subjects += scenarios
+    failures = cases = 0
+    for label, cls, suite, setup in subjects:
+        try:
+            assert_same_recording(cls, suite, setup)
+        except AssertionError as error:
+            failures += 1
+            print(f"{label}: {error}", flush=True)
+        cases += len(suite)
+    print(f"{len(subjects) - failures} of {len(subjects)} suites ({cases} "
+          f"cases: the probe's, Table 3's and {len(scenarios)} builtin "
+          f"scenario suites) record as with the replaced recorder "
           f"({time.perf_counter() - started:.1f} s)", flush=True)
     return failures
 
@@ -368,6 +435,8 @@ def main() -> int:
     failures += untyped_failures()
     with tempfile.TemporaryDirectory() as workspace:
         failures += identity_failures(Path(workspace))
+    with tempfile.TemporaryDirectory() as workspace:
+        failures += recorder_failures(inputs["table3"][0], Path(workspace))
     return 1 if failures else 0
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import contextlib
 import threading
-from typing import Dict, Iterator, Optional, Type
+from typing import ContextManager, Dict, Iterator, Optional, Type
 
 from ..core.errors import TestModeError
 
@@ -108,29 +108,50 @@ def require_test_mode(target: Optional[type] = None, capability: str = "BIT") ->
         )
 
 
+class _GlobalScope:
+    """``with test_mode():`` — one global scope.
+
+    Stateless, so the module keeps one instance and every unscoped
+    :func:`test_mode` returns it: the executor enters one per test case,
+    and a plain object enters and leaves for a fraction of what a
+    ``contextlib`` generator costs.  Scopes count in ``_STATE.depth``, so
+    the instance nests and is shared across threads.
+    """
+
+    __slots__ = ()
+
+    def __enter__(self) -> None:
+        with _STATE.lock:
+            _STATE.depth += 1
+            _STATE.update_global()
+
+    def __exit__(self, *exc_info) -> None:
+        with _STATE.lock:
+            _STATE.depth -= 1
+            _STATE.update_global()
+
+
+_GLOBAL_SCOPE = _GlobalScope()
+
+
 @contextlib.contextmanager
-def test_mode(target: Optional[Type] = None) -> Iterator[None]:
+def _class_scope(target: Type) -> Iterator[None]:
+    enable_for_class(target)
+    try:
+        yield
+    finally:
+        disable_for_class(target)
+
+
+def test_mode(target: Optional[Type] = None) -> ContextManager[None]:
     """Context manager enabling test mode globally or for one class.
 
     Scopes nest and overlap freely (including across threads): the
     capability stays on until the last scope exits.
     """
     if target is None:
-        with _STATE.lock:
-            _STATE.depth += 1
-            _STATE.update_global()
-        try:
-            yield
-        finally:
-            with _STATE.lock:
-                _STATE.depth -= 1
-                _STATE.update_global()
-    else:
-        enable_for_class(target)
-        try:
-            yield
-        finally:
-            disable_for_class(target)
+        return _GLOBAL_SCOPE
+    return _class_scope(target)
 
 
 def reset() -> None:

@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Any, Callable, ContextManager, List, Optional
 
 from ..bit import access
-from ..bit.reporter import StateReport
+from ..bit.reporter import StateReport, snapshot_value
 from ..core.errors import ContractViolation, ExecutionError, SandboxTimeout
 from ..generator.suite import TestSuite
 from ..generator.testcase import TestCase, TestStep
@@ -115,6 +115,12 @@ class TestExecutor:
 
     def _run_complete_case(self, case: TestCase) -> TestResult:
         observations: List[StepObservation] = []
+        # The case's hot loop: each call, its snapshot, the append and the
+        # invariant check run inline, with the guard, the append and the
+        # invariant flag bound once per case.
+        append = observations.append
+        guard = self._guard
+        check_invariants = self._check_invariants
         # The failing-call description is rendered lazily: only the three
         # failure paths below need the repr of the current step's arguments,
         # so the hot (passing) path never pays for building it.
@@ -124,42 +130,42 @@ class TestExecutor:
             for index, step in enumerate(case.steps):
                 current_step = step
                 if index == 0:
-                    cut = self._guard(self._class, *step.arguments)
-                    observations.append(
-                        StepObservation(step.method_name, "return", "<constructed>")
-                    )
+                    cut = guard(self._class, *step.arguments)
+                    append(StepObservation(step.method_name, "return",
+                                           "<constructed>"))
                 elif step.is_destruction:
                     self._destroy(cut, observations)
                 else:
-                    self._invoke(cut, step, observations)
-                self._check_invariant(cut)
+                    method = getattr(cut, step.method_name, None)
+                    if method is None or not callable(method):
+                        raise ExecutionError(
+                            f"{type(cut).__name__} has no callable method "
+                            f"{step.method_name!r}"
+                        )
+                    result = guard(method, *step.arguments)
+                    append(StepObservation(step.method_name, "return",
+                                           snapshot_value(result)))
+                if check_invariants and cut is not None:
+                    checker = getattr(cut, "invariant_test", None)
+                    if callable(checker):
+                        guard(checker)
         except ContractViolation as violation:
             current_method = self._describe_call(current_step)
-            observations.append(Observation.of_raise(current_method, violation))
+            append(Observation.of_raise(current_method, violation))
             return self._result(case, cut, observations,
                                 Verdict.CONTRACT_VIOLATION,
                                 str(violation), current_method)
         except SandboxTimeout as timeout:
             current_method = self._describe_call(current_step)
-            observations.append(Observation.of_raise(current_method, timeout))
+            append(Observation.of_raise(current_method, timeout))
             return self._result(case, cut, observations, Verdict.TIMEOUT,
                                 str(timeout), current_method)
         except Exception as error:
             current_method = self._describe_call(current_step)
-            observations.append(Observation.of_raise(current_method, error))
+            append(Observation.of_raise(current_method, error))
             return self._result(case, cut, observations, Verdict.CRASH,
                                 f"{type(error).__name__}: {error}", current_method)
         return self._result(case, cut, observations, Verdict.PASS, "", "")
-
-    def _invoke(self, cut: Any, step: TestStep,
-                observations: List[StepObservation]) -> None:
-        method = getattr(cut, step.method_name, None)
-        if method is None or not callable(method):
-            raise ExecutionError(
-                f"{type(cut).__name__} has no callable method {step.method_name!r}"
-            )
-        result = self._guard(method, *step.arguments)
-        observations.append(Observation.of_return(step.method_name, result))
 
     def _destroy(self, cut: Any, observations: List[StepObservation]) -> None:
         teardown = getattr(cut, DESTRUCTOR_METHOD, None)
@@ -170,13 +176,6 @@ class TestExecutor:
             observations.append(
                 StepObservation("<destruction>", "return", "<deleted>")
             )
-
-    def _check_invariant(self, cut: Any) -> None:
-        if not self._check_invariants or cut is None:
-            return
-        checker = getattr(cut, "invariant_test", None)
-        if callable(checker):
-            self._guard(checker)
 
     def _result(self, case: TestCase, cut: Any,
                 observations: List[StepObservation], verdict: Verdict,

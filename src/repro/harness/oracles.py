@@ -58,6 +58,12 @@ class OracleJudgement:
         return self.reason is not KillReason.NONE
 
 
+#: The one "no kill" judgement the built-in oracles return: a judgement is
+#: frozen, so sharing it is safe, and a case that kills nothing allocates
+#: no judgement.
+NO_KILL = OracleJudgement(KillReason.NONE)
+
+
 class Oracle:
     """Base oracle interface."""
 
@@ -65,6 +71,17 @@ class Oracle:
 
     def judge(self, observed: TestResult,
               reference: Optional[TestResult]) -> OracleJudgement:
+        """Judge ``observed`` against ``reference`` (``None`` when the
+        original has no result for the case).
+
+        A judgement must be a function of the two results' values, as
+        ``==`` compares them: not of their identity, nor of what the
+        oracle judged before.  The mutation analysis relies on it: it
+        judges a case whose observed result equals its reference once, as
+        ``judge(reference, reference)``, and gives that judgement to every
+        mutant that reproduces the reference
+        (:meth:`~repro.mutation.analysis.MutationAnalysis.analyze_single`).
+        """
         raise NotImplementedError
 
 
@@ -81,7 +98,7 @@ class CrashOracle(Oracle):
         )
         if crashed and not reference_crashed:
             return OracleJudgement(KillReason.CRASH, observed.detail)
-        return OracleJudgement(KillReason.NONE)
+        return NO_KILL
 
 
 class AssertionOracle(Oracle):
@@ -98,7 +115,7 @@ class AssertionOracle(Oracle):
         )
         if violated and not reference_violated:
             return OracleJudgement(KillReason.ASSERTION, observed.detail)
-        return OracleJudgement(KillReason.NONE)
+        return NO_KILL
 
 
 class GoldenOutputOracle(Oracle):
@@ -113,9 +130,9 @@ class GoldenOutputOracle(Oracle):
     def judge(self, observed: TestResult,
               reference: Optional[TestResult]) -> OracleJudgement:
         if reference is None:
-            return OracleJudgement(KillReason.NONE)
+            return NO_KILL
         if observed.observation == reference.observation:
-            return OracleJudgement(KillReason.NONE)
+            return NO_KILL
         differences = observed.observation.differs_from(reference.observation)
         detail = "; ".join(differences) if differences else "observations differ"
         return OracleJudgement(KillReason.OUTPUT_DIFFERENCE, detail)
@@ -137,11 +154,11 @@ class LogOutputOracle(Oracle):
     def judge(self, observed: TestResult,
               reference: Optional[TestResult]) -> OracleJudgement:
         if reference is None:
-            return OracleJudgement(KillReason.NONE)
+            return NO_KILL
         mine = observed.observation.final_state
         theirs = reference.observation.final_state
         if mine is None and theirs is None:
-            return OracleJudgement(KillReason.NONE)
+            return NO_KILL
         if (mine is None) != (theirs is None):
             return OracleJudgement(
                 KillReason.OUTPUT_DIFFERENCE, "one run reported no final state"
@@ -150,7 +167,7 @@ class LogOutputOracle(Oracle):
         if differing:
             detail = "final state differs: " + ", ".join(differing[:5])
             return OracleJudgement(KillReason.OUTPUT_DIFFERENCE, detail)
-        return OracleJudgement(KillReason.NONE)
+        return NO_KILL
 
 
 class SelectiveOutputOracle(Oracle):
@@ -218,7 +235,7 @@ class SelectiveOutputOracle(Oracle):
     def judge(self, observed: TestResult,
               reference: Optional[TestResult]) -> OracleJudgement:
         if reference is None:
-            return OracleJudgement(KillReason.NONE)
+            return NO_KILL
         mine = self._visible_steps(observed)
         theirs = self._reference_steps(reference)
         if mine != theirs:
@@ -256,7 +273,7 @@ class CompositeOracle(Oracle):
             judgement = oracle.judge(observed, reference)
             if judgement.detected:
                 return judgement
-        return OracleJudgement(KillReason.NONE)
+        return NO_KILL
 
 
 def paper_oracle() -> CompositeOracle:

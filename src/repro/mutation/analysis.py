@@ -45,7 +45,12 @@ from ..core.errors import MutationError
 from ..core.fingerprint import canonical
 from ..generator.suite import TestSuite
 from ..harness.executor import TestExecutor
-from ..harness.oracles import CompositeOracle, KillReason, paper_oracle
+from ..harness.oracles import (
+    CompositeOracle,
+    KillReason,
+    OracleJudgement,
+    paper_oracle,
+)
 from ..harness.outcomes import SuiteResult, TestResult, Verdict
 from ..obs import Telemetry, coalesce
 from .cache import (
@@ -432,6 +437,9 @@ class MutationAnalysis:
         self._reference: Optional[SuiteResult] = reference
         self._reference_by_ident: Optional[Dict[str, TestResult]] = None
         self._plans: Dict[Optional[Column], bytes] = {}
+        #: case ident → ``oracle.judge(reference, reference)``: the
+        #: judgement of every observed result equal to the case's reference.
+        self._reproduced: Dict[str, OracleJudgement] = {}
 
     # ------------------------------------------------------------------
 
@@ -677,6 +685,8 @@ class MutationAnalysis:
         """
         plan = self._case_plan(mutant)
         reference_by_ident = self._reference_map()
+        judge = self._oracle.judge
+        reproduced = self._reproduced
         mutant_class = self._builder(mutant)
         guard = StepBudgetGuard(self._budget)
         executor = TestExecutor(
@@ -709,9 +719,17 @@ class MutationAnalysis:
             observed = executor.run_case(case)
             if observed.verdict is Verdict.INCOMPLETE:
                 continue
-            judgement = self._oracle.judge(
-                observed, reference_by_ident.get(case.ident)
-            )
+            reference = reference_by_ident.get(case.ident)
+            if reference is not None and observed == reference:
+                # Judgements depend on the results' values only (the
+                # ``Oracle.judge`` contract), so a mutant that reproduces
+                # the reference gets the case's one memoised judgement.
+                judgement = reproduced.get(case.ident)
+                if judgement is None:
+                    judgement = reproduced[case.ident] = judge(reference,
+                                                               reference)
+            else:
+                judgement = judge(observed, reference)
             if judgement.detected:
                 if first_reason is KillReason.NONE:
                     first_reason = judgement.reason

@@ -85,6 +85,8 @@ NEVER = 255
 #: only guards calls that could have run unguarded.
 _LAST_INDEX = NEVER - 1
 
+_NEVER_BYTE = bytes((NEVER,))
+
 #: A column's key: (method name, line relative to the method's first line).
 Column = Tuple[str, int]
 
@@ -208,9 +210,12 @@ class CoverageRecorder:
     trace function afterwards; it leaves the profile hook alone.  The hook
     only observes: the reference results are identical to an untraced run.
 
-    Per line event in a CUT frame the hook makes one dict probe keyed by
-    ``(id(code), line)``; the hits fold into the columns when the case
-    ends.
+    Each CUT code object has a line tracer bound to its own ``line →
+    first call`` map.  The ``call`` hook returns it, recording the entry
+    the first time a case enters the code, so a line event makes one
+    probe keyed by the line number.  When the case ends each (code, line)
+    hit is written into its columns in place, and the maps are emptied;
+    which columns a (code, line) feeds is worked out once per pass.
     """
 
     def __init__(self, cut_class: type):
@@ -223,12 +228,18 @@ class CoverageRecorder:
         }
         self._cases: List[str] = []
         self._columns: Dict[Column, bytearray] = {}
+        #: code id → line (``None`` for the entry) → the columns it feeds.
+        self._targets: Dict[int, Dict[Optional[int],
+                                      Tuple[bytearray, ...]]] = {}
         self._peak: Tuple[int, str, int] = (0, "", 0)
-        # Per-case state, reset by ``tracing``: the first call that ran each
-        # (code id, line) — line ``None`` for the code's entry — the index
-        # of the current (or next) guarded call, whether one is running,
-        # and its line events so far.
-        hits: Dict[Tuple[int, Optional[int]], int] = {}
+        # Per pass: each CUT code's line tracer and its own ``line → first
+        # call`` map (line ``None`` for the entry), which the fold empties
+        # at the end of every case.  Per case, reset by ``tracing``: the
+        # codes entered, in order of first entry, the index of the
+        # current (or next) guarded call, whether one is running, and its
+        # line events so far.
+        traced: Dict[int, Tuple[Callable, Dict[Optional[int], int]]] = {}
+        entered: List[Tuple[int, Dict[Optional[int], int]]] = []
         call = 0
         inside = False
         steps = 0
@@ -239,29 +250,37 @@ class CoverageRecorder:
                 steps += 1
             return counted
 
-        def recorded(frame, event, arg):  # noqa: ARG001
-            # A CUT frame can also run outside any guarded call (a returned
-            # object's ``bit_state``, say): its lines then count toward
-            # the next call, and toward no call's budget.
-            nonlocal steps
-            if event == "line":
-                if inside:
-                    steps += 1
-                key = (id(frame.f_code), frame.f_lineno)
-                if key not in hits:
-                    hits[key] = call
+        def line_tracer(lines: Dict[Optional[int], int]) -> Callable:
+            def recorded(frame, event, arg):  # noqa: ARG001
+                # A CUT frame can also run outside any guarded call (a
+                # returned object's ``bit_state``, say): its lines then
+                # count toward the next call, and toward no call's budget.
+                nonlocal steps
+                if event == "line":
+                    if inside:
+                        steps += 1
+                    line = frame.f_lineno
+                    if line not in lines:
+                        lines[line] = call
+                return recorded
             return recorded
+
+        for code in owners:
+            lines: Dict[Optional[int], int] = {}
+            traced[code] = (line_tracer(lines), lines)
 
         def hook(frame, event, arg):  # noqa: ARG001 — "call" events only
             code = id(frame.f_code)
-            if code in owners:
-                key = (code, None)
-                if key not in hits:
-                    hits[key] = call
-                return recorded
-            # Like StepBudgetGuard, count every frame a guarded call enters
-            # and none other.
-            return counted if inside else None
+            entry = traced.get(code)
+            if entry is None:
+                # Like StepBudgetGuard, count every frame a guarded call
+                # enters and none other.
+                return counted if inside else None
+            tracer, lines = entry
+            if None not in lines:  # the code's first entry in this case
+                lines[None] = call
+                entered.append((code, lines))
+            return tracer
 
         def guard(function: Callable, *args: Any, **kwargs: Any) -> Any:
             nonlocal inside, steps, call
@@ -283,8 +302,8 @@ class CoverageRecorder:
 
         @contextmanager
         def tracing(case: "TestCase") -> Iterator[None]:
-            nonlocal hits, call
-            hits = {}
+            nonlocal entered, call
+            entered = []
             call = 0
             self._cases.append(case.ident)
             previous = sys.gettrace()
@@ -293,25 +312,43 @@ class CoverageRecorder:
                 yield
             finally:
                 sys.settrace(previous)
-                self._fold(hits)
+                self._fold(entered)
 
         self.guard = guard
         self.tracing = tracing
 
-    def _fold(self, hits: Mapping[Tuple[int, Optional[int]], int]) -> None:
+    def _fold(self, entered: List[Tuple[int, Dict[Optional[int], int]]]
+              ) -> None:
         position = len(self._cases) - 1
-        for (code, line), call in hits.items():
-            value = min(call, _LAST_INDEX)
-            for name, first_line in self._owners[code]:
-                key = (name, ENTRY if line is None else line - first_line + 1)
-                column = self._columns.get(key)
-                if column is None:
-                    column = self._columns[key] = bytearray()
-                if len(column) <= position:
-                    column.extend(bytes((NEVER,)) * (position + 1
+        for code, lines in entered:
+            targets = self._targets.get(code)
+            if targets is None:
+                targets = self._targets[code] = {}
+            for line, call in lines.items():
+                columns = targets.get(line)
+                if columns is None:
+                    columns = targets[line] = self._columns_of(code, line)
+                value = call if call < _LAST_INDEX else _LAST_INDEX
+                for column in columns:
+                    if len(column) <= position:
+                        column.extend(_NEVER_BYTE * (position + 1
                                                      - len(column)))
-                if value < column[position]:
-                    column[position] = value
+                    if value < column[position]:
+                        column[position] = value
+            lines.clear()
+
+    def _columns_of(self, code: int, line: Optional[int]
+                    ) -> Tuple[bytearray, ...]:
+        """The columns a hit of ``line`` (``None``: the entry) in the code
+        fed: one per (method name, first line) the code runs for."""
+        columns = []
+        for name, first_line in self._owners[code]:
+            key = (name, ENTRY if line is None else line - first_line + 1)
+            column = self._columns.get(key)
+            if column is None:
+                column = self._columns[key] = bytearray()
+            columns.append(column)
+        return tuple(columns)
 
     def matrix(self) -> CoverageMatrix:
         size = len(self._cases)
@@ -319,7 +356,7 @@ class CoverageRecorder:
             class_name=self._class_name,
             case_idents=tuple(self._cases),
             columns={
-                key: bytes(column.ljust(size, bytes((NEVER,))))
+                key: bytes(column.ljust(size, _NEVER_BYTE))
                 for key, column in self._columns.items()
             },
             peak=self._peak,

@@ -22,6 +22,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from ..core.errors import MutationError
 from ..generator.driver import DriverGenerator
+from ..generator.suite import TestSuite
 from ..harness.oracles import KillReason
 from ..obs import Telemetry, coalesce
 from ..tspec.model import ClassSpec
@@ -34,6 +35,19 @@ from .triage import StaticTriage, TriageStatus
 PROBE_SEED = 101
 PROBE_EDGE_BOUND = 2
 PROBE_BOUNDARY_PROBABILITY = 0.3
+
+
+def probe_suite(spec: ClassSpec, extra_variants: int = 2,
+                max_transactions: int = 2000) -> TestSuite:
+    """The probe's suite for ``spec`` (1072 cases for ``CSortableObList``)."""
+    return DriverGenerator(
+        spec,
+        seed=PROBE_SEED,
+        edge_bound=PROBE_EDGE_BOUND,
+        boundary_probability=PROBE_BOUNDARY_PROBABILITY,
+        extra_variants=extra_variants,
+        max_transactions=max_transactions,
+    ).generate()
 
 
 @dataclass(frozen=True)
@@ -141,23 +155,16 @@ def probe_equivalence(original_class: type,
     with obs.span("equivalence.probe", pending=len(pending)) as span:
         if pending:
             with obs.span("equivalence.suite") as suite_span:
-                probe_suite = DriverGenerator(
-                    spec,
-                    seed=PROBE_SEED,
-                    edge_bound=PROBE_EDGE_BOUND,
-                    boundary_probability=PROBE_BOUNDARY_PROBABILITY,
-                    extra_variants=extra_variants,
-                    max_transactions=max_transactions,
-                ).generate()
-                suite_span.set("cases", len(probe_suite))
-            probe_suite_size = len(probe_suite)
+                suite = probe_suite(spec, extra_variants, max_transactions)
+                suite_span.set("cases", len(suite))
+            probe_suite_size = len(suite)
             # No static triage.  Triage never changes a verdict, and with
             # ``triage`` given the pending survivors already exclude every
             # proven-equivalent or redundant mutant, so a pass finds
             # nothing.
             run = MutationAnalysis(
                 original_class,
-                probe_suite,
+                suite,
                 static_triage=False,
                 telemetry=telemetry,
             ).analyze(pending)

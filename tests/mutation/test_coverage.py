@@ -7,7 +7,8 @@ postcondition, so a statically derived matrix would prune the cases able
 to kill an ``IsSorted`` mutant.  Case counters follow suite order, shared
 state or a budget the original reaches turns pruning off or is refused,
 profilers keep working, and pruned and exhaustive entries never share a
-store.
+store.  The recorder must also give the same results and matrix as the
+one it replaced (``coverage_reference.py``).
 """
 
 from __future__ import annotations
@@ -40,8 +41,13 @@ from repro.mutation.coverage import (
     record_coverage,
 )
 from repro.mutation.generate import generate_mutants
+from repro.scenarios.families import FAMILY_NAMES
+from repro.scenarios.genspec import GeneratorSpec, synthesize
+from repro.scenarios.materialize import materialize
+from repro.scenarios.registry import SuiteConfig
 
-from .pruning_subjects import LINE_SUBJECTS
+from .coverage_reference import assert_same_recording
+from .pruning_subjects import LINE_SUBJECTS, Tally, suite_of
 from .test_sandbox import collections_with_callbacks
 
 SEEDS = (20010701, 7, 99)
@@ -371,3 +377,39 @@ class TestCacheIsolation:
         # Replayed outcomes preserve the skip accounting of the cold run.
         for mine, theirs in zip(warm.outcomes, cold.outcomes):
             assert mine.cases_skipped == theirs.cases_skipped
+
+
+class TestRecorderMatchesReference:
+    """The per-code recorder gives the replaced recorder's results and
+    matrix: the same columns, case order, ``peak`` and fingerprint."""
+
+    def test_table2_suite(self):
+        matrix = assert_same_recording(CSortableObList, sortable_suite())
+        assert len(matrix) == 624
+
+    @pytest.mark.parametrize("family", FAMILY_NAMES)
+    def test_scenario_family(self, family, tmp_path):
+        cls = materialize(synthesize(GeneratorSpec(family, 1)), tmp_path)
+        config = SuiteConfig()
+        suite = DriverGenerator(
+            cls.__tspec__, seed=config.seed, edge_bound=config.edge_bound,
+            max_transactions=config.max_transactions,
+        ).generate()
+        assert len(assert_same_recording(cls, suite)) == len(suite)
+
+    @pytest.mark.parametrize("subject", ("alias", "comprehension",
+                                         "wraps", "continuation"))
+    def test_pruning_subject(self, subject):
+        cut_class, _, suite = LINE_SUBJECTS[subject]
+        assert_same_recording(cut_class, suite)
+
+    def test_calls_past_the_cap(self):
+        # Constructor, invariant, then a call and an invariant check per
+        # step: ``Total`` first runs at call 2 + 2 * 140 = 282, which the
+        # column stores as 254.
+        suite = suite_of("Tally", [("Bump", 1)] * 140 + [("Total",),
+                                                         ("Increment", 2)],
+                         [("Total",), ("Bump", 3)])
+        matrix = assert_same_recording(Tally, suite)
+        assert matrix.first_calls(("TC0", "TC1"), "Total") == bytes((254, 2))
+        assert matrix.first_calls(("TC0", "TC1"), "Bump") == bytes((2, 4))

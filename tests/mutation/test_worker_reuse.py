@@ -67,6 +67,26 @@ def battery(mutants, seed, pool, *, telemetry=None, workers=2,
     ).analyze(mutants)
 
 
+def first_difference(outcomes, serial) -> str:
+    """The first outcome that differs from the serial run's: its ident,
+    the fields that differ, and its reason, killing case and detail on
+    both sides."""
+    for mine, theirs in zip(outcomes, serial):
+        if mine != theirs:
+            fields = [name for name in mine.__dataclass_fields__
+                      if getattr(mine, name) != getattr(theirs, name)]
+            return (f"{mine.mutant.ident} differs in {', '.join(fields)}: "
+                    f"{describe(mine)}, serially {describe(theirs)}")
+    if len(outcomes) != len(serial):
+        return f"{len(outcomes)} outcomes, serially {len(serial)}"
+    return "every outcome agrees; the step timeouts or the reference differ"
+
+
+def describe(outcome) -> str:
+    return (f"{outcome.reason.value} at {outcome.killing_case or '-'} "
+            f"({outcome.detail!r})")
+
+
 class TestPoolPersistence:
     """Spawn counts are flat after battery one."""
 
@@ -161,46 +181,63 @@ class TestCrashRespawn:
         # the same pool from a second thread.  The pool serves the two
         # runs one after the other, so A's crash classification and solo
         # re-dispatches stay inside A: B's verdicts are serial-identical
-        # and free of boundary kills.
+        # and free of boundary kills.  A driver thread's exception is
+        # raised again here, and a verdict that differs from the serial
+        # run's is named.
         import threading
 
         suite = small_suite(SEEDS[0])
         hostile = hostile_mutant("X0203", CRASH_SOURCE)
         battery_a = [hostile] + list(mutants[:6])
+        drivers = {
+            "a": lambda pool: ParallelMutationAnalysis(
+                CSortableObList, suite, oracle=oracle(), workers=2,
+                pool=pool, static_triage=False,
+            ).analyze(battery_a),
+            "b": lambda pool: battery(mutants, SEEDS[1], pool),
+        }
+        results, errors = {}, {}
+
+        def drive(name, pool):
+            try:
+                results[name] = drivers[name](pool)
+            except BaseException as error:  # raised again below
+                errors[name] = error
+
         with WorkerPool() as pool:
-            results = {}
-
-            def drive_a():
-                results["a"] = ParallelMutationAnalysis(
-                    CSortableObList, suite, oracle=oracle(), workers=2,
-                    pool=pool, static_triage=False,
-                ).analyze(battery_a)
-
-            def drive_b():
-                results["b"] = battery(mutants, SEEDS[1], pool)
-
-            threads = [threading.Thread(target=drive_a),
-                       threading.Thread(target=drive_b)]
+            threads = [threading.Thread(target=drive, args=(name, pool))
+                       for name in drivers]
             for thread in threads:
                 thread.start()
             for thread in threads:
                 thread.join(timeout=120)
-            assert not any(thread.is_alive() for thread in threads)
+            assert not any(thread.is_alive() for thread in threads), (
+                "a driver thread still runs after 120 s")
+        for name, error in errors.items():
+            raise AssertionError(f"run {name.upper()} raised "
+                                 f"{error!r}") from error
 
-        assert results["a"].outcomes[0].reason is KillReason.WORKER_CRASH
+        run_a, run_b = results["a"], results["b"]
+        assert run_a.outcomes[0].reason is KillReason.WORKER_CRASH, (
+            f"run A: {hostile.ident} reads {describe(run_a.outcomes[0])}")
         serial_a = MutationAnalysis(
             CSortableObList, suite, oracle=oracle(), static_triage=False,
         ).analyze(battery_a[1:])
-        assert results["a"].outcomes[1:] == serial_a.outcomes
+        assert run_a.outcomes[1:] == serial_a.outcomes, (
+            "run A: " + first_difference(run_a.outcomes[1:],
+                                         serial_a.outcomes))
         serial_b = MutationAnalysis(
             CSortableObList, small_suite(SEEDS[1]), oracle=oracle(),
             static_triage=False,
         ).analyze(mutants)
-        assert results["b"].same_results(serial_b)
+        assert run_b.same_results(serial_b), "run B: " + first_difference(
+            [outcome.comparable() for outcome in run_b.outcomes],
+            [outcome.comparable() for outcome in serial_b.outcomes],
+        )
         assert not any(
             outcome.reason in (KillReason.WORKER_CRASH,
                                KillReason.WALL_TIMEOUT)
-            for outcome in results["b"].outcomes
+            for outcome in run_b.outcomes
         )
 
     def test_next_battery_reuses_the_respawned_pool(self, mutants):
