@@ -33,7 +33,7 @@ fresh context per generator run (``tests/mutation/context_reference.py``);
 the records, reports and code objects must agree, and a pickle round trip
 must keep every code field.  Last, the coverage recorder must record what
 the recorder it replaced records (``tests/mutation/coverage_reference.py``:
-the same reference results and an equal matrix, fingerprint included) on
+the same reference results and an equal matrix) on
 the equivalence probe's suite, Table 3's three suites and every distinct
 (class, suite) pair of the builtin scenarios.
 

@@ -11,8 +11,12 @@ of arbitrary configuration objects that is
 * **structural** — two separately constructed but equal-valued objects
   (e.g. two ``paper_oracle()`` instances) render identically;
 * **source-sensitive for classes** — a class reference embeds a hash of
-  its source text where retrievable, so editing a component implementation
-  invalidates every fingerprint that mentions the class.
+  the source files of its class hierarchy: the file of the module that
+  defines each class of its MRO.  Editing anything in those files — a
+  method body, a module constant, a helper class beside the component, a
+  base class in another module — invalidates every fingerprint that
+  mentions the class.  Contents are hashed, not paths, so a copy of the
+  tree elsewhere renders the same.
 
 :func:`canonical` produces that rendering; :func:`sha256_hex` folds the
 parts into a hex digest.  Unknown object kinds degrade to their type
@@ -26,6 +30,7 @@ import dataclasses
 import enum
 import hashlib
 import inspect
+import sys
 import weakref
 from typing import Any
 
@@ -97,34 +102,50 @@ def canonical(value: Any, _depth: int = 0) -> str:
     return f"opaque:{type(value).__module__}.{type(value).__qualname__}"
 
 
-#: Per-class memo for :func:`_canonical_type`.  ``inspect.getsource`` walks
-#: the defining file on every call (~ms per class), and cache-key paths
+#: Per-class memo for :func:`_canonical_type`.  Cache-key paths
 #: canonicalise the same owner class once per mutant — 700+ times per
 #: battery.  Weak keys keep dynamically built test classes collectable.
+#: There is deliberately no per-file memo: a module re-imported after an
+#: edit defines new class objects, whose files are read again.
 _TYPE_CANONICAL: "weakref.WeakKeyDictionary[type, str]" = (
     weakref.WeakKeyDictionary()
 )
 
 
 def _canonical_type(cls: type) -> str:
-    """Type identity plus a source digest (where source is retrievable).
+    """Type identity plus a digest of its class hierarchy's source files.
 
-    Embedding the source hash makes any fingerprint that references a class
-    sensitive to edits of that class's implementation — the original class
-    and the class-builder operands invalidate cached mutant outcomes when
-    their behaviour could have changed.  Dynamically built classes have no
-    retrievable source; they degrade to name identity.
+    The digest hashes the contents of the file of the module that defines
+    each class in ``cls.__mro__`` (``builtins`` skipped), found as
+    ``inspect.getfile`` finds a class's file: through
+    ``sys.modules[klass.__module__].__file__``.  So every fingerprint that
+    references a class moves with any edit that could change its
+    behaviour, inherited code included.  A class none of whose modules
+    has a readable file keeps name identity (``#nosource``).
     """
     try:
         return _TYPE_CANONICAL[cls]
     except (KeyError, TypeError):
         pass
-    try:
-        source = inspect.getsource(cls)
-        digest = hashlib.sha256(source.encode("utf-8")).hexdigest()[:16]
-    except (OSError, TypeError):
-        digest = "nosource"
-    rendered = f"type:{cls.__module__}.{cls.__qualname__}#{digest}"
+    digest = hashlib.sha256()
+    found = False
+    modules = set()
+    for klass in cls.__mro__:
+        name = klass.__module__
+        if name == "builtins" or name in modules:
+            continue
+        modules.add(name)
+        path = getattr(sys.modules.get(name), "__file__", None)
+        if not path:
+            continue
+        try:
+            with open(path, "rb") as handle:
+                digest.update(hashlib.sha256(handle.read()).digest())
+        except OSError:
+            continue
+        found = True
+    rendered = (f"type:{cls.__module__}.{cls.__qualname__}"
+                f"#{digest.hexdigest()[:16] if found else 'nosource'}")
     try:
         _TYPE_CANONICAL[cls] = rendered
     except TypeError:

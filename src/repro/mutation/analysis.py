@@ -30,9 +30,11 @@ modulo those counters).  A ``setup`` hook declares state shared across
 cases, which voids that argument, so with one the analysis runs exhaustively.
 
 **Stored runs** (``cache=``): the analysis looks its whole run up in the
-outcome store (:mod:`repro.mutation.cache`) after the reference pass.  A
-hit rebuilds the run from the record, with no triage and no execution; a
-miss triages, executes and stores one record for the run.
+outcome store (:mod:`repro.mutation.cache`) before it runs anything.  A
+hit rebuilds the run from the record and runs the suite once, plainly, on
+the original for the reference: no coverage, no triage, no mutant.  A miss
+records the reference and its coverage, triages, executes and stores one
+record for the run.
 """
 
 from __future__ import annotations
@@ -377,22 +379,27 @@ class MutationAnalysis:
         ambient database) so runs are independent.  It declares state the
         cases share, so with it the analysis does not prune.
 
-        ``reference`` seeds the original class's recorded run: a parallel
-        worker receives the parent's reference instead of re-executing the
-        suite, so every worker judges against bit-identical golden results.
+        ``reference`` seeds the original class's run, and ``coverage``
+        its coverage matrix; each seed must be the recorder's result
+        (:func:`~repro.mutation.coverage.record_coverage`) for this class
+        and suite, since neither is part of the store key.  A parallel
+        worker receives the parent's seeds instead of re-executing the
+        suite, so every worker judges against bit-identical golden
+        results.
 
-        ``cache`` replays a whole run stored under the same key (mutant
-        sources, battery order, suite, oracle, budget, builder, flags,
-        pruning, triage setting) and stores each run it executes; see
-        :mod:`repro.mutation.cache`.
+        ``cache`` replays a whole run stored under the same key (the
+        source files of the original's class hierarchy, mutant sources,
+        battery order, suite, oracle, budget, builder, flags, pruning,
+        triage setting) and stores each run it executes; see
+        :mod:`repro.mutation.cache`.  The lookup comes first: a hit runs
+        only the plain reference pass (``setup`` first), or none when
+        ``reference`` is seeded.
 
         ``prune`` enables coverage-guided mutant×case pruning (the
         default): only cases whose reference run reached the mutated line
         are executed, and their calls before the first one that ran it go
         unguarded; the skipped cases provably replay the reference
-        outcome, which is synthesized instead.  ``coverage`` seeds the
-        recorded matrix the same way ``reference`` seeds the golden run
-        (the parallel engine ships both to its workers).  Pruning raises
+        outcome, which is synthesized instead.  Pruning raises
         :class:`~repro.core.errors.MutationError` if a reference call
         reaches ``step_budget``.
 
@@ -456,22 +463,28 @@ class MutationAnalysis:
         suite run.
         """
         if self._reference is None:
-            with self._obs.span("analysis.reference",
-                                component=self._original.__name__,
-                                cases=len(self._suite),
-                                prune=self._prune):
-                if self._prune:
-                    self._reference, recorded = record_coverage(
-                        self._original, self._suite, telemetry=self._obs,
-                    )
-                    if self._coverage is None:
-                        self._coverage = recorded
-                else:
-                    if self._setup is not None:
-                        self._setup()
-                    executor = TestExecutor(self._original,
-                                            telemetry=self._obs)
-                    self._reference = executor.run_suite(self._suite)
+            self._run_reference(record=self._prune)
+        return self._reference
+
+    def _run_reference(self, record: bool) -> SuiteResult:
+        """Run the suite over the original: under the coverage recorder,
+        or plainly, after ``setup``.  The span's ``recorded`` says which."""
+        with self._obs.span("analysis.reference",
+                            component=self._original.__name__,
+                            cases=len(self._suite),
+                            prune=self._prune,
+                            recorded=record):
+            if record:
+                self._reference, recorded = record_coverage(
+                    self._original, self._suite, telemetry=self._obs,
+                )
+                if self._coverage is None:
+                    self._coverage = recorded
+            else:
+                if self._setup is not None:
+                    self._setup()
+                executor = TestExecutor(self._original, telemetry=self._obs)
+                self._reference = executor.run_suite(self._suite)
         return self._reference
 
     def coverage_matrix(self) -> Optional[CoverageMatrix]:
@@ -517,25 +530,38 @@ class MutationAnalysis:
         """Run the suite over every mutant, or replay the stored run.
 
         The one analysis loop of both engines.  It takes the battery as a
-        list once and, with a store, looks the whole run up: a stored run
-        is rebuilt without triage or execution.  Otherwise it triages the
-        battery and hands the mutants triage does not skip to
-        :meth:`_resolve`, the one step the parallel engine overrides.
-        Triage resolves the rest *without dispatch*: a proven equivalent
-        gets a synthesized survivor outcome, and a redundant mutant takes
-        the verdict of its group representative, which always precedes it
-        in submission order and is never itself skipped.  The finished run
-        is stored as one record, unless it holds a worker-boundary kill.
+        list once and, with a store, looks the whole run up before it runs
+        anything: a stored run is rebuilt without coverage, triage or
+        execution, and its reference comes from one plain pass (or the
+        seed).  Otherwise it records the reference and its coverage,
+        refusing a budget the reference reaches, triages the battery and
+        hands the mutants triage does not skip to :meth:`_resolve`, the one
+        step the parallel engine overrides.  Triage resolves the rest
+        *without dispatch*: a proven equivalent gets a synthesized survivor
+        outcome, and a redundant mutant takes the verdict of its group
+        representative, which always precedes it in submission order and
+        is never itself skipped.  The finished run is stored as one
+        record, unless it holds a worker-boundary kill.
+
+        ``elapsed_seconds`` covers the key, the lookup, triage, execution
+        and the store, never the reference pass.
         """
         mutants = list(mutants)
-        reference = self.reference_results()
-        self.coverage_matrix()  # refuses a budget the reference reaches
         started = time.perf_counter()
         cache, key = self._cache, ""
         entry, corrupt = None, False
         if cache is not None:
             key = self.run_fingerprint(mutants)
             entry, corrupt = cache.lookup(key)
+        elapsed = time.perf_counter() - started
+        # The reference pass is no part of the run's time.
+        if entry is not None:
+            reference = (self._reference if self._reference is not None
+                         else self._run_reference(record=False))
+        else:
+            reference = self.reference_results()
+            self.coverage_matrix()  # refuses a budget the reference reaches
+        started = time.perf_counter()
         if entry is not None:
             triage = entry.triage
             results = [_replayed(mutant, verdict)
@@ -554,7 +580,7 @@ class MutationAnalysis:
             stats = (CacheStats(hits=dispatched) if entry is not None
                      else CacheStats(misses=dispatched, corrupt=int(corrupt)))
         return self._assemble(results, reference, triage, stats,
-                              time.perf_counter() - started)
+                              elapsed + time.perf_counter() - started)
 
     def _execute(self, mutants: List[CompiledMutant],
                  triage: Optional[StaticTriage]
@@ -633,12 +659,11 @@ class MutationAnalysis:
     def experiment_fingerprint(self) -> str:
         """The cache fingerprint of this configuration (mutants excluded).
 
-        Incorporates the pruning flag and the coverage matrix's content
-        hash, so outcomes computed under pruning can only be replayed
-        under the exact matrix that justified their skips — pruned and
-        unpruned run records never cross-contaminate.
+        Names the run's inputs only, so it needs no reference pass: the
+        pruning flag keeps pruned and unpruned records apart, and the
+        coverage matrix that licenses a pruned run's skips follows from
+        the original's source files and the suite, which it already names.
         """
-        coverage = self.coverage_matrix()
         return experiment_fingerprint(
             self._original,
             self._suite,
@@ -648,9 +673,6 @@ class MutationAnalysis:
             self._stop_on_first_kill,
             self._setup,
             prune=self._prune,
-            coverage_fingerprint=(
-                coverage.fingerprint() if coverage is not None else ""
-            ),
         )
 
     def _case_plan(self, mutant: CompiledMutant) -> bytes:

@@ -7,27 +7,34 @@ results (sec. 3.4.2, whole transactions of a derived class): one record
 per analysis run, replayed when the run is repeated on identical inputs.
 
 **Key anatomy.**  A run record is addressed by the SHA-256 of every input
-that can change one of the run's verdicts:
+that decides one of the run's verdicts, and of nothing the run derives
+from them, so the analysis looks a run up before it executes anything:
 
 * the **experiment** (:func:`experiment_fingerprint`) — the original
-  class (identity + source hash), the suite
+  class, the suite
   (:meth:`~repro.generator.suite.TestSuite.fingerprint`, a content hash
   over every case's steps, argument values and seed), the oracle
   configuration, the class builder, the sandbox step budget, the
-  ``stop_on_first_kill`` flag, the setup hook, the pruning flag plus the
-  content hash of the recorded coverage matrix
-  (:meth:`~repro.mutation.coverage.CoverageMatrix.fingerprint`), and the
+  ``stop_on_first_kill`` flag, the setup hook, the pruning flag, and the
   cache *key* version;
 * the **battery**, in order — each mutant's :func:`mutant_fingerprint`
   (its full record, crucially the mutated source, and its owner);
 * the **triage setting** — static triage on or off, and the canonical
   type model it folds under.
 
+A class enters the key through :func:`~repro.core.fingerprint.canonical`,
+which hashes the source files of its class hierarchy: any edit to a file
+that defines one of the component's classes — a method body, a module
+constant, a helper class beside it, a base class elsewhere — misses.  The
+recorded coverage matrix is no input: it is a function of those files
+and the suite, both already in the key.
+
 Change any of them — one mutant's source, the battery's order, one
-test-case value, one oracle flag, the budget — and the whole run misses
-and re-executes; reverting the change hits the old record again.  Engine,
-worker count, batch size and telemetry are not inputs, so runs that
-differ only there share one record.
+test-case value, one oracle flag, the budget, one line of the
+component's files — and the whole run misses and re-executes; reverting
+the change hits the old record again.  Engine, worker count, batch size
+and telemetry are not inputs, so runs that differ only there share one
+record.
 
 **Cached ≡ fresh.**  The payload holds, per mutant in battery order, every
 field of its :class:`~repro.mutation.analysis.MutantOutcome` but the mutant
@@ -104,8 +111,13 @@ if TYPE_CHECKING:  # imported lazily to keep cache <- analysis acyclic
 
 #: Version of the *fingerprint recipe* — part of every content address.
 #: Bumping it changes every address, which orphans every record in every
-#: existing store: bump it only when the addressing inputs change.
-CACHE_KEY_VERSION = 3
+#: existing store.  Bump it when the addressing inputs change, and when a
+#: change to the executor, the coverage recorder or the oracle code moves
+#: a verdict or the numbering of a case's guarded calls: that code lives
+#: outside the component's files, so no key input sees the change.
+#: v4: class identity became its hierarchy's source files, and the
+#: coverage matrix's hash left the experiment key.
+CACHE_KEY_VERSION = 4
 
 #: Version of the *store layout* (record framing, entry payloads).
 #: v2: ``MutantOutcome`` grew ``cases_skipped`` and the experiment
@@ -153,18 +165,20 @@ def experiment_fingerprint(original_class: type,
                            step_budget: int,
                            stop_on_first_kill: bool,
                            setup: Optional[Callable] = None,
-                           prune: bool = False,
-                           coverage_fingerprint: str = "") -> str:
+                           prune: bool = False) -> str:
     """Hash of everything mutants of one analysis configuration share.
 
-    Computed once per ``analyze`` call and combined with the battery's
-    mutant fingerprints to address its run record.  ``oracle=None`` and an
-    explicitly passed default oracle hash identically only if they are
-    *structurally* equal — callers pass the effective oracle, not the
-    constructor arg.
-    ``prune``/``coverage_fingerprint`` bind pruned outcomes to the exact
-    coverage matrix that licensed their skipped cases (unpruned runs pass
-    ``False``/``""``), keeping pruned and unpruned records disjoint.
+    Computed once per ``analyze`` call, before anything executes, and
+    combined with the battery's mutant fingerprints to address its run
+    record.  Every part is an input of the run: ``original_class`` through
+    the source files of its class hierarchy
+    (:func:`~repro.core.fingerprint.canonical`), the suite through its
+    content hash.  ``oracle=None`` and an explicitly passed default oracle
+    hash identically only if they are *structurally* equal — callers pass
+    the effective oracle, not the constructor arg.  ``prune`` keeps pruned
+    and unpruned records disjoint, since their case counters differ; the
+    coverage matrix that licenses a pruned run's skips is no part, because
+    the class's files and the suite determine it.
     """
     return sha256_hex(
         "experiment",
@@ -177,7 +191,6 @@ def experiment_fingerprint(original_class: type,
         canonical(stop_on_first_kill),
         canonical(setup),
         canonical(prune),
-        coverage_fingerprint,
     )
 
 

@@ -40,9 +40,9 @@ the largest count.  An unguarded call or a skipped case cannot time out, so
 an analysis whose step budget that count reaches refuses to prune.
 
 The :class:`CoverageMatrix` is pure data: the case order plus one ``bytes``
-column per (method, line).  It pickles to parallel workers, and its content
-fingerprint feeds the outcome-cache experiment key, so outcomes recorded
-under one matrix are never replayed under another.
+column per (method, line).  It pickles to parallel workers.  It is no part
+of the outcome store's key: the source files of the class hierarchy and
+the suite, which the key names, determine it.
 """
 
 from __future__ import annotations
@@ -66,7 +66,6 @@ from typing import (
 )
 
 from ..core.errors import MutationError
-from ..core.fingerprint import canonical, sha256_hex
 from .operators.base import method_context
 
 if TYPE_CHECKING:  # imported lazily to keep coverage <- harness acyclic
@@ -185,17 +184,6 @@ class CoverageMatrix:
             else column[position]
             for position in map(positions.get, case_idents)
         )
-
-    def fingerprint(self) -> str:
-        """Content hash — part of the outcome-cache experiment key, so a
-        pruned entry can only ever be replayed under the exact matrix that
-        justified its skips.
-
-        ``peak`` is left out: it licenses nothing.
-        """
-        return sha256_hex("coverage-matrix", canonical((
-            self.class_name, self.case_idents, self.columns,
-        )))
 
     def __len__(self) -> int:
         return len(self.case_idents)

@@ -34,7 +34,8 @@ Every engine in a sweep prunes and triages; neither moves a verdict.
 
 Scenario warm cache: with a cache attached, each finished (non-failed)
 scenario's result projection is persisted keyed by the scenario content
-fingerprint, the component *source* hash and the suite fingerprint.
+fingerprint, the component's class (the source files of its hierarchy),
+its type model and t-spec, and the suite fingerprint.
 Engines never get the store, so it holds scenario records only.  A warm
 sweep of an unchanged registry replays every scenario from the store —
 zero mutants executed, zero reference passes, no worker started — and
@@ -441,6 +442,7 @@ class SweepRunner:
         self._references: Dict[Tuple[str, str],
                                Tuple[SuiteResult,
                                      Optional[CoverageMatrix]]] = {}
+        self._component_digests: Dict[str, str] = {}
 
     # -- component / suite resolution -----------------------------------
 
@@ -570,20 +572,39 @@ class SweepRunner:
 
         Covers everything that can change the deterministic projection:
         the scenario content fingerprint (operators, oracle, budgets,
-        methods, suite config), the component *source* hash (via
-        :func:`canonical`, so editing a component or the generator
-        invalidates its scenarios) and the realized suite fingerprint.
-        Deliberately excluded: ``workers`` — a scenario's result does not
-        depend on the process that ran it, so one stored result replays
-        at any parallelism.
+        methods, suite config), the component (:meth:`_component_digest`)
+        and the realized suite fingerprint.  Deliberately excluded:
+        ``workers`` — a scenario's result does not depend on the process
+        that ran it, so one stored result replays at any parallelism.
         """
         return sha256_hex(
             "scenario-result",
             f"v{CACHE_KEY_VERSION}",
             item.scenario.fingerprint(),
-            canonical(item.cls),
+            self._component_digest(item),
             item.suite.fingerprint(),
         )
+
+    def _component_digest(self, item: _Resolved) -> str:
+        """What :meth:`_execute` reads of the component, hashed once per
+        component and sweep: the class (via :func:`canonical`, the source
+        files of its hierarchy, so editing a component or a generated
+        module invalidates its scenarios), the type model that gates
+        generation and triage, and the t-spec the default methods and the
+        experiment oracle come from (a catalog spec lives in
+        ``components/specs.py``, outside the class's files)."""
+        selector = item.scenario.component
+        component_key = selector.describe()
+        digest = self._component_digests.get(component_key)
+        if digest is None:
+            type_model = (None if selector.is_generated
+                          else type_model_for(selector.ref))
+            digest = self._component_digests[component_key] = sha256_hex(
+                canonical(item.cls),
+                canonical(type_model),
+                canonical(item.cls.__tspec__),
+            )
+        return digest
 
     def _lookup(self, item: _Resolved, started: float
                 ) -> Tuple[Optional[str], Optional[ScenarioResult]]:

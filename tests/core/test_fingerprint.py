@@ -3,17 +3,21 @@
 ``canonical`` must be identity-free (no ``id()``, no default ``repr``
 addresses), order-stable for unordered containers, and source-sensitive
 for types and routines — those properties are what make the cache key
-both *stable* (warm runs hit) and *honest* (edits invalidate).
+both *stable* (warm runs hit) and *honest* (edits invalidate).  A type is
+sensitive to every file of its class hierarchy, not only to its own body.
 """
 
 from __future__ import annotations
 
 import enum
+import inspect
 from dataclasses import dataclass
 
 import pytest
 
 from repro.core.fingerprint import MAX_CANONICAL_DEPTH, canonical, sha256_hex
+
+from ..keyed_component import BASE, COMPONENT, KeyedTree
 
 
 class Colour(enum.Enum):
@@ -92,6 +96,44 @@ class TestCanonicalSourceSensitivity:
 
     def test_dataclass_field_values_matter(self):
         assert canonical(Point(1, 2)) != canonical(Point(2, 1))
+
+
+@pytest.fixture()
+def keyed_tree(tmp_path):
+    tree = KeyedTree(tmp_path / "tree")
+    yield tree
+    tree.close()
+
+
+class TestTypeHierarchyFiles:
+    """A type renders a digest of the files that define its MRO."""
+
+    @pytest.mark.parametrize("module, old, new", [
+        (COMPONENT, "STEP = 1", "STEP = 10"),
+        (BASE, "value + 0", "value + 10"),
+    ], ids=["own-file-outside-the-class", "base-class-file"])
+    def test_file_edit_moves_the_type(self, keyed_tree, module, old, new):
+        stepper = keyed_tree.load()
+        before, body = canonical(stepper), inspect.getsource(stepper)
+        keyed_tree.edit(module, old, new)
+        edited = keyed_tree.load()
+        assert inspect.getsource(edited) == body
+        assert canonical(edited) != before
+        keyed_tree.edit(module, new, old)
+        assert canonical(keyed_tree.load()) == before
+
+    def test_copy_of_the_tree_elsewhere_keeps_the_type(self, keyed_tree,
+                                                       tmp_path):
+        here = canonical(keyed_tree.load())
+        copy = KeyedTree(tmp_path / "elsewhere")
+        try:
+            assert canonical(copy.load()) == here
+        finally:
+            copy.close()
+
+    def test_class_without_a_file_keeps_name_identity(self):
+        fileless = type("Fileless", (), {"__module__": "no_such_module"})
+        assert canonical(fileless) == "type:no_such_module.Fileless#nosource"
 
 
 class TestCanonicalDepthCap:

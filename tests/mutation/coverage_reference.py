@@ -9,7 +9,7 @@ every line event, and a fold that translates every hit into its column
 key when the case ends.  :func:`record_coverage` runs a suite under it,
 and :func:`assert_same_recording` requires both recorders to return an
 equal ``(SuiteResult, CoverageMatrix)``: the same results, case order,
-columns and ``peak``, and the same fingerprint.  Tier-1 runs it on the
+columns and ``peak``.  Tier-1 runs it on the
 experiments' suites, one suite per scenario family and the pruning
 subjects; ``benchmarks/config_lattice.py`` on the probe suite, Table 3's
 suites and every builtin scenario's suite.
@@ -163,5 +163,4 @@ def assert_same_recording(cut_class: type, suite,
             f"column {key}: {matrix.columns[key].hex()}, reference "
             f"{column.hex()}")
     assert matrix == expected
-    assert matrix.fingerprint() == expected.fingerprint()
     return matrix

@@ -6,7 +6,9 @@ warm cells of the configuration lattice (``test_config_lattice.py``).
 Here a warm run must execute **zero** mutant test cases (the class
 builder is never invoked), an unfinished run must store nothing, the
 engine picker must pass the store on, and each run must count its own
-lookup.  What the run key covers, and damaged run records, are
+lookup.  The lookup comes first: a hit records no coverage, triages
+nothing and starts no worker, and takes its reference from one plain
+pass.  What the run key covers, and damaged run records, are
 ``test_cache_invalidation.py``'s.
 """
 
@@ -17,12 +19,17 @@ from dataclasses import replace
 
 import pytest
 
+import repro.mutation.analysis as analysis_module
 from repro.components import CSortableObList, OBLIST_TYPE_MODEL
+from repro.core.errors import MutationError
 from repro.generator.driver import DriverGenerator
+from repro.harness.executor import TestExecutor
 from repro.harness.oracles import experiment_oracle
 from repro.mutation.analysis import MutationAnalysis, analyze_mutants
 from repro.mutation.cache import CacheStats, MutationOutcomeCache
 from repro.mutation.generate import generate_mutants
+from repro.mutation.parallel import WorkerPool
+from repro.obs import MemorySink, Telemetry
 
 SEEDS = (20010701, 7, 99)
 MUTANT_COUNT = 20
@@ -51,6 +58,14 @@ BUILD_CALLS = {"count": 0}
 def counting_builder(mutant):
     BUILD_CALLS["count"] += 1
     return mutant.build_class()
+
+
+#: What :func:`recording_setup` and the reference pass did, in order.
+EVENTS = []
+
+
+def recording_setup():
+    EVENTS.append("setup")
 
 
 def battery_of(method):
@@ -108,6 +123,109 @@ class TestZeroExecutionOnFullHit:
                 CSortableObList, small_suite(), oracle=oracle(),
                 class_builder=failing_builder, cache=cache,
             ).analyze(findmax_mutants)
+        assert cache.live_records() == 0
+
+
+def spans(sink, name):
+    return [event for event in sink.events
+            if event["kind"] == "span" and event["name"] == name]
+
+
+@pytest.fixture()
+def counted(monkeypatch):
+    """Calls to the coverage recorder and the triage pass, by name."""
+    calls = {"record_coverage": 0, "triage_mutants": 0}
+    for name in calls:
+        def counting(*args, _name=name,
+                     _function=getattr(analysis_module, name), **kwargs):
+            calls[_name] += 1
+            return _function(*args, **kwargs)
+        monkeypatch.setattr(analysis_module, name, counting)
+    return calls
+
+
+class TestLookupComesFirst:
+    """A hit runs nothing but its reference, plainly; a miss records."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_hit_runs_only_the_plain_reference(self, workers, counted,
+                                               findmax_mutants, tmp_path):
+        suite = small_suite(SEEDS[0], limit=30)
+        cache = MutationOutcomeCache(tmp_path)
+
+        def run(pool, telemetry=None):
+            engine = {"pool": pool} if workers > 1 else {}
+            return analyze_mutants(
+                CSortableObList, suite, findmax_mutants, workers=workers,
+                oracle=oracle(), cache=cache, telemetry=telemetry, **engine,
+            )
+
+        with WorkerPool() as pool:
+            cold = run(pool)
+        assert counted == {"record_coverage": 1, "triage_mutants": 1}
+        sink = MemorySink()
+        with WorkerPool() as pool:
+            warm = run(pool, Telemetry(sink=sink))
+            assert pool.size == 0
+        assert counted == {"record_coverage": 1, "triage_mutants": 1}
+        assert warm.cache_stats == CacheStats(hits=warm.dispatched_count)
+        assert warm.same_results(cold)
+        assert warm.reference == cold.reference
+        [reference] = spans(sink, "analysis.reference")
+        assert reference["attrs"]["recorded"] is False
+        assert len(spans(sink, "executor.case")) == len(suite.cases)
+        for name in ("analysis.mutant", "triage.run", "parallel.run"):
+            assert spans(sink, name) == []
+
+    def test_hit_runs_setup_before_its_plain_reference(
+            self, findmax_mutants, tmp_path, monkeypatch):
+        class RecordingExecutor(TestExecutor):
+            def run_suite(self, suite):
+                EVENTS.append("reference")
+                return super().run_suite(suite)
+
+        monkeypatch.setattr(analysis_module, "TestExecutor",
+                            RecordingExecutor)
+        cache = MutationOutcomeCache(tmp_path)
+        runs = []
+        for _ in range(2):
+            EVENTS.clear()
+            runs.append(MutationAnalysis(
+                CSortableObList, small_suite(limit=20), oracle=oracle(),
+                setup=recording_setup, cache=cache,
+            ).analyze(findmax_mutants[:5]))
+        cold, warm = runs
+        assert warm.cache_stats == CacheStats(hits=warm.dispatched_count)
+        assert EVENTS == ["setup", "reference"]
+        assert warm.same_results(cold)
+
+    def test_hit_uses_a_seeded_reference_as_it_is(self, counted,
+                                                  findmax_mutants, tmp_path):
+        suite = small_suite(SEEDS[0], limit=30)
+        cache = MutationOutcomeCache(tmp_path)
+        cold = MutationAnalysis(
+            CSortableObList, suite, oracle=oracle(), cache=cache,
+        ).analyze(findmax_mutants)
+        sink = MemorySink()
+        warm = MutationAnalysis(
+            CSortableObList, suite, oracle=oracle(), cache=cache,
+            reference=cold.reference, telemetry=Telemetry(sink=sink),
+        ).analyze(findmax_mutants)
+        assert warm.cache_stats == CacheStats(hits=warm.dispatched_count)
+        assert warm.reference is cold.reference
+        assert counted["record_coverage"] == 1
+        assert spans(sink, "analysis.reference") == []
+        assert spans(sink, "executor.case") == []
+
+    def test_miss_refuses_a_budget_the_reference_reaches(
+            self, counted, findmax_mutants, tmp_path):
+        cache = MutationOutcomeCache(tmp_path)
+        with pytest.raises(MutationError, match="reaches the step budget"):
+            MutationAnalysis(
+                CSortableObList, small_suite(limit=30), oracle=oracle(),
+                step_budget=5, cache=cache,
+            ).analyze(findmax_mutants)
+        assert counted == {"record_coverage": 1, "triage_mutants": 0}
         assert cache.live_records() == 0
 
 

@@ -3,20 +3,27 @@
 Content addressing means "invalidation" is not a deletion pass: changing
 any input of the run key re-addresses the run, so the whole run misses
 and executes again, and reverting the change hits the old record again.
-Engine, worker count, batch size and telemetry are no key inputs and
-hit.  Corrupt run records (scribbled payload, flipped CRC, wrong payload
-type) are misses, never crashes.
+An edit anywhere in a file that defines one of the component's classes
+is such a change.  Engine, worker count, batch size and telemetry are no
+key inputs and hit.  Corrupt run records (scribbled payload, flipped CRC,
+wrong payload type) are misses, never crashes.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
+from typing import Any, Dict, List, Optional
 
 import pytest
 
 from repro.components import CSortableObList, OBLIST_TYPE_MODEL
+from repro.generator.suite import TestSuite
 from repro.harness.oracles import assertions_only_oracle
-from repro.mutation.analysis import MutationAnalysis, analyze_mutants
+from repro.mutation.analysis import (
+    MutationAnalysis,
+    MutationRun,
+    analyze_mutants,
+)
 from repro.mutation.cache import (
     _HEADER,
     _KEY_LENGTHS,
@@ -27,6 +34,8 @@ from repro.mutation.cache import (
 from repro.mutation.mutant import CompiledMutant, compile_mutant_function
 from repro.obs import MemorySink, Telemetry
 
+from .. import keyed_component
+from ..keyed_component import KeyedTree
 from .test_cache import battery_of, counting_builder, oracle, small_suite
 
 KEY_MUTANTS = 8
@@ -64,28 +73,76 @@ def perturbed_suite(suite):
     return perturbed
 
 
+@dataclass(frozen=True)
+class Run:
+    """One analysis over a store: the original class, the battery, the
+    suite and the engine options.  ``tree`` is the source tree the class
+    was imported from, if it was written for the test."""
+
+    original: type
+    battery: List[CompiledMutant]
+    suite: TestSuite
+    options: Dict[str, Any] = field(default_factory=dict)
+    tree: Optional[KeyedTree] = None
+
+    def __call__(self, cache) -> MutationRun:
+        return analyze_mutants(self.original, self.suite, self.battery,
+                               cache=cache, **self.options)
+
+
+def table_run(battery) -> Run:
+    return Run(CSortableObList, list(battery), small_suite(limit=30),
+               dict(oracle=oracle(), triage_type_model=OBLIST_TYPE_MODEL))
+
+
+def tree_run(tree: KeyedTree) -> Run:
+    """The keyed component as its files read now."""
+    stepper = tree.load()
+    return Run(stepper, keyed_component.battery(stepper),
+               keyed_component.suite(), tree=tree)
+
+
 def options(**changed):
-    return lambda battery, suite: (battery, suite, changed)
+    return lambda run: replace(run, options={**run.options, **changed})
 
 
-#: Each key input, changed: ``change(battery, suite)`` gives the battery,
-#: suite and extra analysis options of the changed run.  The FindMin
-#: battery reuses the FindMax battery's idents, so filling one cold store
-#: with both is two cold misses, nothing more.
+@dataclass(frozen=True)
+class SourceEdit:
+    """One edit to the keyed component's files outside its class body
+    (:data:`tests.keyed_component.EDITS`); the changed run imports the
+    files again."""
+
+    name: str
+
+    def __call__(self, run: Run) -> Run:
+        module, old, new = keyed_component.EDITS[self.name]
+        run.tree.edit(module, old, new)
+        return tree_run(run.tree)
+
+    def revert(self, run: Run) -> Run:
+        module, old, new = keyed_component.EDITS[self.name]
+        run.tree.edit(module, new, old)
+        return tree_run(run.tree)
+
+
+#: Each key input, changed: ``change(run)`` gives the changed run.  The
+#: FindMin battery reuses the FindMax battery's idents, so filling one
+#: cold store with both is two cold misses, nothing more.  A source edit
+#: runs on the keyed component instead.
 KEY_CHANGES = {
-    "mutant-source": lambda battery, suite: (
-        [perturbed_mutant(battery[0])] + battery[1:], suite, {}),
-    "battery-order": lambda battery, suite: (battery[::-1], suite, {}),
-    "case-value": lambda battery, suite: (
-        battery, perturbed_suite(suite), {}),
+    "mutant-source": lambda run: replace(
+        run, battery=[perturbed_mutant(run.battery[0])] + run.battery[1:]),
+    "battery-order": lambda run: replace(run, battery=run.battery[::-1]),
+    "case-value": lambda run: replace(run, suite=perturbed_suite(run.suite)),
     "oracle": options(oracle=assertions_only_oracle()),
     "stop-on-first-kill": options(stop_on_first_kill=False),
     "class-builder": options(class_builder=counting_builder),
     "prune": options(prune=False),
     "triage-off": options(static_triage=False),
     "triage-type-model": options(triage_type_model=None),
-    "findmin-after-findmax": lambda battery, suite: (
-        battery_of("FindMin")[:KEY_MUTANTS], suite, {}),
+    "findmin-after-findmax": lambda run: replace(
+        run, battery=battery_of("FindMin")[:KEY_MUTANTS]),
+    **{name: SourceEdit(name) for name in keyed_component.EDITS},
 }
 
 #: What a run may change and still hit: none of it is a key input.
@@ -93,39 +150,44 @@ NEUTRAL_CHANGES = {
     "pool2": options(workers=2),
     "pool2-batch1": options(workers=2, batch_size=1),
     "pool4": options(workers=4),
-    "telemetry": lambda battery, suite: (
-        battery, suite, {"telemetry": Telemetry(sink=MemorySink())}),
+    "telemetry": lambda run: replace(
+        run, options={**run.options,
+                      "telemetry": Telemetry(sink=MemorySink())}),
 }
 
 
-def run_battery(battery, cache, suite=None, **changed):
-    settings = dict(oracle=oracle(), triage_type_model=OBLIST_TYPE_MODEL)
-    settings.update(changed)
-    return analyze_mutants(
-        CSortableObList, suite if suite is not None else small_suite(limit=30),
-        battery, cache=cache, **settings,
-    )
+def run_battery(battery, cache, **changed):
+    return options(**changed)(table_run(battery))(cache)
+
+
+@pytest.fixture()
+def keyed_tree(tmp_path):
+    tree = KeyedTree(tmp_path / "tree")
+    yield tree
+    tree.close()
 
 
 @pytest.mark.parametrize("change", [*KEY_CHANGES, *NEUTRAL_CHANGES])
-def test_run_key(change, mutants, tmp_path):
+def test_run_key(change, mutants, keyed_tree, tmp_path):
     """A changed key input misses the whole run, and reverting it hits
     again; a changed engine, worker count, batch size or telemetry hits."""
-    battery = list(mutants)
-    cache = MutationOutcomeCache(tmp_path)
-    cold = run_battery(battery, cache)
+    make = {**KEY_CHANGES, **NEUTRAL_CHANGES}[change]
+    edits_source = isinstance(make, SourceEdit)
+    base = tree_run(keyed_tree) if edits_source else table_run(mutants)
+    cache = MutationOutcomeCache(tmp_path / "store")
+    cold = base(cache)
     assert cold.cache_stats == CacheStats(misses=cold.dispatched_count)
 
-    make = {**KEY_CHANGES, **NEUTRAL_CHANGES}[change]
-    changed_battery, suite, changed = make(battery, small_suite(limit=30))
-    rerun = run_battery(changed_battery, cache, suite=suite, **changed)
+    rerun = make(base)(cache)
     if change in NEUTRAL_CHANGES:
         assert rerun.cache_stats == CacheStats(hits=rerun.dispatched_count)
         assert rerun.same_results(cold)
     else:
         assert rerun.cache_stats == CacheStats(misses=rerun.dispatched_count)
 
-    reverted = run_battery(battery, cache)
+    if edits_source:
+        base = make.revert(base)
+    reverted = base(cache)
     assert reverted.cache_stats == CacheStats(hits=cold.dispatched_count)
     assert reverted.same_results(cold)
 

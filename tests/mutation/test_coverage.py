@@ -165,13 +165,13 @@ class TestMatrixRecording:
         untraced = TestExecutor(CSortableObList).run_suite(suite)
         assert traced == untraced
 
-    def test_fingerprint_deterministic_and_content_sensitive(self):
+    def test_matrix_deterministic_and_content_sensitive(self):
         suite = mixed_suite(SEEDS[0], limit=20)
         _, first = record_coverage(CSortableObList, suite)
         _, second = record_coverage(CSortableObList, suite)
-        assert first.fingerprint() == second.fingerprint()
+        assert first == second
         _, other = record_coverage(CSortableObList, mixed_suite(SEEDS[1], 20))
-        assert first.fingerprint() != other.fingerprint()
+        assert first != other
 
     def test_seeded_matrix_is_used_as_is(self):
         suite = mixed_suite(SEEDS[0], limit=10)
@@ -381,7 +381,7 @@ class TestCacheIsolation:
 
 class TestRecorderMatchesReference:
     """The per-code recorder gives the replaced recorder's results and
-    matrix: the same columns, case order, ``peak`` and fingerprint."""
+    matrix: the same columns, case order and ``peak``."""
 
     def test_table2_suite(self):
         matrix = assert_same_recording(CSortableObList, sortable_suite())

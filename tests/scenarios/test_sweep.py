@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
+from repro.components import CObList, type_model_for
 from repro.core.errors import ScenarioError
 from repro.mutation.cache import MutationOutcomeCache
 from repro.mutation.parallel import shutdown_shared_pool
@@ -32,6 +34,7 @@ from repro.scenarios import (
     scenario_to_mapping,
 )
 from repro.scenarios.cli import main as cli_main
+from repro.tspec.model import MethodCategory
 import repro.scenarios.sweep as sweep_module
 
 #: A small fast corpus: two recipes of one generated family (sharing one
@@ -94,6 +97,45 @@ MIXED_ENTRIES = [
         "budgets": {"max_mutants": 6},
     },
 ]
+
+#: One catalog scenario that reads its component's type model and t-spec.
+TYPED_ENTRIES = [
+    {
+        "ident": "typed-oblist",
+        "component": {"ref": "CObList"},
+        "operators": ["IndVarRepGlob"],
+        "suite": {"max_cases": 6},
+        "budgets": {"max_mutants": 6},
+    },
+]
+
+
+def _retyped(ref):
+    """The type model with ``_block_size`` a node, as an edit of
+    ``components/specs.py`` would give it."""
+    model = type_model_for(ref)
+    return replace(model, attribute_types={**model.attribute_types,
+                                           "_block_size": "node"})
+
+
+def _respecified(monkeypatch):
+    """``GetCount`` a process method instead of an access method: the
+    default methods and the experiment oracle change, the suite does not."""
+    spec = CObList.__tspec__
+    methods = tuple(
+        replace(method, category=MethodCategory.PROCESS)
+        if method.name == "GetCount" else method
+        for method in spec.methods
+    )
+    monkeypatch.setattr(CObList, "__tspec__", replace(spec, methods=methods))
+
+
+#: Component inputs outside the class's files, changed.
+COMPONENT_CHANGES = {
+    "type-model": lambda monkeypatch: monkeypatch.setattr(
+        sweep_module, "type_model_for", _retyped),
+    "spec": _respecified,
+}
 
 #: Spans whose presence means real work happened (reference execution,
 #: mutant execution, battery compilation) — a fully-warm sweep emits none.
@@ -343,6 +385,30 @@ class TestWarmReplay:
         assert report.passed
         assert warm_cache.scenario_stats()["hits"] == 0
         assert warm_cache.scenario_stats()["misses"] == len(MIXED_ENTRIES)
+
+
+    @pytest.mark.parametrize("change", sorted(COMPONENT_CHANGES))
+    def test_changed_type_model_or_spec_misses(self, change, tmp_path,
+                                               monkeypatch):
+        registry = registry_from_mappings(TYPED_ENTRIES)
+        cache_dir = tmp_path / "cache"
+
+        def sweep():
+            cache = MutationOutcomeCache(cache_dir)
+            report = SweepRunner(registry, workspace=tmp_path / "ws",
+                                 cache=cache).run()
+            assert report.passed
+            return report.results[0], cache.scenario_stats()
+
+        cold, _ = sweep()
+        COMPONENT_CHANGES[change](monkeypatch)
+        changed, stats = sweep()
+        assert (stats["hits"], stats["misses"]) == (0, 1)
+        assert changed.suite_fingerprint == cold.suite_fingerprint
+        monkeypatch.undo()
+        reverted, stats = sweep()
+        assert (stats["hits"], stats["misses"]) == (1, 0)
+        assert reverted.to_dict(timings=False) == cold.to_dict(timings=False)
 
 
 class TestErrorIsolation:
