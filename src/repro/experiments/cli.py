@@ -12,10 +12,7 @@ record per scenario):
   :mod:`repro.mutation.cache` and README "Incremental runs");
 * ``--cache-stats`` — print hit/miss/corrupt counters after each
   mutation run (lines start with ``cache`` so table output can be compared
-  across runs with a simple filter);
-* ``--cache-compact`` — rewrite the cache's segment file after the run,
-  dropping superseded and damaged records (prints a ``cache compact:``
-  line).
+  across runs with a simple filter).
 
 All three always prune (:mod:`repro.mutation.coverage`) and triage
 (:mod:`repro.mutation.triage`).  The exhaustive run is an engine option,
@@ -62,17 +59,13 @@ def add_cache_arguments(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("incremental runs (outcome cache)")
     group.add_argument(
         "--cache-dir", default=None, metavar="DIR",
-        help="content-addressed store of whole mutation runs "
-             "(warm reruns of an unchanged experiment re-execute nothing)",
+        help="content-addressed store with one record per mutation run, "
+             "or per scenario in a sweep (warm reruns of an unchanged "
+             "experiment re-execute nothing)",
     )
     group.add_argument(
         "--cache-stats", action="store_true",
         help="print cache hit/miss/corrupt counters after the run",
-    )
-    group.add_argument(
-        "--cache-compact", action="store_true",
-        help="compact the cache segment file after the run (drops "
-             "superseded and damaged records; keeps every live verdict)",
     )
 
 
@@ -173,15 +166,3 @@ def print_cache_stats(run: Optional[MutationRun], label: str = "cache") -> None:
         return
     print(f"{label}: {run.cache_stats.format()}")
 
-
-def compact_cache(cache: Optional[MutationOutcomeCache],
-                  arguments: argparse.Namespace) -> None:
-    """Compact the store when ``--cache-compact`` was given.
-
-    Prints one ``cache compact: …`` line — prefixed ``cache`` like the
-    stats lines, so CI row diffs strip it with the same filter.
-    """
-    if cache is None or not getattr(arguments, "cache_compact", False):
-        return
-    report = cache.compact()
-    print(f"cache compact: {report.format()}")

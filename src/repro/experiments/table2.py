@@ -33,7 +33,6 @@ from .cli import (
     add_obs_arguments,
     add_workers_argument,
     cache_from_arguments,
-    compact_cache,
     count_at_least,
     exit_on_repro_error,
     finish_telemetry,
@@ -161,7 +160,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     print(result.summary())
     if arguments.cache_stats:
         print_cache_stats(result.run)
-    compact_cache(cache, arguments)
     finish_telemetry(telemetry, arguments)
     return 0
 

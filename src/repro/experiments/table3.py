@@ -31,7 +31,6 @@ from .cli import (
     add_obs_arguments,
     add_workers_argument,
     cache_from_arguments,
-    compact_cache,
     count_at_least,
     exit_on_repro_error,
     finish_telemetry,
@@ -195,7 +194,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print_cache_stats(result.base_suite_run, label="cache[base-suite]")
         if result.full_suite_run is not None:
             print_cache_stats(result.full_suite_run, label="cache[full-suite]")
-    compact_cache(cache, arguments)
     finish_telemetry(telemetry, arguments)
     return 0
 

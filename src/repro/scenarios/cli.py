@@ -33,7 +33,6 @@ from ..experiments.cli import (
     add_obs_arguments,
     add_workers_argument,
     cache_from_arguments,
-    compact_cache,
     count_at_least,
     finish_telemetry,
     telemetry_from_arguments,
@@ -178,7 +177,6 @@ def _cmd_run(arguments: argparse.Namespace) -> int:
               f"{scenario_stats['misses']} misses, "
               f"{scenario_stats['stores']} stores, "
               f"{scenario_stats['corrupt']} corrupt")
-    compact_cache(cache, arguments)
     finish_telemetry(telemetry, arguments)
     return _gate(report)
 

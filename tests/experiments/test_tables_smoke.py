@@ -175,11 +175,9 @@ class TestCommandLine:
         assert int(misses.group(1)) > 0
         assert validate_jsonl(trace.read_text().splitlines()) > 0
 
-        assert table2_main([*arguments, "--cache-compact",
-                            "--obs-summary"]) == 0
+        assert table2_main([*arguments, "--obs-summary"]) == 0
         warm = capsys.readouterr().out
         assert f"cache: {misses.group(1)} hits, 0 misses" in warm
-        assert re.search(r"^cache compact: ", warm, re.M)
         assert re.search(r"^obs", warm, re.M)
 
     def test_table3_cli_smoke(self, capsys):

@@ -24,13 +24,7 @@ from repro.mutation.analysis import (
     MutationRun,
     analyze_mutants,
 )
-from repro.mutation.cache import (
-    _HEADER,
-    _KEY_LENGTHS,
-    _KIND_RUN,
-    CacheStats,
-    MutationOutcomeCache,
-)
+from repro.mutation.cache import CacheStats, MutationOutcomeCache
 from repro.mutation.mutant import CompiledMutant, compile_mutant_function
 from repro.obs import MemorySink, Telemetry
 
@@ -224,33 +218,28 @@ def _run_key(mutants, cache):
     ).run_fingerprint(mutants)
 
 
-def _payload_offset(cache, key):
-    """File offset of the run record's pickled payload."""
-    location = cache._indexes[_KIND_RUN][key]
-    return location.offset + _HEADER.size + _KEY_LENGTHS[_KIND_RUN]
+def _overwrite(cache, key, offset, replacement):
+    """Overwrite bytes of the run's record file, which is laid out as
+    ``magic(8) crc32(4) payload``."""
+    path = cache.directory / key
+    data = path.read_bytes()
+    path.write_bytes(data[:offset] + replacement
+                     + data[offset + len(replacement):])
 
 
 def _scribble_payload(cache, key):
     """Overwrite the start of the payload: the CRC check rejects it."""
-    with open(cache.segment_path, "r+b") as handle:
-        handle.seek(_payload_offset(cache, key))
-        handle.write(b"\x80garbage")
+    _overwrite(cache, key, 12, b"\x80garbage")
 
 
 def _zero_payload(cache, key):
-    with open(cache.segment_path, "r+b") as handle:
-        handle.seek(_payload_offset(cache, key))
-        handle.write(b"\x00" * 16)
+    _overwrite(cache, key, 12, b"\x00" * 16)
 
 
 def _flip_crc(cache, key):
     """Invert the stored CRC: the intact payload no longer verifies."""
-    location = cache._indexes[_KIND_RUN][key]
-    with open(cache.segment_path, "r+b") as handle:
-        handle.seek(location.offset + 8)   # <BBHII — crc is the last field
-        crc = handle.read(4)
-        handle.seek(location.offset + 8)
-        handle.write(bytes(byte ^ 0xFF for byte in crc))
+    crc = (cache.directory / key).read_bytes()[8:12]
+    _overwrite(cache, key, 8, bytes(byte ^ 0xFF for byte in crc))
 
 
 class TestCorruptEntries:
@@ -267,18 +256,16 @@ class TestCorruptEntries:
         result = run_battery(mutants, warm_cache)
         assert result.cache_stats == CacheStats(
             misses=result.dispatched_count, corrupt=1)
-        # The rerun re-appended the record; the next run is warm again.
+        # The rerun rewrote the record; the next run is warm again.
         healed = run_battery(mutants, warm_cache)
         assert healed.cache_stats == CacheStats(hits=result.dispatched_count)
         assert healed.same_results(result)
 
     def test_damage_survives_reopen_as_one_corrupt_miss(self, mutants,
                                                         warm_cache):
-        # A fresh store object on the same directory rebuilds its index by
-        # scan — structure is intact, so the damaged record is indexed,
-        # and only the lookup-time CRC rejects it.
+        # A fresh store object on the same directory finds the damaged
+        # file under the run key, and the CRC rejects it.
         _scribble_payload(warm_cache, _run_key(mutants, warm_cache))
-        warm_cache.close()
         reopened = MutationOutcomeCache(warm_cache.directory)
         result = run_battery(mutants, reopened)
         assert result.cache_stats.hits == 0
@@ -287,8 +274,8 @@ class TestCorruptEntries:
     def test_wrong_payload_type_is_corrupt(self, mutants, warm_cache):
         # A well-framed record (valid CRC) whose payload is not a
         # RunEntry: the typed read rejects it as corrupt.
-        warm_cache._append(_KIND_RUN, _run_key(mutants, warm_cache),
-                           {"not": "a RunEntry"})
+        warm_cache.store_scenario(_run_key(mutants, warm_cache),
+                                  {"not": "a RunEntry"})
         result = run_battery(mutants, warm_cache)
         assert result.cache_stats.corrupt == 1
         assert result.cache_stats.hits == 0

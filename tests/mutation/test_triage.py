@@ -36,11 +36,7 @@ from repro.generator.driver import DriverGenerator
 from repro.generator.values import TypeBinding
 import repro.mutation.analysis as analysis_module
 from repro.mutation.analysis import MutationAnalysis
-from repro.mutation.cache import (
-    CACHE_FORMAT_VERSION,
-    _KIND_RUN,
-    MutationOutcomeCache,
-)
+from repro.mutation.cache import CACHE_FORMAT_VERSION, MutationOutcomeCache
 from repro.mutation.generate import generate_mutants
 from repro.mutation.mutant import (
     CompiledMutant, Mutant, compile_mutant_function,
@@ -613,12 +609,10 @@ class TestTriageCache:
         cache.store(key, (), findmax_triage)
         entry, corrupt = cache.lookup(key)
         assert entry.triage == findmax_triage and not corrupt
-        # A corrupt payload (scribbled segment record) is a miss, never an
+        # A corrupt payload (scribbled record file) is a miss, never an
         # exception — the lookup-time CRC rejects it.
-        location = cache._indexes[_KIND_RUN][key]
-        with open(cache.segment_path, "r+b") as handle:
-            handle.seek(location.offset + location.length - 8)
-            handle.write(b"\x80damaged")
+        record = cache.directory / key
+        record.write_bytes(record.read_bytes()[:-8] + b"\x80damaged")
         assert cache.lookup(key) == (None, True)
 
     def test_fingerprint_covers_fold_configuration(self, findmax_battery):

@@ -332,7 +332,7 @@ class TestWarmReplay:
         counters = telemetry.counters()
         assert not any(counters.get(f"cache.{event}", 0)
                        for event in ("hits", "misses", "stores"))
-        # Reopened, the segment indexes the scenario records and nothing
+        # Reopened, the store holds the scenario records and nothing
         # else: no run record was written.
         assert MutationOutcomeCache(cache_dir).live_records() == \
             len(MIXED_ENTRIES)
