@@ -1,10 +1,13 @@
 """The store's contract: one file per record, named by its address.
 
-A record round-trips across store objects on one directory, and a second
-object sees the first one's records at once.  Each kind of damage to a
-record file is one ``corrupt`` miss that the rerun's store heals.  A
-failed write is counted, never raised, and leaves no temp or record
-file; a ``--cache-dir`` that names a regular file only misses.  An older
+A record round-trips across store objects on one directory, one run
+record holds the triage beside the verdicts, and only record files are
+counted.  A second object sees the first one's records at once, made
+before or after they were written, and clobbers none of them.  Each kind
+of damage to a record file is one ``corrupt`` miss that the rerun's store
+heals.  A failed write is counted, never raised, and leaves no temp or
+record file; a half-written record leaves every file as it was; a
+``--cache-dir`` that names a regular file only misses.  An older
 store's v4 segment file is never read, counted or touched.  Two cold
 fills write the same files, and writers on two threads leave every
 record whole.
@@ -76,30 +79,63 @@ class TestRoundTrip:
         cold = run(mutants, MutationOutcomeCache(tmp_path))
         key = analysis(None).run_fingerprint(mutants)
         assert _names(tmp_path) == [key]  # one file, named by the run key
-        assert cold.triage is not None  # ... which holds the triage too
 
-        reopened = MutationOutcomeCache(tmp_path)
-        assert reopened.live_records() == 1
-        assert reopened.segment_bytes() == (tmp_path / key).stat().st_size
-        warm = run(mutants, reopened)
+        warm = run(mutants, MutationOutcomeCache(tmp_path))
         assert warm.cache_stats == CacheStats(hits=cold.dispatched_count)
         assert warm.same_results(cold)
+
+    def test_live_records_and_bytes_count_record_files(self, mutants,
+                                                       tmp_path):
+        cache = MutationOutcomeCache(tmp_path)
+        run(mutants, cache)
+        cache.store_scenario(_key("scenario"), {"ident": "scenario"})
+        # Neither a leftover temp file nor a foreign file is a record.
+        (tmp_path / f".{_key('torn')}.1.2.tmp").write_bytes(b"half")
+        (tmp_path / "notes.txt").write_bytes(b"not a record")
+
+        records = [tmp_path / analysis(None).run_fingerprint(mutants),
+                   tmp_path / _key("scenario")]
+        assert cache.live_records() == len(records)
+        assert cache.segment_bytes() == sum(
+            record.stat().st_size for record in records)
+
+    def test_triage_is_stored_in_the_run_record(self, mutants, tmp_path):
+        cache = MutationOutcomeCache(tmp_path)
+        cold = run(mutants, cache)
+        assert cold.triage is not None and cache.live_records() == 1
+
+        warm = run(mutants, MutationOutcomeCache(tmp_path))
+        assert warm.cache_stats == CacheStats(hits=cold.dispatched_count)
         assert warm.triage == cold.triage
 
-    def test_second_store_sees_the_firsts_records_at_once(self, mutants,
-                                                          tmp_path):
-        # Both objects exist before anything is written.
+
+class TestSharers:
+    """Two store objects on one directory, the second made before or
+    after the first one writes: each reads the other's records at once,
+    and neither clobbers them."""
+
+    @pytest.mark.parametrize("second_made", ["before", "after"])
+    def test_second_store_reads_the_firsts_records(self, second_made,
+                                                   mutants, tmp_path):
         first = MutationOutcomeCache(tmp_path)
-        second = MutationOutcomeCache(tmp_path)
+        early = MutationOutcomeCache(tmp_path)
         cold = run(mutants, first)
-        first.store_scenario(_key("scenario"), {"ident": "scenario"})
+        first.store_scenario(_key("first"), {"ident": "first"})
+        second = (early if second_made == "before"
+                  else MutationOutcomeCache(tmp_path))
 
         warm = run(mutants, second)
         assert warm.cache_stats == CacheStats(hits=cold.dispatched_count)
         assert warm.same_results(cold)
-        assert second.lookup_scenario(_key("scenario")) == {
-            "ident": "scenario"}
-        assert second.live_records() == 2
+        assert second.lookup_scenario(_key("first")) == {"ident": "first"}
+
+        second.store_scenario(_key("second"), {"ident": "second"})
+        assert first.lookup_scenario(_key("second")) == {"ident": "second"}
+        fresh = MutationOutcomeCache(tmp_path)
+        assert fresh.live_records() == 3
+        assert fresh.lookup_scenario(_key("first")) == {"ident": "first"}
+        assert run(mutants, fresh).cache_stats == CacheStats(
+            hits=cold.dispatched_count)
 
 
 def _rewrite(path, change):
@@ -240,6 +276,29 @@ class TestFailedWrites:
         reopened = MutationOutcomeCache(tmp_path)
         assert reopened.lookup_scenario(_key("lost")) == {"ident": "lost"}
         assert cache.write_errors == 2
+
+    def test_half_written_record_changes_nothing(self, tmp_path,
+                                                 monkeypatch):
+        cache = MutationOutcomeCache(tmp_path)
+        cache.store_scenario(_key("kept"), {"ident": "kept"})
+        before = {name: (tmp_path / name).read_bytes()
+                  for name in _names(tmp_path)}
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cache_module, "open", raising=False,
+                          value=lambda *args: _FullDisk(open(*args)))
+            # Half of a new version of a stored record, and half of a
+            # record at a new address, reach the disk.
+            cache.store_scenario(_key("kept"),
+                                 {"ident": "kept", "blob": "x" * 4096})
+            cache.store_scenario(_key("lost"), {"ident": "lost"})
+        assert {name: (tmp_path / name).read_bytes()
+                for name in _names(tmp_path)} == before
+
+        fresh = MutationOutcomeCache(tmp_path)
+        assert fresh.lookup_scenario(_key("kept")) == {"ident": "kept"}
+        assert fresh.lookup_scenario(_key("lost")) is None
+        assert fresh.scenario_stats()["corrupt"] == 0
 
     def test_directory_that_is_a_file_only_misses(self, mutants, tmp_path):
         path = tmp_path / "a-file"
