@@ -388,7 +388,7 @@ class MutationAnalysis:
         results.
 
         ``cache`` replays a whole run stored under the same key (the
-        source files of the original's class hierarchy, mutant sources,
+        code digest of the original's class hierarchy, mutant sources,
         battery order, suite, oracle, budget, builder, flags, pruning,
         triage setting) and stores each run it executes; see
         :mod:`repro.mutation.cache`.  The lookup comes first: a hit runs

@@ -15,26 +15,27 @@ from them, so the analysis looks a run up before it executes anything:
   (:meth:`~repro.generator.suite.TestSuite.fingerprint`, a content hash
   over every case's steps, argument values and seed), the oracle
   configuration, the class builder, the sandbox step budget, the
-  ``stop_on_first_kill`` flag, the setup hook, the pruning flag, and the
-  cache *key* version;
+  ``stop_on_first_kill`` flag, the setup hook and the pruning flag;
 * the **battery**, in order — each mutant's :func:`mutant_fingerprint`
   (its full record, crucially the mutated source, and its owner);
 * the **triage setting** — static triage on or off, and the canonical
   type model it folds under.
 
 A class enters the key through :func:`~repro.core.fingerprint.canonical`,
-which hashes the source files of its class hierarchy: any edit to a file
-that defines one of the component's classes — a method body, a module
-constant, a helper class beside it, a base class elsewhere — misses.  The
-recorded coverage matrix is no input: it is a function of those files
-and the suite, both already in the key.
+which embeds the :func:`~repro.core.fingerprint.code_digest` of its class
+hierarchy: the source files of the top-level package of each of its
+classes' modules and of ``repro``, which runs and judges it, and the
+interpreter's ``major.minor``.  For every shipped component that is the
+whole ``repro`` tree, so the key also covers imported helpers, the
+executor, the coverage recorder, the oracles and this module's own key
+recipe: any edit under ``repro`` misses every record once.  The recorded coverage matrix is no input: it is a function of
+that code and the suite, both already in the key.
 
 Change any of them — one mutant's source, the battery's order, one
-test-case value, one oracle flag, the budget, one line of the
-component's files — and the whole run misses and re-executes; reverting
-the change hits the old record again.  Engine, worker count, batch size
-and telemetry are not inputs, so runs that differ only there share one
-record.
+test-case value, one oracle flag, the budget, one line of the code — and
+the whole run misses and re-executes; reverting the change hits the old
+record again.  Engine, worker count, batch size and telemetry are not
+inputs, so runs that differ only there share one record.
 
 **Cached ≡ fresh.**  The payload holds, per mutant in battery order, every
 field of its :class:`~repro.mutation.analysis.MutantOutcome` but the mutant
@@ -94,16 +95,6 @@ if TYPE_CHECKING:  # imported lazily to keep cache <- analysis acyclic
     from .mutant import CompiledMutant
     from .triage import StaticTriage
 
-#: Version of the *fingerprint recipe* — part of every content address.
-#: Bumping it changes every address, which orphans every record in every
-#: existing store.  Bump it when the addressing inputs change, and when a
-#: change to the executor, the coverage recorder or the oracle code moves
-#: a verdict or the numbering of a case's guarded calls: that code lives
-#: outside the component's files, so no key input sees the change.
-#: v4: class identity became its hierarchy's source files, and the
-#: coverage matrix's hash left the experiment key.
-CACHE_KEY_VERSION = 4
-
 #: Version of the *store layout* (record framing, entry payloads).
 #: v2: ``MutantOutcome`` grew ``cases_skipped`` and the experiment
 #: fingerprint grew the pruning flag + coverage-matrix hash.
@@ -137,18 +128,17 @@ def experiment_fingerprint(original_class: type,
     Computed once per ``analyze`` call, before anything executes, and
     combined with the battery's mutant fingerprints to address its run
     record.  Every part is an input of the run: ``original_class`` through
-    the source files of its class hierarchy
+    the code digest of its class hierarchy
     (:func:`~repro.core.fingerprint.canonical`), the suite through its
     content hash.  ``oracle=None`` and an explicitly passed default oracle
     hash identically only if they are *structurally* equal — callers pass
     the effective oracle, not the constructor arg.  ``prune`` keeps pruned
     and unpruned records disjoint, since their case counters differ; the
     coverage matrix that licenses a pruned run's skips is no part, because
-    the class's files and the suite determine it.
+    the class's code and the suite determine it.
     """
     return sha256_hex(
         "experiment",
-        f"v{CACHE_KEY_VERSION}",
         canonical(original_class),
         suite.fingerprint(),
         canonical(oracle),

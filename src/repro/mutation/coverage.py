@@ -41,8 +41,8 @@ an analysis whose step budget that count reaches refuses to prune.
 
 The :class:`CoverageMatrix` is pure data: the case order plus one ``bytes``
 column per (method, line).  It pickles to parallel workers.  It is no part
-of the outcome store's key: the source files of the class hierarchy and
-the suite, which the key names, determine it.
+of the outcome store's key: the code the key digests (the class's and
+this module's) and the suite, which the key names, determine it.
 """
 
 from __future__ import annotations

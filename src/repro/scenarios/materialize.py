@@ -2,10 +2,10 @@
 
 The mutation pipeline requires real source files: operators read method
 bodies via ``inspect.getsource``, the outcome cache fingerprints a class
-by the contents of the files that define its class hierarchy (for a
-generated component, this module file, which carries the synthesized
-t-spec and model text, and its base classes' files), and worker
-processes define mutants inside the owner's defining module.  So a
+by the contents of the files that supply its code (for a generated
+component, this module file, which carries the synthesized t-spec and
+model text, and the ``repro`` tree its base classes come from), and
+worker processes define mutants inside the owner's defining module.  So a
 generated component is *written to disk*
 in a workspace directory and imported from that file — its module name
 embeds a content digest (see :mod:`repro.scenarios.genspec`), which makes

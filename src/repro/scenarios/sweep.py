@@ -16,9 +16,10 @@ Cost sharing across the sweep, not per scenario:
   ``(component, suite)`` and *seeded* into every engine that needs them.
 
 With ``workers == 1`` scenarios run one at a time, in registry order, in
-the calling process.  With ``workers > 1`` the calling process resolves
-every scenario (its class and suite), looks it up in the store and hands
-the misses to that many worker processes that each run whole scenarios:
+the calling process.  With ``workers > 1`` the calling process looks every
+scenario up in the store, resolves each miss (its class and suite) and
+hands the misses to that many worker processes that each run whole
+scenarios:
 one task per run of adjacent scenarios with the same component (the
 registry lists them together), on the process-wide
 :class:`~repro.mutation.parallel.WorkerPool`.  A task carries the class
@@ -33,15 +34,20 @@ sweep.
 Every engine in a sweep prunes and triages; neither moves a verdict.
 
 Scenario warm cache: with a cache attached, each finished (non-failed)
-scenario's result projection is persisted keyed by the scenario content
-fingerprint, the component's class (the source files of its hierarchy),
-its type model and t-spec, and the suite fingerprint.
-Engines never get the store, so it holds scenario records only.  A warm
-sweep of an unchanged registry replays every scenario from the store —
-zero mutants executed, zero reference passes, no worker started — and
-still renders the byte-identical deterministic report.  The worker count
-is deliberately not part of the key: a scenario's result does not depend
-on which process ran it.
+scenario's result projection is stored under its recipe, the scenario's
+content fingerprint, and one digest of all the code that resolves and
+runs it (:func:`~repro.core.fingerprint.code_digest` of this module: the
+``repro`` tree, which supplies every component a scenario can name,
+catalog or generated, with its type model and t-spec, and the suite
+generator, the engine and the oracles).  A scenario is looked up before
+it is resolved, so a hit synthesizes, materializes, generates and hashes
+nothing; any edit under ``repro`` misses every record once.  Engines
+never get the store, so it holds scenario records only.  A warm sweep of
+an unchanged registry replays every scenario from the store — zero
+mutants executed, zero reference passes, no worker started — and still
+renders the byte-identical deterministic report.  The worker count is
+deliberately not part of the key: a scenario's result does not depend on
+which process ran it.
 
 Determinism: :meth:`SweepReport.to_dict` with ``timings=False`` is the
 *deterministic projection* — same registry, same seeds, same flags ⇒
@@ -70,7 +76,7 @@ from typing import (
 
 from ..components import component_by_name, setup_for, type_model_for
 from ..core.errors import ScenarioError
-from ..core.fingerprint import canonical, sha256_hex
+from ..core.fingerprint import code_digest, sha256_hex
 from ..generator.driver import DriverGenerator
 from ..generator.suite import TestSuite
 from ..harness.oracles import (
@@ -84,7 +90,7 @@ from ..harness.oracles import (
 )
 from ..harness.outcomes import SuiteResult, Verdict
 from ..mutation.analysis import MutationAnalysis
-from ..mutation.cache import CACHE_KEY_VERSION, MutationOutcomeCache
+from ..mutation.cache import MutationOutcomeCache
 from ..mutation.coverage import CoverageMatrix
 from ..mutation.generate import build_battery
 from ..mutation.parallel import PoolJob, shared_worker_pool
@@ -442,7 +448,8 @@ class SweepRunner:
         self._references: Dict[Tuple[str, str],
                                Tuple[SuiteResult,
                                      Optional[CoverageMatrix]]] = {}
-        self._component_digests: Dict[str, str] = {}
+        # The code half of every scenario key, read on the first lookup.
+        self._code_digest: Optional[str] = None
 
     # -- component / suite resolution -----------------------------------
 
@@ -525,17 +532,20 @@ class SweepRunner:
     def _prepare(self, scenario: ScenarioConfig, started: float
                  ) -> Tuple[Optional[_Resolved], Optional[str],
                             Optional[ScenarioResult]]:
-        """Resolve the scenario and look it up: ``(item, key, row)``.
+        """Look the scenario up, and resolve it on a miss:
+        ``(item, key, row)``.
 
         ``row`` is the replayed row or the error row of a scenario that
         could not be resolved; when it is ``None``, ``item`` must run and
-        ``key`` is its store address (``None`` without a store)."""
+        ``key`` is its store address (``None`` without a store).  A hit
+        resolves nothing: the key names the recipe, not its products."""
         try:
-            item = self._resolve(scenario)
-            key, row = self._lookup(item, started)
+            key, row = self._lookup(scenario, started)
+            if row is None:
+                return self._resolve(scenario), key, None
         except Exception as error:
             return None, None, self._failed(scenario, error, started)
-        return item, key, row
+        return None, key, row
 
     def _run(self, item: _Resolved, started: float) -> ScenarioResult:
         """Execute a resolved scenario; an ``Exception`` becomes its
@@ -567,52 +577,33 @@ class SweepRunner:
             error=error,
         )
 
-    def _scenario_key(self, item: _Resolved) -> str:
-        """The scenario warm-cache address.
+    def _scenario_key(self, scenario: ScenarioConfig) -> str:
+        """The scenario warm-cache address: the recipe and the code.
 
-        Covers everything that can change the deterministic projection:
-        the scenario content fingerprint (operators, oracle, budgets,
-        methods, suite config), the component (:meth:`_component_digest`)
-        and the realized suite fingerprint.  Deliberately excluded:
-        ``workers`` — a scenario's result does not depend on the process
-        that ran it, so one stored result replays at any parallelism.
+        The recipe is the scenario content fingerprint (component
+        selector, suite config, operators, methods, oracle, budgets).  The
+        code is :func:`~repro.core.fingerprint.code_digest` of this module,
+        read once per runner: the ``repro`` tree and the interpreter's
+        ``major.minor``.  Every component a scenario can name, and all
+        that turns the recipe into a result (synthesis, type models,
+        t-specs, the suite generator, the engine, the oracles), comes from
+        that tree, so no product of the recipe needs hashing.
+        Deliberately excluded: ``workers`` — a scenario's result does not
+        depend on the process that ran it, so one stored result replays
+        at any parallelism.
         """
-        return sha256_hex(
-            "scenario-result",
-            f"v{CACHE_KEY_VERSION}",
-            item.scenario.fingerprint(),
-            self._component_digest(item),
-            item.suite.fingerprint(),
-        )
+        if self._code_digest is None:
+            self._code_digest = code_digest([__name__]) or "nosource"
+        return sha256_hex("scenario-result", scenario.fingerprint(),
+                          self._code_digest)
 
-    def _component_digest(self, item: _Resolved) -> str:
-        """What :meth:`_execute` reads of the component, hashed once per
-        component and sweep: the class (via :func:`canonical`, the source
-        files of its hierarchy, so editing a component or a generated
-        module invalidates its scenarios), the type model that gates
-        generation and triage, and the t-spec the default methods and the
-        experiment oracle come from (a catalog spec lives in
-        ``components/specs.py``, outside the class's files)."""
-        selector = item.scenario.component
-        component_key = selector.describe()
-        digest = self._component_digests.get(component_key)
-        if digest is None:
-            type_model = (None if selector.is_generated
-                          else type_model_for(selector.ref))
-            digest = self._component_digests[component_key] = sha256_hex(
-                canonical(item.cls),
-                canonical(type_model),
-                canonical(item.cls.__tspec__),
-            )
-        return digest
-
-    def _lookup(self, item: _Resolved, started: float
+    def _lookup(self, scenario: ScenarioConfig, started: float
                 ) -> Tuple[Optional[str], Optional[ScenarioResult]]:
         """The scenario's store key and, on a hit, its replayed row;
         ``(None, None)`` without a store."""
         if self._cache is None:
             return None, None
-        key = self._scenario_key(item)
+        key = self._scenario_key(scenario)
         stored = self._cache.lookup_scenario(key)
         if stored is None:
             self._obs.count("sweep.scenario_cache_misses")
@@ -730,9 +721,9 @@ class SweepRunner:
     def _run_pooled(self, scenarios: Sequence[ScenarioConfig],
                     progress: Optional[ProgressCallback]
                     ) -> List[ScenarioResult]:
-        """Resolve and look up every scenario here and run the misses on
-        the pool, one task per run of adjacent misses with the same
-        component.
+        """Look up every scenario here, resolve each miss and run the
+        misses on the pool, one task per run of adjacent misses with the
+        same component.
 
         Rows are finished in registry order as soon as every row before
         them is known.  Ctrl-C (the pool has already killed the workers

@@ -3,10 +3,11 @@
 Content addressing means "invalidation" is not a deletion pass: changing
 any input of the run key re-addresses the run, so the whole run misses
 and executes again, and reverting the change hits the old record again.
-An edit anywhere in a file that defines one of the component's classes
-is such a change.  Engine, worker count, batch size and telemetry are no
-key inputs and hit.  Corrupt run records (scribbled payload, flipped CRC,
-wrong payload type) are misses, never crashes.
+An edit anywhere in the code of the component's packages is such a
+change: a file that defines one of its classes, a module it imports, the
+module of the oracle that judges it.  Engine, worker count, batch size
+and telemetry are no key inputs and hit.  Corrupt run records (scribbled
+payload, flipped CRC, wrong payload type) are misses, never crashes.
 """
 
 from __future__ import annotations
@@ -90,10 +91,12 @@ def table_run(battery) -> Run:
 
 
 def tree_run(tree: KeyedTree) -> Run:
-    """The keyed component as its files read now."""
+    """The keyed component as its files read now, judged by the oracle
+    its tree defines."""
     stepper = tree.load()
     return Run(stepper, keyed_component.battery(stepper),
-               keyed_component.suite(), tree=tree)
+               keyed_component.suite(), dict(oracle=tree.oracle()),
+               tree=tree)
 
 
 def options(**changed):
@@ -102,7 +105,7 @@ def options(**changed):
 
 @dataclass(frozen=True)
 class SourceEdit:
-    """One edit to the keyed component's files outside its class body
+    """One edit to the keyed component's code outside its class body
     (:data:`tests.keyed_component.EDITS`); the changed run imports the
     files again."""
 

@@ -4,22 +4,31 @@ The determinism contract under test is the acceptance criterion: same
 registry + same seeds ⇒ byte-identical report JSON modulo timings
 (``to_json(timings=False)``), whatever the worker count and cache
 temperature.  On top of that, a fully-warm sweep of an unchanged registry
-must replay from the scenario store without executing a single mutant or
-reference pass (or starting a worker), the store holds scenario records
-only, one scenario dying of an arbitrary ``Exception`` must cost exactly
-its own row, and a worker process dying costs exactly its task's rows.
+must replay from the scenario store without resolving a scenario or
+executing a single mutant or reference pass (or starting a worker), a
+real edit of the code misses and its revert hits again, the store holds
+scenario records only, one scenario dying of an arbitrary ``Exception``
+must cost exactly its own row, and a worker process dying costs exactly
+its task's rows.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import replace
+import re
+import shutil
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from repro.components import CObList, type_model_for
+import repro
 from repro.core.errors import ScenarioError
+from repro.generator.driver import DriverGenerator
+from repro.generator.suite import TestSuite
 from repro.mutation.cache import MutationOutcomeCache
 from repro.mutation.parallel import shutdown_shared_pool
 from repro.obs import MemorySink, Telemetry
@@ -34,7 +43,6 @@ from repro.scenarios import (
     scenario_to_mapping,
 )
 from repro.scenarios.cli import main as cli_main
-from repro.tspec.model import MethodCategory
 import repro.scenarios.sweep as sweep_module
 
 #: A small fast corpus: two recipes of one generated family (sharing one
@@ -110,37 +118,33 @@ TYPED_ENTRIES = [
 ]
 
 
-def _retyped(ref):
-    """The type model with ``_block_size`` a node, as an edit of
-    ``components/specs.py`` would give it."""
-    model = type_model_for(ref)
-    return replace(model, attribute_types={**model.attribute_types,
-                                           "_block_size": "node"})
+#: Real edits of the files a catalog scenario reads, as
+#: ``(file below the repro tree, old text, new text)``: the component's
+#: module, and its type model and t-spec in ``components/specs.py``.
+SOURCE_EDITS = {
+    "component-module": ("components/oblist.py",
+                         "BLOCK_SIZE = 10\n", "BLOCK_SIZE = 2\n"),
+    "type-model": ("components/specs.py",
+                   '"_block_size": "int"', '"_block_size": "node"'),
+    "spec": ("components/specs.py",
+             '.method("GetCount", category="access"',
+             '.method("GetCount", category="process"'),
+}
 
-
-def _respecified(monkeypatch):
-    """``GetCount`` a process method instead of an access method: the
-    default methods and the experiment oracle change, the suite does not."""
-    spec = CObList.__tspec__
-    methods = tuple(
-        replace(method, category=MethodCategory.PROCESS)
-        if method.name == "GetCount" else method
-        for method in spec.methods
-    )
-    monkeypatch.setattr(CObList, "__tspec__", replace(spec, methods=methods))
-
-
-#: Component inputs outside the class's files, changed.
-COMPONENT_CHANGES = {
-    "type-model": lambda monkeypatch: monkeypatch.setattr(
-        sweep_module, "type_model_for", _retyped),
-    "spec": _respecified,
+#: What a warm sweep must not call: resolving a scenario synthesizes and
+#: materializes its generated component, generates its suite and hashes
+#: it.  ``(owner, attribute)`` of each.
+RESOLUTION_CALLS = {
+    "synthesize": (sweep_module, "synthesize"),
+    "materialize": (sweep_module, "materialize"),
+    "generate": (DriverGenerator, "generate"),
+    "suite-fingerprint": (TestSuite, "fingerprint"),
 }
 
 #: Spans whose presence means real work happened (reference execution,
 #: mutant execution, battery compilation) — a fully-warm sweep emits none.
 WORK_SPANS = ("analysis.reference", "analysis.mutant", "parallel.run",
-              "executor.case", "generate.operator")
+              "executor.case", "generate.operator", "sweep.materialize")
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -363,52 +367,180 @@ class TestWarmReplay:
         # A replayed row is not written back.
         assert warm_cache.scenario_stats()["stores"] == 0
 
-    def test_editing_the_component_misses(self, mixed_registry, tmp_path,
-                                          monkeypatch):
+
+def count_resolutions(monkeypatch):
+    """From now on, count each of :data:`RESOLUTION_CALLS` and list the
+    idents ``SweepRunner._resolve`` resolves, in this process."""
+    counts = Counter()
+    resolved = []
+    for name, (owner, attribute) in RESOLUTION_CALLS.items():
+        real = getattr(owner, attribute)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attribute, counted)
+    real_resolve = SweepRunner._resolve
+
+    def resolve(self, scenario):
+        resolved.append(scenario.ident)
+        return real_resolve(self, scenario)
+
+    monkeypatch.setattr(SweepRunner, "_resolve", resolve)
+    return counts, resolved
+
+
+class TestHitResolvesNothing:
+    """A scenario's key is its recipe plus one digest of the code, so it
+    is looked up before the scenario is resolved: a hit synthesizes,
+    materializes, generates and hashes nothing, serially and pooled."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_warm_sweep_resolves_nothing(self, mixed_registry, baseline,
+                                         tmp_path, monkeypatch, workers,
+                                         fresh_pool):
         cache_dir = tmp_path / "cache"
-        SweepRunner(
-            mixed_registry, workspace=tmp_path / "ws-cold",
-            cache=MutationOutcomeCache(cache_dir),
+        SweepRunner(mixed_registry, workspace=tmp_path / "ws-cold",
+                    cache=MutationOutcomeCache(cache_dir)).run()
+        counts, resolved = count_resolutions(monkeypatch)
+        telemetry = Telemetry(sink=MemorySink())
+        warm = SweepRunner(
+            mixed_registry, workers=workers, workspace=tmp_path / "ws-warm",
+            cache=MutationOutcomeCache(cache_dir), telemetry=telemetry,
         ).run()
-        # A different component source hash must address a different
-        # record: simulate the edit by perturbing the canonical rendering
-        # of classes.
-        real_canonical = sweep_module.canonical
-        monkeypatch.setattr(
-            sweep_module, "canonical",
-            lambda value: "edited:" + real_canonical(value),
-        )
-        warm_cache = MutationOutcomeCache(cache_dir)
+        spans = telemetry.span_stats()
+        telemetry.close()
+
+        assert warm.to_json(timings=False) == baseline
+        assert dict(counts) == {} and resolved == []
+        assert "sweep.materialize" not in spans
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_half_warm_sweep_resolves_exactly_its_misses(
+            self, mixed_registry, baseline, tmp_path, monkeypatch, workers,
+            fresh_pool):
+        cache_dir = tmp_path / "cache"
+        SweepRunner(mixed_registry, workspace=tmp_path / "ws-cold",
+                    cache=MutationOutcomeCache(cache_dir)).run("mixed-stack")
+        counts, resolved = count_resolutions(monkeypatch)
+        cache = MutationOutcomeCache(cache_dir)
         report = SweepRunner(
-            mixed_registry, workspace=tmp_path / "ws-warm", cache=warm_cache,
+            mixed_registry, workers=workers, workspace=tmp_path / "ws-warm",
+            cache=cache,
         ).run()
-        assert report.passed
-        assert warm_cache.scenario_stats()["hits"] == 0
-        assert warm_cache.scenario_stats()["misses"] == len(MIXED_ENTRIES)
 
+        assert report.to_json(timings=False) == baseline
+        assert resolved == ["mixed-queue", "mixed-account"]
+        # One generated component and two suites: the queue's and the
+        # account's.
+        assert counts["synthesize"] == counts["materialize"] == 1
+        assert counts["generate"] == 2
+        assert cache.scenario_stats() == {"hits": 2, "misses": 2,
+                                          "stores": 2, "corrupt": 0}
 
-    @pytest.mark.parametrize("change", sorted(COMPONENT_CHANGES))
-    def test_changed_type_model_or_spec_misses(self, change, tmp_path,
-                                               monkeypatch):
-        registry = registry_from_mappings(TYPED_ENTRIES)
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_resolution_error_is_the_same_row_and_never_stored(
+            self, mixed_registry, tmp_path, monkeypatch, workers,
+            fresh_pool):
+        real_synthesize = sweep_module.synthesize
+
+        def hostile_synthesize(genspec):
+            if genspec.family == "queue":
+                raise RuntimeError("synthetic fault")
+            return real_synthesize(genspec)
+
+        monkeypatch.setattr(sweep_module, "synthesize", hostile_synthesize)
         cache_dir = tmp_path / "cache"
-
-        def sweep():
+        rows, stats = [], []
+        for temperature in ("cold", "warm"):
             cache = MutationOutcomeCache(cache_dir)
-            report = SweepRunner(registry, workspace=tmp_path / "ws",
-                                 cache=cache).run()
-            assert report.passed
-            return report.results[0], cache.scenario_stats()
+            report = SweepRunner(
+                mixed_registry, workers=workers,
+                workspace=tmp_path / f"ws-{temperature}", cache=cache,
+            ).run()
+            [failed] = report.errors
+            rows.append(failed.to_dict(timings=False))
+            stats.append(cache.scenario_stats())
 
-        cold, _ = sweep()
-        COMPONENT_CHANGES[change](monkeypatch)
-        changed, stats = sweep()
-        assert (stats["hits"], stats["misses"]) == (0, 1)
-        assert changed.suite_fingerprint == cold.suite_fingerprint
-        monkeypatch.undo()
-        reverted, stats = sweep()
-        assert (stats["hits"], stats["misses"]) == (1, 0)
-        assert reverted.to_dict(timings=False) == cold.to_dict(timings=False)
+        assert rows[0] == rows[1]
+        assert rows[0]["ident"] == "mixed-queue"
+        assert rows[0]["error"] == "RuntimeError: synthetic fault"
+        assert stats == [
+            {"hits": 0, "misses": 4, "stores": 3, "corrupt": 0},
+            {"hits": 3, "misses": 1, "stores": 0, "corrupt": 0},
+        ]
+        assert MutationOutcomeCache(cache_dir).live_records() == 3
+
+
+class SourceCopy:
+    """A copy of the ``repro`` tree that sweeps ``TYPED_ENTRIES`` in a
+    subprocess, into one store and workspace."""
+
+    def __init__(self, root: Path):
+        self.root = root
+        self.tree = root / "src"
+        shutil.copytree(Path(repro.__file__).parent, self.tree / "repro",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        self.registry = root / "registry.json"
+        self.registry.write_text(json.dumps(TYPED_ENTRIES))
+
+    def edit(self, path: str, old: str, new: str) -> None:
+        """Replace ``old`` by ``new`` in one file below the copy's
+        ``repro`` directory."""
+        target = self.tree / "repro" / path
+        text = target.read_text()
+        assert text.count(old) == 1, f"{old!r} is not once in {path}"
+        target.write_text(text.replace(old, new))
+
+    def sweep(self):
+        """``(hits, misses)`` of one sweep of the copy, and its one row's
+        deterministic projection."""
+        report = self.root / "report.json"
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro.scenarios", "run",
+             "--registry", str(self.registry),
+             "--workspace", str(self.root / "ws"),
+             "--cache-dir", str(self.root / "store"), "--cache-stats",
+             "--report-out", str(report)],
+            capture_output=True, text=True, cwd=self.root, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(self.tree)},
+        )
+        assert completed.returncode == 0, completed.stdout + completed.stderr
+        hits, misses = re.search(r"scenario cache: (\d+) hits, (\d+) misses",
+                                 completed.stdout).groups()
+        [row] = report_from_mapping(json.loads(report.read_text())).results
+        return (int(hits), int(misses)), row.to_dict(timings=False)
+
+
+@pytest.fixture(scope="module")
+def source_copy(tmp_path_factory):
+    """A :class:`SourceCopy` whose store one cold sweep filled, and that
+    sweep's row."""
+    copy = SourceCopy(tmp_path_factory.mktemp("source-copy"))
+    stats, row = copy.sweep()
+    assert stats == (0, 1)
+    return copy, row
+
+
+class TestSourceEdits:
+    """A real edit of a file the scenario reads misses its stored row,
+    and reverting the edit hits it again; each run is a fresh process on
+    a copy of the tree, against the same store."""
+
+    @pytest.mark.parametrize("edit", sorted(SOURCE_EDITS))
+    def test_edit_misses_and_revert_hits(self, edit, source_copy):
+        copy, cold = source_copy
+        path, old, new = SOURCE_EDITS[edit]
+        copy.edit(path, old, new)
+        try:
+            edited, _ = copy.sweep()
+        finally:
+            copy.edit(path, new, old)
+        assert edited == (0, 1)
+        reverted, row = copy.sweep()
+        assert reverted == (1, 0)
+        assert row == cold
 
 
 class TestErrorIsolation:
