@@ -108,9 +108,8 @@ def run_table3(seed: int = EXPERIMENT_SEED,
     cross-contaminate.
     Every battery prunes (base-class mutants are reached via inherited
     subclass methods, which the dynamic coverage recorder observes) and
-    triages the shared ``CObList`` mutant pool.  Under ``workers > 1`` the
-    batteries share one persistent worker pool, so the contrast runs
-    reuse warm processes.
+    triages the shared ``CObList`` mutant pool.  Under ``workers > 1`` each
+    battery forks workers of its own, which exit when it ends.
     """
     plan = incremental_plan(seed)
     mutants, generation = generate_mutants(

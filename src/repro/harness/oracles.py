@@ -185,7 +185,7 @@ class SelectiveOutputOracle(Oracle):
 
     # The memo tables live in slots, outside the instance ``__dict__``: the
     # oracle's canonical rendering (part of the outcome-cache fingerprint)
-    # and its pickled form (hashed into the worker pool's spec token) stay its
+    # and its pickled form (what a spawned pool worker receives) stay its
     # configuration alone, however much it has judged.
     __slots__ = ("_visible", "_references")
 

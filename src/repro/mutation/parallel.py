@@ -15,36 +15,29 @@ ships it marshalled), runs the suite under a fresh
 back to the parent.  The pool changes *where* a mutant runs, never
 *how*; a run replayed from the store touches no worker.
 
-Two throughput mechanisms keep orchestration from swamping the win:
+Mutants ship to workers in batches — by default
+``max(1, dispatched // (8 × workers))`` per batch (``batch_size``
+overrides) — so the per-task pipe round-trip amortizes over the batch.
+Workers still stream one ``done`` message per mutant, in submission
+order, so results merge exactly as before.
 
-* **Batched dispatch.**  Mutants ship to workers in chunks — by default
-  ``max(1, dispatched // (8 × workers))`` per batch (``batch_size``
-  overrides) — so the per-task pipe round-trip amortizes over the batch.
-  Workers still stream one ``done`` message per mutant, in submission
-  order, so results merge exactly as before.
-
-* **Persistent warm workers.**  The pool outlives a single ``analyze``
-  call: a process-wide shared :class:`WorkerPool` (or an explicit one
-  passed as ``pool=``) keeps workers alive across mutants *and* across
-  batteries (table2/table3 run several back-to-back).  Each battery ships
-  its :class:`WorkerSpec` once per worker under a spec token — the
-  compiled original class, suite fixtures, reference run and coverage
-  matrix stay cached worker-side until a different battery replaces
-  them.  Stale messages from a previous battery are discarded by run id.
-
-The pool runs one run at a time, on the caller's thread:
-:meth:`WorkerPool.run` owns every worker pipe until the run's results
-are complete, and a second thread sharing the pool waits for the first
-to finish.  Any exception inside the loop, Ctrl-C included, kills the
-workers still holding the run's batches before it propagates, so the
-next run starts on a clean pool.
+**One pool per run.**  :func:`run_pool` forks the workers of one
+:class:`PoolJob` and reaps every one of them before it returns or raises.
+Each worker starts holding the job's spec (the compiled original class,
+suite fixtures, reference run and coverage matrix of a mutant job): a
+forked worker inherits it, and only where ``spawn`` is the sole start
+method is it pickled, once per worker.  No run needs anything an earlier
+run left behind (the paper compiled each mutant as a separate class), so
+a worker lives exactly one run, and runs on two threads each drive
+workers of their own.  Any exception inside the loop, Ctrl-C included,
+kills the workers still holding batches before it propagates.
 
 The pool itself knows nothing of mutants.  A :class:`PoolJob` names its
-tasks, a picklable spec whose ``runner()`` builds the callable a worker
-applies to each task, and the result that stands in for a task that
-takes its worker down.  This engine's jobs run mutants; the scenario
-sweep (:mod:`repro.scenarios.sweep`) runs whole scenarios on the same
-pool, under the same crash, respawn and interrupt rules.
+tasks, a spec whose ``runner()`` builds the callable a worker applies to
+each task, and the result that stands in for a task that takes its
+worker down.  This engine's jobs run mutants; the scenario sweep
+(:mod:`repro.scenarios.sweep`) runs whole scenarios through the same
+:func:`run_pool`, under the same crash, respawn and interrupt rules.
 
 Two contracts, both tested differentially against the serial engine:
 
@@ -88,17 +81,12 @@ process boundaries.
 
 from __future__ import annotations
 
-import atexit
-import hashlib
-import itertools
 import math
 import multiprocessing
 import os
-import pickle
-import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing.connection import Connection, wait as connection_wait
 from typing import (
     Any, Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple,
@@ -112,23 +100,22 @@ from .analysis import ClassBuilder, MutantOutcome, MutationAnalysis
 from .coverage import CoverageMatrix
 from .mutant import CompiledMutant
 
-#: Default wall-clock backstop per mutant, in seconds.  Generous: the step
-#: budget catches ordinary runaway mutants deterministically within
-#: milliseconds; the backstop only exists for mutants that block without
-#: executing traceable Python lines, where only elapsed time is observable.
+#: Wall-clock backstop per mutant, in seconds.  Generous: the step budget
+#: catches ordinary runaway mutants deterministically within milliseconds;
+#: the backstop only exists for mutants that block without executing
+#: traceable Python lines, where only elapsed time is observable.
 DEFAULT_WALL_CLOCK_BACKSTOP = 60.0
 
 #: How long the run loop waits on worker pipes before its next health pass.
 _POLL_INTERVAL = 0.05
 
+#: How long a run's cleanup waits for an idle worker to exit when asked.
+_EXIT_GRACE = 1.0
+
 #: The adaptive default aims for ~8 batches per worker: small enough that
 #: a straggler batch cannot idle the rest of the pool for long, large
 #: enough to amortize the pipe round-trip.
 DEFAULT_BATCH_DIVISOR = 8
-
-#: Run ids distinguish runs sharing one (persistent) pool, so a stale
-#: message from a previous battery can never fill another run's slot.
-_RUN_IDS = itertools.count(1)
 
 
 def default_batch_size(dispatched: int, workers: int) -> int:
@@ -149,7 +136,7 @@ class WorkerSpec:
     setup: Optional[Callable[[], None]]
     reference: SuiteResult
     #: Coverage-guided pruning: the matrix is recorded once in the parent
-    #: (alongside the reference) and shipped verbatim, so every worker
+    #: (alongside the reference) and handed over verbatim, so every worker
     #: skips exactly the (mutant, case) pairs the serial engine would.
     prune: bool = True
     coverage: Optional[CoverageMatrix] = None
@@ -172,11 +159,13 @@ class WorkerSpec:
 
 @dataclass(frozen=True)
 class PoolJob:
-    """One run on a :class:`WorkerPool`, as its caller describes it.
+    """One run of :func:`run_pool`, as its caller describes it.
 
-    ``spec`` ships once to every worker that takes a task of the job (it
-    must pickle); the worker calls ``spec.runner()`` once and applies the
-    returned callable to each task, in order, sending each result back.
+    Every worker of the run starts holding ``spec``: a forked worker
+    inherits it, and only under the ``spawn`` start method must it
+    pickle.  Before its first task the worker calls ``spec.runner()``, and
+    it applies the returned callable to each task, in order, sending each
+    result back (tasks and results always pickle).
     The parent hands every task's result to ``deliver(index, result)``,
     where ``index`` is the task's position in ``tasks``.  A task that took
     its worker down, raised out of the runner, or outlived ``backstop``
@@ -190,42 +179,35 @@ class PoolJob:
     deliver: Callable[[int, Any], None]
     lost: Callable[[Any, KillReason, str], Any]
     describe: Callable[[Any], Dict[str, Any]]
-    #: Most batches in flight at once, and the width the pool may grow to.
+    #: Most batches in flight at once, and the most workers alive at once.
     workers: int
     obs: Telemetry
     batch_size: int = 1
     backstop: float = math.inf
 
 
-def _worker_main(connection: Connection) -> None:
-    """Worker loop: job specs and task batches in, results out.
+def _worker_main(connection: Connection, spec: Any) -> None:
+    """Worker loop: task batches in, results out.
 
-    Messages: ``("spec", token, spec)`` installs ``spec.runner()`` in
-    place of the previous runner, so a rerun of the same job spec (the
-    same battery, say) ships no spec at all;
-    ``("batch", run_id, token, ((index, task), …))`` applies the runner
-    to each task in order, streaming one ``("done", run_id, index,
-    result)`` per task (or ``("error", run_id, index, message)`` for a
-    harness-level failure); ``None`` exits.  For a mutant job the runner
-    is a plain serial :class:`MutationAnalysis` seeded with the parent's
-    reference run; parallelism changes *where* a task runs, never *how*.
+    Each message is a batch ``((index, task), …)``: the worker applies
+    ``spec.runner()`` (built before its first task) to each task in
+    order, streaming one ``("done", index, result)`` per task (or
+    ``("error", index, message)`` for a harness-level failure); ``None``
+    exits.  For a mutant job the runner is a plain serial
+    :class:`MutationAnalysis` seeded with the parent's reference run;
+    parallelism changes *where* a task runs, never *how*.
     """
-    token: Optional[str] = None
     runner: Optional[Callable[[Any], Any]] = None
     try:
         while True:
-            message = connection.recv()
-            if message is None:
+            batch = connection.recv()
+            if batch is None:
                 break
-            if message[0] == "spec":
-                token, runner = message[1], message[2].runner()
-                continue
-            run_id, batch_token, tasks = message[1], message[2], message[3]
-            for index, task in tasks:
+            for index, task in batch:
                 try:
-                    if batch_token != token:
-                        raise RuntimeError("batch received before its spec")
-                    connection.send(("done", run_id, index, runner(task)))
+                    if runner is None:
+                        runner = spec.runner()
+                    connection.send(("done", index, runner(task)))
                 except KeyboardInterrupt:
                     raise
                 except BaseException as error:  # noqa: BLE001 — must not die
@@ -234,8 +216,7 @@ def _worker_main(connection: Connection) -> None:
                     # the worker down; the parent classifies it as a
                     # worker-boundary failure.
                     connection.send(
-                        ("error", run_id, index,
-                         f"{type(error).__name__}: {error}")
+                        ("error", index, f"{type(error).__name__}: {error}")
                     )
     except (EOFError, OSError, KeyboardInterrupt):
         pass  # parent went away or shut us down; nothing to clean up
@@ -247,7 +228,7 @@ class _Worker:
     """Parent-side handle for one worker process."""
 
     __slots__ = ("process", "connection", "assigned", "batch_len",
-                 "batch_started", "last_heard", "token")
+                 "batch_started", "last_heard")
 
     def __init__(self, process, connection: Connection):
         self.process = process
@@ -258,100 +239,81 @@ class _Worker:
         self.batch_len = 0
         self.batch_started = 0.0
         self.last_heard = 0.0
-        #: Token of the job spec the worker holds, ``None`` before the
-        #: first one ships.
-        self.token: Optional[str] = None
 
 
-class WorkerPool:
-    """A pool of workers persisting across runs.
+def run_pool(job: PoolJob) -> None:
+    """Drive ``job`` on workers of its own until every task's result is
+    delivered.
 
-    Engines draw workers from here instead of spawning their own; a pool
-    survives battery boundaries, so table2/table3-style back-to-back runs
-    reuse warm processes (and the battery each one holds) instead of
-    paying fork + spec shipping every time.  One process-wide shared pool
-    (:func:`shared_worker_pool`) is the default; tests and embedders can
-    pass a private pool to the engine.
-
-    :meth:`run` executes one :class:`PoolJob` at a time on the calling
-    thread, holding a lock for the whole run: two threads sharing a pool
-    are served one after the other.
+    Up to ``job.workers`` workers are forked for the run, each holding
+    ``job.spec``, and every one of them is reaped before this returns or
+    raises.  An exception raised meanwhile (a ``KeyboardInterrupt``
+    reaching this thread, a failing ``deliver``) kills the workers still
+    holding batches before it propagates.
     """
+    run = _PoolRun(job)
+    try:
+        run.drive()
+    finally:
+        run.close()
 
-    def __init__(self):
-        self._context = _mp_context()
+
+class _PoolRun:
+    """One job's workers and bookkeeping, from its first fork to its last
+    reap."""
+
+    def __init__(self, job: PoolJob):
+        self.job = job
+        self.context = _mp_context()
         self.workers: List[_Worker] = []
-        self._closed = False
-        self._lock = threading.Lock()
+        #: ``(index, task)`` pairs not yet dispatched.
+        self.pending: Deque[Tuple[int, Any]] = deque(enumerate(job.tasks))
+        self.remaining = len(job.tasks)
+        #: When the pending queue was filled — dispatch events report each
+        #: task's queue wait relative to this instant.
+        self.enqueued_at = time.perf_counter()
+        #: Workers lost mid-batch and not yet replaced; each replacement
+        #: spawn consumes one and counts as a respawn.
+        self.casualties = 0
+        #: Indices that must be dispatched as singleton batches: survivors
+        #: of a crashed multi-task batch, re-run alone so a poisoned
+        #: batchmate cannot contaminate their results (and so the poisoned
+        #: one, alone in its batch, is attributable when it kills its
+        #: worker again).
+        self.solo: Set[int] = set()
+        #: Indices whose result has been delivered.
+        self.reported: Set[int] = set()
 
-    @property
-    def size(self) -> int:
-        return len(self.workers)
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    # -- run execution ---------------------------------------------------
-
-    def run(self, job: PoolJob) -> None:
-        """Drive one job until every task's result is delivered.
-
-        Any exception raised meanwhile (a ``KeyboardInterrupt`` reaching
-        this thread, a failing ``deliver``) kills the workers still
-        holding this run's batches before it propagates, so none of them
-        carries the abandoned run into the next one.
-        """
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("worker pool is closed")
-            state = _PoolState(
-                job=job,
-                pending=deque(enumerate(job.tasks)),
-                remaining=len(job.tasks),
-                run_id=next(_RUN_IDS),
-                token=_spec_token(job.spec),
-                enqueued_at=time.perf_counter(),
-            )
-            try:
-                self._drive(state)
-            except BaseException:
-                for worker in [w for w in self.workers if w.assigned]:
-                    self._kill(worker)
-                raise
-
-    def _drive(self, state: "_PoolState") -> None:
+    def drive(self) -> None:
         """Health pass → sizing → dispatch → wait, until the run is done.
 
-        The pool grows to ``min(workers, in flight + pending)``; a run
+        The run grows to ``min(workers, in flight + pending)`` workers and
         never holds more than ``workers`` batches at once.  A replacement
         for a worker lost mid-batch counts as a respawn.
         """
-        job = state.job
+        job = self.job
         while True:
-            if self._closed:
-                raise RuntimeError("worker pool closed mid-run")
             now = time.perf_counter()
             for worker in list(self.workers):
                 if not worker.process.is_alive():
-                    self._retire_dead(worker, state)
+                    self._retire_dead(worker)
                 elif (worker.assigned
                         and now - worker.last_heard > job.backstop):
-                    self._retire_hung(worker, state)
-            if state.remaining <= 0:
+                    self._retire_hung(worker)
+            if self.remaining <= 0:
                 return
             busy = sum(1 for worker in self.workers if worker.assigned)
             while len(self.workers) < min(job.workers,
-                                          busy + len(state.pending)):
-                self._spawn(job.obs)
-                if state.casualties > 0:
-                    state.casualties -= 1
+                                          busy + len(self.pending)):
+                self._spawn()
+                if self.casualties > 0:
+                    self.casualties -= 1
                     job.obs.count("parallel.respawns")
             for worker in list(self.workers):
-                if not state.pending or busy >= job.workers:
+                if not self.pending or busy >= job.workers:
                     break
                 if not worker.assigned:
-                    self._dispatch(worker, state)
+                    self._dispatch(worker)
                     busy += 1
             watched = [worker.connection for worker in self.workers
                        if worker.assigned]
@@ -361,29 +323,35 @@ class WorkerPool:
                 ready = []  # a pipe vanished; the next health pass classifies
             for worker in list(self.workers):
                 if worker.connection in ready:
-                    self._drain_worker(worker, state)
+                    self._drain_worker(worker)
+
+    def record(self, index: int, result: Any) -> None:
+        """Deliver one result exactly once (duplicates are dropped)."""
+        if index not in self.reported:
+            self.reported.add(index)
+            self.remaining -= 1
+            self.job.deliver(index, result)
+
+    def lose(self, task: Tuple[int, Any], reason: KillReason,
+             detail: str) -> None:
+        """Deliver the job's stand-in result for a task its worker lost."""
+        self.record(task[0], self.job.lost(task[1], reason, detail))
 
     # -- message handling ------------------------------------------------
 
-    def _drain_worker(self, worker: _Worker, state: "_PoolState") -> None:
+    def _drain_worker(self, worker: _Worker) -> None:
         """Apply every message currently sitting in one worker's pipe."""
         try:
             while worker.connection.poll(0):
-                self._apply_message(worker, worker.connection.recv(), state)
+                self._apply_message(worker, worker.connection.recv())
         except (EOFError, OSError):
             pass  # pipe closed mid-batch: the next health pass classifies it
 
-    def _apply_message(self, worker: _Worker, message: Tuple,
-                       state: "_PoolState") -> None:
-        kind = message[0]
-        if kind not in ("done", "error"):
-            return
-        run_id, index = message[1], message[2]
+    def _apply_message(self, worker: _Worker, message: Tuple) -> None:
+        kind, index = message[0], message[1]
         previously_heard = worker.last_heard
         worker.last_heard = time.perf_counter()
-        if run_id != state.run_id:
-            return  # residue of a previous run on this persistent worker
-        obs = state.job.obs
+        obs = self.job.obs
         task = next((assigned for assigned in worker.assigned
                      if assigned[0] == index), None)
         if task is None:
@@ -391,14 +359,14 @@ class WorkerPool:
         worker.assigned.remove(task)
         if kind == "done":
             obs.event(
-                "parallel.task", index=index, **state.job.describe(task[1]),
+                "parallel.task", index=index, **self.job.describe(task[1]),
                 seconds=round(worker.last_heard - previously_heard, 6),
             )
-            state.record(index, message[3])
+            self.record(index, message[2])
         else:
             obs.count("parallel.worker_errors")
-            state.lose(task, KillReason.WORKER_CRASH,
-                       f"worker failed to run the task: {message[3]}")
+            self.lose(task, KillReason.WORKER_CRASH,
+                      f"worker failed to run the task: {message[2]}")
         if not worker.assigned and worker.batch_len:
             obs.event(
                 "parallel.batch", size=worker.batch_len,
@@ -408,7 +376,7 @@ class WorkerPool:
 
     # -- health ----------------------------------------------------------
 
-    def _retire_dead(self, worker: _Worker, state: "_PoolState") -> None:
+    def _retire_dead(self, worker: _Worker) -> None:
         # Salvage results the worker sent before dying, then apply the
         # batch crash rule: a single unreported task was provably
         # executing and is handed to the job's ``lost`` as a
@@ -418,43 +386,43 @@ class WorkerPool:
         # pruned.
         worker.process.join()
         if worker.assigned:
-            self._drain_worker(worker, state)
+            self._drain_worker(worker)
         if worker.assigned:  # salvage may have completed the batch
-            obs = state.job.obs
+            obs = self.job.obs
             unreported = [task for task in worker.assigned
-                          if task[0] not in state.reported]
+                          if task[0] not in self.reported]
             worker.assigned.clear()
             worker.batch_len = 0
-            state.casualties += 1
+            self.casualties += 1
             if len(unreported) == 1:
                 index, task = unreported[0]
                 obs.event("parallel.worker_crash", index=index,
-                          **state.job.describe(task),
+                          **self.job.describe(task),
                           exitcode=worker.process.exitcode)
                 obs.count("parallel.worker_crashes")
-                state.lose(unreported[0], KillReason.WORKER_CRASH,
-                           f"worker process died (exitcode "
-                           f"{worker.process.exitcode}) while running the "
-                           f"suite")
+                self.lose(unreported[0], KillReason.WORKER_CRASH,
+                          f"worker process died (exitcode "
+                          f"{worker.process.exitcode}) while running the "
+                          f"suite")
             elif unreported:
                 obs.event("parallel.batch_failed", size=len(unreported),
                           reason="crash",
                           exitcode=worker.process.exitcode)
                 obs.count("parallel.batch_redispatches")
                 for task in reversed(unreported):
-                    state.solo.add(task[0])
-                    state.pending.appendleft(task)
+                    self.solo.add(task[0])
+                    self.pending.appendleft(task)
         self._discard(worker)
 
-    def _retire_hung(self, worker: _Worker, state: "_PoolState") -> None:
+    def _retire_hung(self, worker: _Worker) -> None:
         # The result may have landed in the pipe while we were not
         # looking; salvage it first — only a genuinely silent worker is a
         # hang.
-        self._drain_worker(worker, state)
+        self._drain_worker(worker)
         if not worker.assigned:
             return  # salvage completed the batch; the worker is fine
         unreported = [task for task in worker.assigned
-                      if task[0] not in state.reported]
+                      if task[0] not in self.reported]
         worker.assigned.clear()
         worker.batch_len = 0
         if not unreported:
@@ -463,64 +431,58 @@ class WorkerPool:
         # it exists, so a silent worker is provably stuck on its *first*
         # unreported task; the rest of the batch never started and is
         # re-queued untouched.
-        obs = state.job.obs
-        backstop = state.job.backstop
-        state.casualties += 1
+        obs = self.job.obs
+        backstop = self.job.backstop
+        self.casualties += 1
         index, task = unreported[0]
         self._kill(worker)
         obs.event("parallel.wall_timeout", index=index,
-                  **state.job.describe(task), backstop=backstop)
+                  **self.job.describe(task), backstop=backstop)
         obs.count("parallel.wall_timeouts")
-        state.lose(unreported[0], KillReason.WALL_TIMEOUT,
-                   f"no verdict within the {backstop:.1f}s wall-clock "
-                   f"backstop; worker killed")
+        self.lose(unreported[0], KillReason.WALL_TIMEOUT,
+                  f"no verdict within the {backstop:.1f}s wall-clock "
+                  f"backstop; worker killed")
         rest = unreported[1:]
         if rest:
             obs.event("parallel.batch_failed", size=len(rest),
                       reason="hang")
             obs.count("parallel.batch_redispatches")
             for task in reversed(rest):
-                state.pending.appendleft(task)
+                self.pending.appendleft(task)
 
     # -- dispatch --------------------------------------------------------
 
-    def _dispatch(self, worker: _Worker, state: "_PoolState") -> None:
-        """Hand an idle worker the run's next batch, shipping the job's
-        spec first unless the worker already holds it."""
-        job = state.job
+    def _dispatch(self, worker: _Worker) -> None:
+        """Hand an idle worker the run's next batch."""
+        job = self.job
         obs = job.obs
         now = time.perf_counter()
         batch: List[Tuple[int, Any]] = []
-        while state.pending and len(batch) < job.batch_size:
-            index = state.pending[0][0]
-            if index in state.solo and batch:
+        while self.pending and len(batch) < job.batch_size:
+            index = self.pending[0][0]
+            if index in self.solo and batch:
                 break  # a solo task never joins a batch already in hand
-            batch.append(state.pending.popleft())
-            if index in state.solo:
+            batch.append(self.pending.popleft())
+            if index in self.solo:
                 break  # …and never takes batchmates of its own
-        # Busy from here on: an exception during either send kills the
+        # Busy from here on: an exception during the send kills the
         # worker instead of leaving a half-written message in its pipe.
         worker.assigned = deque(batch)
         worker.batch_len = len(batch)
         worker.batch_started = worker.last_heard = now
         try:
-            if worker.token != state.token:
-                worker.connection.send(("spec", state.token, job.spec))
-                worker.token = state.token
-                obs.count("parallel.battery_shipped")
-            worker.connection.send(("batch", state.run_id, state.token,
-                                    tuple(batch)))
+            worker.connection.send(tuple(batch))
         except OSError:
             # The worker died while idle: the batch never started, so it
             # goes back to the front of the queue untouched.
-            state.pending.extendleft(reversed(batch))
+            self.pending.extendleft(reversed(batch))
             self._kill(worker)
             return
-        depth = len(state.pending)
+        depth = len(self.pending)
         for index, task in batch:
             obs.event(
                 "parallel.dispatch", index=index, **job.describe(task),
-                waited=round(now - state.enqueued_at, 6),
+                waited=round(now - self.enqueued_at, 6),
                 batch=len(batch),
                 depth=depth,
             )
@@ -528,16 +490,17 @@ class WorkerPool:
 
     # -- worker lifecycle ------------------------------------------------
 
-    def _spawn(self, obs: Telemetry) -> None:
-        parent_connection, child_connection = self._context.Pipe(duplex=True)
-        process = self._context.Process(
-            target=_worker_main, args=(child_connection,), daemon=True,
+    def _spawn(self) -> None:
+        parent_connection, child_connection = self.context.Pipe(duplex=True)
+        process = self.context.Process(
+            target=_worker_main, args=(child_connection, self.job.spec),
+            daemon=True,
         )
         process.start()
-        child_connection.close()
-        obs.event("parallel.worker_spawned", pid=process.pid)
-        obs.count("parallel.workers_spawned")
         self.workers.append(_Worker(process, parent_connection))
+        child_connection.close()
+        self.job.obs.event("parallel.worker_spawned", pid=process.pid)
+        self.job.obs.count("parallel.workers_spawned")
 
     def _discard(self, worker: _Worker) -> None:
         """Forget one (already killed or dead) worker."""
@@ -553,110 +516,58 @@ class WorkerPool:
         try:
             worker.process.kill()
             worker.process.join()
-        except (OSError, AssertionError):
+        except OSError:
             pass  # already gone
         self._discard(worker)
 
     def close(self) -> None:
-        """Shut every worker down; the pool is unusable afterwards.
+        """Reap every worker of the run; a second call does nothing.
 
-        A run in progress on another thread stops at its next health pass
-        with ``RuntimeError("worker pool closed mid-run")``; close waits
-        for it to let go of the pool.  Idempotent and exception-silent by
-        contract: the ``atexit`` hook (:func:`shutdown_shared_pool`) may
-        run after the interpreter has already reaped worker processes or
-        closed their pipes — every step here tolerates workers and pipes
-        that are already gone, and a second call is a no-op.
+        A worker still holding a batch (the run is being abandoned) is
+        killed; an idle one is asked to exit, and killed if it has not
+        within :data:`_EXIT_GRACE` seconds.  Every step tolerates workers
+        that are already dead and pipes that are already closed.
         """
-        if self._closed:
-            return
-        self._closed = True
-        with self._lock:
-            for worker in self.workers:
-                try:
+        for worker in self.workers:
+            try:
+                if worker.assigned:
+                    worker.process.kill()
+                else:
                     worker.connection.send(None)
-                except Exception:  # noqa: BLE001 — dead worker / closed pipe
-                    pass
-            for worker in self.workers:
-                try:
-                    worker.process.join(timeout=1.0)
-                    if worker.process.is_alive():
-                        worker.process.kill()
-                        worker.process.join()
-                except Exception:  # noqa: BLE001 — already reaped
-                    pass
-                try:
-                    worker.connection.close()
-                except Exception:  # noqa: BLE001
-                    pass
-            self.workers.clear()
-
-    def __enter__(self) -> "WorkerPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-_SHARED_POOL: Optional[WorkerPool] = None
-_SHARED_POOL_LOCK = threading.Lock()
-
-
-def shared_worker_pool() -> WorkerPool:
-    """The process-wide pool engines share by default.
-
-    Created on first use and kept warm until :func:`shutdown_shared_pool`
-    (registered ``atexit``) — this is what carries worker processes across
-    batteries within one experiment process.  Engines on several threads
-    take turns on it, one run at a time.
-    """
-    global _SHARED_POOL
-    with _SHARED_POOL_LOCK:
-        if _SHARED_POOL is None or _SHARED_POOL.closed:
-            _SHARED_POOL = WorkerPool()
-        return _SHARED_POOL
+            except OSError:
+                pass  # dead worker or closed pipe: the join below reaps it
+        for worker in self.workers:
+            try:
+                worker.process.join(timeout=_EXIT_GRACE)
+                if worker.process.is_alive():
+                    worker.process.kill()
+                    worker.process.join()
+            except OSError:
+                pass  # already reaped
+            try:
+                worker.connection.close()
+            except OSError:
+                pass
+        self.workers.clear()
 
 
 def shutdown_shared_pool() -> None:
-    """Close the shared pool (safe to call when none exists).
+    """Does nothing: :func:`run_pool` reaps a run's workers before it
+    returns, and no pool outlives a run.
 
-    Registered ``atexit``, so it can run after the interpreter has begun
-    tearing the process down — after worker processes have been reaped
-    and pipes closed.  It must therefore be idempotent and never raise: a
-    shutdown race at exit is cosmetic, and an exception here would mask
-    the program's real outcome.
+    Kept for its one caller, the traced mode of ``benchmarks/e2e/child.py``
+    (``layer_metrics``), which calls it before it reads the workers' CPU
+    time and peak RSS from ``RUSAGE_CHILDREN``.
     """
-    global _SHARED_POOL
-    with _SHARED_POOL_LOCK:
-        pool, _SHARED_POOL = _SHARED_POOL, None
-    if pool is not None:
-        try:
-            pool.close()
-        except Exception:  # noqa: BLE001 — exit-time race; stay silent
-            pass
-
-
-atexit.register(shutdown_shared_pool)
 
 
 def _mp_context():
-    # fork keeps worker start cheap and inherits loaded modules; fall
-    # back to the platform default where fork is unavailable.
+    # fork keeps worker start cheap and hands each worker its job's spec
+    # without pickling it; fall back to the platform default where fork
+    # is unavailable.
     if "fork" in multiprocessing.get_all_start_methods():
         return multiprocessing.get_context("fork")
     return multiprocessing.get_context()
-
-
-def _spec_token(spec: Any) -> str:
-    """The job's spec token: content hash of the pickled spec.
-
-    Each worker remembers the token of the spec it holds, so re-running
-    a battery (same class, suite, reference, coverage, flags) ships no
-    spec at all; any other token configures the worker on its next
-    dispatch.
-    """
-    payload = pickle.dumps(spec, protocol=pickle.HIGHEST_PROTOCOL)
-    return hashlib.sha256(payload).hexdigest()
 
 
 def _boundary_result(mutant: CompiledMutant, reason: KillReason,
@@ -676,81 +587,37 @@ def _boundary_result(mutant: CompiledMutant, reason: KillReason,
     ), 0
 
 
-@dataclass
-class _PoolState:
-    """Mutable bookkeeping for one pool run."""
-
-    job: PoolJob
-    #: ``(index, task)`` pairs not yet dispatched.
-    pending: Deque[Tuple[int, Any]]
-    remaining: int
-    run_id: int
-    token: str
-    #: When the pending queue was filled — dispatch events report each
-    #: task's queue wait relative to this instant.
-    enqueued_at: float
-    #: Workers lost mid-batch and not yet replaced; each replacement
-    #: spawn consumes one and counts as a respawn.
-    casualties: int = 0
-    #: Indices that must be dispatched as singleton batches: survivors of
-    #: a crashed multi-task batch, re-run alone so a poisoned batchmate
-    #: cannot contaminate their results (and so the poisoned one, alone
-    #: in its batch, is attributable when it kills its worker again).
-    solo: Set[int] = field(default_factory=set)
-    #: Indices whose result has been delivered.
-    reported: Set[int] = field(default_factory=set)
-
-    def record(self, index: int, result: Any) -> None:
-        """Deliver one result exactly once (duplicates are dropped)."""
-        if index not in self.reported:
-            self.reported.add(index)
-            self.remaining -= 1
-            self.job.deliver(index, result)
-
-    def lose(self, task: Tuple[int, Any], reason: KillReason,
-             detail: str) -> None:
-        """Deliver the job's stand-in result for a task its worker lost."""
-        self.record(task[0], self.job.lost(task[1], reason, detail))
-
-
 class ParallelMutationAnalysis(MutationAnalysis):
     """The serial engine with its mutants run on worker processes.
 
     Accepts the configuration of :class:`MutationAnalysis` plus the pool
     shape, by keyword: ``workers`` (the most batches this run keeps in
-    flight, and the width it may grow the pool to; at least 1, default
-    the CPU count), ``wall_clock_backstop`` (seconds a worker may stay
-    silent on a mutant), ``batch_size`` (mutants per dispatch chunk;
-    default adaptive) and ``pool`` (an explicit :class:`WorkerPool`;
-    default the process-wide shared pool, which keeps workers warm across
-    batteries).
-    Every configuration object (suite, oracle, class builder, setup hook)
-    must be picklable because workers are rebuilt from them; all shipped
-    configurations in :mod:`repro.experiments.config` are.
+    flight, and the most workers it forks; at least 1, default the CPU
+    count) and ``batch_size`` (mutants per dispatch chunk; default
+    adaptive).  A worker silent on one mutant for
+    :data:`DEFAULT_WALL_CLOCK_BACKSTOP` seconds is killed.
+    Workers are forked for each run and inherit its configuration; only
+    where ``spawn`` is the sole start method must every configuration
+    object (suite, oracle, class builder, setup hook) pickle, and all
+    shipped configurations in :mod:`repro.experiments.config` do.
     """
 
     def __init__(self, original_class: type, suite: TestSuite, *args,
                  workers: Optional[int] = None,
-                 wall_clock_backstop: float = DEFAULT_WALL_CLOCK_BACKSTOP,
                  batch_size: Optional[int] = None,
-                 pool: Optional[WorkerPool] = None,
                  **options):
         if workers is not None and workers < 1:
             raise ValueError(f"workers must be at least 1, got {workers}")
-        if wall_clock_backstop <= 0:
-            raise ValueError("wall-clock backstop must be positive")
         if batch_size is not None and batch_size < 1:
             raise ValueError("batch size must be at least 1")
         super().__init__(original_class, suite, *args, **options)
         self._workers = (workers if workers is not None
                          else (os.cpu_count() or 1))
-        self._backstop = wall_clock_backstop
         self._batch_size = batch_size
-        self._pool = pool
 
     def _resolve(self, mutants: List[CompiledMutant], indices: List[int],
                  results: List[Optional[Tuple[MutantOutcome, int]]]) -> None:
-        """Run the mutants at ``indices`` on the worker pool.
+        """Run the mutants at ``indices`` on a pool of their own.
 
         Telemetry stays in the parent: workers run un-instrumented, so the
         trace has one writer.
@@ -787,9 +654,7 @@ class ParallelMutationAnalysis(MutationAnalysis):
                 batch_size=(self._batch_size if self._batch_size is not None
                             else default_batch_size(len(indices),
                                                     self._workers)),
-                backstop=self._backstop,
+                backstop=DEFAULT_WALL_CLOCK_BACKSTOP,
             )
             span.set("batch_size", job.batch_size)
-            pool = (self._pool if self._pool is not None
-                    else shared_worker_pool())
-            pool.run(job)
+            run_pool(job)

@@ -11,7 +11,7 @@ This package scales the paper's two-subject evaluation to hundreds of
   each with BIT methods, contracts and a reference-model shadow oracle;
 * :mod:`repro.scenarios.materialize` / :mod:`~repro.scenarios.runtime` —
   content-addressed module files plus the pickling support that lets
-  warm worker pools execute generated classes;
+  pool workers execute generated classes;
 * :mod:`repro.scenarios.sweep` — the runner that drives every scenario
   through the existing serial/parallel mutation engines and aggregates
   one deterministic report;

@@ -4,10 +4,11 @@ Generated components (:mod:`repro.scenarios.genspec`) live in modules that
 are *materialized* — written into a workspace directory and imported by
 file path, never installed on ``sys.path``.  That breaks the default
 pickling of classes, which ships ``(module, qualname)`` and requires the
-receiving process to import the module by name: a persistent pool worker
-(:mod:`repro.mutation.parallel`), running mutant batches or whole sweep
-scenarios, may have been forked before the module existed, and its plain
-``import`` would fail.
+receiving process to import the module by name: a pool worker
+(:mod:`repro.mutation.parallel`) started with ``spawn``, running mutant
+batches or whole sweep scenarios, begins from a fresh interpreter without
+the module, and its plain ``import`` would fail.  (A forked worker
+inherits the module, but its tasks still arrive pickled.)
 
 The fix is a metaclass.  Every generated class is an instance of
 :class:`GeneratedComponentMeta`, and a reducer for that metaclass is
@@ -17,8 +18,8 @@ falling back to by-name class pickling.  The reducer ships
 ``(module, qualname, source path)``; :func:`load_generated_class` on the
 receiving side reuses the module when it is already loaded, and otherwise
 imports it straight from the recorded file.  Any process that can import
-:mod:`repro` can therefore unpickle a generated class, no matter when it
-was forked.
+:mod:`repro` can therefore unpickle a generated class, however it was
+started.
 
 Mutant classes built *from* a generated component (``CompiledMutant
 .build_class`` copies the owner's namespace and inherits this metaclass)

@@ -21,8 +21,9 @@ scenario up in the store, resolves each miss (its class and suite) and
 hands the misses to that many worker processes that each run whole
 scenarios:
 one task per run of adjacent scenarios with the same component (the
-registry lists them together), on the process-wide
-:class:`~repro.mutation.parallel.WorkerPool`.  A task carries the class
+registry lists them together), through
+:func:`~repro.mutation.parallel.run_pool`, which forks the workers for
+the sweep and reaps them before it returns.  A task carries the class
 and suites it runs on (a generated class pickles through its metaclass,
 see :mod:`repro.scenarios.runtime`), so a worker only builds the battery,
 records the reference run and runs the analysis, on a fresh serial runner
@@ -93,7 +94,7 @@ from ..mutation.analysis import MutationAnalysis
 from ..mutation.cache import MutationOutcomeCache
 from ..mutation.coverage import CoverageMatrix
 from ..mutation.generate import build_battery
-from ..mutation.parallel import PoolJob, shared_worker_pool
+from ..mutation.parallel import PoolJob, run_pool
 from ..obs import Telemetry, coalesce
 from ..obs.summary import aggregate_counters
 from ..tspec.model import ClassSpec
@@ -429,10 +430,10 @@ class SweepRunner:
                  cache: Optional[MutationOutcomeCache] = None,
                  telemetry: Optional[Telemetry] = None):
         """``workers > 1`` runs the scenarios the store cannot answer on
-        that many processes of the process-wide shared pool, each running
-        whole scenarios (see the module docstring).  ``cache`` holds the
-        scenario records, and ``telemetry`` observes this process only.
-        A count below 1 is a ``ValueError``."""
+        that many worker processes, each running whole scenarios (see the
+        module docstring).  ``cache`` holds the scenario records, and
+        ``telemetry`` observes this process only.  A count below 1 is a
+        ``ValueError``."""
         if workers < 1:
             raise ValueError(f"workers must be at least 1, got {workers}")
         self._registry = registry
@@ -726,8 +727,8 @@ class SweepRunner:
         same component.
 
         Rows are finished in registry order as soon as every row before
-        them is known.  Ctrl-C (the pool has already killed the workers
-        holding tasks) cancels every scenario without a row."""
+        them is known.  Ctrl-C (the pool has already reaped its workers)
+        cancels every scenario without a row."""
         rows: List[Optional[ScenarioResult]] = [None] * len(scenarios)
         keys: List[Optional[str]] = [None] * len(scenarios)
         results: List[ScenarioResult] = []
@@ -765,7 +766,7 @@ class SweepRunner:
                    rows: List[Optional[ScenarioResult]],
                    finish_ready: Callable[[], None]) -> None:
         """Run each task (a tuple of positioned, resolved scenarios) on
-        the shared pool and fill its rows as it arrives."""
+        the pool and fill its rows as it arrives."""
 
         def deliver(index: int,
                     task_rows: Tuple[ScenarioResult, ...]) -> None:
@@ -793,7 +794,7 @@ class SweepRunner:
         with self._obs.span("parallel.run",
                             scenarios=sum(len(task) for task in tasks),
                             tasks=len(tasks), workers=self._workers):
-            shared_worker_pool().run(job)
+            run_pool(job)
 
     def run(self, filter_expression: str = "",
             shard: Optional[Tuple[int, int]] = None,

@@ -21,6 +21,7 @@ from repro.harness.oracles import KillReason, experiment_oracle
 from repro.mutation.analysis import MutationAnalysis
 from repro.mutation.cache import MutationOutcomeCache
 from repro.mutation.generate import generate_mutants
+import repro.mutation.parallel as parallel
 from repro.mutation.parallel import (
     ParallelMutationAnalysis,
     default_batch_size,
@@ -56,16 +57,13 @@ def mutants():
 
 
 def batched(mutants, seed, *, workers=2, batch_size=None, cache=None,
-            static_triage=True, telemetry=None, backstop=None):
-    options = {}
-    if backstop is not None:
-        options["wall_clock_backstop"] = backstop
+            static_triage=True, telemetry=None):
     return ParallelMutationAnalysis(
         CSortableObList, small_suite(seed), oracle=oracle(),
         workers=workers, batch_size=batch_size, cache=cache,
         static_triage=static_triage,
         triage_type_model=OBLIST_TYPE_MODEL if static_triage else None,
-        telemetry=telemetry, **options,
+        telemetry=telemetry,
     ).analyze(mutants)
 
 
@@ -176,13 +174,14 @@ class TestPoisonedBatch:
                        if outcome.reason is KillReason.WORKER_CRASH]
         assert len(crash_kills) == 1
 
-    def test_hanging_batchmate_classified_alone(self, mutants):
+    def test_hanging_batchmate_classified_alone(self, mutants, monkeypatch):
+        monkeypatch.setattr(parallel, "DEFAULT_WALL_CLOCK_BACKSTOP", 1.5)
         suite = small_suite(SEEDS[0])
         hostile = hostile_mutant("X0102", HANG_SOURCE)
         battery = list(mutants[:2]) + [hostile] + list(mutants[2:6])
         run = ParallelMutationAnalysis(
             CSortableObList, suite, oracle=oracle(), workers=2,
-            batch_size=4, static_triage=False, wall_clock_backstop=1.5,
+            batch_size=4, static_triage=False,
         ).analyze(battery)
 
         assert run.total == len(battery)

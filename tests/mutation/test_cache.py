@@ -28,7 +28,6 @@ from repro.harness.oracles import experiment_oracle
 from repro.mutation.analysis import MutationAnalysis, analyze_mutants
 from repro.mutation.cache import CacheStats, MutationOutcomeCache
 from repro.mutation.generate import generate_mutants
-from repro.mutation.parallel import WorkerPool
 from repro.obs import MemorySink, Telemetry
 
 SEEDS = (20010701, 7, 99)
@@ -153,20 +152,16 @@ class TestLookupComesFirst:
         suite = small_suite(SEEDS[0], limit=30)
         cache = MutationOutcomeCache(tmp_path)
 
-        def run(pool, telemetry=None):
-            engine = {"pool": pool} if workers > 1 else {}
+        def run(telemetry=None):
             return analyze_mutants(
                 CSortableObList, suite, findmax_mutants, workers=workers,
-                oracle=oracle(), cache=cache, telemetry=telemetry, **engine,
+                oracle=oracle(), cache=cache, telemetry=telemetry,
             )
 
-        with WorkerPool() as pool:
-            cold = run(pool)
+        cold = run()
         assert counted == {"record_coverage": 1, "triage_mutants": 1}
         sink = MemorySink()
-        with WorkerPool() as pool:
-            warm = run(pool, Telemetry(sink=sink))
-            assert pool.size == 0
+        warm = run(Telemetry(sink=sink))
         assert counted == {"record_coverage": 1, "triage_mutants": 1}
         assert warm.cache_stats == CacheStats(hits=warm.dispatched_count)
         assert warm.same_results(cold)

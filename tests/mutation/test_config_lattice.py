@@ -40,7 +40,7 @@ from repro.harness.oracles import experiment_oracle
 from repro.mutation.analysis import MutationAnalysis
 from repro.mutation.cache import MutationOutcomeCache
 from repro.mutation.generate import build_battery, generate_mutants
-from repro.mutation.parallel import ParallelMutationAnalysis, WorkerPool
+from repro.mutation.parallel import ParallelMutationAnalysis
 from repro.obs import MemorySink, Telemetry, validate_event
 from repro.scenarios import (
     FAMILY_NAMES,
@@ -259,9 +259,8 @@ class PoolEngine(_KeepsTimeouts, ParallelMutationAnalysis):
 class Lattice:
     """Builds each subject, serial baseline and filled store once."""
 
-    def __init__(self, directory: Path, pool: WorkerPool):
+    def __init__(self, directory: Path):
         self._directory = directory
-        self._pool = pool
         self._subjects: Dict[str, Subject] = {}
         self._serial: Dict[Tuple[str, bool], Tuple] = {}
         self._stores: Dict[Cell, Path] = {}
@@ -299,7 +298,7 @@ class Lattice:
                 subject.cut_class, subject.suite, workers=cell.workers,
                 batch_size={"whole": len(subject.mutants),
                             "adaptive": None}.get(cell.batch, cell.batch),
-                pool=self._pool, **options)
+                **options)
         run = engine.analyze(subject.mutants)
         if telemetry is not None:
             telemetry.close()
@@ -345,8 +344,7 @@ class Lattice:
 
 @pytest.fixture(scope="module")
 def lattice(tmp_path_factory):
-    with WorkerPool() as pool:
-        yield Lattice(tmp_path_factory.mktemp("lattice"), pool)
+    return Lattice(tmp_path_factory.mktemp("lattice"))
 
 
 # -- tests --------------------------------------------------------------------

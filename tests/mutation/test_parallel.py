@@ -27,7 +27,8 @@ from repro.mutation.generate import generate_mutants
 from repro.mutation.mutant import (
     CompiledMutant, Mutant, compile_mutant_function,
 )
-from repro.mutation.parallel import ParallelMutationAnalysis, WorkerPool
+import repro.mutation.parallel as parallel
+from repro.mutation.parallel import ParallelMutationAnalysis
 
 SEEDS = (20010701, 7, 99)
 
@@ -196,14 +197,21 @@ class TestWorkerCrashRobustness:
         assert counts[KillReason.WORKER_CRASH.value] == 1
 
 
+@pytest.fixture
+def short_backstop(monkeypatch):
+    """A 1.5 s wall-clock backstop, so a hang test waits seconds, not a
+    minute."""
+    monkeypatch.setattr(parallel, "DEFAULT_WALL_CLOCK_BACKSTOP", 1.5)
+
+
 class TestWallClockBackstopRobustness:
-    def test_hanging_mutant_killed_and_engine_completes(self, findmax_mutants):
+    def test_hanging_mutant_killed_and_engine_completes(self, findmax_mutants,
+                                                        short_backstop):
         suite = small_suite(SEEDS[0])
         hostile = hostile_mutant("X0002", HANG_SOURCE)
         tail = list(findmax_mutants[:4])
         run = ParallelMutationAnalysis(
             CSortableObList, suite, oracle=oracle(), workers=2,
-            wall_clock_backstop=1.5,
         ).analyze([hostile] + tail)
 
         assert run.total == 5
@@ -216,13 +224,6 @@ class TestWallClockBackstopRobustness:
             CSortableObList, suite, oracle=oracle()
         ).analyze(tail)
         assert run.outcomes[1:] == serial_tail.outcomes
-
-    def test_invalid_backstop_rejected(self):
-        with pytest.raises(ValueError):
-            ParallelMutationAnalysis(
-                CSortableObList, small_suite(SEEDS[0]),
-                wall_clock_backstop=0.0,
-            )
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_worker_counts_below_one_rejected(self, workers):
@@ -240,7 +241,7 @@ class TestCrashAndHangVerdictsNeverStored:
     input, so a run holding one is never stored."""
 
     def test_boundary_kills_miss_again_when_warm(self, findmax_mutants,
-                                                 tmp_path):
+                                                 tmp_path, short_backstop):
         suite = small_suite(SEEDS[0])
         crasher = hostile_mutant("X0004", CRASH_SOURCE)
         hanger = hostile_mutant("X0005", HANG_SOURCE)
@@ -249,33 +250,30 @@ class TestCrashAndHangVerdictsNeverStored:
         expected = {crasher.ident: KillReason.WORKER_CRASH,
                     hanger.ident: KillReason.WALL_TIMEOUT}
 
-        with WorkerPool() as pool:
-            def run():
-                engine = ParallelMutationAnalysis(
-                    CSortableObList, suite, oracle=oracle(), workers=2,
-                    wall_clock_backstop=1.5, static_triage=False,
-                    cache=MutationOutcomeCache(tmp_path), pool=pool,
-                )
-                return engine, engine.analyze(battery)
+        def run():
+            engine = ParallelMutationAnalysis(
+                CSortableObList, suite, oracle=oracle(), workers=2,
+                static_triage=False, cache=MutationOutcomeCache(tmp_path),
+            )
+            return engine, engine.analyze(battery)
 
-            engine, cold = run()
-            assert cold.cache_stats.misses == len(battery)
-            reasons = {outcome.mutant.ident: outcome.reason
-                       for outcome in cold.outcomes}
-            assert {ident: reasons[ident] for ident in expected} == expected
+        engine, cold = run()
+        assert cold.cache_stats.misses == len(battery)
+        reasons = {outcome.mutant.ident: outcome.reason
+                   for outcome in cold.outcomes}
+        assert {ident: reasons[ident] for ident in expected} == expected
 
-            store = MutationOutcomeCache(tmp_path)
-            assert store.live_records() == 0
-            assert store.lookup(engine.run_fingerprint(battery)) == (None,
-                                                                      False)
+        store = MutationOutcomeCache(tmp_path)
+        assert store.live_records() == 0
+        assert store.lookup(engine.run_fingerprint(battery)) == (None, False)
 
-            # The rerun misses and executes again: the boundary kills
-            # recur, which only running the mutants can produce.
-            _, rerun = run()
-            assert rerun.cache_stats.hits == 0
-            assert rerun.cache_stats.misses == len(battery)
-            reasons = {outcome.mutant.ident: outcome.reason
-                       for outcome in rerun.outcomes}
-            assert {ident: reasons[ident] for ident in expected} == expected
-            assert rerun.same_results(cold)
-            assert MutationOutcomeCache(tmp_path).live_records() == 0
+        # The rerun misses and executes again: the boundary kills recur,
+        # which only running the mutants can produce.
+        _, rerun = run()
+        assert rerun.cache_stats.hits == 0
+        assert rerun.cache_stats.misses == len(battery)
+        reasons = {outcome.mutant.ident: outcome.reason
+                   for outcome in rerun.outcomes}
+        assert {ident: reasons[ident] for ident in expected} == expected
+        assert rerun.same_results(cold)
+        assert MutationOutcomeCache(tmp_path).live_records() == 0

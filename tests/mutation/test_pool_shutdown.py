@@ -1,110 +1,69 @@
-"""Interpreter-exit shutdown hardening of the worker pool.
+"""Cleanup hardening of a pool run.
 
-``shutdown_shared_pool`` runs from ``atexit`` — after daemon threads
-may have been stopped and worker processes reaped.  The contract: it
-(and ``WorkerPool.close``) must be idempotent and exception-silent even
-when the workers are already dead or the dispatcher is gone.
+A run reaps its workers before it returns or raises, whatever state they
+are in by then.  The contract: the run's cleanup tolerates workers that
+are already dead and pipes that are already closed, leaves none of the
+run's workers in ``multiprocessing.active_children()``, and a second
+call is a no-op.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+import multiprocessing
 
-import pytest
-
-from repro.components import CSortableObList, OBLIST_TYPE_MODEL
-from repro.generator.driver import DriverGenerator
-from repro.harness.oracles import experiment_oracle
-from repro.mutation.generate import generate_mutants
-from repro.mutation.parallel import (
-    ParallelMutationAnalysis,
-    WorkerPool,
-    shared_worker_pool,
-    shutdown_shared_pool,
-)
+from repro.mutation.parallel import PoolJob, _PoolRun
+from repro.obs import NULL_TELEMETRY
 
 
-def small_suite():
-    suite = DriverGenerator(CSortableObList.__tspec__,
-                            seed=20010701).generate()
-    relevant = tuple(
-        case for case in suite.cases
-        if any(step.method_name == "FindMax" for step in case.steps)
-    )[:20]
-    return replace(suite, cases=relevant)
+class Doubling:
+    """A job spec whose runner doubles each task."""
+
+    def runner(self):
+        return lambda task: 2 * task
 
 
-@pytest.fixture(scope="module")
-def mutants():
-    generated, _ = generate_mutants(
-        CSortableObList, ["FindMax"], type_model=OBLIST_TYPE_MODEL
-    )
-    return generated[:6]
-
-
-def _warm(pool, mutants):
-    run = ParallelMutationAnalysis(
-        CSortableObList, small_suite(),
-        oracle=experiment_oracle(CSortableObList.__tspec__),
-        workers=2, pool=pool, static_triage=False,
-    ).analyze(list(mutants))
-    assert run.total == len(mutants)
+def _finished_run():
+    """A two-worker run driven to completion but not yet cleaned up."""
+    results = {}
+    run = _PoolRun(PoolJob(
+        tasks=range(6), spec=Doubling(), deliver=results.__setitem__,
+        lost=lambda task, reason, detail: None,
+        describe=lambda task: {}, workers=2, obs=NULL_TELEMETRY,
+    ))
+    run.drive()
+    assert results == {index: 2 * index for index in range(6)}
+    assert len(run.workers) == 2
     return run
 
 
-def test_close_is_idempotent_after_workers_killed(mutants):
-    pool = WorkerPool()
-    _warm(pool, mutants)
-    assert pool.size >= 2
-    # the exit-time race: worker processes are already gone when close runs
-    for worker in list(pool.workers):
+def _live(workers):
+    pids = {worker.process.pid for worker in workers}
+    return {child.pid for child in multiprocessing.active_children()} & pids
+
+
+def test_close_is_idempotent_after_workers_killed():
+    run = _finished_run()
+    workers = list(run.workers)
+    # The workers are already gone when the run cleans up.
+    for worker in workers:
         worker.process.kill()
         worker.process.join()
-    pool.close()
-    assert pool.closed
-    assert pool.size == 0
-    pool.close()  # second close: no-op, no exception
+    run.close()
+    assert run.workers == []
+    run.close()  # second close: no-op, no exception
+    assert _live(workers) == set()
 
 
-def test_shared_pool_shutdown_twice_with_dead_workers(mutants):
-    shutdown_shared_pool()
-    try:
-        pool = shared_worker_pool()
-        _warm(pool, mutants)
-        assert pool.size >= 2
-        for worker in list(pool.workers):
-            worker.process.kill()
-            worker.process.join()
-        shutdown_shared_pool()
-        assert pool.closed
-        shutdown_shared_pool()  # idempotent with no pool left
-    finally:
-        shutdown_shared_pool()
-
-
-def test_close_survives_broken_pipes(mutants):
-    # Kill the workers AND close their pipes first: close must swallow
-    # the resulting OSErrors (the atexit environment in miniature).
-    pool = WorkerPool()
-    _warm(pool, mutants)
-    for worker in list(pool.workers):
+def test_close_survives_broken_pipes():
+    # Kill the workers AND close their pipes first: the cleanup must
+    # swallow the resulting OSErrors.
+    run = _finished_run()
+    workers = list(run.workers)
+    for worker in workers:
         worker.process.kill()
         worker.process.join()
-        try:
-            worker.connection.close()
-        except OSError:
-            pass
-    pool.close()
-    pool.close()
-    assert pool.closed
-
-
-def test_pool_usable_again_after_shared_shutdown(mutants):
-    shutdown_shared_pool()
-    try:
-        first = _warm(shared_worker_pool(), mutants)
-        shutdown_shared_pool()
-        second = _warm(shared_worker_pool(), mutants)
-        assert second.same_results(first)
-    finally:
-        shutdown_shared_pool()
+        worker.connection.close()
+    run.close()
+    run.close()
+    assert run.workers == []
+    assert _live(workers) == set()

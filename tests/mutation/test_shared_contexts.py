@@ -41,7 +41,7 @@ from repro.mutation.analysis import MutationAnalysis
 from repro.mutation.generate import MutantGenerator, generate_mutants
 from repro.mutation.operators import ALL_OPERATORS, MethodContext
 from repro.mutation.operators.base import method_context
-from repro.mutation.parallel import ParallelMutationAnalysis, WorkerPool
+from repro.mutation.parallel import ParallelMutationAnalysis
 from repro.scenarios.families import FAMILY_NAMES
 from repro.scenarios.genspec import GeneratorSpec, synthesize
 from repro.scenarios.materialize import materialize
@@ -319,12 +319,7 @@ class TestPoolShipsCode:
         suite = truncated_suite(sortable_suite(), 60)
         serial = MutationAnalysis(CSortableObList, suite,
                                   oracle=sortable_oracle()).analyze(mutants)
-        pool = WorkerPool()
-        try:
-            pooled = ParallelMutationAnalysis(
-                CSortableObList, suite, oracle=sortable_oracle(),
-                workers=2, pool=pool,
-            ).analyze(mutants)
-        finally:
-            pool.close()
+        pooled = ParallelMutationAnalysis(
+            CSortableObList, suite, oracle=sortable_oracle(), workers=2,
+        ).analyze(mutants)
         assert pooled.same_results(serial)

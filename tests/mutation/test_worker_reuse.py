@@ -1,38 +1,39 @@
-"""Persistent-pool tests: warm workers survive mutants AND batteries.
+"""Worker lifetime tests: every pool run forks its workers and reaps them.
 
-The throughput claim is that back-to-back batteries (a table2/table3-style
-slice) pay fork + battery-spec shipping once, not once per battery.  The
-observable contract: worker-spawn counts are flat after the first battery,
-an identical battery rerun ships no spec at all (each worker keeps the
-battery it last ran), a worker killed mid-battery is respawned and the
-replacement's verdicts are serial-identical, an interrupt mid-run leaves
-no worker holding a batch, and pools never leak state across battery
-boundaries (run ids fence stale messages).
+No run needs anything an earlier run left behind, so a pool lives exactly
+as long as its run, and its workers are reused across that run's batches
+only.  The observable contract: once a run ends — normally, with a
+``WORKER_CRASH`` verdict or by ``KeyboardInterrupt`` — none of its
+workers is left in ``multiprocessing.active_children()``; a worker killed
+mid-battery is respawned and the replacement's verdicts are
+serial-identical; a worker that dies while idle is replaced without a
+verdict moving; two runs at once on two threads each drive workers of
+their own, and one run's crash never reaches the other's verdicts; a
+spec that does not pickle still runs under ``fork``; and under
+``spawn``, where the spec pickles once per worker, the run is
+serial-identical too.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import pickle
 from dataclasses import replace
 
 import pytest
 
+import repro.mutation.parallel as parallel
 from repro.components import CSortableObList, OBLIST_TYPE_MODEL
 from repro.generator.driver import DriverGenerator
 from repro.harness.oracles import KillReason, experiment_oracle
 from repro.mutation.analysis import MutationAnalysis
-from repro.mutation.cache import MutationOutcomeCache
 from repro.mutation.generate import generate_mutants
-from repro.mutation.parallel import (
-    ParallelMutationAnalysis,
-    WorkerPool,
-    shared_worker_pool,
-    shutdown_shared_pool,
-)
+from repro.mutation.parallel import ParallelMutationAnalysis
 from repro.obs import MemorySink, Telemetry
 
 from .test_parallel import CRASH_SOURCE, hostile_mutant
 
-SEEDS = (20010701, 7, 99)  # three batteries = a table2-style slice
+SEEDS = (20010701, 7, 99)
 MUTANT_COUNT = 10
 
 
@@ -58,12 +59,19 @@ def mutants():
     return pool[:MUTANT_COUNT]
 
 
-def battery(mutants, seed, pool, *, telemetry=None, workers=2,
-            batch_size=None):
+def battery(mutants, seed, *, telemetry=None, workers=2, batch_size=None,
+            **options):
     return ParallelMutationAnalysis(
         CSortableObList, small_suite(seed), oracle=oracle(),
-        workers=workers, batch_size=batch_size, pool=pool,
-        static_triage=False, telemetry=telemetry,
+        workers=workers, batch_size=batch_size, static_triage=False,
+        telemetry=telemetry, **options,
+    ).analyze(mutants)
+
+
+def serial_run(mutants, seed, **options):
+    return MutationAnalysis(
+        CSortableObList, small_suite(seed), oracle=oracle(),
+        static_triage=False, **options,
     ).analyze(mutants)
 
 
@@ -87,64 +95,53 @@ def describe(outcome) -> str:
             f"({outcome.detail!r})")
 
 
-class TestPoolPersistence:
-    """Spawn counts are flat after battery one."""
+class PoolWatch(Telemetry):
+    """Telemetry that keeps the pids of the workers a run forks, and may
+    act on the first verdict the run applies: ``on_verdict(pids)`` runs
+    right after that ``parallel.task`` event."""
 
-    def test_three_battery_slice_spawns_once(self, mutants):
-        with WorkerPool() as pool:
-            spawn_counts = []
-            runs = []
-            for seed in SEEDS:
-                telemetry = Telemetry(sink=MemorySink())
-                runs.append(battery(mutants, seed, pool,
-                                    telemetry=telemetry))
-                counters = telemetry.counters()
-                spawn_counts.append(
-                    counters.get("parallel.workers_spawned", 0)
-                    + counters.get("parallel.respawns", 0)
-                )
-                telemetry.close()
-            assert spawn_counts[0] == 2          # the pool is built once …
-            assert spawn_counts[1:] == [0, 0]    # … and only once
-            assert pool.size == 2                # workers alive at the end
+    def __init__(self, on_verdict=None):
+        super().__init__(sink=MemorySink())
+        self.pids = []
+        self._on_verdict = on_verdict
 
-            for seed, run in zip(SEEDS, runs):
-                serial = MutationAnalysis(
-                    CSortableObList, small_suite(seed), oracle=oracle(),
-                    static_triage=False,
-                ).analyze(mutants)
-                assert run.same_results(serial)
+    def event(self, name, **attrs):
+        super().event(name, **attrs)
+        if name == "parallel.worker_spawned":
+            self.pids.append(attrs["pid"])
+        elif name == "parallel.task" and self._on_verdict is not None:
+            on_verdict, self._on_verdict = self._on_verdict, None
+            on_verdict(self.pids)
 
-    def test_identical_battery_rerun_ships_no_spec(self, mutants):
-        with WorkerPool() as pool:
-            first_telemetry = Telemetry(sink=MemorySink())
-            first = battery(mutants, SEEDS[0], pool,
-                            telemetry=first_telemetry)
-            shipped = first_telemetry.counters().get(
-                "parallel.battery_shipped", 0
-            )
-            first_telemetry.close()
-            assert shipped == 2  # one battery spec per worker
 
-            rerun_telemetry = Telemetry(sink=MemorySink())
-            rerun = battery(mutants, SEEDS[0], pool,
-                            telemetry=rerun_telemetry)
-            reshipped = rerun_telemetry.counters().get(
-                "parallel.battery_shipped", 0
-            )
-            rerun_telemetry.close()
-            # Each worker still held the identical spec's battery.
-            assert reshipped == 0
-            assert rerun.same_results(first)
+def live(pids):
+    """The pids among ``pids`` of this process's children still alive."""
+    alive = {child.pid for child in multiprocessing.active_children()}
+    return alive & set(pids)
 
-    def test_changed_battery_reconfigures_workers(self, mutants):
-        with WorkerPool() as pool:
-            battery(mutants, SEEDS[0], pool)
-            telemetry = Telemetry(sink=MemorySink())
-            battery(mutants, SEEDS[1], pool, telemetry=telemetry)  # new suite
-            shipped = telemetry.counters().get("parallel.battery_shipped", 0)
-            telemetry.close()
-            assert shipped == 2  # different spec: every worker reconfigured
+
+def interrupt(pids):
+    raise KeyboardInterrupt
+
+
+class TestWorkersExitWithTheirRun:
+    """No worker outlives the run that forked it, however the run ends."""
+
+    @pytest.mark.parametrize("ending", ("normal", "crash", "interrupt"))
+    def test_no_worker_outlives_its_run(self, ending, mutants):
+        tasks = list(mutants)
+        if ending == "crash":
+            tasks.insert(0, hostile_mutant("X0204", CRASH_SOURCE))
+        watch = PoolWatch(interrupt if ending == "interrupt" else None)
+        if ending == "interrupt":
+            with pytest.raises(KeyboardInterrupt):
+                battery(tasks, SEEDS[0], telemetry=watch)
+        else:
+            run = battery(tasks, SEEDS[0], telemetry=watch)
+            reasons = [outcome.reason for outcome in run.outcomes]
+            assert (KillReason.WORKER_CRASH in reasons) == (ending == "crash")
+        assert watch.pids
+        assert live(watch.pids) == set()
 
 
 class TestCrashRespawn:
@@ -156,63 +153,53 @@ class TestCrashRespawn:
         # replacement for the worker the hostile mutant kills, so the
         # respawn is certain rather than a race against a second worker
         # draining them first.
-        suite = small_suite(SEEDS[0])
         hostile = hostile_mutant("X0201", CRASH_SOURCE)
         battery_one = [hostile] + list(mutants[:6])
-        with WorkerPool() as pool:
-            telemetry = Telemetry(sink=MemorySink())
-            run = ParallelMutationAnalysis(
-                CSortableObList, suite, oracle=oracle(), workers=1,
-                pool=pool, static_triage=False, telemetry=telemetry,
-            ).analyze(battery_one)
-            counters = telemetry.counters()
-            telemetry.close()
+        telemetry = Telemetry(sink=MemorySink())
+        run = battery(battery_one, SEEDS[0], telemetry=telemetry, workers=1)
+        counters = telemetry.counters()
+        telemetry.close()
 
-            assert run.outcomes[0].reason is KillReason.WORKER_CRASH
-            assert counters.get("parallel.respawns", 0) == 1
-            serial = MutationAnalysis(
-                CSortableObList, suite, oracle=oracle(), static_triage=False,
-            ).analyze(battery_one[1:])
-            assert run.outcomes[1:] == serial.outcomes
+        assert run.outcomes[0].reason is KillReason.WORKER_CRASH
+        assert counters.get("parallel.respawns", 0) == 1
+        assert counters.get("parallel.workers_spawned", 0) == 2
+        serial = serial_run(battery_one[1:], SEEDS[0])
+        assert run.outcomes[1:] == serial.outcomes
 
     def test_crash_during_interleave_never_corrupts_the_other_run(
             self, mutants):
-        # Run A carries a worker-killing mutant and run B is submitted to
-        # the same pool from a second thread.  The pool serves the two
-        # runs one after the other, so A's crash classification and solo
-        # re-dispatches stay inside A: B's verdicts are serial-identical
-        # and free of boundary kills.  A driver thread's exception is
-        # raised again here, and a verdict that differs from the serial
-        # run's is named.
+        # Run A carries a worker-killing mutant and run B is driven at the
+        # same time from a second thread.  Each run forks workers of its
+        # own, so A's crash classification and solo re-dispatches stay
+        # inside A: B's verdicts are serial-identical and free of boundary
+        # kills.  A driver thread's exception is raised again here, and a
+        # verdict that differs from the serial run's is named.
         import threading
 
-        suite = small_suite(SEEDS[0])
         hostile = hostile_mutant("X0203", CRASH_SOURCE)
         battery_a = [hostile] + list(mutants[:6])
+        watches = {"a": PoolWatch(), "b": PoolWatch()}
         drivers = {
-            "a": lambda pool: ParallelMutationAnalysis(
-                CSortableObList, suite, oracle=oracle(), workers=2,
-                pool=pool, static_triage=False,
-            ).analyze(battery_a),
-            "b": lambda pool: battery(mutants, SEEDS[1], pool),
+            "a": lambda: battery(battery_a, SEEDS[0],
+                                 telemetry=watches["a"]),
+            "b": lambda: battery(mutants, SEEDS[1], telemetry=watches["b"]),
         }
         results, errors = {}, {}
 
-        def drive(name, pool):
+        def drive(name):
             try:
-                results[name] = drivers[name](pool)
+                results[name] = drivers[name]()
             except BaseException as error:  # raised again below
                 errors[name] = error
 
-        with WorkerPool() as pool:
-            threads = [threading.Thread(target=drive, args=(name, pool))
-                       for name in drivers]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
-            assert not any(thread.is_alive() for thread in threads), (
-                "a driver thread still runs after 120 s")
+        threads = [threading.Thread(target=drive, args=(name,))
+                   for name in drivers]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads), (
+            "a driver thread still runs after 120 s")
         for name, error in errors.items():
             raise AssertionError(f"run {name.upper()} raised "
                                  f"{error!r}") from error
@@ -220,16 +207,11 @@ class TestCrashRespawn:
         run_a, run_b = results["a"], results["b"]
         assert run_a.outcomes[0].reason is KillReason.WORKER_CRASH, (
             f"run A: {hostile.ident} reads {describe(run_a.outcomes[0])}")
-        serial_a = MutationAnalysis(
-            CSortableObList, suite, oracle=oracle(), static_triage=False,
-        ).analyze(battery_a[1:])
+        serial_a = serial_run(battery_a[1:], SEEDS[0])
         assert run_a.outcomes[1:] == serial_a.outcomes, (
             "run A: " + first_difference(run_a.outcomes[1:],
                                          serial_a.outcomes))
-        serial_b = MutationAnalysis(
-            CSortableObList, small_suite(SEEDS[1]), oracle=oracle(),
-            static_triage=False,
-        ).analyze(mutants)
+        serial_b = serial_run(mutants, SEEDS[1])
         assert run_b.same_results(serial_b), "run B: " + first_difference(
             [outcome.comparable() for outcome in run_b.outcomes],
             [outcome.comparable() for outcome in serial_b.outcomes],
@@ -239,142 +221,83 @@ class TestCrashRespawn:
                                KillReason.WALL_TIMEOUT)
             for outcome in run_b.outcomes
         )
-
-    def test_next_battery_reuses_the_respawned_pool(self, mutants):
-        # One worker, as above: with two, the survivor can drain the
-        # battery before the crash is seen, and the pool ends it one
-        # worker short with nothing left to respawn for.
-        suite = small_suite(SEEDS[0])
-        hostile = hostile_mutant("X0202", CRASH_SOURCE)
-        with WorkerPool() as pool:
-            first = Telemetry(sink=MemorySink())
-            ParallelMutationAnalysis(
-                CSortableObList, suite, oracle=oracle(), workers=1,
-                pool=pool, static_triage=False, telemetry=first,
-            ).analyze([hostile] + list(mutants[:6]))
-            assert first.counters().get("parallel.respawns", 0) == 1
-            first.close()
-
-            # Battery two on the same pool: no new spawns, clean verdicts.
-            telemetry = Telemetry(sink=MemorySink())
-            rerun = battery(mutants, SEEDS[1], pool, telemetry=telemetry,
-                            workers=1)
-            counters = telemetry.counters()
-            telemetry.close()
-            assert counters.get("parallel.workers_spawned", 0) == 0
-            assert counters.get("parallel.respawns", 0) == 0
-            serial = MutationAnalysis(
-                CSortableObList, small_suite(SEEDS[1]), oracle=oracle(),
-                static_triage=False,
-            ).analyze(mutants)
-            assert rerun.same_results(serial)
+        pids = watches["a"].pids + watches["b"].pids
+        assert len(set(pids)) == len(pids)  # no worker served both runs
+        assert live(pids) == set()
 
 
-class TestSharedPool:
-    """Engines without an explicit pool share one process-wide pool."""
-
-    def test_default_engines_share_the_module_pool(self, mutants):
-        shutdown_shared_pool()
-        try:
-            first = battery(mutants, SEEDS[0], None)
-            pool = shared_worker_pool()
-            assert pool.size >= 2  # left warm by the first engine
-            workers_before = list(pool.workers)
-            second = battery(mutants, SEEDS[0], None)
-            assert shared_worker_pool() is pool
-            assert pool.workers[:2] == workers_before[:2]  # same processes
-            assert second.same_results(first)
-        finally:
-            shutdown_shared_pool()
-
-    def test_shutdown_closes_and_recreates(self, mutants):
-        battery(mutants, SEEDS[0], None)
-        pool = shared_worker_pool()
-        shutdown_shared_pool()
-        assert pool.closed
-        assert pool.size == 0
-        fresh = shared_worker_pool()
-        assert fresh is not pool
-        shutdown_shared_pool()
-
-    def test_overlapping_analyses_share_one_pool(self, mutants):
-        # Two threads driving the same pool take turns on its warm
-        # workers instead of one of them falling back to a cold private
-        # pool: the pool serves one run after the other, both finish with
-        # serial-identical verdicts, and the pool never grows past the
-        # largest single request.
-        import threading
-
-        with WorkerPool() as pool:
-            runs = {}
-
-            def drive(seed):
-                runs[seed] = battery(mutants, seed, pool)
-
-            threads = [threading.Thread(target=drive, args=(seed,))
-                       for seed in SEEDS[:2]]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
-            assert not any(thread.is_alive() for thread in threads)
-
-            assert pool.size <= 2  # shared capacity, not 2 + 2
-            for seed in SEEDS[:2]:
-                serial = MutationAnalysis(
-                    CSortableObList, small_suite(seed), oracle=oracle(),
-                    static_triage=False,
-                ).analyze(mutants)
-                assert runs[seed].same_results(serial)
+def kill_last_worker(pids):
+    """Kill and reap the newest worker: it has just reported its only
+    task, so it dies idle."""
+    [worker] = [child for child in multiprocessing.active_children()
+                if child.pid == pids[-1]]
+    worker.kill()
+    worker.join()
 
 
 class TestPoolHygiene:
-    """Dead idle workers are pruned, not classified."""
+    """A worker that dies idle is pruned and replaced, not classified."""
 
-    def test_worker_killed_between_batteries_is_replaced(self, mutants):
-        with WorkerPool() as pool:
-            first = battery(mutants, SEEDS[0], pool)
-            victim = pool.workers[0]
-            victim.process.kill()
-            victim.process.join()
+    def test_worker_killed_between_batches_is_replaced(self, mutants):
+        watch = PoolWatch(kill_last_worker)
+        run = battery(mutants, SEEDS[0], telemetry=watch, workers=1,
+                      batch_size=1)
+        counters = watch.counters()
+        watch.close()
 
-            rerun = battery(mutants, SEEDS[0], pool)
-            assert rerun.same_results(first)
-            assert pool.size == 2
-            assert all(worker.process.is_alive()
-                       for worker in pool.workers)
+        assert run.same_results(serial_run(mutants, SEEDS[0]))
+        assert counters.get("parallel.workers_spawned", 0) == 2
+        assert counters.get("parallel.respawns", 0) == 0
+        assert counters.get("parallel.worker_crashes", 0) == 0
 
 
-class InterruptingCache(MutationOutcomeCache):
-    """A store whose verdict write-back raises ``KeyboardInterrupt``, as
-    Ctrl-C would if it reached the pool while it applied a verdict."""
+class Unpicklable:
+    """A setup hook that refuses to pickle."""
 
-    def store(self, *args, **kwargs):
-        raise KeyboardInterrupt
+    def __call__(self) -> None:
+        pass
+
+    def __reduce__(self):
+        raise pickle.PicklingError("this setup hook does not pickle")
+
+
+class TestSpecReachesWorkers:
+    """A forked worker inherits its run's spec; a spawned one unpickles
+    it."""
+
+    def test_unpicklable_spec_runs_under_fork(self, mutants):
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("fork is not available on this platform")
+        hook = Unpicklable()
+        with pytest.raises(pickle.PicklingError):
+            pickle.dumps(hook)
+        run = battery(mutants, SEEDS[0], setup=hook)
+        assert run.same_results(serial_run(mutants, SEEDS[0], setup=hook))
+
+    def test_spawned_workers_match_serial(self, mutants, monkeypatch):
+        monkeypatch.setattr(parallel, "_mp_context",
+                            lambda: multiprocessing.get_context("spawn"))
+        watch = PoolWatch()
+        run = battery(mutants[:6], SEEDS[0], telemetry=watch)
+        assert run.same_results(serial_run(mutants[:6], SEEDS[0]))
+        assert len(watch.pids) == 2
+        assert live(watch.pids) == set()
 
 
 class TestInterrupt:
-    """An interrupt inside the run loop propagates and leaves the pool
-    clean for the next run."""
+    """An interrupt inside the run loop propagates, reaps the run's
+    workers, and leaves nothing for the next run to trip over."""
 
-    def test_interrupt_while_applying_a_verdict(self, mutants, tmp_path):
-        with WorkerPool() as pool:
-            with pytest.raises(KeyboardInterrupt):
-                ParallelMutationAnalysis(
-                    CSortableObList, small_suite(SEEDS[0]), oracle=oracle(),
-                    workers=2, pool=pool, static_triage=False,
-                    cache=InterruptingCache(tmp_path),
-                ).analyze(mutants)
-            assert not any(worker.assigned for worker in pool.workers)
+    def test_interrupt_while_applying_a_verdict(self, mutants):
+        watch = PoolWatch(interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            battery(mutants, SEEDS[0], telemetry=watch)
+        assert live(watch.pids) == set()
 
-            rerun = battery(mutants, SEEDS[0], pool)
-            serial = MutationAnalysis(
-                CSortableObList, small_suite(SEEDS[0]), oracle=oracle(),
-                static_triage=False,
-            ).analyze(mutants)
-            assert rerun.same_results(serial)
-            assert not any(
-                outcome.reason in (KillReason.WORKER_CRASH,
-                                   KillReason.WALL_TIMEOUT)
-                for outcome in rerun.outcomes
-            )
+        rerun = battery(mutants, SEEDS[0])
+        assert rerun.same_results(serial_run(mutants, SEEDS[0]))
+        assert not any(
+            outcome.reason in (KillReason.WORKER_CRASH,
+                               KillReason.WALL_TIMEOUT)
+            for outcome in rerun.outcomes
+        )

@@ -8,13 +8,14 @@ must replay from the scenario store without resolving a scenario or
 executing a single mutant or reference pass (or starting a worker), a
 real edit of the code misses and its revert hits again, the store holds
 scenario records only, one scenario dying of an arbitrary ``Exception``
-must cost exactly its own row, and a worker process dying costs exactly
-its task's rows.
+must cost exactly its own row, a worker process dying costs exactly
+its task's rows, and no worker outlives a pooled sweep.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import re
 import shutil
@@ -30,7 +31,6 @@ from repro.core.errors import ScenarioError
 from repro.generator.driver import DriverGenerator
 from repro.generator.suite import TestSuite
 from repro.mutation.cache import MutationOutcomeCache
-from repro.mutation.parallel import shutdown_shared_pool
 from repro.obs import MemorySink, Telemetry
 from repro.obs.schema import validate_event
 from repro.scenarios import (
@@ -147,21 +147,6 @@ WORK_SPANS = ("analysis.reference", "analysis.mutant", "parallel.run",
               "executor.case", "generate.operator", "sweep.materialize")
 
 
-@pytest.fixture(scope="module", autouse=True)
-def _shared_pool_cleanup():
-    yield
-    shutdown_shared_pool()
-
-
-@pytest.fixture
-def fresh_pool():
-    """Fork the shared pool's workers after the test's patches, and drop
-    them afterwards: a worker keeps whatever code it was forked with."""
-    shutdown_shared_pool()
-    yield
-    shutdown_shared_pool()
-
-
 @pytest.fixture
 def small_registry():
     return registry_from_mappings(SMALL_ENTRIES)
@@ -252,7 +237,7 @@ class TestDifferentialMatrix:
                 [scenario.ident for scenario in mixed_registry], workers
 
     def test_workers_get_resolved_inputs(self, mixed_registry, baseline,
-                                         tmp_path, monkeypatch, fresh_pool):
+                                         tmp_path, monkeypatch):
         # The calling process synthesizes each component and generates
         # each suite; a worker only builds the battery, records the
         # reference run and runs the analysis.
@@ -342,8 +327,7 @@ class TestWarmReplay:
             len(MIXED_ENTRIES)
 
     def test_warm_pooled_sweep_starts_no_worker(self, mixed_registry,
-                                                baseline, tmp_path,
-                                                fresh_pool):
+                                                baseline, tmp_path):
         cache_dir = tmp_path / "cache"
         SweepRunner(
             mixed_registry, workspace=tmp_path / "ws-cold",
@@ -398,8 +382,7 @@ class TestHitResolvesNothing:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_warm_sweep_resolves_nothing(self, mixed_registry, baseline,
-                                         tmp_path, monkeypatch, workers,
-                                         fresh_pool):
+                                         tmp_path, monkeypatch, workers):
         cache_dir = tmp_path / "cache"
         SweepRunner(mixed_registry, workspace=tmp_path / "ws-cold",
                     cache=MutationOutcomeCache(cache_dir)).run()
@@ -418,8 +401,7 @@ class TestHitResolvesNothing:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_half_warm_sweep_resolves_exactly_its_misses(
-            self, mixed_registry, baseline, tmp_path, monkeypatch, workers,
-            fresh_pool):
+            self, mixed_registry, baseline, tmp_path, monkeypatch, workers):
         cache_dir = tmp_path / "cache"
         SweepRunner(mixed_registry, workspace=tmp_path / "ws-cold",
                     cache=MutationOutcomeCache(cache_dir)).run("mixed-stack")
@@ -441,8 +423,7 @@ class TestHitResolvesNothing:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_a_resolution_error_is_the_same_row_and_never_stored(
-            self, mixed_registry, tmp_path, monkeypatch, workers,
-            fresh_pool):
+            self, mixed_registry, tmp_path, monkeypatch, workers):
         real_synthesize = sweep_module.synthesize
 
         def hostile_synthesize(genspec):
@@ -547,7 +528,7 @@ class TestErrorIsolation:
     """One scenario's crash never takes down the rest of the sweep."""
 
     def test_non_repro_error_is_contained(self, mixed_registry, tmp_path,
-                                          monkeypatch, fresh_pool):
+                                          monkeypatch):
         real_synthesize = sweep_module.synthesize
 
         def hostile_synthesize(genspec):
@@ -578,8 +559,7 @@ class TestErrorIsolation:
             assert all(result.oracle_failures == 0 for result in healthy)
 
     def test_dead_worker_costs_only_its_task(self, mixed_registry, baseline,
-                                             tmp_path, monkeypatch,
-                                             fresh_pool):
+                                             tmp_path, monkeypatch):
         # The two stack scenarios share a component, so they form one
         # task; the worker dies on the second, after finishing the first.
         real_execute = SweepRunner._execute
@@ -638,6 +618,19 @@ class TestPooledTelemetry:
         # Two stack scenarios share one task; queue and account get theirs.
         assert pool_spans[0]["attrs"] == {"scenarios": 4, "tasks": 3,
                                           "workers": 2}
+
+    def test_no_worker_outlives_the_sweep(self, mixed_registry, tmp_path):
+        sink = MemorySink()
+        telemetry = Telemetry(sink=sink)
+        SweepRunner(mixed_registry, workers=2, workspace=tmp_path / "ws",
+                    telemetry=telemetry).run()
+        telemetry.close()
+
+        pids = {event["attrs"]["pid"] for event in sink.events
+                if event["name"] == "parallel.worker_spawned"}
+        assert len(pids) == 2
+        assert not pids & {child.pid
+                           for child in multiprocessing.active_children()}
 
 
 def test_workers_below_one_rejected(mixed_registry):

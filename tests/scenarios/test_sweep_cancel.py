@@ -3,17 +3,18 @@
 The contract: a SIGINT mid-scenario cancels the sweep cooperatively —
 ``run()`` returns with the interrupted scenario and every unstarted one
 marked cancelled, scenarios already finished keep their real rows, and
-the report gate fails.  On the worker pool, no worker is left holding a
-task afterwards.
+the report gate fails.  On the worker pool, no worker outlives the
+sweep.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import signal
 import time
 
-from repro.mutation.parallel import shared_worker_pool, shutdown_shared_pool
+from repro.obs import MemorySink, Telemetry
 from repro.scenarios import SweepRunner, registry_from_mappings
 
 FAST = {
@@ -68,13 +69,14 @@ def test_pooled_sigint_keeps_finished_rows(tmp_path, monkeypatch):
         return real_execute(self, item, started)
 
     monkeypatch.setattr(SweepRunner, "_execute", interrupting_execute)
-    shutdown_shared_pool()  # fork the workers after the patch
-    try:
-        report = SweepRunner(registry, workers=2).run()
-        pool = shared_worker_pool()
-        assert not any(worker.assigned for worker in pool.workers)
-    finally:
-        shutdown_shared_pool()
+    sink = MemorySink()
+    report = SweepRunner(registry, workers=2,
+                         telemetry=Telemetry(sink=sink)).run()
+    pids = {event["attrs"]["pid"] for event in sink.events
+            if event["name"] == "parallel.worker_spawned"}
+    assert pids
+    assert not pids & {child.pid
+                       for child in multiprocessing.active_children()}
 
     by_ident = {result.ident: result for result in report.results}
     assert list(by_ident) == ["pool-a", "pool-b", "boom", "pool-c"]

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
 import repro
+
+#: The end-to-end benchmark's child process; its traced mode imports
+#: layers of ``repro`` that no untraced run touches.
+E2E_CHILD = Path(__file__).resolve().parents[1] / "benchmarks" / "e2e" / "child.py"
 
 SUBPACKAGES = (
     "repro.core",
@@ -59,3 +65,28 @@ class TestTopLevel:
 
     def test_no_accidental_private_exports(self):
         assert not [name for name in repro.__all__ if name.startswith("_")]
+
+
+def test_benchmark_harness_imports_resolve():
+    """Every name the end-to-end benchmark's child imports from ``repro``
+    exists, in its traced mode too.  The child is parsed, never run."""
+    tree = ast.parse(E2E_CHILD.read_text(encoding="utf-8"))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module and \
+                node.module.split(".")[0] == "repro":
+            imported += [(node.module, alias.name) for alias in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [(alias.name, None) for alias in node.names
+                         if alias.name.split(".")[0] == "repro"]
+    assert imported
+    missing = []
+    for module_name, name in imported:
+        module = importlib.import_module(module_name)
+        if name is None or hasattr(module, name):
+            continue
+        try:
+            importlib.import_module(f"{module_name}.{name}")
+        except ImportError:
+            missing.append(f"{module_name}.{name}")
+    assert missing == []
