@@ -37,7 +37,9 @@ tasks, a spec whose ``runner()`` builds the callable a worker applies to
 each task, and the result that stands in for a task that takes its
 worker down.  This engine's jobs run mutants; the scenario sweep
 (:mod:`repro.scenarios.sweep`) runs whole scenarios through the same
-:func:`run_pool`, under the same crash, respawn and interrupt rules.
+:func:`run_pool`, under the same crash, respawn and interrupt rules:
+each of its tasks carries scenario recipes, and its spec only the
+workspace, so the worker resolves and runs what the recipes name.
 
 Two contracts, both tested differentially against the serial engine:
 

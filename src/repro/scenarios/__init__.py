@@ -13,8 +13,9 @@ This package scales the paper's two-subject evaluation to hundreds of
   content-addressed module files plus the pickling support that lets
   pool workers execute generated classes;
 * :mod:`repro.scenarios.sweep` — the runner that drives every scenario
-  through the existing serial/parallel mutation engines and aggregates
-  one deterministic report;
+  through the existing serial mutation engine, in this process or in a
+  pool worker that rebuilds it from its recipe, and aggregates one
+  deterministic report;
 * :mod:`repro.scenarios.cli` — ``python -m repro.scenarios``
   (``list`` / ``validate`` / ``run`` / ``report``).
 """

@@ -14,9 +14,11 @@ Subcommands:
 The incremental-run and telemetry flags, and the count checks of
 ``--workers`` and ``--max-scenarios``, are the shared ones the table
 experiments use (:mod:`repro.experiments.cli`).  ``--workers N`` runs
-whole scenarios on N worker processes; the store holds scenario records
-only, so ``--cache-stats`` prints the scenario line alone.  A sweep,
-like the tables, always prunes and triages.
+whole scenarios on N worker processes, each resolving and running the
+scenarios of its task from their recipes; this process only looks them
+up, stores and reports.  The store holds scenario records only, so
+``--cache-stats`` prints the scenario line alone.  A sweep, like the
+tables, always prunes and triages.
 """
 
 from __future__ import annotations

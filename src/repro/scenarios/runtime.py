@@ -5,10 +5,13 @@ are *materialized* — written into a workspace directory and imported by
 file path, never installed on ``sys.path``.  That breaks the default
 pickling of classes, which ships ``(module, qualname)`` and requires the
 receiving process to import the module by name: a pool worker
-(:mod:`repro.mutation.parallel`) started with ``spawn``, running mutant
-batches or whole sweep scenarios, begins from a fresh interpreter without
-the module, and its plain ``import`` would fail.  (A forked worker
-inherits the module, but its tasks still arrive pickled.)
+(:mod:`repro.mutation.parallel`) running mutant batches over a generated
+class receives that class pickled, as each mutant's owner and, under
+``spawn``, in the job's spec, and a spawned worker begins from a fresh
+interpreter without the module, so its plain ``import`` would fail.  (A
+forked worker inherits the module, but its tasks still arrive pickled.)
+A sweep's scenario task carries recipes only, never a class: its worker
+synthesizes and materializes the component itself.
 
 The fix is a metaclass.  Every generated class is an instance of
 :class:`GeneratedComponentMeta`, and a reducer for that metaclass is

@@ -6,7 +6,7 @@ mutation pipeline — resolve the component (catalog ref or seeded
 generator), generate the suite, build the operator battery, run the
 serial engine — and folds the outcomes into one :class:`SweepReport`.
 
-Cost sharing across the sweep, not per scenario:
+Cost sharing across a runner, not per scenario:
 
 * generated components are synthesized and materialized once per
   ``(family, seed)`` — the 5 operator-split scenarios of one recipe reuse
@@ -15,22 +15,20 @@ Cost sharing across the sweep, not per scenario:
 * the reference run and its coverage matrix are recorded once per
   ``(component, suite)`` and *seeded* into every engine that needs them.
 
-With ``workers == 1`` scenarios run one at a time, in registry order, in
-the calling process.  With ``workers > 1`` the calling process looks every
-scenario up in the store, resolves each miss (its class and suite) and
-hands the misses to that many worker processes that each run whole
-scenarios:
-one task per run of adjacent scenarios with the same component (the
-registry lists them together), through
-:func:`~repro.mutation.parallel.run_pool`, which forks the workers for
-the sweep and reaps them before it returns.  A task carries the class
-and suites it runs on (a generated class pickles through its metaclass,
-see :mod:`repro.scenarios.runtime`), so a worker only builds the battery,
-records the reference run and runs the analysis, on a fresh serial runner
-without a store or telemetry; the calling process writes the records,
-tallies, reports progress and builds the report in registry order.  A
-worker that dies costs one error row per scenario of its task, never the
-sweep.
+One loop serves every worker count.  The calling process looks every
+scenario up in the store, in registry order, and groups the misses into
+tasks: one per run of adjacent misses with the same component (the
+registry lists them together).  Each task resolves and runs its own
+scenarios.  With ``workers == 1`` a task runs on this runner, which keeps
+its memos and telemetry; with ``workers > 1`` it runs in a worker of
+:func:`~repro.mutation.parallel.run_pool`, which forks that many workers
+for the sweep and reaps them before it returns, on a fresh runner with
+no store and no telemetry.  A task carries recipes only, never a class
+or a suite: a scenario's recipe is all any process needs to rebuild what
+it runs, as a component's t-spec is all its consumer needs to derive its
+suite.  The calling process writes the records, tallies, reports
+progress and builds the report in registry order.  A worker that dies
+costs one error row per scenario of its task, never the sweep.
 
 Every engine in a sweep prunes and triages; neither moves a verdict.
 
@@ -42,13 +40,13 @@ runs it (:func:`~repro.core.fingerprint.code_digest` of this module: the
 catalog or generated, with its type model and t-spec, and the suite
 generator, the engine and the oracles).  A scenario is looked up before
 it is resolved, so a hit synthesizes, materializes, generates and hashes
-nothing; any edit under ``repro`` misses every record once.  Engines
-never get the store, so it holds scenario records only.  A warm sweep of
-an unchanged registry replays every scenario from the store — zero
-mutants executed, zero reference passes, no worker started — and still
-renders the byte-identical deterministic report.  The worker count is
-deliberately not part of the key: a scenario's result does not depend on
-which process ran it.
+nothing, and only a miss is ever stored; any edit under ``repro`` misses
+every record once.  Engines never get the store, so it holds scenario
+records only.  A warm sweep of an unchanged registry replays every
+scenario from the store — zero mutants executed, zero reference passes,
+no worker started — and still renders the byte-identical deterministic
+report.  The worker count is deliberately not part of the key: a
+scenario's result does not depend on which process ran it.
 
 Determinism: :meth:`SweepReport.to_dict` with ``timings=False`` is the
 *deterministic projection* — same registry, same seeds, same flags ⇒
@@ -62,7 +60,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import dataclass, field, fields, replace as dc_replace
 from itertools import groupby
 from typing import (
     Any,
@@ -100,7 +98,12 @@ from ..obs.summary import aggregate_counters
 from ..tspec.model import ClassSpec
 from .genspec import GeneratorSpec, synthesize
 from .materialize import PathLike, materialize
-from .registry import ScenarioConfig, ScenarioRegistry, default_methods
+from .registry import (
+    ScenarioConfig,
+    ScenarioRegistry,
+    SuiteConfig,
+    default_methods,
+)
 
 #: Called after each scenario: ``(position, total, scenario, result)``.
 ProgressCallback = Callable[[int, int, ScenarioConfig, "ScenarioResult"], None]
@@ -127,6 +130,13 @@ def resolve_oracle(name: str, spec: ClassSpec) -> CompositeOracle:
     raise ScenarioError(f"unknown oracle {name!r}")
 
 
+#: The :class:`ScenarioResult` fields that legitimately vary with the
+#: store's temperature and the clock; only ``to_dict(timings=True)``
+#: renders them.
+_TIMING_FIELDS = ("dispatched", "cases_executed", "cases_skipped",
+                  "elapsed_seconds")
+
+
 @dataclass(frozen=True)
 class ScenarioResult:
     """One scenario's aggregated outcome."""
@@ -150,7 +160,7 @@ class ScenarioResult:
     survived: int = 0
     statically_equivalent: int = 0
     dispatched: int = 0
-    kill_reasons: Mapping[str, int] = field(default_factory=dict)
+    kill_reasons: Dict[str, int] = field(default_factory=dict)
     step_timeouts: int = 0
     #: Reference-run cases whose verdict was not PASS: the sweep's gate —
     #: an unmutated component must run its BIT suite green.
@@ -173,73 +183,39 @@ class ScenarioResult:
         return self.killed / self.mutants_total
 
     def to_dict(self, timings: bool = True) -> Dict[str, Any]:
-        """JSON-ready mapping; ``timings=False`` is the deterministic
-        projection (verdict-bearing fields only — the per-result analogue
-        of :meth:`~repro.mutation.analysis.MutationRun.same_results`)."""
-        payload: Dict[str, Any] = {
-            "ident": self.ident,
-            "component": self.component,
-            "scenario_fingerprint": self.scenario_fingerprint,
-            "tags": list(self.tags),
-            "groups": list(self.groups),
-            "oracle": self.oracle,
-            "operators": list(self.operators),
-            "methods": list(self.methods),
-            "suite_size": self.suite_size,
-            "suite_fingerprint": self.suite_fingerprint,
-            "mutants_total": self.mutants_total,
-            "mutants_truncated": self.mutants_truncated,
-            "compile_failures": self.compile_failures,
-            "duplicates_dropped": self.duplicates_dropped,
-            "type_incompatible": self.type_incompatible,
-            "killed": self.killed,
-            "survived": self.survived,
-            "statically_equivalent": self.statically_equivalent,
-            "kill_reasons": dict(sorted(self.kill_reasons.items())),
-            "mutation_score": round(self.mutation_score, 6),
-            "step_timeouts": self.step_timeouts,
-            "oracle_failures": self.oracle_failures,
-            "error": self.error,
-        }
-        if timings:
-            payload.update({
-                "dispatched": self.dispatched,
-                "cases_executed": self.cases_executed,
-                "cases_skipped": self.cases_skipped,
-                "elapsed_seconds": round(self.elapsed_seconds, 6),
-            })
+        """JSON-ready mapping of every field, plus ``mutation_score``;
+        ``timings=False`` is the deterministic projection, without
+        :data:`_TIMING_FIELDS` (the per-result analogue of
+        :meth:`~repro.mutation.analysis.MutationRun.same_results`)."""
+        payload: Dict[str, Any] = {}
+        for name in _FIELDS if timings else _DETERMINISTIC_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, tuple):
+                value = list(value)
+            elif isinstance(value, dict):
+                value = dict(sorted(value.items()))
+            elif isinstance(value, float):
+                value = round(value, 6)
+            payload[name] = value
+        payload["mutation_score"] = round(self.mutation_score, 6)
         return payload
 
 
+#: Every :class:`ScenarioResult` field in declaration order, and those of
+#: its deterministic projection.
+_FIELDS = tuple(item.name for item in fields(ScenarioResult))
+_DETERMINISTIC_FIELDS = tuple(name for name in _FIELDS
+                              if name not in _TIMING_FIELDS)
+
+
 def _result_from_mapping(mapping: Mapping[str, Any]) -> ScenarioResult:
-    return ScenarioResult(
-        ident=str(mapping["ident"]),
-        component=str(mapping.get("component", "")),
-        scenario_fingerprint=str(mapping.get("scenario_fingerprint", "")),
-        tags=tuple(mapping.get("tags", ())),
-        groups=tuple(mapping.get("groups", ())),
-        oracle=str(mapping.get("oracle", "")),
-        operators=tuple(mapping.get("operators", ())),
-        methods=tuple(mapping.get("methods", ())),
-        suite_size=int(mapping.get("suite_size", 0)),
-        suite_fingerprint=str(mapping.get("suite_fingerprint", "")),
-        mutants_total=int(mapping.get("mutants_total", 0)),
-        mutants_truncated=bool(mapping.get("mutants_truncated", False)),
-        compile_failures=int(mapping.get("compile_failures", 0)),
-        duplicates_dropped=int(mapping.get("duplicates_dropped", 0)),
-        type_incompatible=int(mapping.get("type_incompatible", 0)),
-        killed=int(mapping.get("killed", 0)),
-        survived=int(mapping.get("survived", 0)),
-        statically_equivalent=int(mapping.get("statically_equivalent", 0)),
-        dispatched=int(mapping.get("dispatched", 0)),
-        kill_reasons=dict(mapping.get("kill_reasons", {})),
-        step_timeouts=int(mapping.get("step_timeouts", 0)),
-        oracle_failures=int(mapping.get("oracle_failures", 0)),
-        cases_executed=int(mapping.get("cases_executed", 0)),
-        cases_skipped=int(mapping.get("cases_skipped", 0)),
-        elapsed_seconds=float(mapping.get("elapsed_seconds", 0.0)),
-        error=str(mapping.get("error", "")),
-    )
+    """The result :meth:`ScenarioResult.to_dict` rendered; JSON lists
+    come back as tuples, and a missing field takes its default."""
+    values = {name: mapping[name] for name in _FIELDS if name in mapping}
+    return ScenarioResult(**{
+        name: tuple(value) if isinstance(value, list) else value
+        for name, value in values.items()
+    })
 
 
 @dataclass(frozen=True)
@@ -411,16 +387,6 @@ def merge_reports(reports: Sequence[SweepReport]) -> SweepReport:
     )
 
 
-@dataclass(frozen=True)
-class _Resolved:
-    """A scenario with the class and suite it runs on; it pickles, so a
-    pool task carries it to the worker that runs it."""
-
-    scenario: ScenarioConfig
-    cls: type
-    suite: TestSuite
-
-
 class SweepRunner:
     """Executes scenarios, sharing warm state across the whole sweep."""
 
@@ -444,8 +410,7 @@ class SweepRunner:
         self._obs = coalesce(telemetry)
         # Sweep-wide memos (see module docstring).
         self._classes: Dict[Tuple[str, int], type] = {}
-        self._suites: Dict[Tuple[str, Tuple[int, int, int, int]],
-                           TestSuite] = {}
+        self._suites: Dict[Tuple[str, SuiteConfig], TestSuite] = {}
         self._references: Dict[Tuple[str, str],
                                Tuple[SuiteResult,
                                      Optional[CoverageMatrix]]] = {}
@@ -454,8 +419,8 @@ class SweepRunner:
 
     # -- component / suite resolution -----------------------------------
 
-    def _resolve(self, scenario: ScenarioConfig) -> _Resolved:
-        """The scenario with its class and suite; a generated class is
+    def _resolve(self, scenario: ScenarioConfig) -> Tuple[type, TestSuite]:
+        """The scenario's class and suite; a generated class is
         synthesized and materialized once per ``(family, seed)``."""
         selector = scenario.component
         if selector.is_generated:
@@ -472,14 +437,12 @@ class SweepRunner:
                 self._classes[key] = cls
         else:
             cls = component_by_name(selector.ref)
-        suite = self._suite_for(selector.describe(), scenario, cls.__tspec__)
-        return _Resolved(scenario, cls, suite)
+        return cls, self._suite_for(selector.describe(), scenario.suite,
+                                    cls.__tspec__)
 
-    def _suite_for(self, component_key: str,
-                   scenario: ScenarioConfig, spec: ClassSpec) -> TestSuite:
-        config = scenario.suite
-        key = (component_key, (config.seed, config.edge_bound,
-                               config.max_transactions, config.max_cases))
+    def _suite_for(self, component_key: str, config: SuiteConfig,
+                   spec: ClassSpec) -> TestSuite:
+        key = (component_key, config)
         suite = self._suites.get(key)
         if suite is None:
             suite = DriverGenerator(
@@ -514,54 +477,23 @@ class SweepRunner:
 
     # -- execution ------------------------------------------------------
 
-    def run_scenario(self, scenario: ScenarioConfig) -> ScenarioResult:
-        """Execute one scenario; never raises — failures land in
-        ``result.error`` so a sweep survives a bad entry.
+    def _run(self, scenario: ScenarioConfig) -> ScenarioResult:
+        """Resolve and execute one scenario, wherever its task runs.
 
-        *Any* ``Exception`` is absorbed, not just :class:`ReproError`:
-        a scenario that dies of an unforeseen bug (a bad generated
-        component tripping an assertion, say) must cost exactly one
-        ``error`` row and one ``sweep.errors`` tick — never the rest of
-        the sweep."""
+        *Any* ``Exception`` is absorbed into the row's ``error``, not just
+        :class:`ReproError`: a scenario that dies of an unforeseen bug (a
+        bad generated component tripping an assertion, say) must cost
+        exactly one ``error`` row and one ``sweep.errors`` tick — never
+        the rest of the sweep."""
         started = time.perf_counter()
-        item, key, row = self._prepare(scenario, started)
-        if row is None:
-            row = self._run(item, started)
-            self._record(key, row)
-        return row
-
-    def _prepare(self, scenario: ScenarioConfig, started: float
-                 ) -> Tuple[Optional[_Resolved], Optional[str],
-                            Optional[ScenarioResult]]:
-        """Look the scenario up, and resolve it on a miss:
-        ``(item, key, row)``.
-
-        ``row`` is the replayed row or the error row of a scenario that
-        could not be resolved; when it is ``None``, ``item`` must run and
-        ``key`` is its store address (``None`` without a store).  A hit
-        resolves nothing: the key names the recipe, not its products."""
         try:
-            key, row = self._lookup(scenario, started)
-            if row is None:
-                return self._resolve(scenario), key, None
+            cls, suite = self._resolve(scenario)
+            return self._execute(scenario, cls, suite, started)
         except Exception as error:
-            return None, None, self._failed(scenario, error, started)
-        return None, key, row
-
-    def _run(self, item: _Resolved, started: float) -> ScenarioResult:
-        """Execute a resolved scenario; an ``Exception`` becomes its
-        error row."""
-        try:
-            return self._execute(item, started)
-        except Exception as error:
-            return self._failed(item.scenario, error, started)
-
-    def _failed(self, scenario: ScenarioConfig, error: Exception,
-                started: float) -> ScenarioResult:
-        return self._error_result(
-            scenario, f"{type(error).__name__}: {error}",
-            elapsed=time.perf_counter() - started,
-        )
+            return self._error_result(
+                scenario, f"{type(error).__name__}: {error}",
+                elapsed=time.perf_counter() - started,
+            )
 
     def _error_result(self, scenario: ScenarioConfig, error: str,
                       elapsed: float = 0.0) -> ScenarioResult:
@@ -598,12 +530,14 @@ class SweepRunner:
         return sha256_hex("scenario-result", scenario.fingerprint(),
                           self._code_digest)
 
-    def _lookup(self, scenario: ScenarioConfig, started: float
+    def _lookup(self, scenario: ScenarioConfig
                 ) -> Tuple[Optional[str], Optional[ScenarioResult]]:
         """The scenario's store key and, on a hit, its replayed row;
-        ``(None, None)`` without a store."""
+        ``(None, None)`` without a store.  A hit resolves nothing: the
+        key names the recipe, not its products."""
         if self._cache is None:
             return None, None
+        started = time.perf_counter()
         key = self._scenario_key(scenario)
         stored = self._cache.lookup_scenario(key)
         if stored is None:
@@ -615,14 +549,8 @@ class SweepRunner:
             elapsed_seconds=time.perf_counter() - started,
         )
 
-    def _record(self, key: Optional[str], result: ScenarioResult) -> None:
-        """Store an executed scenario's row under ``key``; a failed row
-        (error or oracle failure) is never stored."""
-        if key is not None and not result.failed:
-            self._cache.store_scenario(key, result.to_dict(timings=True))
-
-    def _execute(self, item: _Resolved, started: float) -> ScenarioResult:
-        scenario, cls, suite = item.scenario, item.cls, item.suite
+    def _execute(self, scenario: ScenarioConfig, cls: type,
+                 suite: TestSuite, started: float) -> ScenarioResult:
         selector = scenario.component
         spec = cls.__tspec__
         setup = type_model = None
@@ -685,75 +613,52 @@ class SweepRunner:
             elapsed_seconds=time.perf_counter() - started,
         )
 
-    def _finish(self, results: List[ScenarioResult],
-                scenarios: Sequence[ScenarioConfig], result: ScenarioResult,
-                progress: Optional[ProgressCallback]) -> None:
-        """Append the next row in registry order, tally and report it."""
-        results.append(result)
-        self._obs.count("sweep.scenarios", 1)
-        if result.oracle_failures:
-            self._obs.count("sweep.oracle_failures",
-                            result.oracle_failures)
-        if result.error:
-            self._obs.count("sweep.errors", 1)
-        if progress is not None:
-            progress(len(results), len(scenarios), scenarios[len(results) - 1],
-                     result)
+    def _sweep(self, scenarios: Sequence[ScenarioConfig],
+               progress: Optional[ProgressCallback]) -> List[ScenarioResult]:
+        """Look every scenario up, then resolve and run the misses: on
+        this runner with one worker, else on the pool.
 
-    def _run_sequential(self, scenarios: Sequence[ScenarioConfig],
-                        progress: Optional[ProgressCallback]
-                        ) -> List[ScenarioResult]:
-        results: List[ScenarioResult] = []
-        cancelled = False  # set by Ctrl-C; every later scenario is cancelled
-        for scenario in scenarios:
-            if cancelled:
-                result = self._error_result(scenario, _CANCELLED)
-            else:
-                try:
-                    result = self.run_scenario(scenario)
-                except KeyboardInterrupt:
-                    # Ctrl-C mid-scenario: record it as cancelled and
-                    # cancel the rest of the sweep.
-                    cancelled = True
-                    result = self._error_result(scenario, _CANCELLED)
-            self._finish(results, scenarios, result, progress)
-        return results
-
-    def _run_pooled(self, scenarios: Sequence[ScenarioConfig],
-                    progress: Optional[ProgressCallback]
-                    ) -> List[ScenarioResult]:
-        """Look up every scenario here, resolve each miss and run the
-        misses on the pool, one task per run of adjacent misses with the
-        same component.
-
-        Rows are finished in registry order as soon as every row before
-        them is known.  Ctrl-C (the pool has already reaped its workers)
-        cancels every scenario without a row."""
+        Rows are finished (stored, if a miss; tallied; reported) in
+        registry order as soon as every row before them is known.  Ctrl-C
+        (on the pool, after it has reaped its workers) cancels every
+        scenario without a row."""
         rows: List[Optional[ScenarioResult]] = [None] * len(scenarios)
+        # The store key of each miss; a replayed row is never stored again.
         keys: List[Optional[str]] = [None] * len(scenarios)
         results: List[ScenarioResult] = []
 
         def finish_ready() -> None:
             while len(results) < len(rows) and rows[len(results)] is not None:
                 position = len(results)
-                self._record(keys[position], rows[position])
-                self._finish(results, scenarios, rows[position], progress)
+                row = rows[position]
+                if keys[position] is not None and not row.failed:
+                    self._cache.store_scenario(keys[position],
+                                               row.to_dict(timings=True))
+                results.append(row)
+                self._obs.count("sweep.scenarios", 1)
+                if row.oracle_failures:
+                    self._obs.count("sweep.oracle_failures",
+                                    row.oracle_failures)
+                if row.error:
+                    self._obs.count("sweep.errors", 1)
+                if progress is not None:
+                    progress(len(results), len(rows), scenarios[position],
+                             row)
 
         try:
-            misses: List[Tuple[int, _Resolved]] = []
+            misses: List[int] = []
             for position, scenario in enumerate(scenarios):
-                item, key, rows[position] = self._prepare(
-                    scenario, time.perf_counter()
-                )
+                key, rows[position] = self._lookup(scenario)
                 if rows[position] is None:
+                    misses.append(position)
                     keys[position] = key
-                    misses.append((position, item))
                 finish_ready()
-            tasks = [tuple(group) for _, group in groupby(
-                misses, key=lambda miss: miss[1].scenario.component.describe()
-            )]
-            if tasks:
-                self._run_tasks(tasks, rows, finish_ready)
+            if self._workers == 1:
+                for position in misses:
+                    rows[position] = self._run(scenarios[position])
+                    finish_ready()
+            elif misses:
+                self._run_pool(scenarios, misses, rows, finish_ready)
         except KeyboardInterrupt:
             pass
         for position, scenario in enumerate(scenarios):
@@ -762,31 +667,38 @@ class SweepRunner:
         finish_ready()
         return results
 
-    def _run_tasks(self, tasks: List[Tuple[Tuple[int, _Resolved], ...]],
-                   rows: List[Optional[ScenarioResult]],
-                   finish_ready: Callable[[], None]) -> None:
-        """Run each task (a tuple of positioned, resolved scenarios) on
-        the pool and fill its rows as it arrives."""
+    def _run_pool(self, scenarios: Sequence[ScenarioConfig],
+                  misses: List[int],
+                  rows: List[Optional[ScenarioResult]],
+                  finish_ready: Callable[[], None]) -> None:
+        """Run the scenarios at ``misses`` on the pool, one task per run
+        of adjacent misses with the same component, and fill each task's
+        rows as it arrives."""
+        tasks = [tuple(task) for _, task in groupby(
+            misses, key=lambda position:
+                scenarios[position].component.describe()
+        )]
 
         def deliver(index: int,
                     task_rows: Tuple[ScenarioResult, ...]) -> None:
-            for (position, _), row in zip(tasks[index], task_rows):
+            for position, row in zip(tasks[index], task_rows):
                 rows[position] = row
             finish_ready()
 
-        def lost(task: Tuple[_Resolved, ...], reason: KillReason,
+        def lost(task: Tuple[ScenarioConfig, ...], reason: KillReason,
                  detail: str) -> Tuple[ScenarioResult, ...]:
-            return tuple(self._error_result(item.scenario,
+            return tuple(self._error_result(scenario,
                                             f"WorkerCrash: {detail}")
-                         for item in task)
+                         for scenario in task)
 
         job = PoolJob(
-            tasks=[tuple(item for _, item in task) for task in tasks],
-            spec=_ScenarioTaskSpec(),
+            tasks=[tuple(scenarios[position] for position in task)
+                   for task in tasks],
+            spec=_ScenarioTaskSpec(self._workspace),
             deliver=deliver,
             lost=lost,
             describe=lambda task: {
-                "idents": ",".join(item.scenario.ident for item in task)
+                "idents": ",".join(scenario.ident for scenario in task)
             },
             workers=self._workers,
             obs=self._obs,
@@ -817,10 +729,7 @@ class SweepRunner:
             scenarios = scenarios[:max_scenarios]
         with self._obs.span("sweep.run", scenarios=len(scenarios),
                             workers=self._workers):
-            if self._workers > 1:
-                results = self._run_pooled(scenarios, progress)
-            else:
-                results = self._run_sequential(scenarios, progress)
+            results = self._sweep(scenarios, progress)
         counters = (dict(self._telemetry.counters())
                     if self._telemetry is not None else {})
         return SweepReport(
@@ -833,20 +742,25 @@ class SweepRunner:
         )
 
 
+@dataclass(frozen=True)
 class _ScenarioTaskSpec:
-    """The job spec of scenario tasks on the pool (picklable).
+    """The job spec of scenario tasks on the pool: the workspace that
+    generated components are materialized into (picklable).
 
-    Each task, a tuple of resolved scenarios, runs on a fresh serial
+    Each task, a tuple of recipes, resolves and runs on a fresh
     :class:`SweepRunner` with no store and no telemetry, so a worker
     carries nothing from one task to the next, and a task's scenarios
-    share their reference run as they would in a serial sweep.
+    share their class, suite and reference run as they would on one
+    runner in a serial sweep.
     """
 
-    def runner(self) -> Callable[[Tuple[_Resolved, ...]],
+    workspace: Optional[PathLike]
+
+    def runner(self) -> Callable[[Tuple[ScenarioConfig, ...]],
                                  Tuple[ScenarioResult, ...]]:
-        return _run_task
+        return self._run_task
 
-
-def _run_task(items: Tuple[_Resolved, ...]) -> Tuple[ScenarioResult, ...]:
-    sweep = SweepRunner(ScenarioRegistry(()))
-    return tuple(sweep._run(item, time.perf_counter()) for item in items)
+    def _run_task(self, task: Tuple[ScenarioConfig, ...]
+                  ) -> Tuple[ScenarioResult, ...]:
+        sweep = SweepRunner(ScenarioRegistry(()), workspace=self.workspace)
+        return tuple(sweep._run(scenario) for scenario in task)

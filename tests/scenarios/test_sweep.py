@@ -9,7 +9,9 @@ executing a single mutant or reference pass (or starting a worker), a
 real edit of the code misses and its revert hits again, the store holds
 scenario records only, one scenario dying of an arbitrary ``Exception``
 must cost exactly its own row, a worker process dying costs exactly
-its task's rows, and no worker outlives a pooled sweep.
+its task's rows, a pooled sweep's workers resolve what they run (forked
+or spawned) while the calling process resolves nothing, and no worker
+outlives a pooled sweep.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import shutil
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -30,6 +33,7 @@ import repro
 from repro.core.errors import ScenarioError
 from repro.generator.driver import DriverGenerator
 from repro.generator.suite import TestSuite
+from repro.mutation import parallel
 from repro.mutation.cache import MutationOutcomeCache
 from repro.obs import MemorySink, Telemetry
 from repro.obs.schema import validate_event
@@ -202,6 +206,12 @@ def test_report_json_roundtrip(small_registry, tmp_path):
     reloaded = report_from_mapping(json.loads(report.to_json(timings=True)))
     assert reloaded.to_json(timings=False) == report.to_json(timings=False)
     assert reloaded.total_oracle_failures == 0
+    # Every field comes back as it was, lists as tuples; only the clock
+    # is rounded, and the rows are in ident order.
+    assert [replace(result, elapsed_seconds=0.0)
+            for result in reloaded.results] == \
+        [replace(result, elapsed_seconds=0.0)
+         for result in sorted(report.results, key=lambda row: row.ident)]
 
 
 def test_max_scenarios_truncates(small_registry, tmp_path):
@@ -236,23 +246,30 @@ class TestDifferentialMatrix:
             assert [result.ident for result in report.results] == \
                 [scenario.ident for scenario in mixed_registry], workers
 
-    def test_workers_get_resolved_inputs(self, mixed_registry, baseline,
-                                         tmp_path, monkeypatch):
-        # The calling process synthesizes each component and generates
-        # each suite; a worker only builds the battery, records the
-        # reference run and runs the analysis.
-        test_process = os.getpid()
+    def test_calling_process_resolves_nothing(self, mixed_registry,
+                                              baseline, tmp_path,
+                                              monkeypatch):
+        # Each task carries recipes only: its worker synthesizes,
+        # materializes and generates what it runs, and the calling
+        # process only looks up, writes and reports.
+        counts, resolved = count_resolutions(monkeypatch)
+        report = SweepRunner(mixed_registry, workers=2,
+                             workspace=tmp_path / "ws").run()
+        assert report.to_json(timings=False) == baseline
+        assert dict(counts) == {} and resolved == []
 
-        def parent_only(build):
-            def guarded(*args, **kwargs):
-                if os.getpid() != test_process:
-                    raise RuntimeError(f"{build.__name__} ran in a worker")
-                return build(*args, **kwargs)
-            return guarded
+    def test_spawned_workers_match_serial(self, mixed_registry, baseline,
+                                          tmp_path, monkeypatch):
+        # A spawned worker starts a fresh interpreter: it unpickles its
+        # recipes and synthesizes and materializes the generated
+        # components itself, so a patch in this process never reaches it.
+        monkeypatch.setattr(parallel, "_mp_context",
+                            lambda: multiprocessing.get_context("spawn"))
 
-        for name in ("synthesize", "DriverGenerator"):
-            monkeypatch.setattr(sweep_module, name,
-                                parent_only(getattr(sweep_module, name)))
+        def parent_synthesize(genspec):
+            raise RuntimeError("synthesized in the calling process")
+
+        monkeypatch.setattr(sweep_module, "synthesize", parent_synthesize)
         report = SweepRunner(mixed_registry, workers=2,
                              workspace=tmp_path / "ws").run()
         assert report.to_json(timings=False) == baseline
@@ -406,20 +423,27 @@ class TestHitResolvesNothing:
         SweepRunner(mixed_registry, workspace=tmp_path / "ws-cold",
                     cache=MutationOutcomeCache(cache_dir)).run("mixed-stack")
         counts, resolved = count_resolutions(monkeypatch)
+        sink = MemorySink()
         cache = MutationOutcomeCache(cache_dir)
         report = SweepRunner(
             mixed_registry, workers=workers, workspace=tmp_path / "ws-warm",
-            cache=cache,
+            cache=cache, telemetry=Telemetry(sink=sink),
         ).run()
 
         assert report.to_json(timings=False) == baseline
-        assert resolved == ["mixed-queue", "mixed-account"]
-        # One generated component and two suites: the queue's and the
-        # account's.
-        assert counts["synthesize"] == counts["materialize"] == 1
-        assert counts["generate"] == 2
         assert cache.scenario_stats() == {"hits": 2, "misses": 2,
                                           "stores": 2, "corrupt": 0}
+        if workers == 1:
+            assert resolved == ["mixed-queue", "mixed-account"]
+            # One generated component and two suites: the queue's and
+            # the account's.
+            assert counts["synthesize"] == counts["materialize"] == 1
+            assert counts["generate"] == 2
+        else:
+            # The workers resolve the two misses, one task each.
+            assert [event["attrs"]["idents"] for event in sink.events
+                    if event["name"] == "parallel.dispatch"] == \
+                ["mixed-queue", "mixed-account"]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_a_resolution_error_is_the_same_row_and_never_stored(
@@ -562,14 +586,14 @@ class TestErrorIsolation:
                                              tmp_path, monkeypatch):
         # The two stack scenarios share a component, so they form one
         # task; the worker dies on the second, after finishing the first.
-        real_execute = SweepRunner._execute
+        real_run = SweepRunner._run
 
-        def dying_execute(self, item, started):
-            if item.scenario.ident == "mixed-stack-glob":
+        def dying_run(self, scenario):
+            if scenario.ident == "mixed-stack-glob":
                 os._exit(3)
-            return real_execute(self, item, started)
+            return real_run(self, scenario)
 
-        monkeypatch.setattr(SweepRunner, "_execute", dying_execute)
+        monkeypatch.setattr(SweepRunner, "_run", dying_run)
         telemetry = Telemetry(sink=MemorySink())
         report = SweepRunner(
             mixed_registry, workers=2, workspace=tmp_path / "ws",

@@ -37,10 +37,10 @@ def _registry(*idents, refs=()):
 
 def test_sequential_sigint_cancels_current_and_rest():
     class ExplodingRunner(SweepRunner):
-        def run_scenario(self, scenario):
+        def _run(self, scenario):
             if scenario.ident == "boom":
                 raise KeyboardInterrupt
-            return super().run_scenario(scenario)
+            return super()._run(scenario)
 
     runner = ExplodingRunner(_registry("seq-a", "boom", "seq-b"))
     report = runner.run()
@@ -60,15 +60,15 @@ def test_pooled_sigint_keeps_finished_rows(tmp_path, monkeypatch):
                                "CObList"))
     serial = {result.ident: result.to_dict(timings=False)
               for result in SweepRunner(registry).run().results}
-    real_execute = SweepRunner._execute
+    real_run = SweepRunner._run
 
-    def interrupting_execute(self, item, started):
-        if item.scenario.ident == "boom":
+    def interrupting_run(self, scenario):
+        if scenario.ident == "boom":
             os.kill(os.getppid(), signal.SIGINT)
             time.sleep(60)  # until the parent kills this worker
-        return real_execute(self, item, started)
+        return real_run(self, scenario)
 
-    monkeypatch.setattr(SweepRunner, "_execute", interrupting_execute)
+    monkeypatch.setattr(SweepRunner, "_run", interrupting_run)
     sink = MemorySink()
     report = SweepRunner(registry, workers=2,
                          telemetry=Telemetry(sink=sink)).run()
