@@ -1,18 +1,27 @@
 """Mutant generation pipeline.
 
 For each target method of a class, apply every operator of the registry to
-every applicable mutation point, compile the result, and keep the mutants
-that compile cleanly (sec. 4).  Duplicates — distinct points that produce
-textually identical method sources, or the original method's own source —
-are dropped, and every drop is counted in the :class:`GenerationReport`
-(never silent).  Sources that differ only after normalization are left to
-the static triage pass (:mod:`repro.mutation.triage`).
+every applicable mutation point, render the mutated source, and number and
+record every mutant that is new (sec. 4).  Duplicates — distinct points
+that produce textually identical method sources, or the original method's
+own source — are dropped, and every drop is counted in the
+:class:`GenerationReport` (never silent).  Sources that differ only after
+normalization are left to the static triage pass
+(:mod:`repro.mutation.triage`).
+
+Generation compiles nothing, except in a method that declares a name
+``global`` or ``nonlocal``: only there can a replacement fail to compile,
+so each of its mutants compiles at once, and a failure is counted and
+dropped as the paper's "compiled cleanly" gate drops it.  Every other
+mutant compiles its splice the first time its code is needed
+(:class:`~repro.mutation.mutant.CompiledMutant`).
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.errors import MutationError
@@ -23,6 +32,7 @@ from .operators.base import (
     MethodContext,
     MutationOperator,
     MutationPoint,
+    compile_splice,
     method_context,
     render_expr,
 )
@@ -63,7 +73,7 @@ class GenerationReport:
 
 
 class MutantGenerator:
-    """Generates compiled mutants for chosen methods of one class.
+    """Generates the mutants of chosen methods of one class.
 
     With a :class:`~repro.mutation.typemodel.TypeModel`, replacements that
     would not have compiled under C++ typing are rejected — reproducing the
@@ -89,7 +99,7 @@ class MutantGenerator:
 
     def generate(self, method_names: Sequence[str],
                  ) -> Tuple[List[CompiledMutant], GenerationReport]:
-        """All compiled mutants for the given methods, plus the accounting."""
+        """All mutants of the given methods, plus the accounting."""
         report = GenerationReport(
             class_name=self._target.__name__, methods=tuple(method_names)
         )
@@ -123,10 +133,10 @@ class MutantGenerator:
                                 report.duplicates += 1
                                 continue
                             seen_sources.add(key)
-                            with context.splice(point.site,
-                                                point.replacement) as module:
-                                function, code = context.compile_mutant(
-                                    module)
+                            code = (context.compile_mutant(point.site,
+                                                           point.replacement)
+                                    if context.declares_global_or_nonlocal
+                                    else None)
                         except (MutationError, SyntaxError):
                             report.compile_failures += 1
                             continue
@@ -144,7 +154,9 @@ class MutantGenerator:
                             mutated_source=mutated_source,
                         )
                         mutants.append(CompiledMutant(
-                            record, self._target, function, code))
+                            record, self._target, code=code,
+                            compiler=partial(compile_splice, context,
+                                             point.site, point.replacement)))
                         report.count(method_name, operator.name)
                     span.set("mutants", report.generated - produced_before)
         return mutants, report

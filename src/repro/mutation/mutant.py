@@ -5,13 +5,19 @@ compiled, to assure that all faulty classes compiled cleanly" (sec. 4).
 
 A :class:`Mutant` is the immutable record of one injected fault (operator,
 method, location, what replaced what, the mutated source).  The companion
-:class:`CompiledMutant` additionally carries the compiled function object
-and knows how to **materialise** itself as a separate class:
+:class:`CompiledMutant` additionally carries the mutated method's code and
+knows how to **materialise** itself as a separate class:
 
 * :meth:`CompiledMutant.build_class` — a fresh copy of the defining class
   with the mutated method installed (experiment 1's shape);
 * :func:`rebuild_subclass` — re-derives a subclass on top of a mutated base
   (experiment 2: faults in ``CObList``, tests through ``CSortableObList``).
+
+The paper compiled each mutant because it then ran it.  A generated
+mutant compiles its splice the first time its code is needed: at
+:meth:`~CompiledMutant.build_class`, or at the pickle that ships it to a
+pool worker.  A mutant that is only counted (Table 1) or whose verdict is
+replayed from the store compiles nothing.
 
 Function objects do not pickle, but code objects marshal, the
 :class:`Mutant` record is pure data and the owner class is importable, so
@@ -19,7 +25,7 @@ a ``CompiledMutant`` pickles by shipping ``(record, owner, marshalled
 module code)`` and **running that code on arrival**
 (:func:`rebuild_compiled_mutant`).  That is what lets the parallel engine
 fan mutants out to worker processes: each worker runs the very code the
-generator compiled, the in-process analogue of the paper's "individually
+parent compiled, the in-process analogue of the paper's "individually
 compiled" separate programs.  Re-parsing ``mutated_source`` would not be
 exact: ``ast.unparse`` text does not always parse back to the spliced
 tree (``-1 .next = after``), and its line data never matches.
@@ -30,12 +36,17 @@ from __future__ import annotations
 import ast
 import inspect
 import marshal
+import threading
 import warnings
 from dataclasses import dataclass
 from types import CodeType
 from typing import Callable, Dict, Optional, Tuple
 
 from ..core.errors import MutationError
+
+#: Held while a mutant compiles, so a mutant read on two threads at once
+#: runs its compiler once.
+_COMPILING = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -63,18 +74,43 @@ class Mutant:
 class CompiledMutant:
     """A mutant plus its compiled method, able to materialise mutant classes.
 
-    ``code`` is the module code that defined ``function``: the function's
-    own code is one of its constants, so keeping it costs one small code
-    object, and it is what a pickle ships.
+    ``code`` is the module code that defines ``function``: the function's
+    own code is one of its constants, and the module code is what a pickle
+    ships.  Give the code (and the function, when it exists already), or a
+    ``compiler`` that returns the code: it runs the first time ``code`` is
+    read, and ``function`` runs the code the first time it is read.
     """
 
-    def __init__(self, record: Mutant, owner: type, function: Callable,
-                 code: CodeType):
+    def __init__(self, record: Mutant, owner: type,
+                 function: Optional[Callable] = None,
+                 code: Optional[CodeType] = None, *,
+                 compiler: Optional[Callable[[], CodeType]] = None):
+        if code is None and compiler is None:
+            raise TypeError(f"{record.ident}: give the mutant's code or a "
+                            "compiler for it")
         self.record = record
         self.owner = owner
-        self.function = function
-        self.code = code
+        self._function = function
+        self._code = code
+        self._compiler = compiler
         self._class_cache: Optional[type] = None
+
+    @property
+    def code(self) -> CodeType:
+        if self._code is None:
+            with _COMPILING:
+                if self._code is None:
+                    self._code = self._compiler()
+                    # It holds the replacement's tree, which a battery
+                    # kept to the end of a run would keep alive.
+                    self._compiler = None
+        return self._code
+
+    @property
+    def function(self) -> Callable:
+        if self._function is None:
+            self._function = define_mutant_function(self.code, self.owner)
+        return self._function
 
     @property
     def ident(self) -> str:
@@ -139,7 +175,7 @@ def compile_mutant_function(record: Mutant,
     and the module code that defined it.
 
     This builds a mutant from hand-written source (test fixtures);
-    generated mutants carry the code the generator compiled.
+    generated mutants compile their splice of the original's tree.
     """
     try:
         module = ast.parse(record.mutated_source)
@@ -158,10 +194,7 @@ def rebuild_compiled_mutant(record: Mutant, owner: type,
                             code: bytes) -> CompiledMutant:
     """Reconstruct a :class:`CompiledMutant` from its pickle payload:
     ``code`` is the marshalled module code."""
-    module_code = marshal.loads(code)
-    return CompiledMutant(record, owner,
-                          define_mutant_function(module_code, owner),
-                          module_code)
+    return CompiledMutant(record, owner, code=marshal.loads(code))
 
 
 def rebuild_subclass(subclass: type, original_base: type,

@@ -14,10 +14,13 @@ uses of **non-interface variables** — the set L(R2) ∪ E(R2), where
 * ``RC``    — required constants: NULL (``None``), MAXINT, MININT, 0, 1, -1.
 
 A *use site* is an occurrence of a local variable in load (read) context.
-Each operator derives one mutant per (use site × replacement) pair; the
-generator compiles every mutant and discards the (rare, in Python) ones
-that fail to compile, mirroring the paper's "individually compiled, to
-assure that all faulty classes compiled cleanly".
+Each operator derives one mutant per (use site × replacement) pair.  The
+paper compiled every mutant "to assure that all faulty classes compiled
+cleanly"; here a replacement can fail to compile only in a method that
+declares a name ``global`` or ``nonlocal`` (a use before the declaration),
+so the generator compiles those methods' mutants at once and discards the
+failures, and every other mutant compiles on first use
+(:func:`compile_splice`).
 """
 
 from __future__ import annotations
@@ -27,17 +30,17 @@ import builtins
 import inspect
 import textwrap
 import threading
+import warnings
 import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass
 from types import CodeType
 from typing import (
-    Callable, Dict, FrozenSet, Iterator, List, NamedTuple, Optional,
-    Sequence, Set, Tuple,
+    Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Set,
+    Tuple,
 )
 
 from ...core.errors import MutationError
-from ..mutant import define_mutant_function
 
 #: The RC set (Table 1): NULL plus the classic integer edge constants.
 #: MAXINT/MININT are the 32-bit C limits the paper's setting implies.
@@ -91,13 +94,16 @@ class MethodContext:
     mutant's text from one template of the method, which fills ``tree``
     with placeholders on first use.  One context must not be spliced or
     rendered from two threads at once; :func:`method_context` gives each
-    thread its own.  The context holds its owner weakly, so a context kept
-    for a class does not keep the class alive.
+    thread its own, and :func:`compile_splice` compiles through the
+    context of the calling thread.  The context holds its owner weakly, so
+    a context kept for a class does not keep the class alive.
     """
 
     def __init__(self, owner: type, method_name: str):
         self._owner = weakref.ref(owner)
         self.method_name = method_name
+        #: The thread that built the context, the one that may splice it.
+        self.thread = threading.get_ident()
         function = _find_defining_dict(owner, method_name)
         self.source = textwrap.dedent(inspect.getsource(function))
         try:
@@ -131,6 +137,13 @@ class MethodContext:
             sorted(universe - set(self.attributes_used))
         )
         self.use_sites: Tuple[UseSite, ...] = tuple(self._collect_use_sites())
+        #: A ``global`` or ``nonlocal`` statement anywhere in the method:
+        #: the one way a replacement can fail to compile (a name used
+        #: before its declaration), so generation compiles these mutants.
+        self.declares_global_or_nonlocal = any(
+            isinstance(node, (ast.Global, ast.Nonlocal))
+            for node in ast.walk(self.function)
+        )
         self._slots = _load_slots(module, set(self.locals))
         self._body_nodes: Optional[Set[int]] = None
         self._unparsed: Optional[str] = None
@@ -186,7 +199,8 @@ class MethodContext:
         (its own children inherit it) and goes into that ``Name``'s slot of
         the one shared tree; the ``Name`` goes back on exit, however the
         ``with`` body leaves.  Compile the yielded tree inside the body
-        only; :meth:`render` gives its ``ast.unparse``.
+        only (:meth:`compile_mutant`); :meth:`render` gives its
+        ``ast.unparse``.
         """
         slot = self._slots[site.variable][self._occurrence(site)]
         original = _slot_node(slot)
@@ -249,24 +263,22 @@ class MethodContext:
         node = _slot_node(slots[occurrence])
         return node.lineno if id(node) in self._body_nodes else None
 
-    def compile_mutant(self, module: ast.Module
-                       ) -> Tuple[Callable, CodeType]:
-        """Compile a mutated module: the resulting function object and the
-        module code that defined it.
+    def compile_mutant(self, site: UseSite,
+                       replacement: ast.expr) -> CodeType:
+        """The module code of the method with one use replaced: its one
+        ``def`` defines the mutated function
+        (:func:`~repro.mutation.mutant.define_mutant_function`).
 
-        The function is evaluated in the defining module's globals so that
-        imported helpers (contract checks, node classes) resolve exactly as
-        in the original.
+        Raises ``SyntaxError`` for a splice that does not compile, which
+        only a ``global`` or ``nonlocal`` declaration allows.
         """
-        import warnings
-
-        with warnings.catch_warnings():
+        with self.splice(site, replacement) as module, \
+                warnings.catch_warnings():
             # Replacements like `x is None` → `0 is None` trip SyntaxWarning;
             # the "weird" comparison is the injected fault itself.
             warnings.simplefilter("ignore", SyntaxWarning)
-            code = compile(module, filename=f"<mutant of {self.method_name}>",
+            return compile(module, filename=f"<mutant of {self.method_name}>",
                            mode="exec")
-        return define_mutant_function(code, self.owner), code
 
 
 #: Per thread, per owner class, the context of each method
@@ -296,6 +308,20 @@ def method_context(owner: type, method_name: str) -> MethodContext:
     if context is None:
         context = methods[method_name] = MethodContext(owner, method_name)
     return context
+
+
+def compile_splice(context: MethodContext, site: UseSite,
+                   replacement: ast.expr) -> CodeType:
+    """:meth:`MethodContext.compile_mutant` on any thread.
+
+    A context splices its one tree in place, so it compiles only on the
+    thread that built it; on any other thread the calling thread's context
+    of the same method compiles the splice.  Both parsed the same source,
+    so the code is the same in every field.
+    """
+    if context.thread != threading.get_ident():
+        context = method_context(context.owner, context.method_name)
+    return context.compile_mutant(site, replacement)
 
 
 def _load_slots(tree: ast.AST, names: Set[str]) -> Dict[str, List[_Slot]]:

@@ -8,12 +8,12 @@ serial :class:`~repro.mutation.analysis.MutationAnalysis`, whose one
 analysis loop still looks the run up in the store, triages the battery,
 fills the triaged outcomes, assembles the run and stores it.  Only the
 step that resolves the untriaged mutants differs: they go to N worker
-processes.  Each worker **runs the module code the generator compiled**
+processes.  Each worker **runs the module code the parent compiled**
 (the pickle protocol of :class:`~repro.mutation.mutant.CompiledMutant`
-ships it marshalled), runs the suite under a fresh
-:class:`~repro.mutation.sandbox.StepBudgetGuard`, and ships the outcome
-back to the parent.  The pool changes *where* a mutant runs, never
-*how*; a run replayed from the store touches no worker.
+compiles the mutant's splice and ships it marshalled), runs the suite
+under a fresh :class:`~repro.mutation.sandbox.StepBudgetGuard`, and
+ships the outcome back to the parent.  The pool changes *where* a mutant
+runs, never *how*; a run replayed from the store touches no worker.
 
 Mutants ship to workers in batches — by default
 ``max(1, dispatched // (8 × workers))`` per batch (``batch_size``
@@ -76,6 +76,13 @@ Two contracts, both tested differentially against the serial engine:
   A replacement worker is spawned whenever work remains, so every mutant
   still runs; the engine never wedges on a hostile mutant.
 
+  A worker reports ready before its first task.  One that dies before
+  that never started its batch, which goes back to the queue untouched;
+  a second such death in a row ends the run with a
+  :class:`~repro.core.errors.ReproError` naming the exit code and the
+  start method (under ``spawn``, a script that starts a pool without an
+  ``if __name__ == "__main__":`` guard dies this way in every worker).
+
 Per-worker ``StepBudgetGuard.timeouts`` counters are aggregated into
 ``MutationRun.step_timeouts`` so sandbox activity stays observable across
 process boundaries.
@@ -94,6 +101,7 @@ from typing import (
     Any, Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple,
 )
 
+from ..core.errors import ReproError
 from ..generator.suite import TestSuite
 from ..harness.oracles import CompositeOracle, KillReason
 from ..harness.outcomes import SuiteResult
@@ -191,6 +199,7 @@ class PoolJob:
 def _worker_main(connection: Connection, spec: Any) -> None:
     """Worker loop: task batches in, results out.
 
+    The worker first sends ``("ready",)``: it runs, holding its spec.
     Each message is a batch ``((index, task), …)``: the worker applies
     ``spec.runner()`` (built before its first task) to each task in
     order, streaming one ``("done", index, result)`` per task (or
@@ -201,6 +210,7 @@ def _worker_main(connection: Connection, spec: Any) -> None:
     """
     runner: Optional[Callable[[Any], Any]] = None
     try:
+        connection.send(("ready",))
         while True:
             batch = connection.recv()
             if batch is None:
@@ -229,12 +239,15 @@ def _worker_main(connection: Connection, spec: Any) -> None:
 class _Worker:
     """Parent-side handle for one worker process."""
 
-    __slots__ = ("process", "connection", "assigned", "batch_len",
+    __slots__ = ("process", "connection", "ready", "assigned", "batch_len",
                  "batch_started", "last_heard")
 
     def __init__(self, process, connection: Connection):
         self.process = process
         self.connection = connection
+        #: The worker sent ``("ready",)``: a death from here on is a
+        #: task's.
+        self.ready = False
         #: Batch tasks not yet resolved, in execution order; the worker
         #: holds a batch exactly while this is non-empty.
         self.assigned: Deque[Tuple[int, Any]] = deque()
@@ -285,13 +298,18 @@ class _PoolRun:
         self.solo: Set[int] = set()
         #: Indices whose result has been delivered.
         self.reported: Set[int] = set()
+        #: Workers that died before they reported ready since a worker
+        #: last did.
+        self.start_deaths = 0
 
     def drive(self) -> None:
         """Health pass → sizing → dispatch → wait, until the run is done.
 
         The run grows to ``min(workers, in flight + pending)`` workers and
         never holds more than ``workers`` batches at once.  A replacement
-        for a worker lost mid-batch counts as a respawn.
+        for a worker lost mid-batch counts as a respawn.  A worker that
+        died while starting is replaced only once no other is starting,
+        so two deaths in a row end the run after at most two spawns.
         """
         job = self.job
         while True:
@@ -305,8 +323,12 @@ class _PoolRun:
             if self.remaining <= 0:
                 return
             busy = sum(1 for worker in self.workers if worker.assigned)
-            while len(self.workers) < min(job.workers,
-                                          busy + len(self.pending)):
+            # After a worker died while starting, the next one starts only
+            # once no other is still starting.
+            starting = self.start_deaths and not all(
+                worker.ready for worker in self.workers)
+            while not starting and len(self.workers) < min(
+                    job.workers, busy + len(self.pending)):
                 self._spawn()
                 if self.casualties > 0:
                     self.casualties -= 1
@@ -350,6 +372,10 @@ class _PoolRun:
             pass  # pipe closed mid-batch: the next health pass classifies it
 
     def _apply_message(self, worker: _Worker, message: Tuple) -> None:
+        if message[0] == "ready":
+            worker.ready = True
+            self.start_deaths = 0
+            return
         kind, index = message[0], message[1]
         previously_heard = worker.last_heard
         worker.last_heard = time.perf_counter()
@@ -379,7 +405,8 @@ class _PoolRun:
     # -- health ----------------------------------------------------------
 
     def _retire_dead(self, worker: _Worker) -> None:
-        # Salvage results the worker sent before dying, then apply the
+        # Salvage what the worker sent before dying.  A worker that never
+        # reported ready never started its batch.  Otherwise apply the
         # batch crash rule: a single unreported task was provably
         # executing and is handed to the job's ``lost`` as a
         # process-boundary crash; a multi-task remainder is re-dispatched
@@ -387,8 +414,10 @@ class _PoolRun:
         # results.  An idle dead worker carries no state and is simply
         # pruned.
         worker.process.join()
-        if worker.assigned:
-            self._drain_worker(worker)
+        self._drain_worker(worker)
+        if not worker.ready:
+            self._retire_unstarted(worker)
+            return
         if worker.assigned:  # salvage may have completed the batch
             obs = self.job.obs
             unreported = [task for task in worker.assigned
@@ -415,6 +444,22 @@ class _PoolRun:
                     self.solo.add(task[0])
                     self.pending.appendleft(task)
         self._discard(worker)
+
+    def _retire_unstarted(self, worker: _Worker) -> None:
+        """Put back the batch of a worker that died before it reported
+        ready, untouched; the second such death in a row ends the run."""
+        self.pending.extendleft(reversed(worker.assigned))
+        worker.assigned.clear()
+        self._discard(worker)
+        self.start_deaths += 1
+        if self.start_deaths >= 2:
+            raise ReproError(
+                f"pool workers died while starting, twice in a row (exit "
+                f"code {worker.process.exitcode}, start method "
+                f"{self.context.get_start_method()!r}); under 'spawn', a "
+                f"script that starts a pool needs an "
+                f"`if __name__ == \"__main__\":` guard"
+            )
 
     def _retire_hung(self, worker: _Worker) -> None:
         # The result may have landed in the pipe while we were not
@@ -475,10 +520,14 @@ class _PoolRun:
         try:
             worker.connection.send(tuple(batch))
         except OSError:
-            # The worker died while idle: the batch never started, so it
-            # goes back to the front of the queue untouched.
-            self.pending.extendleft(reversed(batch))
+            # The worker died while idle or starting: the batch never
+            # started, so it goes back to the front of the queue untouched.
+            self._drain_worker(worker)
             self._kill(worker)
+            if worker.ready:
+                self.pending.extendleft(reversed(batch))
+            else:
+                self._retire_unstarted(worker)
             return
         depth = len(self.pending)
         for index, task in batch:

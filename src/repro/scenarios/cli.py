@@ -29,7 +29,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from ..core.errors import ReproError
+from ..core.errors import ReproError, ScenarioError
 from ..experiments.cli import (
     add_cache_arguments,
     add_obs_arguments,
@@ -188,10 +188,10 @@ def _cmd_report(arguments: argparse.Namespace) -> int:
     for name in arguments.reports:
         try:
             payload = json.loads(Path(name).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as error:
+            reports.append(report_from_mapping(payload))
+        except (OSError, json.JSONDecodeError, ScenarioError) as error:
             print(f"error: {name}: {error}", file=sys.stderr)
             return 2
-        reports.append(report_from_mapping(payload))
     merged = merge_reports(reports)
     _write_report(merged, arguments)
     print(merged.render_text())

@@ -60,7 +60,9 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, fields, replace as dc_replace
+from dataclasses import (
+    MISSING, dataclass, field, fields, replace as dc_replace,
+)
 from itertools import groupby
 from typing import (
     Any,
@@ -71,6 +73,9 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    get_args,
+    get_origin,
+    get_type_hints,
 )
 
 from ..components import component_by_name, setup_for, type_model_for
@@ -208,13 +213,79 @@ _DETERMINISTIC_FIELDS = tuple(name for name in _FIELDS
                               if name not in _TIMING_FIELDS)
 
 
-def _result_from_mapping(mapping: Mapping[str, Any]) -> ScenarioResult:
+def _type_check(hint: Any) -> Callable[[Any], bool]:
+    """The test that a JSON value fits a field of type ``hint``: ``bool``
+    is no ``int``, an ``int`` is a ``float``, and a tuple field takes a
+    list."""
+    origin = get_origin(hint)
+    if origin is tuple:
+        item_fits = _type_check(get_args(hint)[0])
+        return lambda value: (isinstance(value, (list, tuple))
+                              and all(map(item_fits, value)))
+    if origin is dict:
+        key_fits, item_fits = map(_type_check, get_args(hint))
+        return lambda value: isinstance(value, dict) and all(
+            key_fits(key) and item_fits(item)
+            for key, item in value.items())
+    if hint is bool:
+        return lambda value: isinstance(value, bool)
+    kinds = (int, float) if hint is float else hint
+    return lambda value: (isinstance(value, kinds)
+                          and not isinstance(value, bool))
+
+
+def _type_checks(hints: Mapping[str, Any]
+                 ) -> Dict[str, Tuple[str, Callable[[Any], bool]]]:
+    """Per field, the name of its type and the test of a value."""
+    return {
+        name: (hint.__name__ if isinstance(hint, type)
+               else str(hint).replace("typing.", ""), _type_check(hint))
+        for name, hint in hints.items()
+    }
+
+
+def _check_fields(mapping: Mapping[str, Any],
+                  checks: Dict[str, Tuple[str, Callable[[Any], bool]]],
+                  where: str) -> None:
+    """Raise :class:`ScenarioError` naming ``where`` and the field for
+    the first value whose type differs from its field's."""
+    for name, (expected, fits) in checks.items():
+        if name in mapping and not fits(mapping[name]):
+            value = mapping[name]
+            raise ScenarioError(
+                f"{where} {name!r} must be {expected}, "
+                f"got {type(value).__name__} {value!r}")
+
+
+#: Per :class:`ScenarioResult` field, its type's name and its check; and
+#: the fields without a default.
+_FIELD_CHECKS = _type_checks(get_type_hints(ScenarioResult))
+_REQUIRED_FIELDS = tuple(
+    item.name for item in fields(ScenarioResult)
+    if item.default is MISSING and item.default_factory is MISSING
+)
+
+
+def _result_from_mapping(mapping: Any, row: str) -> ScenarioResult:
     """The result :meth:`ScenarioResult.to_dict` rendered; JSON lists
-    come back as tuples, and a missing field takes its default."""
-    values = {name: mapping[name] for name in _FIELDS if name in mapping}
+    come back as tuples, and a missing optional field takes its default.
+
+    Raises :class:`ScenarioError` naming ``row`` and the field when a
+    required field is missing or a value's type differs from its field's.
+    """
+    if not isinstance(mapping, Mapping):
+        raise ScenarioError(
+            f"{row}: expected an object, got {type(mapping).__name__}")
+    ident = mapping.get("ident")
+    if isinstance(ident, str):
+        row = f"{row} ({ident!r})"
+    for name in _REQUIRED_FIELDS:
+        if name not in mapping:
+            raise ScenarioError(f"{row}: missing field {name!r}")
+    _check_fields(mapping, _FIELD_CHECKS, f"{row}: field")
     return ScenarioResult(**{
         name: tuple(value) if isinstance(value, list) else value
-        for name, value in values.items()
+        for name, value in mapping.items() if name in _FIELD_CHECKS
     })
 
 
@@ -330,18 +401,32 @@ class SweepReport:
         return "\n".join(lines)
 
 
+#: The report's own fields that :func:`report_from_mapping` reads.
+_REPORT_CHECKS = _type_checks({
+    "registry_fingerprint": str, "filter": str, "shard": str,
+    "results": list, "counters": Dict[str, int], "elapsed_seconds": float,
+})
+
+
 def report_from_mapping(mapping: Mapping[str, Any]) -> SweepReport:
-    """Reconstruct a report from its parsed JSON (for shard merging)."""
-    if mapping.get("schema") != REPORT_SCHEMA:
+    """Reconstruct a report from its parsed JSON (for shard merging).
+
+    Raises :class:`ScenarioError` for another schema, and for a field of
+    the report or of one of its results that is missing or mistyped.
+    """
+    schema = (mapping.get("schema") if isinstance(mapping, Mapping)
+              else None)
+    if schema != REPORT_SCHEMA:
         raise ScenarioError(
-            f"not a sweep report (schema {mapping.get('schema')!r}, "
+            f"not a sweep report (schema {schema!r}, "
             f"expected {REPORT_SCHEMA!r})"
         )
+    _check_fields(mapping, _REPORT_CHECKS, "report field")
     return SweepReport(
         registry_fingerprint=str(mapping.get("registry_fingerprint", "")),
         results=tuple(
-            _result_from_mapping(item)
-            for item in mapping.get("results", ())
+            _result_from_mapping(item, f"result {index}")
+            for index, item in enumerate(mapping.get("results", ()))
         ),
         filter_expression=str(mapping.get("filter", "")),
         shard=str(mapping.get("shard", "")),
@@ -545,7 +630,7 @@ class SweepRunner:
             return key, None
         self._obs.count("sweep.scenario_cache_hits")
         return key, dc_replace(
-            _result_from_mapping(stored),
+            _result_from_mapping(stored, f"stored row of {scenario.ident}"),
             elapsed_seconds=time.perf_counter() - started,
         )
 

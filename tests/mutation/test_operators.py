@@ -17,6 +17,7 @@ from repro.mutation.operators import (
     MethodContext,
     REQUIRED_CONSTANTS,
 )
+from repro.mutation.mutant import define_mutant_function
 from repro.mutation.operators.base import infer_attribute_universe, render_expr
 
 
@@ -98,10 +99,11 @@ class TestMethodContext:
     def test_compile_mutant_returns_function(self):
         context = context_for("idle")
         site = context.use_sites[0]
-        with context.splice(site, ast.Constant(value=5)) as module:
-            function, code = context.compile_mutant(module)
-        assert callable(function)
-        # The module code that defined it holds the function's own code.
+        parsed = ast.dump(context.tree)
+        code = context.compile_mutant(site, ast.Constant(value=5))
+        assert ast.dump(context.tree) == parsed  # the splice is undone
+        function = define_mutant_function(code, Machine)
+        # The module code that defines it holds the function's own code.
         assert function.__code__ in code.co_consts
         machine = Machine()
         function(machine)  # the mutated body executes

@@ -9,26 +9,33 @@ mid-battery is respawned and the replacement's verdicts are
 serial-identical; a worker that dies while idle is replaced without a
 verdict moving; two runs at once on two threads each drive workers of
 their own, and one run's crash never reaches the other's verdicts; a
-spec that does not pickle still runs under ``fork``; and under
-``spawn``, where the spec pickles once per worker, the run is
-serial-identical too.
+spec that does not pickle still runs under ``fork``; under ``spawn``,
+where the spec pickles once per worker, the run is serial-identical too;
+and workers that die before they start end the run with an error.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import os
 import pickle
+import time
 from dataclasses import replace
 
 import pytest
 
 import repro.mutation.parallel as parallel
 from repro.components import CSortableObList, OBLIST_TYPE_MODEL
+from repro.core.errors import ReproError
 from repro.generator.driver import DriverGenerator
 from repro.harness.oracles import KillReason, experiment_oracle
 from repro.mutation.analysis import MutationAnalysis
 from repro.mutation.generate import generate_mutants
-from repro.mutation.parallel import ParallelMutationAnalysis
+from repro.mutation.parallel import (
+    ParallelMutationAnalysis,
+    PoolJob,
+    run_pool,
+)
 from repro.obs import MemorySink, Telemetry
 
 from .test_parallel import CRASH_SOURCE, hostile_mutant
@@ -261,6 +268,17 @@ class Unpicklable:
         raise pickle.PicklingError("this setup hook does not pickle")
 
 
+class ExitsWhileUnpickling:
+    """A spec whose unpickling ends the worker, as a spawned worker ends
+    that re-runs a script without a ``__main__`` guard."""
+
+    def runner(self):
+        return lambda task: task
+
+    def __reduce__(self):
+        return os._exit, (3,)
+
+
 class TestSpecReachesWorkers:
     """A forked worker inherits its run's spec; a spawned one unpickles
     it."""
@@ -281,6 +299,28 @@ class TestSpecReachesWorkers:
         run = battery(mutants[:6], SEEDS[0], telemetry=watch)
         assert run.same_results(serial_run(mutants[:6], SEEDS[0]))
         assert len(watch.pids) == 2
+        assert live(watch.pids) == set()
+
+    def test_workers_dying_while_starting_end_the_run(self, monkeypatch):
+        # Each death used to be taken for a batch crash, and each lost
+        # task spawned another worker that died the same way.
+        monkeypatch.setattr(parallel, "_mp_context",
+                            lambda: multiprocessing.get_context("spawn"))
+        watch = PoolWatch()
+        delivered = []
+        job = PoolJob(
+            tasks=range(8), spec=ExitsWhileUnpickling(),
+            deliver=lambda index, result: delivered.append(index),
+            lost=lambda task, reason, detail: reason,
+            describe=lambda task: {"task": task}, workers=2, obs=watch,
+        )
+        started = time.perf_counter()
+        with pytest.raises(ReproError,
+                           match=r"exit code 3, start method 'spawn'"):
+            run_pool(job)
+        assert time.perf_counter() - started < 30
+        assert delivered == []
+        assert len(watch.pids) <= 2
         assert live(watch.pids) == set()
 
 

@@ -805,6 +805,54 @@ def test_cli_report_gate_fails_on_failures(tmp_path, capsys):
     assert "oracle failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("ident", None, "result 0: missing field 'ident'"),
+    ("scenario_fingerprint", None,
+     "result 0 ('row'): missing field 'scenario_fingerprint'"),
+    ("killed", "3",
+     "result 0 ('row'): field 'killed' must be int, got str '3'"),
+], ids=["no-ident", "no-fingerprint", "string-killed"])
+def test_cli_report_rejects_a_malformed_row(tmp_path, capsys, field, value,
+                                            message):
+    # Each used to exit 1 with a TypeError traceback.
+    report = SweepReport(registry_fingerprint="a", results=(
+        ScenarioResult(ident="row", component="c", scenario_fingerprint="f",
+                       killed=1, mutants_total=2),
+    ))
+    payload = report.to_dict()
+    row = payload["results"][0]
+    if value is None:
+        del row[field]
+    else:
+        row[field] = value
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(payload))
+    assert cli_main(["report", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines()
+            if line.startswith("error:")] == [f"error: {path}: {message}"]
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("counters", [1, 2],
+     "report field 'counters' must be Dict[str, int], got list [1, 2]"),
+    ("elapsed_seconds", "soon",
+     "report field 'elapsed_seconds' must be float, got str 'soon'"),
+], ids=["list-counters", "string-seconds"])
+def test_cli_report_rejects_a_malformed_report_field(tmp_path, capsys, field,
+                                                     value, message):
+    payload = SweepReport(registry_fingerprint="a", results=()).to_dict()
+    payload[field] = value
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(payload))
+    assert cli_main(["report", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines()
+            if line.startswith("error:")] == [f"error: {path}: {message}"]
+    assert "Traceback" not in err
+
+
 def test_scenario_mapping_roundtrip_through_cli_formats(small_registry):
     mappings = [scenario_to_mapping(s) for s in small_registry]
     assert registry_from_mappings(mappings) == small_registry
