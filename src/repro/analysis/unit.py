@@ -19,6 +19,7 @@ import re
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
+from ..core.parsing import parse_module
 from ..tspec.model import ClassSpec, MethodSpec
 
 #: Methods belonging to the built-in-test machinery (Figure 4), never part
@@ -62,7 +63,7 @@ class ModuleInfo:
         self.name: str = module.__name__
         self.path: str = getattr(module, "__file__", "") or f"<{self.name}>"
         self.source: str = inspect.getsource(module)
-        self.tree: ast.Module = ast.parse(self.source)
+        self.tree: ast.Module = parse_module(self.source)
         self.global_names: Set[str] = _module_global_names(self.tree)
         self.suppressions: Dict[int, Suppression] = _scan_suppressions(self.source)
         self.class_nodes: Dict[str, ast.ClassDef] = {

@@ -28,6 +28,7 @@ import textwrap
 from dataclasses import dataclass
 from typing import List, Optional, Set, Tuple
 
+from ..core.parsing import parse_module
 from ..tspec.model import ClassSpec, MethodSpec
 
 #: Method names never classified: BIT interface + Python plumbing.
@@ -185,7 +186,7 @@ def attribute_uses(target: type, method_name: str) -> Set[str]:
         return set()
     try:
         source = textwrap.dedent(inspect.getsource(function))
-        tree = ast.parse(source)
+        tree = parse_module(source)
     except (OSError, TypeError, SyntaxError):
         return set()
     used: Set[str] = set()

@@ -153,10 +153,12 @@ class MutantGenerator:
                             description=point.description,
                             mutated_source=mutated_source,
                         )
+                        compiler = None if code is not None else partial(
+                            compile_splice, self._target, method_name,
+                            point.site, point.replacement)
                         mutants.append(CompiledMutant(
                             record, self._target, code=code,
-                            compiler=partial(compile_splice, context,
-                                             point.site, point.replacement)))
+                            compiler=compiler))
                         report.count(method_name, operator.name)
                     span.set("mutants", report.generated - produced_before)
         return mutants, report

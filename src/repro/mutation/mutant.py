@@ -33,20 +33,15 @@ tree (``-1 .next = after``), and its line data never matches.
 
 from __future__ import annotations
 
-import ast
 import inspect
 import marshal
-import threading
 import warnings
 from dataclasses import dataclass
 from types import CodeType
 from typing import Callable, Dict, Optional, Tuple
 
 from ..core.errors import MutationError
-
-#: Held while a mutant compiles, so a mutant read on two threads at once
-#: runs its compiler once.
-_COMPILING = threading.Lock()
+from ..core.parsing import parse_module
 
 
 @dataclass(frozen=True)
@@ -76,18 +71,19 @@ class CompiledMutant:
 
     ``code`` is the module code that defines ``function``: the function's
     own code is one of its constants, and the module code is what a pickle
-    ships.  Give the code (and the function, when it exists already), or a
-    ``compiler`` that returns the code: it runs the first time ``code`` is
-    read, and ``function`` runs the code the first time it is read.
+    ships.  Give either the code (and the function, when it exists
+    already) or a ``compiler`` that returns the code: it runs the first
+    time ``code`` is read, and ``function`` runs the code the first time
+    it is read.
     """
 
     def __init__(self, record: Mutant, owner: type,
                  function: Optional[Callable] = None,
                  code: Optional[CodeType] = None, *,
                  compiler: Optional[Callable[[], CodeType]] = None):
-        if code is None and compiler is None:
-            raise TypeError(f"{record.ident}: give the mutant's code or a "
-                            "compiler for it")
+        if (code is None) == (compiler is None):
+            raise TypeError(f"{record.ident}: give exactly one of the "
+                            "mutant's code and a compiler for it")
         self.record = record
         self.owner = owner
         self._function = function
@@ -98,12 +94,15 @@ class CompiledMutant:
     @property
     def code(self) -> CodeType:
         if self._code is None:
-            with _COMPILING:
-                if self._code is None:
-                    self._code = self._compiler()
-                    # It holds the replacement's tree, which a battery
-                    # kept to the end of a run would keep alive.
-                    self._compiler = None
+            compiler = self._compiler
+            if compiler is None:
+                return self._code  # another thread compiled it meanwhile
+            # Two threads that read it at once both compile, each through
+            # its own context, to the same code.
+            self._code = compiler()
+            # It holds the replacement's tree, which a battery kept to the
+            # end of a run would keep alive.
+            self._compiler = None
         return self._code
 
     @property
@@ -178,7 +177,7 @@ def compile_mutant_function(record: Mutant,
     generated mutants compile their splice of the original's tree.
     """
     try:
-        module = ast.parse(record.mutated_source)
+        module = parse_module(record.mutated_source)
     except SyntaxError as error:
         raise MutationError(
             f"cannot parse mutated source of {record.ident}: {error}"

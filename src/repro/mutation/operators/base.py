@@ -41,6 +41,7 @@ from typing import (
 )
 
 from ...core.errors import MutationError
+from ...core.parsing import parse_module
 
 #: The RC set (Table 1): NULL plus the classic integer edge constants.
 #: MAXINT/MININT are the 32-bit C limits the paper's setting implies.
@@ -102,12 +103,10 @@ class MethodContext:
     def __init__(self, owner: type, method_name: str):
         self._owner = weakref.ref(owner)
         self.method_name = method_name
-        #: The thread that built the context, the one that may splice it.
-        self.thread = threading.get_ident()
         function = _find_defining_dict(owner, method_name)
         self.source = textwrap.dedent(inspect.getsource(function))
         try:
-            module = ast.parse(self.source)
+            module = parse_module(self.source)
         except SyntaxError as error:
             raise MutationError(
                 f"cannot parse source of {owner.__name__}.{method_name}: {error}"
@@ -310,18 +309,18 @@ def method_context(owner: type, method_name: str) -> MethodContext:
     return context
 
 
-def compile_splice(context: MethodContext, site: UseSite,
+def compile_splice(owner: type, method_name: str, site: UseSite,
                    replacement: ast.expr) -> CodeType:
-    """:meth:`MethodContext.compile_mutant` on any thread.
+    """:meth:`MethodContext.compile_mutant` through the calling thread's
+    context of ``owner.method_name``.
 
-    A context splices its one tree in place, so it compiles only on the
-    thread that built it; on any other thread the calling thread's context
-    of the same method compiles the splice.  Both parsed the same source,
-    so the code is the same in every field.
+    A context splices its one tree in place, so a mutant compiles through
+    the context of the thread that reads its code: on the generating
+    thread the one that rendered it, elsewhere one that parsed the same
+    source, so the code is the same in every field.
     """
-    if context.thread != threading.get_ident():
-        context = method_context(context.owner, context.method_name)
-    return context.compile_mutant(site, replacement)
+    return method_context(owner, method_name).compile_mutant(
+        site, replacement)
 
 
 def _load_slots(tree: ast.AST, names: Set[str]) -> Dict[str, List[_Slot]]:
@@ -594,7 +593,7 @@ def infer_attribute_universe(owner: type) -> FrozenSet[str]:
             continue
         try:
             source = textwrap.dedent(inspect.getsource(klass))
-            tree = ast.parse(source)
+            tree = parse_module(source)
         except (OSError, TypeError, SyntaxError):
             continue
         for node in ast.walk(tree):

@@ -309,7 +309,8 @@ class _PoolRun:
         never holds more than ``workers`` batches at once.  A replacement
         for a worker lost mid-batch counts as a respawn.  A worker that
         died while starting is replaced only once no other is starting,
-        so two deaths in a row end the run after at most two spawns.
+        so when every worker dies that way the run ends after its first
+        round of spawns: ``max(workers, 2)`` at most.
         """
         job = self.job
         while True:

@@ -91,6 +91,7 @@ from typing import (
 
 from ..core.errors import MutationError
 from ..core.fingerprint import sha256_hex
+from ..core.parsing import parse_module
 from ..obs import Telemetry, coalesce
 from .operators.base import method_context
 from .typemodel import INTEGRAL_TAGS, TypeModel, infer_local_types
@@ -428,7 +429,7 @@ def _integral_locals(module: ast.Module,
 
 def _parse(source: str) -> ast.Module:
     try:
-        return ast.parse(textwrap.dedent(source))
+        return parse_module(textwrap.dedent(source))
     except SyntaxError as error:
         raise MutationError(f"cannot parse method source: {error}") from error
 

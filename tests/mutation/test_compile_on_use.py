@@ -17,13 +17,16 @@ from __future__ import annotations
 import threading
 from unittest import mock
 
+import pytest
+
 from repro.components import CSortableObList, OBLIST_TYPE_MODEL
 from repro.experiments.config import TABLE2_METHODS
 from repro.experiments.table1 import run_table1
 from repro.experiments.table2 import run_table2
 from repro.mutation.cache import MutationOutcomeCache
 from repro.mutation.generate import generate_mutants
-from repro.mutation.operators import MethodContext
+from repro.mutation.mutant import CompiledMutant
+from repro.mutation.operators import MethodContext, method_context
 from repro.scenarios.registry import builtin_registry
 from repro.scenarios.sweep import SweepRunner
 
@@ -51,7 +54,7 @@ class Tally:
 
 class Compiles:
     """Counts ``MethodContext.compile_mutant`` calls, and checks that
-    each one runs on the thread that built its context."""
+    each one runs through the calling thread's context."""
 
     def __init__(self):
         self.calls = 0
@@ -61,7 +64,8 @@ class Compiles:
         compile_mutant = MethodContext.compile_mutant
 
         def counted(context, *args, **kwargs):
-            assert context.thread == threading.get_ident()
+            assert context is method_context(context.owner,
+                                             context.method_name)
             self.calls += 1
             self.contexts.append(context)
             return compile_mutant(context, *args, **kwargs)
@@ -179,3 +183,13 @@ class TestGlobalDeclaration:
             for mutant in mutants:
                 mutant.build_class()
         assert compiles.calls == 0
+
+    def test_a_mutant_takes_its_code_or_a_compiler_not_both(self):
+        # A mutant compiled at generation keeps no compiler, which would
+        # hold the replacement's tree for the mutant's whole life.
+        mutant = generate_mutants(Tally, ["add"])[0][0]
+        with pytest.raises(TypeError, match="exactly one"):
+            CompiledMutant(mutant.record, Tally, code=mutant.code,
+                           compiler=lambda: mutant.code)
+        with pytest.raises(TypeError, match="exactly one"):
+            CompiledMutant(mutant.record, Tally)

@@ -301,9 +301,13 @@ class TestSpecReachesWorkers:
         assert len(watch.pids) == 2
         assert live(watch.pids) == set()
 
-    def test_workers_dying_while_starting_end_the_run(self, monkeypatch):
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_workers_dying_while_starting_end_the_run(self, monkeypatch,
+                                                      workers):
         # Each death used to be taken for a batch crash, and each lost
-        # task spawned another worker that died the same way.
+        # task spawned another worker that died the same way.  Now the
+        # run ends after its first round of spawns, or after a second
+        # spawn when it has one worker.
         monkeypatch.setattr(parallel, "_mp_context",
                             lambda: multiprocessing.get_context("spawn"))
         watch = PoolWatch()
@@ -312,7 +316,8 @@ class TestSpecReachesWorkers:
             tasks=range(8), spec=ExitsWhileUnpickling(),
             deliver=lambda index, result: delivered.append(index),
             lost=lambda task, reason, detail: reason,
-            describe=lambda task: {"task": task}, workers=2, obs=watch,
+            describe=lambda task: {"task": task}, workers=workers,
+            obs=watch,
         )
         started = time.perf_counter()
         with pytest.raises(ReproError,
@@ -320,7 +325,7 @@ class TestSpecReachesWorkers:
             run_pool(job)
         assert time.perf_counter() - started < 30
         assert delivered == []
-        assert len(watch.pids) <= 2
+        assert len(watch.pids) <= max(workers, 2)
         assert live(watch.pids) == set()
 
 
